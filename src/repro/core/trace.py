@@ -7,8 +7,9 @@ consecutive API calls (Section 4.2 of the paper).
 
 Traces are plain data: they can be serialised to / from JSON so that
 emulation and simulation can run in separate processes, mirroring the
-"Worker Traces" artifact in Figure 5 (the evaluation backends ship cached
-emulation artifacts between processes through exactly this round-trip).
+"Worker Traces" artifact in Figure 5.  JSON is the public export for
+tools and tests; between processes the service ships the equivalent
+columnar payload instead (:mod:`repro.core.columnar`, ``to_json()``-exact).
 
 ``HOST_DELAY`` events come in two schema generations:
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.hardware.noise import stable_hash
@@ -109,9 +110,23 @@ class TraceEvent:
     # serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        data = asdict(self)
-        data["kind"] = self.kind.value
-        return data
+        # Field by field, in dataclass order: ``dataclasses.asdict`` deep-
+        # copies every nested value (~110 us per event), the JSON export
+        # only needs the two dicts not to alias the event's own.
+        return {
+            "kind": self.kind.value,
+            "api": self.api,
+            "device": self.device,
+            "stream": self.stream,
+            "kernel_class": self.kernel_class,
+            "params": dict(self.params),
+            "collective": (None if self.collective is None
+                           else dict(self.collective)),
+            "event": self.event,
+            "wait_event": self.wait_event,
+            "duration": self.duration,
+            "seq": self.seq,
+        }
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "TraceEvent":

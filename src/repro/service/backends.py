@@ -18,21 +18,22 @@ implementing one explicit lifecycle -- ``warm`` / ``submit`` / ``drain`` /
   dispatched by index (nothing but an integer crosses the pipe on the way
   in).  Each worker runs the ordinary cache-aware ``predict`` path; results
   travel back as pickled :class:`~repro.core.pipeline.PredictionResult`
-  objects, and any *freshly emulated* artifacts travel as the existing JSON
-  trace serialisation, which the parent re-collates and merges into its own
-  :class:`~repro.service.cache.ArtifactCache` (so the next batch forks with
-  those artifacts already in memory).  Cache statistics are replayed on the
-  parent so the accounting matches what a serial evaluation would have
-  recorded.
+  objects, and any *freshly emulated* artifacts as one columnar payload
+  (:func:`repro.service.wire.dumps_columnar`), which the parent decodes
+  into its own :class:`~repro.service.cache.ArtifactCache` (so the next
+  batch forks with those artifacts already in memory).  Cache statistics
+  are replayed on the parent so the accounting matches what a serial
+  evaluation would have recorded.
 * ``persistent`` -- a long-lived fork-based worker pool created once per
   service (``warm()``) and reused across batches (``close()`` tears it
   down).  Instead of re-inheriting the newest cache through a fresh fork,
   workers are kept in sync by **incremental cache deltas**: before each
-  batch the parent ships only the artifact entries (and shared-provider
-  duration memos) created since that worker's last sync, keyed by the
-  artifact cache's sync epoch, and the worker acks the epoch before any job
-  of the batch reaches it.  A worker whose epoch the journal cannot serve
-  receives a full snapshot instead of ever serving stale artifacts.  Jobs
+  batch the parent ships only the artifact entries (the same columnar
+  payloads, encoded once however many workers receive them) and
+  shared-provider duration memos created since that worker's last sync,
+  keyed by the artifact cache's sync epoch, and the worker acks the epoch
+  before any job of the batch reaches it.  A worker whose epoch the
+  journal cannot serve receives a full snapshot instead.  Jobs
   are dispatched with a bounded per-worker in-flight window, interleaving
   scatter with gather so neither side can block on a full pipe buffer; the
   result payloads and parent-side merge are identical to the ``process``
@@ -66,14 +67,13 @@ import time
 import traceback
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import replace
 from itertools import islice
 from multiprocessing import connection as mp_connection
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.collator import TraceCollator
-from repro.core.pipeline import EmulationArtifacts, PredictionResult
-from repro.core.trace import JobTrace
-from repro.service import faults
+from repro.core.pipeline import PredictionResult
+from repro.service import faults, wire
 from repro.service.scheduling import (SCHEDULER_ENV, JobSpec, WorkerSnapshot,
                                       get_scheduler, validate_scheduler)
 from repro.service.store import StoreRef
@@ -143,38 +143,42 @@ class _WorkerUnresponsive(OSError):
     """
 
 
-def _evaluate_job(service: "PredictionService", index: int,
-                  job: TrainingJob) -> Tuple[int, PredictionResult,
-                                             Optional[str], bool,
-                                             Dict[str, float]]:
+def _artifact_key(service: "PredictionService",
+                  job: TrainingJob) -> Optional[Tuple]:
+    """The job's artifact-cache key; ``None`` for unkeyable job types."""
+    try:
+        return service._artifact_key(job)
+    except (NotImplementedError, TypeError):
+        return None
+
+
+def _evaluate_job(service: "PredictionService", index: int, job: TrainingJob,
+                  conn=None) -> Tuple[int, PredictionResult, Optional[bytes]]:
     """Evaluate one job inside a worker process.
 
-    Returns the prediction plus, for cache misses, the freshly captured job
-    trace as JSON so the parent can rebuild and cache the emulation
-    artifacts (worker memory is copy-on-write or a fork-time copy: nothing
-    written here is visible to the parent).
+    Returns the prediction plus, for cache misses, the freshly emulated
+    artifacts encoded once, in the wire format of ``conn``'s peer (``None``:
+    a fork-pool result queue), so the parent can cache them (worker memory
+    is copy-on-write or a fork-time copy: nothing written here is visible
+    to the parent).  The first replay already lowered every trace to
+    columns, so encoding is a buffer copy.  ``job`` and ``cluster`` stay
+    behind: the parent re-attaches its own.
     """
     result = service.predict(job)
-    trace_json: Optional[str] = None
-    oom = False
-    stage_times: Dict[str, float] = {}
+    payload: Optional[bytes] = None
     if result.metadata.get("service_cache") == "miss":
-        try:
-            key = service._artifact_key(job)
-        except (NotImplementedError, TypeError):
-            key = None
+        key = _artifact_key(service, job)
         if key is not None:
             artifacts = service.cache.peek_artifacts(key)
             if artifacts is not None:
-                trace_json = artifacts.job_trace.to_json()
-                oom = artifacts.oom
-                stage_times = dict(artifacts.stage_times)
-    return index, result, trace_json, oom, stage_times
+                payload = wire.dumps_for_format(
+                    replace(artifacts, job=None, cluster=None),
+                    wire.format_for_peer(conn))
+    return index, result, payload
 
 
 def _process_worker(index: int) -> Tuple[int, PredictionResult,
-                                         Optional[str], bool,
-                                         Dict[str, float]]:
+                                         Optional[bytes]]:
     """Evaluate one job of the batch inside a per-batch forked worker."""
     service, jobs = _WORKER_CONTEXT
     return _evaluate_job(service, index, jobs[index])
@@ -197,10 +201,7 @@ def _split_structural(service: "PredictionService",
     deferred: List[int] = []
     seen_keys = set()
     for index, job in enumerate(jobs):
-        try:
-            key = service._artifact_key(job)
-        except (NotImplementedError, TypeError):
-            key = None
+        key = _artifact_key(service, job)
         if key is not None and key in seen_keys:
             deferred.append(index)
             continue
@@ -215,13 +216,13 @@ def _merge_batch(service: "PredictionService", jobs: Sequence[TrainingJob],
     """Fold worker results back into the parent service.
 
     Replays the cache accounting each worker performed against its own
-    (invisible) cache copy, rebuilds freshly emulated artifacts from their
-    JSON traces, and seeds the prediction cache so followers and future
+    (invisible) cache copy, decodes freshly emulated artifacts from their
+    wire payloads, and seeds the prediction cache so followers and future
     batches resolve exactly as they would have serially.
     """
     results: List[Optional[PredictionResult]] = [None] * len(jobs)
     stats = service.stats
-    for index, result, trace_json, oom, stage_times in payloads:
+    for index, result, payload in payloads:
         results[index] = result
         level = result.metadata.get("service_cache")
         tier = result.metadata.get("artifact_tier")
@@ -240,20 +241,23 @@ def _merge_batch(service: "PredictionService", jobs: Sequence[TrainingJob],
         if not service.enable_cache or level is None:
             continue
         job = jobs[index]
-        if trace_json is not None:
-            _merge_artifacts(service, job, trace_json, oom, stage_times)
-        elif level == "artifacts" and tier == "store":
+        artifact_key = _artifact_key(service, job)
+        if payload is not None:
+            # Fresh emulation: cache the worker's artifacts (traces and
+            # collation, as it encoded them) under the parent's own objects.
+            if (artifact_key is not None
+                    and service.cache.peek_artifacts(artifact_key) is None):
+                service.cache.put_artifacts(artifact_key, replace(
+                    wire.loads(payload), job=job,
+                    cluster=service.pipeline.cluster))
+        elif (level == "artifacts" and tier == "store"
+              and artifact_key is not None):
             # The worker's lookup fell through to the disk store and
             # hydrated *its* memory tier; mirror that on the parent (from
             # the parent's own store, in input order) so the journal, the
             # eviction state and the next batch's lookups land exactly
             # where a serial store hit would have left them.
-            try:
-                artifact_key = service._artifact_key(job)
-            except (NotImplementedError, TypeError):
-                artifact_key = None
-            if artifact_key is not None:
-                service.cache.hydrate_from_store(artifact_key)
+            service.cache.hydrate_from_store(artifact_key)
         try:
             prediction_key = service._prediction_key(job)
         except (NotImplementedError, TypeError):
@@ -262,30 +266,6 @@ def _merge_batch(service: "PredictionService", jobs: Sequence[TrainingJob],
                 and service.cache.peek_prediction(prediction_key) is None):
             service.cache.put_prediction(prediction_key, result)
     return results
-
-
-def _merge_artifacts(service: "PredictionService", job: TrainingJob,
-                     trace_json: str, oom: bool,
-                     stage_times: Dict[str, float]) -> None:
-    try:
-        artifact_key = service._artifact_key(job)
-    except (NotImplementedError, TypeError):
-        return
-    if service.cache.peek_artifacts(artifact_key) is not None:
-        return
-    pipeline = service.pipeline
-    job_trace = JobTrace.from_json(trace_json)
-    collator = TraceCollator(deduplicate=pipeline.deduplicate_workers)
-    topology = job.topology() if hasattr(job, "topology") else None
-    collated = collator.collate(job_trace, topology=topology)
-    service.cache.put_artifacts(artifact_key, EmulationArtifacts(
-        job=job,
-        cluster=pipeline.cluster,
-        job_trace=job_trace,
-        collated=collated,
-        oom=oom,
-        stage_times=stage_times,
-    ))
 
 
 class EvaluationBackend:
@@ -520,14 +500,16 @@ class ProcessBackend(EvaluationBackend):
 # ----------------------------------------------------------------------
 # pooled workers (persistent fork pool + multi-host socket pool)
 # ----------------------------------------------------------------------
-def _resolve_store_refs(service: "PredictionService",
-                        entries: Sequence[Tuple]
-                        ) -> Tuple[List[Tuple], List[Tuple]]:
-    """Swap :class:`~repro.service.store.StoreRef` markers for artifacts.
+def _decode_sync_entries(service: "PredictionService",
+                         entries: Sequence[Tuple]
+                         ) -> Tuple[List[Tuple], List[Tuple]]:
+    """Turn shipped sync entries back into artifacts (worker side).
 
-    Worker-side half of the skip-snapshot-ship optimisation: the parent
-    replaces store-held entries with tiny refs, and the worker loads the
-    payloads from its own attached store (the same directory under the
+    An entry's value is either the artifact's wire payload (decoded here)
+    or a :class:`~repro.service.store.StoreRef` marker -- the worker-side
+    half of the skip-snapshot-ship optimisation: the parent replaces
+    store-held entries with tiny refs, and the worker loads the payloads
+    from its own attached store (the same directory under the
     ``persistent`` backend's fork inheritance).  Returns the resolved
     entries plus the keys no store could serve (entry gc'd in between, or
     no store attached at all) -- those are reported back as a
@@ -544,8 +526,9 @@ def _resolve_store_refs(service: "PredictionService",
             if artifacts is None:
                 missing.append(key)
                 continue
-            value = artifacts
-        resolved.append((key, value))
+        else:
+            artifacts = wire.loads(value)
+        resolved.append((key, artifacts))
     return resolved, missing
 
 
@@ -592,8 +575,8 @@ def _pool_worker_main(conn, service: "PredictionService",
                 elif kind == "sync":
                     (_, epoch, full, entries, kernel_memo,
                      collective_memo) = message
-                    entries, store_misses = _resolve_store_refs(service,
-                                                                entries)
+                    entries, store_misses = _decode_sync_entries(service,
+                                                                 entries)
                     service.cache.apply_artifact_delta(entries, full=full)
                     provider = (service.provider()
                                 if service.share_provider else None)
@@ -620,7 +603,7 @@ def _pool_worker_main(conn, service: "PredictionService",
                     plan.before_job(index)
                     started = time.perf_counter()
                     try:
-                        payload = _evaluate_job(service, index, job)
+                        payload = _evaluate_job(service, index, job, conn)
                     except BaseException:
                         conn.send(("error", index, traceback.format_exc()))
                     else:
@@ -983,10 +966,7 @@ class PooledBackend(EvaluationBackend):
         store = getattr(cache, "store", None)
         specs: List[JobSpec] = []
         for index in dispatch:
-            try:
-                key = service._artifact_key(jobs[index])
-            except (NotImplementedError, TypeError):
-                key = None
+            key = _artifact_key(service, jobs[index])
             cached = False
             in_store = False
             ship_bytes = 0
@@ -1125,20 +1105,26 @@ class PooledBackend(EvaluationBackend):
     # ------------------------------------------------------------------
     # sync protocol
     # ------------------------------------------------------------------
-    def _sync_worker(self, service: "PredictionService",
-                     worker: _PoolWorker) -> None:
+    def _send_sync(self, service: "PredictionService", worker: _PoolWorker,
+                   encoded: Dict[Tuple, bytes]) -> Optional[Tuple]:
         """Ship the artifact/memo delta since the worker's acked epoch.
 
-        The worker acks the epoch before any job of the batch reaches it
-        (the pipe is ordered), so no job is ever evaluated against stale
+        Returns what :meth:`_await_sync` needs to collect the ack (``None``
+        when the worker is already current and nothing was sent).  The
+        worker acks the epoch before any job of the batch reaches it (the
+        pipe is ordered), so no job is ever evaluated against stale
         artifacts.  An unserviceable epoch -- or an ack that does not match
-        the epoch just shipped -- forces a full snapshot resync.
+        the epoch just shipped -- forces a full snapshot resync.  Artifacts
+        travel as wire payloads memoised in ``encoded`` (shared by every
+        worker synced for the same batch): a delta fanned out to N
+        siblings is serialised once per format, not N times.
         """
         cache = service.cache
         provider = service.provider() if service.share_provider else None
         kernel_memo: List[Tuple] = []
         collective_memo: List[Tuple] = []
-        kernel_len = collective_len = 0
+        kernel_len = worker.kernel_memo_len
+        collective_len = worker.collective_memo_len
         if provider is not None:
             # The memo dicts are append-only, so a length compare is a
             # complete delta test: steady-state sweeps (memos stopped
@@ -1162,7 +1148,7 @@ class PooledBackend(EvaluationBackend):
             if not entries and not kernel_memo and not collective_memo:
                 self.sync_stats["skipped_syncs"] += 1
                 worker.epoch = epoch
-                return
+                return None
             full = False
             self.sync_stats["delta_syncs"] += 1
         else:
@@ -1171,23 +1157,38 @@ class PooledBackend(EvaluationBackend):
             epoch, entries = cache.snapshot()
             full = True
             self.sync_stats["full_syncs"] += 1
-        shipped = entries
-        store = getattr(cache, "store", None)
-        if store is not None and worker.shares_store:
-            # Skip shipping payloads the worker can read from the shared
-            # store directory: a tiny StoreRef travels instead of the
-            # artifact.  Applies to deltas and full snapshots alike (the
-            # snapshot ship is where the savings are largest).
-            shipped = []
-            for key, value in entries:
-                if store.contains(key):
-                    shipped.append((key, StoreRef(key)))
-                    self.sync_stats["store_refs_shipped"] += 1
-                else:
-                    shipped.append((key, value))
+        fmt = wire.format_for_peer(worker.conn)
+        store = getattr(cache, "store", None) if worker.shares_store else None
+        shipped = []
+        for key, artifacts in entries:
+            if store is not None and store.contains(key):
+                # Skip shipping payloads the worker can read from the
+                # shared store directory: a tiny StoreRef travels instead
+                # of the artifact.  Applies to deltas and full snapshots
+                # alike (the snapshot ship is where the savings are
+                # largest).
+                shipped.append((key, StoreRef(key)))
+                self.sync_stats["store_refs_shipped"] += 1
+            else:
+                if (fmt, key) not in encoded:
+                    encoded[fmt, key] = wire.dumps_for_format(artifacts, fmt)
+                shipped.append((key, encoded[fmt, key]))
         worker.conn.send(("sync", epoch, full, shipped, kernel_memo,
                           collective_memo))
-        deadline = time.monotonic() + self.sync_timeout
+        return (epoch, entries, kernel_len, collective_len,
+                time.monotonic() + self.sync_timeout)
+
+    def _await_sync(self, worker: _PoolWorker,
+                    pending: Optional[Tuple]) -> None:
+        """Collect the ack of a :meth:`_send_sync`; commit the cursor.
+
+        The deadline runs from the send, so acks of workers synced in one
+        pipelined round are awaited concurrently: a worker whose ack has
+        already arrived is honoured however long an earlier one took.
+        """
+        if pending is None:
+            return
+        epoch, entries, kernel_len, collective_len, deadline = pending
         while True:
             if not worker.conn.poll(max(deadline - time.monotonic(), 0.0)):
                 # A wedged-but-alive worker must not hang the service:
@@ -1210,8 +1211,9 @@ class PooledBackend(EvaluationBackend):
                 # after applying them (the follow-up carries no refs, so
                 # this converges in one round).
                 by_key = dict(entries)
-                resend = [(key, by_key[key]) for key in ack[2]
-                          if key in by_key]
+                fmt = wire.format_for_peer(worker.conn)
+                resend = [(key, wire.dumps_for_format(by_key[key], fmt))
+                          for key in ack[2] if key in by_key]
                 self.sync_stats["store_ref_fallbacks"] += 1
                 worker.conn.send(("sync", epoch, False, resend, [], []))
                 deadline = time.monotonic() + self.sync_timeout
@@ -1222,9 +1224,8 @@ class PooledBackend(EvaluationBackend):
                 f"{self.name} worker acked {ack!r}, expected sync epoch "
                 f"{epoch}")
         worker.epoch = epoch
-        if provider is not None:
-            worker.kernel_memo_len = kernel_len
-            worker.collective_memo_len = collective_len
+        worker.kernel_memo_len = kernel_len
+        worker.collective_memo_len = collective_len
 
     # ------------------------------------------------------------------
     # batch evaluation
@@ -1280,28 +1281,41 @@ class PooledBackend(EvaluationBackend):
             assignments: List[Tuple[_PoolWorker, List[int]]] = [
                 (workers[slot], assigned)
                 for slot, assigned in enumerate(shares) if assigned]
-            # Sync (and collect the epoch ack from) every worker that will
-            # see jobs this batch.  Jobs themselves are NOT sent here:
-            # drain interleaves scatter and gather with a bounded in-flight
-            # window, because pipes are fixed-size OS buffers -- scattering
-            # a large batch wholesale while a worker blocks sending a large
-            # result would deadlock both sides.  A worker whose pipe dies
-            # at any point hands its share to the parent (identical
-            # results, identical accounting).
-            synced: List[Tuple[_PoolWorker, List[int]]] = []
+            # Sync every worker that will see jobs this batch: all the
+            # sends first, then all the epoch acks, so the workers decode
+            # their deltas concurrently (an ack is a few bytes: it can
+            # never fill a pipe and block a worker while the parent is
+            # still sending to its sibling).  Jobs themselves are NOT sent
+            # here: drain interleaves scatter and gather with a bounded
+            # in-flight window, because pipes are fixed-size OS buffers --
+            # scattering a large batch wholesale while a worker blocks
+            # sending a large result would deadlock both sides.  A worker
+            # whose pipe dies at any point hands its share to the parent
+            # (identical results, identical accounting).
+            encoded: Dict[Tuple, bytes] = {}
+            sent: List[Tuple[_PoolWorker, List[int], Optional[Tuple]]] = []
+            failed: List[Tuple[_PoolWorker, List[int]]] = []
             for worker, assigned in assignments:
                 try:
-                    self._sync_worker(service, worker)
+                    sent.append((worker, assigned,
+                                 self._send_sync(service, worker, encoded)))
                 except _CONN_FAILURES:
-                    self.resilience_stats["worker_deaths"] += 1
-                    self._discard_worker(worker)
-                    reason = (f"{self.name} worker failed during cache "
-                              f"sync; evaluated on parent")
-                    self._parent_eval.extend(
-                        (index, reason) for index in assigned)
+                    failed.append((worker, assigned))
+            self._assignments = []
+            for worker, assigned, pending in sent:
+                try:
+                    self._await_sync(worker, pending)
+                except _CONN_FAILURES:
+                    failed.append((worker, assigned))
                 else:
-                    synced.append((worker, assigned))
-            self._assignments = synced
+                    self._assignments.append((worker, assigned))
+            for worker, assigned in failed:
+                self.resilience_stats["worker_deaths"] += 1
+                self._discard_worker(worker)
+                reason = (f"{self.name} worker failed during cache sync; "
+                          f"evaluated on parent")
+                self._parent_eval.extend(
+                    (index, reason) for index in assigned)
             self._service = service
         except BaseException:
             self._batch_lock.release()
@@ -1525,7 +1539,8 @@ class PooledBackend(EvaluationBackend):
                 if worker is None:
                     return
                 try:
-                    self._sync_worker(service, worker)
+                    self._await_sync(worker,
+                                     self._send_sync(service, worker, {}))
                 except _CONN_FAILURES:
                     stats["worker_deaths"] += 1
                     self._discard_worker(worker)
@@ -1724,10 +1739,7 @@ class PooledBackend(EvaluationBackend):
                             # Fresh emulation: remember which worker
                             # already holds these artifacts so the next
                             # sync does not ship them back.
-                            try:
-                                key = service._artifact_key(jobs[index])
-                            except (NotImplementedError, TypeError):
-                                key = None
+                            key = _artifact_key(service, jobs[index])
                             if key is not None:
                                 while len(self._artifact_origin) >= 4096:
                                     self._artifact_origin.pop(
@@ -1938,8 +1950,6 @@ class SocketBackend(PooledBackend):
         after run (no wall-clock randomness in tests), while different
         addresses still decorrelate their retry storms.
         """
-        from repro.service import wire
-
         rng = random.Random(f"{self.name}:{address}")
         delay = self.connect_backoff
         attempts = max(int(self.connect_attempts), 1)
@@ -1954,6 +1964,20 @@ class SocketBackend(PooledBackend):
                     delay = min(delay * 2.0, self.connect_backoff_cap)
         raise last_error
 
+    def _bootstrap(self, conn: "wire.WireConnection", address: str,
+                   payload: bytes, fmt: int) -> None:
+        """Ship the encoded warm payload to one host; await its ack."""
+        conn.send_bytes(payload, fmt)
+        if not conn.poll(self.warm_timeout):
+            raise _WorkerUnresponsive(
+                f"worker host {address} did not ack the warm payload "
+                f"within {self.warm_timeout}s")
+        ack = conn.recv()
+        if ack != ("warmed",):
+            raise wire.WireProtocolError(
+                f"worker host {address} answered {ack!r} to the warm "
+                f"payload, expected ('warmed',)")
+
     def _top_up(self, service: "PredictionService") -> None:
         """Connect (and bootstrap) one worker per not-yet-served address.
 
@@ -1963,8 +1987,6 @@ class SocketBackend(PooledBackend):
         snapshot/delta sync path re-warms the rejoined worker -- elastic
         rejoin falls out of the same machinery as first contact.
         """
-        from repro.service import wire
-
         served = {worker.address for worker in self._workers}
         failures: List[Tuple[str, str]] = []
         fresh: List[Tuple[str, wire.WireConnection]] = []
@@ -1991,27 +2013,13 @@ class SocketBackend(PooledBackend):
             epoch, kernel_len, collective_len = \
                 self._bootstrap_cursor(service)
             payloads: Dict[int, bytes] = {}
-
-            def _warm_payload(conn: "wire.WireConnection"
-                              ) -> Tuple[bytes, int]:
+        for position, (address, conn) in enumerate(fresh):
+            try:
                 fmt = wire.format_for_peer(conn)
                 if fmt not in payloads:
                     payloads[fmt] = wire.dumps_for_format(
                         ("warm", service), fmt)
-                return payloads[fmt], fmt
-        for position, (address, conn) in enumerate(fresh):
-            try:
-                payload, fmt = _warm_payload(conn)
-                conn.send_bytes(payload, fmt)
-                if not conn.poll(self.warm_timeout):
-                    raise _WorkerUnresponsive(
-                        f"worker host {address} did not ack the warm "
-                        f"payload within {self.warm_timeout}s")
-                ack = conn.recv()
-                if ack != ("warmed",):
-                    raise wire.WireProtocolError(
-                        f"worker host {address} answered {ack!r} to the "
-                        f"warm payload, expected ('warmed',)")
+                self._bootstrap(conn, address, payloads[fmt], fmt)
             except wire.WireProtocolError:
                 conn.close()
                 for _, remaining in fresh[position + 1:]:
@@ -2065,8 +2073,6 @@ class SocketBackend(PooledBackend):
         decline the join (recorded in ``connect_errors``) instead of
         failing the batch; a protocol-version mismatch still raises.
         """
-        from repro.service import wire
-
         with self._closed_lock:
             if any(getattr(worker, "address", None) == spec
                    for worker in self._workers):
@@ -2080,17 +2086,8 @@ class SocketBackend(PooledBackend):
         epoch, kernel_len, collective_len = self._bootstrap_cursor(service)
         try:
             fmt = wire.format_for_peer(conn)
-            conn.send_bytes(wire.dumps_for_format(("warm", service), fmt),
-                            fmt)
-            if not conn.poll(self.warm_timeout):
-                raise _WorkerUnresponsive(
-                    f"worker host {spec} did not ack the warm payload "
-                    f"within {self.warm_timeout}s")
-            ack = conn.recv()
-            if ack != ("warmed",):
-                raise wire.WireProtocolError(
-                    f"worker host {spec} answered {ack!r} to the warm "
-                    f"payload, expected ('warmed',)")
+            self._bootstrap(conn, spec, wire.dumps_for_format(
+                ("warm", service), fmt), fmt)
         except wire.WireProtocolError:
             conn.close()
             raise

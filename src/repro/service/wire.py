@@ -59,7 +59,11 @@ from typing import Optional, Tuple
 #: handshake, or the lifecycle message vocabulary.  Optional capabilities
 #: (columnar trace shipping) negotiate via handshake ``features`` and do
 #: NOT bump the protocol: they degrade cleanly against older peers.
-PROTOCOL = 1
+#: Version 2: ``result`` messages carry the worker's encoded artifacts
+#: (:func:`dumps_for_format` bytes) where version 1 carried a JSON trace
+#: plus ``oom`` / ``stage_times``, and ``sync`` entries carry the same
+#: encoded bytes instead of artifact objects.
+PROTOCOL = 2
 
 #: Handshake feature flag: this side can decode format-3 frames (pickles
 #: whose ``WorkerTrace`` objects are reduced to columnar payloads).
@@ -344,9 +348,7 @@ def decode_payload(fmt: int, payload: bytes, json_only: bool = False):
             f"peer's first frame is format {fmt}, not the JSON handshake "
             f"hello; refusing to decode pre-handshake data")
     if fmt == _FORMAT_PICKLE or fmt == _FORMAT_PICKLE_COLUMNAR:
-        # Format 3 is self-describing: each embedded columnar payload
-        # pickles as a call to its decoder, so plain loads suffices.
-        return pickle.loads(payload)
+        return loads(payload)
     raise WireError(f"unknown frame format {fmt}")
 
 
@@ -433,20 +435,34 @@ def dumps_columnar(obj) -> bytes:
     return buffer.getvalue()
 
 
+def loads(payload: bytes):
+    """Decode what :func:`dumps` or :func:`dumps_columnar` produced.
+
+    Format 3 is self-describing -- each embedded columnar payload pickles
+    as a call to its decoder -- so one plain ``pickle.loads`` serves both.
+    """
+    return pickle.loads(payload)
+
+
 def _dumps_for_features(obj, features: frozenset) -> Tuple[int, bytes]:
     if FEATURE_COLUMNAR in features:
         return _FORMAT_PICKLE_COLUMNAR, dumps_columnar(obj)
     return _FORMAT_PICKLE, dumps(obj)
 
 
-def format_for_peer(conn: WireConnection) -> int:
-    """Frame format :meth:`WireConnection.send` would pick for ``conn``.
+def format_for_peer(conn) -> int:
+    """Payload format to encode with for the peer behind ``conn``.
 
     For fan-out senders: group peers by format, serialise once per group
     with :func:`dumps_for_format`, ship with
-    :meth:`WireConnection.send_bytes`.
+    :meth:`WireConnection.send_bytes` (or inside a message).  A
+    connection that never handshook is a fork pipe: its peer is a fork of
+    this very process and decodes whatever this side can encode, so it
+    always gets the columnar format (which :func:`dumps_columnar` itself
+    degrades to plain pickle per trace when numpy is absent).
     """
-    if FEATURE_COLUMNAR in conn.peer_features:
+    features = getattr(conn, "peer_features", None)
+    if features is None or FEATURE_COLUMNAR in features:
         return _FORMAT_PICKLE_COLUMNAR
     return _FORMAT_PICKLE
 

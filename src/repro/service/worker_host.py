@@ -15,9 +15,9 @@ elsewhere.  The life of one parent connection:
 3. **Worker loop** -- :func:`repro.service.backends._pool_worker_main`
    takes over: apply ``sync`` cache deltas (acking each epoch), evaluate
    ``job`` messages through the ordinary cache-aware ``predict`` path,
-   ship back results (plus freshly emulated artifacts as JSON traces),
-   until ``close`` or EOF.  This is the *same* loop a forked persistent
-   worker runs -- only the transport differs.
+   ship back results (plus freshly emulated artifacts as one encoded
+   wire payload), until ``close`` or EOF.  This is the *same* loop a
+   forked persistent worker runs -- only the transport differs.
 
 Each connection is served on its own thread with its own unpickled
 service, so one worker host can outlive many parents (and --

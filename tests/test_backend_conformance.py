@@ -127,6 +127,24 @@ class _NoAckConn:
         pass
 
 
+class _RecordingConn:
+    """Pipe proxy logging the order of the parent's sends and ack waits."""
+
+    def __init__(self, conn, name, log) -> None:
+        self._conn, self._name, self._log = conn, name, log
+
+    def send(self, message) -> None:
+        self._log.append(("send", self._name, message[0]))
+        self._conn.send(message)
+
+    def poll(self, timeout=None) -> bool:
+        self._log.append(("poll", self._name))
+        return self._conn.poll(timeout)
+
+    def __getattr__(self, attribute):  # recv / fileno / close
+        return getattr(self._conn, attribute)
+
+
 def _wait_no_extra_children(before, timeout=10.0):
     """Wait until no child processes beyond ``before`` remain."""
     deadline = time.monotonic() + timeout
@@ -393,6 +411,31 @@ class TestPersistentLifecycle:
             real_conn.close()
         finally:
             backend.close()
+
+    def test_syncs_are_all_sent_before_any_ack_is_awaited(self):
+        # Workers decode their deltas concurrently only if the parent
+        # ships every assigned worker's sync before it blocks on an ack.
+        backend = get_backend("persistent")
+        service = _FlowService()
+        log = []
+        try:
+            backend.warm(service)
+            for name, worker in enumerate(backend._workers):
+                worker.epoch = -1  # unserviceable: forces a sync message
+                worker.conn = _RecordingConn(worker.conn, name, log)
+            results = backend.evaluate(service,
+                                       [_FlowJob(i) for i in range(6)])
+            assert [result.iteration_time for result in results] == [
+                float(index) for index in range(6)]
+            assert backend.sync_stats["full_syncs"] == 2
+        finally:
+            backend.close()
+        # (warm's idle-connection probe polls before any sync is sent)
+        log = log[log.index(("send", 0, "sync")):]
+        sync_traffic = [entry[:2] for entry in log
+                        if entry[0] == "poll" or entry[2] == "sync"]
+        assert sync_traffic[:3] == [("send", 0), ("send", 1), ("poll", 0)]
+        assert ("poll", 1) in sync_traffic
 
     def test_concurrent_warm_and_close_strand_no_workers(self):
         # close() racing a warm() top-up from another thread must never

@@ -175,6 +175,44 @@ class TestPersistentChaos:
             "the batch waited out the straggler instead of re-dispatching"
         assert _wait_no_extra_children(before) == []
 
+    @pytest.mark.parametrize("victim", [0, 1])
+    @pytest.mark.parametrize("fault", ["drop", "delay"])
+    def test_pipelined_sync_survives_one_failed_ack(
+            self, tiny_model, v100_cluster, reference, fault, victim):
+        # Batch 2 syncs both workers in one pipelined round (all sends,
+        # then all acks).  One worker's ack never arrives -- it drops the
+        # connection instead, or sleeps far past the sync timeout -- and
+        # the other worker's ack, sent in the same round, must still be
+        # honoured: only the victim's share degrades to the parent.
+        before = multiprocessing.active_children()
+        install_fault_plan(FaultPlan([
+            FaultRule(action=fault, epoch=1, delay_s=5.0, worker=victim)]))
+        service = PredictionService(cluster=v100_cluster,
+                                    estimator_mode="analytical",
+                                    backend="persistent", max_workers=2,
+                                    sync_timeout=0.5)
+        started = time.monotonic()
+        run = run_conformance(tiny_model, v100_cluster, "persistent",
+                              service=service)
+        elapsed = time.monotonic() - started
+        install_fault_plan(None)
+        assert_conformant(reference, run)
+        assert run.sync_stats["delta_syncs"] == 2, \
+            "both workers must have been sent their delta"
+        assert run.resilience_stats["worker_deaths"] == 1
+        assert elapsed < 5.0, "the batch waited out the delayed ack"
+        # Batch 2 dispatches three jobs round-robin (the fourth is a
+        # prediction hit): worker 0 holds two of them, worker 1 one.
+        tagged = [result.metadata["backend_fallback"]
+                  for result in run.results[1]
+                  if "backend_fallback" in result.metadata]
+        assert len(tagged) == (2, 1)[victim], \
+            "exactly the victim's share may fall back to the parent"
+        assert all("cache sync" in reason for reason in tagged)
+        assert not any("backend_fallback" in result.metadata
+                       for result in run.results[0])
+        assert _wait_no_extra_children(before) == []
+
 
 @needs_socket
 class TestSocketChaos:

@@ -3,13 +3,20 @@ artifact cache, parallel batch evaluation and search integration."""
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
+
 import pytest
 
 from backend_conformance import assert_results_identical
+from repro.core import columnar
+from repro.core.collator import TraceCollator
+from repro.core.trace import JobTrace
 from repro.framework.recipe import STRUCTURAL_KNOBS, TrainingRecipe
 from repro.search import MayaSearch, MayaTrialEvaluator, TrialStatus
 from repro.search.space import default_search_space
-from repro.service import ArtifactCache, PredictionService
+from repro.service import ArtifactCache, PredictionService, wire
 from repro.workloads.job import TransformerTrainingJob
 from repro.workloads.models import get_transformer
 
@@ -405,7 +412,7 @@ class TestEvaluationBackends:
                                                      v100_cluster):
         service, results = self._run(tiny_model, v100_cluster, "process")
         assert all(r.metadata["service_cache"] == "miss" for r in results)
-        # Freshly emulated artifacts were shipped back as JSON traces and
+        # Freshly emulated artifacts were shipped back as wire payloads and
         # merged: every artifact and prediction key now resolves locally.
         for job in self._jobs(tiny_model, v100_cluster):
             assert service.cache.peek_artifacts(
@@ -446,9 +453,9 @@ class TestEvaluationBackends:
 
     def test_merged_artifacts_replay_identically(self, tiny_model,
                                                  v100_cluster):
-        # Artifacts rebuilt from a worker's JSON trace must predict exactly
-        # like locally emulated ones (estimation + simulation re-run on the
-        # merged artifacts for a structural sibling).
+        # Artifacts decoded from a worker's wire payload must predict
+        # exactly like locally emulated ones (estimation + simulation
+        # re-run on the merged artifacts for a structural sibling).
         service, _ = self._run(tiny_model, v100_cluster, "process")
         local = PredictionService(cluster=v100_cluster,
                                   estimator_mode="analytical")
@@ -512,3 +519,152 @@ class TestEvaluationBackends:
         return MayaTrialEvaluator(get_transformer("gpt-small"), cluster,
                                   global_batch_size=32,
                                   estimator_mode="analytical", **kwargs)
+
+
+def _trace_json(artifacts, comm_ids=True):
+    """``job_trace.to_json()``; ``comm_ids=False`` blanks the communicator
+    ids, which come from a per-process counter (they depend on how many
+    jobs that process emulated before, not on the job)."""
+    if comm_ids:
+        return artifacts.job_trace.to_json()
+    data = artifacts.job_trace.to_dict()
+    for worker in data["workers"].values():
+        for event in worker["events"]:
+            if event["collective"] is not None:
+                event["collective"]["comm_id"] = None
+    return json.dumps(data)
+
+
+class TestPooledArtifactReturnPath:
+    """Workers return fresh artifacts as one wire payload that the parent
+    decodes and caches as-is: no JSON round-trip, no second collation."""
+
+    RECIPES = TestEvaluationBackends.RECIPES
+    POOLED = pytest.mark.parametrize("backend", ["process", "persistent"])
+
+    def _jobs(self, model, cluster):
+        return [_job(model, cluster, recipe) for recipe in self.RECIPES]
+
+    def _service(self, cluster, backend="serial"):
+        return PredictionService(cluster=cluster,
+                                 estimator_mode="analytical",
+                                 backend=backend, max_workers=2)
+
+    @POOLED
+    def test_no_json_round_trip_and_no_parent_collation(
+            self, tiny_model, v100_cluster, backend, monkeypatch):
+        # Counters live in fork-shared memory, so calls made inside the
+        # forked workers (where _evaluate_job runs) are counted too.
+        context = multiprocessing.get_context("fork")
+        json_calls = context.Value("i", 0)
+        collations = context.Value("i", 0)
+        parent_pid = os.getpid()
+        parent_calls = {"collate": 0, "loads": 0}
+
+        def counted(real, counter, parent_key=None):
+            def wrapper(*args, **kwargs):
+                with counter.get_lock():
+                    counter.value += 1
+                if parent_key is not None and os.getpid() == parent_pid:
+                    parent_calls[parent_key] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(TraceCollator, "collate", counted(
+            TraceCollator.collate, collations, "collate"))
+        monkeypatch.setattr(JobTrace, "to_json",
+                            counted(JobTrace.to_json, json_calls))
+        monkeypatch.setattr(JobTrace, "from_json", staticmethod(
+            counted(JobTrace.from_json, json_calls)))
+        monkeypatch.setattr(wire, "loads", counted(
+            wire.loads, context.Value("i", 0), "loads"))
+
+        with self._service(v100_cluster, backend) as service:
+            results = service.predict_many(
+                self._jobs(tiny_model, v100_cluster))
+        assert all(r.metadata["service_cache"] == "miss" for r in results)
+        # Each worker collated its own cold jobs (so the patches are live
+        # in the workers) -- and nothing else collated or touched JSON.
+        assert collations.value == len(self.RECIPES)
+        assert parent_calls["collate"] == 0
+        assert json_calls.value == 0
+        # One decode per merged artifact: a payload is opaque bytes until
+        # the merge, so a result the merge never sees (a speculative
+        # duplicate) is never decoded either.
+        assert parent_calls["loads"] == len(self.RECIPES)
+
+    def test_merge_reproduces_the_workers_artifacts_exactly(
+            self, tiny_model, v100_cluster):
+        # Both halves of the return path, in one process: what the parent
+        # caches must be, byte for byte, what the worker emulated.
+        from repro.service.backends import _evaluate_job, _merge_batch
+
+        job = _job(tiny_model, v100_cluster, self.RECIPES[0])
+        worker = self._service(v100_cluster)
+        parent = self._service(v100_cluster)
+        payload = _evaluate_job(worker, 0, job)
+        [result] = _merge_batch(parent, [job], [payload])
+        key = parent._artifact_key(job)
+        emulated = worker.cache.peek_artifacts(key)
+        merged = parent.cache.peek_artifacts(key)
+        assert merged is not emulated
+        assert _trace_json(merged) == _trace_json(emulated)
+        assert merged.collated.content_signature() == \
+            emulated.collated.content_signature()
+        assert merged.oom == emulated.oom
+        assert merged.stage_times == emulated.stage_times
+        # Cached under the parent's own objects, not shipped copies.
+        assert merged.job is job
+        assert merged.cluster is parent.pipeline.cluster
+        assert parent.cache.peek_prediction(
+            parent._prediction_key(job)) is result
+        assert parent.cache_stats() == worker.cache_stats()
+
+    @POOLED
+    def test_merged_artifacts_match_serial_and_serve_siblings(
+            self, tiny_model, v100_cluster, backend):
+        jobs = self._jobs(tiny_model, v100_cluster)
+        with self._service(v100_cluster) as serial, \
+                self._service(v100_cluster, backend) as pooled:
+            serial.predict_many(self._jobs(tiny_model, v100_cluster))
+            results = pooled.predict_many(jobs)
+            for job, result in zip(jobs, results):
+                key = pooled._artifact_key(job)
+                expected = serial.cache.peek_artifacts(key)
+                merged = pooled.cache.peek_artifacts(key)
+                assert _trace_json(merged, comm_ids=False) == \
+                    _trace_json(expected, comm_ids=False)
+                assert merged.collated.content_signature() == \
+                    expected.collated.content_signature()
+                assert merged.oom == expected.oom
+                # Wall-clock stage times are the worker's own measurements
+                # (exactly what its result reports), shaped like serial's.
+                assert merged.stage_times == {
+                    stage: result.stage_times[stage]
+                    for stage in expected.stage_times}
+                assert merged.job is job
+            # A structural sibling re-simulates on the merged artifacts.
+            sibling = self.RECIPES[0].replace(compiled=True)
+            reused = pooled.predict(_job(tiny_model, v100_cluster, sibling))
+            reference = serial.predict(_job(tiny_model, v100_cluster,
+                                            sibling))
+        assert reused.metadata["service_cache"] == "artifacts"
+        assert_results_identical([reference], [reused], backend=backend)
+
+    @POOLED
+    def test_numpy_absent_fallback_still_returns_and_merges(
+            self, tiny_model, v100_cluster, backend, monkeypatch):
+        serial = self._service(v100_cluster)
+        reference = serial.predict_many(self._jobs(tiny_model, v100_cluster))
+        monkeypatch.setattr(columnar, "_np", None)
+        jobs = self._jobs(tiny_model, v100_cluster)
+        with self._service(v100_cluster, backend) as pooled:
+            results = pooled.predict_many(jobs)
+            merged = [pooled.cache.peek_artifacts(pooled._artifact_key(job))
+                      for job in jobs]
+            assert pooled.cache_stats() == serial.cache_stats()
+        assert_results_identical(reference, results, backend=backend)
+        assert all(artifacts is not None for artifacts in merged)
+        # The payloads really were plain per-trace pickles.
+        trace = next(iter(merged[0].job_trace.workers.values()))
+        assert columnar.encode_worker_trace(trace) is None

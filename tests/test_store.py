@@ -157,6 +157,16 @@ class TestStoreFormat:
         assert "999" in message  # what the directory speaks
         assert str(STORE_FORMAT) in message  # what we speak
 
+    def test_protocol_1_store_is_refused(self, tmp_path):
+        # Entries hold wire payloads, so a store written before the wire
+        # protocol bump is refused, not misread.
+        _store(tmp_path)
+        stamp = tmp_path / "store" / FORMAT_FILE
+        stamp.write_text(json.dumps({"store_format": STORE_FORMAT,
+                                     "protocol": 1}))
+        with pytest.raises(StoreFormatError, match="'protocol': 1"):
+            _store(tmp_path)
+
     def test_unreadable_stamp_refused(self, tmp_path):
         _store(tmp_path)
         (tmp_path / "store" / FORMAT_FILE).write_text("not json{")
@@ -575,8 +585,9 @@ class TestStoreRefProtocol:
         assert _PersistentWorker.shares_store
         assert not _SocketWorker.shares_store
 
-    def test_resolve_store_refs_reports_missing_keys(self, tmp_path):
-        from repro.service.backends import _resolve_store_refs
+    def test_decode_sync_entries_reports_missing_keys(self, tmp_path):
+        from repro.service import wire
+        from repro.service.backends import _decode_sync_entries
 
         class _CacheOnly:
             def __init__(self, store):
@@ -587,8 +598,8 @@ class TestStoreRefProtocol:
         service = _CacheOnly(store)
         entries = [(("held",), StoreRef(("held",))),
                    (("gone",), StoreRef(("gone",))),
-                   (("inline",), "inline-payload")]
-        resolved, missing = _resolve_store_refs(service, entries)
+                   (("inline",), wire.dumps("inline-payload"))]
+        resolved, missing = _decode_sync_entries(service, entries)
         assert dict(resolved) == {("held",): "payload",
                                   ("inline",): "inline-payload"}
         assert missing == [("gone",)]

@@ -133,6 +133,25 @@ class TestHandshake:
             a.close()
             b.close()
 
+    def test_protocol_1_hello_is_refused(self):
+        # Protocol 1 peers put a JSON trace, ``oom`` and ``stage_times``
+        # where protocol 2 result frames carry one artifact payload: a
+        # mixed-version worker host must be turned away at the hello,
+        # never left to mis-parse a frame.
+        assert wire.PROTOCOL == 2
+        a, b = _pair()
+        try:
+            b.send_json({"magic": wire.HANDSHAKE_MAGIC, "protocol": 1,
+                         "features": sorted(wire.local_features())})
+            with pytest.raises(wire.WireProtocolError) as excinfo:
+                wire.handshake(a)
+            message = str(excinfo.value)
+            assert "speaks version 2" in message
+            assert "peer speaks version 1" in message
+        finally:
+            a.close()
+            b.close()
+
     def test_silent_peer_times_out_instead_of_stalling(self):
         # A listener that accepts (at the TCP level) but never answers the
         # hello must not hang connect(): the handshake read times out with

@@ -28,6 +28,9 @@ Checks (run by CI's ``conformance-socket`` job and usable locally)::
    must document it in the same commit), and README.md documents the
    ``--scheduler`` flag and the ``REPRO_SCHEDULER`` environment
    variable.
+8. ARCHITECTURE.md describes the current wire vocabulary: it never
+   mentions ``trace_json`` (the result field protocol 1 carried), and any
+   number it gives for ``PROTOCOL`` is ``repro.service.wire.PROTOCOL``.
 
 Exits non-zero with one line per violation.
 """
@@ -137,6 +140,18 @@ def main() -> int:
         if needle not in readme_text:
             problems.append(f"README.md does not document the placement "
                             f"policies' {needle!r}")
+
+    from repro.service import wire
+    if "trace_json" in architecture_text:
+        problems.append(
+            "ARCHITECTURE.md mentions `trace_json`: pooled results carry "
+            "an encoded artifact payload, not a JSON trace")
+    for match in re.finditer(r"PROTOCOL`?\s*(?:\(currently|=|is)\s*(\d+)",
+                             architecture_text):
+        if int(match.group(1)) != wire.PROTOCOL:
+            problems.append(
+                f"ARCHITECTURE.md says PROTOCOL is {match.group(1)}, but "
+                f"repro.service.wire.PROTOCOL is {wire.PROTOCOL}")
 
     examples_dir = REPO_ROOT / "examples"
     referenced = set(re.findall(r"examples/([\w.]+\.py)", readme_text))
