@@ -336,6 +336,12 @@ class PredictionService:
         except (NotImplementedError, TypeError):
             return None
 
+    def has_prediction(self, key: Tuple) -> bool:
+        """True when a job with this :meth:`request_key` would resolve as a
+        prediction-level cache hit right now (uncounted lookup)."""
+        return (self.enable_cache
+                and self.cache.peek_prediction(key) is not None)
+
     # ------------------------------------------------------------------
     # cache-aware emulation
     # ------------------------------------------------------------------

@@ -138,11 +138,12 @@ class _ClientState:
 class PredictionServer:
     """Asyncio TCP server multiplexing clients over one warm service.
 
-    Single-threaded on its event loop; only ``predict_many`` batches run
-    off-loop (one at a time, on a dedicated executor thread), so the
-    server stays responsive to ``stats`` / handshakes mid-batch while
-    evaluation order -- and therefore cache accounting -- stays exactly
-    as serial as the service itself.
+    Single-threaded on its event loop; only ``predict_many`` batches with
+    something to evaluate run off-loop (one at a time, on a dedicated
+    executor thread; a round of nothing but prediction-cache hits is
+    answered on the loop), so the server stays responsive to ``stats`` /
+    handshakes mid-batch while evaluation order -- and therefore cache
+    accounting -- stays exactly as serial as the service itself.
     """
 
     def __init__(self, service: PredictionService, host: str = "127.0.0.1",
@@ -390,13 +391,17 @@ class PredictionServer:
         merged: List = []
         slices: List[Tuple[_ClientState, object, int, int]] = []
         key_owner: Dict[Tuple, _ClientState] = {}
+        #: Every job so far already has its prediction cached.
+        cached = True
         for client, request_id, jobs in round_requests:
             slices.append((client, request_id, len(merged), len(jobs)))
             merged.extend(jobs)
             for job in jobs:
                 key = self._service.request_key(job)
                 if key is None:
+                    cached = False
                     continue
+                cached = cached and self._service.has_prediction(key)
                 owner = key_owner.get(key)
                 if owner is None:
                     key_owner[key] = client
@@ -408,8 +413,14 @@ class PredictionServer:
         self._counters["requests"] += len(round_requests)
         self._counters["jobs"] += len(merged)
         try:
-            results = await self._loop.run_in_executor(
-                self._executor, self._service.predict_many, merged)
+            if cached:
+                # Nothing to evaluate: reading the results out of the
+                # cache takes less time than the two thread hand-offs of
+                # an executor round-trip, and cannot stall the loop.
+                results = self._service.predict_many(merged)
+            else:
+                results = await self._loop.run_in_executor(
+                    self._executor, self._service.predict_many, merged)
         except Exception as exc:  # noqa: BLE001 - forwarded to clients
             detail = f"{type(exc).__name__}: {exc}"
             _log(f"batch of {len(merged)} jobs failed: {detail}")

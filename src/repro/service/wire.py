@@ -46,6 +46,7 @@ byte exists for observability (byte accounting, tests), not dispatch.
 
 from __future__ import annotations
 
+import copyreg
 import io
 import json
 import os
@@ -388,39 +389,15 @@ def dumps(obj) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-#: Lazily resolved (WorkerTrace, encode_worker_trace) pair --
-#: ``reducer_override`` runs for every object pickled, so the imports are
-#: done once instead of per object.
-_COLUMNAR_HOOKS: Optional[Tuple[type, object]] = None
+def _reduce_trace(trace):
+    """``WorkerTrace`` as a call to its columnar decoder, so the receiving
+    side needs nothing beyond ``pickle.loads``."""
+    from repro.core.columnar import decode_worker_trace, encode_worker_trace
 
-
-def _columnar_hooks() -> Tuple[type, object]:
-    global _COLUMNAR_HOOKS
-    if _COLUMNAR_HOOKS is None:
-        from repro.core.columnar import encode_worker_trace
-        from repro.core.trace import WorkerTrace
-        _COLUMNAR_HOOKS = (WorkerTrace, encode_worker_trace)
-    return _COLUMNAR_HOOKS
-
-
-class _ColumnarPickler(pickle.Pickler):
-    """Pickler that swaps ``WorkerTrace`` graphs for columnar payloads.
-
-    Each trace pickles as a call to
-    :func:`repro.core.columnar.decode_worker_trace` on its encoded column
-    buffers, so the receiving side needs nothing beyond ``pickle.loads``.
-    Exact-type check only: a ``WorkerTrace`` subclass keeps default
-    pickling (its extra state would be silently dropped otherwise).
-    """
-
-    def reducer_override(self, obj):
-        trace_type, encode = _columnar_hooks()
-        if type(obj) is trace_type:
-            payload = encode(obj)
-            if payload is not None:
-                from repro.core.columnar import decode_worker_trace
-                return (decode_worker_trace, (payload,))
-        return NotImplemented
+    payload = encode_worker_trace(trace)
+    if payload is None:  # numpy absent: this trace pickles as usual
+        return trace.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+    return (decode_worker_trace, (payload,))
 
 
 def dumps_columnar(obj) -> bytes:
@@ -430,8 +407,18 @@ def dumps_columnar(obj) -> bytes:
     ``repro`` (and numpy) are importable, which is why senders only use
     this against peers that negotiated :data:`FEATURE_COLUMNAR`.
     """
+    from repro.core.trace import WorkerTrace
+
     buffer = io.BytesIO()
-    _ColumnarPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    # A dispatch table is looked up by exact type in C (a ``WorkerTrace``
+    # subclass keeps default pickling -- its extra state would be dropped
+    # otherwise) and costs other objects nothing, where a
+    # ``reducer_override`` hook is a Python call per object pickled.  It
+    # replaces the process-wide copyreg table, hence the merge.
+    pickler.dispatch_table = {**copyreg.dispatch_table,
+                              WorkerTrace: _reduce_trace}
+    pickler.dump(obj)
     return buffer.getvalue()
 
 

@@ -8,7 +8,7 @@ session runs, along with the bookkeeping Maya and the baselines need
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.core.emulator import DeviceEmulator
@@ -124,7 +124,11 @@ class TransformerTrainingJob(TrainingJob):
     def structural_signature(self) -> Tuple:
         return (
             "transformer",
-            tuple(sorted(asdict(self.model).items())),
+            # The spec is a flat dataclass of scalars: walk its fields
+            # (``dataclasses.asdict`` would deep-copy each one, 7 us a
+            # call on the cache-hit path, for the identical tuple).
+            tuple(sorted((name, getattr(self.model, name))
+                         for name in self.model.__dataclass_fields__)),
             self.world_size,
             self.global_batch_size,
             self.iterations,

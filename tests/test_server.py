@@ -194,6 +194,51 @@ class TestCoalescing:
             server.stop_threadsafe()
 
 
+class ThreadRecordingService(PredictionService):
+    """Records the name of the thread each ``predict_many`` ran on."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batch_threads: List[str] = []
+
+    def predict_many(self, jobs):
+        self.batch_threads.append(threading.current_thread().name)
+        return super().predict_many(jobs)
+
+
+class TestCachedRounds:
+    def test_all_hit_round_is_answered_on_the_loop(
+            self, tiny_model, v100_cluster):
+        """A round with anything to evaluate goes to the executor thread;
+        a round of nothing but prediction hits skips the two hand-offs."""
+        service = ThreadRecordingService(
+            cluster=v100_cluster, estimator_mode="analytical",
+            backend="serial")
+        server = start_server_thread(service)
+        first, second = default_batches()[:2]
+        jobs = lambda recipes: make_jobs(tiny_model, v100_cluster, recipes)  # noqa: E731
+        try:
+            with PredictionClient(server.address) as client:
+                cold = client.predict_many(jobs(first))
+                warm = client.predict_many(jobs(first))
+                mixed = client.predict_many(jobs(first) + jobs(second))
+            on_executor = [name.startswith("prediction-batch")
+                           for name in service.batch_threads]
+            assert on_executor == [True, False, True]
+            assert {r.metadata["service_cache"] for r in warm} \
+                == {"prediction"}
+            assert [r.iteration_time for r in warm] \
+                == [r.iteration_time for r in cold]
+            reference = _serial_service(v100_cluster)
+            reference.predict_many(jobs(first))  # cold
+            reference.predict_many(jobs(first))  # warm
+            assert_results_identical(
+                reference.predict_many(jobs(first) + jobs(second)), mixed)
+            assert service.cache_stats() == reference.cache_stats()
+        finally:
+            server.stop_threadsafe()
+
+
 class TestAdmissionControl:
     def test_queue_full_returns_structured_busy(
             self, tiny_model, v100_cluster, basic_recipe):

@@ -68,6 +68,18 @@ class TestStructuralSignatures:
         job_d = _job(tiny_model, v100_cluster, basic_recipe, batch=16)
         assert job_a.structural_signature() == job_d.structural_signature()
 
+    def test_job_signature_is_the_asdict_rendering(self, tiny_model,
+                                                   v100_cluster, basic_recipe):
+        # Store entries are addressed by sha256(repr(key)): the field walk
+        # that replaced ``dataclasses.asdict`` must render the same tuple.
+        from dataclasses import asdict
+
+        job = _job(tiny_model, v100_cluster, basic_recipe)
+        assert job.structural_signature()[1] \
+            == tuple(sorted(asdict(tiny_model).items()))
+        assert repr(job.structural_signature()[1]) \
+            == repr(tuple(sorted(asdict(tiny_model).items())))
+
     def test_structurally_equal_jobs_collate_identically(self, tiny_model,
                                                          v100_cluster,
                                                          basic_recipe,

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.core.trace import WorkerTrace
 from repro.service import wire
 
 
@@ -224,8 +225,43 @@ def _example_trace(seed=0, steps=40):
     return next(iter(job.workers.values()))
 
 
+class _TaggedTrace(WorkerTrace):
+    """A subclass with state the columnar encoding knows nothing about."""
+
+    tag = None
+
+
+class _Registered:
+    def __init__(self, value):
+        self.value = value
+
+
 class TestColumnarNegotiation:
     """Feature negotiation and the format-3 (columnar pickle) frames."""
+
+    def test_only_exact_worker_traces_are_reduced(self):
+        # The pickler's dispatch table matches exact types: a subclass
+        # keeps default pickling (and its extra state), and reducers
+        # registered process-wide with copyreg still apply.
+        import copyreg
+
+        pytest.importorskip("numpy")
+        source = _example_trace()
+        tagged = _TaggedTrace(rank=source.rank, device=source.device)
+        tagged.events = list(source.events)
+        tagged.tag = "kept"
+        copyreg.pickle(_Registered, lambda obj: (_Registered, (obj.value + 1,)))
+        try:
+            payload = wire.dumps_columnar((source, tagged, _Registered(1)))
+        finally:
+            del copyreg.dispatch_table[_Registered]
+        assert b"decode_worker_trace" in payload
+        plain, subclass, registered = wire.loads(payload)
+        assert type(plain) is WorkerTrace
+        assert plain.to_json() == source.to_json()
+        assert type(subclass) is _TaggedTrace and subclass.tag == "kept"
+        assert subclass.to_json() == source.to_json()
+        assert registered.value == 2
 
     def test_features_exchanged_symmetrically(self):
         numpy = pytest.importorskip("numpy")
