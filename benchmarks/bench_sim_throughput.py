@@ -3,17 +3,15 @@
 Measures the two rates that bound search cost:
 
 * **engine events/sec** -- the discrete-event engine replaying a collated
-  tp2/pp2 transformer trace, per configuration: the per-event provider-call
-  path ("serial"), the pre-annotated duration-array fast path, the
-  structure-of-arrays columnar loop (gated at >= 2x over serial in
-  ``--check``), and steady-state iteration folding on a periodic
-  multi-iteration trace --
-  both on a jitter-free host model (bitwise-exact folding) and on the
-  *default jittered* host model, where the structured host-delay split
-  records deterministic base costs in the trace and folding extrapolates
-  at the analytic mean jitter factor (the ``jittered_fold`` leg, gated
-  report-only in ``--check``: folding must engage on the default testbed
-  trace);
+  tp2/pp2 transformer trace: the full replay (gated against an absolute
+  recorded floor in ``--check``), and steady-state iteration folding on a
+  periodic multi-iteration trace, measured against the engine's own full
+  replay of that trace -- both on a jitter-free host model (folding exact
+  up to rounding) and on the *default jittered* host model, where the
+  structured host-delay split records deterministic base costs in the
+  trace and folding extrapolates at the analytic mean jitter factor (the
+  ``jittered_fold`` leg, gated report-only in ``--check``: folding must
+  engage on the default testbed trace);
 * **wire bytes per artifact** -- the two ways the socket backend can ship
   a worker-trace artifact: pickled ``TraceEvent`` graph vs the negotiated
   columnar frame (raw little-endian column buffers plus a template pool);
@@ -54,8 +52,9 @@ ordering gates used to skip silently on < 4-core hosts.
 
 Results land in ``BENCH_sim_throughput.json`` at the repository root (the
 perf trajectory file CI uploads as an artifact).  ``--check`` compares a
-fresh measurement against a recorded baseline and fails when the serial
-engine regresses more than 30% below it; on hosts with >= 4 cores it also
+fresh measurement against a recorded baseline and fails when the engine's
+full-replay rate regresses more than 30% below it; on hosts with >= 4
+cores it also
 reports (without gating) whether the process backend beat the thread
 backend on the one-shot trial batch and whether the persistent pool beat
 fork-per-batch on the small-batch leg.
@@ -83,13 +82,8 @@ from typing import Dict, List
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_sim_throughput.json"
 
-#: The serial engine may regress at most this far below the baseline.
+#: The engine may regress at most this far below the baseline.
 REGRESSION_TOLERANCE = 0.30
-
-#: Minimum columnar-over-serial events/s ratio (measured within one run,
-#: so host speed cancels out); the structure-of-arrays replay loop must
-#: hold this on every machine.
-COLUMNAR_SPEEDUP_FLOOR = 2.0
 
 CLUSTER = "v100-8"
 MODEL = "gpt-tiny"
@@ -170,65 +164,51 @@ def _measure_engine(cluster, collated, provider, ranks, iterations,
     }
 
 
+def _fold_leg(smooth_host: bool) -> Dict[str, float]:
+    """Folding on the periodic trace against the engine's own full replay.
+
+    Folding replays fewer events for the same simulated workload, so its
+    rate is expressed as *simulated-trace* events per wall second.
+    """
+    setup = _engine_setup(iterations=FOLD_ITERATIONS, smooth_host=smooth_host)
+    full = _measure_engine(*setup, fold_iterations=False)
+    folded = _measure_engine(*setup)
+    equivalent = full["events"] / folded["wall_s"]
+    return {
+        "trace_events": full["events"],
+        "full_events_per_sec": full["events_per_sec"],
+        "fold_equivalent_events_per_sec": equivalent,
+        "fold_speedup": equivalent / full["events_per_sec"],
+        "folded_iterations": folded["folded_iterations"],
+        "fold_abs_error_s": abs(folded["total_time_s"]
+                                - full["total_time_s"]),
+        "host_jitter_bound_s": folded["host_jitter_bound_s"],
+    }
+
+
 def bench_engine() -> Dict[str, object]:
-    """Events/sec of the engine per configuration, on one shared trace."""
-    setup = _engine_setup(iterations=2, smooth_host=False)
-    serial = _measure_engine(*setup, use_annotations=False,
+    """Events/sec of the engine: full replay, then both fold legs."""
+    replay = _measure_engine(*_engine_setup(iterations=2, smooth_host=False),
                              fold_iterations=False)
-    annotated = _measure_engine(*setup, fold_iterations=False,
-                                use_columnar=False)
-    assert annotated["total_time_s"] == serial["total_time_s"], \
-        "annotation fast path must be bit-identical"
-    columnar = _measure_engine(*setup, fold_iterations=False)
-    assert columnar["total_time_s"] == serial["total_time_s"], \
-        "columnar fast path must be bit-identical"
-
-    fold_setup = _engine_setup(iterations=FOLD_ITERATIONS, smooth_host=True)
-    fold_full = _measure_engine(*fold_setup, use_annotations=False,
-                                fold_iterations=False)
-    folded = _measure_engine(*fold_setup)
-    # Folding replays fewer events for the same simulated workload, so its
-    # rate is expressed as *simulated-trace* events per wall second.
-    folded_equivalent = fold_full["events"] / folded["wall_s"]
-
+    smooth = _fold_leg(smooth_host=True)
     # Default (jittered) host model: the structured host-delay split keeps
     # the trace periodic, folding extrapolates at the analytic mean jitter
     # factor and the committed total must stay within the documented bound.
-    jitter_setup = _engine_setup(iterations=FOLD_ITERATIONS,
-                                 smooth_host=False)
-    jitter_full = _measure_engine(*jitter_setup, fold_iterations=False)
-    jitter_folded = _measure_engine(*jitter_setup)
-    jitter_error = abs(jitter_folded["total_time_s"]
-                       - jitter_full["total_time_s"])
-    if jitter_folded["folded_iterations"] > 0:
-        assert jitter_error <= jitter_folded["host_jitter_bound_s"], \
+    jittered = _fold_leg(smooth_host=False)
+    if jittered["folded_iterations"] > 0:
+        assert jittered["fold_abs_error_s"] \
+            <= jittered["host_jitter_bound_s"], \
             "folded total exceeded the documented host-jitter bound"
-    jittered_fold = {
-        "trace_events": jitter_full["events"],
-        "full_events_per_sec": jitter_full["events_per_sec"],
-        "fold_equivalent_events_per_sec": (jitter_full["events"]
-                                           / jitter_folded["wall_s"]),
-        "fold_speedup": (jitter_full["events"] / jitter_folded["wall_s"])
-        / jitter_full["events_per_sec"],
-        "folded_iterations": jitter_folded["folded_iterations"],
-        "fold_abs_error_s": jitter_error,
-        "host_jitter_bound_s": jitter_folded["host_jitter_bound_s"],
-    }
     return {
-        "trace_events": serial["events"],
-        "serial_events_per_sec": serial["events_per_sec"],
-        "annotated_events_per_sec": annotated["events_per_sec"],
-        "annotation_speedup": annotated["events_per_sec"]
-        / serial["events_per_sec"],
-        "columnar_events_per_sec": columnar["events_per_sec"],
-        "columnar_speedup": columnar["events_per_sec"]
-        / serial["events_per_sec"],
-        "fold_trace_events": fold_full["events"],
-        "fold_full_events_per_sec": fold_full["events_per_sec"],
-        "fold_equivalent_events_per_sec": folded_equivalent,
-        "fold_speedup": folded_equivalent / fold_full["events_per_sec"],
-        "folded_iterations": folded["folded_iterations"],
-        "jittered_fold": jittered_fold,
+        "trace_events": replay["events"],
+        "columnar_events_per_sec": replay["events_per_sec"],
+        "fold_trace_events": smooth["trace_events"],
+        "fold_full_events_per_sec": smooth["full_events_per_sec"],
+        "fold_equivalent_events_per_sec":
+            smooth["fold_equivalent_events_per_sec"],
+        "fold_speedup": smooth["fold_speedup"],
+        "folded_iterations": smooth["folded_iterations"],
+        "jittered_fold": jittered,
     }
 
 
@@ -240,25 +220,22 @@ def bench_wire_shipping() -> Dict[str, object]:
     ``TraceEvent`` graph (pre-columnar peers) and the negotiated columnar
     payload -- and reports bytes per artifact and per event for both.
     """
-    from repro.core.columnar import HAVE_NUMPY
     from repro.service import wire
 
     _, collated, _, _, _ = _engine_setup(iterations=2, smooth_host=False)
     traces = list(collated.traces.values())
     events = sum(len(trace.events) for trace in traces)
     pickled = sum(len(wire.dumps(trace)) for trace in traces)
-    result: Dict[str, object] = {
+    columnar = sum(len(wire.dumps_columnar(trace)) for trace in traces)
+    return {
         "artifacts": len(traces),
         "trace_events": events,
         "pickle_bytes": pickled,
         "pickle_bytes_per_event": pickled / events,
+        "columnar_bytes": columnar,
+        "columnar_bytes_per_event": columnar / events,
+        "columnar_shrink": pickled / columnar,
     }
-    if HAVE_NUMPY:
-        columnar = sum(len(wire.dumps_columnar(trace)) for trace in traces)
-        result["columnar_bytes"] = columnar
-        result["columnar_bytes_per_event"] = columnar / events
-        result["columnar_shrink"] = pickled / columnar
-    return result
 
 
 def bench_predict_many() -> Dict[str, Dict[str, float]]:
@@ -615,20 +592,14 @@ def bench_schedulers() -> Dict[str, object]:
 def run_benchmark(output: Path, chaos: bool = False,
                   store: bool = False,
                   schedulers: bool = False) -> Dict[str, object]:
-    from repro.core.columnar import HAVE_NUMPY
+    import numpy
 
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - image bakes numpy in
-        numpy_version = None
     payload = {
         "benchmark": "sim_throughput",
         "cluster": CLUSTER,
         "model": MODEL,
         "cpu_count": os.cpu_count() or 1,
-        "numpy_version": numpy_version,
-        "columnar_available": HAVE_NUMPY,
+        "numpy_version": numpy.__version__,
         "unix_time": time.time(),
         "engine": bench_engine(),
         "wire_shipping": bench_wire_shipping(),
@@ -644,21 +615,16 @@ def run_benchmark(output: Path, chaos: bool = False,
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output}")
     engine = payload["engine"]
-    print(f"engine: serial {engine['serial_events_per_sec']:,.0f} ev/s, "
-          f"annotated {engine['annotated_events_per_sec']:,.0f} ev/s "
-          f"({engine['annotation_speedup']:.2f}x), "
-          f"columnar {engine['columnar_events_per_sec']:,.0f} ev/s "
-          f"({engine['columnar_speedup']:.2f}x), "
-          f"folding {engine['fold_equivalent_events_per_sec']:,.0f} ev/s "
-          f"({engine['fold_speedup']:.2f}x on "
+    print(f"engine: full replay {engine['columnar_events_per_sec']:,.0f} "
+          f"ev/s, folding {engine['fold_equivalent_events_per_sec']:,.0f} "
+          f"ev/s ({engine['fold_speedup']:.2f}x its own full replay on the "
           f"{FOLD_ITERATIONS}-iteration trace)")
     shipping = payload["wire_shipping"]
-    if "columnar_bytes" in shipping:
-        print(f"wire shipping: pickle "
-              f"{shipping['pickle_bytes_per_event']:.1f} B/event vs "
-              f"columnar {shipping['columnar_bytes_per_event']:.1f} B/event "
-              f"({shipping['columnar_shrink']:.2f}x smaller over "
-              f"{shipping['artifacts']} artifacts)")
+    print(f"wire shipping: pickle "
+          f"{shipping['pickle_bytes_per_event']:.1f} B/event vs "
+          f"columnar {shipping['columnar_bytes_per_event']:.1f} B/event "
+          f"({shipping['columnar_shrink']:.2f}x smaller over "
+          f"{shipping['artifacts']} artifacts)")
     jittered = engine["jittered_fold"]
     print(f"jittered fold: {jittered['folded_iterations']} of "
           f"{FOLD_ITERATIONS} iterations folded on the default host model "
@@ -709,32 +675,18 @@ def check_against_baseline(current: Dict[str, object],
     # as "checked and fine" in CI logs when nothing had been checked.
     gates: List[tuple] = []
     baseline = json.loads(baseline_path.read_text())
-    recorded = float(baseline["engine"]["serial_events_per_sec"])
+    recorded = float(baseline["engine"]["columnar_events_per_sec"])
     floor = recorded * (1.0 - REGRESSION_TOLERANCE)
-    measured = float(current["engine"]["serial_events_per_sec"])
-    print(f"serial engine: measured {measured:,.0f} ev/s, "
+    measured = float(current["engine"]["columnar_events_per_sec"])
+    print(f"engine: measured {measured:,.0f} ev/s, "
           f"baseline {recorded:,.0f} ev/s, floor {floor:,.0f} ev/s")
-    gates.append(("serial-regression", None))
+    gates.append(("engine-regression", None))
     failed = False
     if measured < floor:
-        print(f"FAIL: serial engine regressed "
+        print(f"FAIL: engine regressed "
               f"{(1 - measured / recorded) * 100:.1f}% below the recorded "
               f"baseline (tolerance {REGRESSION_TOLERANCE * 100:.0f}%)")
         failed = True
-    if current.get("columnar_available"):
-        # Gate the columnar engine on its *relative* win over the serial
-        # path (both measured in this run, so machine speed cancels out):
-        # the structure-of-arrays loop must hold at least 2x.
-        speedup = float(current["engine"].get("columnar_speedup", 0.0))
-        print(f"columnar engine: {speedup:.2f}x over serial "
-              f"(floor {COLUMNAR_SPEEDUP_FLOOR:.1f}x)")
-        gates.append(("columnar-speedup", None))
-        if speedup < COLUMNAR_SPEEDUP_FLOOR:
-            print(f"FAIL: columnar engine speedup {speedup:.2f}x fell "
-                  f"below the {COLUMNAR_SPEEDUP_FLOOR:.1f}x floor")
-            failed = True
-    else:
-        gates.append(("columnar-speedup", "numpy unavailable"))
     jittered = current.get("engine", {}).get("jittered_fold", {})
     if jittered:
         # Report-only for now: folding must engage on the default testbed
@@ -754,8 +706,8 @@ def check_against_baseline(current: Dict[str, object],
     if cores >= 4 and "process" in batches and "thread" in batches:
         # Report-only: this batch is deliberately small/cheap, so on a
         # noisy shared runner the fork overhead can mask the win.  The
-        # ordering is recorded in the uploaded JSON; only the serial
-        # engine rate gates the build.
+        # ordering is recorded in the uploaded JSON; only the engine rate
+        # gates the build.
         process_rate = batches["process"]["trials_per_sec"]
         thread_rate = batches["thread"]["trials_per_sec"]
         print(f"backends on {cores} cores: process "

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.trace import JobTrace, TraceEvent, TraceEventKind, WorkerTrace
 from repro.framework.topology import ParallelTopology
-from repro.hardware.noise import stable_hash
 
 #: Collective ops that are point-to-point rather than group-wide.
 _P2P_OPS = ("send", "recv")
@@ -110,87 +109,14 @@ def _canonical_range_fingerprint(trace: WorkerTrace, lo: int,
     fold extrapolation.  Legacy pre-jittered host delays hash by value: such
     a window is only equivalent to another if it replays the same cost.
 
-    When the trace's columnar view is available the hash runs over the
-    columns and per-template digests instead of re-walking event objects
-    (an order of magnitude cheaper on template-heavy traces).  The two
-    paths produce *different values* but identical equality semantics, and
-    fingerprints are only ever compared within one trace -- where the
-    memoized columnar view either always exists or never does.
+    The hash itself runs over the trace's columns and per-template digests
+    (:func:`repro.core.columnar.range_fingerprint`) rather than re-walking
+    event objects -- an order of magnitude cheaper on template-heavy traces.
     """
     from repro.core.columnar import columnar_worker_trace, range_fingerprint
 
-    cols = columnar_worker_trace(trace)
-    if cols is not None:
-        return range_fingerprint(cols, lo, hi, _ITERATION_MARKER)
-    return _range_fingerprint_objects(trace, lo, hi)
-
-
-def _range_fingerprint_objects(trace: WorkerTrace, lo: int,
-                               hi: int) -> Optional[int]:
-    """Per-object fingerprint walk (numpy-less fallback and test reference)."""
-    signature = stable_hash("window")
-    local_records: Dict[Tuple[int, int], int] = {}
-    serial = 0
-    for event in trace.events[lo:hi]:
-        kind = event.kind
-        if kind is TraceEventKind.HOST_DELAY:
-            if "seq" in event.params:
-                signature = stable_hash(
-                    signature, "delay",
-                    str(event.params.get("call_class", "")),
-                    event.duration or 0.0)
-            else:
-                signature = stable_hash(signature, "delay",
-                                        event.duration or 0.0)
-            continue
-        if kind is TraceEventKind.MARKER:
-            # Iteration markers embed the window index, so only their
-            # position is hashed; any other label must recur verbatim in
-            # every window (a window-unique label would be dropped or
-            # mis-timed by fold extrapolation, so it blocks periodicity).
-            label = str(event.params.get("label", ""))
-            if _ITERATION_MARKER.match(label):
-                signature = stable_hash(signature, "iteration-marker")
-            else:
-                signature = stable_hash(signature, "marker", label)
-            continue
-        if kind is TraceEventKind.EVENT_RECORD:
-            if event.params.get("create"):
-                signature = stable_hash(signature, "event-create")
-                continue
-            if event.params.get("destroy"):
-                signature = stable_hash(signature, "event-destroy")
-                continue
-            key = (event.event or 0, int(event.params.get("version", 0)))
-            local_records[key] = serial
-            signature = stable_hash(signature, "record", serial, event.stream)
-            serial += 1
-            continue
-        if kind in (TraceEventKind.STREAM_WAIT_EVENT,
-                    TraceEventKind.EVENT_SYNCHRONIZE):
-            version = int(event.params.get("version", 0))
-            if version == 0:
-                # Waiting on a never-recorded event is a no-op.
-                signature = stable_hash(signature, "noop-wait", kind.value,
-                                        event.stream)
-                continue
-            reference = local_records.get((event.wait_event or 0, version))
-            if reference is None:
-                return None  # waits on an event recorded in another window
-            signature = stable_hash(signature, kind.value, reference,
-                                    event.stream)
-            continue
-        if kind is TraceEventKind.COLLECTIVE:
-            info = event.collective or {}
-            signature = stable_hash(
-                signature, "collective", event.stream, str(info.get("op")),
-                str(info.get("comm_tag")), tuple(info.get("ranks", ())),
-                int(info.get("peer", -1)), float(event.params.get("bytes", 0.0)))
-            continue
-        # Kernels, copies, memsets, synchronisation calls: the memoized
-        # shape signature already excludes durations and sequence numbers.
-        signature = stable_hash(signature, event.signature())
-    return signature
+    return range_fingerprint(columnar_worker_trace(trace), lo, hi,
+                             _ITERATION_MARKER)
 
 
 def windows_are_periodic(trace: WorkerTrace,

@@ -1,4 +1,4 @@
-"""Structure-of-arrays trace representation (the columnar engine core).
+"""Structure-of-arrays trace representation (how the engine reads a trace).
 
 A :class:`ColumnarWorkerTrace` is a lossless re-encoding of one
 :class:`~repro.core.trace.WorkerTrace` into flat numpy columns plus a small
@@ -17,10 +17,10 @@ deduplicated *template pool*:
 
 Three consumers share the columns:
 
-* the simulation engine's columnar inner loop
-  (:func:`engine_program`, see :mod:`repro.core.simulator.engine`) dispatches
-  on an int8-derived opcode list instead of ``TraceEventKind`` enum
-  comparisons, with no per-event attribute or dict access;
+* the simulation engine's replay loop (:func:`engine_program`, see
+  :mod:`repro.core.simulator.engine`) dispatches on an int8-derived opcode
+  list instead of ``TraceEventKind`` enum comparisons, with no per-event
+  attribute or dict access;
 * the collator's periodicity fingerprints (:func:`range_fingerprint`) hash
   precomputed per-template digests instead of re-walking event objects;
 * the wire format (:func:`encode_worker_trace` / :func:`decode_worker_trace`)
@@ -35,9 +35,9 @@ coercion is numeric width: durations round-trip through float64 and handle
 ids through int64, which is lossless for everything the emulator emits
 (hand-built traces using *integer* durations decode as the equal float).
 
-Everything here degrades gracefully when numpy is unavailable:
-:func:`columnar_worker_trace` returns ``None`` and every consumer falls back
-to its per-object path.
+numpy is a hard requirement of this module and therefore of the package
+(``setup.py`` declares it): there is no per-object fallback behind any of
+the three consumers.
 """
 
 from __future__ import annotations
@@ -47,10 +47,7 @@ import struct
 import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+import numpy as _np
 
 from repro.core.trace import TraceEvent, TraceEventKind, WorkerTrace
 from repro.hardware.host_model import (
@@ -58,9 +55,6 @@ from repro.hardware.host_model import (
     _JITTER_FLOOR,
     dispatch_class_seed,
 )
-
-#: Whether the columnar fast paths are available in this process.
-HAVE_NUMPY = _np is not None
 
 #: Kind codes, in ``TraceEventKind`` declaration order (int8 column values).
 KIND_CODES: Dict[TraceEventKind, int] = {
@@ -253,17 +247,13 @@ def _memoize_columns(trace: WorkerTrace, n: int,
     weakref.finalize(trace, _COLUMNS_MEMO.pop, key, None)
 
 
-def columnar_worker_trace(trace: WorkerTrace
-                          ) -> Optional["ColumnarWorkerTrace"]:
+def columnar_worker_trace(trace: WorkerTrace) -> "ColumnarWorkerTrace":
     """Columnar view of ``trace``, memoized per trace instance.
 
-    Returns ``None`` when numpy is unavailable.  The memo is keyed by
-    ``len(trace.events)`` like the trace's own signature memos: traces are
-    append-only (and fold truncation builds new instances), so a matching
-    length means the cached columns are current.
+    The memo is keyed by ``len(trace.events)`` like the trace's own
+    signature memos: traces are append-only (and fold truncation builds new
+    instances), so a matching length means the cached columns are current.
     """
-    if _np is None:
-        return None
     cached = _COLUMNS_MEMO.get(id(trace))
     if cached is not None and cached[0]() is trace \
             and cached[1] == len(trace.events):
@@ -354,8 +344,8 @@ def columnar_worker_trace(trace: WorkerTrace
 
 # Engine opcodes.  Codes 0..5 form the contiguous "enqueue onto a device
 # stream" group so the host loop tests one comparison instead of a kind
-# tuple; event-handle create/destroy records compile to E_SKIP because the
-# object engine never enqueues them.
+# tuple; event-handle create/destroy records compile to E_SKIP because
+# they are never enqueued onto a stream.
 E_KERNEL = 0
 E_MEMCPY = 1
 E_MEMSET = 2
@@ -466,17 +456,14 @@ def _fast_noise_array(seeds, scale: float):
 
 def materialize_host_delays(cols: ColumnarWorkerTrace,
                             metadata: Dict[str, Any],
-                            size: int) -> Optional[List[float]]:
+                            size: int) -> List[float]:
     """Seq-indexed replayed host-delay durations, vectorized.
 
     Equivalent, element for element, to running
     :func:`repro.hardware.host_model.host_delay_materializer` over every
     ``HOST_DELAY`` event and scattering the results into a ``size``-long
-    per-seq array (the shape provider annotation consumes).  Returns
-    ``None`` when numpy is unavailable.
+    per-seq array (the shape provider annotation consumes).
     """
-    if _np is None:
-        return None
     out = _np.zeros(size, dtype=_np.float64)
     idx = _np.nonzero(cols.kind == K_HOST_DELAY)[0]
     if idx.size:
@@ -576,16 +563,17 @@ def _fingerprint_tables(cols: ColumnarWorkerTrace,
 
 def range_fingerprint(cols: ColumnarWorkerTrace, lo: int, hi: int,
                       iteration_marker) -> Optional[int]:
-    """Columnar twin of the collator's ``_canonical_range_fingerprint``.
+    """Canonical content hash of events ``lo .. hi-1`` (the body of the
+    collator's ``_canonical_range_fingerprint``, which documents what is
+    canonicalised and why).
 
-    Preserves that function's *equality semantics* exactly -- two ranges
-    produce equal fingerprints iff the object walk would (records numbered
-    serially, waits resolved to local record serials with cross-window
-    references yielding ``None``, structured host delays hashed by call
-    class + base cost, and so on) -- but not its values: fingerprints are
-    only ever compared to other fingerprints of the same trace within one
-    process, so this path swaps the per-event blake2b chain for an FNV-1a
-    mix over per-template digests.  Distinct case tags keep the branches
+    An FNV-1a mix over per-template digests: fingerprints are only ever
+    compared to other fingerprints of the same trace within one process, so
+    only *equality semantics* matter -- records numbered serially, waits
+    resolved to local record serials with cross-window references yielding
+    ``None``, structured host delays hashed by call class + base cost --
+    and those are checked against a per-object reference walk in
+    ``tests/test_columnar.py``.  Distinct case tags keep the branches
     collision-disjoint.
     """
     tables = _fingerprint_tables(cols, iteration_marker)
@@ -667,17 +655,14 @@ def range_fingerprint(cols: ColumnarWorkerTrace, lo: int, hi: int,
 # wire payload (consumed by repro.service.wire)
 # ----------------------------------------------------------------------
 
-def encode_worker_trace(trace: WorkerTrace) -> Optional[bytes]:
+def encode_worker_trace(trace: WorkerTrace) -> bytes:
     """Serialize ``trace`` as template pool + raw little-endian columns.
 
     Layout: ``b"MCOL"`` + u32 header length + pickled header (trace fields,
     template pool, call-class pool, event count and the ``(name, dtype)``
-    column specs) + the concatenated column buffers in spec order.  Returns
-    ``None`` when numpy is unavailable (callers fall back to plain pickle).
+    column specs) + the concatenated column buffers in spec order.
     """
     cols = columnar_worker_trace(trace)
-    if cols is None:
-        return None
     header = pickle.dumps({
         "rank": trace.rank,
         "device": trace.device,
@@ -702,8 +687,6 @@ def decode_worker_trace(payload: bytes) -> WorkerTrace:
     signature-equal); the decoded columns are installed as the new trace's
     columnar memo so the receiving simulator skips the rebuild.
     """
-    if _np is None:  # pragma: no cover - senders negotiate the format
-        raise RuntimeError("columnar payloads require numpy to decode")
     magic, header_len = _PAYLOAD_HEADER.unpack_from(payload, 0)
     if magic != PAYLOAD_MAGIC:
         raise ValueError(f"bad columnar payload magic {magic!r}")

@@ -4,11 +4,11 @@ The engine replays a collated job trace against a cluster specification:
 
 * each simulated rank has a **host dispatch queue** that walks its trace in
   program order, paying the measured host delays (structured ``HOST_DELAY``
-  events record only the deterministic base cost; the engine materializes
-  the per-call jitter factor at replay time -- same seed, same call seq,
-  same multiply as pre-split emulators, so per-event replay is
-  bit-identical to traces that baked the jitter in), enqueueing device work
-  onto streams and blocking on synchronisation calls;
+  events record only the deterministic base cost; the per-call jitter factor
+  is materialized at replay time -- same seed, same call seq, same multiply
+  as pre-split emulators, so replay is bit-identical to traces that baked
+  the jitter in), enqueueing device work onto streams and blocking on
+  synchronisation calls;
 * each (rank, stream) pair is a FIFO **execution stream** that runs kernels,
   copies and collectives one at a time;
 * CUDA events and collectives are resolved through the wait maps of
@@ -18,40 +18,46 @@ The engine replays a collated job trace against a cluster specification:
 Durations come from a pluggable :class:`DurationProvider`; the engine itself
 is shared between Maya's prediction path and the testbed reference model.
 
-Two optimizations keep the engine fast: the first never changes a produced
-number; the second is exact up to rounding-level period drift except on
-structured jittered host delays, where it commits a documented, bounded
-analytic approximation:
+**How the engine reads a trace.**  There is one replay loop, and it never
+touches a ``TraceEvent``.  Each representative trace is lowered once to an
+:class:`~repro.core.columnar.EngineProgram` (flat opcode / operand lists,
+memoized on the trace's columns), and every duration it will need is
+resolved up front into :class:`TraceAnnotations` -- per-rank arrays of
+kernel and materialized host-delay durations plus pre-resolved communicator
+groups and matching keys.  Providers that implement ``annotate_trace`` (both
+built-in ones, memoized per trace content) supply them; for any other
+provider the engine makes one :func:`build_trace_annotations` pass over the
+two-method per-event protocol.  The inner loop is then integer dispatch and
+list indexing only.
 
-* **Pre-annotated duration arrays** -- when the provider implements
-  ``annotate_trace`` (both built-in providers do), every kernel/collective
-  duration and communicator group is resolved once per (collated trace,
-  provider) into flat per-rank arrays, so the inner event loop does
-  integer-indexed reads instead of per-event ``signature()`` / dict /
-  provider calls.  Disable with ``SimulationConfig.use_annotations=False``.
-* **Steady-state iteration folding** -- when the trace contains ``N >= 5``
-  iteration-marker windows whose bodies and inter-iteration glue are
-  canonically identical (see :func:`repro.core.collator.windows_are_periodic`)
-  and the provider declares ``supports_iteration_folding`` (duration is a
-  pure function of the event's shape, e.g. Maya's estimated provider, but
-  *not* the jittered testbed provider), the engine simulates the first four
-  windows plus the trace tail and extrapolates the remaining ``N - 4``
-  iterations analytically.  The fold only commits if every rank was
-  quiescent at its window boundaries and the measured per-rank period was
-  stable across the two verification windows (within
-  ``SimulationConfig.fold_tolerance``, which defaults to rounding-level
-  drift; set 0.0 to demand bitwise-identical periods); otherwise the
-  engine transparently re-runs the full event-by-event simulation.
-  Structured host delays with a nonzero jitter term are treated
-  *analytically* during a fold: the truncated replay materializes them at
-  the window-mean jitter factor of 1.0 (i.e. the recorded base cost), so
-  the windows stay exactly periodic and the extrapolated total differs
-  from the per-event replay by at most ``sqrt(3) * jitter`` times the
-  total base host-delay time (``fast_noise`` is uniform within
-  ``1 +- jitter*sqrt(3)``, and a critical path can traverse each host
-  delay at most once); the committed bound is reported as
-  ``host_jitter_bound_s`` in the fold metadata.  Disable with
-  ``SimulationConfig.fold_iterations=False``.
+**Steady-state iteration folding.**  When the trace contains ``N >= 5``
+iteration-marker windows whose bodies and inter-iteration glue are
+canonically identical (see :func:`repro.core.collator.windows_are_periodic`)
+and the provider declares ``supports_iteration_folding`` (duration is a
+pure function of the event's shape, e.g. Maya's estimated provider, but
+*not* the jittered testbed provider), the engine simulates the first four
+windows plus the trace tail and extrapolates the remaining ``N - 4``
+iterations analytically.  The fold only commits if every rank was
+quiescent at its window boundaries and the measured per-rank period was
+stable across the two verification windows (within
+``SimulationConfig.fold_tolerance``, which defaults to rounding-level
+drift; set 0.0 to demand bitwise-identical periods); otherwise the
+engine transparently re-runs the full simulation.  Folding is exact up to
+that rounding-level period drift except on structured jittered host
+delays, which are treated *analytically*: the truncated replay
+materializes them at the window-mean jitter factor of 1.0 (i.e. the
+recorded base cost), so the windows stay exactly periodic and the
+extrapolated total differs from the full replay by at most
+``sqrt(3) * jitter`` times the total base host-delay time (``fast_noise``
+is uniform within ``1 +- jitter*sqrt(3)``, and a critical path can
+traverse each host delay at most once); the committed bound is reported as
+``host_jitter_bound_s`` in the fold metadata.  Disable with
+``SimulationConfig.fold_iterations=False``.
+
+The loop is checked against an independent per-event replay that walks the
+event objects and calls the provider once per event
+(``tests/reference_engine.py``), bit for bit over seeded random traces, and
+both are pinned to recorded reports (``tests/goldens/engine_reports.json``).
 """
 
 from __future__ import annotations
@@ -67,7 +73,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.collator import (
     _ITERATION_MARKER,
     CollatedTrace,
-    CollectiveResolution,
     IterationWindows,
     find_iteration_windows,
     windows_are_periodic,
@@ -85,19 +90,20 @@ from repro.core.columnar import (
     columnar_worker_trace,
     engine_program,
 )
-from repro.core.simulator.providers import DurationProvider, TraceAnnotations
+from repro.core.simulator.providers import (
+    DurationProvider,
+    TraceAnnotations,
+    build_trace_annotations,
+)
 from repro.core.simulator.report import RankReport, SimulationReport
 from repro.core.simulator.waitmaps import (
     CollectiveWaitMap,
     CudaEventWaitMap,
     P2PWaitMap,
 )
-from repro.core.trace import TraceEvent, TraceEventKind, WorkerTrace
+from repro.core.trace import TraceEventKind, WorkerTrace
 from repro.hardware.cluster import ClusterSpec
-from repro.hardware.host_model import (
-    HOST_MODEL_METADATA_KEY,
-    host_delay_materializer,
-)
+from repro.hardware.host_model import HOST_MODEL_METADATA_KEY
 
 
 class SimulationError(RuntimeError):
@@ -121,21 +127,13 @@ class SimulationConfig:
     include_host_overheads: bool = True
     #: Safety valve: maximum number of processed simulation events.
     max_events: int = 50_000_000
-    #: Use the provider's batch ``annotate_trace`` fast path when available.
-    use_annotations: bool = True
-    #: Replay through the columnar (structure-of-arrays) inner loop when the
-    #: trace columns are available.  Requires annotations (the columnar loop
-    #: reads the flat duration arrays) and numpy; the engine transparently
-    #: falls back to per-object dispatch otherwise.  Bit-identical to the
-    #: per-event engine either way.
-    use_columnar: bool = True
     #: Fold repeated steady-state iterations instead of simulating each.
     fold_iterations: bool = True
     #: Maximum *relative* disagreement between the two verification-window
     #: periods for a fold to commit.  Even a perfectly periodic workload
     #: accumulates floating-point rounding of ~1 ulp per window, so the
     #: default admits rounding-level drift (the extrapolated total then
-    #: differs from the event-by-event engine by at most that much per
+    #: differs from the full replay by at most that much per
     #: folded iteration).  Set to 0.0 to require bitwise-identical periods.
     fold_tolerance: float = 1e-9
 
@@ -164,33 +162,26 @@ class _Stream:
     """FIFO execution stream of one simulated rank."""
 
     __slots__ = ("rank", "stream_id", "queue", "busy", "available_time",
-                 "blocked", "sync_waiters", "busy_compute", "busy_comm",
-                 "busy_memcpy", "kernel_durations", "collective_annotations",
-                 "codes", "seqs", "ekeys")
+                 "blocked", "sync_waiters", "kernel_durations",
+                 "collective_annotations", "codes", "seqs", "ekeys")
 
-    def __init__(self, rank: int, stream_id: int) -> None:
+    def __init__(self, rank: int, stream_id: int, program: EngineProgram,
+                 annotations: TraceAnnotations) -> None:
         self.rank = rank
         self.stream_id = stream_id
-        #: Pending work: event objects (per-object engine) or positions into
-        #: the rank's :class:`EngineProgram` (columnar engine).
-        self.queue: Deque[object] = deque()
+        #: Pending work, as positions into the rank's program.
+        self.queue: Deque[int] = deque()
         self.busy = False
         self.blocked = False
         self.available_time = 0.0
         self.sync_waiters: List["_Host"] = []
-        self.busy_compute = 0.0
-        self.busy_comm = 0.0
-        self.busy_memcpy = 0.0
-        #: Flat per-seq duration array shared by all of the rank's streams
-        #: (None when the provider has no annotation fast path).
-        self.kernel_durations: Optional[List[float]] = None
+        #: Per-seq duration array shared by all of the rank's streams.
+        self.kernel_durations = annotations.kernel_durations[rank]
         #: Per-seq pre-resolved (resolution, group, key, duration) tuples.
-        self.collective_annotations: Optional[Dict[int, Tuple]] = None
-        #: Columnar program views of the rank's trace (None when the run
-        #: uses per-object dispatch).
-        self.codes: Optional[List[int]] = None
-        self.seqs: Optional[List[int]] = None
-        self.ekeys: Optional[List[Optional[Tuple[int, int]]]] = None
+        self.collective_annotations = annotations.collectives[rank]
+        self.codes = program.codes
+        self.seqs = program.seqs
+        self.ekeys = program.ekeys
 
     def drained(self) -> bool:
         return not self.busy and not self.queue
@@ -199,34 +190,28 @@ class _Stream:
 class _Host:
     """Host dispatch queue of one simulated rank."""
 
-    __slots__ = ("rank", "events", "cursor", "state", "time", "waiting_streams",
-                 "busy_time", "markers", "host_durations", "delay_fn",
-                 "codes", "streams0", "seqs", "ekeys", "labels",
-                 "base_durations", "n")
+    __slots__ = ("rank", "cursor", "state", "time", "waiting_streams",
+                 "markers", "host_durations", "codes", "streams0", "seqs",
+                 "ekeys", "labels", "base_durations", "n")
 
-    def __init__(self, rank: int, trace: WorkerTrace) -> None:
+    def __init__(self, rank: int, program: EngineProgram,
+                 host_durations: Optional[List[float]]) -> None:
         self.rank = rank
-        self.events = trace.events
         self.cursor = 0
         self.state = _HOST_RUNNING
         self.time = 0.0
         self.waiting_streams: Set[Tuple[int, int]] = set()
-        self.busy_time = 0.0
         self.markers: Dict[str, float] = {}
-        #: Flat per-seq materialized HOST_DELAY durations (annotation fast
-        #: path); ``None`` falls through to ``delay_fn`` / ``event.duration``.
-        self.host_durations: Optional[List[float]] = None
-        #: Per-event materializer (structured jitter / legacy value) used
-        #: when no annotation array is available.
-        self.delay_fn = None
-        #: Columnar program views (set only when the run is columnar).
-        self.codes: Optional[List[int]] = None
-        self.streams0: Optional[List[int]] = None
-        self.seqs: Optional[List[int]] = None
-        self.ekeys: Optional[List[Optional[Tuple[int, int]]]] = None
-        self.labels: Optional[List[Optional[str]]] = None
-        self.base_durations: Optional[List[float]] = None
-        self.n = 0
+        #: Per-seq materialized HOST_DELAY durations; ``None`` in a fold
+        #: replay, which pays the position-indexed ``base_durations``.
+        self.host_durations = host_durations
+        self.codes = program.codes
+        self.streams0 = program.streams
+        self.seqs = program.seqs
+        self.ekeys = program.ekeys
+        self.labels = program.labels
+        self.base_durations = program.durations
+        self.n = program.n
 
 
 @dataclass(frozen=True)
@@ -430,10 +415,12 @@ class _SimulationState:
         self.ranks = ranks
         self.rank_set = set(ranks)
 
-        self.annotations: Optional[TraceAnnotations] = None
-        if (self.config.use_annotations
-                and hasattr(self.provider, "annotate_trace")):
-            self.annotations = self.provider.annotate_trace(collated, ranks)
+        # Providers without a batch ``annotate_trace`` get one un-memoized
+        # pass over their per-event protocol.
+        annotate = getattr(self.provider, "annotate_trace", None)
+        self.annotations: TraceAnnotations = (
+            annotate(collated, ranks) if annotate is not None
+            else build_trace_annotations(self.provider, collated, ranks))
 
         self.fold_plan = fold_plan
         self._fold_capture_labels: Set[str] = (
@@ -443,62 +430,23 @@ class _SimulationState:
         self.fold_snapshots: Dict[Tuple[int, str], Tuple] = {}
         self.fold_info: Optional[Dict[str, object]] = None
 
+        rep_programs = {
+            rep: engine_program(columnar_worker_trace(collated.traces[rep]))
+            for rep in {collated.representative[rank] for rank in ranks}}
+        self.programs: Dict[int, EngineProgram] = {
+            rank: rep_programs[collated.representative[rank]]
+            for rank in ranks}
+        # A full replay pays the materialized host delays (structured
+        # traces: base cost times the per-call jitter factor).  A fold
+        # replay deliberately pays the recorded base cost instead -- the
+        # window-mean jitter factor of 1.0 -- so that steady-state windows
+        # stay exactly periodic and extrapolation is the analytic mean over
+        # the folded jitter stream.
         self.hosts: Dict[int, _Host] = {
-            rank: _Host(rank, collated.trace_for(rank)) for rank in ranks
-        }
-        # Host-delay materialization.  Per-event replay applies the
-        # structured trace's jitter factor (via the pre-annotated array or
-        # the per-trace materializer closure); a fold replay deliberately
-        # skips both and pays the recorded base cost -- the window-mean
-        # jitter factor of 1.0 -- so that steady-state windows stay exactly
-        # periodic and extrapolation is the analytic mean over the folded
-        # jitter stream.  Legacy traces hit ``event.duration`` either way.
-        if fold_plan is None:
-            materializers: Dict[int, object] = {}
-            for rank, host in self.hosts.items():
-                if self.annotations is not None:
-                    host.host_durations = \
-                        self.annotations.host_durations.get(rank)
-                if host.host_durations is None:
-                    rep = collated.representative[rank]
-                    delay_fn = materializers.get(rep)
-                    if delay_fn is None:
-                        delay_fn = host_delay_materializer(
-                            collated.traces[rep].metadata)
-                        materializers[rep] = delay_fn
-                    host.delay_fn = delay_fn
-        # Columnar fast path: dispatch on flat opcode lists instead of
-        # per-event enum/attribute access.  Requires annotations (the loop
-        # reads the flat duration arrays) and available trace columns; the
-        # per-object engine remains the fallback and the reference.
-        self._columnar = False
-        self._programs: Dict[int, EngineProgram] = {}
-        if self.annotations is not None and self.config.use_columnar:
-            rep_programs: Optional[Dict[int, EngineProgram]] = {}
-            for rep in {collated.representative[rank] for rank in ranks}:
-                cols = columnar_worker_trace(collated.traces[rep])
-                if cols is None:  # numpy unavailable
-                    rep_programs = None
-                    break
-                rep_programs[rep] = engine_program(cols)
-            if rep_programs is not None:
-                self._columnar = True
-                for rank in ranks:
-                    prog = rep_programs[collated.representative[rank]]
-                    self._programs[rank] = prog
-                    host = self.hosts[rank]
-                    host.codes = prog.codes
-                    host.streams0 = prog.streams
-                    host.seqs = prog.seqs
-                    host.ekeys = prog.ekeys
-                    host.labels = prog.labels
-                    host.base_durations = prog.durations
-                    host.n = prog.n
-                # Bound-method overrides: the run-wide dispatch mode is
-                # fixed here, so the hot loop pays no per-call branch.
-                self._advance_host = self._advance_host_columnar
-                self._drain_stream = self._drain_stream_columnar
-                self._try_start_stream = self._try_start_stream_columnar
+            rank: _Host(rank, self.programs[rank],
+                        self.annotations.host_durations[rank]
+                        if fold_plan is None else None)
+            for rank in ranks}
         self._sm_contention = self.config.sm_contention_factor > 1.0
         self.streams: Dict[Tuple[int, int], _Stream] = {}
         self.event_map = CudaEventWaitMap()
@@ -506,9 +454,6 @@ class _SimulationState:
         self.p2p_map = P2PWaitMap()
         #: Number of in-flight collectives per rank (SM-contention modelling).
         self.inflight_collectives: Dict[int, int] = {rank: 0 for rank in ranks}
-        #: Cache of resolved communicator groups per (rank, tag, rep group).
-        self._group_cache: Dict[Tuple, Tuple[int, ...]] = {}
-
         self.queue: List[Tuple[float, int, int, object]] = []
         self._counter = itertools.count()
         self.now = 0.0
@@ -521,31 +466,21 @@ class _SimulationState:
     # event queue helpers
     # ------------------------------------------------------------------
     _HOST_READY = 0
+    #: Op completions carry only the stream; whether the finished op was a
+    #: collective (for SM-contention accounting) is encoded in the heap kind.
     _OP_END = 1
-    #: Columnar op completions carry only the stream; whether the finished
-    #: op was a collective (for SM-contention accounting) is encoded in the
-    #: heap kind instead of read off an event object.
-    _OP_END_COL = 2
-    _OP_END_COLL = 3
+    _COLL_END = 2
 
     def _schedule(self, time: float, kind: int, payload: object) -> None:
         heapq.heappush(self.queue, (time, next(self._counter), kind, payload))
 
-    def _stream(self, rank: int, stream_id: Optional[int]) -> _Stream:
-        key = (rank, stream_id if stream_id is not None else 0)
+    def _stream(self, rank: int, stream_id: int) -> _Stream:
+        # Programs already map the default stream (``None``) to 0.
+        key = (rank, stream_id)
         stream = self.streams.get(key)
         if stream is None:
-            stream = _Stream(rank, key[1])
-            if self.annotations is not None:
-                stream.kernel_durations = \
-                    self.annotations.kernel_durations.get(rank)
-                stream.collective_annotations = \
-                    self.annotations.collectives.get(rank)
-            if self._columnar:
-                prog = self._programs[rank]
-                stream.codes = prog.codes
-                stream.seqs = prog.seqs
-                stream.ekeys = prog.ekeys
+            stream = _Stream(rank, stream_id, self.programs[rank],
+                             self.annotations)
             self.streams[key] = stream
         return stream
 
@@ -559,8 +494,7 @@ class _SimulationState:
         heappop = heapq.heappop
         max_events = self.config.max_events
         host_ready = self._HOST_READY
-        op_end = self._OP_END
-        op_end_col = self._OP_END_COL
+        coll_end = self._COLL_END
         while queue:
             time, _, kind, payload = heappop(queue)
             if self.now < time:
@@ -579,13 +513,8 @@ class _SimulationState:
                 if host.state != _HOST_DONE:
                     host.state = _HOST_RUNNING
                     self._advance_host(host, time)
-            elif kind == op_end:
-                stream, event = payload
-                self._finish_op(stream, event, time)
-            elif kind == op_end_col:
-                self._finish_op_columnar(payload, False, time)
-            else:  # _OP_END_COLL
-                self._finish_op_columnar(payload, True, time)
+            else:
+                self._finish_op(payload, kind == coll_end, time)
         self._check_finished()
 
     def _check_finished(self) -> None:
@@ -608,107 +537,11 @@ class _SimulationState:
     # host dispatch queue
     # ------------------------------------------------------------------
     def _advance_host(self, host: _Host, now: float) -> None:
-        host.time = max(host.time, now)
-        events = host.events
-        while host.cursor < len(events):
-            event = events[host.cursor]
-            kind = event.kind
+        """Run ``host`` forward until it pays a delay, blocks or finishes.
 
-            if kind is TraceEventKind.HOST_DELAY:
-                host.cursor += 1
-                if not self.config.include_host_overheads:
-                    continue
-                if host.host_durations is not None:
-                    duration = host.host_durations[event.seq]
-                elif host.delay_fn is not None:
-                    duration = host.delay_fn(event)
-                else:
-                    # Fold replay (mean jitter factor 1.0) or a bare legacy
-                    # event: the recorded duration is the replayed cost.
-                    duration = event.duration or 0.0
-                host.busy_time += duration
-                host.time += duration
-                self.rank_reports[host.rank].host_time += duration
-                self._schedule(host.time, self._HOST_READY, host)
-                return
-
-            if kind is TraceEventKind.MARKER:
-                label = str(event.params.get("label", ""))
-                host.markers[label] = host.time
-                if label in self._fold_capture_labels:
-                    self._capture_fold_snapshot(host, label)
-                host.cursor += 1
-                continue
-
-            if kind in (TraceEventKind.KERNEL, TraceEventKind.MEMCPY,
-                        TraceEventKind.MEMSET, TraceEventKind.COLLECTIVE,
-                        TraceEventKind.EVENT_RECORD,
-                        TraceEventKind.STREAM_WAIT_EVENT):
-                if (kind is TraceEventKind.EVENT_RECORD
-                        and (event.params.get("create")
-                             or event.params.get("destroy"))):
-                    host.cursor += 1
-                    continue
-                host.cursor += 1
-                stream = self._stream(host.rank, event.stream)
-                stream.queue.append(event)
-                self._try_start_stream(stream, host.time)
-                continue
-
-            if kind is TraceEventKind.EVENT_SYNCHRONIZE:
-                key = CudaEventWaitMap.key(host.rank, event.wait_event or 0,
-                                           int(event.params.get("version", 0)))
-                if self.event_map.is_complete(key):
-                    host.time = max(host.time, self.event_map.completion_time(key))
-                    host.cursor += 1
-                    continue
-                self.event_map.block(key, ("host", host))
-                host.state = _HOST_BLOCKED
-                return
-
-            if kind is TraceEventKind.STREAM_SYNCHRONIZE:
-                stream = self._stream(host.rank, event.stream)
-                if stream.drained():
-                    host.time = max(host.time, stream.available_time)
-                    host.cursor += 1
-                    continue
-                stream.sync_waiters.append(host)
-                host.waiting_streams = {(host.rank, stream.stream_id)}
-                host.state = _HOST_BLOCKED
-                host.cursor += 1
-                return
-
-            if kind is TraceEventKind.DEVICE_SYNCHRONIZE:
-                pending = {key for key, stream in self.streams.items()
-                           if key[0] == host.rank and not stream.drained()}
-                if not pending:
-                    latest = max((stream.available_time
-                                  for key, stream in self.streams.items()
-                                  if key[0] == host.rank), default=host.time)
-                    host.time = max(host.time, latest)
-                    host.cursor += 1
-                    continue
-                for key in pending:
-                    self.streams[key].sync_waiters.append(host)
-                host.waiting_streams = pending
-                host.state = _HOST_BLOCKED
-                host.cursor += 1
-                return
-
-            # Unknown event kinds are ignored (forward compatibility).
-            host.cursor += 1
-
-        host.state = _HOST_DONE
-        self.rank_reports[host.rank].finish_time = max(
-            self.rank_reports[host.rank].finish_time, host.time)
-
-    def _advance_host_columnar(self, host: _Host, now: float) -> None:
-        """Columnar twin of :meth:`_advance_host`.
-
-        Dispatches on the program's int opcodes; every state transition,
-        float operation and schedule happens in the same order as the
-        per-object loop, so the two engines are bit-identical (asserted by
-        the randomized differential suites).
+        Every state transition, float operation and schedule happens in the
+        order the reference replay performs it, which is what makes the two
+        bit-identical (asserted by the randomized differential suites).
         """
         if host.time < now:
             host.time = now
@@ -729,7 +562,7 @@ class _SimulationState:
                 # A busy/blocked stream cannot start new work: the drain
                 # loop would return immediately, so skip the call.
                 if not stream.busy and not stream.blocked:
-                    self._try_start_stream_columnar(stream, host.time)
+                    self._try_start_stream(stream, host.time)
                 continue
             if code == E_HOST_DELAY:
                 cursor += 1
@@ -739,9 +572,8 @@ class _SimulationState:
                     duration = host.host_durations[host.seqs[cursor - 1]]
                 else:
                     # Fold replay: the recorded base cost (the window-mean
-                    # jitter factor of 1.0), as in the per-object loop.
+                    # jitter factor of 1.0).
                     duration = host.base_durations[cursor - 1]
-                host.busy_time += duration
                 host.time += duration
                 self.rank_reports[rank].host_time += duration
                 host.cursor = cursor
@@ -840,18 +672,12 @@ class _SimulationState:
     # streams
     # ------------------------------------------------------------------
     def _try_start_stream(self, stream: _Stream, now: float) -> None:
-        self._drain_stream(stream, now)
-        if stream.drained():
-            self._notify_stream_drained(stream, max(stream.available_time, now))
+        """Drain ``stream`` and wake its synchronizers if it ran dry.
 
-    def _try_start_stream_columnar(self, stream: _Stream, now: float) -> None:
-        """Columnar twin of :meth:`_try_start_stream`.
-
-        Inlines :meth:`_Stream.drained` and skips the drained notification
-        when nobody is synchronizing on the stream -- both are no-ops in
-        that case, so behaviour is identical to the object path.
+        Inlines :meth:`_Stream.drained`; the notification is skipped when
+        nobody is synchronizing on the stream (it would be a no-op).
         """
-        self._drain_stream_columnar(stream, now)
+        self._drain_stream(stream, now)
         if (stream.sync_waiters and not stream.busy and not stream.blocked
                 and not stream.queue):
             available = stream.available_time
@@ -859,64 +685,7 @@ class _SimulationState:
                 stream, available if available > now else now)
 
     def _drain_stream(self, stream: _Stream, now: float) -> None:
-        while not stream.busy and not stream.blocked and stream.queue:
-            event = stream.queue[0]
-            start = max(stream.available_time, now)
-            kind = event.kind
-
-            if kind is TraceEventKind.EVENT_RECORD:
-                stream.queue.popleft()
-                stream.available_time = start
-                key = CudaEventWaitMap.key(stream.rank, event.event or 0,
-                                           int(event.params.get("version", 0)))
-                for waiter in self.event_map.record(key, start):
-                    self._release_waiter(waiter, start)
-                continue
-
-            if kind is TraceEventKind.STREAM_WAIT_EVENT:
-                key = CudaEventWaitMap.key(stream.rank, event.wait_event or 0,
-                                           int(event.params.get("version", 0)))
-                if self.event_map.is_complete(key):
-                    stream.queue.popleft()
-                    stream.available_time = max(start,
-                                                self.event_map.completion_time(key))
-                    continue
-                stream.blocked = True
-                self.event_map.block(key, ("stream", stream))
-                return
-
-            if kind is TraceEventKind.COLLECTIVE:
-                if self._start_collective(stream, event, start):
-                    continue
-                return
-
-            # Plain device work: kernels, copies, memsets.  The annotated
-            # duration array turns this into an integer-indexed read.
-            if stream.kernel_durations is not None:
-                duration = stream.kernel_durations[event.seq]
-            else:
-                duration = self.provider.kernel_duration(stream.rank, event)
-            if (self.config.sm_contention_factor > 1.0
-                    and self.inflight_collectives.get(stream.rank, 0) > 0
-                    and kind is TraceEventKind.KERNEL):
-                duration *= self.config.sm_contention_factor
-            stream.queue.popleft()
-            stream.busy = True
-            end = start + duration
-            stream.available_time = end
-            report = self.rank_reports[stream.rank]
-            if kind is TraceEventKind.KERNEL:
-                stream.busy_compute += duration
-                report.compute_time += duration
-                report.kernel_count += 1
-            else:
-                stream.busy_memcpy += duration
-                report.memcpy_time += duration
-            self._schedule(end, self._OP_END, (stream, event))
-            return
-
-    def _drain_stream_columnar(self, stream: _Stream, now: float) -> None:
-        """Columnar twin of :meth:`_drain_stream` (see its docstring)."""
+        """Start queued work until the stream is busy, blocked or empty."""
         codes = stream.codes
         seqs = stream.seqs
         queue = stream.queue
@@ -939,16 +708,14 @@ class _SimulationState:
                 stream.available_time = end
                 report = self.rank_reports[stream.rank]
                 if code == E_KERNEL:
-                    stream.busy_compute += duration
                     report.compute_time += duration
                     report.kernel_count += 1
                 else:
-                    stream.busy_memcpy += duration
                     report.memcpy_time += duration
-                self._schedule(end, self._OP_END_COL, stream)
+                self._schedule(end, self._OP_END, stream)
                 return
             if code == E_COLLECTIVE:
-                if self._start_collective_columnar(stream, seqs[pos], start):
+                if self._start_collective(stream, seqs[pos], start):
                     continue
                 return
             if code == E_RECORD:
@@ -983,151 +750,22 @@ class _SimulationState:
             stream.queue.popleft()  # consume the STREAM_WAIT_EVENT entry
             stream.available_time = max(stream.available_time, time)
             self._try_start_stream(stream, time)
-        elif kind == "recv":
-            stream, event, resolution, group, recv_ready = target
-            self._complete_recv(stream, event, resolution, group, recv_ready,
-                                time)
-        elif kind == "recv_col":
+        else:  # "recv": the matching send's payload has arrived
             stream, recv_ready = target
-            self._complete_recv_columnar(stream, recv_ready, time)
+            self._complete_recv(stream, recv_ready, time)
 
     # ------------------------------------------------------------------
     # collectives and point-to-point transfers
     # ------------------------------------------------------------------
-    def _resolve_group(self, rank: int,
-                       resolution: CollectiveResolution) -> Tuple[int, ...]:
-        cache_key = (rank, resolution.tag, resolution.representative_group)
-        group = self._group_cache.get(cache_key)
-        if group is None:
-            group = tuple(self.collated.group_resolver.group_for(
-                rank, resolution.tag, resolution.representative_group))
-            self._group_cache[cache_key] = group
-        return group
-
-    def _start_collective(self, stream: _Stream, event: TraceEvent,
+    def _start_collective(self, stream: _Stream, seq: int,
                           start: float) -> bool:
-        """Start a collective at the head of ``stream``.
+        """Start the collective at the head of ``stream``.
 
-        Returns True when the stream can keep draining immediately (the
-        operation resolved to a local no-op), False when the stream is now
-        busy or blocked.
-        """
-        annotated = None
-        if stream.collective_annotations is not None:
-            annotated = stream.collective_annotations.get(event.seq)
-        if annotated is not None:
-            resolution, group, key, duration = annotated
-        else:
-            resolution = self.collated.resolution_for(stream.rank, event)
-            if resolution is None:
-                # A collective without resolution metadata: local no-op.
-                stream.queue.popleft()
-                stream.available_time = start
-                return True
-            group = self._resolve_group(stream.rank, resolution)
-            key = resolution.key_for(stream.rank, self.collated.group_resolver)
-            duration = None
-
-        if resolution.is_p2p:
-            self._start_p2p(stream, event, resolution, group, key, start,
-                            duration)
-            return False
-
-        expected = sum(1 for rank in group if rank in self.rank_set)
-        expected = max(expected, 1)
-        instance = self.collective_map.join(key, expected, stream.rank,
-                                            stream.stream_id, start)
-        if instance is None:
-            stream.blocked = True
-            return False
-        if duration is None:
-            duration = self.provider.collective_duration(stream.rank, event,
-                                                         resolution, group)
-        coll_start = instance.start_time
-        end = coll_start + duration
-        for rank, stream_id, ready in instance.joined:
-            member = self._stream(rank, stream_id)
-            member.blocked = False
-            if member.queue:
-                member.queue.popleft()
-            member.busy = True
-            member.available_time = end
-            report = self.rank_reports[rank]
-            report.communication_time += duration
-            report.exposed_communication_time += max(end - ready, 0.0) - \
-                max(coll_start - ready, 0.0)
-            report.collective_count += 1
-            member.busy_comm += duration
-            self.inflight_collectives[rank] = (
-                self.inflight_collectives.get(rank, 0) + 1)
-            self._schedule(end, self._OP_END, (member, event))
-        return False
-
-    def _start_p2p(self, stream: _Stream, event: TraceEvent,
-                   resolution: CollectiveResolution, group: Tuple[int, ...],
-                   key: Tuple, start: float,
-                   duration: Optional[float] = None) -> None:
-        if duration is None:
-            pair: Tuple[int, ...]
-            if resolution.peer_position is not None and len(group) > max(
-                    resolution.self_position, resolution.peer_position):
-                pair = (group[resolution.self_position],
-                        group[resolution.peer_position])
-            else:
-                pair = tuple(group[:2]) if len(group) >= 2 else group
-            duration = self.provider.collective_duration(stream.rank, event,
-                                                         resolution, pair)
-        report = self.rank_reports[stream.rank]
-
-        if resolution.op == "send":
-            stream.queue.popleft()
-            stream.busy = True
-            end = start + duration
-            stream.available_time = end
-            stream.busy_comm += duration
-            report.communication_time += duration
-            report.collective_count += 1
-            waiter = self.p2p_map.post_send(key, end)
-            if waiter is not None:
-                self._release_waiter(("recv", waiter), end)
-            self._schedule(end, self._OP_END, (stream, event))
-            return
-
-        # Receive: completes once the matching send's payload has arrived.
-        send_end = self.p2p_map.post_recv(
-            key, (stream, event, resolution, group, start), start)
-        if send_end is None:
-            stream.blocked = True
-            return
-        self._complete_recv(stream, event, resolution, group, start,
-                            send_end)
-
-    def _complete_recv(self, stream: _Stream, event: TraceEvent,
-                       resolution: CollectiveResolution,
-                       group: Tuple[int, ...], recv_ready: float,
-                       send_end: float) -> None:
-        end = max(recv_ready, send_end) + self.config.p2p_recv_overhead
-        stream.blocked = False
-        if stream.queue:
-            stream.queue.popleft()
-        stream.busy = True
-        stream.available_time = end
-        duration = max(end - recv_ready, 0.0)
-        stream.busy_comm += duration
-        report = self.rank_reports[stream.rank]
-        report.communication_time += duration
-        report.exposed_communication_time += duration
-        report.collective_count += 1
-        self._schedule(end, self._OP_END, (stream, event))
-
-    def _start_collective_columnar(self, stream: _Stream, seq: int,
-                                   start: float) -> bool:
-        """Columnar twin of :meth:`_start_collective`.
-
-        The columnar loop only runs with annotations, so every resolvable
-        collective carries a pre-resolved (resolution, group, key, duration)
-        tuple; a missing entry means the object path's ``resolution_for``
-        would return ``None`` (local no-op).
+        Returns True when the stream can keep draining immediately, False
+        when it is now busy or blocked.  Every resolvable collective carries
+        a pre-resolved (resolution, group, key, duration) annotation; a
+        missing entry means the collator had no resolution for it, and it
+        replays as a local no-op.
         """
         annotated = stream.collective_annotations.get(seq)
         if annotated is None:
@@ -1136,8 +774,7 @@ class _SimulationState:
             return True
         resolution, group, key, duration = annotated
         if resolution.is_p2p:
-            self._start_p2p_columnar(stream, resolution.op, key, start,
-                                     duration)
+            self._start_p2p(stream, resolution.op, key, start, duration)
             return False
         expected = sum(1 for rank in group if rank in self.rank_set)
         expected = max(expected, 1)
@@ -1160,36 +797,35 @@ class _SimulationState:
             report.exposed_communication_time += max(end - ready, 0.0) - \
                 max(coll_start - ready, 0.0)
             report.collective_count += 1
-            member.busy_comm += duration
             self.inflight_collectives[rank] = (
                 self.inflight_collectives.get(rank, 0) + 1)
-            self._schedule(end, self._OP_END_COLL, member)
+            self._schedule(end, self._COLL_END, member)
         return False
 
-    def _start_p2p_columnar(self, stream: _Stream, op: str, key: Tuple,
-                            start: float, duration: float) -> None:
+    def _start_p2p(self, stream: _Stream, op: str, key: Tuple,
+                   start: float, duration: float) -> None:
         report = self.rank_reports[stream.rank]
         if op == "send":
             stream.queue.popleft()
             stream.busy = True
             end = start + duration
             stream.available_time = end
-            stream.busy_comm += duration
             report.communication_time += duration
             report.collective_count += 1
             waiter = self.p2p_map.post_send(key, end)
             if waiter is not None:
-                self._release_waiter(("recv_col", waiter), end)
-            self._schedule(end, self._OP_END_COLL, stream)
+                self._release_waiter(("recv", waiter), end)
+            self._schedule(end, self._COLL_END, stream)
             return
+        # Receive: completes once the matching send's payload has arrived.
         send_end = self.p2p_map.post_recv(key, (stream, start), start)
         if send_end is None:
             stream.blocked = True
             return
-        self._complete_recv_columnar(stream, start, send_end)
+        self._complete_recv(stream, start, send_end)
 
-    def _complete_recv_columnar(self, stream: _Stream, recv_ready: float,
-                                send_end: float) -> None:
+    def _complete_recv(self, stream: _Stream, recv_ready: float,
+                       send_end: float) -> None:
         end = max(recv_ready, send_end) + self.config.p2p_recv_overhead
         stream.blocked = False
         if stream.queue:
@@ -1197,30 +833,17 @@ class _SimulationState:
         stream.busy = True
         stream.available_time = end
         duration = max(end - recv_ready, 0.0)
-        stream.busy_comm += duration
         report = self.rank_reports[stream.rank]
         report.communication_time += duration
         report.exposed_communication_time += duration
         report.collective_count += 1
-        self._schedule(end, self._OP_END_COLL, stream)
+        self._schedule(end, self._COLL_END, stream)
 
     # ------------------------------------------------------------------
     # op completion
     # ------------------------------------------------------------------
-    def _finish_op(self, stream: _Stream, event: TraceEvent,
+    def _finish_op(self, stream: _Stream, was_collective: bool,
                    time: float) -> None:
-        stream.busy = False
-        stream.available_time = max(stream.available_time, time)
-        if event.kind is TraceEventKind.COLLECTIVE:
-            count = self.inflight_collectives.get(stream.rank, 0)
-            if count > 0:
-                self.inflight_collectives[stream.rank] = count - 1
-        report = self.rank_reports[stream.rank]
-        report.finish_time = max(report.finish_time, time)
-        self._try_start_stream(stream, time)
-
-    def _finish_op_columnar(self, stream: _Stream, was_collective: bool,
-                            time: float) -> None:
         stream.busy = False
         if stream.available_time < time:
             stream.available_time = time
@@ -1277,7 +900,7 @@ class _SimulationState:
         Structured host delays were replayed at their base cost (the
         window-mean jitter factor of 1.0), so the committed result is the
         analytic mean over the folded jitter stream.  The worst-case
-        deviation from the per-event replay is bounded by
+        deviation from the full replay is bounded by
         ``sqrt(3) * jitter * H`` where ``H`` is the total base host-delay
         time across the simulated ranks: every materialized delay lies
         within ``base * (1 +- sqrt(3) * jitter)`` (``fast_noise``'s uniform
@@ -1350,7 +973,7 @@ class _SimulationState:
             "folded_iterations": folded,
             "period_s": max(periods.values(), default=0.0),
             # Structured host delays fold at the analytic mean jitter
-            # factor of 1.0; the per-event replay can deviate by at most
+            # factor of 1.0; the full replay can deviate by at most
             # this much (see the commit_fold docstring).
             "host_jitter_scale": jitter_scale,
             "host_jitter_bound_s": _SQRT3 * jitter_scale * host_base_total,
@@ -1398,9 +1021,6 @@ class _SimulationState:
             "simulated_ranks": len(self.ranks),
             "processed_events": self.processed_events,
             "world_size": self.collated.world_size,
-            "engine": ("columnar" if self._columnar
-                       else "annotated" if self.annotations is not None
-                       else "serial"),
         }
         if self.fold_info is not None:
             metadata["iteration_folding"] = dict(self.fold_info)

@@ -8,22 +8,20 @@ the difference between a prediction and a measurement is exactly the quality
 of the per-operation runtimes plus the effects the simulator chooses to
 model.
 
-Providers expose two granularities:
-
-* the per-event protocol (:meth:`DurationProvider.kernel_duration` /
-  :meth:`DurationProvider.collective_duration`), which any provider must
-  implement, and
-* an optional batch :meth:`annotate_trace` pass producing
-  :class:`TraceAnnotations` -- flat, integer-indexed per-rank duration
-  arrays (kernels and materialized host delays, the latter re-applying the
-  structured trace's replay-time jitter) plus pre-resolved communicator
-  groups and matching keys -- so the
-  engine's inner event loop does array reads instead of per-event
-  ``signature()`` / dict / provider calls.  Annotations are memoized per
-  (collated-trace content signature, simulated-rank set) on the provider
-  instance, which is exactly the "provider fingerprint": the prediction
-  service shares one provider across trials, so repeated simulations of the
-  same artifacts skip annotation entirely.
+A provider *is* the two-method per-event protocol
+(:meth:`DurationProvider.kernel_duration` /
+:meth:`DurationProvider.collective_duration`).  The engine never calls it
+from its replay loop: every simulation first resolves the whole trace into
+:class:`TraceAnnotations` -- flat, integer-indexed per-rank duration arrays
+(kernels and materialized host delays, the latter re-applying the
+structured trace's replay-time jitter) plus pre-resolved communicator
+groups and matching keys -- with one :func:`build_trace_annotations` pass,
+and replays array reads.  Both built-in providers additionally memoize that
+pass behind ``annotate_trace`` (:class:`_AnnotationMemoMixin`), keyed by
+(collated-trace content signature, simulated-rank set) on the provider
+instance, which is exactly the "provider fingerprint": the prediction
+service shares one provider across trials, so repeated simulations of the
+same artifacts skip annotation entirely.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from repro.core.columnar import columnar_worker_trace, materialize_host_delays
 from repro.core.estimators.suite import EstimatorSuite
 from repro.core.trace import TraceEvent, TraceEventKind
 from repro.hardware.cluster import ClusterSpec
-from repro.hardware.host_model import host_delay_materializer
 from repro.hardware.kernel_cost import CollectiveCostModel, KernelCostModel
 from repro.hardware.noise import fast_noise, stable_hash
 
@@ -59,8 +56,9 @@ class TraceAnnotations:
     ``kernel_durations[rank][seq]`` is the duration of the plain device-work
     event with that sequence number in the rank's (representative) trace;
     non-device slots hold 0.0.  ``collectives[rank][seq]`` carries the
-    ``(resolution, group, key, duration)`` tuple the engine would otherwise
-    recompute per event.  ``host_durations[rank][seq]`` is the materialized
+    ``(resolution, group, key, duration)`` tuple of every collective the
+    collator resolved (an unresolved one has no entry and replays as a
+    local no-op).  ``host_durations[rank][seq]`` is the materialized
     ``HOST_DELAY`` duration -- for structured events the recorded base cost
     times the replay-time jitter factor (``fast_noise`` over the class seed
     plus call seq), for legacy events the recorded value.  All are keyed by
@@ -100,19 +98,11 @@ def build_trace_annotations(provider: "DurationProvider",
 
         delays = shared_hosts.get(representative)
         if delays is None:
-            # Vectorized materialization over the trace columns (the
-            # structured-jitter fast_noise stream is computed array-wide,
-            # bit-identical to the per-event closure); the object walk
-            # remains the numpy-less fallback.
-            cols = columnar_worker_trace(trace)
-            if cols is not None:
-                delays = materialize_host_delays(cols, trace.metadata, size)
-            if delays is None:
-                delays = [0.0] * size
-                materialize = host_delay_materializer(trace.metadata)
-                for event in events:
-                    if event.kind is TraceEventKind.HOST_DELAY:
-                        delays[event.seq] = materialize(event)
+            # Vectorized over the trace columns: the structured-jitter
+            # fast_noise stream is computed array-wide, bit-identical to
+            # the per-event ``host_delay_materializer`` closure.
+            delays = materialize_host_delays(columnar_worker_trace(trace),
+                                             trace.metadata, size)
             shared_hosts[representative] = delays
         annotations.host_durations[rank] = delays
 

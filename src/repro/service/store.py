@@ -26,9 +26,8 @@ Entry file format::
     b"MAYS" | fmt:1 byte | length:8 bytes BE | payload | sha256 trailer
 
 The payload is the pickled ``(key, artifacts)`` pair serialised by the
-**wire encoders** (:func:`repro.service.wire.dumps_columnar` where numpy
-is available, else :func:`~repro.service.wire.dumps`): an on-disk entry
-holds the same bytes the socket backend would ship for that artifact,
+**wire encoder** (:func:`repro.service.wire.dumps_columnar`): an on-disk
+entry holds the same bytes the socket backend would ship for that artifact,
 which is what lets pooled workers resolve :class:`StoreRef` markers from
 disk instead of receiving snapshot payloads, and sets up mmap-able
 column files later.  The trailer is the SHA-256 of header + payload.
@@ -217,17 +216,12 @@ class ArtifactStore:
         """Serialise one entry: wire-encoded payload + checksummed frame.
 
         The payload bytes are exactly what the socket backend would ship
-        for this artifact (columnar where numpy is available).
+        for this artifact.
         """
-        from repro.core.columnar import HAVE_NUMPY
         from repro.service import wire
-        if HAVE_NUMPY:
-            fmt = wire._FORMAT_PICKLE_COLUMNAR
-            payload = wire.dumps_columnar((key, artifacts))
-        else:
-            fmt = wire._FORMAT_PICKLE
-            payload = wire.dumps((key, artifacts))
-        body = _ENTRY_HEADER.pack(ENTRY_MAGIC, fmt, len(payload)) + payload
+        payload = wire.dumps_columnar((key, artifacts))
+        body = _ENTRY_HEADER.pack(ENTRY_MAGIC, wire._FORMAT_PICKLE_COLUMNAR,
+                                  len(payload)) + payload
         return body + hashlib.sha256(body).digest()
 
     def _decode(self, data: bytes):

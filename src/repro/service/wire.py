@@ -49,7 +49,6 @@ from __future__ import annotations
 import copyreg
 import io
 import json
-import os
 import pickle
 import selectors
 import socket
@@ -109,17 +108,11 @@ class WireProtocolError(WireError):
 def local_features() -> Tuple[str, ...]:
     """Capabilities this process advertises in the wire handshake.
 
-    Columnar trace shipping needs numpy on *this* side (decoding rebuilds
-    the arrays) and can be disabled outright with ``REPRO_WIRE_COLUMNAR=0``
-    -- the escape hatch if a mixed fleet misbehaves.  Liveness pings have
-    no dependencies and are always advertised.
+    Both are unconditional: every process that can import ``repro`` can
+    decode columnar traces and answer pings.  They stay *negotiated* so a
+    peer whose hello omits one still interoperates.
     """
-    features = [FEATURE_PING]
-    if os.environ.get("REPRO_WIRE_COLUMNAR", "1") != "0":
-        from repro.core.columnar import HAVE_NUMPY
-        if HAVE_NUMPY:
-            features.append(FEATURE_COLUMNAR)
-    return tuple(features)
+    return (FEATURE_PING, FEATURE_COLUMNAR)
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -394,18 +387,15 @@ def _reduce_trace(trace):
     side needs nothing beyond ``pickle.loads``."""
     from repro.core.columnar import decode_worker_trace, encode_worker_trace
 
-    payload = encode_worker_trace(trace)
-    if payload is None:  # numpy absent: this trace pickles as usual
-        return trace.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
-    return (decode_worker_trace, (payload,))
+    return (decode_worker_trace, (encode_worker_trace(trace),))
 
 
 def dumps_columnar(obj) -> bytes:
     """Pickle ``obj`` with columnar ``WorkerTrace`` reductions (format 3).
 
-    Output decodes with plain ``pickle.loads`` -- but only where
-    ``repro`` (and numpy) are importable, which is why senders only use
-    this against peers that negotiated :data:`FEATURE_COLUMNAR`.
+    Output decodes with plain ``pickle.loads`` wherever ``repro`` is
+    importable; senders still only use it against peers that negotiated
+    :data:`FEATURE_COLUMNAR`.
     """
     from repro.core.trace import WorkerTrace
 
@@ -445,8 +435,7 @@ def format_for_peer(conn) -> int:
     :meth:`WireConnection.send_bytes` (or inside a message).  A
     connection that never handshook is a fork pipe: its peer is a fork of
     this very process and decodes whatever this side can encode, so it
-    always gets the columnar format (which :func:`dumps_columnar` itself
-    degrades to plain pickle per trace when numpy is absent).
+    always gets the columnar format.
     """
     features = getattr(conn, "peer_features", None)
     if features is None or FEATURE_COLUMNAR in features:

@@ -4,8 +4,8 @@ Covers the column build itself (dtypes, memoization), the wire payload
 round-trip (``encode_worker_trace`` / ``decode_worker_trace`` must be
 ``to_json``-exact), the vectorized host-delay materialization against the
 scalar reference, and fingerprint *decision* agreement with the
-per-object collator walk (values differ by design; equality semantics
-must not).
+per-object reference walk kept below (values differ by design; equality
+semantics must not).
 """
 
 from __future__ import annotations
@@ -14,13 +14,8 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.core.collator import (  # noqa: E402
-    _ITERATION_MARKER,
-    _range_fingerprint_objects,
-)
-from repro.core.columnar import (  # noqa: E402
+from repro.core.collator import _ITERATION_MARKER
+from repro.core.columnar import (
     COLUMN_DTYPES,
     F_HOST_SEQ,
     K_HOST_DELAY,
@@ -31,13 +26,14 @@ from repro.core.columnar import (  # noqa: E402
     materialize_host_delays,
     range_fingerprint,
 )
-from repro.core.trace import TraceEvent, TraceEventKind, WorkerTrace  # noqa: E402
-from repro.hardware.host_model import (  # noqa: E402
+from repro.core.trace import TraceEvent, TraceEventKind, WorkerTrace
+from repro.hardware.host_model import (
     HOST_MODEL_METADATA_KEY,
     host_delay_materializer,
 )
+from repro.hardware.noise import stable_hash
 
-from test_simulator import (  # noqa: E402
+from test_simulator import (
     build_random_job,
     build_random_periodic_job,
     collective,
@@ -191,6 +187,78 @@ class TestHostDelayMaterialization:
         assert not (cols.flags[0] & F_HOST_SEQ)
         assert cols.kind[0] == K_HOST_DELAY
         assert materialize_host_delays(cols, trace.metadata, 1) == [0.75]
+
+
+def _range_fingerprint_objects(trace, lo, hi):
+    """Per-object reference for ``columnar.range_fingerprint``.
+
+    The walk the collator used before the columns existed: a blake2b chain
+    over event objects.  Values differ from the columnar FNV mix by design;
+    verdicts (``None`` or not) and equality between ranges must not.
+    """
+    signature = stable_hash("window")
+    local_records: dict = {}
+    serial = 0
+    for event in trace.events[lo:hi]:
+        kind = event.kind
+        if kind is TraceEventKind.HOST_DELAY:
+            if "seq" in event.params:
+                signature = stable_hash(
+                    signature, "delay",
+                    str(event.params.get("call_class", "")),
+                    event.duration or 0.0)
+            else:
+                signature = stable_hash(signature, "delay",
+                                        event.duration or 0.0)
+            continue
+        if kind is TraceEventKind.MARKER:
+            # Iteration markers embed the window index, so only their
+            # position is hashed; any other label must recur verbatim in
+            # every window (a window-unique label would be dropped or
+            # mis-timed by fold extrapolation, so it blocks periodicity).
+            label = str(event.params.get("label", ""))
+            if _ITERATION_MARKER.match(label):
+                signature = stable_hash(signature, "iteration-marker")
+            else:
+                signature = stable_hash(signature, "marker", label)
+            continue
+        if kind is TraceEventKind.EVENT_RECORD:
+            if event.params.get("create"):
+                signature = stable_hash(signature, "event-create")
+                continue
+            if event.params.get("destroy"):
+                signature = stable_hash(signature, "event-destroy")
+                continue
+            key = (event.event or 0, int(event.params.get("version", 0)))
+            local_records[key] = serial
+            signature = stable_hash(signature, "record", serial, event.stream)
+            serial += 1
+            continue
+        if kind in (TraceEventKind.STREAM_WAIT_EVENT,
+                    TraceEventKind.EVENT_SYNCHRONIZE):
+            version = int(event.params.get("version", 0))
+            if version == 0:
+                # Waiting on a never-recorded event is a no-op.
+                signature = stable_hash(signature, "noop-wait", kind.value,
+                                        event.stream)
+                continue
+            reference = local_records.get((event.wait_event or 0, version))
+            if reference is None:
+                return None  # waits on an event recorded in another window
+            signature = stable_hash(signature, kind.value, reference,
+                                    event.stream)
+            continue
+        if kind is TraceEventKind.COLLECTIVE:
+            info = event.collective or {}
+            signature = stable_hash(
+                signature, "collective", event.stream, str(info.get("op")),
+                str(info.get("comm_tag")), tuple(info.get("ranks", ())),
+                int(info.get("peer", -1)), float(event.params.get("bytes", 0.0)))
+            continue
+        # Kernels, copies, memsets, synchronisation calls: the memoized
+        # shape signature already excludes durations and sequence numbers.
+        signature = stable_hash(signature, event.signature())
+    return signature
 
 
 class TestFingerprintAgreement:

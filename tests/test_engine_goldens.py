@@ -28,6 +28,7 @@ from repro.hardware.cluster import get_cluster
 from repro.workloads.job import TransformerTrainingJob
 from repro.workloads.models import get_transformer
 
+from reference_engine import reference_simulate
 from test_simulator import (
     ConstantProvider,
     FoldableProvider,
@@ -104,4 +105,15 @@ def test_engine_matches_golden(name):
                                   collated, iterations=iterations)
     if name.endswith("-fold"):
         assert report.metadata["iteration_folding"]["folded_iterations"] == 4
+    assert snapshot(report) == GOLDENS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_oracle_matches_golden(name):
+    # The oracle never folds: on the ``-fold`` cases it checks that the
+    # committed fold pinned above is the full replay, bit for bit.
+    cluster, provider, collated, config, iterations = build_case(name)
+    report = reference_simulate(cluster, provider, collated,
+                                SimulationConfig(**config),
+                                iterations=iterations)
     assert snapshot(report) == GOLDENS[name]

@@ -28,6 +28,8 @@ from repro.hardware.host_model import (
 from repro.workloads.job import TransformerTrainingJob
 from repro.workloads.models import get_transformer
 
+from reference_engine import reference_simulate
+
 
 def _emulate(cluster, iterations, host_model=None, batch=16):
     job = TransformerTrainingJob(
@@ -160,19 +162,23 @@ class TestSimTimeJitterBitIdentity:
         pipeline = MayaPipeline(v100_cluster, estimator_mode="analytical")
         return pipeline, job, job_trace, collated, legacy
 
-    @pytest.mark.parametrize("use_annotations", [True, False])
+    @pytest.mark.parametrize("oracle", [False, True])
     def test_structured_replay_matches_prejittered_legacy(
-            self, v100_cluster, artifacts, use_annotations):
+            self, v100_cluster, artifacts, oracle):
         pipeline, job, _, structured, legacy = artifacts
         ranks = pipeline._simulation_ranks(job)
-        config = dict(simulate_ranks=ranks, fold_iterations=False,
-                      use_annotations=use_annotations)
-        a = ClusterSimulator(v100_cluster, pipeline.make_provider(),
-                             SimulationConfig(**config)).simulate(
-                                 structured, iterations=2)
-        b = ClusterSimulator(v100_cluster, pipeline.make_provider(),
-                             SimulationConfig(**config)).simulate(
-                                 legacy, iterations=2)
+        config = SimulationConfig(simulate_ranks=ranks, fold_iterations=False)
+
+        def replay(collated):
+            provider = pipeline.make_provider()
+            if oracle:
+                return reference_simulate(v100_cluster, provider, collated,
+                                          config, iterations=2)
+            return ClusterSimulator(v100_cluster, provider, config).simulate(
+                collated, iterations=2)
+
+        a = replay(structured)
+        b = replay(legacy)
         assert a.total_time == b.total_time
         assert a.markers == b.markers
         for rank in a.rank_reports:
@@ -259,11 +265,10 @@ class TestFoldingOnJitteredHost:
             v100_cluster, provider,
             SimulationConfig(simulate_ranks=ranks)).simulate(
                 collated, iterations=self.ITERATIONS)
-        full = ClusterSimulator(
-            v100_cluster, provider,
-            SimulationConfig(simulate_ranks=ranks, use_annotations=False,
-                             fold_iterations=False)).simulate(
-                collated, iterations=self.ITERATIONS)
+        full = reference_simulate(
+            v100_cluster, provider, collated,
+            SimulationConfig(simulate_ranks=ranks),
+            iterations=self.ITERATIONS)
         info = folded.metadata.get("iteration_folding")
         assert info is not None, \
             "fold must engage on the default jittered host model"

@@ -10,7 +10,6 @@ import os
 import pytest
 
 from backend_conformance import assert_results_identical
-from repro.core import columnar
 from repro.core.collator import TraceCollator
 from repro.core.trace import JobTrace
 from repro.framework.recipe import STRUCTURAL_KNOBS, TrainingRecipe
@@ -662,21 +661,3 @@ class TestPooledArtifactReturnPath:
                                             sibling))
         assert reused.metadata["service_cache"] == "artifacts"
         assert_results_identical([reference], [reused], backend=backend)
-
-    @POOLED
-    def test_numpy_absent_fallback_still_returns_and_merges(
-            self, tiny_model, v100_cluster, backend, monkeypatch):
-        serial = self._service(v100_cluster)
-        reference = serial.predict_many(self._jobs(tiny_model, v100_cluster))
-        monkeypatch.setattr(columnar, "_np", None)
-        jobs = self._jobs(tiny_model, v100_cluster)
-        with self._service(v100_cluster, backend) as pooled:
-            results = pooled.predict_many(jobs)
-            merged = [pooled.cache.peek_artifacts(pooled._artifact_key(job))
-                      for job in jobs]
-            assert pooled.cache_stats() == serial.cache_stats()
-        assert_results_identical(reference, results, backend=backend)
-        assert all(artifacts is not None for artifacts in merged)
-        # The payloads really were plain per-trace pickles.
-        trace = next(iter(merged[0].job_trace.workers.values()))
-        assert columnar.encode_worker_trace(trace) is None

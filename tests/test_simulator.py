@@ -34,6 +34,8 @@ from repro.core.simulator.waitmaps import (
 from repro.core.trace import JobTrace, TraceEvent, TraceEventKind, WorkerTrace
 from repro.hardware.cluster import get_cluster
 
+from reference_engine import reference_simulate
+
 
 class ConstantProvider:
     """Duration provider with fixed kernel / collective durations."""
@@ -414,10 +416,7 @@ class TestIterationFolding:
         provider = GroundTruthDurationProvider(cluster)
         fast = ClusterSimulator(cluster, provider,
                                 SimulationConfig()).simulate(collated)
-        slow = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(use_annotations=False,
-                             fold_iterations=False)).simulate(collated)
+        slow = reference_simulate(cluster, provider, collated)
         assert "iteration_folding" not in fast.metadata
         assert fast.total_time == slow.total_time
 
@@ -558,11 +557,11 @@ def _assert_reports_identical(reference, candidate):
 
 
 class AnnotatedConstantProvider(_AnnotationMemoMixin, ConstantProvider):
-    """ConstantProvider with batch annotation: enables the columnar loop."""
+    """ConstantProvider with the built-in providers' memoized annotation."""
 
 
 class AnnotatedFoldableProvider(_AnnotationMemoMixin, FoldableProvider):
-    """FoldableProvider with batch annotation: columnar loop plus folding."""
+    """FoldableProvider with the built-in providers' memoized annotation."""
 
 
 _JITTER_CALL_CLASSES = ("kernel_launch", "collective", "misc", "optimizer")
@@ -573,7 +572,7 @@ def jitterize_host_delays(job, seed):
 
     Gives every HOST_DELAY a ``(call_class, seq)`` pair and stamps the
     per-trace host-model metadata, so replay materializes seeded noise --
-    the engine paths must agree bit for bit on the noisy durations too.
+    engine and oracle must agree bit for bit on the noisy durations too.
     """
     rng = random.Random(seed)
     for trace in job.workers.values():
@@ -592,23 +591,21 @@ def jitterize_host_delays(job, seed):
 
 
 class TestRandomizedDifferential:
-    """Seeded random traces: the fast paths must track per-event replay."""
+    """Seeded random traces: the engine must track the per-event oracle."""
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_annotation_fast_path_bitwise_equal(self, seed):
+    def test_unannotated_provider_bitwise_equal(self, seed):
+        """A two-method provider: the engine annotates it itself."""
         job = build_random_job(seed)
         collated = TraceCollator(deduplicate=False).collate(job)
         cluster = get_cluster("v100-8")
         provider = ConstantProvider()
-        fast = ClusterSimulator(cluster, provider,
-                                SimulationConfig()).simulate(collated)
-        slow = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(use_annotations=False,
-                             fold_iterations=False)).simulate(collated)
-        assert (fast.metadata["processed_events"]
-                == slow.metadata["processed_events"])
-        _assert_reports_identical(slow, fast)
+        engine = ClusterSimulator(cluster, provider,
+                                  SimulationConfig()).simulate(collated)
+        oracle = reference_simulate(cluster, provider, collated)
+        assert (engine.metadata["processed_events"]
+                == oracle.metadata["processed_events"])
+        _assert_reports_identical(oracle, engine)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_iteration_folding_bitwise_equal(self, seed):
@@ -620,11 +617,7 @@ class TestRandomizedDifferential:
             cluster, provider,
             SimulationConfig(fold_tolerance=0.0)).simulate(collated,
                                                            iterations=8)
-        full = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(use_annotations=False,
-                             fold_iterations=False)).simulate(collated,
-                                                              iterations=8)
+        full = reference_simulate(cluster, provider, collated, iterations=8)
         info = folded.metadata.get("iteration_folding")
         assert info is not None, \
             f"fold must engage on the periodic trace of seed {seed}"
@@ -634,85 +627,78 @@ class TestRandomizedDifferential:
         _assert_reports_identical(full, folded)
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_columnar_replay_bitwise_equal(self, seed):
-        """Columnar, annotated and per-event replay: one report, three paths."""
+    def test_annotated_provider_bitwise_equal(self, seed):
+        """A provider with memoized ``annotate_trace``, first and warm run."""
         job = build_random_job(seed)
         collated = TraceCollator(deduplicate=False).collate(job)
         cluster = get_cluster("v100-8")
         provider = AnnotatedConstantProvider()
-        serial = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(use_annotations=False,
-                             fold_iterations=False)).simulate(collated)
-        annotated = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(fold_iterations=False,
-                             use_columnar=False)).simulate(collated)
-        columnar = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(fold_iterations=False)).simulate(collated)
-        assert serial.metadata["engine"] == "serial"
-        assert annotated.metadata["engine"] == "annotated"
-        assert columnar.metadata["engine"] == "columnar"
-        assert (columnar.metadata["processed_events"]
-                == serial.metadata["processed_events"])
-        _assert_reports_identical(serial, annotated)
-        _assert_reports_identical(serial, columnar)
+        oracle = reference_simulate(cluster, provider, collated)
+        simulator = ClusterSimulator(cluster, provider,
+                                     SimulationConfig(fold_iterations=False))
+        for _ in range(2):  # second run replays the memoized annotations
+            engine = simulator.simulate(collated)
+            assert (engine.metadata["processed_events"]
+                    == oracle.metadata["processed_events"])
+            _assert_reports_identical(oracle, engine)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_columnar_jittered_host_bitwise_equal(self, seed):
-        """Structured jittered host delays replay identically columnar-wise."""
+    def test_jittered_host_bitwise_equal(self, seed):
+        """Structured jittered host delays materialize identically."""
         job = jitterize_host_delays(build_random_job(seed, steps=60), seed)
         collated = TraceCollator(deduplicate=False).collate(job)
         cluster = get_cluster("v100-8")
         provider = AnnotatedConstantProvider()
-        serial = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(use_annotations=False,
-                             fold_iterations=False)).simulate(collated)
-        annotated = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(fold_iterations=False,
-                             use_columnar=False)).simulate(collated)
-        columnar = ClusterSimulator(
+        oracle = reference_simulate(cluster, provider, collated)
+        engine = ClusterSimulator(
             cluster, provider,
             SimulationConfig(fold_iterations=False)).simulate(collated)
-        assert columnar.metadata["engine"] == "columnar"
-        _assert_reports_identical(serial, annotated)
-        _assert_reports_identical(serial, columnar)
+        _assert_reports_identical(oracle, engine)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_columnar_fold_bitwise_equal(self, seed):
-        """Fold-engaged columnar replay matches object fold and full replay."""
+    def test_annotated_fold_bitwise_equal(self, seed):
+        """Fold-engaged replay over memoized annotations matches the oracle."""
         job = build_random_periodic_job(seed, iterations=8)
         collated = TraceCollator(deduplicate=False).collate(job)
         cluster = get_cluster("v100-8")
         provider = AnnotatedFoldableProvider()
-        full = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(use_annotations=False,
-                             fold_iterations=False)).simulate(collated,
-                                                              iterations=8)
-        object_fold = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(fold_tolerance=0.0,
-                             use_columnar=False)).simulate(collated,
-                                                           iterations=8)
-        columnar_fold = ClusterSimulator(
+        full = reference_simulate(cluster, provider, collated, iterations=8)
+        folded = ClusterSimulator(
             cluster, provider,
             SimulationConfig(fold_tolerance=0.0)).simulate(collated,
                                                            iterations=8)
-        assert columnar_fold.metadata["engine"] == "columnar"
-        info = columnar_fold.metadata.get("iteration_folding")
+        info = folded.metadata.get("iteration_folding")
         assert info is not None, \
             f"fold must engage on the periodic trace of seed {seed}"
         assert info["folded_iterations"] == 4
-        _assert_reports_identical(full, object_fold)
-        _assert_reports_identical(full, columnar_fold)
+        _assert_reports_identical(full, folded)
+
+    def test_provider_without_annotate_trace_matches_memoized_twin(self):
+        """``annotate_trace`` is a cache, not a behaviour: a provider
+        lacking it and its ``_AnnotationMemoMixin`` twin report alike, on
+        a full replay with jittered host delays and on a committed fold."""
+        cluster = get_cluster("v100-8")
+        jittered = jitterize_host_delays(build_random_job(3, steps=60), 3)
+        for job, config, folds in (
+                (jittered, SimulationConfig(), False),
+                (build_random_periodic_job(3),
+                 SimulationConfig(fold_tolerance=0.0), True)):
+            collated = TraceCollator(deduplicate=False).collate(job)
+            plain, twin = (
+                ClusterSimulator(cluster, provider, config).simulate(
+                    collated, iterations=8)
+                for provider in (FoldableProvider(),
+                                 AnnotatedFoldableProvider()))
+            assert ("iteration_folding" in plain.metadata) is folds
+            assert (plain.metadata.get("iteration_folding")
+                    == twin.metadata.get("iteration_folding"))
+            assert (plain.metadata["processed_events"]
+                    == twin.metadata["processed_events"])
+            _assert_reports_identical(plain, twin)
 
 
 class TestFastPathEquivalence:
-    """Annotation fast path must be bit-identical to per-event provider calls."""
+    """The engine must be bit-identical to per-event provider calls."""
 
     @pytest.fixture(scope="class")
     def artifacts(self, v100_cluster):
@@ -729,9 +715,8 @@ class TestFastPathEquivalence:
         fast = ClusterSimulator(cluster, provider, SimulationConfig(
             simulate_ranks=ranks,
             sm_contention_factor=sm_contention_factor)).simulate(collated)
-        slow = ClusterSimulator(cluster, provider, SimulationConfig(
-            simulate_ranks=ranks, sm_contention_factor=sm_contention_factor,
-            use_annotations=False, fold_iterations=False)).simulate(collated)
+        slow = reference_simulate(cluster, provider, collated, SimulationConfig(
+            simulate_ranks=ranks, sm_contention_factor=sm_contention_factor))
         assert fast.total_time == slow.total_time
         assert fast.communication_time == slow.communication_time
         assert fast.markers == slow.markers
@@ -781,9 +766,9 @@ class TestFastPathEquivalence:
         ranks = pipeline._simulation_ranks(job)
         folded = ClusterSimulator(v100_cluster, provider, SimulationConfig(
             simulate_ranks=ranks)).simulate(collated, iterations=10)
-        full = ClusterSimulator(v100_cluster, provider, SimulationConfig(
-            simulate_ranks=ranks, use_annotations=False,
-            fold_iterations=False)).simulate(collated, iterations=10)
+        full = reference_simulate(
+            v100_cluster, provider, collated,
+            SimulationConfig(simulate_ranks=ranks), iterations=10)
         info = folded.metadata.get("iteration_folding")
         assert info is not None and info["folded_iterations"] == 6
         assert folded.metadata["processed_events"] < \

@@ -245,7 +245,6 @@ class TestColumnarNegotiation:
         # registered process-wide with copyreg still apply.
         import copyreg
 
-        pytest.importorskip("numpy")
         source = _example_trace()
         tagged = _TaggedTrace(rank=source.rank, device=source.device)
         tagged.events = list(source.events)
@@ -264,8 +263,6 @@ class TestColumnarNegotiation:
         assert registered.value == 2
 
     def test_features_exchanged_symmetrically(self):
-        numpy = pytest.importorskip("numpy")
-        del numpy
         a, b = _handshaken_pair()
         try:
             assert wire.FEATURE_COLUMNAR in a.peer_features
@@ -275,7 +272,6 @@ class TestColumnarNegotiation:
             b.close()
 
     def test_worker_trace_rides_format_3_and_round_trips(self):
-        pytest.importorskip("numpy")
         trace = _example_trace()
         a, b = _handshaken_pair()
         try:
@@ -289,7 +285,6 @@ class TestColumnarNegotiation:
             b.close()
 
     def test_columnar_payload_is_smaller_on_steady_state_trace(self):
-        pytest.importorskip("numpy")
         from test_simulator import build_random_periodic_job
 
         job = build_random_periodic_job(0, iterations=16)
@@ -299,7 +294,6 @@ class TestColumnarNegotiation:
         assert len(columnar) < len(plain)
 
     def test_empty_trace_round_trips_columnar(self):
-        pytest.importorskip("numpy")
         from repro.core.trace import WorkerTrace
 
         trace = WorkerTrace(rank=2, device=0)
@@ -336,27 +330,9 @@ class TestColumnarNegotiation:
             a.close()
             b.close()
 
-    def test_env_var_disables_columnar_shipping(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_COLUMNAR", "0")
-        # Only the columnar feature is gated off; liveness pings are
-        # always advertised.
-        assert wire.FEATURE_COLUMNAR not in wire.local_features()
-        assert wire.FEATURE_PING in wire.local_features()
-        a, b = _handshaken_pair()
-        try:
-            assert wire.FEATURE_COLUMNAR not in a.peer_features
-            assert wire.FEATURE_COLUMNAR not in b.peer_features
-            a.send(("job", 1))
-            assert b.recv() == ("job", 1)
-            assert wire._FORMAT_PICKLE_COLUMNAR not in a.frames_sent
-        finally:
-            a.close()
-            b.close()
-
     def test_format_3_decodes_on_a_plain_recv_path(self):
         # A format-3 frame is a standard pickle: send_bytes with the
         # columnar format must decode identically on any current peer.
-        pytest.importorskip("numpy")
         trace = _example_trace()
         a, b = _pair()
         try:
