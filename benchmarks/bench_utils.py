@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import os
+from pathlib import Path
 from typing import List
 
 
@@ -32,3 +35,31 @@ def fmt(value: float, digits: int = 3) -> str:
     if value != value or value in (float("inf"), float("-inf")):
         return "n/a"
     return f"{value:.{digits}f}"
+
+
+def pin(value):
+    """The pinned view of a number tree: exact floats as hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {str(key): pin(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [pin(item) for item in value]
+    return value
+
+
+def assert_golden(name: str, numbers) -> None:
+    """Hold one figure's headline numbers to ``goldens/paper_numbers.json``.
+
+    The file was recorded at the commit before the dispatch refactor and,
+    like ``tests/goldens/engine_reports.json``, is never regenerated to
+    make a failing test pass: a changed number is a changed prediction.
+    The pins only describe the default sizing, so a run that overrides
+    ``REPRO_BENCH_CONFIGS`` / ``REPRO_BENCH_SCALE`` keeps just the loose
+    bounds.
+    """
+    if "REPRO_BENCH_CONFIGS" in os.environ or "REPRO_BENCH_SCALE" in os.environ:
+        return
+    goldens = json.loads((Path(__file__).parent / "goldens"
+                          / "paper_numbers.json").read_text())
+    assert pin(numbers) == goldens[name], name

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import statistics
 
-from bench_utils import fmt, print_table
+from bench_utils import assert_golden, fmt, print_table
 
 from repro.analysis.metrics import fraction_below
 
@@ -60,6 +60,11 @@ def test_fig07_prediction_accuracy(benchmark, run_once, prediction_setups):
     assert overall_maya, "no feasible configurations were evaluated"
     assert median_maya < 10.0
     assert fraction_below(overall_maya, 10.0) >= 0.8
+    assert_golden("fig07", {
+        "median_maya_error": median_maya,
+        "fraction_below_10": fraction_below(overall_maya, 10.0),
+        "configurations": len(overall_maya),
+    })
     for baseline, errors in overall_baseline.items():
         if errors:
             assert statistics.median(errors) > 2.0 * median_maya, baseline

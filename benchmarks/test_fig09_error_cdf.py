@@ -7,11 +7,21 @@ while baselines exhibit 10-1000% errors.
 
 from __future__ import annotations
 
-from bench_utils import fmt, print_table
+from bench_utils import assert_golden, fmt, print_table
 
 from repro.analysis.metrics import error_cdf, fraction_below
 
 BASELINES = ("Proteus", "Calculon", "AMPeD")
+
+#: Cumulative fractions at which Maya's error CDF is pinned per setup.
+GOLDEN_QUANTILES = (0.25, 0.5, 0.75, 0.9, 1.0)
+
+
+def cdf_quantiles(values):
+    """Smallest error whose cumulative fraction reaches each quantile."""
+    cdf = error_cdf(values)
+    return {str(q): next(err for err, fraction in cdf if fraction >= q)
+            for q in GOLDEN_QUANTILES}
 
 
 def collect(setups):
@@ -53,6 +63,12 @@ def test_fig09_error_cdf(benchmark, run_once, prediction_setups):
         maya = per_system["Maya"]
         assert maya, name
         assert fraction_below(maya, 15.0) >= 0.6, name
+        assert_golden(f"fig09/{name}", {
+            "quantiles": cdf_quantiles(maya),
+            "fraction_below_1": fraction_below(maya, 1.0),
+            "fraction_below_10": fraction_below(maya, 10.0),
+            "configurations": len(maya),
+        })
         maya_median = sorted(maya)[len(maya) // 2]
         for baseline in BASELINES:
             values = per_system[baseline]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import statistics
 
-from bench_utils import fmt, print_table
+from bench_utils import assert_golden, fmt, print_table
 
 from repro.analysis.experiments import scaled_transformer
 from repro.analysis.metrics import absolute_percentage_error
@@ -93,5 +93,11 @@ def test_tab03_error_breakdown(benchmark, run_once):
     # ... and end-to-end error stays within the paper's 5-6% envelope
     # (allowing some slack for the synthetic testbed).
     assert statistics.median(e2e_errors) < 8.0
+    assert_golden("tab03", {
+        f"{item['model']}/{item['cluster']}/{item['recipe']}": {
+            "actual": item["actual"],
+            "oracle_error": item["oracle_error"],
+            "e2e_error": item["e2e_error"],
+        } for item in results})
     # The oracle is at least as accurate as the learned estimators on median.
     assert statistics.median(oracle_errors) <= statistics.median(e2e_errors) + 1.0
