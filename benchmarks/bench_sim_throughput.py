@@ -1,6 +1,8 @@
-"""Simulator / prediction-service throughput micro-benchmark.
+"""Simulator throughput micro-benchmark: the engine floor gate.
 
-Measures the two rates that bound search cost:
+End-to-end prediction throughput -- cold sweeps, pooled batches, served
+hits -- is the repository benchmark's job (``bench/``, with bounds);
+nothing here is a claim about it.  What this file keeps:
 
 * **engine events/sec** -- the discrete-event engine replaying a collated
   tp2/pp2 transformer trace: the full replay (gated against an absolute
@@ -15,18 +17,6 @@ Measures the two rates that bound search cost:
 * **wire bytes per artifact** -- the two ways the socket backend can ship
   a worker-trace artifact: pickled ``TraceEvent`` graph vs the negotiated
   columnar frame (raw little-endian column buffers plus a template pool);
-* **predict_many trials/sec** -- cold evaluation of a batch of distinct
-  configurations through each evaluation backend (serial / thread /
-  process / persistent / socket -- the multi-host backend measured over
-  localhost worker-host subprocesses, bootstrap included), plus a
-  report-only ``served`` leg running the same batch through a long-lived
-  ``repro serve``-style prediction server over loopback, so the delta
-  over serial is the wire round-trip cost one served batch pays;
-* **small-batch amortisation** -- many consecutive small cold batches (the
-  shape of the paper's config-search sweeps) through the fork-per-batch
-  ``process`` backend vs the long-lived ``persistent`` pool, where the
-  per-batch fork+pickle overhead is exactly what the persistent pool's
-  incremental cache shipping amortises away;
 * **chaos recovery** (``--chaos``, report-only) -- the persistent-pool
   batch makespan with one fault-injected straggler slept past its job
   lease, vs the clean run: the measured cost of speculative re-dispatch
@@ -40,24 +30,19 @@ Measures the two rates that bound search cost:
 * **placement policies** (``--schedulers``, report-only) -- a cold batch
   plus its structural-sibling reuse batch through the persistent pool
   under every registered ``--scheduler`` policy (round_robin /
-  least_loaded / locality), each against a fresh shared store: per-policy
+  locality), each against a fresh shared store: per-policy
   makespans and the placement counters (``placements`` /
   ``locality_hits`` / ``ship_bytes_avoided``), with byte-identity across
   policies asserted and the locality policy required to record at least
   one zero-ship placement.
 
 ``--check`` prints an explicit gate summary naming every gate that ran
-and every gate that was skipped (with the reason) -- the core-count
-ordering gates used to skip silently on < 4-core hosts.
+and every gate that was skipped (with the reason).
 
 Results land in ``BENCH_sim_throughput.json`` at the repository root (the
 perf trajectory file CI uploads as an artifact).  ``--check`` compares a
 fresh measurement against a recorded baseline and fails when the engine's
-full-replay rate regresses more than 30% below it; on hosts with >= 4
-cores it also
-reports (without gating) whether the process backend beat the thread
-backend on the one-shot trial batch and whether the persistent pool beat
-fork-per-batch on the small-batch leg.
+full-replay rate regresses more than 30% below it.
 
 Run from the repository root::
 
@@ -93,14 +78,8 @@ ENGINE_REPEATS = 3
 #: Iterations of the folding workload (emulated with a jitter-free host
 #: model so its windows are steady-state periodic).
 FOLD_ITERATIONS = 16
-#: Distinct configurations per predict_many backend batch.
+#: Distinct configurations in the chaos and store legs' batch.
 TRIAL_CONFIGS = 8
-#: Localhost worker-host subprocesses for the socket-backend leg.
-SOCKET_WORKER_HOSTS = 2
-#: Small-batch leg: consecutive cold batches of this width (the shape of a
-#: search sweep over a small model, where fork overhead dominates).
-SMALL_BATCHES = 4
-SMALL_BATCH_CONFIGS = 3
 #: Chaos leg (``--chaos``): job lease on the measured batch, and how far
 #: past it the injected straggler sleeps.
 CHAOS_LEASE_TIMEOUT = 0.5
@@ -236,148 +215,6 @@ def bench_wire_shipping() -> Dict[str, object]:
         "columnar_bytes_per_event": columnar / events,
         "columnar_shrink": pickled / columnar,
     }
-
-
-def bench_predict_many() -> Dict[str, Dict[str, float]]:
-    """Cold trials/sec of one batch of distinct configs per backend.
-
-    The ``socket`` leg runs the multi-host backend over loopback: two
-    localhost ``repro worker-host`` subprocesses are spawned, the warmed
-    service is shipped to each over the wire protocol, and the batch is
-    scattered exactly as it would be across real machines -- so its wall
-    time includes the bootstrap (pickle + TCP) overhead real deployments
-    pay once per ``warm()``.
-
-    The ``served`` leg is report-only: a long-lived prediction server on
-    a background thread (serial evaluation, as a server would be warm in
-    steady state) with the batch submitted through ``PredictionClient``,
-    measuring what the wire adds on top of the serial leg.
-    """
-    from repro.analysis.experiments import candidate_recipes
-    from repro.hardware.cluster import get_cluster
-    from repro.service import PredictionService
-    from repro.service.worker_host import spawn_local_worker_hosts
-    from repro.workloads.job import TransformerTrainingJob
-    from repro.workloads.models import get_transformer
-
-    cluster = get_cluster(CLUSTER)
-    model = get_transformer(MODEL)
-    recipes = candidate_recipes(model, cluster, GLOBAL_BATCH,
-                                limit=TRIAL_CONFIGS)
-    workers = max(min(os.cpu_count() or 1, 8), 2)
-    results: Dict[str, Dict[str, float]] = {}
-    reference: List[float] = []
-
-    def measure(backend: str, service: PredictionService,
-                worker_count: int) -> None:
-        with service:
-            service.warm()
-            jobs = [TransformerTrainingJob(model, recipe, cluster,
-                                           global_batch_size=GLOBAL_BATCH)
-                    for recipe in recipes]
-            start = time.perf_counter()
-            predictions = service.predict_many(jobs)
-            wall = time.perf_counter() - start
-        times = [prediction.iteration_time for prediction in predictions]
-        if not reference:
-            reference.extend(times)
-        assert times == reference, \
-            f"backend {backend} diverged from serial predictions"
-        results[backend] = {
-            "trials": len(jobs),
-            "wall_s": wall,
-            "trials_per_sec": len(jobs) / wall,
-            "workers": worker_count,
-        }
-
-    for backend in ("serial", "thread", "process", "persistent"):
-        measure(backend, PredictionService(cluster=cluster,
-                                           estimator_mode="analytical",
-                                           backend=backend,
-                                           max_workers=workers), workers)
-    socket_workers = min(workers, SOCKET_WORKER_HOSTS)
-    with spawn_local_worker_hosts(socket_workers) as addresses:
-        measure("socket", PredictionService(cluster=cluster,
-                                            estimator_mode="analytical",
-                                            backend="socket",
-                                            workers=addresses),
-                socket_workers)
-
-    # Served leg (report-only): the same cold batch through a long-lived
-    # prediction server -- one warm serial service behind TCP, so the
-    # delta over the serial leg is the round-trip + pickle cost a
-    # `repro serve` client pays per batch.
-    from repro.service.server import PredictionClient, start_server_thread
-
-    server = start_server_thread(
-        PredictionService(cluster=cluster, estimator_mode="analytical",
-                          backend="serial"))
-    try:
-        measure("served", PredictionClient(server.address), 1)
-    finally:
-        server.stop_threadsafe()
-    return results
-
-
-def bench_small_batches() -> Dict[str, object]:
-    """Fork-per-batch vs persistent pool on consecutive small cold batches.
-
-    Every batch holds ``SMALL_BATCH_CONFIGS`` distinct cold configurations
-    of a small model -- cheap enough that the ``process`` backend's
-    per-batch fork+pickle overhead dominates.  The persistent pool pays one
-    fork at warm-up and then ships only incremental cache deltas, so its
-    total wall time should win on multi-core hosts.  Timing includes
-    ``warm()`` for both backends (the persistent pool's single fork is part
-    of its cost).
-    """
-    from repro.analysis.experiments import candidate_recipes
-    from repro.hardware.cluster import get_cluster
-    from repro.service import PredictionService
-    from repro.workloads.job import TransformerTrainingJob
-    from repro.workloads.models import get_transformer
-
-    cluster = get_cluster(CLUSTER)
-    model = get_transformer(MODEL)
-    recipes = candidate_recipes(model, cluster, GLOBAL_BATCH,
-                                limit=SMALL_BATCHES * SMALL_BATCH_CONFIGS)
-    batches = [recipes[index:index + SMALL_BATCH_CONFIGS]
-               for index in range(0, len(recipes), SMALL_BATCH_CONFIGS)]
-    workers = max(min(os.cpu_count() or 1, 8), 2)
-    results: Dict[str, object] = {
-        "batches": len(batches),
-        "batch_width": SMALL_BATCH_CONFIGS,
-        "workers": workers,
-    }
-    reference: List[float] = []
-    for backend in ("process", "persistent"):
-        trials = 0
-        start = time.perf_counter()
-        with PredictionService(cluster=cluster,
-                               estimator_mode="analytical",
-                               backend=backend,
-                               max_workers=workers) as service:
-            service.warm()
-            times: List[float] = []
-            for batch in batches:
-                jobs = [TransformerTrainingJob(model, recipe, cluster,
-                                               global_batch_size=GLOBAL_BATCH)
-                        for recipe in batch]
-                trials += len(jobs)
-                times.extend(prediction.iteration_time for prediction
-                             in service.predict_many(jobs))
-        wall = time.perf_counter() - start
-        if not reference:
-            reference = times
-        assert times == reference, \
-            f"backend {backend} diverged on the small-batch leg"
-        results[backend] = {
-            "trials": trials,
-            "wall_s": wall,
-            "trials_per_sec": trials / wall,
-        }
-    results["persistent_speedup_vs_process"] = (
-        results["process"]["wall_s"] / results["persistent"]["wall_s"])
-    return results
 
 
 def bench_chaos() -> Dict[str, object]:
@@ -603,8 +440,6 @@ def run_benchmark(output: Path, chaos: bool = False,
         "unix_time": time.time(),
         "engine": bench_engine(),
         "wire_shipping": bench_wire_shipping(),
-        "predict_many": bench_predict_many(),
-        "small_batches": bench_small_batches(),
     }
     if chaos:
         payload["chaos"] = bench_chaos()
@@ -631,15 +466,6 @@ def run_benchmark(output: Path, chaos: bool = False,
           f"({jittered['fold_speedup']:.2f}x, |error| "
           f"{jittered['fold_abs_error_s']:.2e}s <= bound "
           f"{jittered['host_jitter_bound_s']:.2e}s)")
-    for backend, stats in payload["predict_many"].items():
-        print(f"predict_many[{backend}]: {stats['trials_per_sec']:.2f} "
-              f"trials/s ({stats['wall_s']:.2f}s, "
-              f"{stats['workers']} workers)")
-    small = payload["small_batches"]
-    print(f"small batches ({small['batches']}x{small['batch_width']} cold "
-          f"trials): process {small['process']['wall_s']:.2f}s vs "
-          f"persistent {small['persistent']['wall_s']:.2f}s "
-          f"({small['persistent_speedup_vs_process']:.2f}x)")
     if "chaos" in payload:
         # Report-only: the recovery machinery's measured cost, not a gate.
         leg = payload["chaos"]
@@ -670,9 +496,7 @@ def run_benchmark(output: Path, chaos: bool = False,
 def check_against_baseline(current: Dict[str, object],
                            baseline_path: Path) -> int:
     # Every gate (blocking or report-only) records whether it RAN or was
-    # SKIPPED and why; the summary at the end names both sets.  The
-    # core-count gates used to skip *silently* on small hosts, which read
-    # as "checked and fine" in CI logs when nothing had been checked.
+    # SKIPPED and why; the summary at the end names both sets.
     gates: List[tuple] = []
     baseline = json.loads(baseline_path.read_text())
     recorded = float(baseline["engine"]["columnar_events_per_sec"])
@@ -701,40 +525,6 @@ def check_against_baseline(current: Dict[str, object],
         gates.append(("jittered-fold", None))
     else:
         gates.append(("jittered-fold", "leg missing from measurement"))
-    cores = int(current.get("cpu_count", 1))
-    batches = current.get("predict_many", {})
-    if cores >= 4 and "process" in batches and "thread" in batches:
-        # Report-only: this batch is deliberately small/cheap, so on a
-        # noisy shared runner the fork overhead can mask the win.  The
-        # ordering is recorded in the uploaded JSON; only the engine rate
-        # gates the build.
-        process_rate = batches["process"]["trials_per_sec"]
-        thread_rate = batches["thread"]["trials_per_sec"]
-        print(f"backends on {cores} cores: process "
-              f"{process_rate:.2f} trials/s vs thread "
-              f"{thread_rate:.2f} trials/s"
-              + ("" if process_rate > thread_rate
-                 else " (WARNING: process did not beat thread)"))
-        gates.append(("process-vs-thread", None))
-    else:
-        gates.append(("process-vs-thread",
-                      f"needs >= 4 cores, host has {cores}"
-                      if cores < 4 else "predict_many legs missing"))
-    small = current.get("small_batches", {})
-    if cores >= 4 and "persistent" in small and "process" in small:
-        # Report-only for the same reason as above: the acceptance target
-        # is "persistent beats fork-per-batch on small batches on a >= 4
-        # core host"; the ordering is recorded in the uploaded JSON.
-        speedup = float(small["persistent_speedup_vs_process"])
-        print(f"small-batch leg on {cores} cores: persistent "
-              f"{speedup:.2f}x vs fork-per-batch process"
-              + ("" if speedup > 1.0
-                 else " (WARNING: persistent did not beat process)"))
-        gates.append(("persistent-vs-process", None))
-    else:
-        gates.append(("persistent-vs-process",
-                      f"needs >= 4 cores, host has {cores}"
-                      if cores < 4 else "small-batch legs missing"))
     store_leg = current.get("cold_vs_warm_store", {})
     if store_leg:
         # Report-only: the warm run hydrates every artifact from disk, so

@@ -58,7 +58,7 @@ def assert_golden(name: str, numbers) -> None:
     ``REPRO_BENCH_CONFIGS`` / ``REPRO_BENCH_SCALE`` keeps just the loose
     bounds.
     """
-    if "REPRO_BENCH_CONFIGS" in os.environ or "REPRO_BENCH_SCALE" in os.environ:
+    if {"REPRO_BENCH_CONFIGS", "REPRO_BENCH_SCALE"} & set(os.environ):
         return
     goldens = json.loads((Path(__file__).parent / "goldens"
                           / "paper_numbers.json").read_text())

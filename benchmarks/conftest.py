@@ -37,6 +37,14 @@ from repro.analysis.experiments import (  # noqa: E402
 from repro.hardware.cluster import get_cluster  # noqa: E402
 
 
+def pytest_collection_modifyitems(items):
+    """Mark every figure/table regeneration ``paper`` (see pytest.ini)."""
+    for item in items:
+        if (item.path.parent == Path(__file__).parent
+                and item.path.name.startswith(("test_fig", "test_tab"))):
+            item.add_marker(pytest.mark.paper)
+
+
 @pytest.fixture(scope="session")
 def prediction_setups() -> Dict[str, SetupEvaluation]:
     """Evaluate the candidate-config pools for the four paper setups."""

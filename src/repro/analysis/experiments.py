@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.metrics import absolute_percentage_error, mfu, normalized_cost
+from repro.analysis.metrics import absolute_percentage_error, normalized_cost
 from repro.baselines import all_baselines
 from repro.core.pipeline import PredictionResult
 from repro.framework.recipe import TrainingRecipe
@@ -255,18 +255,3 @@ def evaluate_setup(
         service.close()
         if oracle_service is not None:
             oracle_service.close()
-
-
-def setup_mfu(setup: SetupEvaluation, evaluation: ConfigEvaluation) -> float:
-    """MFU of one configuration under a setup's actual measurement."""
-    job_flops = (setup.model.flops_per_sample() * setup.global_batch_size)
-    return mfu(evaluation.actual_time, job_flops, setup.cluster,
-               dtype=evaluation.recipe.dtype)
-
-
-def format_row(values: Iterable[object], widths: Optional[List[int]] = None) -> str:
-    """Fixed-width row formatting for benchmark stdout tables."""
-    cells = [str(value) for value in values]
-    if widths is None:
-        widths = [max(len(cell), 10) for cell in cells]
-    return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths))

@@ -84,17 +84,16 @@ def _lease_timeout_arg(raw: str) -> float:
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default="thread",
-                        choices=("serial", "thread", "process", "persistent",
-                                 "socket"),
+                        choices=("serial", "thread", "persistent", "socket"),
                         help="batch-evaluation backend: serial (reference), "
-                             "thread pool, fork-per-batch process pool, "
-                             "long-lived persistent worker pool synced by "
-                             "incremental cache deltas (amortises fork cost "
-                             "across batches), or socket (the same delta "
-                             "protocol to remote `repro worker-host` "
-                             "processes; requires --worker-hosts)")
+                             "thread pool, long-lived persistent fork pool "
+                             "synced by incremental cache deltas (fork cost "
+                             "is paid once, not per batch), or socket (the "
+                             "same delta protocol to remote `repro "
+                             "worker-host` processes; requires "
+                             "--worker-hosts)")
     parser.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker count for the thread/process/persistent "
+                        help="worker count for the thread/persistent "
                              "backends (default: scheduler concurrency, "
                              "capped at the CPU count); the socket backend "
                              "runs one worker per --worker-hosts address "
@@ -118,12 +117,11 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
                              "batch (>= 0; 0 disables re-dispatch; default "
                              "30, or $REPRO_LEASE_TIMEOUT)")
     parser.add_argument("--scheduler", default=None,
-                        choices=("round_robin", "least_loaded", "locality"),
+                        choices=("round_robin", "locality"),
                         help="job-placement policy for the pooled "
                              "(persistent/socket) backends: round_robin "
                              "(stripe in order; the byte-identity "
-                             "reference), least_loaded (shortest outstanding "
-                             "queue), or locality (prefer workers already "
+                             "reference) or locality (prefer workers already "
                              "holding a job's artifacts, so cache-delta "
                              "syncs ship fewer bytes); results are "
                              "byte-identical under every policy (defaults "

@@ -66,10 +66,6 @@ class ProfiledCollectiveEstimator:
             self._coefficients[key] = np.maximum(coeffs, 0.0)
         return self
 
-    @property
-    def is_fitted(self) -> bool:
-        return bool(self._coefficients)
-
     # ------------------------------------------------------------------
     # prediction
     # ------------------------------------------------------------------

@@ -186,10 +186,6 @@ class RandomForestRegressor:
         predictions = np.vstack([tree.predict(features) for tree in self._trees])
         return predictions.mean(axis=0)
 
-    @property
-    def is_fitted(self) -> bool:
-        return bool(self._trees)
-
 
 def mean_absolute_percentage_error(actual: np.ndarray,
                                    predicted: np.ndarray) -> float:

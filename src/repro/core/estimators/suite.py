@@ -214,8 +214,3 @@ def _train_learned_suite(
         collective_estimator=collective_estimator,
         validation_mape=validation,
     )
-
-
-def clear_suite_cache() -> None:
-    """Drop all cached estimator suites (used by tests)."""
-    _SUITE_CACHE.clear()

@@ -9,7 +9,7 @@ and bottleneck attribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 
 @dataclass
@@ -56,14 +56,6 @@ class SimulationReport:
                    for report in self.rank_reports.values())
 
     @property
-    def mean_communication_time(self) -> float:
-        if not self.rank_reports:
-            return 0.0
-        values = [report.communication_time
-                  for report in self.rank_reports.values()]
-        return sum(values) / len(values)
-
-    @property
     def compute_time(self) -> float:
         """Largest per-rank compute busy time."""
         if not self.rank_reports:
@@ -73,27 +65,3 @@ class SimulationReport:
     @property
     def peak_memory_gb(self) -> float:
         return self.peak_memory_bytes / (1024 ** 3)
-
-    def busy_fraction(self, rank: Optional[int] = None) -> float:
-        """Fraction of wall-clock time a rank's compute stream was busy."""
-        if self.total_time <= 0 or not self.rank_reports:
-            return 0.0
-        if rank is None:
-            rank = max(self.rank_reports,
-                       key=lambda r: self.rank_reports[r].compute_time)
-        report = self.rank_reports[rank]
-        return min(report.compute_time / self.total_time, 1.0)
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """Flat rows convenient for printing benchmark tables."""
-        return [
-            {
-                "rank": report.rank,
-                "compute_s": round(report.compute_time, 6),
-                "comm_s": round(report.communication_time, 6),
-                "host_s": round(report.host_time, 6),
-                "finish_s": round(report.finish_time, 6),
-            }
-            for report in sorted(self.rank_reports.values(),
-                                 key=lambda item: item.rank)
-        ]

@@ -9,19 +9,9 @@ way the real shim does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.cuda.errors import CudaInvalidHandleError, CudaInvalidValueError
 from repro.cuda.runtime import DEFAULT_STREAM, CudaRuntime
 from repro.hardware.kernel_cost import dtype_size
-
-
-@dataclass
-class _MatrixDescriptor:
-    rows: int
-    cols: int
-    dtype: str
 
 
 class CublasHandle:
@@ -31,7 +21,6 @@ class CublasHandle:
         self._runtime = runtime
         self._stream = DEFAULT_STREAM
         self._destroyed = False
-        self._last_matrix: Optional[_MatrixDescriptor] = None
 
     # ------------------------------------------------------------------
     # state configuration
@@ -40,13 +29,6 @@ class CublasHandle:
         """``cublasSetStream``."""
         self._check_alive()
         self._stream = stream_id
-
-    def set_matrix(self, rows: int, cols: int, dtype: str = "float16") -> None:
-        """``cublasSetMatrix`` -- describes an operand incrementally."""
-        self._check_alive()
-        if rows <= 0 or cols <= 0:
-            raise CudaInvalidValueError("matrix dimensions must be positive")
-        self._last_matrix = _MatrixDescriptor(rows=rows, cols=cols, dtype=dtype)
 
     def destroy(self) -> None:
         """``cublasDestroy``."""

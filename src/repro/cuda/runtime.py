@@ -57,9 +57,6 @@ class CudaRuntime:
     # ------------------------------------------------------------------
     # interceptor plumbing
     # ------------------------------------------------------------------
-    def set_interceptor(self, interceptor: Optional[Interceptor]) -> None:
-        """Install (or remove) the API-call interceptor."""
-        self._interceptor = interceptor
 
     def _emit(self, record: ApiCallRecord) -> None:
         if self._interceptor is not None:

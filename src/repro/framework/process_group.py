@@ -9,7 +9,7 @@ their collectives by communicator id and sequence number.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.cuda.nccl import NcclCommunicator, NcclUniqueId, comm_init_rank
 from repro.cuda.runtime import CudaRuntime
@@ -38,6 +38,3 @@ class ProcessGroupRegistry:
         """``ncclCommInitRank`` for ``rank`` within group ``ranks``."""
         unique_id = self.unique_id_for(tag, ranks)
         return comm_init_rank(runtime, unique_id, rank, ranks)
-
-    def known_groups(self) -> List[Tuple[str, Tuple[int, ...]]]:
-        return list(self._unique_ids.keys())

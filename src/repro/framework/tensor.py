@@ -35,10 +35,6 @@ class VirtualTensor:
     def nbytes(self) -> int:
         return self.numel * dtype_size(self.dtype)
 
-    @property
-    def is_allocated(self) -> bool:
-        return self.pointer is not None
-
     def __post_init__(self) -> None:
         if any(dim < 0 for dim in self.shape):
             raise ValueError(f"negative dimension in shape {self.shape}")

@@ -86,14 +86,6 @@ class WorkerContext:
         return self.topology.coords_of(self.rank)[2]
 
     @property
-    def tp_degree(self) -> int:
-        return self.topology.tensor_parallel
-
-    @property
-    def pp_degree(self) -> int:
-        return self.topology.pipeline_parallel
-
-    @property
     def dp_degree(self) -> int:
         return self.topology.data_parallel
 
@@ -214,9 +206,6 @@ class WorkerContext:
 
     def copy_d2h(self, nbytes: int) -> None:
         self.runtime.cuda_memcpy_async(nbytes, "d2h", stream=self.compute_stream)
-
-    def copy_d2d(self, nbytes: int) -> None:
-        self.runtime.cuda_memcpy_async(nbytes, "d2d", stream=self.compute_stream)
 
     # ------------------------------------------------------------------
     # synchronisation helpers

@@ -56,9 +56,6 @@ class ConfigurationSpace:
             total *= len(knob.choices)
         return total
 
-    def knob_names(self) -> List[str]:
-        return [knob.name for knob in self.knobs]
-
     # ------------------------------------------------------------------
     # encoding / decoding
     # ------------------------------------------------------------------

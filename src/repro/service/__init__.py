@@ -12,13 +12,12 @@ optimizations the paper's search loop relies on (Sections 5, 7.3-7.4):
   runs,
 * batched :meth:`PredictionService.predict_many` evaluation behind a
   pluggable backend (:mod:`repro.service.backends`): ``serial``, a
-  ``thread`` pool, a fork-per-batch ``process`` pool that sidesteps the
-  GIL while inheriting warmed estimator state copy-on-write, a
-  long-lived ``persistent`` pool kept in sync by incremental cache
-  deltas, or a multi-host ``socket`` pool speaking the same delta
-  protocol to remote ``repro worker-host`` processes over the
-  length-prefixed wire format in :mod:`repro.service.wire` (all five
-  share one ``warm``/``submit``/``drain``/``close`` lifecycle), and
+  ``thread`` pool, a long-lived fork-based ``persistent`` pool that
+  sidesteps the GIL while inheriting warmed estimator state copy-on-write
+  and is kept in sync by incremental cache deltas, or a multi-host
+  ``socket`` pool speaking the same delta protocol to remote ``repro
+  worker-host`` processes over the length-prefixed wire format in
+  :mod:`repro.service.wire` (all four share one ``warm``/``submit``/``drain``/``close`` lifecycle), and
 * a per-cluster shared :class:`~repro.core.simulator.providers.EstimatedDurationProvider`
   whose kernel-duration memo persists across trials.
 """
@@ -29,7 +28,6 @@ from repro.service.backends import (
     EvaluationBackend,
     PersistentBackend,
     PooledBackend,
-    ProcessBackend,
     SerialBackend,
     SocketBackend,
     ThreadBackend,
@@ -81,7 +79,6 @@ __all__ = [
     "PredictionClient",
     "PredictionServer",
     "PredictionService",
-    "ProcessBackend",
     "PROTOCOL",
     "SCHEDULER_NAMES",
     "SchedulerPolicy",

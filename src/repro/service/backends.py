@@ -1,6 +1,6 @@
 """Evaluation backends: how ``predict_many`` fans a batch of trials out.
 
-Five interchangeable strategies sit behind the same
+Four interchangeable strategies sit behind the same
 :meth:`~repro.service.PredictionService.predict_many` interface, all
 implementing one explicit lifecycle -- ``warm`` / ``submit`` / ``drain`` /
 ``close``:
@@ -11,34 +11,27 @@ implementing one explicit lifecycle -- ``warm`` / ``submit`` / ``drain`` /
   artifact cache in-process, but the GIL serialises the pure-Python
   emulator and simulator, so it mostly helps when trials block on cache
   locks.
-* ``process`` -- a fork-based ``ProcessPoolExecutor`` created *per batch*.
-  The service is warmed before forking, so workers inherit the trained
-  estimator suite, the shared duration provider's kernel memo and the
-  artifact cache accumulated so far as copy-on-write memory; jobs are
-  dispatched by index (nothing but an integer crosses the pipe on the way
-  in).  Each worker runs the ordinary cache-aware ``predict`` path; results
-  travel back as pickled :class:`~repro.core.pipeline.PredictionResult`
-  objects, and any *freshly emulated* artifacts as one columnar payload
-  (:func:`repro.service.wire.dumps_columnar`), which the parent decodes
-  into its own :class:`~repro.service.cache.ArtifactCache` (so the next
-  batch forks with those artifacts already in memory).  Cache statistics
-  are replayed on the parent so the accounting matches what a serial
-  evaluation would have recorded.
 * ``persistent`` -- a long-lived fork-based worker pool created once per
   service (``warm()``) and reused across batches (``close()`` tears it
-  down).  Instead of re-inheriting the newest cache through a fresh fork,
-  workers are kept in sync by **incremental cache deltas**: before each
-  batch the parent ships only the artifact entries (the same columnar
-  payloads, encoded once however many workers receive them) and
-  shared-provider duration memos created since that worker's last sync,
-  keyed by the artifact cache's sync epoch, and the worker acks the epoch
-  before any job of the batch reaches it.  A worker whose epoch the
-  journal cannot serve receives a full snapshot instead.  Jobs
-  are dispatched with a bounded per-worker in-flight window, interleaving
-  scatter with gather so neither side can block on a full pipe buffer; the
-  result payloads and parent-side merge are identical to the ``process``
-  backend, so accounting stays byte-identical to a serial run -- fork
-  overhead is simply paid once instead of once per batch.
+  down).  The service is warmed before forking, so workers inherit the
+  trained estimator suite, the shared duration provider's kernel memo and
+  the artifact cache accumulated so far as copy-on-write memory.  From
+  then on workers are kept in sync by **incremental cache deltas**: before
+  each batch the parent ships only the artifact entries (columnar
+  payloads, :func:`repro.service.wire.dumps_columnar`, encoded once
+  however many workers receive them) and shared-provider duration memos
+  created since that worker's last sync, keyed by the artifact cache's
+  sync epoch, and the worker acks the epoch before any job of the batch
+  reaches it.  A worker whose epoch the journal cannot serve receives a
+  full snapshot instead.  Jobs are dispatched with a bounded per-worker
+  in-flight window, interleaving scatter with gather so neither side can
+  block on a full pipe buffer.  Each worker runs the ordinary cache-aware
+  ``predict`` path; results travel back as pickled
+  :class:`~repro.core.pipeline.PredictionResult` objects, and any *freshly
+  emulated* artifacts as one columnar payload, which the parent decodes
+  into its own :class:`~repro.service.cache.ArtifactCache`.  Cache
+  statistics are replayed on the parent in input order, so the accounting
+  matches what a serial evaluation would have recorded.
 * ``socket`` -- the persistent lifecycle over TCP: workers are remote
   ``repro worker-host`` processes (other machines, or localhost for
   tests).  With no fork inheritance across hosts, ``warm`` bootstraps
@@ -50,10 +43,10 @@ implementing one explicit lifecycle -- ``warm`` / ``submit`` / ``drain`` /
   Addresses come from ``PredictionService(backend="socket",
   workers=[...])``, CLI ``--worker-hosts`` or ``REPRO_WORKER_HOSTS``.
 
-Fork is a hard requirement for the local process-based backends
-(inheriting multi-MB trained estimator state by copy-on-write is the
-whole point); on platforms without it both degrade to the thread backend
-and record the downgrade in each result's metadata.  The socket backend
+Fork is a hard requirement for the ``persistent`` backend (inheriting
+multi-MB trained estimator state by copy-on-write is the whole point); on
+platforms without it the backend degrades to the thread backend and
+records the downgrade in each result's metadata.  The socket backend
 needs no fork -- remote workers bootstrap from the warm payload instead.
 """
 
@@ -65,15 +58,15 @@ import random
 import threading
 import time
 import traceback
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import islice
 from multiprocessing import connection as mp_connection
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import PredictionResult
 from repro.service import faults, wire
+from repro.service.dispatch import BatchDispatch
 from repro.service.scheduling import (SCHEDULER_ENV, JobSpec, WorkerSnapshot,
                                       get_scheduler, validate_scheduler)
 from repro.service.store import StoreRef
@@ -84,7 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.predictor import PredictionService
 
 #: Registered backend names, in documentation order.
-BACKEND_NAMES = ("serial", "thread", "process", "persistent", "socket")
+BACKEND_NAMES = ("serial", "thread", "persistent", "socket")
 
 #: Environment variables overriding the pooled backends' default timeouts
 #: (explicit constructor / CLI values win over the environment).
@@ -113,22 +106,15 @@ def validate_timeout(name: str, value, allow_zero: bool = False) -> float:
     return result
 
 
-def _timeout_from_env(name: str, env_var: str, default: float,
-                      allow_zero: bool = False) -> float:
+def _resolve_timeout(name: str, value, env_var: str, default: float,
+                     allow_zero: bool = False) -> float:
+    """Constructor argument > environment variable > class default."""
+    if value is not None:
+        return validate_timeout(name, value, allow_zero=allow_zero)
     raw = os.environ.get(env_var)
     if raw is None or not raw.strip():
         return default
     return validate_timeout(f"{env_var} ({name})", raw, allow_zero=allow_zero)
-
-#: State inherited by forked workers: (service, jobs of the current batch).
-#: Set immediately before the pool forks and cleared right after the batch;
-#: worker processes read their fork-time copy of it instead of unpickling
-#: the service per task.  ``_CONTEXT_LOCK`` serialises concurrent
-#: process-backend batches so no pool can fork while another batch's
-#: context is installed.
-_WORKER_CONTEXT: Optional[Tuple["PredictionService", List[TrainingJob]]] = None
-_CONTEXT_LOCK = threading.Lock()
-
 
 class BackendWorkerError(RuntimeError):
     """A worker process failed while evaluating one job of a batch."""
@@ -158,7 +144,7 @@ def _evaluate_job(service: "PredictionService", index: int, job: TrainingJob,
 
     Returns the prediction plus, for cache misses, the freshly emulated
     artifacts encoded once, in the wire format of ``conn``'s peer (``None``:
-    a fork-pool result queue), so the parent can cache them (worker memory
+    a direct in-process call), so the parent can cache them (worker memory
     is copy-on-write or a fork-time copy: nothing written here is visible
     to the parent).  The first replay already lowered every trace to
     columns, so encoding is a buffer copy.  ``job`` and ``cluster`` stay
@@ -175,13 +161,6 @@ def _evaluate_job(service: "PredictionService", index: int, job: TrainingJob,
                     replace(artifacts, job=None, cluster=None),
                     wire.format_for_peer(conn))
     return index, result, payload
-
-
-def _process_worker(index: int) -> Tuple[int, PredictionResult,
-                                         Optional[bytes]]:
-    """Evaluate one job of the batch inside a per-batch forked worker."""
-    service, jobs = _WORKER_CONTEXT
-    return _evaluate_job(service, index, jobs[index])
 
 
 def _split_structural(service: "PredictionService",
@@ -276,7 +255,7 @@ class EvaluationBackend:
     * :meth:`warm` -- one-time (idempotent) resource acquisition.  Only
       the pooled backends do real work here (``persistent`` forks its
       worker pool, ``socket`` connects to and bootstraps its worker
-      hosts); for the others it is a no-op (their pools are per batch).
+      hosts); for the others it is a no-op.
     * :meth:`submit` -- hand one batch of jobs to the backend's workers.
     * :meth:`drain` -- block until the submitted batch is fully evaluated
       and return its results in input order.
@@ -318,8 +297,8 @@ class EvaluationBackend:
         """Evaluate ``jobs`` and return results in input order.
 
         Template over the lifecycle: non-persistent backends are closed
-        after every batch (even on error), so no pool, fork context or
-        worker process can outlive the call that created it.
+        after every batch (even on error), so no thread pool can outlive
+        the call that created it.
         """
         self.warm(service)
         try:
@@ -386,115 +365,6 @@ class ThreadBackend(EvaluationBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-class ProcessBackend(EvaluationBackend):
-    """Fork-based process-pool backend (true parallelism, pool per batch)."""
-
-    name = "process"
-
-    def __init__(self) -> None:
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._futures: List = []
-        self._delegate: Optional[EvaluationBackend] = None
-        self._fallback = False
-        self._service: Optional["PredictionService"] = None
-        self._jobs: List[TrainingJob] = []
-        self._deferred: List[int] = []
-        self._context_installed = False
-
-    def submit(self, service: "PredictionService",
-               jobs: Sequence[TrainingJob]) -> None:
-        jobs = list(jobs)
-        workers = min(service.max_workers, len(jobs))
-        if workers <= 1:
-            self._delegate = SerialBackend()
-            self._delegate.submit(service, jobs)
-            return
-        # predict_many warms before calling us; repeat defensively so a
-        # directly-driven backend never forks an untrained estimator suite
-        # (each worker would train its own copy instead of inheriting it).
-        service._warm_pipeline()
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            self._delegate = ThreadBackend()
-            self._fallback = True
-            self._delegate.submit(service, jobs)
-            return
-
-        dispatch, deferred = _split_structural(service, jobs)
-        if len(dispatch) <= 1:
-            # Everything but at most one job resolves from the cache the
-            # leader populates: plain serial evaluation, no fork needed.
-            self._delegate = SerialBackend()
-            self._delegate.submit(service, jobs)
-            return
-
-        self._service = service
-        self._jobs = jobs
-        self._deferred = deferred
-        global _WORKER_CONTEXT
-        _CONTEXT_LOCK.acquire()
-        self._context_installed = True
-        try:
-            _WORKER_CONTEXT = (service, jobs)
-            # Workers fork on submit, i.e. *after* the context above is in
-            # place and after the pipeline warmed.
-            self._pool = ProcessPoolExecutor(max_workers=workers,
-                                             mp_context=context)
-            self._futures = [self._pool.submit(_process_worker, index)
-                             for index in dispatch]
-        except BaseException:
-            # A direct lifecycle driver may never reach close(): the
-            # process-wide lock must not outlive a failed submit.
-            self._release_context()
-            raise
-
-    def drain(self) -> List[PredictionResult]:
-        if self._delegate is not None:
-            # The delegate stays referenced: evaluate's finally -> close()
-            # shuts it down even when drain raises.
-            results = self._delegate.drain()
-            if self._fallback:
-                for result in results:
-                    result.metadata.setdefault("backend_fallback",
-                                               "fork unavailable")
-            return results
-        futures, self._futures = self._futures, []
-        payloads = [future.result() for future in futures]
-        # Every worker has forked and finished: drop the fork context (and
-        # the process-wide lock guarding it) before the parent-side merge
-        # and deferred predictions, which can be expensive.
-        self._release_context()
-        service, jobs = self._service, self._jobs
-        results = _merge_batch(service, jobs, payloads)
-        for index in self._deferred:
-            results[index] = service.predict(jobs[index])
-        return results  # type: ignore[return-value]
-
-    def _release_context(self) -> None:
-        if self._context_installed:
-            global _WORKER_CONTEXT
-            _WORKER_CONTEXT = None
-            self._context_installed = False
-            _CONTEXT_LOCK.release()
-
-    def close(self) -> None:
-        if self._delegate is not None:
-            self._delegate.close()
-            self._delegate = None
-        self._fallback = False
-        self._futures = []
-        if self._pool is not None:
-            # cancel_futures so an exception mid-batch never leaves stray
-            # tasks (and their worker processes) running past the service.
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        self._release_context()
-        self._service = None
-        self._jobs = []
-        self._deferred = []
 
 
 # ----------------------------------------------------------------------
@@ -723,26 +593,12 @@ class _SocketWorker(_PoolWorker):
 class PooledBackend(EvaluationBackend):
     """Shared machinery of the long-lived worker-pool backends.
 
-    Everything transport-independent lives here: the batch lifecycle
-    (``submit``/``drain`` with interleaved, bounded-in-flight
-    scatter/gather), the incremental cache-delta sync protocol with its
-    epoch acks and timeout handling, and input-order result merging --
-    plus the fault model every failure path funnels through:
-
-    * **Liveness**: when the pool goes quiet the parent polls every
-      worker (``process.is_alive()`` for forks, a ``ping`` wire frame
-      for socket peers that negotiated it), so silent death is detected
-      within ``ping_interval`` + ``ping_timeout`` instead of only when a
-      read fails.
-    * **Job leases**: every dispatched job carries a deadline
-      (``lease_timeout``); a job held past it is speculatively
-      re-dispatched to another live worker, or the parent as last
-      resort.  Merge stays exactly-once -- first result wins, late
-      duplicates are discarded without replaying their accounting -- so
-      results remain byte-identical to serial.
-    * **Degradation is per-job, never per-batch**: a dead worker costs
-      re-dispatching its leased jobs; each affected result records its
-      own ``backend_fallback`` reason in metadata.
+    Everything that does not depend on how workers come to exist lives
+    here: the batch lifecycle (``submit``, then ``drain`` as a transport
+    loop around a :class:`~repro.service.dispatch.BatchDispatch`, which
+    owns the fault model -- liveness, job leases, per-job degradation),
+    the incremental cache-delta sync protocol with its epoch acks and
+    timeout handling, and input-order result merging.
 
     Subclasses provide only how workers come to exist:
 
@@ -786,34 +642,22 @@ class PooledBackend(EvaluationBackend):
     #: :class:`TrainingJob`), so a bounded window always fits in the OS
     #: buffer of a pipe or socket; the parent sends a new job only after
     #: receiving a result, which keeps it draining results (and the
-    #: workers' outbound buffers) instead of ever blocking in ``send`` --
-    #: see :meth:`drain`.
+    #: workers' outbound buffers) instead of ever blocking in ``send``.
     max_inflight = 2
 
     def __init__(self, sync_timeout: Optional[float] = None,
                  lease_timeout: Optional[float] = None,
                  scheduler: Optional[str] = None) -> None:
-        if sync_timeout is None:
-            self.sync_timeout = _timeout_from_env(
-                "sync_timeout", SYNC_TIMEOUT_ENV, type(self).sync_timeout)
-        else:
-            self.sync_timeout = validate_timeout("sync_timeout",
-                                                 sync_timeout)
-        if lease_timeout is None:
-            self.lease_timeout = _timeout_from_env(
-                "lease_timeout", LEASE_TIMEOUT_ENV,
-                type(self).lease_timeout, allow_zero=True)
-        else:
-            self.lease_timeout = validate_timeout(
-                "lease_timeout", lease_timeout, allow_zero=True)
+        self.sync_timeout = _resolve_timeout(
+            "sync_timeout", sync_timeout, SYNC_TIMEOUT_ENV,
+            type(self).sync_timeout)
+        self.lease_timeout = _resolve_timeout(
+            "lease_timeout", lease_timeout, LEASE_TIMEOUT_ENV,
+            type(self).lease_timeout, allow_zero=True)
         if scheduler is None:
             scheduler = os.environ.get(SCHEDULER_ENV, "").strip() \
                 or "round_robin"
         self.set_scheduler(scheduler)
-        #: Pending ("join"/"leave", spec) membership requests, applied at
-        #: the next drain-loop iteration (mid-batch) or warm (idle) --
-        #: appends are atomic, so other threads may enqueue freely.
-        self._membership: Deque[Tuple[str, str]] = deque()
         self._workers: List[_PoolWorker] = []
         self._service: Optional["PredictionService"] = None
         #: When set, ``submit`` delegates to a thread pool and tags every
@@ -827,16 +671,13 @@ class PooledBackend(EvaluationBackend):
         #: never strand a fresh worker outside the list.  Reentrant because
         #: ``warm`` calls ``close`` when re-targeted at a new service.
         self._closed_lock = threading.RLock()
-        # submit/drain state
         self._delegate: Optional[EvaluationBackend] = None
-        self._fallback = False
         self._jobs: List[TrainingJob] = []
         self._deferred: List[int] = []
         self._assignments: List[Tuple[_PoolWorker, List[int]]] = []
         #: (index, fallback reason) pairs whose worker died before
         #: evaluating them; the parent picks them up in drain.
         self._parent_eval: List[Tuple[int, str]] = []
-        self._ping_counter = 0
         #: Resilience counters (surfaced by tests, the chaos benchmark
         #: and the conformance harness).
         self.resilience_stats: Dict[str, int] = {
@@ -844,8 +685,7 @@ class PooledBackend(EvaluationBackend):
             "redispatched_jobs": 0, "duplicate_results": 0,
             "parent_evaluations": 0, "pings_sent": 0,
             "pongs_received": 0, "stragglers_discarded": 0,
-            "reconnects": 0, "joins": 0, "leaves": 0,
-            "rebalanced_jobs": 0,
+            "reconnects": 0,
         }
         #: Which worker emulated each artifact key: that worker already has
         #: its own (equivalent) copy, so deltas skip shipping it back.
@@ -888,75 +728,6 @@ class PooledBackend(EvaluationBackend):
         return max(events, 1) * self._NOMINAL_EVENT_BYTES
 
     _NOMINAL_EVENT_BYTES = 48
-
-    # ------------------------------------------------------------------
-    # dynamic membership (elastic pools; socket transport implements it)
-    # ------------------------------------------------------------------
-    def join(self, spec: str) -> None:
-        """Ask the pool to admit a worker (socket: a ``host:port``).
-
-        Mid-batch the joiner is bootstrapped through the ordinary warm +
-        snapshot-resync machinery at the next drain-loop iteration and
-        immediately receives rebalanced work; between batches it is
-        connected by the next ``warm()``.  Transports without dynamic
-        membership (the fork pools) ignore the request.
-        """
-        self._membership.append(("join", str(spec)))
-
-    def leave(self, spec: str) -> None:
-        """Ask a worker to depart cleanly: no new jobs are sent to it,
-        its unsent queue moves to surviving workers, in-flight jobs may
-        still answer, and its address is forgotten so later warms do not
-        reconnect it."""
-        self._membership.append(("leave", str(spec)))
-
-    def _admit_member(self, service: "PredictionService",
-                      spec: str) -> Optional[_PoolWorker]:
-        """Connect + bootstrap one mid-batch joiner; ``None`` = declined.
-
-        Base pools have no way to mint a worker mid-batch (fork workers
-        must inherit state at fork time); the socket transport overrides.
-        """
-        return None
-
-    def _member_spec(self, worker: _PoolWorker) -> Optional[str]:
-        """The membership spec a worker answers to (socket: its address)."""
-        return None
-
-    def _register_member(self, spec: str) -> bool:
-        """Record an idle-time join so the next top-up acquires it."""
-        return False
-
-    def _retire_member(self, spec: str) -> None:
-        """Forget a departed member so later warms do not re-acquire it."""
-
-    def _process_membership_idle(self, service: "PredictionService") -> None:
-        """Apply queued join/leave requests between batches (under
-        ``_closed_lock``, before ``_top_up`` acquires workers)."""
-        while True:
-            try:
-                action, spec = self._membership.popleft()
-            except IndexError:
-                return
-            if action == "join":
-                if self._register_member(spec):
-                    self.resilience_stats["joins"] += 1
-                    self._policy.on_membership_change(joined=(spec,))
-            else:
-                self._retire_member(spec)
-                departed = False
-                for worker in list(self._workers):
-                    if self._member_spec(worker) != spec:
-                        continue
-                    try:
-                        worker.conn.send(("close",))
-                    except _CONN_FAILURES:
-                        pass
-                    self._discard_worker(worker)
-                    departed = True
-                if departed:
-                    self.resilience_stats["leaves"] += 1
-                    self._policy.on_membership_change(left=(spec,))
 
     def _job_specs(self, service: "PredictionService",
                    jobs: List[TrainingJob],
@@ -1036,7 +807,6 @@ class PooledBackend(EvaluationBackend):
                 self.close()
             self._service = service
             self._prune_dead_workers()
-            self._process_membership_idle(service)
             self._top_up(service)
 
     def _prune_dead_workers(self) -> None:
@@ -1235,6 +1005,11 @@ class PooledBackend(EvaluationBackend):
         with self._closed_lock:
             if worker in self._workers:
                 self._workers.remove(worker)
+            # The origin map must not keep the dead handle (its process
+            # and closed connection) alive until close().
+            for key in [key for key, owner in self._artifact_origin.items()
+                        if owner is worker]:
+                del self._artifact_origin[key]
         try:
             worker.conn.close()
         except OSError:
@@ -1249,13 +1024,11 @@ class PooledBackend(EvaluationBackend):
         self._batch_lock.acquire()
         try:
             self._delegate = None
-            self._fallback = False
             self._parent_eval = []
             jobs = list(jobs)
             self._jobs = jobs
             if self._fallback_reason is not None:
                 self._delegate = ThreadBackend()
-                self._fallback = True
                 self._delegate.submit(service, jobs)
                 return
             workers = [worker for worker in self._workers if worker.alive()]
@@ -1322,490 +1095,128 @@ class PooledBackend(EvaluationBackend):
             raise
 
     def drain(self) -> List[PredictionResult]:
+        """Gather the submitted batch: the transport loop around one
+        :class:`~repro.service.dispatch.BatchDispatch`.  The dispatch
+        decides (bounded in-flight window, leases, liveness probes); this
+        loop only moves bytes and feeds what happened back."""
         try:
             if self._delegate is not None:
-                delegate, self._delegate = self._delegate, None
-                try:
-                    results = delegate.drain()
-                finally:
-                    delegate.close()
-                if self._fallback:
-                    self._fallback = False
-                    reason = self._fallback_reason or "fork unavailable"
-                    for result in results:
-                        result.metadata.setdefault("backend_fallback", reason)
-                return results
-            service, jobs = self._service, self._jobs
+                return self._drain_delegate()
             assignments, self._assignments = self._assignments, []
+            parent_eval, self._parent_eval = self._parent_eval, []
+            dispatch = BatchDispatch(
+                assignments, parent_eval, name=self.name,
+                policy=self._policy, stats=self.resilience_stats,
+                max_inflight=self.max_inflight,
+                lease_timeout=self.lease_timeout,
+                ping_interval=self.ping_interval,
+                ping_timeout=self.ping_timeout, now=time.monotonic())
             payloads: List[Tuple] = []
-            errors: List[Tuple[int, str]] = []
-            done: set = set()
-            #: index -> reason; evaluated on the parent after the loop.
-            missing: Dict[int, str] = {}
-            #: index -> reason recorded whenever the resilience machinery
-            #: touched a job (per-job ``backend_fallback`` metadata).
-            fallback_reasons: Dict[int, str] = {}
-            for index, reason in self._parent_eval:
-                missing[index] = reason
-                fallback_reasons[index] = reason
-            self._parent_eval = []
             plan = faults.current_fault_plan()
-            lease = self.lease_timeout or 0.0
-            no_deadline = float("inf")
-            stats = self.resilience_stats
-            # Interleaved scatter/gather: each worker holds at most
-            # ``max_inflight`` unanswered jobs, and the parent sends the
-            # next one only after receiving a result, so it is always
-            # draining worker pipes and can never deadlock against a
-            # worker blocked in ``send`` on a large result.  Each in-flight
-            # job carries a lease deadline; liveness is probed whenever
-            # the pool goes quiet (see the class attributes).
-            states: Dict[_PoolWorker,
-                         Tuple[Deque[int], Dict[int, float]]] = {}
-            by_conn: Dict[object, _PoolWorker] = {}
-            pending: set = set()
-            #: Indices already speculatively re-dispatched once (a second
-            #: lease expiry falls back to the parent, bounding copies).
-            redispatched: set = set()
-            for worker, assigned in assignments:
-                states[worker] = (deque(assigned), {})
-                by_conn[worker.conn] = worker
-                pending.update(assigned)
-
-            #: Workers that finished their share cleanly: still synced and
-            #: alive, so re-dispatch can pull them back in as targets.
-            standby: List[_PoolWorker] = []
-            #: Workers departing cleanly: no new jobs are sent to them,
-            #: and once their in-flight work answers they leave the pool.
-            departing: set = set()
-
-            def _retire(worker: _PoolWorker, clean: bool = False) -> None:
-                del states[worker]
-                del by_conn[worker.conn]
-                departing.discard(worker)
-                if clean:
-                    standby.append(worker)
-
-            def _unretire() -> Optional[_PoolWorker]:
-                while standby:
-                    worker = standby.pop()
-                    if not worker.alive():
-                        stats["worker_deaths"] += 1
-                        self._discard_worker(worker)
-                        continue
-                    states[worker] = (deque(), {})
-                    by_conn[worker.conn] = worker
-                    return worker
-                return None
-
-            def _live_target(index: int,
-                             exclude: Optional[_PoolWorker]
-                             ) -> Optional[_PoolWorker]:
-                # Re-dispatch target selection goes through the policy
-                # (default: least-loaded live worker, the pre-policy
-                # behaviour); candidates already holding a copy of
-                # ``index`` -- or on their way out -- are filtered here.
-                candidates: List[_PoolWorker] = []
-                snapshots: List[WorkerSnapshot] = []
-                for candidate, (queue, inflight) in states.items():
-                    if (candidate is exclude or candidate in departing
-                            or index in inflight or index in queue):
-                        continue
-                    snapshots.append(WorkerSnapshot(
-                        slot=len(candidates),
-                        load=len(queue) + len(inflight)))
-                    candidates.append(candidate)
-                if not candidates:
-                    return None
-                slot = self._policy.select_target(JobSpec(index=index),
-                                                  snapshots)
-                return None if slot is None else candidates[slot]
-
-            def _reassign(index: int, exclude: Optional[_PoolWorker],
-                          reason_worker: str, reason_parent: str
-                          ) -> Optional[_PoolWorker]:
-                # Hand one unresolved index to another live worker --
-                # active or pulled back from standby -- or to the parent
-                # as last resort (also when this copy was already a
-                # speculative one -- at most two live copies).
-                target = (None if index in redispatched
-                          else _live_target(index, exclude)
-                          or _unretire())
-                if target is None:
-                    missing[index] = reason_parent
-                    fallback_reasons[index] = reason_parent
-                    pending.discard(index)
-                    stats["parent_evaluations"] += 1
-                else:
-                    states[target][0].append(index)
-                    redispatched.add(index)
-                    fallback_reasons[index] = reason_worker
-                    stats["redispatched_jobs"] += 1
-                return target
-
-            def _fail(worker: _PoolWorker, why: str) -> None:
-                # Worker died (or its connection did) mid-batch: its
-                # unanswered and unsent share re-dispatches to the
-                # surviving workers (parent as last resort) and the next
-                # warm() replaces it.  The dead connection cannot deliver
-                # a late duplicate, so these re-dispatches do not count
-                # against the one-speculative-copy bound.
-                queue, inflight = states[worker]
-                stats["worker_deaths"] += 1
-                _retire(worker)
-                self._discard_worker(worker)
-                reason_worker = (f"{self.name} worker {why}; job "
-                                 f"re-dispatched to a live worker")
-                reason_parent = (f"{self.name} worker {why}; job "
-                                 f"evaluated on parent")
-                targets = set()
-                for index in list(inflight) + list(queue):
-                    if index in done or index in missing:
-                        continue
-                    redispatched.discard(index)
-                    target = _reassign(index, None, reason_worker,
-                                       reason_parent)
-                    if target is not None:
-                        targets.add(target)
-                for target in targets:
-                    if target in states and not _top_up(target):
-                        _fail(target, "connection failed during "
-                                      "re-dispatch")
-
-            def _top_up(worker: _PoolWorker) -> bool:
-                if worker in departing:
-                    return True  # draining out: no new work
-                queue, inflight = states[worker]
-                while queue and len(inflight) < self.max_inflight:
-                    index = queue[0]
-                    if index in done or index in missing:
-                        queue.popleft()  # resolved elsewhere meanwhile
-                        continue
-                    if (plan.job_frame_action(index) == "corrupt"
-                            and hasattr(worker.conn,
-                                        "corrupt_next_frame")):
-                        worker.conn.corrupt_next_frame()
-                    try:
-                        worker.conn.send(("job", index, jobs[index]))
-                    except _CONN_FAILURES:
-                        return False
-                    queue.popleft()
-                    inflight[index] = (time.monotonic() + lease
-                                       if lease else no_deadline)
-                return True
-
-            def _finish_departure(worker: _PoolWorker) -> None:
-                # In-flight work answered (or there was none): the
-                # departure is complete.  Close the connection politely
-                # and drop the worker from the pool.
-                if worker in states:
-                    _retire(worker)
-                departing.discard(worker)
-                try:
-                    worker.conn.send(("close",))
-                except _CONN_FAILURES:
-                    pass
-                self._discard_worker(worker)
-
-            def _rebalance(joined: _PoolWorker) -> None:
-                # Pull unsent queued jobs onto a just-joined worker until
-                # its outstanding count is within one of the most-loaded
-                # donor's.  Only never-sent jobs move (popped off donor
-                # queue tails), so exactly-once -- and with it
-                # byte-identity -- is untouched.
-                while True:
-                    donor = None
-                    donor_total = -1
-                    for candidate, (queue, inflight) in states.items():
-                        if candidate is joined or candidate in departing:
-                            continue
-                        total = len(queue) + len(inflight)
-                        if queue and total > donor_total:
-                            donor, donor_total = candidate, total
-                    jq, jinf = states[joined]
-                    if (donor is None
-                            or donor_total <= len(jq) + len(jinf) + 1):
-                        return
-                    jq.append(states[donor][0].pop())
-                    stats["rebalanced_jobs"] += 1
-
-            def _admit(spec: str) -> None:
-                # Bootstrap a mid-batch joiner through the ordinary warm
-                # machinery.  The parent cache does not change while a
-                # batch drains (the merge happens after this loop), so
-                # the joiner sees exactly the pre-batch state every other
-                # worker was synced to -- byte-identity holds.
-                worker = self._admit_member(service, spec)
-                if worker is None:
-                    return
-                try:
-                    self._await_sync(worker,
-                                     self._send_sync(service, worker, {}))
-                except _CONN_FAILURES:
-                    stats["worker_deaths"] += 1
-                    self._discard_worker(worker)
-                    return
-                stats["joins"] += 1
-                states[worker] = (deque(), {})
-                by_conn[worker.conn] = worker
-                self._policy.on_membership_change(joined=(spec,))
-                _rebalance(worker)
-                if not _top_up(worker):
-                    _fail(worker, "connection failed right after joining")
-
-            def _depart(spec: str) -> None:
-                for worker in list(states):
-                    if self._member_spec(worker) != spec:
-                        continue
-                    stats["leaves"] += 1
-                    departing.add(worker)
-                    self._retire_member(spec)
-                    self._policy.on_membership_change(left=(spec,))
-                    # Unsent queue leftovers move to live workers now (a
-                    # plain move -- no second copy exists); in-flight
-                    # jobs may still answer before the connection closes,
-                    # which is what makes the departure clean.
-                    queue, inflight = states[worker]
-                    while queue:
-                        index = queue.popleft()
-                        if index in done or index in missing:
-                            continue
-                        redispatched.discard(index)
-                        target = _reassign(
-                            index, worker,
-                            f"{self.name} job re-queued off a departing "
-                            f"worker",
-                            f"{self.name} job stranded on a departing "
-                            f"worker; evaluated on parent")
-                        if (target is not None and target in states
-                                and not _top_up(target)):
-                            _fail(target, "connection failed during "
-                                          "re-dispatch")
-                    if worker in states and not states[worker][1]:
-                        _finish_departure(worker)
-                    return
-
-            def _membership_pass(index: Optional[int] = None) -> None:
-                # Apply queued membership changes: fault-plan rules
-                # anchored to the job whose result just arrived, then any
-                # live ``join()`` / ``leave()`` requests.
-                events: List[Tuple[str, str]] = []
-                if index is not None:
-                    events.extend(plan.membership_events(index))
-                while True:
-                    try:
-                        events.append(self._membership.popleft())
-                    except IndexError:
-                        break
-                for action, spec in events:
-                    if action == "join":
-                        _admit(spec)
-                    else:
-                        _depart(spec)
-
-            def _liveness_pass() -> None:
-                now = time.monotonic()
-                for worker in list(states):
-                    if worker not in states:
-                        continue  # failed by a cascading _fail
-                    if not worker.alive():
-                        _fail(worker, "process died silently")
-                        continue
-                    if not worker.supports_ping:
-                        continue
-                    if worker.ping_token is not None:
-                        if now - worker.ping_sent_at > self.ping_timeout:
-                            _fail(worker,
-                                  f"did not answer a liveness ping "
-                                  f"within {self.ping_timeout:g}s")
-                        continue
-                    if now - worker.last_ping_at < self.ping_interval:
-                        continue
-                    self._ping_counter += 1
-                    worker.ping_token = self._ping_counter
-                    worker.ping_sent_at = worker.last_ping_at = now
-                    stats["pings_sent"] += 1
-                    try:
-                        worker.conn.send(("ping", worker.ping_token))
-                    except _CONN_FAILURES:
-                        _fail(worker, "connection failed on liveness "
-                                      "ping")
-
-            def _lease_pass() -> None:
-                now = time.monotonic()
-                for worker in list(states):
-                    if worker not in states:
-                        continue
-                    queue, inflight = states[worker]
-                    expired = False
-                    for index, deadline in list(inflight.items()):
-                        if deadline > now or index in done:
-                            continue
-                        # Expired lease: the straggler's copy stays
-                        # tracked (first result wins either way) but can
-                        # only expire once.
-                        expired = True
-                        stats["lease_expirations"] += 1
-                        inflight[index] = no_deadline
-                        target = _reassign(
-                            index, worker,
-                            f"{self.name} job lease expired after "
-                            f"{lease:g}s; speculatively re-dispatched",
-                            f"{self.name} job lease expired after "
-                            f"{lease:g}s; evaluated on parent")
-                        if (target is not None and target in states
-                                and not _top_up(target)):
-                            _fail(target, "connection failed during "
-                                          "re-dispatch")
-                    if not expired or worker not in states:
-                        continue
-                    # An expired lease marks this worker a straggler: its
-                    # unsent queue leftovers would strand behind it (they
-                    # are topped up only after it answers), so hand them
-                    # off now.  Unsent means no second copy exists -- a
-                    # plain move, not a speculative one.
-                    while queue:
-                        index = queue.popleft()
-                        if index in done or index in missing:
-                            continue
-                        redispatched.discard(index)
-                        target = _reassign(
-                            index, worker,
-                            f"{self.name} job re-queued off a straggling "
-                            f"worker",
-                            f"{self.name} job stranded behind a straggling "
-                            f"worker; evaluated on parent")
-                        if (target is not None and target in states
-                                and not _top_up(target)):
-                            _fail(target, "connection failed during "
-                                          "re-dispatch")
-
-            def _wait_timeout() -> float:
-                now = time.monotonic()
-                bound = self.ping_interval
-                for worker, (queue, inflight) in states.items():
-                    if (worker.supports_ping
-                            and worker.ping_token is not None):
-                        bound = min(bound, worker.ping_sent_at
-                                    + self.ping_timeout - now)
-                    for deadline in inflight.values():
-                        if deadline is not no_deadline:
-                            bound = min(bound, deadline - now)
-                return min(max(bound, 0.05), self.ping_interval)
-
-            for worker in list(states):
-                if worker not in states:
-                    continue  # failed by a cascading _fail
-                if not _top_up(worker):
-                    _fail(worker, "connection failed during dispatch")
-                elif not states[worker][1]:  # pragma: no cover - guard
-                    _retire(worker, clean=True)  # empty share: idle standby
-            _membership_pass()
-            while states and pending:
-                ready = mp_connection.wait(list(by_conn), _wait_timeout())
-                for conn in ready:
-                    worker = by_conn.get(conn)
-                    if worker is None:
-                        continue  # retired earlier in this ready set
+            self._perform(dispatch, plan)
+            while not dispatch.finished:
+                conns = {worker.conn: worker for worker in dispatch.active}
+                for conn in mp_connection.wait(
+                        list(conns), dispatch.next_deadline(time.monotonic())):
+                    worker = conns[conn]
+                    if worker not in dispatch.active:
+                        continue  # failed earlier in this ready set
                     try:
                         message = conn.recv()
                     except _CONN_FAILURES:
-                        _fail(worker, "died mid-batch")
-                        continue
-                    if message[0] == "pong":
-                        worker.ping_token = None
-                        stats["pongs_received"] += 1
-                        continue
-                    queue, inflight = states[worker]
-                    index = message[1]
-                    inflight.pop(index, None)
-                    duplicate = index in done
-                    if duplicate:
-                        # A speculative copy lost the race: first result
-                        # won, this one is discarded without replaying
-                        # its accounting a second time.
-                        stats["duplicate_results"] += 1
-                    elif message[0] == "error":
-                        done.add(index)
-                        pending.discard(index)
-                        missing.pop(index, None)
-                        errors.append((index, message[2]))
+                        dispatch.worker_failed(worker, "died mid-batch",
+                                               time.monotonic())
                     else:
-                        done.add(index)
-                        pending.discard(index)
-                        missing.pop(index, None)
-                        payloads.append(message[1:])
-                        if message[3] is not None:
-                            # Fresh emulation: remember which worker
-                            # already holds these artifacts so the next
-                            # sync does not ship them back.
-                            key = _artifact_key(service, jobs[index])
-                            if key is not None:
-                                while len(self._artifact_origin) >= 4096:
-                                    self._artifact_origin.pop(
-                                        next(iter(self._artifact_origin)))
-                                self._artifact_origin[key] = worker
-                    if not duplicate:
-                        # First result for this index: membership rules
-                        # anchored to it (and any queued join/leave
-                        # requests) apply now, at a deterministic
-                        # protocol point.
-                        _membership_pass(index)
-                    if worker not in states:
-                        continue  # departed/failed during membership
-                    if not _top_up(worker):
-                        _fail(worker, "connection failed during dispatch")
-                    elif worker in departing and not inflight:
-                        _finish_departure(worker)
-                    elif not queue and not inflight:
-                        # Share done: park it on standby so an expiring
-                        # lease elsewhere can re-dispatch to it.
-                        _retire(worker, clean=True)
-                _membership_pass()
-                _liveness_pass()
-                if lease:
-                    _lease_pass()
-            # A worker still owing an answer at loop end (its job went to
-            # the parent when its lease ran out) cannot return to the
-            # pool: the late result would desync the next batch's sync
-            # ack.  Discard it; the next warm() tops the pool back up.
-            # Workers holding only unsent queue leftovers are clean.
-            for worker in list(states):
-                if states[worker][1]:
-                    stats["stragglers_discarded"] += 1
-                    _retire(worker)
-                    self._discard_worker(worker)
-            for index in sorted(pending):  # pragma: no cover - guard
-                if index not in done and index not in missing:
-                    reason = f"{self.name} pool exhausted; evaluated on parent"
-                    missing[index] = reason
-                    fallback_reasons[index] = reason
-            # Merge whatever succeeded even when part of the batch failed:
-            # workers cached that work in their fork-local copies, so the
-            # parent must record it too or the two drift apart.  Merge in
-            # input order, not arrival order: near max_entries the merge's
-            # put order decides which entry the parent evicts, and a serial
-            # run puts in input order.
-            payloads.sort(key=lambda payload: payload[0])
-            results = _merge_batch(service, jobs, payloads)
-            if errors:
-                index, detail = errors[0]
-                raise BackendWorkerError(
-                    f"{self.name} worker failed on job {index}:\n{detail}")
-            for index in sorted(missing):
-                if index in done:  # pragma: no cover - protocol guard
-                    continue
-                results[index] = service.predict(jobs[index])
-            for index in self._deferred:
-                results[index] = service.predict(jobs[index])
-            self._deferred = []
-            for index, reason in fallback_reasons.items():
-                result = results[index]
-                if result is not None:
-                    result.metadata.setdefault("backend_fallback", reason)
-            return results  # type: ignore[return-value]
+                        self._feed(dispatch, worker, message, payloads)
+                    self._perform(dispatch, plan)
+                dispatch.tick(time.monotonic())
+                self._perform(dispatch, plan)
+            dispatch.finish()
+            self._perform(dispatch, plan)
+            return self._merge(dispatch, payloads)
         finally:
             self._batch_lock.release()
+
+    def _drain_delegate(self) -> List[PredictionResult]:
+        delegate, self._delegate = self._delegate, None
+        try:
+            results = delegate.drain()
+        finally:
+            delegate.close()
+        if self._fallback_reason is not None:
+            for result in results:
+                result.metadata.setdefault("backend_fallback",
+                                           self._fallback_reason)
+        return results
+
+    def _perform(self, dispatch: BatchDispatch, plan) -> None:
+        """Carry out every action the dispatch has queued.  A send or
+        ping that hits a dead connection is fed back as that worker's
+        failure, which may queue more actions; the loop runs dry."""
+        for action in iter(dispatch.next_action, None):
+            worker = action.worker
+            try:
+                if action.kind == "send":
+                    if (plan.job_frame_action(action.arg) == "corrupt"
+                            and hasattr(worker.conn, "corrupt_next_frame")):
+                        worker.conn.corrupt_next_frame()
+                    worker.conn.send(("job", action.arg,
+                                      self._jobs[action.arg]))
+                elif action.kind == "ping":
+                    worker.conn.send(("ping", action.arg))
+                else:
+                    self._discard_worker(worker)
+            except _CONN_FAILURES:
+                dispatch.worker_failed(worker, action.on_failure,
+                                       time.monotonic())
+
+    def _feed(self, dispatch: BatchDispatch, worker: _PoolWorker,
+              message: Tuple, payloads: List[Tuple]) -> None:
+        """Turn one worker message into a dispatch event."""
+        now = time.monotonic()
+        if message[0] == "pong":
+            dispatch.pong(worker)
+        elif message[0] == "error":
+            dispatch.error(worker, message[1], message[2], now)
+        elif dispatch.result(worker, message[1], now):
+            payloads.append(message[1:])
+            if message[3] is not None:
+                # Fresh emulation: remember which worker already holds
+                # these artifacts so the next sync does not ship them back.
+                key = _artifact_key(self._service, self._jobs[message[1]])
+                if key is not None:
+                    while len(self._artifact_origin) >= 4096:
+                        self._artifact_origin.pop(
+                            next(iter(self._artifact_origin)))
+                    self._artifact_origin[key] = worker
+
+    def _merge(self, dispatch: BatchDispatch,
+               payloads: List[Tuple]) -> List[PredictionResult]:
+        """Fold the gathered batch into the parent.
+
+        Whatever succeeded is merged even when part of the batch failed:
+        workers cached that work in their own copies, so the parent must
+        record it too or the two drift apart.  In input order, not
+        arrival order: near max_entries the merge's put order decides
+        which entry the parent evicts, and a serial run puts in input
+        order."""
+        service, jobs = self._service, self._jobs
+        payloads.sort(key=lambda payload: payload[0])
+        results = _merge_batch(service, jobs, payloads)
+        if dispatch.errors:
+            index, detail = dispatch.errors[0]
+            raise BackendWorkerError(
+                f"{self.name} worker failed on job {index}:\n{detail}")
+        for index in sorted(dispatch.missing):
+            results[index] = service.predict(jobs[index])
+        for index in self._deferred:
+            results[index] = service.predict(jobs[index])
+        self._deferred = []
+        for index, reason in dispatch.fallback_reasons.items():
+            result = results[index]
+            if result is not None:
+                result.metadata.setdefault("backend_fallback", reason)
+        return results  # type: ignore[return-value]
 
 
 class PersistentBackend(PooledBackend):
@@ -2043,75 +1454,10 @@ class SocketBackend(PooledBackend):
             raise BackendWorkerError(
                 f"socket backend could not reach any worker host: {detail}")
 
-    # ------------------------------------------------------------------
-    # dynamic membership
-    # ------------------------------------------------------------------
-    def _member_spec(self, worker: _PoolWorker) -> Optional[str]:
-        return getattr(worker, "address", None)
-
-    def _register_member(self, spec: str) -> bool:
-        if spec not in self._addresses:
-            self._addresses.append(spec)
-        return True
-
-    def _retire_member(self, spec: str) -> None:
-        # Forget the address so later warms do not reconnect the departed
-        # host; ``_served_addresses`` is kept -- if the same host joins
-        # again that is a rejoin and counts as a reconnect.
-        self._addresses = [address for address in self._addresses
-                           if address != spec]
-
-    def _admit_member(self, service: "PredictionService",
-                      spec: str) -> Optional[_PoolWorker]:
-        """Mid-batch join: connect, handshake and warm one worker host.
-
-        The same bootstrap/snapshot-resync machinery a ``warm()``-time
-        (re)connect uses -- the joiner receives the warmed service as of
-        the batch's pre-submit state (the parent cache does not change
-        while a batch drains), so it is indistinguishable from a worker
-        that was present at submit.  Unreachable or misbehaving hosts
-        decline the join (recorded in ``connect_errors``) instead of
-        failing the batch; a protocol-version mismatch still raises.
-        """
-        with self._closed_lock:
-            if any(getattr(worker, "address", None) == spec
-                   for worker in self._workers):
-                return None  # already a member
-        try:
-            conn = self._connect_with_backoff(spec)
-        except (OSError, EOFError) as exc:
-            self.connect_errors.append((spec,
-                                        f"{type(exc).__name__}: {exc}"))
-            return None
-        epoch, kernel_len, collective_len = self._bootstrap_cursor(service)
-        try:
-            fmt = wire.format_for_peer(conn)
-            self._bootstrap(conn, spec, wire.dumps_for_format(
-                ("warm", service), fmt), fmt)
-        except wire.WireProtocolError:
-            conn.close()
-            raise
-        except (OSError, EOFError) as exc:
-            conn.close()
-            self.connect_errors.append((spec,
-                                        f"{type(exc).__name__}: {exc}"))
-            return None
-        worker = _SocketWorker(conn, epoch, kernel_len, collective_len, spec)
-        with self._closed_lock:
-            if spec not in self._addresses:
-                self._addresses.append(spec)
-            if spec in self._served_addresses:
-                self.resilience_stats["reconnects"] += 1
-            self._served_addresses.add(spec)
-            self._workers.append(worker)
-            self._ever_connected = True
-        return worker
-
 
 _BACKENDS = {
     SerialBackend.name: SerialBackend,
     ThreadBackend.name: ThreadBackend,
-    ProcessBackend.name: ProcessBackend,
     PersistentBackend.name: PersistentBackend,
     SocketBackend.name: SocketBackend,
 }

@@ -161,9 +161,6 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     # artifact level
     # ------------------------------------------------------------------
-    def get_artifacts(self, key: Tuple) -> Optional[EmulationArtifacts]:
-        artifacts, _ = self.lookup_artifacts(key)
-        return artifacts
 
     def lookup_artifacts(self, key: Tuple) -> Tuple[
             Optional[EmulationArtifacts], str]:

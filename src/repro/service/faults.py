@@ -45,13 +45,6 @@ Actions and where they fire:
     Parent side.  Deliberately corrupt the wire frame carrying the
     matching job dispatch (:meth:`~repro.service.wire.WireConnection.corrupt_next_frame`),
     so the receiving worker host rejects the stream and hangs up.
-``join`` / ``leave``
-    Parent side.  When the result for the matching ``job`` arrives, ask
-    the pooled backend to admit (``join``) or cleanly retire (``leave``)
-    the worker host at ``address`` -- deterministic mid-batch membership
-    churn for the elastic-scheduling chaos tests, applied through the
-    same code path as a live ``backend.join()`` / ``backend.leave()``.
-
 ``worker`` scopes a rule to one worker: forked persistent workers are
 numbered in spawn order, remote worker hosts read ``REPRO_FAULT_WORKER``
 (one id per host).  Rules are one-shot by default (``once: false`` makes
@@ -84,12 +77,8 @@ FAULT_WORKER_ENV = "REPRO_FAULT_WORKER"
 #: Exit status used by ``kill`` rules, distinguishable from real crashes.
 KILL_EXIT_CODE = 43
 
-_ACTIONS = ("kill", "slow", "drop", "delay", "corrupt", "join", "leave")
+_ACTIONS = ("kill", "slow", "drop", "delay", "corrupt")
 _WHENS = ("before", "after")
-
-#: Parent-side membership actions (elastic pool churn); never applied by
-#: the worker-side hooks, so one JSON plan can arm both sides.
-_MEMBERSHIP_ACTIONS = ("join", "leave")
 
 
 class FaultInjected(RuntimeError):
@@ -114,8 +103,6 @@ class FaultRule:
     delay_s: float = 0.0
     factor: float = 1.0
     once: bool = True
-    #: Worker-host address for membership (``join`` / ``leave``) rules.
-    address: Optional[str] = None
     #: How many times this rule has fired (plan state, not configuration).
     fired: int = 0
 
@@ -129,9 +116,6 @@ class FaultRule:
         if self.job is None and self.epoch is None:
             raise ValueError(f"fault rule {self.action!r} needs a trigger: "
                              f"set 'job' or 'epoch'")
-        if self.action in _MEMBERSHIP_ACTIONS and self.address is None:
-            raise ValueError(f"fault rule {self.action!r} needs the "
-                             f"'address' of the worker host to add/remove")
         if self.delay_s < 0 or self.factor < 1.0:
             raise ValueError("fault rule delays must be >= 0 and factors "
                              ">= 1.0")
@@ -188,7 +172,7 @@ class FaultPlan:
             entry = {"action": rule.action, "when": rule.when,
                      "delay_s": rule.delay_s, "factor": rule.factor,
                      "once": rule.once}
-            for key in ("job", "epoch", "worker", "address"):
+            for key in ("job", "epoch", "worker"):
                 if getattr(rule, key) is not None:
                     entry[key] = getattr(rule, key)
             rules.append(entry)
@@ -204,7 +188,6 @@ class FaultPlan:
     def _job_rules(self, index: int, when: str) -> List[FaultRule]:
         return [rule for rule in self.rules
                 if rule.job == index and rule.when == when
-                and rule.action not in _MEMBERSHIP_ACTIONS
                 and not rule.spent() and rule.matches_worker(self.worker_id)]
 
     # ------------------------------------------------------------------
@@ -262,24 +245,6 @@ class FaultPlan:
                 self._fire(rule)
                 return rule.action
         return None
-
-    def membership_events(self, index: int) -> List[tuple]:
-        """Membership changes triggered by the result of job ``index``.
-
-        Consulted by the pooled backends' drain loop when a job's first
-        result arrives: every un-spent ``join`` / ``leave`` rule whose
-        ``job`` matches fires and is returned as an ``(action, address)``
-        pair for the backend to apply -- a deterministic stand-in for a
-        live ``backend.join()`` / ``backend.leave()`` call, anchored to a
-        protocol point instead of wall clock.
-        """
-        events = []
-        for rule in self.rules:
-            if (rule.action in _MEMBERSHIP_ACTIONS and rule.job == index
-                    and not rule.spent()):
-                self._fire(rule)
-                events.append((rule.action, rule.address))
-        return events
 
 
 #: Shared no-op plan: every hook falls through instantly.

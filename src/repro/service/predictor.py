@@ -131,14 +131,14 @@ class PredictionService:
             None if lease_timeout is None
             else validate_timeout("lease_timeout", lease_timeout,
                                   allow_zero=True))
-        #: Pooled-backend placement policy override ("round_robin",
-        #: "least_loaded" or "locality"; ``None`` leaves the backend to
-        #: its own resolution: ``REPRO_SCHEDULER``, then round_robin).
+        #: Pooled-backend placement policy override ("round_robin" or
+        #: "locality"; ``None`` leaves the backend to its own resolution:
+        #: ``REPRO_SCHEDULER``, then round_robin).
         #: Validated eagerly, like the timeouts above.
         self.scheduler: Optional[str] = (
             None if scheduler is None else validate_scheduler(scheduler))
-        #: Batch-evaluation strategy ("serial", "thread", "process",
-        #: "persistent" or "socket"); validated by the property setter,
+        #: Batch-evaluation strategy ("serial", "thread", "persistent"
+        #: or "socket"); validated by the property setter,
         #: which also owns the backend instance's lifecycle.
         self._backend_impl: Optional[EvaluationBackend] = None
         self.backend = backend

@@ -15,14 +15,10 @@ touching the dispatch/drain machinery:
     scheduler conformance harness holds every other policy to the same
     results and cache accounting.
 
-``least_loaded``
-    Greedy shortest-queue: each job (in dispatch order) goes to the
-    worker with the fewest outstanding jobs (pre-existing load plus jobs
-    assigned earlier in this batch), lowest slot winning ties.  No
-    worker ever ends more than one job above the minimum.
-
 ``locality``
-    Least-loaded biased by estimated ship cost: a worker whose acked
+    Greedy shortest-queue (each job, in dispatch order, goes to the
+    worker with the fewest outstanding jobs, lowest slot winning ties)
+    biased by estimated ship cost: a worker whose acked
     sync epoch already covers the job's artifact key (or which produced
     the artifact itself, or which shares the parent's disk store and can
     hydrate the key from it) costs zero ship; any other worker pays a
@@ -52,8 +48,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "SCHEDULER_NAMES", "SCHEDULER_ENV", "JobSpec", "WorkerSnapshot",
-    "SchedulerPolicy", "RoundRobinPolicy", "LeastLoadedPolicy",
-    "LocalityPolicy", "get_scheduler", "validate_scheduler",
+    "SchedulerPolicy", "RoundRobinPolicy", "LocalityPolicy",
+    "get_scheduler", "validate_scheduler",
 ]
 
 #: Environment variable selecting the default placement policy (the
@@ -125,11 +121,8 @@ class SchedulerPolicy:
         #:     accidental hit rate is comparable to locality's).
         #: ``ship_bytes_avoided``
         #:     estimated wire bytes those zero-ship placements saved.
-        #: ``membership_changes``
-        #:     join/leave notifications received mid-run.
         self.stats: Dict[str, int] = {
-            "placements": 0, "locality_hits": 0,
-            "ship_bytes_avoided": 0, "membership_changes": 0,
+            "placements": 0, "locality_hits": 0, "ship_bytes_avoided": 0,
         }
 
     # -- placement ----------------------------------------------------
@@ -149,8 +142,8 @@ class SchedulerPolicy:
                       workers: Sequence[WorkerSnapshot]) -> Optional[int]:
         """Pick a re-dispatch target for one orphaned/straggling job.
 
-        Called by the drain loop when a job must move (worker death,
-        expired lease, clean departure).  Returns the chosen worker's
+        Called by the batch dispatch when a job must move (worker death,
+        expired lease).  Returns the chosen worker's
         ``slot`` or ``None`` when no candidate fits.  The default --
         least-loaded candidate, first slot winning ties -- is the
         pre-refactor behaviour and what every built-in policy uses:
@@ -163,18 +156,6 @@ class SchedulerPolicy:
             if best_load is None or worker.load < best_load:
                 best, best_load = worker.slot, worker.load
         return best
-
-    # -- membership ---------------------------------------------------
-    def on_membership_change(self, joined: Sequence[object] = (),
-                             left: Sequence[object] = ()) -> None:
-        """Notify the policy that workers joined or departed mid-run.
-
-        Built-in policies are stateless over membership (they re-read
-        worker snapshots every assignment), so the base implementation
-        only counts the event; stateful policies (e.g. one amortising a
-        placement plan) override this to invalidate their state.
-        """
-        self.stats["membership_changes"] += len(joined) + len(left)
 
     # -- accounting ---------------------------------------------------
     def zero_ship(self, job: JobSpec, worker: WorkerSnapshot) -> bool:
@@ -207,25 +188,6 @@ class RoundRobinPolicy(SchedulerPolicy):
             worker = workers[position % width]
             shares[position % width].append(job.index)
             self._record(job, worker)
-        return shares
-
-
-class LeastLoadedPolicy(SchedulerPolicy):
-    """Greedy shortest-queue placement, lowest slot winning ties."""
-
-    name = "least_loaded"
-
-    def assign(self, jobs: Sequence[JobSpec],
-               workers: Sequence[WorkerSnapshot]) -> List[List[int]]:
-        shares: List[List[int]] = [[] for _ in workers]
-        if not jobs or not workers:
-            return shares
-        loads = [worker.load for worker in workers]
-        for job in jobs:
-            slot = min(range(len(workers)), key=lambda s: (loads[s], s))
-            shares[slot].append(job.index)
-            loads[slot] += 1
-            self._record(job, workers[slot])
         return shares
 
 
@@ -276,7 +238,6 @@ class LocalityPolicy(SchedulerPolicy):
 
 _SCHEDULERS = {
     RoundRobinPolicy.name: RoundRobinPolicy,
-    LeastLoadedPolicy.name: LeastLoadedPolicy,
     LocalityPolicy.name: LocalityPolicy,
 }
 

@@ -195,16 +195,13 @@ def spawn_local_worker_hosts(
     python: Optional[str] = None,
     extra_pythonpath: Sequence[str] = (),
     env_per_host: Optional[Sequence[Optional[dict]]] = None,
-    ports: Optional[Sequence[int]] = None,
 ) -> Iterator[List[str]]:
     """Spawn ``count`` localhost worker-host subprocesses; yield addresses.
 
     The development-convenience twin of running ``repro worker-host`` on
     real machines: tests and ``bench_sim_throughput.py`` use it to
     exercise the socket backend over loopback.  Each subprocess binds an
-    ephemeral port (or the matching ``ports`` entry, which membership
-    tests use to pre-announce a joiner's address before it exists) and is
-    terminated when the context exits.  ``env_per_host`` optionally
+    ephemeral port and is terminated when the context exits.  ``env_per_host`` optionally
     supplies extra environment entries for each host (chaos tests use it
     to install per-worker fault plans); see
     :func:`start_local_worker_host` for the common setup.
@@ -216,12 +213,9 @@ def spawn_local_worker_hosts(
             extra_env = None
             if env_per_host is not None and position < len(env_per_host):
                 extra_env = env_per_host[position]
-            port = 0
-            if ports is not None and position < len(ports):
-                port = ports[position]
             process = start_local_worker_host(
                 python=python, extra_pythonpath=extra_pythonpath,
-                port=port, extra_env=extra_env)
+                extra_env=extra_env)
             processes.append(process)
             addresses.append(process.worker_address)
         yield addresses

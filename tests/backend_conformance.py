@@ -1,7 +1,7 @@
 """Cross-backend conformance harness.
 
-Every evaluation backend (``serial`` / ``thread`` / ``process`` /
-``persistent`` / ``socket``) must be a drop-in replacement for the serial
+Every evaluation backend (``serial`` / ``thread`` / ``persistent`` /
+``socket``) must be a drop-in replacement for the serial
 reference: identical :class:`~repro.core.pipeline.PredictionResult` values,
 identical cache-hit accounting, and the same ``throughput_stats()`` shape
 -- only wall-clock behaviour may differ.  This module is the single place

@@ -2,7 +2,7 @@
 
 Placement must never change what a batch computes.  Every registered
 :class:`~repro.service.SchedulerPolicy` (``round_robin`` /
-``least_loaded`` / ``locality``), run under every pooled backend
+``locality``), run under every pooled backend
 (``persistent`` / ``socket``), must reproduce the serial reference
 byte-for-byte -- identical results AND identical cache accounting over
 the standard two-batch conformance workload -- and must keep doing so
@@ -35,7 +35,7 @@ PLACEMENT_COUNTER_KEYS = ("placements", "locality_hits",
                           "ship_bytes_avoided")
 
 #: The backends whose placement is actually policy-driven.  ``serial`` /
-#: ``thread`` / ``process`` have no persistent pool to place onto.
+#: ``thread`` have no persistent pool to place onto.
 POOLED_BACKENDS = ("persistent", "socket")
 
 

@@ -460,30 +460,3 @@ class TestPersistentLifecycle:
             thread.join()
             backend.close()
         assert _wait_no_extra_children(before) == []
-
-    def test_process_backend_cleans_up_when_evaluate_raises(
-            self, tiny_model, v100_cluster, monkeypatch):
-        original = PredictionService.predict
-
-        def failing_predict(self, job):
-            if getattr(job, "conformance_boom", False):
-                raise RuntimeError("injected mid-batch failure")
-            return original(self, job)
-
-        monkeypatch.setattr(PredictionService, "predict", failing_predict)
-        before = multiprocessing.active_children()
-        with PredictionService(cluster=v100_cluster,
-                               estimator_mode="analytical",
-                               backend="process", max_workers=2) as service:
-            jobs = make_jobs(tiny_model, v100_cluster, default_batches()[0])
-            jobs[0].conformance_boom = True
-            with pytest.raises(RuntimeError):
-                service.predict_many(jobs)
-            # The per-batch pool (and its fork context) is torn down by the
-            # close() the lifecycle guarantees even on error ...
-            assert _wait_no_extra_children(before) == []
-            # ... and the service keeps working afterwards.
-            retry = service.predict_many(
-                make_jobs(tiny_model, v100_cluster, default_batches()[0]))
-            assert len(retry) == 4
-        assert _wait_no_extra_children(before) == []

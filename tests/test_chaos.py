@@ -94,8 +94,9 @@ def _host_env(plan: FaultPlan, worker: int) -> dict:
 
 class TestFaultPlan:
     def test_rules_validate_eagerly(self):
-        with pytest.raises(ValueError, match="unknown fault action"):
-            FaultRule(action="explode", job=0)
+        for action in ("explode", "join", "leave"):
+            with pytest.raises(ValueError, match="unknown fault action"):
+                FaultRule(action=action, job=0)
         with pytest.raises(ValueError, match="needs a trigger"):
             FaultRule(action="kill")
         with pytest.raises(ValueError, match="'when'"):
@@ -147,6 +148,27 @@ class TestPersistentChaos:
         assert 1 <= len(tagged) < len(run.flat_results), \
             "only the victim's jobs may degrade, never the whole batch"
         assert _wait_no_extra_children(before) == []
+
+    def test_discarded_worker_leaves_no_artifact_origin_entries(
+            self, tiny_model, v100_cluster):
+        # Worker 0 answers job 0 -- a fresh emulation the origin map
+        # credits it with -- and dies before job 2.  Discarding it must
+        # take its origin entries along: a stale one would pin the dead
+        # handle (process object, closed pipe) until close().
+        install_fault_plan(FaultPlan([
+            FaultRule(action="kill", job=2, when="before", worker=0)]))
+        with PredictionService(cluster=v100_cluster,
+                               estimator_mode="analytical",
+                               backend="persistent",
+                               max_workers=2) as service:
+            service.predict_many(make_jobs(tiny_model, v100_cluster,
+                                           default_batches()[0]))
+            backend = service.backend_impl
+            assert backend.resilience_stats["worker_deaths"] >= 1
+            assert backend._artifact_origin, \
+                "the survivor's fresh emulations must still be credited"
+            assert all(owner in backend._workers
+                       for owner in backend._artifact_origin.values())
 
     def test_straggler_past_lease_is_speculatively_redispatched(
             self, tiny_model, v100_cluster, reference):
@@ -302,157 +324,3 @@ class TestSocketChaos:
         assert_results_identical(reference.flat_results, first + second,
                                  backend="socket-rejoin")
         assert cache_stats == reference.cache_stats
-
-
-def _wide_batch():
-    """Six structurally distinct cold configurations in one batch.
-
-    The membership scenarios need a queue of never-sent jobs at the
-    moment a join/leave fires (the drain loop only moves *unsent* jobs,
-    preserving exactly-once), so they run one wide batch with the
-    in-flight window pinned to 1 instead of the standard two-batch
-    workload.
-    """
-    from repro.framework.recipe import TrainingRecipe
-    return [
-        TrainingRecipe(tensor_parallel=2, pipeline_parallel=2,
-                       microbatch_multiplier=2, dtype="float16"),
-        TrainingRecipe(tensor_parallel=1, pipeline_parallel=2,
-                       microbatch_multiplier=2, dtype="float16"),
-        TrainingRecipe(tensor_parallel=2, pipeline_parallel=1,
-                       microbatch_multiplier=2, dtype="float16"),
-        TrainingRecipe(tensor_parallel=1, pipeline_parallel=1,
-                       microbatch_multiplier=1, dtype="float16"),
-        TrainingRecipe(tensor_parallel=4, pipeline_parallel=1,
-                       microbatch_multiplier=2, dtype="float16"),
-        TrainingRecipe(tensor_parallel=4, pipeline_parallel=2,
-                       microbatch_multiplier=2, dtype="float16"),
-    ]
-
-
-@needs_socket
-class TestMembershipChaos:
-    """Elastic membership under chaos: joins and departures mid-batch.
-
-    Every scenario stays byte-identical to a serial run of the same
-    batch -- membership only moves never-sent jobs, so placement churn
-    cannot change results or cache accounting.
-    """
-
-    def _serial_reference(self, tiny_model, v100_cluster):
-        return run_conformance(tiny_model, v100_cluster, "serial",
-                               workers=1, batches=[_wide_batch()])
-
-    def test_join_mid_batch_is_admitted_and_serves_jobs(
-            self, tiny_model, v100_cluster):
-        # The pool starts with one host; a second host is already
-        # listening when a fault-plan join rule fires on job 0's result.
-        # The joiner must bootstrap through the ordinary warm/sync path,
-        # steal part of the unsent queue, and serve it -- cleanly enough
-        # that the run records no deaths and no parent fallbacks.
-        before = multiprocessing.active_children()
-        reference = self._serial_reference(tiny_model, v100_cluster)
-        initial = start_local_worker_host()
-        joiner = start_local_worker_host(port=_free_port())
-        try:
-            install_fault_plan(FaultPlan([
-                FaultRule(action="join", job=0,
-                          address=joiner.worker_address)]))
-            with _socket_service(v100_cluster,
-                                 [initial.worker_address]) as service:
-                service.backend_impl.max_inflight = 1
-                results = service.predict_many(
-                    make_jobs(tiny_model, v100_cluster, _wide_batch()))
-                backend = service.backend_impl
-                stats = dict(backend.resilience_stats)
-                addresses = sorted(worker.address
-                                   for worker in backend._workers)
-                cache_stats = service.cache_stats()
-            install_fault_plan(None)
-        finally:
-            stop_local_worker_host(initial)
-            stop_local_worker_host(joiner)
-        assert stats["joins"] >= 1
-        assert stats["rebalanced_jobs"] >= 1, \
-            "the joiner must take over part of the unsent queue"
-        assert stats["worker_deaths"] == 0
-        assert stats["parent_evaluations"] == 0
-        assert addresses == sorted([initial.worker_address,
-                                    joiner.worker_address]), \
-            "the joiner must still be a pool member after the batch"
-        assert_results_identical(reference.flat_results, results,
-                                 backend="socket-join")
-        assert cache_stats == reference.cache_stats
-        assert _wait_no_extra_children(before) == []
-
-    def test_leave_mid_batch_moves_unsent_jobs_to_survivors(
-            self, tiny_model, v100_cluster):
-        # Host 0 departs cleanly after job 0's result: its in-flight job
-        # may still answer, its unsent queue re-dispatches to host 1,
-        # and its address is forgotten -- no deaths, no parent fallback.
-        before = multiprocessing.active_children()
-        reference = self._serial_reference(tiny_model, v100_cluster)
-        with spawn_local_worker_hosts(2) as hosts:
-            install_fault_plan(FaultPlan([
-                FaultRule(action="leave", job=0, address=hosts[0])]))
-            with _socket_service(v100_cluster, hosts) as service:
-                service.backend_impl.max_inflight = 1
-                results = service.predict_many(
-                    make_jobs(tiny_model, v100_cluster, _wide_batch()))
-                backend = service.backend_impl
-                stats = dict(backend.resilience_stats)
-                addresses = [worker.address for worker in backend._workers]
-                remembered = list(backend._addresses)
-                cache_stats = service.cache_stats()
-            install_fault_plan(None)
-        assert stats["leaves"] >= 1
-        assert stats["worker_deaths"] == 0
-        assert stats["parent_evaluations"] == 0
-        assert addresses == [hosts[1]], \
-            "the departed host must be out of the pool"
-        assert hosts[0] not in remembered, \
-            "a departed address must not be re-warmed next batch"
-        assert_results_identical(reference.flat_results, results,
-                                 backend="socket-leave")
-        assert cache_stats == reference.cache_stats
-        assert _wait_no_extra_children(before) == []
-
-    def test_joiner_that_immediately_dies_is_survived(
-            self, tiny_model, v100_cluster):
-        # The worst admission: a host joins mid-batch, takes rebalanced
-        # jobs, and crashes on the first one it evaluates.  The ordinary
-        # death machinery must reclaim its share (re-dispatch, parent as
-        # last resort) and the run still ends serial-exact.
-        before = multiprocessing.active_children()
-        reference = self._serial_reference(tiny_model, v100_cluster)
-        suicide = FaultPlan([
-            FaultRule(action="kill", job=job, when="before", worker=1)
-            for job in range(1, len(_wide_batch()))])
-        initial = start_local_worker_host()
-        joiner = start_local_worker_host(port=_free_port(),
-                                         extra_env=_host_env(suicide, 1))
-        try:
-            install_fault_plan(FaultPlan([
-                FaultRule(action="join", job=0,
-                          address=joiner.worker_address)]))
-            with _socket_service(v100_cluster,
-                                 [initial.worker_address]) as service:
-                service.backend_impl.max_inflight = 1
-                results = service.predict_many(
-                    make_jobs(tiny_model, v100_cluster, _wide_batch()))
-                backend = service.backend_impl
-                stats = dict(backend.resilience_stats)
-                cache_stats = service.cache_stats()
-            install_fault_plan(None)
-        finally:
-            stop_local_worker_host(initial)
-            stop_local_worker_host(joiner)
-        assert stats["joins"] >= 1
-        assert stats["rebalanced_jobs"] >= 1
-        assert stats["worker_deaths"] >= 1, \
-            "the joiner's crash must be detected as an ordinary death"
-        assert stats["redispatched_jobs"] >= 1
-        assert_results_identical(reference.flat_results, results,
-                                 backend="socket-join-then-die")
-        assert cache_stats == reference.cache_stats
-        assert _wait_no_extra_children(before) == []

@@ -107,23 +107,25 @@ class TestCommands:
         assert payload["best"] is not None
         assert payload["samples_used"] <= 30
 
-    def test_backend_choices_include_all_five(self):
+    def test_backend_choices_include_all_four(self):
         for command in ("compare", "search", "service"):
-            for backend in ("serial", "thread", "process", "persistent",
-                            "socket"):
+            for backend in ("serial", "thread", "persistent", "socket"):
                 args = build_parser().parse_args([command, "--backend",
                                                   backend])
                 assert args.backend == backend
+        for removed in ("mpi", "process"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["service", "--backend", removed])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["service", "--backend", "mpi"])
+            build_parser().parse_args(["service", "--scheduler",
+                                       "least_loaded"])
 
-    def test_backend_help_mentions_all_five_backends(self):
+    def test_backend_help_mentions_all_four_backends(self):
         for command in ("compare", "search", "service"):
             parser = build_parser()
             subparser = parser._subparsers._group_actions[0].choices[command]
             help_text = subparser.format_help()
-            for backend in ("serial", "thread", "process", "persistent",
-                            "socket"):
+            for backend in ("serial", "thread", "persistent", "socket"):
                 assert backend in help_text, \
                     f"`repro {command} --help` does not mention {backend}"
             assert "--worker-hosts" in help_text

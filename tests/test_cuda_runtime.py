@@ -151,6 +151,15 @@ class TestCudaRuntime:
         runtime.cuda_event_record(event)
         assert runtime.records[-1].params["version"] == 2
 
+    def test_event_synchronize_waits_on_the_recorded_version(self, runtime):
+        event = runtime.cuda_event_create()
+        runtime.cuda_event_record(event)
+        runtime.cuda_event_synchronize(event)
+        sync = runtime.records[-1]
+        assert sync.kind is ApiKind.EVENT_SYNCHRONIZE
+        assert sync.wait_event == event.event_id
+        assert sync.params["version"] == 1
+
     def test_destroyed_event_rejected(self, runtime):
         event = runtime.cuda_event_create()
         runtime.cuda_event_destroy(event)

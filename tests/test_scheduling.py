@@ -9,12 +9,17 @@ docstrings promise:
   worker list, dispatch order preserved inside each share;
 * ``round_robin``: byte-for-byte the pre-refactor striping
   (job *p* on worker ``p % min(workers, jobs)``), loads ignored;
-* ``least_loaded``: every placement lands on a worker whose outstanding
-  load is the minimum at that step, so no worker ever ends more than
-  one job above the minimum;
 * ``locality``: every placement minimises load + ship penalty, and an
   artifact-holding job is never shipped to a needs-ship worker while an
-  equally-loaded zero-ship worker exists.
+  equally-loaded zero-ship worker exists; on cold jobs (nothing to
+  ship) it is exactly the greedy shortest-queue placement.
+
+That greedy -- ``least_loaded`` -- is no longer a registered policy: at
+the zero load the backends report it placed exactly like
+``round_robin``.  It lives on here as :class:`ReferenceLeastLoaded`, the
+oracle for what is left of it in ``src/`` (``locality`` on cold jobs,
+``select_target``), and is held to the same invariants as the policies
+it judges.
 """
 
 from __future__ import annotations
@@ -28,11 +33,40 @@ from repro.service.scheduling import (
     SCHEDULER_NAMES,
     JobSpec,
     LocalityPolicy,
+    SchedulerPolicy,
     WorkerSnapshot,
     get_scheduler,
 )
 
 SEEDS = range(50)
+
+
+class ReferenceLeastLoaded(SchedulerPolicy):
+    """Greedy shortest-queue placement, lowest slot winning ties."""
+
+    name = "least_loaded"
+
+    def assign(self, jobs, workers):
+        shares: List[List[int]] = [[] for _ in workers]
+        if not jobs or not workers:
+            return shares
+        loads = [worker.load for worker in workers]
+        for job in jobs:
+            slot = min(range(len(workers)), key=lambda s: (loads[s], s))
+            shares[slot].append(job.index)
+            loads[slot] += 1
+            self._record(job, workers[slot])
+        return shares
+
+
+#: Every registered policy, plus the oracle.
+POLICY_NAMES = sorted(SCHEDULER_NAMES + (ReferenceLeastLoaded.name,))
+
+
+def make_policy(name: str) -> SchedulerPolicy:
+    if name == ReferenceLeastLoaded.name:
+        return ReferenceLeastLoaded()
+    return get_scheduler(name)
 
 #: Small shared key universe so held/required keys actually collide.
 KEY_UNIVERSE = [("recipe", index) for index in range(8)]
@@ -94,20 +128,20 @@ def replay_order(jobs: Sequence[JobSpec],
 
 
 class TestStructuralInvariants:
-    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    @pytest.mark.parametrize("name", POLICY_NAMES)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_job_placed_exactly_once_in_order(self, name, seed):
         rng = random.Random(seed)
         jobs, workers = random_jobs(rng), random_workers(rng)
-        policy = get_scheduler(name)
+        policy = make_policy(name)
         shares = policy.assign(jobs, workers)
         assert len(shares) == len(workers)
         replay_order(jobs, shares)
         assert policy.stats["placements"] == len(jobs)
 
-    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_empty_inputs_produce_empty_shares(self, name):
-        policy = get_scheduler(name)
+        policy = make_policy(name)
         workers = random_workers(random.Random(0))
         assert policy.assign([], workers) == [[] for _ in workers]
         assert policy.assign([JobSpec(index=0)], []) == []
@@ -134,7 +168,7 @@ class TestLeastLoaded:
     def test_every_placement_lands_on_a_minimum_load_worker(self, seed):
         rng = random.Random(seed)
         jobs, workers = random_jobs(rng), random_workers(rng)
-        shares = get_scheduler("least_loaded").assign(jobs, workers)
+        shares = ReferenceLeastLoaded().assign(jobs, workers)
         loads = [worker.load for worker in workers]
         for job, slot in zip(jobs, replay_order(jobs, shares)):
             floor = min(loads)
@@ -155,7 +189,7 @@ class TestLeastLoaded:
         workers = [WorkerSnapshot(slot=slot)
                    for slot in range(rng.randint(1, 6))]
         jobs = [JobSpec(index=index) for index in range(rng.randint(1, 12))]
-        shares = get_scheduler("least_loaded").assign(jobs, workers)
+        shares = ReferenceLeastLoaded().assign(jobs, workers)
         sizes = [len(share) for share in shares]
         assert max(sizes) <= min(sizes) + 1
 
@@ -196,6 +230,18 @@ class TestLocality:
                     f"job {job.index} shipped to slot {slot} while " \
                     f"zero-ship slots {cheaper} were no more loaded"
             loads[slot] += 1
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_cold_jobs_place_exactly_like_the_greedy_oracle(self, seed):
+        # Nothing cached on the parent means nothing to ship anywhere:
+        # the penalty vanishes and locality *is* shortest-queue greedy.
+        rng = random.Random(seed)
+        workers = random_workers(rng)
+        jobs = [JobSpec(index=job.index, artifact_key=job.artifact_key,
+                        in_store=job.in_store, ship_bytes=job.ship_bytes)
+                for job in random_jobs(rng)]
+        assert get_scheduler("locality").assign(jobs, workers) \
+            == ReferenceLeastLoaded().assign(jobs, workers)
 
     def test_counters_credit_only_zero_ship_placements(self):
         holder = WorkerSnapshot(slot=0, held_keys=frozenset({("recipe", 0)}))
@@ -238,31 +284,27 @@ class TestLocality:
 
 
 class TestSelectTarget:
-    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    @pytest.mark.parametrize("name", POLICY_NAMES)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_redispatch_targets_the_least_loaded_candidate(self, name, seed):
         # Every built-in policy re-dispatches exactly like the
-        # pre-refactor drain loop: least-loaded candidate, first wins.
+        # pre-refactor drain loop: least-loaded candidate, first wins --
+        # one step of the greedy oracle.
         rng = random.Random(seed)
         workers = random_workers(rng)
-        policy = get_scheduler(name)
+        policy = make_policy(name)
         slot = policy.select_target(JobSpec(index=0), workers)
         floor = min(worker.load for worker in workers)
         assert slot == next(worker.slot for worker in workers
                             if worker.load == floor)
+        [greedy] = [worker.slot for worker, share in zip(
+            workers, ReferenceLeastLoaded().assign([JobSpec(index=0)],
+                                                   workers)) if share]
+        assert slot == greedy
 
-    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_no_candidates_means_no_target(self, name):
-        assert get_scheduler(name).select_target(JobSpec(index=0), []) is None
-
-
-class TestMembershipNotifications:
-    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
-    def test_membership_changes_are_counted(self, name):
-        policy = get_scheduler(name)
-        policy.on_membership_change(joined=["w1"])
-        policy.on_membership_change(left=["w0", "w2"])
-        assert policy.stats["membership_changes"] == 3
+        assert make_policy(name).select_target(JobSpec(index=0), []) is None
 
 
 def test_locality_penalty_scales_with_ship_bytes():

@@ -402,7 +402,7 @@ class TestEvaluationBackends:
         with pytest.raises(ValueError):
             service.backend = "mpi"
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "persistent"])
+    @pytest.mark.parametrize("backend", ["thread", "persistent"])
     def test_backend_results_byte_identical_to_serial(self, tiny_model,
                                                       v100_cluster, backend):
         _, reference = self._run(tiny_model, v100_cluster, "serial",
@@ -412,16 +412,17 @@ class TestEvaluationBackends:
         assert_results_identical(reference, results, backend=backend)
         assert service.throughput_stats()["trials"] == len(self.RECIPES)
 
-    def test_process_backend_replays_serial_cache_accounting(self, tiny_model,
-                                                             v100_cluster):
+    def test_pooled_backend_replays_serial_cache_accounting(self, tiny_model,
+                                                            v100_cluster):
         serial_service, _ = self._run(tiny_model, v100_cluster, "serial",
                                       workers=1)
-        process_service, _ = self._run(tiny_model, v100_cluster, "process")
-        assert process_service.cache_stats() == serial_service.cache_stats()
+        pooled_service, _ = self._run(tiny_model, v100_cluster, "persistent")
+        pooled_service.close()
+        assert pooled_service.cache_stats() == serial_service.cache_stats()
 
-    def test_process_backend_merges_worker_artifacts(self, tiny_model,
-                                                     v100_cluster):
-        service, results = self._run(tiny_model, v100_cluster, "process")
+    def test_pooled_backend_merges_worker_artifacts(self, tiny_model,
+                                                    v100_cluster):
+        service, results = self._run(tiny_model, v100_cluster, "persistent")
         assert all(r.metadata["service_cache"] == "miss" for r in results)
         # Freshly emulated artifacts were shipped back as wire payloads and
         # merged: every artifact and prediction key now resolves locally.
@@ -432,33 +433,38 @@ class TestEvaluationBackends:
                 service._prediction_key(job)) is not None
         # A second batch is served entirely from the parent cache.
         again = service.predict_many(self._jobs(tiny_model, v100_cluster))
+        service.close()
         assert all(r.metadata["service_cache"] == "prediction" for r in again)
         for first, second in zip(results, again):
             assert second.iteration_time == first.iteration_time
 
-    def test_process_backend_defers_structural_siblings(self, tiny_model,
-                                                        v100_cluster):
+    def test_pooled_backend_defers_structural_siblings(self, tiny_model,
+                                                       v100_cluster):
         # Two jobs differing only in a non-structural knob share emulation
         # artifacts.  Forked workers can't share in-flight work, so the
         # sibling must be held back and resolved on the parent from the
         # merged artifacts -- matching the serial backend's accounting
-        # (one miss + one artifact hit, not two cold emulations).
+        # (one miss + one artifact hit, not two cold emulations).  The
+        # third job keeps two jobs dispatchable, so the pool really runs.
         def batch(cluster):
             base = self.RECIPES[0]
             return [_job(tiny_model, cluster, base),
-                    _job(tiny_model, cluster, base.replace(compiled=True))]
+                    _job(tiny_model, cluster, base.replace(compiled=True)),
+                    _job(tiny_model, cluster, self.RECIPES[1])]
 
         serial = PredictionService(cluster=v100_cluster,
                                    estimator_mode="analytical",
                                    backend="serial")
-        process = PredictionService(cluster=v100_cluster,
-                                    estimator_mode="analytical",
-                                    backend="process", max_workers=2)
         serial_results = serial.predict_many(batch(v100_cluster))
-        process_results = process.predict_many(batch(v100_cluster))
-        assert process.cache_stats() == serial.cache_stats()
-        assert process.stats.artifact_hits == 1
-        for a, b in zip(serial_results, process_results):
+        with PredictionService(cluster=v100_cluster,
+                               estimator_mode="analytical",
+                               backend="persistent",
+                               max_workers=2) as pooled:
+            pooled_results = pooled.predict_many(batch(v100_cluster))
+            assert pooled.backend_impl.sync_stats["placements"] == 2
+        assert pooled.cache_stats() == serial.cache_stats()
+        assert pooled.stats.artifact_hits == 1
+        for a, b in zip(serial_results, pooled_results):
             assert b.iteration_time == a.iteration_time
             assert b.metadata["service_cache"] == a.metadata["service_cache"]
 
@@ -467,7 +473,8 @@ class TestEvaluationBackends:
         # Artifacts decoded from a worker's wire payload must predict
         # exactly like locally emulated ones (estimation + simulation
         # re-run on the merged artifacts for a structural sibling).
-        service, _ = self._run(tiny_model, v100_cluster, "process")
+        service, _ = self._run(tiny_model, v100_cluster, "persistent")
+        service.close()
         local = PredictionService(cluster=v100_cluster,
                                   estimator_mode="analytical")
         sibling = self.RECIPES[0].replace(compiled=True)
@@ -480,8 +487,8 @@ class TestEvaluationBackends:
 
     def test_jittered_testbed_identical_across_backends(self, v100_cluster):
         # evaluate_setup routes testbed measurements (jittered ground-truth
-        # provider) through the shared service cache; parallel process
-        # evaluation must not change a single measured number.
+        # provider) through the shared service cache; pooled evaluation
+        # must not change a single measured number.
         from repro.analysis.experiments import candidate_recipes, evaluate_setup
 
         model = get_transformer("gpt-tiny")
@@ -489,7 +496,7 @@ class TestEvaluationBackends:
         serial = evaluate_setup("serial", model, v100_cluster, 16, recipes,
                                 estimator_mode="analytical",
                                 include_baselines=False)
-        for backend in ("process", "persistent"):
+        for backend in ("thread", "persistent"):
             parallel = evaluate_setup(backend, model, v100_cluster, 16,
                                       recipes, estimator_mode="analytical",
                                       include_baselines=False,
@@ -520,7 +527,7 @@ class TestEvaluationBackends:
 
         serial = run("serial")
         assert serial.best is not None
-        for backend in ("process", "thread", "persistent"):
+        for backend in ("thread", "persistent"):
             other = run(backend)
             assert other.best.recipe == serial.best.recipe
             assert other.best.iteration_time == serial.best.iteration_time
@@ -551,7 +558,7 @@ class TestPooledArtifactReturnPath:
     decodes and caches as-is: no JSON round-trip, no second collation."""
 
     RECIPES = TestEvaluationBackends.RECIPES
-    POOLED = pytest.mark.parametrize("backend", ["process", "persistent"])
+    POOLED = pytest.mark.parametrize("backend", ["persistent"])
 
     def _jobs(self, model, cluster):
         return [_job(model, cluster, recipe) for recipe in self.RECIPES]
