@@ -26,15 +26,7 @@ nothing here is a claim about it.  What this file keeps:
   an empty disk store (cold, populates it), then in a *fresh* service
   whose memory tier starts empty but whose cold tier is the populated
   store, so the warm wall time is what a second process pays when it
-  hydrates artifacts from disk instead of re-simulating them;
-* **placement policies** (``--schedulers``, report-only) -- a cold batch
-  plus its structural-sibling reuse batch through the persistent pool
-  under every registered ``--scheduler`` policy (round_robin /
-  locality), each against a fresh shared store: per-policy
-  makespans and the placement counters (``placements`` /
-  ``locality_hits`` / ``ship_bytes_avoided``), with byte-identity across
-  policies asserted and the locality policy required to record at least
-  one zero-ship placement.
+  hydrates artifacts from disk instead of re-simulating them.
 
 ``--check`` prints an explicit gate summary naming every gate that ran
 and every gate that was skipped (with the reason).
@@ -84,11 +76,6 @@ TRIAL_CONFIGS = 8
 #: past it the injected straggler sleeps.
 CHAOS_LEASE_TIMEOUT = 0.5
 CHAOS_STRAGGLER_DELAY = 3.0
-#: Scheduler leg (``--schedulers``): distinct cold configurations whose
-#: structural siblings make up the reuse batch, and the persistent-pool
-#: width the policies place onto.
-SCHEDULER_CONFIGS = 4
-SCHEDULER_WORKERS = 2
 
 
 def _engine_setup(iterations: int, smooth_host: bool):
@@ -348,87 +335,8 @@ def bench_store() -> Dict[str, object]:
     }
 
 
-def bench_schedulers() -> Dict[str, object]:
-    """Per-policy makespan + placement counters on a store-shared workload.
-
-    Report-only: runs one warm-then-reuse workload (a cold batch of
-    distinct configurations, then their structural siblings, whose
-    artifacts the cache-delta sync would ship) through the persistent
-    pool under every registered placement policy, each against its own
-    fresh ``--store-dir`` so the runs are independent.  Predictions must
-    be byte-identical across policies -- placement may only move wall
-    time and ship bytes -- and the ``locality`` policy must record at
-    least one zero-ship placement (an artifact-holding job kept off a
-    worker that would need the artifact shipped).
-    """
-    import shutil
-    import tempfile
-
-    from repro.analysis.experiments import candidate_recipes
-    from repro.hardware.cluster import get_cluster
-    from repro.service import SCHEDULER_NAMES, PredictionService
-    from repro.workloads.job import TransformerTrainingJob
-    from repro.workloads.models import get_transformer
-
-    cluster = get_cluster(CLUSTER)
-    model = get_transformer(MODEL)
-    base = candidate_recipes(model, cluster, GLOBAL_BATCH,
-                             limit=SCHEDULER_CONFIGS)
-    batches = [base, [recipe.replace(compiled=True) for recipe in base]]
-    results: Dict[str, object] = {
-        "backend": "persistent",
-        "workers": SCHEDULER_WORKERS,
-        "batches": len(batches),
-        "trials": sum(len(batch) for batch in batches),
-        "policies": {},
-    }
-    reference: List[float] = []
-    for policy in SCHEDULER_NAMES:
-        store_dir = tempfile.mkdtemp(prefix=f"repro-bench-sched-{policy}-")
-        try:
-            with PredictionService(cluster=cluster,
-                                   estimator_mode="analytical",
-                                   backend="persistent",
-                                   max_workers=SCHEDULER_WORKERS,
-                                   store_dir=store_dir,
-                                   scheduler=policy) as service:
-                service.warm()
-                times: List[float] = []
-                start = time.perf_counter()
-                for batch in batches:
-                    jobs = [TransformerTrainingJob(
-                        model, recipe, cluster,
-                        global_batch_size=GLOBAL_BATCH)
-                        for recipe in batch]
-                    times.extend(prediction.iteration_time for prediction
-                                 in service.predict_many(jobs))
-                wall = time.perf_counter() - start
-                sync = dict(service.backend_impl.sync_stats)
-        finally:
-            shutil.rmtree(store_dir, ignore_errors=True)
-        if not reference:
-            reference.extend(times)
-        assert times == reference, \
-            f"scheduler {policy} diverged from the reference predictions " \
-            f"-- placement must never change results"
-        results["policies"][policy] = {
-            "makespan_s": wall,
-            "placements": sync.get("placements", 0),
-            "locality_hits": sync.get("locality_hits", 0),
-            "ship_bytes_avoided": sync.get("ship_bytes_avoided", 0),
-        }
-    locality = results["policies"].get("locality", {})
-    assert locality.get("locality_hits", 0) >= 1, \
-        "locality policy recorded no zero-ship placements on the " \
-        "store-shared sibling workload"
-    assert locality.get("ship_bytes_avoided", 0) > 0, \
-        "locality policy avoided no estimated ship bytes"
-    return results
-
-
 def run_benchmark(output: Path, chaos: bool = False,
-                  store: bool = False,
-                  schedulers: bool = False) -> Dict[str, object]:
+                  store: bool = False) -> Dict[str, object]:
     import numpy
 
     payload = {
@@ -445,8 +353,6 @@ def run_benchmark(output: Path, chaos: bool = False,
         payload["chaos"] = bench_chaos()
     if store:
         payload["cold_vs_warm_store"] = bench_store()
-    if schedulers:
-        payload["schedulers"] = bench_schedulers()
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output}")
     engine = payload["engine"]
@@ -482,14 +388,6 @@ def run_benchmark(output: Path, chaos: bool = False,
               f"{leg['warm_wall_s']:.2f}s ({leg['warm_speedup']:.2f}x; "
               f"{leg['store_hits']:.0f} store hits over "
               f"{leg['store_entries']} entries)")
-    if "schedulers" in payload:
-        leg = payload["schedulers"]
-        for policy, stats in leg["policies"].items():
-            print(f"schedulers[{policy}]: {stats['makespan_s']:.2f}s "
-                  f"makespan, {stats['placements']} placements, "
-                  f"{stats['locality_hits']} locality hits, "
-                  f"{stats['ship_bytes_avoided']:,} est. ship bytes "
-                  f"avoided")
     return payload
 
 
@@ -537,24 +435,6 @@ def check_against_baseline(current: Dict[str, object],
         gates.append(("warm-store-speedup", None))
     else:
         gates.append(("warm-store-speedup", "leg not measured (--store)"))
-    scheduler_leg = current.get("schedulers", {})
-    if scheduler_leg:
-        # Report-only: byte-identity across policies and the locality
-        # counters are asserted at measurement time; here the per-policy
-        # makespans are surfaced next to the other orderings.
-        policies = scheduler_leg.get("policies", {})
-        ordering = ", ".join(
-            f"{policy} {stats['makespan_s']:.2f}s"
-            for policy, stats in policies.items())
-        locality_hits = policies.get("locality", {}).get("locality_hits", 0)
-        print(f"scheduler leg: {ordering}; locality recorded "
-              f"{locality_hits} zero-ship placements"
-              + ("" if locality_hits >= 1
-                 else " (WARNING: locality avoided no ships)"))
-        gates.append(("scheduler-policies", None))
-    else:
-        gates.append(("scheduler-policies",
-                      "leg not measured (--schedulers)"))
     ran = [name for name, skip in gates if skip is None]
     skipped = [(name, skip) for name, skip in gates if skip is not None]
     print(f"gate summary: {len(ran)} ran ({', '.join(ran)})")
@@ -581,15 +461,8 @@ def main(argv=None) -> int:
                              "serial batch cold against an empty artifact "
                              "store, then warm from the populated store in "
                              "a fresh service")
-    parser.add_argument("--schedulers", action="store_true",
-                        help="also measure the report-only scheduler leg: "
-                             "the store-shared sibling workload through the "
-                             "persistent pool under every placement policy, "
-                             "recording per-policy makespans and locality "
-                             "counters")
     args = parser.parse_args(argv)
-    payload = run_benchmark(args.output, chaos=args.chaos, store=args.store,
-                            schedulers=args.schedulers)
+    payload = run_benchmark(args.output, chaos=args.chaos, store=args.store)
     if args.check is not None:
         return check_against_baseline(payload, args.check)
     return 0

@@ -182,7 +182,6 @@ def evaluate_setup(
     sync_timeout: Optional[float] = None,
     lease_timeout: Optional[float] = None,
     store_dir: Optional[str] = None,
-    scheduler: Optional[str] = None,
 ) -> SetupEvaluation:
     """Measure (testbed) and predict (Maya + baselines) a set of recipes.
 
@@ -194,8 +193,8 @@ def evaluate_setup(
     ``backend`` / ``jobs`` select the service's batch-evaluation strategy:
     with more than one job, every configuration's emulation + Maya
     prediction runs as one ``predict_many`` batch up front (in separate
-    processes under the ``process`` / ``persistent`` backends, or on the
-    remote ``worker_hosts`` addresses under ``socket``), and the
+    processes under the ``persistent`` backend, or on the remote
+    ``worker_hosts`` addresses under ``socket``), and the
     sequential testbed/baseline loop below then replays the cached
     artifacts.  Services are closed on the way out, so persistent worker
     pools never outlive the call.
@@ -207,8 +206,7 @@ def evaluate_setup(
                                 workers=worker_hosts,
                                 sync_timeout=sync_timeout,
                                 lease_timeout=lease_timeout,
-                                store_dir=store_dir,
-                                scheduler=scheduler)
+                                store_dir=store_dir)
     oracle_service = PredictionService(cluster=cluster, estimator_mode="oracle",
                                        cache=cache, backend=backend,
                                        max_workers=jobs or 1,

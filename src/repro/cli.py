@@ -94,10 +94,11 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
                              "--worker-hosts)")
     parser.add_argument("--jobs", "-j", type=int, default=None,
                         help="worker count for the thread/persistent "
-                             "backends (default: scheduler concurrency, "
-                             "capped at the CPU count); the socket backend "
-                             "runs one worker per --worker-hosts address "
-                             "instead")
+                             "backends (default: search/service use the "
+                             "search's trial concurrency capped at the CPU "
+                             "count, compare/serve use 1); the socket "
+                             "backend runs one worker per --worker-hosts "
+                             "address instead")
     parser.add_argument("--worker-hosts", default=None, metavar="HOST:PORT,..",
                         help="comma-separated addresses of running "
                              "`repro worker-host` processes for the socket "
@@ -116,16 +117,6 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
                              "straggler costs one job's latency, not the "
                              "batch (>= 0; 0 disables re-dispatch; default "
                              "30, or $REPRO_LEASE_TIMEOUT)")
-    parser.add_argument("--scheduler", default=None,
-                        choices=("round_robin", "locality"),
-                        help="job-placement policy for the pooled "
-                             "(persistent/socket) backends: round_robin "
-                             "(stripe in order; the byte-identity "
-                             "reference) or locality (prefer workers already "
-                             "holding a job's artifacts, so cache-delta "
-                             "syncs ship fewer bytes); results are "
-                             "byte-identical under every policy (defaults "
-                             "to $REPRO_SCHEDULER, then round_robin)")
     _add_store_argument(parser)
 
 
@@ -409,8 +400,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                            worker_hosts=_worker_hosts(args),
                            sync_timeout=args.sync_timeout,
                            lease_timeout=args.lease_timeout,
-                           store_dir=args.store_dir,
-                           scheduler=args.scheduler)
+                           store_dir=args.store_dir)
     rows = []
     for evaluation in sorted(setup.feasible(), key=lambda ev: ev.actual_time):
         rows.append({
@@ -467,7 +457,6 @@ def cmd_search(args: argparse.Namespace) -> int:
                             sync_timeout=args.sync_timeout,
                             lease_timeout=args.lease_timeout,
                             store_dir=args.store_dir,
-                            scheduler=args.scheduler,
                             server=args.server) as evaluator:
         result = _run_search(args, evaluator, cluster, model)
     payload = {
@@ -511,7 +500,6 @@ def cmd_service(args: argparse.Namespace) -> int:
         sync_timeout=args.sync_timeout,
         lease_timeout=args.lease_timeout,
         store_dir=args.store_dir,
-        scheduler=args.scheduler,
         server=args.server,
     ) as evaluator:
         result = _run_search(args, evaluator, cluster, model)
@@ -583,7 +571,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         sync_timeout=args.sync_timeout,
         lease_timeout=args.lease_timeout,
         store_dir=args.store_dir,
-        scheduler=args.scheduler,
     )
     serve(service, host=args.host, port=args.port,
           max_pending=args.max_pending)

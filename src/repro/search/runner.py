@@ -73,7 +73,6 @@ class MayaTrialEvaluator:
                  sync_timeout: Optional[float] = None,
                  lease_timeout: Optional[float] = None,
                  store_dir: Optional[str] = None,
-                 scheduler: Optional[str] = None,
                  server: Optional[str] = None) -> None:
         self.model = model
         self.cluster = cluster
@@ -97,7 +96,6 @@ class MayaTrialEvaluator:
                 sync_timeout=sync_timeout,
                 lease_timeout=lease_timeout,
                 store_dir=store_dir,
-                scheduler=scheduler,
             )
         else:
             if worker_hosts is not None:

@@ -43,12 +43,10 @@ from repro.service.faults import (
 )
 from repro.service.predictor import PredictionService
 from repro.service.scheduling import (
-    SCHEDULER_NAMES,
     JobSpec,
     SchedulerPolicy,
     WorkerSnapshot,
     get_scheduler,
-    validate_scheduler,
 )
 from repro.service.server import (
     PredictionClient,
@@ -59,7 +57,6 @@ from repro.service.store import (
     ArtifactStore,
     StoreError,
     StoreFormatError,
-    StoreRef,
 )
 from repro.service.wire import PROTOCOL, WireProtocolError
 
@@ -80,20 +77,17 @@ __all__ = [
     "PredictionServer",
     "PredictionService",
     "PROTOCOL",
-    "SCHEDULER_NAMES",
     "SchedulerPolicy",
     "SerialBackend",
     "ServerBusyError",
     "SocketBackend",
     "StoreError",
     "StoreFormatError",
-    "StoreRef",
     "ThreadBackend",
     "WireProtocolError",
     "WorkerSnapshot",
     "get_backend",
     "get_scheduler",
     "install_fault_plan",
-    "validate_scheduler",
     "validate_timeout",
 ]

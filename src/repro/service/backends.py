@@ -67,9 +67,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.core.pipeline import PredictionResult
 from repro.service import faults, wire
 from repro.service.dispatch import BatchDispatch
-from repro.service.scheduling import (SCHEDULER_ENV, JobSpec, WorkerSnapshot,
-                                      get_scheduler, validate_scheduler)
-from repro.service.store import StoreRef
+from repro.service.scheduling import JobSpec, RoundRobinPolicy, WorkerSnapshot
 from repro.service.wire import FEATURE_PING, WireError
 from repro.workloads.job import TrainingJob
 
@@ -370,38 +368,6 @@ class ThreadBackend(EvaluationBackend):
 # ----------------------------------------------------------------------
 # pooled workers (persistent fork pool + multi-host socket pool)
 # ----------------------------------------------------------------------
-def _decode_sync_entries(service: "PredictionService",
-                         entries: Sequence[Tuple]
-                         ) -> Tuple[List[Tuple], List[Tuple]]:
-    """Turn shipped sync entries back into artifacts (worker side).
-
-    An entry's value is either the artifact's wire payload (decoded here)
-    or a :class:`~repro.service.store.StoreRef` marker -- the worker-side
-    half of the skip-snapshot-ship optimisation: the parent replaces
-    store-held entries with tiny refs, and the worker loads the payloads
-    from its own attached store (the same directory under the
-    ``persistent`` backend's fork inheritance).  Returns the resolved
-    entries plus the keys no store could serve (entry gc'd in between, or
-    no store attached at all) -- those are reported back as a
-    ``sync-miss`` so the parent re-ships them inline.  Store reads here
-    are sync traffic: they bump the store's own counters, never the
-    cache's hit/miss accounting.
-    """
-    store = getattr(service.cache, "store", None)
-    resolved: List[Tuple] = []
-    missing: List[Tuple] = []
-    for key, value in entries:
-        if isinstance(value, StoreRef):
-            artifacts = store.get(key) if store is not None else None
-            if artifacts is None:
-                missing.append(key)
-                continue
-        else:
-            artifacts = wire.loads(value)
-        resolved.append((key, artifacts))
-    return resolved, missing
-
-
 def _pool_worker_main(conn, service: "PredictionService",
                       worker_id: Optional[int] = None) -> None:
     """Long-lived worker loop: apply sync deltas, evaluate jobs, repeat.
@@ -445,9 +411,9 @@ def _pool_worker_main(conn, service: "PredictionService",
                 elif kind == "sync":
                     (_, epoch, full, entries, kernel_memo,
                      collective_memo) = message
-                    entries, store_misses = _decode_sync_entries(service,
-                                                                 entries)
-                    service.cache.apply_artifact_delta(entries, full=full)
+                    service.cache.apply_artifact_delta(
+                        [(key, wire.loads(payload))
+                         for key, payload in entries], full=full)
                     provider = (service.provider()
                                 if service.share_provider else None)
                     if provider is not None:
@@ -456,13 +422,7 @@ def _pool_worker_main(conn, service: "PredictionService",
                         getattr(provider, "_collective_cache",
                                 {}).update(collective_memo)
                     plan.on_sync(epoch)
-                    if store_misses:
-                        # A ref's entry was gc'd from the store beneath
-                        # us: ask the parent to re-ship those inline (it
-                        # answers with another sync at the same epoch).
-                        conn.send(("sync-miss", epoch, store_misses))
-                    else:
-                        conn.send(("synced", epoch))
+                    conn.send(("synced", epoch))
                 elif kind == "job":
                     _, index, job = message
                     # Dispatched jobs have no prediction on the parent (hits
@@ -498,14 +458,6 @@ class _PoolWorker:
     #: workers are polled via ``process.is_alive()`` instead; socket
     #: workers override this per-connection from the negotiated features.
     supports_ping = False
-    #: Whether this worker reads the same artifact-store directory as the
-    #: parent, making it safe to ship :class:`StoreRef` markers instead
-    #: of artifact payloads in sync messages.  True only for forked
-    #: workers (they inherit the parent's store object, hence its
-    #: directory); a remote socket worker's host may attach a store, but
-    #: the parent cannot know it is the *same* filesystem, so payloads
-    #: always travel whole over the wire.
-    shares_store = False
 
     def __init__(self, conn, epoch: int, kernel_memo_len: int,
                  collective_memo_len: int) -> None:
@@ -535,8 +487,6 @@ class _PersistentWorker(_PoolWorker):
     """Handle of one forked worker process (``persistent`` backend)."""
 
     __slots__ = ("process",)
-
-    shares_store = True
 
     def __init__(self, process, conn, epoch: int, kernel_memo_len: int,
                  collective_memo_len: int) -> None:
@@ -646,18 +596,14 @@ class PooledBackend(EvaluationBackend):
     max_inflight = 2
 
     def __init__(self, sync_timeout: Optional[float] = None,
-                 lease_timeout: Optional[float] = None,
-                 scheduler: Optional[str] = None) -> None:
+                 lease_timeout: Optional[float] = None) -> None:
         self.sync_timeout = _resolve_timeout(
             "sync_timeout", sync_timeout, SYNC_TIMEOUT_ENV,
             type(self).sync_timeout)
         self.lease_timeout = _resolve_timeout(
             "lease_timeout", lease_timeout, LEASE_TIMEOUT_ENV,
             type(self).lease_timeout, allow_zero=True)
-        if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV, "").strip() \
-                or "round_robin"
-        self.set_scheduler(scheduler)
+        self._policy = RoundRobinPolicy()
         self._workers: List[_PoolWorker] = []
         self._service: Optional["PredictionService"] = None
         #: When set, ``submit`` delegates to a thread pool and tags every
@@ -691,11 +637,11 @@ class PooledBackend(EvaluationBackend):
         #: its own (equivalent) copy, so deltas skip shipping it back.
         self._artifact_origin: Dict[Tuple, _PoolWorker] = {}
         #: Sync-protocol counters (surfaced by tests and the benchmark).
-        #: The placement counters mirror the scheduler policy's
+        #: The placement counters mirror the placement policy's
         #: monotonic :attr:`SchedulerPolicy.stats` after every batch.
         self.sync_stats: Dict[str, int] = {
             "delta_syncs": 0, "full_syncs": 0, "skipped_syncs": 0,
-            "batches": 0, "store_refs_shipped": 0, "store_ref_fallbacks": 0,
+            "batches": 0,
             "placements": 0, "locality_hits": 0, "ship_bytes_avoided": 0,
         }
 
@@ -705,13 +651,8 @@ class PooledBackend(EvaluationBackend):
             return len(self._workers)
 
     # ------------------------------------------------------------------
-    # placement policy
+    # placement views
     # ------------------------------------------------------------------
-    def set_scheduler(self, name: str) -> None:
-        """Select the placement policy by registered name (validated)."""
-        self.scheduler = validate_scheduler(name)
-        self._policy = get_scheduler(name)
-
     def _estimate_ship_bytes(self, artifacts) -> int:
         """Cheap proxy for an artifact ship's wire size.
 
@@ -732,28 +673,17 @@ class PooledBackend(EvaluationBackend):
     def _job_specs(self, service: "PredictionService",
                    jobs: List[TrainingJob],
                    dispatch: Sequence[int]) -> List[JobSpec]:
-        """Placement views of the dispatchable jobs (locality inputs)."""
+        """Placement views of the dispatchable jobs."""
         cache = service.cache
-        store = getattr(cache, "store", None)
         specs: List[JobSpec] = []
         for index in dispatch:
             key = _artifact_key(service, jobs[index])
-            cached = False
-            in_store = False
-            ship_bytes = 0
-            if key is not None:
-                artifacts = cache.peek_artifacts(key)
-                if artifacts is not None:
-                    cached = True
-                    ship_bytes = self._estimate_ship_bytes(artifacts)
-                if store is not None:
-                    try:
-                        in_store = store.contains(key)
-                    except OSError:  # pragma: no cover - stat race
-                        in_store = False
-            specs.append(JobSpec(index=index, artifact_key=key,
-                                 artifact_cached=cached, in_store=in_store,
-                                 ship_bytes=ship_bytes))
+            artifacts = None if key is None else cache.peek_artifacts(key)
+            specs.append(JobSpec(
+                index=index, artifact_key=key,
+                artifact_cached=artifacts is not None,
+                ship_bytes=(0 if artifacts is None
+                            else self._estimate_ship_bytes(artifacts))))
         return specs
 
     def _worker_snapshots(self, service: "PredictionService",
@@ -761,7 +691,6 @@ class PooledBackend(EvaluationBackend):
                           ) -> List[WorkerSnapshot]:
         """Placement views of the live workers, slot-parallel."""
         cache = service.cache
-        store = getattr(cache, "store", None)
         origin_keys: Dict[_PoolWorker, set] = {}
         for key, owner in self._artifact_origin.items():
             origin_keys.setdefault(owner, set()).add(key)
@@ -769,10 +698,8 @@ class PooledBackend(EvaluationBackend):
         for slot, worker in enumerate(workers):
             held = set(cache.keys_synced_at(worker.epoch))
             held.update(origin_keys.get(worker, ()))
-            snapshots.append(WorkerSnapshot(
-                slot=slot, load=0, acked_epoch=worker.epoch,
-                shares_store=bool(store is not None and worker.shares_store),
-                held_keys=frozenset(held)))
+            snapshots.append(WorkerSnapshot(slot=slot, load=0,
+                                            held_keys=frozenset(held)))
         return snapshots
 
     # ------------------------------------------------------------------
@@ -928,24 +855,14 @@ class PooledBackend(EvaluationBackend):
             full = True
             self.sync_stats["full_syncs"] += 1
         fmt = wire.format_for_peer(worker.conn)
-        store = getattr(cache, "store", None) if worker.shares_store else None
         shipped = []
         for key, artifacts in entries:
-            if store is not None and store.contains(key):
-                # Skip shipping payloads the worker can read from the
-                # shared store directory: a tiny StoreRef travels instead
-                # of the artifact.  Applies to deltas and full snapshots
-                # alike (the snapshot ship is where the savings are
-                # largest).
-                shipped.append((key, StoreRef(key)))
-                self.sync_stats["store_refs_shipped"] += 1
-            else:
-                if (fmt, key) not in encoded:
-                    encoded[fmt, key] = wire.dumps_for_format(artifacts, fmt)
-                shipped.append((key, encoded[fmt, key]))
+            if (fmt, key) not in encoded:
+                encoded[fmt, key] = wire.dumps_for_format(artifacts, fmt)
+            shipped.append((key, encoded[fmt, key]))
         worker.conn.send(("sync", epoch, full, shipped, kernel_memo,
                           collective_memo))
-        return (epoch, entries, kernel_len, collective_len,
+        return (epoch, kernel_len, collective_len,
                 time.monotonic() + self.sync_timeout)
 
     def _await_sync(self, worker: _PoolWorker,
@@ -958,7 +875,7 @@ class PooledBackend(EvaluationBackend):
         """
         if pending is None:
             return
-        epoch, entries, kernel_len, collective_len, deadline = pending
+        epoch, kernel_len, collective_len, deadline = pending
         while True:
             if not worker.conn.poll(max(deadline - time.monotonic(), 0.0)):
                 # A wedged-but-alive worker must not hang the service:
@@ -968,27 +885,11 @@ class PooledBackend(EvaluationBackend):
                     f"{self.name} worker did not ack sync epoch {epoch} "
                     f"within {self.sync_timeout}s")
             ack = worker.conn.recv()
-            if isinstance(ack, tuple) and ack and ack[0] == "pong":
-                # Stale liveness reply from the previous batch arriving
-                # after its drain loop ended -- consume and keep waiting.
-                worker.ping_token = None
-                continue
-            if (isinstance(ack, tuple) and len(ack) == 3
-                    and ack[0] == "sync-miss" and ack[1] == epoch):
-                # A gc raced our refs: the worker could not resolve these
-                # keys from its store.  Re-ship the original payloads
-                # inline at the same epoch; the worker acks ``synced``
-                # after applying them (the follow-up carries no refs, so
-                # this converges in one round).
-                by_key = dict(entries)
-                fmt = wire.format_for_peer(worker.conn)
-                resend = [(key, wire.dumps_for_format(by_key[key], fmt))
-                          for key in ack[2] if key in by_key]
-                self.sync_stats["store_ref_fallbacks"] += 1
-                worker.conn.send(("sync", epoch, False, resend, [], []))
-                deadline = time.monotonic() + self.sync_timeout
-                continue
-            break
+            if not (isinstance(ack, tuple) and ack and ack[0] == "pong"):
+                break
+            # Stale liveness reply from the previous batch arriving after
+            # its drain loop ended -- consume and keep waiting.
+            worker.ping_token = None
         if ack != ("synced", epoch):
             raise BackendWorkerError(
                 f"{self.name} worker acked {ack!r}, expected sync epoch "
@@ -1039,12 +940,10 @@ class PooledBackend(EvaluationBackend):
                 return
             self._deferred = deferred
             self.sync_stats["batches"] += 1
-            # Placement goes through the pluggable policy: it sees
-            # immutable job/worker views (artifact keys, acked epochs,
-            # store sharing) and returns one share per worker.  Workers
+            # Placement sees immutable job/worker views (artifact keys,
+            # held keys) and returns one share per worker.  Workers
             # handed an empty share sit this batch out entirely -- no
-            # sync, so nothing ships to them; that skipped ship is the
-            # saving locality-aware placement exists to harvest.
+            # sync, so nothing ships to them.
             shares = self._policy.assign(
                 self._job_specs(service, jobs, dispatch),
                 self._worker_snapshots(service, workers))
@@ -1225,10 +1124,9 @@ class PersistentBackend(PooledBackend):
     name = "persistent"
 
     def __init__(self, sync_timeout: Optional[float] = None,
-                 lease_timeout: Optional[float] = None,
-                 scheduler: Optional[str] = None) -> None:
+                 lease_timeout: Optional[float] = None) -> None:
         super().__init__(sync_timeout=sync_timeout,
-                         lease_timeout=lease_timeout, scheduler=scheduler)
+                         lease_timeout=lease_timeout)
         self._fork_context = None
         #: Workers forked so far: numbers workers in spawn order for
         #: ``worker``-scoped fault rules.
@@ -1315,10 +1213,9 @@ class SocketBackend(PooledBackend):
 
     def __init__(self, addresses: Optional[Sequence[str]] = None,
                  sync_timeout: Optional[float] = None,
-                 lease_timeout: Optional[float] = None,
-                 scheduler: Optional[str] = None) -> None:
+                 lease_timeout: Optional[float] = None) -> None:
         super().__init__(sync_timeout=sync_timeout,
-                         lease_timeout=lease_timeout, scheduler=scheduler)
+                         lease_timeout=lease_timeout)
         #: Explicit address list (overrides service / environment).
         self._addresses: List[str] = list(addresses or [])
         self._ever_connected = False

@@ -279,9 +279,10 @@ class ArtifactCache:
         """Artifact keys a worker synced at ``epoch`` is known to hold.
 
         Every live key whose put epoch is at or before ``epoch`` -- i.e.
-        what a delta shipped at that epoch (or earlier) delivered.  Used
-        by locality-aware placement to score workers by what they already
-        have; returns the empty set for epochs the journal cannot vouch
+        what a delta shipped at that epoch (or earlier) delivered.  Fills
+        :attr:`WorkerSnapshot.held_keys`, against which the placement
+        counters credit zero-ship placements (``locality_hits``);
+        returns the empty set for epochs the journal cannot vouch
         for (pre-journal, future, or behind an eviction), mirroring the
         cases where :meth:`delta_since` forces a full resync.
         """

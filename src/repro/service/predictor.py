@@ -10,10 +10,10 @@ estimator configuration) and owns:
 * a shared duration provider whose per-shape kernel memo persists across
   trials, and
 * an evaluation backend for batches (``predict_many``): ``serial``,
-  ``thread``, fork-per-batch ``process``, the long-lived ``persistent``
-  worker pool, or the multi-host ``socket`` pool evaluating on remote
-  ``repro worker-host`` processes (see :mod:`repro.service.backends`);
-  all five produce identical results.
+  ``thread``, the long-lived fork-based ``persistent`` worker pool, or
+  the multi-host ``socket`` pool evaluating on remote ``repro
+  worker-host`` processes (see :mod:`repro.service.backends`); all four
+  produce identical results.
 
 The service owns its backend instance and exposes the backend lifecycle:
 ``warm()`` acquires long-lived resources (estimator suite, shared
@@ -57,7 +57,6 @@ from repro.service.backends import (
     validate_timeout,
 )
 from repro.service.cache import ArtifactCache, CacheStats
-from repro.service.scheduling import validate_scheduler
 from repro.workloads.job import TrainingJob
 
 
@@ -101,7 +100,6 @@ class PredictionService:
         sync_timeout: Optional[float] = None,
         lease_timeout: Optional[float] = None,
         store_dir: Optional[str] = None,
-        scheduler: Optional[str] = None,
     ) -> None:
         if pipeline is None:
             if cluster is None:
@@ -131,12 +129,6 @@ class PredictionService:
             None if lease_timeout is None
             else validate_timeout("lease_timeout", lease_timeout,
                                   allow_zero=True))
-        #: Pooled-backend placement policy override ("round_robin" or
-        #: "locality"; ``None`` leaves the backend to its own resolution:
-        #: ``REPRO_SCHEDULER``, then round_robin).
-        #: Validated eagerly, like the timeouts above.
-        self.scheduler: Optional[str] = (
-            None if scheduler is None else validate_scheduler(scheduler))
         #: Batch-evaluation strategy ("serial", "thread", "persistent"
         #: or "socket"); validated by the property setter,
         #: which also owns the backend instance's lifecycle.
@@ -192,9 +184,6 @@ class PredictionService:
         if getattr(self, "lease_timeout", None) is not None and \
                 hasattr(impl, "lease_timeout"):
             impl.lease_timeout = self.lease_timeout
-        if getattr(self, "scheduler", None) is not None and \
-                hasattr(impl, "set_scheduler"):
-            impl.set_scheduler(self.scheduler)
 
     @property
     def backend_impl(self) -> EvaluationBackend:
@@ -299,9 +288,9 @@ class PredictionService:
         """Force estimator training / provider construction up front, then
         let the backend acquire its long-lived resources.
 
-        Ordering matters: the persistent (and process) pools fork *after*
-        the estimator suite exists, so workers inherit the trained state
-        instead of each training their own copy.
+        Ordering matters: the persistent pool forks *after* the estimator
+        suite exists, so workers inherit the trained state instead of
+        each training their own copy.
         """
         self._warm_pipeline()
         self._backend_impl.warm(self)
@@ -408,9 +397,9 @@ class PredictionService:
         Results come back in input order.  Within one batch, jobs with equal
         full signatures are evaluated once; the duplicates resolve through
         the prediction cache afterwards.  All backends (``serial``,
-        ``thread``, ``process``, ``persistent``, ``socket``) produce
-        identical results -- only wall-clock behaviour differs (the
-        conformance contract of ``tests/backend_conformance.py``).
+        ``thread``, ``persistent``, ``socket``) produce identical results
+        -- only wall-clock behaviour differs (the conformance contract of
+        ``tests/backend_conformance.py``).
         """
         jobs = list(jobs)
         if not jobs:

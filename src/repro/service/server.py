@@ -76,6 +76,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.service import wire
 from repro.service.predictor import PredictionService
+from repro.workloads.job import TrainingJob
 
 #: Request kinds a client may send post-handshake.  ``tools/check_docs.py``
 #: asserts ARCHITECTURE.md documents every entry of both vocabularies.
@@ -315,7 +316,17 @@ class PredictionServer:
             return
         kind, request_id = message[0], message[1]
         if kind == "predict":
-            jobs = list(message[2]) if len(message) > 2 else []
+            jobs = message[2] if len(message) > 2 else []
+            if not (isinstance(jobs, (list, tuple))
+                    and all(isinstance(job, TrainingJob) for job in jobs)):
+                # Rejected here, never queued: a non-job reaching the
+                # dispatcher would kill it for every client.
+                await self._send(client, ("error", request_id,
+                                          f"predict expects a list of "
+                                          f"TrainingJob objects, got "
+                                          f"{jobs!r:.200}"))
+                return
+            jobs = list(jobs)
             if self._shutting_down:
                 await self._send(client, ("shutting-down", request_id))
                 return
@@ -457,7 +468,6 @@ class PredictionServer:
                 "max_pending": self.max_pending,
                 "clients": len(self._clients),
                 "pool_size": backend_impl.pool_size(),
-                "scheduler": getattr(backend_impl, "scheduler", None),
                 "shutting_down": self._shutting_down,
             },
         }

@@ -27,10 +27,8 @@ Entry file format::
 
 The payload is the pickled ``(key, artifacts)`` pair serialised by the
 **wire encoder** (:func:`repro.service.wire.dumps_columnar`): an on-disk
-entry holds the same bytes the socket backend would ship for that artifact,
-which is what lets pooled workers resolve :class:`StoreRef` markers from
-disk instead of receiving snapshot payloads, and sets up mmap-able
-column files later.  The trailer is the SHA-256 of header + payload.
+entry holds the same bytes the socket backend would ship for that
+artifact.  The trailer is the SHA-256 of header + payload.
 
 Durability rules:
 
@@ -100,32 +98,6 @@ class StoreError(RuntimeError):
 
 class StoreFormatError(StoreError):
     """The store directory was written by an incompatible ``repro``."""
-
-
-class StoreRef:
-    """Marker shipped in sync deltas instead of artifact payloads.
-
-    A parent syncing a worker that shares its store (a forked
-    ``persistent`` worker) replaces each store-held entry's value with a
-    ``StoreRef``; the worker resolves it from disk, and acks a
-    ``sync-miss`` for any key a concurrent ``gc`` removed underneath it
-    (the parent then re-ships those entries inline).  Deliberately tiny
-    and pickle-friendly: the whole point is not shipping the payload.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Tuple) -> None:
-        self.key = key
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StoreRef({self.key!r})"
-
-    def __getstate__(self):
-        return self.key
-
-    def __setstate__(self, key):
-        self.key = key
 
 
 def key_digest(key: Tuple) -> str:
@@ -203,14 +175,6 @@ class ArtifactStore:
     def _entry_path(self, key: Tuple) -> Path:
         digest = key_digest(key)
         return self._objects / digest[:2] / f"{digest}.art"
-
-    def contains(self, key: Tuple) -> bool:
-        """Whether an entry file exists (no integrity check: readers
-        handle corruption as a miss anyway)."""
-        try:
-            return self._entry_path(key).is_file()
-        except (TypeError, ValueError):
-            return False
 
     def _encode(self, key: Tuple, artifacts) -> bytes:
         """Serialise one entry: wire-encoded payload + checksummed frame.

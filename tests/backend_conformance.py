@@ -209,6 +209,22 @@ def assert_throughput_shape(run: ConformanceRun, trials: int) -> None:
     assert run.throughput["simulated_events"] > 0
 
 
+def assert_placements_cover_dispatch(run: ConformanceRun) -> None:
+    """Pooled backends place every dispatched job exactly once.
+
+    Prediction-level hits resolve on the parent and never reach
+    placement; everything else in the conformance workload is dispatched
+    (it has no structural siblings within a batch).
+    """
+    if not run.sync_stats:
+        return  # serial / thread: no pool to place onto
+    dispatched = sum(1 for result in run.flat_results
+                     if result.metadata.get("service_cache") != "prediction")
+    assert run.sync_stats["placements"] == dispatched, \
+        f"backend {run.backend}: {run.sync_stats['placements']} " \
+        f"placements for {dispatched} dispatched jobs ({run.sync_stats})"
+
+
 def assert_conformant(reference: ConformanceRun,
                       candidate: ConformanceRun) -> None:
     """Full conformance: results, accounting and throughput shape."""

@@ -20,6 +20,7 @@ import pytest
 from backend_conformance import (
     assert_accounting_matches,
     assert_conformant,
+    assert_placements_cover_dispatch,
     assert_results_identical,
     assert_throughput_shape,
     conformance_backends,
@@ -168,6 +169,7 @@ class TestBackendConformance:
                                             reference, backend):
         run = run_conformance(tiny_model, v100_cluster, backend)
         assert_conformant(reference, run)
+        assert_placements_cover_dispatch(run)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_no_worker_processes_outlive_the_service(self, tiny_model,
@@ -229,7 +231,9 @@ class TestBackendConformance:
         # identical results AND identical tier accounting (store hits for
         # batch 1, memory/prediction hits within batch 2).  Socket worker
         # hosts are spawned with REPRO_STORE_DIR so both sides of the wire
-        # read the same cold tier, as a real deployment would.
+        # read the same cold tier, as a real deployment would.  Forked
+        # workers share the parent's store too, yet receive every
+        # hydrated artifact as an inline payload, like socket workers.
         store_dir = str(tmp_path / "shared-store")
 
         def run(backend):

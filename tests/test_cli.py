@@ -116,9 +116,23 @@ class TestCommands:
         for removed in ("mpi", "process"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["service", "--backend", removed])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["service", "--scheduler",
-                                       "least_loaded"])
+
+    def test_placement_policy_is_not_selectable(self, v100_cluster):
+        # round_robin is the only placement: the --scheduler flag, the
+        # service argument and the locality policy are all rejected.
+        from repro.service import PredictionService, get_scheduler
+
+        for command in ("search", "compare", "service", "serve"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--scheduler",
+                                           "round_robin"])
+        with pytest.raises(TypeError):
+            PredictionService(cluster=v100_cluster,
+                              estimator_mode="analytical",
+                              scheduler="round_robin")
+        with pytest.raises(ValueError, match="unknown scheduler policy"):
+            get_scheduler("locality")
+        assert get_scheduler("round_robin").name == "round_robin"
 
     def test_backend_help_mentions_all_four_backends(self):
         for command in ("compare", "search", "service"):

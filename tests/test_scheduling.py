@@ -1,25 +1,24 @@
 """Property tests for the pure placement policies.
 
-Fifty seeded random scenarios (worker counts, outstanding loads, acked
-epochs, held artifact keys, store sharing, job mixes) drive each policy
-directly -- no backend, no service -- and check the invariants the
-docstrings promise:
+Fifty seeded random scenarios (worker counts, outstanding loads, held
+artifact keys, job mixes) drive each policy directly -- no backend, no
+service -- and check the invariants the docstrings promise:
 
 * structural: every job placed exactly once, shares parallel to the
   worker list, dispatch order preserved inside each share;
-* ``round_robin``: byte-for-byte the pre-refactor striping
+* ``round_robin``: byte-for-byte the historical striping
   (job *p* on worker ``p % min(workers, jobs)``), loads ignored;
-* ``locality``: every placement minimises load + ship penalty, and an
-  artifact-holding job is never shipped to a needs-ship worker while an
-  equally-loaded zero-ship worker exists; on cold jobs (nothing to
-  ship) it is exactly the greedy shortest-queue placement.
+* ``select_target``: the least-loaded candidate, first slot winning.
 
-That greedy -- ``least_loaded`` -- is no longer a registered policy: at
-the zero load the backends report it placed exactly like
-``round_robin``.  It lives on here as :class:`ReferenceLeastLoaded`, the
-oracle for what is left of it in ``src/`` (``locality`` on cold jobs,
-``select_target``), and is held to the same invariants as the policies
-it judges.
+``round_robin`` is the only registered policy.  Two placements that
+were once registered live on here as oracles held to the same
+invariants: :class:`ReferenceLeastLoaded` (greedy shortest-queue; one
+step of it is ``select_target``) and :class:`ReferenceLocality` (the
+same greedy biased by estimated artifact-ship cost -- the artifact-aware
+placement the ``locality_hits`` / ``ship_bytes_avoided`` counters would
+have to justify).  They drive the base class's counter accounting
+(``zero_ship``, ``_record``) with placements ``round_robin`` never
+makes.
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ from typing import List, Optional, Sequence
 import pytest
 
 from repro.service.scheduling import (
-    SCHEDULER_NAMES,
     JobSpec,
-    LocalityPolicy,
     SchedulerPolicy,
     WorkerSnapshot,
     get_scheduler,
@@ -59,13 +56,53 @@ class ReferenceLeastLoaded(SchedulerPolicy):
         return shares
 
 
-#: Every registered policy, plus the oracle.
-POLICY_NAMES = sorted(SCHEDULER_NAMES + (ReferenceLeastLoaded.name,))
+class ReferenceLocality(SchedulerPolicy):
+    """Least-loaded placement biased by estimated artifact-ship cost.
+
+    Score = outstanding load + ship penalty.  The penalty is zero for a
+    zero-ship worker and at least :data:`MIN_SHIP_PENALTY` job-units
+    otherwise, growing with the artifact's estimated wire size -- so an
+    equally-loaded zero-ship worker always wins, and a large artifact
+    tolerates a longer queue before being shipped elsewhere.
+    """
+
+    name = "locality"
+
+    MIN_SHIP_PENALTY = 1.0
+    #: A ship of this many estimated bytes costs one extra job-unit.
+    BYTES_PER_JOB_UNIT = 1 << 20
+
+    def assign(self, jobs, workers):
+        shares: List[List[int]] = [[] for _ in workers]
+        if not jobs or not workers:
+            return shares
+        loads = [worker.load for worker in workers]
+        for job in jobs:
+            slot = min(range(len(workers)),
+                       key=lambda s: (loads[s]
+                                      + self._ship_penalty(job, workers[s]),
+                                      s))
+            shares[slot].append(job.index)
+            loads[slot] += 1
+            self._record(job, workers[slot])
+        return shares
+
+    def _ship_penalty(self, job: JobSpec, worker: WorkerSnapshot) -> float:
+        if not job.artifact_cached or self.zero_ship(job, worker):
+            return 0.0
+        return self.MIN_SHIP_PENALTY + job.ship_bytes / self.BYTES_PER_JOB_UNIT
+
+
+ORACLES = {oracle.name: oracle
+           for oracle in (ReferenceLeastLoaded, ReferenceLocality)}
+
+#: The registered policy, plus the oracles.
+POLICY_NAMES = sorted(("round_robin", *ORACLES))
 
 
 def make_policy(name: str) -> SchedulerPolicy:
-    if name == ReferenceLeastLoaded.name:
-        return ReferenceLeastLoaded()
+    if name in ORACLES:
+        return ORACLES[name]()
     return get_scheduler(name)
 
 #: Small shared key universe so held/required keys actually collide.
@@ -80,8 +117,6 @@ def random_workers(rng: random.Random) -> List[WorkerSnapshot]:
         workers.append(WorkerSnapshot(
             slot=slot,
             load=rng.randint(0, 5),
-            acked_epoch=rng.randint(0, 4),
-            shares_store=rng.random() < 0.3,
             held_keys=held,
         ))
     return workers
@@ -96,7 +131,6 @@ def random_jobs(rng: random.Random) -> List[JobSpec]:
             index=index,
             artifact_key=key,
             artifact_cached=key is not None and rng.random() < 0.6,
-            in_store=key is not None and rng.random() < 0.4,
             ship_bytes=rng.choice([0, 1024, 1 << 20, 5 << 20]),
         ))
     return jobs
@@ -199,7 +233,7 @@ class TestLocality:
     def test_every_placement_minimises_load_plus_ship_penalty(self, seed):
         rng = random.Random(seed)
         jobs, workers = random_jobs(rng), random_workers(rng)
-        policy = get_scheduler("locality")
+        policy = ReferenceLocality()
         shares = policy.assign(jobs, workers)
         loads = [worker.load for worker in workers]
         for job, slot in zip(jobs, replay_order(jobs, shares)):
@@ -217,7 +251,7 @@ class TestLocality:
         # worker is no more loaded.
         rng = random.Random(seed)
         jobs, workers = random_jobs(rng), random_workers(rng)
-        policy = get_scheduler("locality")
+        policy = ReferenceLocality()
         shares = policy.assign(jobs, workers)
         loads = [worker.load for worker in workers]
         for job, slot in zip(jobs, replay_order(jobs, shares)):
@@ -238,15 +272,15 @@ class TestLocality:
         rng = random.Random(seed)
         workers = random_workers(rng)
         jobs = [JobSpec(index=job.index, artifact_key=job.artifact_key,
-                        in_store=job.in_store, ship_bytes=job.ship_bytes)
+                        ship_bytes=job.ship_bytes)
                 for job in random_jobs(rng)]
-        assert get_scheduler("locality").assign(jobs, workers) \
+        assert ReferenceLocality().assign(jobs, workers) \
             == ReferenceLeastLoaded().assign(jobs, workers)
 
     def test_counters_credit_only_zero_ship_placements(self):
         holder = WorkerSnapshot(slot=0, held_keys=frozenset({("recipe", 0)}))
         stranger = WorkerSnapshot(slot=1)
-        policy = get_scheduler("locality")
+        policy = ReferenceLocality()
         policy.assign([JobSpec(index=0, artifact_key=("recipe", 0),
                                artifact_cached=True, ship_bytes=2048)],
                       [holder, stranger])
@@ -258,14 +292,6 @@ class TestLocality:
         assert policy.stats["locality_hits"] == 1
         assert policy.stats["ship_bytes_avoided"] == 2048
 
-    def test_store_shared_worker_is_zero_ship_for_store_held_keys(self):
-        sharer = WorkerSnapshot(slot=0, shares_store=True)
-        policy = get_scheduler("locality")
-        job = JobSpec(index=0, artifact_key=("recipe", 3),
-                      artifact_cached=True, in_store=True, ship_bytes=512)
-        assert policy.zero_ship(job, sharer)
-        assert policy._ship_penalty(job, sharer) == 0.0
-
     def test_large_artifacts_tolerate_longer_queues(self):
         # A 5 MiB artifact costs 1 + 5 job-units of penalty: the holder
         # wins even carrying six more outstanding jobs, but loses once
@@ -275,11 +301,11 @@ class TestLocality:
         idle = WorkerSnapshot(slot=1, load=0)
         job = JobSpec(index=0, artifact_key=("recipe", 0),
                       artifact_cached=True, ship_bytes=5 << 20)
-        assert get_scheduler("locality").assign(
+        assert ReferenceLocality().assign(
             [job], [holder, idle]) == [[0], []]
         far = WorkerSnapshot(slot=0, load=7,
                              held_keys=frozenset({("recipe", 0)}))
-        assert get_scheduler("locality").assign(
+        assert ReferenceLocality().assign(
             [job], [far, idle]) == [[], [0]]
 
 
@@ -287,9 +313,9 @@ class TestSelectTarget:
     @pytest.mark.parametrize("name", POLICY_NAMES)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_redispatch_targets_the_least_loaded_candidate(self, name, seed):
-        # Every built-in policy re-dispatches exactly like the
-        # pre-refactor drain loop: least-loaded candidate, first wins --
-        # one step of the greedy oracle.
+        # Every policy inherits the base re-dispatch choice:
+        # least-loaded candidate, first wins -- one step of the greedy
+        # oracle.
         rng = random.Random(seed)
         workers = random_workers(rng)
         policy = make_policy(name)
@@ -308,14 +334,14 @@ class TestSelectTarget:
 
 
 def test_locality_penalty_scales_with_ship_bytes():
-    policy = LocalityPolicy()
+    policy = ReferenceLocality()
     stranger = WorkerSnapshot(slot=0)
     small = JobSpec(index=0, artifact_key=("recipe", 0),
                     artifact_cached=True, ship_bytes=0)
     large = JobSpec(index=1, artifact_key=("recipe", 0),
                     artifact_cached=True,
-                    ship_bytes=2 * LocalityPolicy.BYTES_PER_JOB_UNIT)
+                    ship_bytes=2 * ReferenceLocality.BYTES_PER_JOB_UNIT)
     assert policy._ship_penalty(small, stranger) \
-        == LocalityPolicy.MIN_SHIP_PENALTY
+        == ReferenceLocality.MIN_SHIP_PENALTY
     assert policy._ship_penalty(large, stranger) \
-        == LocalityPolicy.MIN_SHIP_PENALTY + 2.0
+        == ReferenceLocality.MIN_SHIP_PENALTY + 2.0

@@ -392,6 +392,32 @@ class TestProtocolSurface:
         finally:
             server.stop_threadsafe()
 
+    def test_malformed_predict_gets_error_reply_and_server_survives(
+            self, tiny_model, v100_cluster, basic_recipe):
+        # A predict whose payload is not a list of jobs is answered on
+        # its own connection; it must never reach the dispatcher, which
+        # evaluates every client's requests.
+        server = start_server_thread(_serial_service(v100_cluster))
+        try:
+            conn = wire.connect(server.address)
+            try:
+                for request_id, payload in ((1, ["not a job"]), (2, 5)):
+                    conn.send(("predict", request_id, payload))
+                    assert conn.poll(30.0), \
+                        f"no reply to malformed predict {payload!r}"
+                    reply = conn.recv()
+                    assert reply[:2] == ("error", request_id)
+                    assert "TrainingJob" in reply[2]
+            finally:
+                conn.close()
+            with PredictionClient(server.address, timeout=30.0,
+                                  reconnect_attempts=0) as client:
+                results = client.predict_many(
+                    make_jobs(tiny_model, v100_cluster, [basic_recipe]))
+            assert len(results) == 1 and results[0].iteration_time > 0
+        finally:
+            server.stop_threadsafe()
+
     def test_pickle_first_client_is_refused(self, v100_cluster):
         # The pre-handshake rule holds server-side too: a client whose
         # first frame is a pickle is disconnected, not deserialised.

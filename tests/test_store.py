@@ -6,8 +6,7 @@ misses, crash-leftover sweeping), maintenance (LRU gc, verify +
 quarantine), the tiered lookup path through :class:`ArtifactCache` and
 :class:`PredictionService` (tier accounting, journalled hydration,
 warm-starting a second service from disk), cross-process sharing
-(interleaved writers never corrupt the store), the :class:`StoreRef`
-skip-ship sync protocol of the persistent pool, and pickle safety (a
+(interleaved writers never corrupt the store), and pickle safety (a
 store handle never travels to another process).
 """
 
@@ -31,7 +30,6 @@ from repro.service import (
     PredictionService,
     StoreError,
     StoreFormatError,
-    StoreRef,
 )
 from repro.service.store import (
     DEFAULT_SIZE_BUDGET,
@@ -56,6 +54,11 @@ def make_job(model, cluster, recipe, global_batch_size=16, iterations=1):
 
 def _store(tmp_path, **kwargs) -> ArtifactStore:
     return ArtifactStore(tmp_path / "store", **kwargs)
+
+
+def _has_entry(store: ArtifactStore, key) -> bool:
+    """Whether ``key``'s entry file exists (no read, no counters)."""
+    return store._entry_path(key).is_file()
 
 
 def _service(cluster, **kwargs) -> PredictionService:
@@ -87,10 +90,10 @@ class TestStoreBasics:
         store = _store(tmp_path)
         key = ("sig", ("tp", 2), "fp")
         payload = {"events": [1, 2, 3], "name": "artifact"}
-        assert not store.contains(key)
+        assert not _has_entry(store, key)
         assert store.get(key) is None
         assert store.put(key, payload)
-        assert store.contains(key)
+        assert _has_entry(store, key)
         assert store.get(key) == payload
         assert store.counters["puts"] == 1
         assert store.counters["hits"] == 1
@@ -272,9 +275,9 @@ class TestStoreGC:
         assert report["removed"] == 2
         assert report["remaining_bytes"] <= entry_size
         assert store.counters["evicted"] == 2
-        assert not store.contains(("old",))
-        assert not store.contains(("mid",))
-        assert store.contains(("new",))
+        assert not _has_entry(store, ("old",))
+        assert not _has_entry(store, ("mid",))
+        assert _has_entry(store, ("new",))
 
     def test_gc_budget_zero_clears_the_store(self, tmp_path):
         store = _store(tmp_path)
@@ -290,8 +293,8 @@ class TestStoreGC:
         assert store.get(("hot",)) == "x" * 64  # refreshes mtime
         entry_size = store._entry_path(("hot",)).stat().st_size
         store.gc(size_budget=entry_size)
-        assert store.contains(("hot",))
-        assert not store.contains(("cold",))
+        assert _has_entry(store, ("hot",))
+        assert not _has_entry(store, ("cold",))
 
     def test_default_budget_is_settable(self, tmp_path):
         assert _store(tmp_path).size_budget == DEFAULT_SIZE_BUDGET
@@ -528,81 +531,6 @@ class TestCrossProcessSharing:
         assert swept["removed"] == 1
         assert not tmp_file.exists()
         assert ArtifactStore(store_dir).stats()["entries"] == 2
-
-
-class TestStoreRefProtocol:
-    def test_storeref_is_tiny_and_pickles(self):
-        ref = StoreRef(("sig", ("tp", 2)))
-        clone = pickle.loads(pickle.dumps(ref))
-        assert clone.key == ref.key
-
-    def test_persistent_pool_ships_storerefs_not_payloads(
-            self, tmp_path, tiny_model, v100_cluster):
-        store_dir = str(tmp_path / "store")
-        jobs = [make_job(tiny_model, v100_cluster, recipe)
-                for recipe in _recipes(6)]
-        with _service(v100_cluster, store_dir=store_dir) as service:
-            serial = service.predict_many(jobs)
-
-        with _service(v100_cluster, store_dir=store_dir,
-                      backend="persistent", max_workers=2) as service:
-            service.predict_many(jobs[:4])   # workers store-hit, parent
-            pooled = service.predict_many(jobs)  # ... hydrates; sync ships
-            sync = service.backend_impl.sync_stats
-            assert sync["store_refs_shipped"] > 0
-            assert sync["full_syncs"] == 0
-            for expected, actual in zip(serial, pooled):
-                assert actual.iteration_time == expected.iteration_time
-                assert actual.peak_memory_bytes == expected.peak_memory_bytes
-
-    def test_sync_miss_reships_payloads_inline(self, tmp_path, tiny_model,
-                                               v100_cluster):
-        # A StoreRef the worker cannot resolve (entry gc'd between the
-        # parent's contains() and the worker's get()) must degrade to an
-        # inline re-ship at the same epoch, not an error or a wrong result.
-        store_dir = str(tmp_path / "store")
-        jobs = [make_job(tiny_model, v100_cluster, recipe)
-                for recipe in _recipes(6)]
-        with _service(v100_cluster, store_dir=store_dir) as service:
-            serial = service.predict_many(jobs)
-
-        with _service(v100_cluster, store_dir=store_dir,
-                      backend="persistent", max_workers=2) as service:
-            service.predict_many(jobs[:4])
-            shutil.rmtree(Path(store_dir) / "objects")
-            service.store.contains = lambda key: True  # force the race
-            pooled = service.predict_many(jobs)
-            sync = service.backend_impl.sync_stats
-            assert sync["store_ref_fallbacks"] > 0
-            for expected, actual in zip(serial, pooled):
-                assert actual.iteration_time == expected.iteration_time
-
-    def test_socket_workers_never_receive_storerefs(self, tmp_path):
-        # The parent cannot know a remote host mounts the same filesystem,
-        # so only forked workers opt into StoreRef shipping.
-        from repro.service.backends import _PersistentWorker, _SocketWorker
-
-        assert _PersistentWorker.shares_store
-        assert not _SocketWorker.shares_store
-
-    def test_decode_sync_entries_reports_missing_keys(self, tmp_path):
-        from repro.service import wire
-        from repro.service.backends import _decode_sync_entries
-
-        class _CacheOnly:
-            def __init__(self, store):
-                self.cache = ArtifactCache(store=store)
-
-        store = _store(tmp_path)
-        store.put(("held",), "payload")
-        service = _CacheOnly(store)
-        entries = [(("held",), StoreRef(("held",))),
-                   (("gone",), StoreRef(("gone",))),
-                   (("inline",), wire.dumps("inline-payload"))]
-        resolved, missing = _decode_sync_entries(service, entries)
-        assert dict(resolved) == {("held",): "payload",
-                                  ("inline",): "inline-payload"}
-        assert missing == [("gone",)]
 
 
 class TestPickleSafety:

@@ -22,13 +22,8 @@ Checks (run by CI's ``conformance-socket`` job and usable locally)::
    cache`` maintenance subcommand, the ``--store-dir`` flag and the
    ``REPRO_STORE_DIR`` environment variable (pulled from
    ``repro.service.store``); ARCHITECTURE.md documents the store's
-   version stamp file and the ``StoreRef`` skip-ship protocol.
-7. ARCHITECTURE.md documents every registered placement policy
-   (``repro.service.SCHEDULER_NAMES`` -- registering a new scheduler
-   must document it in the same commit), and README.md documents the
-   ``--scheduler`` flag and the ``REPRO_SCHEDULER`` environment
-   variable.
-8. ARCHITECTURE.md describes the current wire vocabulary: it never
+   version stamp file.
+7. ARCHITECTURE.md describes the current wire vocabulary: it never
    mentions ``trace_json`` (the result field protocol 1 carried), and any
    number it gives for ``PROTOCOL`` is ``repro.service.wire.PROTOCOL``.
 
@@ -121,25 +116,10 @@ def main() -> int:
                                 ("--store-dir", "ARCHITECTURE.md",
                                  architecture_text),
                                 (FORMAT_FILE, "ARCHITECTURE.md",
-                                 architecture_text),
-                                ("StoreRef", "ARCHITECTURE.md",
                                  architecture_text)]:
         if needle not in text:
             problems.append(f"{where} does not document the artifact "
                             f"store's {needle!r}")
-
-    from repro.service import SCHEDULER_NAMES
-    from repro.service.scheduling import SCHEDULER_ENV
-    for policy in SCHEDULER_NAMES:
-        if not re.search(rf"\b{policy}\b", architecture_text):
-            problems.append(
-                f"ARCHITECTURE.md placement-policies section does not "
-                f"document the {policy!r} scheduler (every name in "
-                f"repro.service.SCHEDULER_NAMES must appear)")
-    for needle in ("--scheduler", SCHEDULER_ENV):
-        if needle not in readme_text:
-            problems.append(f"README.md does not document the placement "
-                            f"policies' {needle!r}")
 
     from repro.service import wire
     if "trace_json" in architecture_text:
@@ -167,8 +147,8 @@ def main() -> int:
             print(f"FAIL: {problem}")
         return 1
     print(f"docs check passed: {len(subcommands)} subcommands, "
-          f"{len(BACKEND_NAMES)} backends, {len(SCHEDULER_NAMES)} "
-          f"schedulers, {len(on_disk)} examples covered")
+          f"{len(BACKEND_NAMES)} backends, {len(on_disk)} examples "
+          f"covered")
     return 0
 
 
