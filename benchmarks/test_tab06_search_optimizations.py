@@ -51,7 +51,7 @@ def _space():
                               fixed=base.fixed)
 
 
-def run_service_search(cached: bool, backend: str = "thread"):
+def run_service_search(cached: bool, backend: str = "serial"):
     cluster = get_cluster(CLUSTER)
     model = _model()
     # The context manager closes the persistent leg's worker pool.
@@ -164,8 +164,8 @@ def test_tab06_search_optimizations(benchmark, run_once):
     assert persistent.best.recipe == optimized.best.recipe
     assert persistent.best.iteration_time == optimized.best.iteration_time
     assert persistent.status_counts == optimized.status_counts
-    # With real cores available, forked workers beat the GIL-bound thread
-    # pool end to end.  Only assert where the claim applies AND the search
+    # With real cores available, forked workers beat the serial backend
+    # end to end.  Only assert where the claim applies AND the search
     # is doing enough work for the comparison to be scheduler-noise-proof:
     # on few-core machines the pool's sync and pickling overhead can win
     # out, and sub-ten-second makespans on shared CI runners are too noisy

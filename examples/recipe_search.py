@@ -26,9 +26,9 @@ def main() -> None:
     space = default_search_space(dtype="float16")
     # The evaluator wraps a PredictionService; use it as a context manager
     # so backend worker pools never outlive the search.  backend= accepts
-    # "serial", "thread", "persistent" or "socket" (the last with
+    # "serial" (the default), "persistent" or "socket" (the last with
     # worker_hosts=["host:port", ...] pointing at running
-    # `repro worker-host` processes) -- all four produce identical
+    # `repro worker-host` processes) -- all three produce identical
     # results, they only differ in wall-clock (see README.md).
     with MayaTrialEvaluator(model, cluster, global_batch,
                             estimator_mode="learned") as evaluator:

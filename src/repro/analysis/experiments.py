@@ -176,7 +176,7 @@ def evaluate_setup(
     estimator_mode: str = "learned",
     include_baselines: bool = True,
     include_oracle: bool = False,
-    backend: str = "thread",
+    backend: str = "serial",
     jobs: Optional[int] = None,
     worker_hosts: Optional[Sequence[str]] = None,
     sync_timeout: Optional[float] = None,

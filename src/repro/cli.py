@@ -14,10 +14,8 @@ without writing Python:
     Evaluate a pool of candidate recipes with Maya, the baselines and the
     testbed (the Figure 7 / 8 workflow).
 ``python -m repro search``
-    Run Maya-Search over the Table 5 configuration space.
-``python -m repro service``
-    Run a search through the prediction service and report artifact-cache
-    and parallel-evaluation statistics.
+    Run Maya-Search over the Table 5 configuration space through the
+    prediction service and report artifact-cache and throughput statistics.
 ``python -m repro serve``
     Keep one warm prediction service alive behind a TCP endpoint and
     multiplex many clients over it (cross-client request coalescing,
@@ -47,6 +45,7 @@ from repro.framework.recipe import TrainingRecipe
 from repro.hardware.cluster import PRESET_CLUSTERS, get_cluster
 from repro.search import MayaSearch, MayaTrialEvaluator
 from repro.search.space import default_search_space
+from repro.service.backends import BACKEND_NAMES, validate_timeout
 from repro.testbed import Testbed
 from repro.workloads.job import TransformerTrainingJob
 from repro.workloads.models import CONVNET_PRESETS, TRANSFORMER_PRESETS, get_transformer
@@ -67,7 +66,6 @@ def _add_recipe_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _sync_timeout_arg(raw: str) -> float:
-    from repro.service.backends import validate_timeout
     try:
         return validate_timeout("--sync-timeout", raw)
     except ValueError as exc:
@@ -75,7 +73,6 @@ def _sync_timeout_arg(raw: str) -> float:
 
 
 def _lease_timeout_arg(raw: str) -> float:
-    from repro.service.backends import validate_timeout
     try:
         return validate_timeout("--lease-timeout", raw, allow_zero=True)
     except ValueError as exc:
@@ -83,22 +80,21 @@ def _lease_timeout_arg(raw: str) -> float:
 
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default="thread",
-                        choices=("serial", "thread", "persistent", "socket"),
-                        help="batch-evaluation backend: serial (reference), "
-                             "thread pool, long-lived persistent fork pool "
+    parser.add_argument("--backend", default="serial",
+                        choices=BACKEND_NAMES,
+                        help="batch-evaluation backend: serial (reference, "
+                             "default), long-lived persistent fork pool "
                              "synced by incremental cache deltas (fork cost "
                              "is paid once, not per batch), or socket (the "
                              "same delta protocol to remote `repro "
                              "worker-host` processes; requires "
                              "--worker-hosts)")
     parser.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker count for the thread/persistent "
-                             "backends (default: search/service use the "
-                             "search's trial concurrency capped at the CPU "
-                             "count, compare/serve use 1); the socket "
-                             "backend runs one worker per --worker-hosts "
-                             "address instead")
+                        help="worker count for the persistent backend "
+                             "(default: search uses the search's trial "
+                             "concurrency capped at the CPU count, "
+                             "compare/serve use 1); the socket backend runs "
+                             "one worker per --worker-hosts address instead")
     parser.add_argument("--worker-hosts", default=None, metavar="HOST:PORT,..",
                         help="comma-separated addresses of running "
                              "`repro worker-host` processes for the socket "
@@ -191,25 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--no-pruning", action="store_true",
                         help="disable fidelity-preserving trial pruning")
-
-    service = subparsers.add_parser(
-        "service",
-        help="run a search through the prediction service and report "
-             "artifact-cache and throughput statistics")
-    _add_common_arguments(service)
-    _add_backend_arguments(service)
-    service.add_argument("--algorithm", default="cma",
-                         choices=("cma", "oneplusone", "pso", "twopointsde",
-                                  "random", "grid"))
-    service.add_argument("--budget", type=int, default=200)
-    service.add_argument("--seed", type=int, default=0)
-    service.add_argument("--no-pruning", action="store_true")
-    service.add_argument("--max-workers", type=int, default=None,
-                         help="deprecated alias for --jobs")
-    service.add_argument("--no-cache", action="store_true",
-                         help="disable the cross-trial artifact cache "
-                              "(cold path, for comparison)")
-    _add_server_argument(service)
 
     serve = subparsers.add_parser(
         "serve",
@@ -459,80 +436,31 @@ def cmd_search(args: argparse.Namespace) -> int:
                             store_dir=args.store_dir,
                             server=args.server) as evaluator:
         result = _run_search(args, evaluator, cluster, model)
-    payload = {
-        "cluster": cluster.name,
-        "model": model.name,
-        "samples_used": result.samples_used,
-        "unique_valid_configs": result.unique_valid_configs,
-        "status_counts": result.status_counts,
-        "best": (None if result.best is None else {
-            "recipe": result.best.recipe.to_dict(),
-            "iteration_time_s": result.best.iteration_time,
-            "mfu": result.best.mfu,
-        }),
-        "wall_time_s": result.total_wall_time,
-    }
-    lines = [
-        f"search finished in {result.total_wall_time:.1f}s "
-        f"({result.samples_used} samples, "
-        f"{result.unique_valid_configs} unique valid configs)",
-        f"trial statuses: {result.status_counts}",
-    ]
-    if result.best is not None:
-        lines.append(f"best recipe: {result.best.recipe.short_name()} "
-                     f"({result.best.iteration_time:.2f} s/iter, "
-                     f"MFU {result.best.mfu * 100:.1f}%)")
-    _emit(payload, args.json, lines)
-    return 0 if result.best is not None else 1
-
-
-def cmd_service(args: argparse.Namespace) -> int:
-    cluster = get_cluster(args.cluster)
-    model = get_transformer(args.model)
-    with MayaTrialEvaluator(
-        model, cluster, args.global_batch_size,
-        estimator_mode=args.estimator,
-        enable_cache=not args.no_cache,
-        share_provider=not args.no_cache,
-        max_workers=args.jobs if args.jobs is not None else args.max_workers,
-        backend=None if args.server else args.backend,
-        worker_hosts=_worker_hosts(args),
-        sync_timeout=args.sync_timeout,
-        lease_timeout=args.lease_timeout,
-        store_dir=args.store_dir,
-        server=args.server,
-    ) as evaluator:
-        result = _run_search(args, evaluator, cluster, model)
         stats = result.cache_stats
         throughput = evaluator.throughput_stats()
     payload = {
         "cluster": cluster.name,
         "model": model.name,
-        "caching": not args.no_cache,
         "backend": evaluator.service.backend,
         "jobs": evaluator.service.max_workers,
         "samples_used": result.samples_used,
+        "unique_valid_configs": result.unique_valid_configs,
         "status_counts": result.status_counts,
         "cache_stats": stats,
         "throughput": throughput,
-        "wall_time_s": result.total_wall_time,
-        "measured_makespan_s": result.measured_makespan,
-        "evaluation_batches": result.evaluation_batches,
         "best": (None if result.best is None else {
             "recipe": result.best.recipe.to_dict(),
             "iteration_time_s": result.best.iteration_time,
             "mfu": result.best.mfu,
         }),
+        "wall_time_s": result.total_wall_time,
+        "measured_makespan_s": result.measured_makespan,
+        "evaluation_batches": result.evaluation_batches,
     }
     lines = [
-        f"prediction service on {cluster.name} "
-        f"({'cached' if not args.no_cache else 'cold'}, "
-        f"backend {evaluator.service.backend}, "
-        f"{evaluator.service.max_workers} workers)",
         f"search finished in {result.total_wall_time:.1f}s "
         f"({result.samples_used} samples, "
-        f"{result.evaluation_batches} evaluation batches, "
-        f"evaluation time {result.measured_makespan:.1f}s)",
+        f"{result.unique_valid_configs} unique valid configs)",
         f"trial statuses: {result.status_counts}",
         (f"artifact cache: {stats.get('hits', 0):.0f}/"
          f"{stats.get('lookups', 0):.0f} hits "
@@ -544,7 +472,8 @@ def cmd_service(args: argparse.Namespace) -> int:
          if stats else "artifact cache: disabled"),
         f"throughput: {throughput['trials']} trials in "
         f"{throughput['batch_wall_s']:.1f}s "
-        f"({throughput['trials_per_sec']:.1f} trials/s); "
+        f"({throughput['trials_per_sec']:.1f} trials/s) on backend "
+        f"{evaluator.service.backend} (jobs={evaluator.service.max_workers}); "
         f"{throughput['simulated_events']:,} simulated events at "
         f"{throughput['events_per_sec']:,.0f} events/s",
     ]
@@ -638,7 +567,6 @@ _COMMANDS = {
     "predict": cmd_predict,
     "compare": cmd_compare,
     "search": cmd_search,
-    "service": cmd_service,
     "serve": cmd_serve,
     "worker-host": cmd_worker_host,
     "cache": cmd_cache,

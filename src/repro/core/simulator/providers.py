@@ -174,10 +174,11 @@ class _AnnotationMemoMixin:
                        ranks: Sequence[int]) -> TraceAnnotations:
         """Memoized batch annotation of a collated trace for ``ranks``.
 
-        Held under a per-provider lock: the service's thread backend shares
-        one provider across workers, and serialising here both keeps the
-        FIFO eviction race-free and makes concurrent trials over the same
-        artifacts annotate once instead of once per thread.
+        Held under a per-provider lock: one service (and so one shared
+        provider) may be called from several threads, and serialising
+        here both keeps the FIFO eviction race-free and makes concurrent
+        trials over the same artifacts annotate once instead of once per
+        thread.
         """
         lock, memo = self._annotation_memo()
         key = (collated.content_signature(), tuple(ranks))

@@ -3,8 +3,9 @@
 :class:`MayaSearch` drives a search algorithm over a configuration space,
 evaluating trials through the prediction service (no GPUs required) in an
 ask-batch / evaluate-batch / tell-batch loop: up to ``concurrency`` proposals
-are collected, evaluated together (in parallel threads and against the
-cross-trial artifact cache when the evaluator is service-backed), and their
+are collected, evaluated together (as one ``predict_many`` batch against the
+cross-trial artifact cache when the evaluator is service-backed, fanned out
+over a worker pool by the ``persistent`` and ``socket`` backends), and their
 scores reported back to the algorithm in ask order.  The fidelity-preserving
 pruner and leaderboard-based early stopping work exactly as in Section 5 /
 7.3 of the paper.
@@ -55,9 +56,9 @@ class TrialResult:
 class MayaTrialEvaluator:
     """Evaluates training recipes through the prediction service.
 
-    This used to drive :class:`MayaPipeline` directly; it is now a thin
-    adapter over :class:`~repro.service.PredictionService`, which owns the
-    artifact cache, the shared duration provider and the thread pool.
+    A thin adapter over :class:`~repro.service.PredictionService`, which
+    owns the artifact cache, the shared duration provider and the
+    evaluation backend (``serial`` unless ``backend=`` names a pooled one).
     """
 
     def __init__(self, model: TransformerModelSpec, cluster: ClusterSpec,
@@ -91,7 +92,7 @@ class MayaTrialEvaluator:
                 enable_cache=enable_cache,
                 share_provider=share_provider,
                 max_workers=max_workers or 1,
-                backend=backend or "thread",
+                backend=backend or "serial",
                 workers=worker_hosts,
                 sync_timeout=sync_timeout,
                 lease_timeout=lease_timeout,
@@ -156,17 +157,13 @@ class MayaTrialEvaluator:
     def set_default_workers(self, workers: int) -> None:
         """Adopt the search's concurrency unless workers were set explicitly.
 
-        Capped at the machine's CPU count -- with Python threads, workers
-        beyond the available cores only add GIL contention, and with
-        processes they only add fork overhead.
+        The count sizes the ``persistent`` / ``socket`` worker pool
+        (``serial`` ignores it).  Capped at the machine's CPU count --
+        forked workers beyond the available cores only add fork overhead.
         """
         if self._auto_workers:
             cores = os.cpu_count() or 1
             self.service.max_workers = max(min(int(workers), cores), 1)
-
-    def set_backend(self, backend: str) -> None:
-        """Switch the service's batch-evaluation backend."""
-        self.service.backend = backend
 
     def close(self) -> None:
         """Release the service's backend resources (persistent pools)."""
@@ -250,7 +247,6 @@ class MayaSearch:
         seed: int = 0,
         early_stop_patience: int = 20,
         early_stop_top_k: int = 5,
-        backend: Optional[str] = None,
     ) -> None:
         self.evaluator = evaluator
         self.space = space or default_search_space()
@@ -269,12 +265,10 @@ class MayaSearch:
         self.scheduler = TrialScheduler(concurrency=concurrency)
         self.early_stop_patience = early_stop_patience
         self.early_stop_top_k = early_stop_top_k
-        # Service-backed evaluators turn the scheduler's concurrency into
-        # real worker-pool parallelism unless configured explicitly.
+        # Service-backed evaluators size a pooled backend's workers from
+        # the scheduler's concurrency unless configured explicitly.
         if hasattr(evaluator, "set_default_workers"):
             evaluator.set_default_workers(concurrency)
-        if backend is not None and hasattr(evaluator, "set_backend"):
-            evaluator.set_backend(backend)
 
     # ------------------------------------------------------------------
     # main loop

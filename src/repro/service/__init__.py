@@ -11,13 +11,14 @@ optimizations the paper's search loop relies on (Sections 5, 7.3-7.4):
   (:mod:`repro.service.store`) shares that corpus across processes and
   runs,
 * batched :meth:`PredictionService.predict_many` evaluation behind a
-  pluggable backend (:mod:`repro.service.backends`): ``serial``, a
-  ``thread`` pool, a long-lived fork-based ``persistent`` pool that
-  sidesteps the GIL while inheriting warmed estimator state copy-on-write
-  and is kept in sync by incremental cache deltas, or a multi-host
-  ``socket`` pool speaking the same delta protocol to remote ``repro
-  worker-host`` processes over the length-prefixed wire format in
-  :mod:`repro.service.wire` (all four share one ``warm``/``submit``/``drain``/``close`` lifecycle), and
+  pluggable backend (:mod:`repro.service.backends`): ``serial`` (the
+  default), a long-lived fork-based ``persistent`` pool that sidesteps
+  the GIL while inheriting warmed estimator state copy-on-write and is
+  kept in sync by incremental cache deltas, or a multi-host ``socket``
+  pool speaking the same delta protocol to remote ``repro worker-host``
+  processes over the length-prefixed wire format in
+  :mod:`repro.service.wire` (all three share one
+  ``warm``/``submit``/``drain``/``close`` lifecycle), and
 * a per-cluster shared :class:`~repro.core.simulator.providers.EstimatedDurationProvider`
   whose kernel-duration memo persists across trials.
 """
@@ -30,7 +31,6 @@ from repro.service.backends import (
     PooledBackend,
     SerialBackend,
     SocketBackend,
-    ThreadBackend,
     get_backend,
     validate_timeout,
 )
@@ -83,7 +83,6 @@ __all__ = [
     "SocketBackend",
     "StoreError",
     "StoreFormatError",
-    "ThreadBackend",
     "WireProtocolError",
     "WorkerSnapshot",
     "get_backend",

@@ -1,16 +1,14 @@
 """Evaluation backends: how ``predict_many`` fans a batch of trials out.
 
-Four interchangeable strategies sit behind the same
+Three interchangeable strategies sit behind the same
 :meth:`~repro.service.PredictionService.predict_many` interface, all
 implementing one explicit lifecycle -- ``warm`` / ``submit`` / ``drain`` /
 ``close``:
 
 * ``serial`` -- evaluate leaders one after another on the calling thread
-  (the reference behaviour every other backend must match bit for bit).
-* ``thread`` -- a ``ThreadPoolExecutor``.  Cheap to spin up and shares the
-  artifact cache in-process, but the GIL serialises the pure-Python
-  emulator and simulator, so it mostly helps when trials block on cache
-  locks.
+  (the reference behaviour every other backend must match bit for bit,
+  and the default: the emulator and simulator are pure Python, so
+  in-process threads cannot overlap them).
 * ``persistent`` -- a long-lived fork-based worker pool created once per
   service (``warm()``) and reused across batches (``close()`` tears it
   down).  The service is warmed before forking, so workers inherit the
@@ -45,20 +43,20 @@ implementing one explicit lifecycle -- ``warm`` / ``submit`` / ``drain`` /
 
 Fork is a hard requirement for the ``persistent`` backend (inheriting
 multi-MB trained estimator state by copy-on-write is the whole point); on
-platforms without it the backend degrades to the thread backend and
+platforms without it the backend degrades to the serial backend and
 records the downgrade in each result's metadata.  The socket backend
 needs no fork -- remote workers bootstrap from the warm payload instead.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import random
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import islice
 from multiprocessing import connection as mp_connection
@@ -75,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.predictor import PredictionService
 
 #: Registered backend names, in documentation order.
-BACKEND_NAMES = ("serial", "thread", "persistent", "socket")
+BACKEND_NAMES = ("serial", "persistent", "socket")
 
 #: Environment variables overriding the pooled backends' default timeouts
 #: (explicit constructor / CLI values win over the environment).
@@ -96,8 +94,9 @@ def validate_timeout(name: str, value, allow_zero: bool = False) -> float:
     except (TypeError, ValueError):
         raise ValueError(
             f"{name} must be a number of seconds, got {value!r}") from None
-    if result != result:  # NaN
-        raise ValueError(f"{name} must be a number of seconds, got NaN")
+    if not math.isfinite(result):  # NaN, or inf (which poll() rejects)
+        raise ValueError(
+            f"{name} must be a finite number of seconds, got {result}")
     if result < 0 or (result == 0 and not allow_zero):
         bound = ">= 0 (0 disables it)" if allow_zero else "> 0"
         raise ValueError(f"{name} must be {bound} seconds, got {result}")
@@ -253,7 +252,7 @@ class EvaluationBackend:
     * :meth:`warm` -- one-time (idempotent) resource acquisition.  Only
       the pooled backends do real work here (``persistent`` forks its
       worker pool, ``socket`` connects to and bootstraps its worker
-      hosts); for the others it is a no-op.
+      hosts); for ``serial`` it is a no-op.
     * :meth:`submit` -- hand one batch of jobs to the backend's workers.
     * :meth:`drain` -- block until the submitted batch is fully evaluated
       and return its results in input order.
@@ -295,8 +294,8 @@ class EvaluationBackend:
         """Evaluate ``jobs`` and return results in input order.
 
         Template over the lifecycle: non-persistent backends are closed
-        after every batch (even on error), so no thread pool can outlive
-        the call that created it.
+        after every batch (even on error), so a failed batch leaves no
+        pending jobs behind for the next call.
         """
         self.warm(service)
         try:
@@ -327,42 +326,6 @@ class SerialBackend(EvaluationBackend):
 
     def close(self) -> None:
         self._pending = None
-
-
-class ThreadBackend(EvaluationBackend):
-    """Thread-pool backend (shared-memory, GIL-bound)."""
-
-    name = "thread"
-
-    def __init__(self) -> None:
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._futures: List = []
-        self._serial: Optional[SerialBackend] = None
-
-    def submit(self, service: "PredictionService",
-               jobs: Sequence[TrainingJob]) -> None:
-        workers = min(service.max_workers, len(jobs))
-        if workers <= 1:
-            self._serial = SerialBackend()
-            self._serial.submit(service, jobs)
-            return
-        self._pool = ThreadPoolExecutor(max_workers=workers)
-        self._futures = [self._pool.submit(service.predict, job)
-                         for job in jobs]
-
-    def drain(self) -> List[PredictionResult]:
-        if self._serial is not None:
-            serial, self._serial = self._serial, None
-            return serial.drain()
-        futures, self._futures = self._futures, []
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        self._serial = None
-        self._futures = []
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 # ----------------------------------------------------------------------
@@ -606,8 +569,9 @@ class PooledBackend(EvaluationBackend):
         self._policy = RoundRobinPolicy()
         self._workers: List[_PoolWorker] = []
         self._service: Optional["PredictionService"] = None
-        #: When set, ``submit`` delegates to a thread pool and tags every
-        #: result's metadata with this reason (e.g. fork unavailable).
+        #: When set, ``warm`` never acquires a pool, so every batch runs
+        #: on the serial backend and each result's metadata is tagged
+        #: with this reason (e.g. fork unavailable).
         self._fallback_reason: Optional[str] = None
         #: Serialises batches: submit acquires, drain releases.
         self._batch_lock = threading.Lock()
@@ -928,10 +892,6 @@ class PooledBackend(EvaluationBackend):
             self._parent_eval = []
             jobs = list(jobs)
             self._jobs = jobs
-            if self._fallback_reason is not None:
-                self._delegate = ThreadBackend()
-                self._delegate.submit(service, jobs)
-                return
             workers = [worker for worker in self._workers if worker.alive()]
             dispatch, deferred = _split_structural(service, jobs)
             if len(dispatch) <= 1 or not workers:
@@ -1354,7 +1314,6 @@ class SocketBackend(PooledBackend):
 
 _BACKENDS = {
     SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
     PersistentBackend.name: PersistentBackend,
     SocketBackend.name: SocketBackend,
 }

@@ -12,10 +12,11 @@ The cache has two levels, both keyed on job signatures (see
   signature plus the estimator fingerprint.  A hit skips all four stages
   (the paper's trial result reuse).
 
-Both levels are safe to share across threads; the service's parallel
-``predict_many`` path and multiple services (e.g. a learned and an oracle
-pipeline over the same cluster) can point at one cache instance so
-structurally identical jobs emulate exactly once.
+Both levels are guarded by one lock: a prediction server reads the
+stats on its event-loop thread while its executor thread evaluates, and
+one service may be called from several threads.  Multiple services (e.g.
+a learned and an oracle pipeline over the same cluster) can point at one
+cache instance so structurally identical jobs emulate exactly once.
 
 The artifact level additionally keeps a **sync journal** for the pooled
 evaluation backends (``persistent`` over fork pipes, ``socket`` over TCP

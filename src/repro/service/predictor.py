@@ -9,11 +9,11 @@ estimator configuration) and owns:
   services over the same cluster, e.g. a learned and an oracle pipeline),
 * a shared duration provider whose per-shape kernel memo persists across
   trials, and
-* an evaluation backend for batches (``predict_many``): ``serial``,
-  ``thread``, the long-lived fork-based ``persistent`` worker pool, or
-  the multi-host ``socket`` pool evaluating on remote ``repro
-  worker-host`` processes (see :mod:`repro.service.backends`); all four
-  produce identical results.
+* an evaluation backend for batches (``predict_many``): ``serial`` (the
+  default), the long-lived fork-based ``persistent`` worker pool, or the
+  multi-host ``socket`` pool evaluating on remote ``repro worker-host``
+  processes (see :mod:`repro.service.backends`); all three produce
+  identical results.
 
 The service owns its backend instance and exposes the backend lifecycle:
 ``warm()`` acquires long-lived resources (estimator suite, shared
@@ -95,7 +95,7 @@ class PredictionService:
         enable_cache: bool = True,
         share_provider: bool = True,
         max_workers: int = 1,
-        backend: str = "thread",
+        backend: str = "serial",
         workers: Optional[Sequence[str]] = None,
         sync_timeout: Optional[float] = None,
         lease_timeout: Optional[float] = None,
@@ -129,8 +129,8 @@ class PredictionService:
             None if lease_timeout is None
             else validate_timeout("lease_timeout", lease_timeout,
                                   allow_zero=True))
-        #: Batch-evaluation strategy ("serial", "thread", "persistent"
-        #: or "socket"); validated by the property setter,
+        #: Batch-evaluation strategy ("serial", "persistent" or
+        #: "socket"); validated by the property setter,
         #: which also owns the backend instance's lifecycle.
         self._backend_impl: Optional[EvaluationBackend] = None
         self.backend = backend
@@ -145,7 +145,10 @@ class PredictionService:
         self._provider: Optional[EstimatedDurationProvider] = None
         self._lock = threading.Lock()
         #: Per-artifact-key locks so structurally identical jobs evaluated
-        #: concurrently emulate once (the second waits, then hits the cache).
+        #: concurrently emulate once (the second waits, then hits the
+        #: cache).  Every backend evaluates on one thread, but one service
+        #: may still be called from several (a prediction server's
+        #: executor, an embedding application's own threads).
         self._artifact_locks: Dict[Tuple, threading.Lock] = {}
         #: Aggregate throughput counters surfaced by the CLI / benchmarks.
         self._throughput: Dict[str, float] = {
@@ -397,7 +400,7 @@ class PredictionService:
         Results come back in input order.  Within one batch, jobs with equal
         full signatures are evaluated once; the duplicates resolve through
         the prediction cache afterwards.  All backends (``serial``,
-        ``thread``, ``persistent``, ``socket``) produce identical results
+        ``persistent``, ``socket``) produce identical results
         -- only wall-clock behaviour differs (the conformance contract of
         ``tests/backend_conformance.py``).
         """

@@ -1,7 +1,7 @@
 """Cross-backend conformance harness.
 
-Every evaluation backend (``serial`` / ``thread`` / ``persistent`` /
-``socket``) must be a drop-in replacement for the serial
+Every evaluation backend (``serial`` / ``persistent`` / ``socket``)
+must be a drop-in replacement for the serial
 reference: identical :class:`~repro.core.pipeline.PredictionResult` values,
 identical cache-hit accounting, and the same ``throughput_stats()`` shape
 -- only wall-clock behaviour may differ.  This module is the single place
@@ -217,7 +217,7 @@ def assert_placements_cover_dispatch(run: ConformanceRun) -> None:
     (it has no structural siblings within a batch).
     """
     if not run.sync_stats:
-        return  # serial / thread: no pool to place onto
+        return  # serial: no pool to place onto
     dispatched = sum(1 for result in run.flat_results
                      if result.metadata.get("service_cache") != "prediction")
     assert run.sync_stats["placements"] == dispatched, \

@@ -293,6 +293,31 @@ class TestPersistentLifecycle:
                            for worker in service.backend_impl._workers)
             assert again == pids, "second batch must reuse the same workers"
 
+    def test_fork_unavailable_falls_back_to_serial(
+            self, tiny_model, v100_cluster, reference, monkeypatch):
+        # Without a fork start method the persistent backend evaluates
+        # every batch on the serial backend and tags why.
+        from repro.service import backends
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(backends.multiprocessing, "get_context",
+                            no_fork)
+        before = multiprocessing.active_children()
+        run = run_conformance(tiny_model, v100_cluster, "persistent")
+        assert_results_identical(reference.flat_results, run.flat_results,
+                                 backend="persistent")
+        assert run.cache_stats == reference.cache_stats
+        # Prediction-level hits resolve in predict_many before any
+        # backend sees them; everything the backend evaluated is tagged.
+        evaluated = [result for result in run.flat_results
+                     if result.metadata["service_cache"] != "prediction"]
+        assert len(evaluated) == len(run.flat_results) - 1
+        assert all(result.metadata.get("backend_fallback")
+                   == "fork unavailable" for result in evaluated)
+        assert _wait_no_extra_children(before) == []
+
     def test_exception_mid_batch_does_not_leak_workers(
             self, tiny_model, v100_cluster, reference, monkeypatch):
         original = PredictionService.predict

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workloads.models import get_transformer
 
 
 def _run_json(capsys, argv):
@@ -107,22 +108,46 @@ class TestCommands:
         assert payload["best"] is not None
         assert payload["samples_used"] <= 30
 
-    def test_backend_choices_include_all_four(self):
-        for command in ("compare", "search", "service"):
-            for backend in ("serial", "thread", "persistent", "socket"):
+    def test_backend_choices_match_registry(self):
+        from repro.service import BACKEND_NAMES
+
+        assert BACKEND_NAMES == ("serial", "persistent", "socket")
+        for command in ("compare", "search", "serve"):
+            assert build_parser().parse_args([command]).backend == "serial"
+            for backend in BACKEND_NAMES:
                 args = build_parser().parse_args([command, "--backend",
                                                   backend])
                 assert args.backend == backend
-        for removed in ("mpi", "process"):
+        for removed in ("mpi", "process", "thread"):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(["service", "--backend", removed])
+                build_parser().parse_args(["search", "--backend", removed])
+
+    def test_removed_search_surface_is_rejected(self, v100_cluster):
+        # One search command, backends chosen only by the evaluator's
+        # service: none of these alternative surfaces may exist.
+        from repro.search import MayaSearch, MayaTrialEvaluator
+        from repro.service import get_backend
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["service"])
+        for removed in (["--no-cache"], ["--max-workers", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["search"] + removed)
+        with pytest.raises(ValueError, match="unknown evaluation backend"):
+            get_backend("thread")
+        evaluator = MayaTrialEvaluator(
+            get_transformer("gpt-tiny"), v100_cluster, 16,
+            estimator_mode="analytical")
+        assert not hasattr(evaluator, "set_backend")
+        with pytest.raises(TypeError):
+            MayaSearch(evaluator, backend="serial")
 
     def test_placement_policy_is_not_selectable(self, v100_cluster):
         # round_robin is the only placement: the --scheduler flag, the
         # service argument and the locality policy are all rejected.
         from repro.service import PredictionService, get_scheduler
 
-        for command in ("search", "compare", "service", "serve"):
+        for command in ("search", "compare", "serve"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--scheduler",
                                            "round_robin"])
@@ -134,18 +159,20 @@ class TestCommands:
             get_scheduler("locality")
         assert get_scheduler("round_robin").name == "round_robin"
 
-    def test_backend_help_mentions_all_four_backends(self):
-        for command in ("compare", "search", "service"):
+    def test_backend_help_mentions_every_backend(self):
+        from repro.service import BACKEND_NAMES
+
+        for command in ("compare", "search"):
             parser = build_parser()
             subparser = parser._subparsers._group_actions[0].choices[command]
             help_text = subparser.format_help()
-            for backend in ("serial", "thread", "persistent", "socket"):
+            for backend in BACKEND_NAMES:
                 assert backend in help_text, \
                     f"`repro {command} --help` does not mention {backend}"
             assert "--worker-hosts" in help_text
 
     def test_timeout_flags_parsed_and_validated(self):
-        for command in ("compare", "search", "service"):
+        for command in ("compare", "search"):
             args = build_parser().parse_args([
                 command, "--sync-timeout", "7.5", "--lease-timeout", "0"])
             assert args.sync_timeout == 7.5
@@ -155,13 +182,27 @@ class TestCommands:
             assert args.lease_timeout is None
         for bad in (["--sync-timeout", "0"], ["--sync-timeout", "-1"],
                     ["--sync-timeout", "nan"], ["--lease-timeout", "-0.5"],
-                    ["--lease-timeout", "forever"]):
+                    ["--lease-timeout", "forever"],
+                    ["--sync-timeout", "inf"], ["--lease-timeout", "inf"]):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(["service"] + bad)
+                build_parser().parse_args(["search"] + bad)
+
+    def test_timeout_environment_variables_validated(self, monkeypatch):
+        from repro.service.backends import (SYNC_TIMEOUT_ENV,
+                                            _resolve_timeout)
+
+        for bad in ("inf", "nan", "-1"):
+            monkeypatch.setenv(SYNC_TIMEOUT_ENV, bad)
+            with pytest.raises(ValueError, match=SYNC_TIMEOUT_ENV):
+                _resolve_timeout("sync_timeout", None, SYNC_TIMEOUT_ENV,
+                                 60.0)
+        monkeypatch.setenv(SYNC_TIMEOUT_ENV, "7")
+        assert _resolve_timeout("sync_timeout", None, SYNC_TIMEOUT_ENV,
+                                60.0) == 7.0
 
     def test_timeout_help_mentions_env_vars(self):
         parser = build_parser()
-        subparser = parser._subparsers._group_actions[0].choices["service"]
+        subparser = parser._subparsers._group_actions[0].choices["search"]
         help_text = subparser.format_help()
         assert "--sync-timeout" in help_text
         assert "--lease-timeout" in help_text
@@ -170,7 +211,7 @@ class TestCommands:
 
     def test_worker_hosts_flag_parsed(self):
         args = build_parser().parse_args([
-            "service", "--backend", "socket",
+            "search", "--backend", "socket",
             "--worker-hosts", "10.0.0.1:7777, 10.0.0.2:7777",
         ])
         assert args.worker_hosts == "10.0.0.1:7777, 10.0.0.2:7777"
@@ -189,12 +230,12 @@ class TestCommands:
         help_text = build_parser().format_help()
         assert "worker-host" in help_text
 
-    def test_service_persistent_backend(self, capsys):
+    def test_search_persistent_backend(self, capsys):
         import multiprocessing
 
         before = multiprocessing.active_children()
         code = main([
-            "service", "--cluster", "v100-8", "--model", "gpt-tiny",
+            "search", "--cluster", "v100-8", "--model", "gpt-tiny",
             "--global-batch-size", "16", "--budget", "30",
             "--estimator", "analytical", "--algorithm", "random",
             "--backend", "persistent", "--jobs", "2", "--json",
@@ -212,8 +253,7 @@ class TestCommands:
 class TestStoreFlags:
     def test_store_dir_flag_on_every_evaluating_command(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        for command in ("compare", "search", "service", "serve",
-                        "worker-host"):
+        for command in ("compare", "search", "serve", "worker-host"):
             args = build_parser().parse_args([command, "--store-dir",
                                               "/tmp/artifacts"])
             assert args.store_dir == "/tmp/artifacts"
@@ -262,16 +302,8 @@ class TestCacheCommand:
         # A second run against the populated store resolves identically.
         assert warm["best"] == cold["best"]
 
-        # The service command surfaces nonzero store-tier hits against the
-        # same populated store (same search space, algorithm and seed).
-        code, service = _run_json(capsys, [
-            "service", "--cluster", "v100-8", "--model", "gpt-tiny",
-            "--global-batch-size", "16", "--budget", "8",
-            "--estimator", "analytical", "--algorithm", "random",
-            "--store-dir", store_dir, "--json"])
-        assert code == 0
-        assert service["cache_stats"]["store_hits"] > 0
-        assert service["best"] == cold["best"]
+        # ... and surfaces the store-tier hits that resolved it.
+        assert warm["cache_stats"]["store_hits"] > 0
 
         # stats -> verify -> gc roundtrip over the populated store.
         code, stats = _run_json(capsys, ["cache", "stats", "--store-dir",
@@ -334,7 +366,7 @@ class TestCacheCommand:
 
     def test_service_text_output_reports_tiers(self, capsys, tmp_path):
         store_dir = str(tmp_path / "store")
-        code = main(["service", "--cluster", "v100-8", "--model", "gpt-tiny",
+        code = main(["search", "--cluster", "v100-8", "--model", "gpt-tiny",
                      "--global-batch-size", "16", "--budget", "8",
                      "--estimator", "analytical", "--algorithm", "random",
                      "--store-dir", store_dir])

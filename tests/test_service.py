@@ -402,7 +402,7 @@ class TestEvaluationBackends:
         with pytest.raises(ValueError):
             service.backend = "mpi"
 
-    @pytest.mark.parametrize("backend", ["thread", "persistent"])
+    @pytest.mark.parametrize("backend", ["persistent"])
     def test_backend_results_byte_identical_to_serial(self, tiny_model,
                                                       v100_cluster, backend):
         _, reference = self._run(tiny_model, v100_cluster, "serial",
@@ -496,17 +496,16 @@ class TestEvaluationBackends:
         serial = evaluate_setup("serial", model, v100_cluster, 16, recipes,
                                 estimator_mode="analytical",
                                 include_baselines=False)
-        for backend in ("thread", "persistent"):
-            parallel = evaluate_setup(backend, model, v100_cluster, 16,
-                                      recipes, estimator_mode="analytical",
-                                      include_baselines=False,
-                                      backend=backend, jobs=2)
-            assert len(parallel.evaluations) == len(serial.evaluations)
-            for a, b in zip(serial.evaluations, parallel.evaluations):
-                assert b.actual.iteration_time == a.actual.iteration_time
-                assert b.actual.total_time == a.actual.total_time
-                assert b.maya.iteration_time == a.maya.iteration_time
-                assert b.maya.peak_memory_bytes == a.maya.peak_memory_bytes
+        parallel = evaluate_setup("persistent", model, v100_cluster, 16,
+                                  recipes, estimator_mode="analytical",
+                                  include_baselines=False,
+                                  backend="persistent", jobs=2)
+        assert len(parallel.evaluations) == len(serial.evaluations)
+        for a, b in zip(serial.evaluations, parallel.evaluations):
+            assert b.actual.iteration_time == a.actual.iteration_time
+            assert b.actual.total_time == a.actual.total_time
+            assert b.maya.iteration_time == a.maya.iteration_time
+            assert b.maya.peak_memory_bytes == a.maya.peak_memory_bytes
 
     def test_search_identical_across_backends(self, v100_cluster):
         space = default_search_space(
@@ -527,11 +526,10 @@ class TestEvaluationBackends:
 
         serial = run("serial")
         assert serial.best is not None
-        for backend in ("thread", "persistent"):
-            other = run(backend)
-            assert other.best.recipe == serial.best.recipe
-            assert other.best.iteration_time == serial.best.iteration_time
-            assert (len(other.history) == len(serial.history))
+        other = run("persistent")
+        assert other.best.recipe == serial.best.recipe
+        assert other.best.iteration_time == serial.best.iteration_time
+        assert len(other.history) == len(serial.history)
 
     def _evaluator(self, cluster, **kwargs):
         return MayaTrialEvaluator(get_transformer("gpt-small"), cluster,

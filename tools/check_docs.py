@@ -10,8 +10,10 @@ Checks (run by CI's ``conformance-socket`` job and usable locally)::
    invocation mentioned in README.md and ARCHITECTURE.md names a real CLI
    subcommand (parsed from ``repro.cli.build_parser``, so new subcommands
    never need this script updated).
-3. The README's backend selection guide covers every registered
-   evaluation backend (``repro.service.BACKEND_NAMES``).
+3. The README's backend table lists exactly the registered evaluation
+   backends (``repro.service.BACKEND_NAMES``): the set of table rows
+   whose first cell is a backticked name must equal it, so a stale row
+   for a deleted backend fails as surely as a missing one.
 4. Every ``examples/*.py`` file referenced in README.md exists, and every
    example on disk is mentioned in README.md.
 5. README.md has a ``repro serve`` quickstart, and ARCHITECTURE.md
@@ -87,11 +89,12 @@ def main() -> int:
                     f"CLI subcommand (have: {sorted(subcommands)})")
 
     from repro.service import BACKEND_NAMES
-    for backend in BACKEND_NAMES:
-        if not re.search(rf"\b{backend}\b", readme_text):
-            problems.append(
-                f"README.md backend guide does not mention the "
-                f"{backend!r} backend")
+    table_backends = set(re.findall(r"^\|\s*`([\w-]+)`\s*\|", readme_text,
+                                    re.MULTILINE))
+    if table_backends != set(BACKEND_NAMES):
+        problems.append(
+            f"README.md backend table lists {sorted(table_backends)}, but "
+            f"the registered backends are {sorted(BACKEND_NAMES)}")
 
     from repro.service.server import REPLY_KINDS, REQUEST_KINDS
     if "serve" not in _mentioned_subcommands(readme_text):
