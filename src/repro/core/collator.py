@@ -19,18 +19,23 @@ replay (Section 4.2 of the paper):
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.trace import JobTrace, TraceEvent, TraceEventKind, WorkerTrace
+from repro.core.columnar import _ITERATION_MARKER, range_fingerprint
+from repro.core.trace import (
+    F_COLL_SEQ,
+    K_COLLECTIVE,
+    K_MARKER,
+    JobTrace,
+    TraceEvent,
+    WorkerTrace,
+)
 from repro.framework.topology import ParallelTopology
 
 #: Collective ops that are point-to-point rather than group-wide.
 _P2P_OPS = ("send", "recv")
 
-#: Labels the emulator emits around every training iteration.
-_ITERATION_MARKER = re.compile(r"^iteration-(\d+)-(start|end)$")
 
 
 @dataclass(frozen=True)
@@ -70,10 +75,11 @@ def find_iteration_windows(trace: WorkerTrace) -> Optional[IterationWindows]:
     """
     starts: List[int] = []
     ends: List[int] = []
-    for index, event in enumerate(trace.events):
-        if event.kind is not TraceEventKind.MARKER:
-            continue
-        match = _ITERATION_MARKER.match(str(event.params.get("label", "")))
+    cols = trace.columns
+    template_ids = cols.lists()["template"]
+    for index in cols.rows(K_MARKER):
+        params = cols.templates[template_ids[index]]["params_fixed"]
+        match = _ITERATION_MARKER.match(str(params.get("label", "")))
         if match is None:
             continue
         target = starts if match.group(2) == "start" else ends
@@ -94,7 +100,7 @@ def find_iteration_windows(trace: WorkerTrace) -> Optional[IterationWindows]:
 
 def _canonical_range_fingerprint(trace: WorkerTrace, lo: int,
                                  hi: int) -> Optional[int]:
-    """Content hash of ``trace.events[lo:hi]`` for cross-window comparison.
+    """Content hash of events ``lo .. hi-1`` for cross-window comparison.
 
     CUDA event handle ids and record versions grow monotonically across
     iterations, so the raw event signatures of two otherwise identical
@@ -110,13 +116,9 @@ def _canonical_range_fingerprint(trace: WorkerTrace, lo: int,
     a window is only equivalent to another if it replays the same cost.
 
     The hash itself runs over the trace's columns and per-template digests
-    (:func:`repro.core.columnar.range_fingerprint`) rather than re-walking
-    event objects -- an order of magnitude cheaper on template-heavy traces.
+    (:func:`repro.core.columnar.range_fingerprint`).
     """
-    from repro.core.columnar import columnar_worker_trace, range_fingerprint
-
-    return range_fingerprint(columnar_worker_trace(trace), lo, hi,
-                             _ITERATION_MARKER)
+    return range_fingerprint(trace.columns, lo, hi)
 
 
 def windows_are_periodic(trace: WorkerTrace,
@@ -376,18 +378,21 @@ class TraceCollator:
         resolutions: Dict[int, CollectiveResolution] = {}
         #: (comm_id, src_pos, dst_pos) -> number of messages seen so far.
         pair_counters: Dict[Tuple, int] = {}
+        cols = trace.columns
+        lists = cols.lists()
 
-        for event in trace.events:
-            if event.kind is not TraceEventKind.COLLECTIVE:
-                continue
-            info = event.collective or {}
+        for row in cols.rows(K_COLLECTIVE):
+            template = cols.templates[lists["template"][row]]
+            info = template["collective_fixed"] or {}
             op = str(info.get("op", "all_reduce"))
             group = tuple(info.get("ranks", ()))
             tag = str(info.get("comm_tag", "")) or "default"
             rank = int(info.get("rank", trace.rank))
             nranks = int(info.get("nranks", max(len(group), 1)))
-            nbytes = float(event.params.get("bytes", 0.0))
-            seq_in_comm = int(info.get("seq", event.seq))
+            nbytes = float(template["params_fixed"].get("bytes", 0.0))
+            seq = lists["seq"][row]
+            seq_in_comm = (lists["aux_seq"][row]
+                           if lists["flags"][row] & F_COLL_SEQ else seq)
             self_position = group.index(rank) if rank in group else 0
 
             peer_position = None
@@ -403,7 +408,7 @@ class TraceCollator:
                 pair_index = pair_counters.get(pair_key, 0)
                 pair_counters[pair_key] = pair_index + 1
 
-            resolutions[event.seq] = CollectiveResolution(
+            resolutions[seq] = CollectiveResolution(
                 op=op,
                 tag=tag,
                 nranks=nranks,

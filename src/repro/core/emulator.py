@@ -2,10 +2,11 @@
 
 :class:`DeviceEmulator` is Maya's virtual runtime for one worker: it owns a
 :class:`~repro.cuda.runtime.CudaRuntime`, registers itself as the API
-interceptor and converts every intercepted call into trace events.  Two
-events are produced per call:
+interceptor and records every intercepted call as rows of its trace's
+columns (:class:`~repro.core.trace.TraceColumns`; no event objects are
+built).  Two rows are produced per call:
 
-* a ``HOST_DELAY`` event carrying the *deterministic* host-side cost of
+* a ``HOST_DELAY`` row carrying the *deterministic* host-side cost of
   dispatching the call (``HostModel.base_cost``) plus, in ``params``, the
   call class and the per-worker call sequence number -- the paper measures
   this delta between API calls during emulation and replays it in the
@@ -24,32 +25,32 @@ rather than crashing the search (Section 5.2 relies on this).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cuda.api_records import ApiCallRecord, ApiKind
 from repro.cuda.errors import CudaError, CudaOutOfMemoryError
 from repro.cuda.runtime import CudaRuntime
-from repro.core.trace import JobTrace, TraceEvent, TraceEventKind, WorkerTrace
+from repro.core.trace import (
+    K_HOST_DELAY,
+    K_MARKER,
+    KIND_CODES,
+    JobTrace,
+    TraceEventKind,
+    WorkerTrace,
+)
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.gpu_specs import GPUSpec
 from repro.hardware.host_model import HOST_MODEL_METADATA_KEY, HostModel
 
-#: Maps API-call kinds onto trace-event kinds for device-visible operations.
+#: Maps API-call kinds onto trace kind codes for device-visible operations;
+#: the other kinds (malloc, free, queries, ...) only contribute host overhead.
 _KIND_MAP = {
-    ApiKind.KERNEL: TraceEventKind.KERNEL,
-    ApiKind.MEMCPY: TraceEventKind.MEMCPY,
-    ApiKind.MEMSET: TraceEventKind.MEMSET,
-    ApiKind.COLLECTIVE: TraceEventKind.COLLECTIVE,
-    ApiKind.EVENT_RECORD: TraceEventKind.EVENT_RECORD,
-    ApiKind.STREAM_WAIT_EVENT: TraceEventKind.STREAM_WAIT_EVENT,
-    ApiKind.EVENT_SYNCHRONIZE: TraceEventKind.EVENT_SYNCHRONIZE,
-    ApiKind.STREAM_SYNCHRONIZE: TraceEventKind.STREAM_SYNCHRONIZE,
-    ApiKind.DEVICE_SYNCHRONIZE: TraceEventKind.DEVICE_SYNCHRONIZE,
+    api_kind: KIND_CODES[TraceEventKind(api_kind.value)]
+    for api_kind in (ApiKind.KERNEL, ApiKind.MEMCPY, ApiKind.MEMSET,
+                     ApiKind.COLLECTIVE, ApiKind.EVENT_RECORD,
+                     ApiKind.STREAM_WAIT_EVENT, ApiKind.EVENT_SYNCHRONIZE,
+                     ApiKind.STREAM_SYNCHRONIZE, ApiKind.DEVICE_SYNCHRONIZE)
 }
-
-#: API-call kinds that only contribute host overhead (no trace event).
-_HOST_ONLY_KINDS = {ApiKind.MALLOC, ApiKind.FREE, ApiKind.QUERY,
-                    ApiKind.STREAM, ApiKind.LIBRARY}
 
 
 def _host_call_class(record: ApiCallRecord) -> str:
@@ -105,51 +106,43 @@ class DeviceEmulator:
         self.runtime = CudaRuntime(device=device, gpu=gpu,
                                    interceptor=self._intercept)
         self._call_counter = 0
+        #: (call class, API) -> template id of its host-delay rows: both
+        #: are strings, so equal keys are equal shapes and only the first
+        #: delay of each pair is interned.
+        self._delay_templates: Dict[Tuple[str, str], int] = {}
 
     # ------------------------------------------------------------------
     # interception
     # ------------------------------------------------------------------
     def _intercept(self, record: ApiCallRecord) -> None:
         self._call_counter += 1
+        columns = self.trace.columns
         if self.record_host_delays:
             call_class = _host_call_class(record)
             # Record only the deterministic base cost; "seq" lets the
             # simulation engine re-apply this call's jitter factor at
             # replay time (bit-identical to jittering here).
-            self.trace.append(TraceEvent(
-                kind=TraceEventKind.HOST_DELAY,
-                api="hostDelay",
-                device=self.device,
+            shape = (call_class, record.api)
+            self._delay_templates[shape] = columns.record(
+                K_HOST_DELAY, "hostDelay", self.device,
                 duration=self.host_model.base_cost(call_class),
                 params={"call_class": call_class, "after": record.api,
                         "seq": self._call_counter},
-            ))
-        if record.kind in _HOST_ONLY_KINDS:
-            return
-        kind = _KIND_MAP.get(record.kind)
-        if kind is None:
-            return
-        self.trace.append(TraceEvent(
-            kind=kind,
-            api=record.api,
-            device=self.device,
-            stream=record.stream,
-            kernel_class=record.kernel_class,
-            params=dict(record.params),
-            collective=dict(record.collective) if record.collective else None,
-            event=record.event,
-            wait_event=record.wait_event,
-        ))
+                template=self._delay_templates.get(shape))
+        code = _KIND_MAP.get(record.kind)
+        if code is not None:
+            columns.record(code, record.api, self.device, record.stream,
+                           record.kernel_class, record.params,
+                           record.collective or None, record.event,
+                           record.wait_event)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def mark(self, label: str) -> None:
         """Insert a marker event (iteration boundaries, phases...)."""
-        self.trace.append(TraceEvent(
-            kind=TraceEventKind.MARKER, api="marker", device=self.device,
-            params={"label": label},
-        ))
+        self.trace.columns.record(K_MARKER, "marker", self.device,
+                                  params={"label": label})
 
     def finalize(self) -> WorkerTrace:
         """Record end-of-emulation statistics and return the trace."""

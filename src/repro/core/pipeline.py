@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.core.collator import CollatedTrace, TraceCollator
+from repro.core.columnar import kernel_shapes
 from repro.core.emulator import EmulationSession
 from repro.core.estimators.suite import EstimatorSuite, build_estimator_suite
 from repro.core.simulator.engine import (
@@ -86,6 +87,16 @@ def _iteration_time_from_report(report: SimulationReport,
         if end > start:
             return (end - start) / iterations
     return report.total_time / max(iterations, 1)
+
+
+def _no_prediction(job: "TrainingJob", stage_times: Dict[str, float],
+                   peak_memory_bytes: int, oom: bool = False,
+                   **metadata: object) -> PredictionResult:
+    """A trial that yields no iteration time; ``metadata`` says why."""
+    return PredictionResult(
+        job_name=job.name, iteration_time=math.inf, total_time=math.inf,
+        communication_time=0.0, peak_memory_bytes=peak_memory_bytes,
+        oom=oom, stage_times=stage_times, metadata=metadata)
 
 
 def simulate_collated_trace(
@@ -185,6 +196,11 @@ class MayaPipeline:
         emulation = session.run(job.worker_fn, ranks=ranks,
                                 world_size=job.world_size)
         stage_times["emulation"] = time.perf_counter() - start
+        if emulation.failed_ranks:
+            # A failed rank leaves a truncated trace: keep the errors with
+            # the artifacts so predict() (and every cache hit) reports them.
+            emulation.job_trace.metadata["failed_ranks"] = dict(
+                emulation.failed_ranks)
 
         start = time.perf_counter()
         collator = TraceCollator(deduplicate=self.deduplicate_workers)
@@ -217,36 +233,33 @@ class MayaPipeline:
         """
         problems = job.validate()
         if problems:
-            return PredictionResult(
-                job_name=job.name, iteration_time=math.inf, total_time=math.inf,
-                communication_time=0.0, peak_memory_bytes=0, oom=False,
-                metadata={"invalid": problems},
-            )
+            return _no_prediction(job, {}, 0, invalid=problems)
         if artifacts is None:
             artifacts = self.emulate(job)
         stage_times = dict(artifacts.stage_times)
+        peak = artifacts.collated.peak_memory_bytes()
 
         if artifacts.oom:
-            return PredictionResult(
-                job_name=job.name, iteration_time=math.inf, total_time=math.inf,
-                communication_time=0.0,
-                peak_memory_bytes=artifacts.collated.peak_memory_bytes(),
-                oom=True, stage_times=stage_times,
-                metadata={"reason": "out of memory during emulation"},
-            )
+            return _no_prediction(job, stage_times, peak, oom=True,
+                                  reason="out of memory during emulation")
+        failed = artifacts.job_trace.metadata.get("failed_ranks")
+        if failed:
+            errors = "; ".join(f"rank {rank}: {message}"
+                               for rank, message in sorted(failed.items()))
+            return _no_prediction(job, stage_times, peak,
+                                  emulation_error=errors)
 
         start = time.perf_counter()
         if provider is None:
             # may train estimators on first use (cached per cluster)
             provider = self.make_provider()
         # Warm the per-shape caches so the "prediction" stage time reflects
-        # estimator work rather than lazily leaking into simulation.  With a
-        # shared provider the memo survives across trials and this loop
-        # degenerates to cache lookups.
+        # estimator work rather than lazily leaking into simulation: one
+        # query per distinct kernel shape.  With a shared provider the memo
+        # survives across trials and this loop degenerates to lookups.
         for trace in artifacts.collated.traces.values():
-            for event in trace.device_events():
-                if event.kernel_class and not event.collective:
-                    provider.kernel_duration(trace.rank, event)
+            for shape in kernel_shapes(trace.columns)[2]:
+                provider.shape_duration(*shape)
         stage_times["prediction"] = time.perf_counter() - start
 
         simulate_ranks = self._simulation_ranks(job)
@@ -262,13 +275,8 @@ class MayaPipeline:
             # simplified schedule generator mis-orders) as failed trials
             # rather than crashing a whole sweep or search.
             stage_times["simulation"] = time.perf_counter() - start
-            return PredictionResult(
-                job_name=job.name, iteration_time=math.inf,
-                total_time=math.inf, communication_time=0.0,
-                peak_memory_bytes=artifacts.collated.peak_memory_bytes(),
-                oom=False, stage_times=stage_times,
-                metadata={"simulation_error": str(exc)},
-            )
+            return _no_prediction(job, stage_times, peak,
+                                  simulation_error=str(exc))
         stage_times["simulation"] = time.perf_counter() - start
 
         iterations = getattr(job, "iterations", 1)

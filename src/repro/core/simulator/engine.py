@@ -19,9 +19,9 @@ Durations come from a pluggable :class:`DurationProvider`; the engine itself
 is shared between Maya's prediction path and the testbed reference model.
 
 **How the engine reads a trace.**  There is one replay loop, and it never
-touches a ``TraceEvent``.  Each representative trace is lowered once to an
-:class:`~repro.core.columnar.EngineProgram` (flat opcode / operand lists,
-memoized on the trace's columns), and every duration it will need is
+touches a ``TraceEvent``.  Each representative trace's columns are lowered
+once to an :class:`~repro.core.columnar.EngineProgram` (flat opcode /
+operand lists, memoized on the columns), and every duration it will need is
 resolved up front into :class:`TraceAnnotations` -- per-rank arrays of
 kernel and materialized host-delay durations plus pre-resolved communicator
 groups and matching keys.  Providers that implement ``annotate_trace`` (both
@@ -71,13 +71,13 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.collator import (
-    _ITERATION_MARKER,
     CollatedTrace,
     IterationWindows,
     find_iteration_windows,
     windows_are_periodic,
 )
 from repro.core.columnar import (
+    _ITERATION_MARKER,
     E_COLLECTIVE,
     E_DEVICE_SYNC,
     E_EVENT_SYNC,
@@ -87,7 +87,6 @@ from repro.core.columnar import (
     E_RECORD,
     E_STREAM_SYNC,
     EngineProgram,
-    columnar_worker_trace,
     engine_program,
 )
 from repro.core.simulator.providers import (
@@ -101,7 +100,7 @@ from repro.core.simulator.waitmaps import (
     CudaEventWaitMap,
     P2PWaitMap,
 )
-from repro.core.trace import TraceEventKind, WorkerTrace
+from repro.core.trace import K_MARKER, WorkerTrace
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.host_model import HOST_MODEL_METADATA_KEY
 
@@ -238,8 +237,9 @@ class _FoldPlan:
     def truncate(self, collated: CollatedTrace) -> CollatedTrace:
         """Copy of ``collated`` keeping only the simulated windows + tail.
 
-        Event objects are shared and keep their original sequence numbers,
-        so the collator's per-seq collective resolutions stay valid.
+        Rows keep their original sequence numbers (and the template pool
+        is shared), so the collator's per-seq collective resolutions stay
+        valid.
         """
         traces: Dict[int, WorkerTrace] = {}
         for rep, trace in collated.traces.items():
@@ -247,16 +247,13 @@ class _FoldPlan:
             if windows is None:
                 traces[rep] = trace
                 continue
-            cut = windows.ends[self.simulated - 1] + 1
-            truncated = WorkerTrace(
+            traces[rep] = WorkerTrace(
                 rank=trace.rank, device=trace.device,
                 peak_memory_bytes=trace.peak_memory_bytes, oom=trace.oom,
                 metadata=trace.metadata,
+                columns=trace.columns.drop_rows(
+                    windows.ends[self.simulated - 1] + 1, windows.tail_index),
             )
-            # Assign, don't append(): append would renumber event seqs.
-            truncated.events = (trace.events[:cut]
-                                + trace.events[windows.tail_index:])
-            traces[rep] = truncated
         return CollatedTrace(
             world_size=collated.world_size,
             traces=traces,
@@ -288,9 +285,9 @@ def plan_iteration_fold(collated: CollatedTrace,
             count = found.count
         elif found.count != count:
             return None
-        for event in trace.events[found.tail_index:]:
-            if event.kind is TraceEventKind.MARKER:
-                return None  # tail markers would need extrapolation too
+        markers = trace.columns.rows(K_MARKER)
+        if markers and markers[-1] >= found.tail_index:
+            return None  # tail markers would need extrapolation too
         windows[rep] = found
     if count is None or count < _FOLD_MIN_ITERATIONS:
         return None
@@ -431,7 +428,7 @@ class _SimulationState:
         self.fold_info: Optional[Dict[str, object]] = None
 
         rep_programs = {
-            rep: engine_program(columnar_worker_trace(collated.traces[rep]))
+            rep: engine_program(collated.traces[rep].columns)
             for rep in {collated.representative[rank] for rank in ranks}}
         self.programs: Dict[int, EngineProgram] = {
             rank: rep_programs[collated.representative[rank]]

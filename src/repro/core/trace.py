@@ -1,15 +1,26 @@
-"""Trace event model.
+"""Trace model: columns are the trace, ``TraceEvent`` is a view.
 
-Maya's emulator produces one trace per worker; each trace is an ordered list
-of :class:`TraceEvent` objects covering device kernels, memory operations,
-synchronisation primitives, collectives and the host delays measured between
-consecutive API calls (Section 4.2 of the paper).
+Maya's emulator produces one trace per worker covering device kernels,
+memory operations, synchronisation primitives, collectives and the host
+delays measured between consecutive API calls (Section 4.2 of the paper).
+A :class:`WorkerTrace` keeps that stream as recorded, in
+:class:`TraceColumns`: eleven flat per-event columns hold what varies
+event to event (kind, stream, duration, CUDA event handles and versions,
+sequence numbers), and a *template pool* holds what repeats (``api``,
+``kernel_class``, ``device``, params and collective descriptor minus
+their per-event keys) -- an iteration launches the same few dozen
+operations thousands of times, so each event costs one row.
 
-Traces are plain data: they can be serialised to / from JSON so that
-emulation and simulation can run in separate processes, mirroring the
-"Worker Traces" artifact in Figure 5.  JSON is the public export for
-tools and tests; between processes the service ships the equivalent
-columnar payload instead (:mod:`repro.core.columnar`, ``to_json()``-exact).
+The emulator appends rows and interns templates as it records; worker
+deduplication, collation, annotation, the replay engine and the wire
+payload read the columns (:mod:`repro.core.columnar`).  A
+:class:`TraceEvent` is the object view of one row, for tests, the
+per-event reference engine, the JSON export and per-event providers such
+as the testbed's: ``trace.events`` builds that list on every access and
+nothing keeps it.  Appending a ``TraceEvent`` (hand-built traces,
+``from_dict``) records exactly the row the emulator would have.  JSON
+(``to_json``) is the public export; between processes the service ships
+the columns themselves, ``to_json()``-exact.
 
 ``HOST_DELAY`` events come in two schema generations:
 
@@ -27,9 +38,9 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.hardware.noise import stable_hash
+import numpy as _np
 
 
 class TraceEventKind(str, enum.Enum):
@@ -56,10 +67,92 @@ DEVICE_WORK_KINDS = (
     TraceEventKind.COLLECTIVE,
 )
 
+#: Kind codes, in ``TraceEventKind`` declaration order (int8 column values).
+KIND_CODES: Dict[TraceEventKind, int] = {
+    kind: code for code, kind in enumerate(TraceEventKind)
+}
+KINDS_BY_CODE: Tuple[TraceEventKind, ...] = tuple(TraceEventKind)
+
+K_KERNEL = KIND_CODES[TraceEventKind.KERNEL]
+K_MEMCPY = KIND_CODES[TraceEventKind.MEMCPY]
+K_MEMSET = KIND_CODES[TraceEventKind.MEMSET]
+K_COLLECTIVE = KIND_CODES[TraceEventKind.COLLECTIVE]
+K_HOST_DELAY = KIND_CODES[TraceEventKind.HOST_DELAY]
+K_EVENT_RECORD = KIND_CODES[TraceEventKind.EVENT_RECORD]
+K_STREAM_WAIT = KIND_CODES[TraceEventKind.STREAM_WAIT_EVENT]
+K_EVENT_SYNC = KIND_CODES[TraceEventKind.EVENT_SYNCHRONIZE]
+K_STREAM_SYNC = KIND_CODES[TraceEventKind.STREAM_SYNCHRONIZE]
+K_DEVICE_SYNC = KIND_CODES[TraceEventKind.DEVICE_SYNCHRONIZE]
+K_MARKER = KIND_CODES[TraceEventKind.MARKER]
+
+# Flag bits (uint8 column) recording which optional fields were present on
+# the recorded event, so the view restores ``None`` vs ``0`` exactly.
+F_DURATION = 1    #: ``duration`` was not None.
+F_EVENT = 2       #: ``event`` was not None.
+F_WAIT = 4        #: ``wait_event`` was not None.
+F_VERSION = 8     #: ``params`` carried a ``"version"`` entry.
+F_HOST_SEQ = 16   #: ``params`` carried a ``"seq"`` entry (structured delay).
+F_COLL_SEQ = 32   #: the collective dict carried a ``"seq"`` entry.
+F_REC_CREATE = 64   #: EVENT_RECORD with a truthy ``create`` param.
+F_REC_DESTROY = 128  #: EVENT_RECORD with a truthy ``destroy`` param.
+
+#: The params key hoisted out of the template into a per-event column, by
+#: kind.  Every other kind keeps its params verbatim in the template, so
+#: template identity remains exactly event-shape identity.
+_VARYING_PARAM: Dict[int, str] = {
+    K_HOST_DELAY: "seq",
+    K_EVENT_RECORD: "version",
+    K_STREAM_WAIT: "version",
+    K_EVENT_SYNC: "version",
+}
+
+#: Column name -> little-endian dtype spec of the wire payload.  The specs
+#: are explicit ``<``-prefixed so the encoded buffers are byte-identical
+#: across host endianness.
+COLUMN_DTYPES: Tuple[Tuple[str, str], ...] = (
+    ("kind", "<i1"),
+    ("flags", "<u1"),
+    ("stream", "<i4"),
+    ("template", "<i4"),
+    ("version", "<i4"),
+    ("host_class", "<i2"),
+    ("duration", "<f8"),
+    ("event_id", "<i8"),
+    ("wait_event", "<i8"),
+    ("aux_seq", "<i8"),
+    ("seq", "<i8"),
+)
+
+#: Value types whose equality agrees with their ``repr`` except at zero.
+_PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _values_key(values: Tuple) -> Tuple:
+    """Exact interning key of a tuple of dict values.
+
+    ``1``, ``1.0`` and ``True`` compare and hash equal but must not share
+    a template (their reprs -- hence the JSON export and every signature --
+    differ), so the key carries the value types.  Containers, and zeros
+    (``0.0 == -0.0``), are keyed by their reprs.
+    """
+    types = tuple(map(type, values))
+    if _PLAIN_TYPES.issuperset(types) and 0 not in values:
+        return types, values
+    return types, tuple(map(repr, values)), True
+
+
+def _fixed(fields: Dict[str, Any], varying: Optional[str]) -> Dict[str, Any]:
+    """``fields`` without its per-event ``varying`` key (a copy if present)."""
+    if varying is None or varying not in fields:
+        return fields
+    fixed = dict(fields)
+    del fixed[varying]
+    return fixed
+
 
 @dataclass
 class TraceEvent:
-    """One entry in a worker trace."""
+    """One row of a worker trace, as an object."""
 
     kind: TraceEventKind
     api: str
@@ -83,13 +176,8 @@ class TraceEvent:
         """Shape signature used for worker deduplication and estimator keys.
 
         Deliberately excludes measured durations and sequence numbers so
-        workers doing identical work hash identically.  Events are immutable
-        once emitted and the signature is consulted several times per event
-        (dedup, estimator warm-up, simulation), so it is memoized.
+        workers doing identical work hash identically.
         """
-        cached = getattr(self, "_signature_cache", None)
-        if cached is not None:
-            return cached
         params_key = tuple(
             sorted((k, v) for k, v in self.params.items()
                    if k not in ("free", "total"))
@@ -101,10 +189,8 @@ class TraceEvent:
                 self.collective.get("nranks"),
                 self.collective.get("comm_tag"),
             )
-        signature = (self.kind.value, self.api, self.kernel_class, self.stream,
-                     params_key, collective_key)
-        self._signature_cache = signature
-        return signature
+        return (self.kind.value, self.api, self.kernel_class, self.stream,
+                params_key, collective_key)
 
     # ------------------------------------------------------------------
     # serialisation
@@ -135,49 +221,311 @@ class TraceEvent:
         return TraceEvent(**payload)
 
 
-@dataclass
+_NO_PARAMS: Dict[str, Any] = {}
+
+
+class TraceColumns:
+    """The recorded events of one worker: columns plus a template pool.
+
+    Row ``i`` is the ``i``-th event (widths in :data:`COLUMN_DTYPES`):
+    ``kind`` (:class:`TraceEventKind` code), ``flags`` (``F_*`` presence
+    bits), ``stream`` (``-1`` for ``None``), ``template`` (index into
+    :attr:`templates`), ``version`` (record/wait version, 0 when absent),
+    ``host_class`` (index into :attr:`host_classes`, ``-1`` without a call
+    class), ``duration`` (0.0 when absent), ``event_id`` / ``wait_event``
+    (CUDA event handles, 0 when absent), ``aux_seq`` (a structured host
+    delay's jitter key or a collective's per-communicator seq, ``-1`` when
+    absent) and ``seq`` (the per-worker event number, kept by fold
+    truncation, so not always ``i``).
+
+    A new store records: rows are appended to Python lists
+    (:meth:`record`).  Columns built from ``arrays`` (decoded, unpickled
+    or truncated traces) are read-only.  Everything derived from the rows
+    -- numpy arrays, engine program, digests, signatures -- lives in
+    :meth:`memo`, which a new row resets and which never rides a pickle.
+    """
+
+    __slots__ = ("templates", "host_classes", "_lists", "_template_ids",
+                 "_host_class_ids", "_appenders", "_memo", "_memo_n")
+
+    def __init__(self, arrays: Optional[Dict[str, Any]] = None,
+                 templates: Optional[List[Dict[str, Any]]] = None,
+                 host_classes: Optional[List[str]] = None) -> None:
+        #: Deduplicated event shapes (see :meth:`_intern`).
+        self.templates: List[Dict[str, Any]] = templates or []
+        #: Deduplicated host-delay call-class strings.
+        self.host_classes: List[str] = host_classes or []
+        self._memo: Dict[str, Any] = {}
+        self._memo_n = 0
+        self._lists: Optional[Dict[str, list]] = None
+        self._template_ids: Optional[Dict[Tuple, int]] = None
+        self._host_class_ids: Dict[str, int] = {}
+        #: Bound ``append`` of every column list, in ``COLUMN_DTYPES`` order.
+        self._appenders: Tuple = ()
+        if arrays is not None:
+            self._memo["arrays"] = arrays
+            self._memo_n = len(arrays["seq"])
+        else:
+            self._lists = {name: [] for name, _ in COLUMN_DTYPES}
+            self._template_ids = {}
+            self._appenders = tuple(self._lists[name].append
+                                    for name, _ in COLUMN_DTYPES)
+
+    def __len__(self) -> int:
+        if self._lists is not None:
+            return len(self._lists["seq"])
+        return self._memo_n
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"arrays": self.arrays(), "templates": self.templates,
+                "host_classes": self.host_classes}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__init__(**state)
+
+    # ------------------------------------------------------------------
+    # recording
+    # ------------------------------------------------------------------
+    def record(self, code: int, api: str, device: int,
+               stream: Optional[int] = None,
+               kernel_class: Optional[str] = None,
+               params: Dict[str, Any] = _NO_PARAMS,
+               collective: Optional[Dict[str, Any]] = None,
+               event: Optional[int] = None,
+               wait_event: Optional[int] = None,
+               duration: Optional[float] = None,
+               seq: Optional[int] = None,
+               template: Optional[int] = None) -> int:
+        """Append one event and return its template id.
+
+        ``seq`` defaults to the row number.  ``params`` and ``collective``
+        are read, never kept: a new template copies the fields it needs.
+        A recorder that knows two events share a shape may pass the id
+        this returned for the first as ``template`` of the second, which
+        skips interning.
+        """
+        if self._template_ids is None:
+            raise TypeError("decoded or truncated trace columns are "
+                            "read-only")
+        bits = 0
+        if duration is None:
+            duration = 0.0
+        else:
+            bits = F_DURATION
+            duration = float(duration)
+        if event is None:
+            event = 0
+        else:
+            bits |= F_EVENT
+        if wait_event is None:
+            wait_event = 0
+        else:
+            bits |= F_WAIT
+        version = 0
+        if "version" in params:
+            bits |= F_VERSION
+            version = int(params["version"])
+        aux_seq = -1
+        if code == K_HOST_DELAY and "seq" in params:
+            bits |= F_HOST_SEQ
+            aux_seq = int(params["seq"])
+        host_class = -1
+        call_class = params.get("call_class")
+        if call_class is not None:
+            name = str(call_class)
+            host_class = self._host_class_ids.get(name)
+            if host_class is None:
+                host_class = self._host_class_ids[name] = \
+                    len(self.host_classes)
+                self.host_classes.append(name)
+        if collective is not None and "seq" in collective:
+            bits |= F_COLL_SEQ
+            aux_seq = int(collective["seq"])
+        if code == K_EVENT_RECORD:
+            if params.get("create"):
+                bits |= F_REC_CREATE
+            if params.get("destroy"):
+                bits |= F_REC_DESTROY
+
+        tid = template
+        if tid is None:
+            tid = self._intern(code, api, device, kernel_class, params,
+                               collective)
+
+        append = self._appenders
+        append[0](code)
+        append[1](bits)
+        append[2](-1 if stream is None else stream)
+        append[3](tid)
+        append[4](version)
+        append[5](host_class)
+        append[6](duration)
+        append[7](event)
+        append[8](wait_event)
+        append[9](aux_seq)
+        append[10](len(self._lists["seq"]) if seq is None else seq)
+        return tid
+
+    def record_event(self, event: TraceEvent) -> None:
+        """Append ``event`` as a row, keeping its ``seq``."""
+        self.record(KIND_CODES[event.kind], event.api, event.device,
+                    event.stream, event.kernel_class, event.params,
+                    event.collective, event.event, event.wait_event,
+                    event.duration, event.seq)
+
+    def _intern(self, code: int, api: str, device: int,
+                kernel_class: Optional[str], params: Dict[str, Any],
+                collective: Optional[Dict[str, Any]]) -> int:
+        """Template id of an event shape, pooling it if new.
+
+        The shape is everything but the per-event columns.
+        ``params_layout`` / ``collective_layout`` keep the original dict
+        key order with per-event varying keys included, so the view
+        rebuilds the dicts byte-identically (``to_json`` preserves
+        insertion order).
+        """
+        fixed = _fixed(params, _VARYING_PARAM.get(code))
+        key = (code, api, device, kernel_class, tuple(params),
+               _values_key(tuple(fixed.values())))
+        if collective is not None:
+            coll_fixed = _fixed(collective, "seq")
+            key += (tuple(collective),
+                    _values_key(tuple(coll_fixed.values())))
+        tid = self._template_ids.get(key)
+        if tid is None:
+            tid = len(self.templates)
+            self._template_ids[key] = tid
+            self.templates.append({
+                "api": api,
+                "device": device,
+                "kernel_class": kernel_class,
+                "params_layout": key[4],
+                "params_fixed": dict(fixed),
+                "collective_layout": None if collective is None else key[6],
+                "collective_fixed": (None if collective is None
+                                     else dict(coll_fixed)),
+            })
+        return tid
+
+    # ------------------------------------------------------------------
+    # reading
+    # ------------------------------------------------------------------
+    def memo(self) -> Dict[str, Any]:
+        """Per-row-set cache of derived views, reset when a row is added."""
+        if self._lists is not None and len(self._lists["seq"]) != self._memo_n:
+            self._memo = {}
+            self._memo_n = len(self._lists["seq"])
+        return self._memo
+
+    def lists(self) -> Dict[str, list]:
+        """The columns as Python lists.
+
+        The engine's inner loop and the fingerprint walk index single
+        elements millions of times; plain-list indexing returns interned
+        ints/floats without numpy's boxing cost.
+        """
+        if self._lists is None:
+            self._lists = {name: array.tolist()
+                           for name, array in self.arrays().items()}
+        return self._lists
+
+    def arrays(self) -> Dict[str, Any]:
+        """The columns as native-byte-order numpy arrays (memoized)."""
+        memo = self.memo()
+        arrays = memo.get("arrays")
+        if arrays is None:
+            arrays = {name: _np.array(self._lists[name],
+                                      dtype=_np.dtype(dtype).newbyteorder("="))
+                      for name, dtype in COLUMN_DTYPES}
+            memo["arrays"] = arrays
+        return arrays
+
+    def rows(self, code: int) -> List[int]:
+        """Positions of the rows of one kind, in order."""
+        return _np.flatnonzero(self.arrays()["kind"] == code).tolist()
+
+    def drop_rows(self, lo: int, hi: int) -> "TraceColumns":
+        """Copy without rows ``lo .. hi-1`` (seqs and templates kept)."""
+        return TraceColumns(
+            {name: _np.concatenate((array[:lo], array[hi:]))
+             for name, array in self.arrays().items()},
+            self.templates, self.host_classes)
+
+    def events(self) -> List[TraceEvent]:
+        """Every row as a fresh :class:`TraceEvent`.
+
+        A template's layouts list the varying key exactly when its events
+        carried it, so the dicts come back in their original key order.
+        """
+        lists = self.lists()
+        events: List[TraceEvent] = []
+        for (code, bits, stream, tid, version, _, duration, event_id,
+             wait_id, aux_seq, seq) in zip(*(lists[name] for name, _
+                                            in COLUMN_DTYPES)):
+            template = self.templates[tid]
+            varying = _VARYING_PARAM.get(code)
+            value = version if varying == "version" else aux_seq
+            fixed = template["params_fixed"]
+            collective = None
+            if template["collective_layout"] is not None:
+                coll = template["collective_fixed"]
+                collective = {key: aux_seq if key == "seq" else coll[key]
+                              for key in template["collective_layout"]}
+            events.append(TraceEvent(
+                kind=KINDS_BY_CODE[code],
+                api=template["api"],
+                device=template["device"],
+                stream=None if stream < 0 else stream,
+                kernel_class=template["kernel_class"],
+                params={key: value if key == varying else fixed[key]
+                        for key in template["params_layout"]},
+                collective=collective,
+                event=event_id if bits & F_EVENT else None,
+                wait_event=wait_id if bits & F_WAIT else None,
+                duration=duration if bits & F_DURATION else None,
+                seq=seq,
+            ))
+        return events
+
+
+@dataclass(eq=False)
 class WorkerTrace:
     """All events captured from one emulated worker (rank)."""
 
     rank: int
     device: int
-    events: List[TraceEvent] = field(default_factory=list)
     #: Peak device memory observed during emulation, in bytes.
     peak_memory_bytes: int = 0
     #: Whether the worker hit an out-of-memory condition during emulation.
     oom: bool = False
     metadata: Dict[str, Any] = field(default_factory=dict)
+    #: The recorded events (the emulator appends here directly).
+    columns: TraceColumns = field(default_factory=TraceColumns, repr=False)
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """A fresh object view of every event (see the module docstring)."""
+        return self.columns.events()
 
     def append(self, event: TraceEvent) -> None:
-        event.seq = len(self.events)
-        self.events.append(event)
+        event.seq = len(self.columns)
+        self.columns.record_event(event)
 
     def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
+        return len(self.columns)
 
     def device_events(self) -> List[TraceEvent]:
         """Events that occupy a device stream."""
         return [event for event in self.events if event.is_device_work()]
 
     def host_delay_total(self) -> float:
-        """Total host-side delay the simulator will replay, in seconds.
+        """Total host-side delay a full replay pays, in seconds (structured
+        delays jittered as the engine does, legacy ones by value)."""
+        from repro.core.columnar import materialize_host_delays
 
-        Structured ``HOST_DELAY`` events store only the deterministic base
-        cost; this total applies the same per-call jitter materialization
-        the simulation engine uses, so it matches the replayed host time.
-        Legacy (pre-jittered) events contribute their recorded value.
-        """
-        from repro.hardware.host_model import host_delay_materializer
-
-        materialize = host_delay_materializer(self.metadata)
-        return sum(
-            materialize(event)
-            for event in self.events
-            if event.kind is TraceEventKind.HOST_DELAY
-        )
+        seqs = self.columns.lists()["seq"]
+        return sum(materialize_host_delays(
+            self.columns, self.metadata, seqs[-1] + 1 if seqs else 0))
 
     def host_delay_signature(self) -> int:
         """Content hash of the replayed host-delay stream (memoized).
@@ -190,40 +538,23 @@ class WorkerTrace:
         signature, and through it the provider annotation memo) combine
         this hash with the rolling signature.  It covers exactly what
         materialization consumes: recorded durations, structured jitter
-        keys and the recorded host-model profile.
+        keys and the recorded host-model profile.  Folded from the columns.
         """
-        cached = getattr(self, "_host_delay_sig_cache", None)
-        if cached is not None and cached[0] == len(self.events):
-            return cached[1]
-        profile = self.metadata.get("host_model") or {}
-        signature = stable_hash("host-delays", profile.get("name"),
-                                profile.get("jitter"))
-        for event in self.events:
-            if event.kind is TraceEventKind.HOST_DELAY:
-                signature = stable_hash(signature, event.seq,
-                                        event.duration or 0.0,
-                                        event.params.get("seq"),
-                                        event.params.get("call_class"))
-        self._host_delay_sig_cache = (len(self.events), signature)
-        return signature
+        from repro.core.columnar import host_delay_signature
+
+        return host_delay_signature(self.columns, self.metadata)
 
     def rolling_signature(self) -> int:
         """Rolling hash of the operation stream (worker deduplication).
 
         The paper computes rolling hashes of operation sequences during the
         first iteration to detect workers performing redundant computation;
-        this is the per-worker end state of that hash.
+        this is the per-worker end state of that hash, folded from the
+        columns.
         """
-        cached = getattr(self, "_rolling_cache", None)
-        if cached is not None and cached[0] == len(self.events):
-            return cached[1]
-        signature = 0
-        for event in self.events:
-            if event.kind is TraceEventKind.HOST_DELAY:
-                continue
-            signature = stable_hash(signature, event.signature())
-        self._rolling_cache = (len(self.events), signature)
-        return signature
+        from repro.core.columnar import rolling_signature
+
+        return rolling_signature(self.columns)
 
     # ------------------------------------------------------------------
     # serialisation
@@ -247,7 +578,8 @@ class WorkerTrace:
             oom=data.get("oom", False),
             metadata=dict(data.get("metadata", {})),
         )
-        trace.events = [TraceEvent.from_dict(item) for item in data["events"]]
+        for item in data["events"]:
+            trace.columns.record_event(TraceEvent.from_dict(item))
         return trace
 
     def to_json(self) -> str:
@@ -291,9 +623,6 @@ class JobTrace:
 
     def total_events(self) -> int:
         return sum(len(trace) for trace in self.workers.values())
-
-    def ranks(self) -> Iterable[int]:
-        return range(self.world_size)
 
     # ------------------------------------------------------------------
     # serialisation

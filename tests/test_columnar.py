@@ -1,11 +1,11 @@
-"""Tests for the structure-of-arrays trace representation.
+"""Tests for the recorded trace columns and their readers.
 
-Covers the column build itself (dtypes, memoization), the wire payload
-round-trip (``encode_worker_trace`` / ``decode_worker_trace`` must be
-``to_json``-exact), the vectorized host-delay materialization against the
-scalar reference, and fingerprint *decision* agreement with the
-per-object reference walk kept below (values differ by design; equality
-semantics must not).
+Covers the columns themselves (dtypes, template interning, memoization),
+the wire payload round-trip (``encode_worker_trace`` /
+``decode_worker_trace`` must be ``to_json``-exact), the vectorized
+host-delay materialization against the scalar reference, and fingerprint
+and signature *decision* agreement with the per-object reference walks
+kept below (values differ by design; equality semantics must not).
 """
 
 from __future__ import annotations
@@ -14,19 +14,23 @@ import random
 
 import pytest
 
-from repro.core.collator import _ITERATION_MARKER
+from repro.core.collator import _ITERATION_MARKER, TraceCollator
 from repro.core.columnar import (
+    decode_worker_trace,
+    encode_worker_trace,
+    engine_program,
+    materialize_host_delays,
+    range_fingerprint,
+)
+from repro.core.trace import (
     COLUMN_DTYPES,
     F_HOST_SEQ,
     K_HOST_DELAY,
     KIND_CODES,
-    columnar_worker_trace,
-    decode_worker_trace,
-    encode_worker_trace,
-    materialize_host_delays,
-    range_fingerprint,
+    TraceEvent,
+    TraceEventKind,
+    WorkerTrace,
 )
-from repro.core.trace import TraceEvent, TraceEventKind, WorkerTrace
 from repro.hardware.host_model import (
     HOST_MODEL_METADATA_KEY,
     host_delay_materializer,
@@ -41,6 +45,7 @@ from test_simulator import (
     host_delay,
     jitterize_host_delays,
     kernel,
+    rewrite_events,
     wait_event,
 )
 
@@ -100,9 +105,14 @@ class TestColumnBuild:
 
     def test_columns_memoized_per_trace(self):
         trace = one_of_every_kind_trace()
-        first = columnar_worker_trace(trace)
-        assert first is columnar_worker_trace(trace)
-        assert first.n == len(trace.events)
+        cols = trace.columns
+        arrays = cols.arrays()
+        assert cols.arrays() is arrays
+        assert len(arrays["seq"]) == len(trace.events) == len(cols)
+        # A new row drops every derived view.
+        trace.append(kernel())
+        assert cols.arrays() is not arrays
+        assert len(cols.arrays()["seq"]) == len(trace.events)
 
     def test_template_pool_distinguishes_int_from_float(self):
         trace = WorkerTrace(rank=0, device=0)
@@ -112,8 +122,8 @@ class TestColumnBuild:
         b.params = {"duration": 1.0, "shape": 1.0}
         trace.append(a)
         trace.append(b)
-        cols = columnar_worker_trace(trace)
-        assert cols.template[0] != cols.template[1]
+        template = trace.columns.lists()["template"]
+        assert template[0] != template[1]
         decoded = decode_worker_trace(encode_worker_trace(trace))
         assert type(decoded.events[0].params["shape"]) is int
         assert type(decoded.events[1].params["shape"]) is float
@@ -125,8 +135,7 @@ class TestWirePayload:
         payload = encode_worker_trace(trace)
         decoded = decode_worker_trace(payload)
         assert decoded.to_json() == trace.to_json()
-        # The decoded trace arrives with its columnar memo installed.
-        assert columnar_worker_trace(decoded) is not None
+        assert decoded.columns.templates == trace.columns.templates
 
     def test_round_trip_empty_trace(self):
         trace = WorkerTrace(rank=3, device=1, metadata={"empty": True})
@@ -159,7 +168,8 @@ class TestWirePayload:
         job = build_random_job(0, steps=60)
         trace = next(iter(job.workers.values()))
         before = len(pickle.dumps(trace, protocol=5))
-        assert columnar_worker_trace(trace) is not None
+        assert engine_program(trace.columns) is not None
+        assert trace.rolling_signature() is not None
         assert len(pickle.dumps(trace, protocol=5)) == before
 
 
@@ -168,8 +178,7 @@ class TestHostDelayMaterialization:
     def test_vectorized_matches_scalar_reference(self, seed):
         job = jitterize_host_delays(build_random_job(seed, steps=80), seed)
         for trace in job.workers.values():
-            cols = columnar_worker_trace(trace)
-            vec = materialize_host_delays(cols, trace.metadata,
+            vec = materialize_host_delays(trace.columns, trace.metadata,
                                           len(trace.events))
             materialize = host_delay_materializer(trace.metadata)
             ref = [0.0] * len(trace.events)
@@ -183,9 +192,9 @@ class TestHostDelayMaterialization:
                             metadata={HOST_MODEL_METADATA_KEY:
                                       {"name": "h", "jitter": 0.2}})
         trace.append(host_delay(0.75))
-        cols = columnar_worker_trace(trace)
-        assert not (cols.flags[0] & F_HOST_SEQ)
-        assert cols.kind[0] == K_HOST_DELAY
+        cols = trace.columns
+        assert not (cols.lists()["flags"][0] & F_HOST_SEQ)
+        assert cols.lists()["kind"][0] == K_HOST_DELAY
         assert materialize_host_delays(cols, trace.metadata, 1) == [0.75]
 
 
@@ -268,7 +277,7 @@ class TestFingerprintAgreement:
     def test_equality_decisions_match_object_walk(self, seed):
         job = build_random_periodic_job(seed, iterations=6)
         for trace in job.workers.values():
-            cols = columnar_worker_trace(trace)
+            cols = trace.columns
             n = len(trace.events)
             rng = random.Random(seed)
             ranges = [(0, n), (0, n // 2), (n // 2, n)]
@@ -278,7 +287,7 @@ class TestFingerprintAgreement:
                 ranges.append((lo, hi))
             objects = [_range_fingerprint_objects(trace, lo, hi)
                        for lo, hi in ranges]
-            columns = [range_fingerprint(cols, lo, hi, _ITERATION_MARKER)
+            columns = [range_fingerprint(cols, lo, hi)
                        for lo, hi in ranges]
             for i in range(len(ranges)):
                 assert (objects[i] is None) == (columns[i] is None), \
@@ -296,10 +305,162 @@ class TestFingerprintAgreement:
         trace.append(event_record(1, version=1, stream=0))
         trace.append(kernel())
         trace.append(wait_event(1, version=1, stream=1))
-        cols = columnar_worker_trace(trace)
+        cols = trace.columns
         # The wait's record lies outside [1, 3): both walks must say None.
         assert _range_fingerprint_objects(trace, 1, 3) is None
-        assert range_fingerprint(cols, 1, 3, _ITERATION_MARKER) is None
+        assert range_fingerprint(cols, 1, 3) is None
         # Record inside the range: both walks fingerprint it.
         assert _range_fingerprint_objects(trace, 0, 3) is not None
-        assert range_fingerprint(cols, 0, 3, _ITERATION_MARKER) is not None
+        assert range_fingerprint(cols, 0, 3) is not None
+
+
+# ----------------------------------------------------------------------
+# worker-dedup and content signatures against the per-event walk
+# ----------------------------------------------------------------------
+
+def _rolling_signature_objects(trace):
+    """The per-event rolling hash the recorder's column fold replaced."""
+    signature = 0
+    for event in trace.events:
+        if event.kind is TraceEventKind.HOST_DELAY:
+            continue
+        signature = stable_hash(signature, event.signature())
+    return signature
+
+
+def _host_delay_signature_objects(trace):
+    profile = trace.metadata.get(HOST_MODEL_METADATA_KEY) or {}
+    signature = stable_hash("host-delays", profile.get("name"),
+                            profile.get("jitter"))
+    for event in trace.events:
+        if event.kind is TraceEventKind.HOST_DELAY:
+            signature = stable_hash(signature, event.seq,
+                                    event.duration or 0.0,
+                                    event.params.get("seq"),
+                                    event.params.get("call_class"))
+    return signature
+
+
+def _content_signature_objects(collated):
+    signature = stable_hash(collated.world_size)
+    for rank in sorted(collated.traces):
+        trace = collated.traces[rank]
+        signature = stable_hash(signature, rank,
+                                _rolling_signature_objects(trace),
+                                _host_delay_signature_objects(trace))
+    for rank in sorted(collated.representative):
+        signature = stable_hash(signature, rank,
+                                collated.representative[rank])
+    return signature
+
+
+def _mutate(events, rng):
+    """One random edit of an event list; some the signatures must see,
+    some (durations, handle ids, collective seqs) they must not."""
+    events = [TraceEvent.from_dict(event.to_dict()) for event in events]
+    pick = rng.randrange(len(events))
+    event = events[pick]
+    kind = rng.choice(("duration", "stream", "stream_none", "param_type",
+                       "zero_sign", "handle", "version", "coll_seq",
+                       "delay", "delay_seq", "call_class", "swap", "drop"))
+    if kind == "duration":
+        event.duration = (event.duration or 0.0) + 0.5
+    elif kind == "stream":
+        event.stream = (event.stream or 0) + 1
+    elif kind == "stream_none":
+        event.stream = None if event.stream == 0 else 0
+    elif kind == "param_type":
+        event.params = {key: (int(value) if isinstance(value, float)
+                              and value.is_integer() else value)
+                        for key, value in event.params.items()}
+    elif kind == "zero_sign":
+        event.params = dict(event.params, bytes=rng.choice((0.0, -0.0)))
+    elif kind == "handle" and event.event is not None:
+        event.event += 7
+    elif kind == "version" and "version" in event.params:
+        event.params = dict(event.params, version=event.params["version"] + 1)
+    elif kind == "coll_seq" and event.collective:
+        event.collective = dict(event.collective,
+                                seq=event.collective["seq"] + 3)
+    elif kind == "delay" and event.kind is TraceEventKind.HOST_DELAY:
+        event.duration = (event.duration or 0.0) * 2.0 + 0.25
+    elif kind == "delay_seq" and event.kind is TraceEventKind.HOST_DELAY:
+        event.params = dict(event.params, seq=rng.randrange(50))
+    elif kind == "call_class" and event.kind is TraceEventKind.HOST_DELAY:
+        event.params = dict(event.params, call_class=rng.choice(
+            ("gemm", "kernel_launch")))
+    elif kind == "swap" and pick + 1 < len(events):
+        events[pick], events[pick + 1] = events[pick + 1], event
+    elif kind == "drop" and len(events) > 1:
+        del events[pick]
+    return events
+
+
+def _partition(values):
+    """Index sets of equal values (the dedup classes a key induces)."""
+    classes = {}
+    for index, value in enumerate(values):
+        classes.setdefault(value, set()).add(index)
+    return sorted(sorted(group) for group in classes.values())
+
+
+class TestSignatureAgreement:
+    """Column-folded and per-event signatures: same equalities."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dedup_classes_match_event_walk(self, seed):
+        rng = random.Random(seed)
+        base = jitterize_host_delays(build_random_job(seed, steps=50), seed)
+        traces = []
+        for source in base.workers.values():
+            for _ in range(12):
+                events = _mutate(source.events, rng)
+                for _ in range(rng.randrange(3)):
+                    events = _mutate(events, rng)
+                # Every variant twice: identical streams must collide.
+                for _ in range(2):
+                    trace = WorkerTrace(rank=source.rank,
+                                        device=source.device,
+                                        metadata=dict(source.metadata))
+                    for event in events:
+                        trace.append(TraceEvent.from_dict(event.to_dict()))
+                    traces.append(trace)
+        assert _partition([t.rolling_signature() for t in traces]) == \
+            _partition([_rolling_signature_objects(t) for t in traces])
+        assert _partition([t.host_delay_signature() for t in traces]) == \
+            _partition([_host_delay_signature_objects(t) for t in traces])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_content_signature_equalities_match(self, seed):
+        rng = random.Random(seed)
+        collator = TraceCollator(deduplicate=False)
+        jobs = []
+        for variant in range(10):
+            job = jitterize_host_delays(
+                build_random_job(seed * 100 + variant % 3, steps=40), seed)
+            if variant >= 3:
+                rank = rng.randrange(job.world_size)
+                rewrite_events(job.workers[rank],
+                               _mutate(job.workers[rank].events, rng))
+            jobs.append(collator.collate(job))
+        assert _partition([c.content_signature() for c in jobs]) == \
+            _partition([_content_signature_objects(c) for c in jobs])
+
+    def test_emulated_ranks_dedup_like_event_walk(self, v100_cluster,
+                                                   tiny_model):
+        from repro.core.emulator import EmulationSession
+        from repro.framework.recipe import TrainingRecipe
+        from repro.workloads.job import TransformerTrainingJob
+
+        recipe = TrainingRecipe(tensor_parallel=2, pipeline_parallel=2,
+                                microbatch_multiplier=2, dtype="float16")
+        job = TransformerTrainingJob(tiny_model, recipe, v100_cluster,
+                                     global_batch_size=16)
+        emulated = EmulationSession(v100_cluster).run(
+            job.worker_fn, world_size=job.world_size)
+        traces = [emulated.job_trace.workers[rank]
+                  for rank in sorted(emulated.job_trace.workers)]
+        columns = _partition([t.rolling_signature() for t in traces])
+        assert columns == _partition([_rolling_signature_objects(t)
+                                      for t in traces])
+        assert len(columns) < len(traces)  # some ranks do dedup

@@ -29,6 +29,7 @@ from repro.workloads.job import TransformerTrainingJob
 from repro.workloads.models import get_transformer
 
 from reference_engine import reference_simulate
+from test_simulator import rewrite_events
 
 
 def _emulate(cluster, iterations, host_model=None, batch=16):
@@ -50,12 +51,13 @@ def _legacy_job_trace(job_trace: JobTrace, host: HostModel) -> JobTrace:
     legacy = copy.deepcopy(job_trace)
     for trace in legacy.workers.values():
         trace.metadata.pop(HOST_MODEL_METADATA_KEY, None)
-        for event in trace.events:
+        events = trace.events
+        for event in events:
             if event.kind is TraceEventKind.HOST_DELAY:
                 seq = event.params.pop("seq")
                 event.duration = host.dispatch_cost(
                     event.params["call_class"], seq)
-                event.__dict__.pop("_signature_cache", None)
+        rewrite_events(trace, events)
     return legacy
 
 

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
+import typing
 
 import pytest
 
 from repro.analysis.metrics import absolute_percentage_error, mfu
 from repro.core.pipeline import MayaPipeline
+from repro.core.trace import TraceEvent
+from repro.cuda.errors import CudaInvalidValueError
+from repro.service import PredictionService, wire
 from repro.framework.recipe import TrainingRecipe
 from repro.hardware.cluster import get_cluster
 from repro.testbed import Testbed
@@ -66,6 +72,68 @@ class TestMayaPipeline:
         result = MayaPipeline(v100, estimator_mode="analytical").predict(job)
         assert result.oom
         assert math.isinf(result.iteration_time)
+
+    def test_failed_rank_reported_not_predicted(self, v100, tiny_gpt):
+        # A rank raising a CUDA error mid-iteration leaves a truncated
+        # trace; predicting from it would replay half an iteration.
+        job = _job(tiny_gpt, v100, tensor_parallel=2, pipeline_parallel=2,
+                   microbatch_multiplier=2)
+        failing_rank = job.unique_ranks()[-1]
+        run_worker = job.worker_fn
+
+        def worker_fn(rank, emulator):
+            if rank == failing_rank:
+                launch = emulator.runtime.launch_kernel
+                launches = itertools.count()
+
+                def flaky_launch(*args, **kwargs):
+                    if next(launches) == 40:
+                        raise CudaInvalidValueError("injected launch failure")
+                    return launch(*args, **kwargs)
+
+                emulator.runtime.launch_kernel = flaky_launch
+            run_worker(rank, emulator)
+
+        job.worker_fn = worker_fn
+        result = MayaPipeline(v100, estimator_mode="analytical").predict(job)
+        assert not result.succeeded and not result.oom
+        assert math.isinf(result.iteration_time)
+        assert "injected launch failure" in result.metadata["emulation_error"]
+
+    def test_fingerprint_annotations_resolve(self):
+        for method in (MayaPipeline.collation_fingerprint,
+                       MayaPipeline.estimator_fingerprint):
+            assert typing.get_type_hints(method)["return"] is typing.Tuple
+
+    def test_cold_prediction_builds_no_trace_events(self, v100, tiny_gpt,
+                                                    monkeypatch):
+        # Columns are the trace: neither a cold serial prediction nor a
+        # pooled artifact round-trip may materialize the event view.
+        built = []
+        init = TraceEvent.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceEvent, "__init__", counting_init)
+        service = PredictionService(cluster=v100, estimator_mode="analytical")
+        job = TransformerTrainingJob(
+            tiny_gpt, TrainingRecipe(tensor_parallel=2, pipeline_parallel=2,
+                                     microbatch_multiplier=2, dtype="float16"),
+            v100, global_batch_size=16, iterations=6)
+        cold = service.predict(job)
+        assert cold.succeeded and built == []
+
+        pipeline = service.pipeline
+        artifacts = pipeline.emulate(job)
+        shipped = wire.loads(wire.dumps_columnar(
+            dataclasses.replace(artifacts, job=None, cluster=None)))
+        pooled = pipeline.predict(
+            job, dataclasses.replace(shipped, job=job, cluster=v100),
+            provider=service.provider())
+        assert built == []
+        assert pooled.iteration_time == cold.iteration_time
 
     def test_selective_launch_matches_full_emulation(self, v100, tiny_gpt):
         job = _job(tiny_gpt, v100, tensor_parallel=2, pipeline_parallel=2,

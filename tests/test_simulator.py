@@ -31,7 +31,13 @@ from repro.core.simulator.waitmaps import (
     CudaEventWaitMap,
     P2PWaitMap,
 )
-from repro.core.trace import JobTrace, TraceEvent, TraceEventKind, WorkerTrace
+from repro.core.trace import (
+    JobTrace,
+    TraceColumns,
+    TraceEvent,
+    TraceEventKind,
+    WorkerTrace,
+)
 from repro.hardware.cluster import get_cluster
 
 from reference_engine import reference_simulate
@@ -382,9 +388,11 @@ class TestIterationFolding:
         job = build_periodic_job(8)
         # Perturb one mid-trace host delay: windows are no longer periodic.
         trace = job.workers[0]
-        delays = [event for event in trace.events
+        events = trace.events
+        delays = [event for event in events
                   if event.kind is TraceEventKind.HOST_DELAY]
         delays[5].duration = delays[5].duration * 2.0
+        rewrite_events(trace, events)
         full = self._simulate(job, fold_iterations=False)
         guarded = self._simulate(job)
         assert "iteration_folding" not in guarded.metadata
@@ -577,7 +585,8 @@ def jitterize_host_delays(job, seed):
     rng = random.Random(seed)
     for trace in job.workers.values():
         noise_seq = rng.randrange(4)
-        for event in trace.events:
+        events = trace.events
+        for event in events:
             if event.kind is TraceEventKind.HOST_DELAY:
                 event.params = {
                     "call_class": rng.choice(_JITTER_CALL_CLASSES),
@@ -585,9 +594,21 @@ def jitterize_host_delays(job, seed):
                     "seq": noise_seq,
                 }
                 noise_seq += rng.randrange(1, 4)
+        rewrite_events(trace, events)
         trace.metadata[HOST_MODEL_METADATA_KEY] = {"name": "test-host",
                                                    "jitter": 0.15}
     return job
+
+
+def rewrite_events(trace, events):
+    """Record ``events`` (seqs kept) as ``trace``'s rows.
+
+    ``trace.events`` is a fresh view on every access, so a test that edits
+    events records the edited list back.
+    """
+    trace.columns = TraceColumns()
+    for event in events:
+        trace.columns.record_event(event)
 
 
 class TestRandomizedDifferential:

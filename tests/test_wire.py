@@ -247,7 +247,8 @@ class TestColumnarNegotiation:
 
         source = _example_trace()
         tagged = _TaggedTrace(rank=source.rank, device=source.device)
-        tagged.events = list(source.events)
+        for event in source.events:
+            tagged.append(event)
         tagged.tag = "kept"
         copyreg.pickle(_Registered, lambda obj: (_Registered, (obj.value + 1,)))
         try:
