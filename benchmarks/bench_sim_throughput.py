@@ -14,9 +14,9 @@ nothing here is a claim about it.  What this file keeps:
   trace and folding extrapolates at the analytic mean jitter factor (the
   ``jittered_fold`` leg, gated report-only in ``--check``: folding must
   engage on the default testbed trace);
-* **wire bytes per artifact** -- the two ways the socket backend can ship
-  a worker-trace artifact: pickled ``TraceEvent`` graph vs the negotiated
-  columnar frame (raw little-endian column buffers plus a template pool);
+* **wire bytes per event** -- a shipped worker-trace artifact is its
+  recorded columns (raw little-endian column buffers plus the template
+  pool); this reports its size per artifact and per event;
 * **chaos recovery** (``--chaos``, report-only) -- the persistent-pool
   batch makespan with one fault-injected straggler slept past its job
   lease, vs the clean run: the measured cost of speculative re-dispatch
@@ -179,28 +179,22 @@ def bench_engine() -> Dict[str, object]:
 
 
 def bench_wire_shipping() -> Dict[str, object]:
-    """Bytes per shipped trace artifact: pickled graph vs columnar frame.
+    """Bytes per shipped trace artifact and per event.
 
-    Serialises the benchmark workload's representative worker traces the
-    two ways the socket backend can ship them -- a plain pickle of the
-    ``TraceEvent`` graph (pre-columnar peers) and the negotiated columnar
-    payload -- and reports bytes per artifact and per event for both.
+    Serialises the benchmark workload's representative worker traces as
+    the backends ship them: their columns, in the columnar wire payload.
     """
     from repro.service import wire
 
     _, collated, _, _, _ = _engine_setup(iterations=2, smooth_host=False)
     traces = list(collated.traces.values())
-    events = sum(len(trace.events) for trace in traces)
-    pickled = sum(len(wire.dumps(trace)) for trace in traces)
+    events = sum(len(trace) for trace in traces)
     columnar = sum(len(wire.dumps_columnar(trace)) for trace in traces)
     return {
         "artifacts": len(traces),
         "trace_events": events,
-        "pickle_bytes": pickled,
-        "pickle_bytes_per_event": pickled / events,
         "columnar_bytes": columnar,
         "columnar_bytes_per_event": columnar / events,
-        "columnar_shrink": pickled / columnar,
     }
 
 
@@ -361,11 +355,8 @@ def run_benchmark(output: Path, chaos: bool = False,
           f"ev/s ({engine['fold_speedup']:.2f}x its own full replay on the "
           f"{FOLD_ITERATIONS}-iteration trace)")
     shipping = payload["wire_shipping"]
-    print(f"wire shipping: pickle "
-          f"{shipping['pickle_bytes_per_event']:.1f} B/event vs "
-          f"columnar {shipping['columnar_bytes_per_event']:.1f} B/event "
-          f"({shipping['columnar_shrink']:.2f}x smaller over "
-          f"{shipping['artifacts']} artifacts)")
+    print(f"wire shipping: {shipping['columnar_bytes_per_event']:.1f} "
+          f"B/event over {shipping['artifacts']} artifacts")
     jittered = engine["jittered_fold"]
     print(f"jittered fold: {jittered['folded_iterations']} of "
           f"{FOLD_ITERATIONS} iterations folded on the default host model "

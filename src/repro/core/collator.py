@@ -98,29 +98,6 @@ def find_iteration_windows(trace: WorkerTrace) -> Optional[IterationWindows]:
                             ends=tuple(ends))
 
 
-def _canonical_range_fingerprint(trace: WorkerTrace, lo: int,
-                                 hi: int) -> Optional[int]:
-    """Content hash of events ``lo .. hi-1`` for cross-window comparison.
-
-    CUDA event handle ids and record versions grow monotonically across
-    iterations, so the raw event signatures of two otherwise identical
-    iteration windows never match.  This fingerprint canonicalises them:
-    records are numbered serially within the range and waits hash to the
-    serial number of the record they reference.  A wait that references a
-    record *outside* the range (a cross-window dependency) makes the range
-    non-periodic and yields ``None``.  Structured host delays (deterministic
-    base cost + replay-time jitter) hash by call class and base cost, which
-    repeat exactly in every steady-state window -- the per-window jitter
-    variation is synthesised at simulation time and handled analytically by
-    fold extrapolation.  Legacy pre-jittered host delays hash by value: such
-    a window is only equivalent to another if it replays the same cost.
-
-    The hash itself runs over the trace's columns and per-template digests
-    (:func:`repro.core.columnar.range_fingerprint`).
-    """
-    return range_fingerprint(trace.columns, lo, hi)
-
-
 def windows_are_periodic(trace: WorkerTrace,
                          windows: IterationWindows) -> bool:
     """Whether iterations ``1 .. N-1`` of ``trace`` are interchangeable.
@@ -128,25 +105,18 @@ def windows_are_periodic(trace: WorkerTrace,
     Window 0 is allowed to differ (allocation warm-up); every later window
     body must canonically match window 1's, every inter-iteration glue must
     match the window-1 -> window-2 glue, and no window may synchronise on
-    events recorded outside itself.
+    events recorded outside itself (see
+    :func:`repro.core.columnar.range_fingerprint`).
     """
     if windows.count < 3:
         return False
-    reference_body = _canonical_range_fingerprint(
-        trace, *windows.body_range(1))
-    if reference_body is None:
-        return False
-    for k in range(2, windows.count):
-        body = _canonical_range_fingerprint(trace, *windows.body_range(k))
-        if body is None or body != reference_body:
-            return False
-    reference_glue = _canonical_range_fingerprint(
-        trace, *windows.glue_range(1))
-    if reference_glue is None:
-        return False
-    for k in range(2, windows.count - 1):
-        glue = _canonical_range_fingerprint(trace, *windows.glue_range(k))
-        if glue is None or glue != reference_glue:
+    count = windows.count
+    for ranges in ([windows.body_range(k) for k in range(1, count)],
+                   [windows.glue_range(k) for k in range(1, count - 1)]):
+        prints = [range_fingerprint(trace.columns, lo, hi)
+                  for lo, hi in ranges]
+        if prints[0] is None or any(other != prints[0]
+                                    for other in prints[1:]):
             return False
     return True
 

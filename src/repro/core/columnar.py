@@ -1,40 +1,32 @@
 """Readers of the recorded trace columns.
 
-A :class:`~repro.core.trace.WorkerTrace` *is* its columns: the emulator
-appends one row per event to a :class:`~repro.core.trace.TraceColumns`
-store and interns each distinct event shape into a small template pool
-as it records (see :mod:`repro.core.trace` for the column semantics).
+A :class:`~repro.core.trace.WorkerTrace` *is* its columns
+(:class:`~repro.core.trace.TraceColumns`, one row per event plus a
+template pool interned while the emulator records);
 :class:`~repro.core.trace.TraceEvent` objects are only a view.  Everything
-downstream of the emulator reads the columns and the per-template
-digests computed here, once per trace:
+downstream of the emulator reads the columns through this module, with
+per-template digests computed once per trace:
 
-* worker deduplication and the collated content signature
-  (:func:`rolling_signature`, :func:`host_delay_signature`) fold
-  per-template digests over the integer columns, vectorized;
-* the simulation engine's replay loop (:func:`engine_program`, see
-  :mod:`repro.core.simulator.engine`) dispatches on an int8-derived opcode
-  list instead of ``TraceEventKind`` enum comparisons, with no per-event
-  attribute or dict access;
+* worker deduplication and the collated content signature fold the
+  digests over the integer columns (:func:`rolling_signature`,
+  :func:`host_delay_signature`), vectorized;
+* the replay engine dispatches on an opcode list (:func:`engine_program`)
+  with no per-event attribute or dict access;
 * annotation prices each distinct (template, stream) kernel shape once
   (:func:`kernel_shapes`) and materializes host delays array-wide
   (:func:`materialize_host_delays`);
-* the collator's periodicity fingerprints (:func:`range_fingerprint`) hash
-  per-template digests instead of re-walking event objects;
-* the wire format (:func:`encode_worker_trace` / :func:`decode_worker_trace`)
-  ships the raw little-endian column buffers plus the pickled template
-  pool, and decoding reads a header and wraps the buffers.
+* the collator's periodicity check hashes ranges of rows
+  (:func:`range_fingerprint`);
+* the wire payload (:func:`encode_worker_trace` /
+  :func:`decode_worker_trace`) is the raw little-endian column buffers
+  plus the pickled template pool, and decoding is a header read.
 
-The payload is exact: the decoded trace's view reproduces ``to_dict()`` /
-``to_json()`` byte for byte (params and collective dicts are rebuilt in
-their original key order), so content signatures and cached-artifact keys
-computed from a decoded trace match the sender's.  The one deliberate
-coercion is numeric width: durations are float64 and handle ids int64,
-which is lossless for everything the emulator emits (hand-built traces
-using *integer* durations read back as the equal float).
-
-numpy is a hard requirement of this module and therefore of the package
-(``setup.py`` declares it): there is no per-object fallback behind any of
-these readers.
+The payload is exact: the decoded trace's view reproduces ``to_json()``
+byte for byte, so content signatures and cached-artifact keys computed
+from a decoded trace match the sender's.  The one deliberate coercion is
+numeric width: durations are float64 and handle ids int64, lossless for
+everything the emulator emits (hand-built *integer* durations read back as
+the equal float).  numpy is a hard requirement of the package.
 """
 
 from __future__ import annotations
@@ -54,15 +46,11 @@ from repro.core.trace import (
     F_REC_DESTROY,
     F_VERSION,
     K_COLLECTIVE,
-    K_DEVICE_SYNC,
     K_EVENT_RECORD,
     K_EVENT_SYNC,
     K_HOST_DELAY,
-    K_KERNEL,
     K_MARKER,
-    K_MEMCPY,
     K_MEMSET,
-    K_STREAM_SYNC,
     K_STREAM_WAIT,
     KIND_CODES,
     KINDS_BY_CODE,
@@ -84,10 +72,13 @@ PAYLOAD_MAGIC = b"MCOL"
 
 _PAYLOAD_HEADER = struct.Struct("<4sI")
 
-#: 64-bit FNV-1a constants for the fingerprint mixer.
-_FNV_OFFSET = 0xCBF29CE484222325
+#: Polynomial base of :func:`_hash_rows` (the 64-bit FNV prime).
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+
+#: Kinds whose rows carry everything :func:`range_fingerprint` compares.
+_ROW_COMPARED_KINDS = (K_HOST_DELAY, K_EVENT_RECORD, K_STREAM_WAIT,
+                       K_EVENT_SYNC)
 
 
 # ----------------------------------------------------------------------
@@ -111,19 +102,12 @@ E_STREAM_SYNC = 9
 E_DEVICE_SYNC = 10
 E_SKIP = 11
 
-_KIND_TO_OPCODE = {
-    K_KERNEL: E_KERNEL,
-    K_MEMCPY: E_MEMCPY,
-    K_MEMSET: E_MEMSET,
-    K_COLLECTIVE: E_COLLECTIVE,
-    K_EVENT_RECORD: E_RECORD,
-    K_STREAM_WAIT: E_WAIT,
-    K_HOST_DELAY: E_HOST_DELAY,
-    K_MARKER: E_MARKER,
-    K_EVENT_SYNC: E_EVENT_SYNC,
-    K_STREAM_SYNC: E_STREAM_SYNC,
-    K_DEVICE_SYNC: E_DEVICE_SYNC,
-}
+#: Engine opcode of each kind code (``TraceEventKind`` declaration order:
+#: kernel, memcpy, memset, collective, host delay, record, stream wait,
+#: event sync, stream sync, device sync, marker).
+_OPCODES = _np.array([E_KERNEL, E_MEMCPY, E_MEMSET, E_COLLECTIVE,
+                      E_HOST_DELAY, E_RECORD, E_WAIT, E_EVENT_SYNC,
+                      E_STREAM_SYNC, E_DEVICE_SYNC, E_MARKER])
 
 
 class EngineProgram:
@@ -137,44 +121,30 @@ class EngineProgram:
                  "labels")
 
     def __init__(self, cols: TraceColumns) -> None:
-        lists = cols.lists()
-        kind = lists["kind"]
-        flags = lists["flags"]
-        n = len(cols)
-        self.n = n
-        codes = [0] * n
+        arrays, lists = cols.arrays(), cols.lists()
+        codes = _OPCODES[arrays["kind"]]
+        codes[(codes == E_RECORD) & ((arrays["flags"] & (
+            F_REC_CREATE | F_REC_DESTROY)) != 0)] = E_SKIP
+        self.n = len(cols)
+        self.codes = codes.tolist()
         #: Stream operand with the engine's ``None -> 0`` default applied.
-        streams = lists["stream"][:]
+        self.streams = _np.maximum(arrays["stream"], 0).tolist()
         self.seqs = lists["seq"]
         #: Recorded durations with the engine's ``None -> 0.0`` default
         #: (fold replays read these for structured host delays).
         self.durations = lists["duration"]
-        ekeys: List[Optional[Tuple[int, int]]] = [None] * n
-        labels: List[Optional[str]] = [None] * n
-        event_ids = lists["event_id"]
-        wait_ids = lists["wait_event"]
+        #: (CUDA event handle, version) a record writes or a wait reads.
+        self.ekeys: List[Optional[Tuple[int, int]]] = [None] * self.n
         versions = lists["version"]
-        templates = cols.templates
-        template_ids = lists["template"]
-        for i in range(n):
-            code = _KIND_TO_OPCODE[kind[i]]
-            if code == E_RECORD:
-                if flags[i] & (F_REC_CREATE | F_REC_DESTROY):
-                    code = E_SKIP
-                else:
-                    ekeys[i] = (event_ids[i], versions[i])
-            elif code in (E_WAIT, E_EVENT_SYNC):
-                ekeys[i] = (wait_ids[i], versions[i])
-            elif code == E_MARKER:
-                params = templates[template_ids[i]]["params_fixed"]
-                labels[i] = str(params.get("label", ""))
-            codes[i] = code
-            if streams[i] < 0:
-                streams[i] = 0
-        self.codes = codes
-        self.streams = streams
-        self.ekeys = ekeys
-        self.labels = labels
+        for handles, waits in ((lists["event_id"], codes == E_RECORD),
+                               (lists["wait_event"], (codes == E_WAIT)
+                                | (codes == E_EVENT_SYNC))):
+            for i in _np.flatnonzero(waits).tolist():
+                self.ekeys[i] = (handles[i], versions[i])
+        self.labels: List[Optional[str]] = [None] * self.n
+        for i in cols.rows(K_MARKER):
+            params = cols.templates[lists["template"][i]]["params_fixed"]
+            self.labels[i] = str(params.get("label", ""))
 
 
 def engine_program(cols: TraceColumns) -> EngineProgram:
@@ -260,13 +230,14 @@ class _TemplateTables:
 
     ``key[tid]`` is ``TraceEvent.signature()`` minus the stream (a column)
     and, for the record/wait kinds, minus the ``version`` param (a column
-    too); ``digest[tid]`` is its stable hash.  ``coll_fp``, ``label_fp``
-    and ``is_iter_marker`` are the collective and marker digests of
-    :func:`range_fingerprint`.  Templates no row uses (after fold
-    truncation) keep the zero defaults.
+    too); ``digest[tid]`` is its stable hash.  ``window[tid]`` is what
+    :func:`range_fingerprint` compares of the template: the collective
+    descriptor, the marker label (iteration markers compare by position
+    only), nothing for the kinds whose rows carry it all, else the shape
+    digest.  Templates no row uses (after fold truncation) keep zeros.
     """
 
-    __slots__ = ("key", "digest", "coll_fp", "label_fp", "is_iter_marker")
+    __slots__ = ("key", "digest", "window")
 
     def __init__(self, cols: TraceColumns) -> None:
         arrays = cols.arrays()
@@ -274,9 +245,7 @@ class _TemplateTables:
         count = len(cols.templates)
         self.key: List[Optional[Tuple]] = [None] * count
         self.digest = [0] * count
-        self.coll_fp = [0] * count
-        self.label_fp = [0] * count
-        self.is_iter_marker = [False] * count
+        self.window = [0] * count
         for tid, code in zip(used.tolist(), arrays["kind"][first].tolist()):
             template = cols.templates[tid]
             params = template["params_fixed"]
@@ -291,19 +260,20 @@ class _TemplateTables:
                 tuple(sorted((k, v) for k, v in params.items()
                              if k not in ("free", "total"))),
                 collective_key)
-            self.digest[tid] = stable_hash(self.key[tid])
+            self.digest[tid] = self.window[tid] = stable_hash(self.key[tid])
             if code == K_COLLECTIVE:
                 info = coll or {}
-                self.coll_fp[tid] = stable_hash(
+                self.window[tid] = stable_hash(
                     str(info.get("op")), str(info.get("comm_tag")),
                     tuple(info.get("ranks", ())), int(info.get("peer", -1)),
                     float(params.get("bytes", 0.0)))
             elif code == K_MARKER:
                 label = str(params.get("label", ""))
-                if _ITERATION_MARKER.match(label):
-                    self.is_iter_marker[tid] = True
-                else:
-                    self.label_fp[tid] = stable_hash(label)
+                self.window[tid] = stable_hash(
+                    "marker", None if _ITERATION_MARKER.match(label)
+                    else label)
+            elif code in _ROW_COMPARED_KINDS:
+                self.window[tid] = 0
 
 
 def _template_tables(cols: TraceColumns) -> _TemplateTables:
@@ -314,20 +284,21 @@ def _template_tables(cols: TraceColumns) -> _TemplateTables:
     return tables
 
 
-def _fold(values, seed: int) -> int:
-    """Order-sensitive 64-bit polynomial hash of a uint64 array.
+def _hash_rows(lanes: List[Any], seed: int) -> int:
+    """Order-sensitive 64-bit hash of rows given as parallel uint64 lanes.
 
-    ``sum(values[i] * P**(n - i))`` with wrapping arithmetic, finished
-    through splitmix64 together with ``seed`` and the length.  The lanes
-    are themselves splitmix64 outputs, so two different streams collide
-    with probability ~2**-64, like the blake2b chain this replaces.
+    Each row's lanes are chained through splitmix64; the row values are
+    then folded as ``sum(value[i] * P**(n - i))`` (wrapping arithmetic)
+    and finished with ``seed`` and the row count.  Two different row
+    sequences collide with probability ~2**-64, like a blake2b chain.
     """
-    n = values.size
-    powers = _np.full(n, 0x100000001B3, dtype=_np.uint64).cumprod()[::-1]
-    total = _np.array([(values * powers).sum(dtype=_np.uint64)],
-                      dtype=_np.uint64)
+    values = _splitmix64(lanes[0])
+    for lane in lanes[1:]:
+        values = _splitmix64(values + lane)
+    powers = _np.full(values.size, _FNV_PRIME, dtype=_np.uint64).cumprod()
+    total = _np.array([(values * powers[::-1]).sum(dtype=_np.uint64)])
     tail = _splitmix64(_np.array([seed & _MASK64], dtype=_np.uint64)
-                       + _np.uint64(n))
+                       + _np.uint64(values.size))
     return int(_splitmix64(total ^ tail)[0])
 
 
@@ -345,13 +316,12 @@ def rolling_signature(cols: TraceColumns) -> int:
         rows = _np.flatnonzero(arrays["kind"] != K_HOST_DELAY)
         digests = _np.array(_template_tables(cols).digest,
                             dtype=_np.uint64)[arrays["template"][rows]]
-        streams = arrays["stream"][rows].astype(_np.int64).astype(_np.uint64)
         versions = ((arrays["version"][rows].astype(_np.int64)
                      .astype(_np.uint64) << _np.uint64(4))
                     | (arrays["flags"][rows] & F_VERSION).astype(_np.uint64))
-        values = _splitmix64(_splitmix64(digests ^ _splitmix64(streams))
-                             + versions)
-        signature = memo["rolling_signature"] = _fold(values, 0)
+        signature = memo["rolling_signature"] = _hash_rows(
+            [digests, arrays["stream"][rows].astype(_np.uint64), versions],
+            0)
     return signature
 
 
@@ -371,18 +341,16 @@ def host_delay_signature(cols: TraceColumns,
         # Index -1 (no call class) picks the trailing digest of None.
         classes = _np.array([stable_hash(name) for name in cols.host_classes]
                             + [stable_hash(None)], dtype=_np.uint64)
-        durations = (arrays["duration"][rows] + 0.0).view(_np.uint64)
         jitter_keys = (arrays["aux_seq"][rows].astype(_np.uint64)
                        + (arrays["flags"][rows] & F_HOST_SEQ).astype(
                            _np.uint64))
-        values = _splitmix64(arrays["seq"][rows].astype(_np.uint64))
-        for lane in (durations, jitter_keys,
-                     classes[arrays["host_class"][rows]]):
-            values = _splitmix64(values + lane)
         profile = metadata.get(HOST_MODEL_METADATA_KEY) or {}
-        signature = memo["host_delay_signature"] = _fold(
-            values, stable_hash("host-delays", profile.get("name"),
-                                profile.get("jitter")))
+        signature = memo["host_delay_signature"] = _hash_rows(
+            [arrays["seq"][rows].astype(_np.uint64),
+             (arrays["duration"][rows] + 0.0).view(_np.uint64),
+             jitter_keys, classes[arrays["host_class"][rows]]],
+            stable_hash("host-delays", profile.get("name"),
+                        profile.get("jitter")))
     return signature
 
 
@@ -425,92 +393,63 @@ def kernel_shapes(cols: TraceColumns) -> Tuple[Any, Any, List[Tuple]]:
 # ----------------------------------------------------------------------
 
 def range_fingerprint(cols: TraceColumns, lo: int, hi: int) -> Optional[int]:
-    """Canonical content hash of events ``lo .. hi-1`` (the body of the
-    collator's ``_canonical_range_fingerprint``, which documents what is
-    canonicalised and why).
+    """Content hash of events ``lo .. hi-1`` for cross-window comparison.
 
-    An FNV-1a mix over per-template digests: fingerprints are only ever
-    compared to other fingerprints of the same trace within one process, so
-    only *equality semantics* matter -- records numbered serially, waits
-    resolved to local record serials with cross-window references yielding
-    ``None``, structured host delays hashed by call class + base cost --
-    and those are checked against a per-object reference walk in
-    ``tests/test_columnar.py``.  Distinct case tags keep the branches
-    collision-disjoint.
+    CUDA event handle ids and record versions grow monotonically across
+    iterations, so the raw signatures of two otherwise identical iteration
+    windows never match.  This fingerprint canonicalises them: a record
+    hashes by its stream (its serial within the range follows from its
+    position), a wait by the row distance back to the record it waits on;
+    a wait on a record *outside* the range (a cross-window dependency)
+    yields ``None``.  Structured host delays hash by call class and base
+    cost, which repeat exactly in every steady-state window (fold
+    extrapolation handles their jitter analytically); legacy pre-jittered
+    ones hash by value.  Fingerprints are only compared within one trace
+    and process; their equality decisions are checked against a
+    per-object reference walk in ``tests/test_columnar.py``.
     """
-    tables = _template_tables(cols)
-    shape_fp = tables.digest
-    coll_fp = tables.coll_fp
-    label_fp = tables.label_fp
-    is_iter = tables.is_iter_marker
-    lists = cols.lists()
-    kinds = lists["kind"]
-    flags = lists["flags"]
-    streams = lists["stream"]
-    templates = lists["template"]
-    versions = lists["version"]
-    event_ids = lists["event_id"]
-    wait_ids = lists["wait_event"]
-    durations = lists["duration"]
-    host_classes = lists["host_class"]
+    lanes, refs = _window_rows(cols)
+    if hi > lo and refs[lo:hi].min() < lo:
+        return None
+    return _hash_rows([lane[lo:hi] for lane in lanes], 0)
 
-    h = _FNV_OFFSET
-    local_records: Dict[Tuple[int, int], int] = {}
-    serial = 0
-    for i in range(lo, hi):
-        kind = kinds[i]
-        if kind == K_HOST_DELAY:
-            if flags[i] & F_HOST_SEQ:
-                h = ((h ^ 1) * _FNV_PRIME) & _MASK64
-                h = ((h ^ (host_classes[i] & _MASK64)) * _FNV_PRIME) & _MASK64
-            else:
-                h = ((h ^ 2) * _FNV_PRIME) & _MASK64
-            h = ((h ^ (hash(durations[i]) & _MASK64)) * _FNV_PRIME) & _MASK64
-            continue
-        if kind == K_MARKER:
-            tid = templates[i]
-            if is_iter[tid]:
-                h = ((h ^ 3) * _FNV_PRIME) & _MASK64
-            else:
-                h = ((h ^ 4) * _FNV_PRIME) & _MASK64
-                h = ((h ^ label_fp[tid]) * _FNV_PRIME) & _MASK64
-            continue
-        if kind == K_EVENT_RECORD:
-            bits = flags[i]
-            if bits & F_REC_CREATE:
-                h = ((h ^ 5) * _FNV_PRIME) & _MASK64
-                continue
-            if bits & F_REC_DESTROY:
-                h = ((h ^ 6) * _FNV_PRIME) & _MASK64
-                continue
-            local_records[(event_ids[i], versions[i])] = serial
-            h = ((h ^ 7) * _FNV_PRIME) & _MASK64
-            h = ((h ^ serial) * _FNV_PRIME) & _MASK64
-            h = ((h ^ (streams[i] & _MASK64)) * _FNV_PRIME) & _MASK64
-            serial += 1
-            continue
-        if kind == K_STREAM_WAIT or kind == K_EVENT_SYNC:
-            version = versions[i]
-            if version == 0:
-                h = ((h ^ 8) * _FNV_PRIME) & _MASK64
-            else:
-                reference = local_records.get((wait_ids[i], version))
-                if reference is None:
-                    return None  # waits on a record from another window
-                h = ((h ^ 9) * _FNV_PRIME) & _MASK64
-                h = ((h ^ reference) * _FNV_PRIME) & _MASK64
-            h = ((h ^ kind) * _FNV_PRIME) & _MASK64
-            h = ((h ^ (streams[i] & _MASK64)) * _FNV_PRIME) & _MASK64
-            continue
-        if kind == K_COLLECTIVE:
-            h = ((h ^ 10) * _FNV_PRIME) & _MASK64
-            h = ((h ^ coll_fp[templates[i]]) * _FNV_PRIME) & _MASK64
-            h = ((h ^ (streams[i] & _MASK64)) * _FNV_PRIME) & _MASK64
-            continue
-        h = ((h ^ 11) * _FNV_PRIME) & _MASK64
-        h = ((h ^ shape_fp[templates[i]]) * _FNV_PRIME) & _MASK64
-        h = ((h ^ (streams[i] & _MASK64)) * _FNV_PRIME) & _MASK64
-    return h
+
+def _window_rows(cols: TraceColumns) -> Tuple[List[Any], Any]:
+    """Per-row lanes of :func:`range_fingerprint` and each row's wait
+    reference (the record's row, ``-1`` if never recorded, the row itself
+    when it waits on nothing), memoized."""
+    memo = cols.memo()
+    found = memo.get("window_rows")
+    if found is None:
+        arrays, lists = cols.arrays(), cols.lists()
+        kind, flags = arrays["kind"], arrays["flags"]
+        delay = kind == K_HOST_DELAY
+        handle = _np.where(flags & F_REC_CREATE, F_REC_CREATE,
+                           flags & F_REC_DESTROY)
+        refs = _np.arange(len(cols))
+        distance = _np.zeros(len(cols), dtype=_np.uint64)
+        latest: Dict[Tuple[int, int], int] = {}
+        for i in _np.flatnonzero(_np.isin(kind, _ROW_COMPARED_KINDS)
+                                 & ~delay).tolist():
+            version = lists["version"][i]
+            if kind[i] == K_EVENT_RECORD:
+                if not handle[i]:
+                    latest[(lists["event_id"][i], version)] = i
+            elif version != 0:
+                refs[i] = latest.get((lists["wait_event"][i], version), -1)
+                distance[i] = i - refs[i]
+        found = memo["window_rows"] = ([
+            _np.array(_template_tables(cols).window,
+                      dtype=_np.uint64)[arrays["template"]],
+            kind.astype(_np.uint64),
+            _np.where(delay | (kind == K_MARKER) | (handle != 0), 0,
+                      arrays["stream"]).astype(_np.uint64),
+            ((flags & F_HOST_SEQ) | handle).astype(_np.uint64),
+            _np.where(delay & ((flags & F_HOST_SEQ) != 0),
+                      arrays["host_class"], 0).astype(_np.uint64),
+            _np.where(delay, arrays["duration"] + 0.0, 0.0).view(_np.uint64),
+            distance], refs)
+    return found
 
 
 # ----------------------------------------------------------------------

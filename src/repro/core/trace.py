@@ -4,23 +4,18 @@ Maya's emulator produces one trace per worker covering device kernels,
 memory operations, synchronisation primitives, collectives and the host
 delays measured between consecutive API calls (Section 4.2 of the paper).
 A :class:`WorkerTrace` keeps that stream as recorded, in
-:class:`TraceColumns`: eleven flat per-event columns hold what varies
-event to event (kind, stream, duration, CUDA event handles and versions,
-sequence numbers), and a *template pool* holds what repeats (``api``,
-``kernel_class``, ``device``, params and collective descriptor minus
-their per-event keys) -- an iteration launches the same few dozen
-operations thousands of times, so each event costs one row.
+:class:`TraceColumns`: flat per-event columns for what varies event to
+event, plus a pool of *templates* for what repeats (an iteration launches
+the same few dozen operations thousands of times).  The emulator appends
+rows and interns templates as it records; everything downstream reads the
+columns (:mod:`repro.core.columnar`), and the service ships them between
+processes.
 
-The emulator appends rows and interns templates as it records; worker
-deduplication, collation, annotation, the replay engine and the wire
-payload read the columns (:mod:`repro.core.columnar`).  A
-:class:`TraceEvent` is the object view of one row, for tests, the
-per-event reference engine, the JSON export and per-event providers such
-as the testbed's: ``trace.events`` builds that list on every access and
-nothing keeps it.  Appending a ``TraceEvent`` (hand-built traces,
-``from_dict``) records exactly the row the emulator would have.  JSON
-(``to_json``) is the public export; between processes the service ships
-the columns themselves, ``to_json()``-exact.
+A :class:`TraceEvent` is the object view of one row -- for tests, the
+per-event reference engine, the JSON export (``to_json``) and per-event
+providers such as the testbed's.  ``trace.events`` builds the list on
+every access and nothing keeps it; appending a ``TraceEvent`` (hand-built
+traces, ``from_dict``) records the row the emulator would have.
 
 ``HOST_DELAY`` events come in two schema generations:
 
@@ -73,16 +68,12 @@ KIND_CODES: Dict[TraceEventKind, int] = {
 }
 KINDS_BY_CODE: Tuple[TraceEventKind, ...] = tuple(TraceEventKind)
 
-K_KERNEL = KIND_CODES[TraceEventKind.KERNEL]
-K_MEMCPY = KIND_CODES[TraceEventKind.MEMCPY]
 K_MEMSET = KIND_CODES[TraceEventKind.MEMSET]
 K_COLLECTIVE = KIND_CODES[TraceEventKind.COLLECTIVE]
 K_HOST_DELAY = KIND_CODES[TraceEventKind.HOST_DELAY]
 K_EVENT_RECORD = KIND_CODES[TraceEventKind.EVENT_RECORD]
 K_STREAM_WAIT = KIND_CODES[TraceEventKind.STREAM_WAIT_EVENT]
 K_EVENT_SYNC = KIND_CODES[TraceEventKind.EVENT_SYNCHRONIZE]
-K_STREAM_SYNC = KIND_CODES[TraceEventKind.STREAM_SYNCHRONIZE]
-K_DEVICE_SYNC = KIND_CODES[TraceEventKind.DEVICE_SYNCHRONIZE]
 K_MARKER = KIND_CODES[TraceEventKind.MARKER]
 
 # Flag bits (uint8 column) recording which optional fields were present on
@@ -139,15 +130,6 @@ def _values_key(values: Tuple) -> Tuple:
     if _PLAIN_TYPES.issuperset(types) and 0 not in values:
         return types, values
     return types, tuple(map(repr, values)), True
-
-
-def _fixed(fields: Dict[str, Any], varying: Optional[str]) -> Dict[str, Any]:
-    """``fields`` without its per-event ``varying`` key (a copy if present)."""
-    if varying is None or varying not in fields:
-        return fields
-    fixed = dict(fields)
-    del fixed[varying]
-    return fixed
 
 
 @dataclass
@@ -307,20 +289,9 @@ class TraceColumns:
         if self._template_ids is None:
             raise TypeError("decoded or truncated trace columns are "
                             "read-only")
-        bits = 0
-        if duration is None:
-            duration = 0.0
-        else:
-            bits = F_DURATION
-            duration = float(duration)
-        if event is None:
-            event = 0
-        else:
-            bits |= F_EVENT
-        if wait_event is None:
-            wait_event = 0
-        else:
-            bits |= F_WAIT
+        bits = ((duration is not None) * F_DURATION
+                | (event is not None) * F_EVENT
+                | (wait_event is not None) * F_WAIT)
         version = 0
         if "version" in params:
             bits |= F_VERSION
@@ -329,29 +300,22 @@ class TraceColumns:
         if code == K_HOST_DELAY and "seq" in params:
             bits |= F_HOST_SEQ
             aux_seq = int(params["seq"])
-        host_class = -1
-        call_class = params.get("call_class")
-        if call_class is not None:
-            name = str(call_class)
-            host_class = self._host_class_ids.get(name)
-            if host_class is None:
-                host_class = self._host_class_ids[name] = \
-                    len(self.host_classes)
-                self.host_classes.append(name)
         if collective is not None and "seq" in collective:
             bits |= F_COLL_SEQ
             aux_seq = int(collective["seq"])
         if code == K_EVENT_RECORD:
-            if params.get("create"):
-                bits |= F_REC_CREATE
-            if params.get("destroy"):
-                bits |= F_REC_DESTROY
-
-        tid = template
-        if tid is None:
-            tid = self._intern(code, api, device, kernel_class, params,
-                               collective)
-
+            bits |= (bool(params.get("create")) * F_REC_CREATE
+                     | bool(params.get("destroy")) * F_REC_DESTROY)
+        host_class = -1
+        call_class = params.get("call_class")
+        if call_class is not None:
+            name = str(call_class)
+            host_class = self._host_class_ids.setdefault(
+                name, len(self.host_classes))
+            if host_class == len(self.host_classes):
+                self.host_classes.append(name)
+        tid = template if template is not None else self._intern(
+            code, api, device, kernel_class, params, collective)
         append = self._appenders
         append[0](code)
         append[1](bits)
@@ -359,9 +323,9 @@ class TraceColumns:
         append[3](tid)
         append[4](version)
         append[5](host_class)
-        append[6](duration)
-        append[7](event)
-        append[8](wait_event)
+        append[6](0.0 if duration is None else float(duration))
+        append[7](event or 0)
+        append[8](wait_event or 0)
         append[9](aux_seq)
         append[10](len(self._lists["seq"]) if seq is None else seq)
         return tid
@@ -384,11 +348,13 @@ class TraceColumns:
         rebuilds the dicts byte-identically (``to_json`` preserves
         insertion order).
         """
-        fixed = _fixed(params, _VARYING_PARAM.get(code))
+        varying = _VARYING_PARAM.get(code)
+        fixed = params if varying not in params else {
+            k: v for k, v in params.items() if k != varying}
         key = (code, api, device, kernel_class, tuple(params),
                _values_key(tuple(fixed.values())))
         if collective is not None:
-            coll_fixed = _fixed(collective, "seq")
+            coll_fixed = {k: v for k, v in collective.items() if k != "seq"}
             key += (tuple(collective),
                     _values_key(tuple(coll_fixed.values())))
         tid = self._template_ids.get(key)
