@@ -149,11 +149,7 @@ class EngineProgram:
 
 def engine_program(cols: TraceColumns) -> EngineProgram:
     """Engine opcode view of ``cols``, memoized on the columns."""
-    memo = cols.memo()
-    program = memo.get("program")
-    if program is None:
-        program = memo["program"] = EngineProgram(cols)
-    return program
+    return cols.memoized("program", EngineProgram)
 
 
 # ----------------------------------------------------------------------
@@ -201,19 +197,12 @@ def materialize_host_delays(cols: TraceColumns,
         if scale > 0.0 and structured.any():
             host_name = str(profile.get("name", ""))
             sidx = idx[structured]
-            class_ids = arrays["host_class"][sidx].astype(_np.int64)
-            misc_seed = _np.uint64(dispatch_class_seed(host_name, "misc"))
-            if cols.host_classes:
-                class_seeds = _np.array(
-                    [dispatch_class_seed(host_name, name)
-                     for name in cols.host_classes],
-                    dtype=_np.uint64)
-                seeds = _np.where(class_ids >= 0,
-                                  class_seeds[_np.maximum(class_ids, 0)],
-                                  misc_seed)
-            else:
-                seeds = _np.full(sidx.size, misc_seed, dtype=_np.uint64)
-            seeds = seeds + arrays["aux_seq"][sidx].astype(_np.uint64)
+            # Class index -1 (no call class) picks the trailing "misc".
+            class_seeds = _np.array(
+                [dispatch_class_seed(host_name, name)
+                 for name in cols.host_classes + ["misc"]], dtype=_np.uint64)
+            seeds = (class_seeds[arrays["host_class"][sidx]]
+                     + arrays["aux_seq"][sidx].astype(_np.uint64))
             factor = _np.maximum(_fast_noise_array(seeds, scale),
                                  _JITTER_FLOOR)
             values[structured] = arrays["duration"][sidx] * factor
@@ -277,21 +266,14 @@ class _TemplateTables:
 
 
 def _template_tables(cols: TraceColumns) -> _TemplateTables:
-    memo = cols.memo()
-    tables = memo.get("template_tables")
-    if tables is None:
-        tables = memo["template_tables"] = _TemplateTables(cols)
-    return tables
+    return cols.memoized("template_tables", _TemplateTables)
 
 
 def _hash_rows(lanes: List[Any], seed: int) -> int:
-    """Order-sensitive 64-bit hash of rows given as parallel uint64 lanes.
-
-    Each row's lanes are chained through splitmix64; the row values are
-    then folded as ``sum(value[i] * P**(n - i))`` (wrapping arithmetic)
-    and finished with ``seed`` and the row count.  Two different row
-    sequences collide with probability ~2**-64, like a blake2b chain.
-    """
+    """Order-sensitive 64-bit hash of rows given as parallel uint64 lanes:
+    each row's lanes chained through splitmix64, folded as
+    ``sum(value[i] * P**(n - i))`` (wrapping) and finished with ``seed``
+    and the row count.  Collisions are ~2**-64, like a blake2b chain."""
     values = _splitmix64(lanes[0])
     for lane in lanes[1:]:
         values = _splitmix64(values + lane)
@@ -355,13 +337,10 @@ def host_delay_signature(cols: TraceColumns,
 
 
 def kernel_shapes(cols: TraceColumns) -> Tuple[Any, Any, List[Tuple]]:
-    """The distinct (template, stream) shapes of the kernel/copy/memset rows.
-
-    Returns ``(seqs, shape_of_row, shapes)``: the seq of every such row,
-    the index of its shape, and per shape the ``(kernel_class, params,
-    signature)`` a shape-keyed provider prices (``signature`` equals
-    ``TraceEvent.signature()`` of every row of that shape).  Memoized.
-    """
+    """Distinct (template, stream) shapes of the kernel/copy/memset rows:
+    ``(seqs, shape_of_row, shapes)``, each shape the ``(kernel_class,
+    params, signature)`` a shape-keyed provider prices (``signature`` is
+    every such row's ``TraceEvent.signature()``).  Memoized."""
     memo = cols.memo()
     found = memo.get("kernel_shapes")
     if found is None:
@@ -395,18 +374,15 @@ def kernel_shapes(cols: TraceColumns) -> Tuple[Any, Any, List[Tuple]]:
 def range_fingerprint(cols: TraceColumns, lo: int, hi: int) -> Optional[int]:
     """Content hash of events ``lo .. hi-1`` for cross-window comparison.
 
-    CUDA event handle ids and record versions grow monotonically across
-    iterations, so the raw signatures of two otherwise identical iteration
-    windows never match.  This fingerprint canonicalises them: a record
-    hashes by its stream (its serial within the range follows from its
-    position), a wait by the row distance back to the record it waits on;
-    a wait on a record *outside* the range (a cross-window dependency)
-    yields ``None``.  Structured host delays hash by call class and base
-    cost, which repeat exactly in every steady-state window (fold
-    extrapolation handles their jitter analytically); legacy pre-jittered
-    ones hash by value.  Fingerprints are only compared within one trace
-    and process; their equality decisions are checked against a
-    per-object reference walk in ``tests/test_columnar.py``.
+    CUDA event ids and versions grow across iterations, so raw signatures
+    of identical windows never match.  This canonicalises them: a record
+    hashes by its stream (its serial follows from its position), a wait by
+    the row distance back to its record, and a wait on a record *outside*
+    the range (a cross-window dependency) yields ``None``.  Structured
+    host delays hash by call class and base cost (fold extrapolation
+    handles their jitter analytically), legacy ones by value.  Equality
+    decisions are checked against a per-object reference walk in
+    ``tests/test_columnar.py``.
     """
     lanes, refs = _window_rows(cols)
     if hi > lo and refs[lo:hi].min() < lo:

@@ -106,9 +106,8 @@ class DeviceEmulator:
         self.runtime = CudaRuntime(device=device, gpu=gpu,
                                    interceptor=self._intercept)
         self._call_counter = 0
-        #: (call class, API) -> template id of its host-delay rows: both
-        #: are strings, so equal keys are equal shapes and only the first
-        #: delay of each pair is interned.
+        #: (call class, API) -> template id of its host-delay rows: equal
+        #: string pairs are equal shapes, so only the first is interned.
         self._delay_templates: Dict[Tuple[str, str], int] = {}
 
     # ------------------------------------------------------------------

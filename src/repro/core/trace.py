@@ -119,13 +119,10 @@ _PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
 def _values_key(values: Tuple) -> Tuple:
-    """Exact interning key of a tuple of dict values.
-
-    ``1``, ``1.0`` and ``True`` compare and hash equal but must not share
-    a template (their reprs -- hence the JSON export and every signature --
-    differ), so the key carries the value types.  Containers, and zeros
-    (``0.0 == -0.0``), are keyed by their reprs.
-    """
+    """Exact interning key of a tuple of dict values: ``1``, ``1.0`` and
+    ``True`` compare equal but have different reprs (so JSON and
+    signatures), hence the types; containers and zeros (``0.0 == -0.0``)
+    are keyed by repr."""
     types = tuple(map(type, values))
     if _PLAIN_TYPES.issuperset(types) and 0 not in values:
         return types, values
@@ -237,26 +234,20 @@ class TraceColumns:
         self.templates: List[Dict[str, Any]] = templates or []
         #: Deduplicated host-delay call-class strings.
         self.host_classes: List[str] = host_classes or []
-        self._memo: Dict[str, Any] = {}
-        self._memo_n = 0
-        self._lists: Optional[Dict[str, list]] = None
-        self._template_ids: Optional[Dict[Tuple, int]] = None
+        recording = arrays is None
+        self._memo: Dict[str, Any] = {} if recording else {"arrays": arrays}
+        self._memo_n = 0 if recording else len(arrays["seq"])
+        self._lists: Optional[Dict[str, list]] = (
+            {name: [] for name, _ in COLUMN_DTYPES} if recording else None)
+        self._template_ids: Optional[Dict[Tuple, int]] = (
+            {} if recording else None)
         self._host_class_ids: Dict[str, int] = {}
         #: Bound ``append`` of every column list, in ``COLUMN_DTYPES`` order.
-        self._appenders: Tuple = ()
-        if arrays is not None:
-            self._memo["arrays"] = arrays
-            self._memo_n = len(arrays["seq"])
-        else:
-            self._lists = {name: [] for name, _ in COLUMN_DTYPES}
-            self._template_ids = {}
-            self._appenders = tuple(self._lists[name].append
-                                    for name, _ in COLUMN_DTYPES)
+        self._appenders = (tuple(column.append for column
+                                 in self._lists.values()) if recording else ())
 
     def __len__(self) -> int:
-        if self._lists is not None:
-            return len(self._lists["seq"])
-        return self._memo_n
+        return self._memo_n if self._lists is None else len(self._lists["seq"])
 
     def __getstate__(self) -> Dict[str, Any]:
         return {"arrays": self.arrays(), "templates": self.templates,
@@ -278,13 +269,11 @@ class TraceColumns:
                duration: Optional[float] = None,
                seq: Optional[int] = None,
                template: Optional[int] = None) -> int:
-        """Append one event and return its template id.
-
-        ``seq`` defaults to the row number.  ``params`` and ``collective``
-        are read, never kept: a new template copies the fields it needs.
-        A recorder that knows two events share a shape may pass the id
-        this returned for the first as ``template`` of the second, which
-        skips interning.
+        """Append one event (``seq`` defaults to the row number) and return
+        its template id.  ``params`` and ``collective`` are read, never
+        kept.  A recorder that knows two events share a shape may pass the
+        id returned for the first as ``template`` of the second, skipping
+        interning.
         """
         if self._template_ids is None:
             raise TypeError("decoded or truncated trace columns are "
@@ -340,14 +329,9 @@ class TraceColumns:
     def _intern(self, code: int, api: str, device: int,
                 kernel_class: Optional[str], params: Dict[str, Any],
                 collective: Optional[Dict[str, Any]]) -> int:
-        """Template id of an event shape, pooling it if new.
-
-        The shape is everything but the per-event columns.
-        ``params_layout`` / ``collective_layout`` keep the original dict
-        key order with per-event varying keys included, so the view
-        rebuilds the dicts byte-identically (``to_json`` preserves
-        insertion order).
-        """
+        """Template id of an event's shape (all but the per-event columns),
+        pooling it if new.  The layouts keep the original key order, varying
+        keys included, so the view rebuilds dicts byte-identically."""
         varying = _VARYING_PARAM.get(code)
         fixed = params if varying not in params else {
             k: v for k, v in params.items() if k != varying}
@@ -383,6 +367,13 @@ class TraceColumns:
             self._memo_n = len(self._lists["seq"])
         return self._memo
 
+    def memoized(self, name: str, build) -> Any:
+        """``build(self)``, computed once per row set."""
+        memo = self.memo()
+        if name not in memo:
+            memo[name] = build(self)
+        return memo[name]
+
     def lists(self) -> Dict[str, list]:
         """The columns as Python lists.
 
@@ -397,14 +388,10 @@ class TraceColumns:
 
     def arrays(self) -> Dict[str, Any]:
         """The columns as native-byte-order numpy arrays (memoized)."""
-        memo = self.memo()
-        arrays = memo.get("arrays")
-        if arrays is None:
-            arrays = {name: _np.array(self._lists[name],
-                                      dtype=_np.dtype(dtype).newbyteorder("="))
-                      for name, dtype in COLUMN_DTYPES}
-            memo["arrays"] = arrays
-        return arrays
+        return self.memoized("arrays", lambda cols: {
+            name: _np.array(cols._lists[name],
+                            dtype=_np.dtype(dtype).newbyteorder("="))
+            for name, dtype in COLUMN_DTYPES})
 
     def rows(self, code: int) -> List[int]:
         """Positions of the rows of one kind, in order."""
@@ -496,15 +483,12 @@ class WorkerTrace:
     def host_delay_signature(self) -> int:
         """Content hash of the replayed host-delay stream (memoized).
 
-        Rolling signatures deliberately skip ``HOST_DELAY`` events (worker
-        deduplication compares device work), but simulation replay does
-        not: two traces with identical operation streams and different
-        host delays replay differently.  Consumers that promise
-        "same signature => same replay" (the collated-trace content
-        signature, and through it the provider annotation memo) combine
-        this hash with the rolling signature.  It covers exactly what
-        materialization consumes: recorded durations, structured jitter
-        keys and the recorded host-model profile.  Folded from the columns.
+        Rolling signatures skip ``HOST_DELAY`` events (deduplication
+        compares device work) but replay does not, so consumers that
+        promise "same signature => same replay" (the collated content
+        signature and, through it, the annotation memo) add this hash of
+        what materialization consumes: recorded durations, structured
+        jitter keys and the recorded host-model profile.
         """
         from repro.core.columnar import host_delay_signature
 
