@@ -40,7 +40,6 @@ import numpy as _np
 
 from repro.core.trace import (
     COLUMN_DTYPES,
-    F_COLL_SEQ,
     F_HOST_SEQ,
     F_REC_CREATE,
     F_REC_DESTROY,
@@ -52,7 +51,6 @@ from repro.core.trace import (
     K_MARKER,
     K_MEMSET,
     K_STREAM_WAIT,
-    KIND_CODES,
     KINDS_BY_CODE,
     TraceColumns,
     WorkerTrace,

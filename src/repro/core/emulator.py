@@ -25,7 +25,7 @@ rather than crashing the search (Section 5.2 relies on this).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.cuda.api_records import ApiCallRecord, ApiKind
 from repro.cuda.errors import CudaError, CudaOutOfMemoryError
