@@ -289,20 +289,19 @@ def rolling_signature(cols: TraceColumns) -> int:
     wait kinds) its ``version``: exactly the fields ``signature()`` reads,
     so two traces hash equal iff their operation streams do.  Memoized.
     """
-    memo = cols.memo()
-    signature = memo.get("rolling_signature")
-    if signature is None:
-        arrays = cols.arrays()
-        rows = _np.flatnonzero(arrays["kind"] != K_HOST_DELAY)
-        digests = _np.array(_template_tables(cols).digest,
-                            dtype=_np.uint64)[arrays["template"][rows]]
-        versions = ((arrays["version"][rows].astype(_np.int64)
-                     .astype(_np.uint64) << _np.uint64(4))
-                    | (arrays["flags"][rows] & F_VERSION).astype(_np.uint64))
-        signature = memo["rolling_signature"] = _hash_rows(
-            [digests, arrays["stream"][rows].astype(_np.uint64), versions],
-            0)
-    return signature
+    return cols.memoized("rolling_signature", _rolling_signature)
+
+
+def _rolling_signature(cols: TraceColumns) -> int:
+    arrays = cols.arrays()
+    rows = _np.flatnonzero(arrays["kind"] != K_HOST_DELAY)
+    digests = _np.array(_template_tables(cols).digest,
+                        dtype=_np.uint64)[arrays["template"][rows]]
+    versions = ((arrays["version"][rows].astype(_np.int64)
+                 .astype(_np.uint64) << _np.uint64(4))
+                | (arrays["flags"][rows] & F_VERSION).astype(_np.uint64))
+    return _hash_rows(
+        [digests, arrays["stream"][rows].astype(_np.uint64), versions], 0)
 
 
 def host_delay_signature(cols: TraceColumns,
@@ -313,25 +312,26 @@ def host_delay_signature(cols: TraceColumns,
     duration (``None`` and ``-0.0`` hash as ``0.0``), structured jitter key
     and call class.  Memoized on the rows, like the profile it reads.
     """
-    memo = cols.memo()
-    signature = memo.get("host_delay_signature")
-    if signature is None:
-        arrays = cols.arrays()
-        rows = _np.flatnonzero(arrays["kind"] == K_HOST_DELAY)
-        # Index -1 (no call class) picks the trailing digest of None.
-        classes = _np.array([stable_hash(name) for name in cols.host_classes]
-                            + [stable_hash(None)], dtype=_np.uint64)
-        jitter_keys = (arrays["aux_seq"][rows].astype(_np.uint64)
-                       + (arrays["flags"][rows] & F_HOST_SEQ).astype(
-                           _np.uint64))
-        profile = metadata.get(HOST_MODEL_METADATA_KEY) or {}
-        signature = memo["host_delay_signature"] = _hash_rows(
-            [arrays["seq"][rows].astype(_np.uint64),
-             (arrays["duration"][rows] + 0.0).view(_np.uint64),
-             jitter_keys, classes[arrays["host_class"][rows]]],
-            stable_hash("host-delays", profile.get("name"),
-                        profile.get("jitter")))
-    return signature
+    return cols.memoized("host_delay_signature",
+                         lambda cols: _host_delay_signature(cols, metadata))
+
+
+def _host_delay_signature(cols: TraceColumns,
+                          metadata: Dict[str, Any]) -> int:
+    arrays = cols.arrays()
+    rows = _np.flatnonzero(arrays["kind"] == K_HOST_DELAY)
+    # Index -1 (no call class) picks the trailing digest of None.
+    classes = _np.array([stable_hash(name) for name in cols.host_classes]
+                        + [stable_hash(None)], dtype=_np.uint64)
+    jitter_keys = (arrays["aux_seq"][rows].astype(_np.uint64)
+                   + (arrays["flags"][rows] & F_HOST_SEQ).astype(_np.uint64))
+    profile = metadata.get(HOST_MODEL_METADATA_KEY) or {}
+    return _hash_rows(
+        [arrays["seq"][rows].astype(_np.uint64),
+         (arrays["duration"][rows] + 0.0).view(_np.uint64),
+         jitter_keys, classes[arrays["host_class"][rows]]],
+        stable_hash("host-delays", profile.get("name"),
+                    profile.get("jitter")))
 
 
 def kernel_shapes(cols: TraceColumns) -> Tuple[Any, Any, List[Tuple]]:
@@ -339,30 +339,27 @@ def kernel_shapes(cols: TraceColumns) -> Tuple[Any, Any, List[Tuple]]:
     ``(seqs, shape_of_row, shapes)``, each shape the ``(kernel_class,
     params, signature)`` a shape-keyed provider prices (``signature`` is
     every such row's ``TraceEvent.signature()``).  Memoized."""
-    memo = cols.memo()
-    found = memo.get("kernel_shapes")
-    if found is None:
-        arrays = cols.arrays()
-        rows = _np.flatnonzero(arrays["kind"] <= K_MEMSET)
-        streams = arrays["stream"][rows].astype(_np.int64)
-        keys = ((arrays["template"][rows].astype(_np.int64) << 32)
-                | (streams & 0xFFFFFFFF))
-        _, first, shape_of_row = _np.unique(keys, return_index=True,
-                                            return_inverse=True)
-        shape_keys = _template_tables(cols).key
-        shapes = []
-        for row in rows[first].tolist():
-            tid = int(arrays["template"][row])
-            kind, api, kernel_class, params_key, coll_key = shape_keys[tid]
-            stream = int(arrays["stream"][row])
-            shapes.append((kernel_class,
-                           cols.templates[tid]["params_fixed"],
-                           (kind, api, kernel_class,
-                            None if stream < 0 else stream,
-                            params_key, coll_key)))
-        found = memo["kernel_shapes"] = (arrays["seq"][rows],
-                                         shape_of_row.reshape(-1), shapes)
-    return found
+    return cols.memoized("kernel_shapes", _kernel_shapes)
+
+
+def _kernel_shapes(cols: TraceColumns) -> Tuple[Any, Any, List[Tuple]]:
+    arrays = cols.arrays()
+    rows = _np.flatnonzero(arrays["kind"] <= K_MEMSET)
+    keys = ((arrays["template"][rows].astype(_np.int64) << 32)
+            | (arrays["stream"][rows].astype(_np.int64) & 0xFFFFFFFF))
+    _, first, shape_of_row = _np.unique(keys, return_index=True,
+                                        return_inverse=True)
+    shape_keys = _template_tables(cols).key
+    shapes = []
+    for row in rows[first].tolist():
+        tid = int(arrays["template"][row])
+        kind, api, kernel_class, params_key, coll_key = shape_keys[tid]
+        stream = int(arrays["stream"][row])
+        shapes.append((kernel_class, cols.templates[tid]["params_fixed"],
+                       (kind, api, kernel_class,
+                        None if stream < 0 else stream, params_key,
+                        coll_key)))
+    return arrays["seq"][rows], shape_of_row.reshape(-1), shapes
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +379,7 @@ def range_fingerprint(cols: TraceColumns, lo: int, hi: int) -> Optional[int]:
     decisions are checked against a per-object reference walk in
     ``tests/test_columnar.py``.
     """
-    lanes, refs = _window_rows(cols)
+    lanes, refs = cols.memoized("window_rows", _window_rows)
     if hi > lo and refs[lo:hi].min() < lo:
         return None
     return _hash_rows([lane[lo:hi] for lane in lanes], 0)
@@ -391,39 +388,35 @@ def range_fingerprint(cols: TraceColumns, lo: int, hi: int) -> Optional[int]:
 def _window_rows(cols: TraceColumns) -> Tuple[List[Any], Any]:
     """Per-row lanes of :func:`range_fingerprint` and each row's wait
     reference (the record's row, ``-1`` if never recorded, the row itself
-    when it waits on nothing), memoized."""
-    memo = cols.memo()
-    found = memo.get("window_rows")
-    if found is None:
-        arrays, lists = cols.arrays(), cols.lists()
-        kind, flags = arrays["kind"], arrays["flags"]
-        delay = kind == K_HOST_DELAY
-        handle = _np.where(flags & F_REC_CREATE, F_REC_CREATE,
-                           flags & F_REC_DESTROY)
-        refs = _np.arange(len(cols))
-        distance = _np.zeros(len(cols), dtype=_np.uint64)
-        latest: Dict[Tuple[int, int], int] = {}
-        for i in _np.flatnonzero(_np.isin(kind, _ROW_COMPARED_KINDS)
-                                 & ~delay).tolist():
-            version = lists["version"][i]
-            if kind[i] == K_EVENT_RECORD:
-                if not handle[i]:
-                    latest[(lists["event_id"][i], version)] = i
-            elif version != 0:
-                refs[i] = latest.get((lists["wait_event"][i], version), -1)
-                distance[i] = i - refs[i]
-        found = memo["window_rows"] = ([
-            _np.array(_template_tables(cols).window,
-                      dtype=_np.uint64)[arrays["template"]],
-            kind.astype(_np.uint64),
-            _np.where(delay | (kind == K_MARKER) | (handle != 0), 0,
-                      arrays["stream"]).astype(_np.uint64),
-            ((flags & F_HOST_SEQ) | handle).astype(_np.uint64),
-            _np.where(delay & ((flags & F_HOST_SEQ) != 0),
-                      arrays["host_class"], 0).astype(_np.uint64),
-            _np.where(delay, arrays["duration"] + 0.0, 0.0).view(_np.uint64),
-            distance], refs)
-    return found
+    when it waits on nothing)."""
+    arrays, lists = cols.arrays(), cols.lists()
+    kind, flags = arrays["kind"], arrays["flags"]
+    delay = kind == K_HOST_DELAY
+    handle = _np.where(flags & F_REC_CREATE, F_REC_CREATE,
+                       flags & F_REC_DESTROY)
+    refs = _np.arange(len(cols))
+    distance = _np.zeros(len(cols), dtype=_np.uint64)
+    latest: Dict[Tuple[int, int], int] = {}
+    for i in _np.flatnonzero(_np.isin(kind, _ROW_COMPARED_KINDS)
+                             & ~delay).tolist():
+        version = lists["version"][i]
+        if kind[i] == K_EVENT_RECORD:
+            if not handle[i]:
+                latest[(lists["event_id"][i], version)] = i
+        elif version != 0:
+            refs[i] = latest.get((lists["wait_event"][i], version), -1)
+            distance[i] = i - refs[i]
+    return ([
+        _np.array(_template_tables(cols).window,
+                  dtype=_np.uint64)[arrays["template"]],
+        kind.astype(_np.uint64),
+        _np.where(delay | (kind == K_MARKER) | (handle != 0), 0,
+                  arrays["stream"]).astype(_np.uint64),
+        ((flags & F_HOST_SEQ) | handle).astype(_np.uint64),
+        _np.where(delay & ((flags & F_HOST_SEQ) != 0),
+                  arrays["host_class"], 0).astype(_np.uint64),
+        _np.where(delay, arrays["duration"] + 0.0, 0.0).view(_np.uint64),
+        distance], refs)
 
 
 # ----------------------------------------------------------------------

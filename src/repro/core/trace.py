@@ -221,7 +221,7 @@ class TraceColumns:
     (:meth:`record`).  Columns built from ``arrays`` (decoded, unpickled
     or truncated traces) are read-only.  Everything derived from the rows
     -- numpy arrays, engine program, digests, signatures -- lives in
-    :meth:`memo`, which a new row resets and which never rides a pickle.
+    :meth:`memoized`, which a new row resets and which never rides a pickle.
     """
 
     __slots__ = ("templates", "host_classes", "_lists", "_template_ids",
@@ -360,19 +360,15 @@ class TraceColumns:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def memo(self) -> Dict[str, Any]:
-        """Per-row-set cache of derived views, reset when a row is added."""
+    def memoized(self, name: str, build) -> Any:
+        """``build(self)``, computed once per row set (a new row resets
+        every derived view)."""
         if self._lists is not None and len(self._lists["seq"]) != self._memo_n:
             self._memo = {}
             self._memo_n = len(self._lists["seq"])
-        return self._memo
-
-    def memoized(self, name: str, build) -> Any:
-        """``build(self)``, computed once per row set."""
-        memo = self.memo()
-        if name not in memo:
-            memo[name] = build(self)
-        return memo[name]
+        if name not in self._memo:
+            self._memo[name] = build(self)
+        return self._memo[name]
 
     def lists(self) -> Dict[str, list]:
         """The columns as Python lists.
