@@ -81,7 +81,7 @@ CHAOS_STRAGGLER_DELAY = 3.0
 def _engine_setup(iterations: int, smooth_host: bool):
     from repro.core.collator import TraceCollator
     from repro.core.emulator import EmulationSession
-    from repro.core.pipeline import MayaPipeline
+    from repro.core.pipeline import MayaPipeline, simulation_ranks
     from repro.framework.recipe import TrainingRecipe
     from repro.hardware.cluster import get_cluster
     from repro.hardware.host_model import HostModel
@@ -102,7 +102,7 @@ def _engine_setup(iterations: int, smooth_host: bool):
                                        topology=job.topology())
     pipeline = MayaPipeline(cluster, estimator_mode="analytical")
     return cluster, collated, pipeline.make_provider(), \
-        pipeline._simulation_ranks(job), job.iterations
+        simulation_ranks(job), job.iterations
 
 
 def _measure_engine(cluster, collated, provider, ranks, iterations,
@@ -120,6 +120,7 @@ def _measure_engine(cluster, collated, provider, ranks, iterations,
         best_wall = min(best_wall, time.perf_counter() - start)
     return {
         "events": int(report.metadata["processed_events"]),
+        "replayed_ranks": int(report.metadata["replayed_ranks"]),
         "wall_s": best_wall,
         "events_per_sec": report.metadata["processed_events"] / best_wall,
         "total_time_s": report.total_time,
@@ -167,6 +168,7 @@ def bench_engine() -> Dict[str, object]:
             "folded total exceeded the documented host-jitter bound"
     return {
         "trace_events": replay["events"],
+        "replayed_ranks": replay["replayed_ranks"],
         "columnar_events_per_sec": replay["events_per_sec"],
         "fold_trace_events": smooth["trace_events"],
         "fold_full_events_per_sec": smooth["full_events_per_sec"],
@@ -350,8 +352,9 @@ def run_benchmark(output: Path, chaos: bool = False,
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output}")
     engine = payload["engine"]
-    print(f"engine: full replay {engine['columnar_events_per_sec']:,.0f} "
-          f"ev/s, folding {engine['fold_equivalent_events_per_sec']:,.0f} "
+    print(f"engine: full replay of {engine['replayed_ranks']} ranks "
+          f"{engine['columnar_events_per_sec']:,.0f} ev/s, folding "
+          f"{engine['fold_equivalent_events_per_sec']:,.0f} "
           f"ev/s ({engine['fold_speedup']:.2f}x its own full replay on the "
           f"{FOLD_ITERATIONS}-iteration trace)")
     shipping = payload["wire_shipping"]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.collator import CollatedTrace, TraceCollator
 from repro.core.columnar import kernel_shapes
@@ -97,6 +97,24 @@ def _no_prediction(job: "TrainingJob", stage_times: Dict[str, float],
         job_name=job.name, iteration_time=math.inf, total_time=math.inf,
         communication_time=0.0, peak_memory_bytes=peak_memory_bytes,
         oom=oom, stage_times=stage_times, metadata=metadata)
+
+
+def simulation_ranks(job: TrainingJob,
+                     reduce_replicas: bool = True) -> Optional[List[int]]:
+    """Ranks of data-parallel replica 0, which stand in for the others.
+
+    Every replica runs the same program, so simulating one suffices; the
+    engine further mirrors its tensor-parallel peers instead of replaying
+    them (:func:`repro.core.simulator.engine.tensor_parallel_mirrors`).
+    ``None`` -- the full world -- when not reducing or for a job without
+    a parallel topology.
+    """
+    if not reduce_replicas or not hasattr(job, "topology"):
+        return None
+    topology = job.topology()
+    return [topology.rank_of(0, pp, tp)
+            for pp in range(topology.pipeline_parallel)
+            for tp in range(topology.tensor_parallel)]
 
 
 def simulate_collated_trace(
@@ -262,7 +280,7 @@ class MayaPipeline:
                 provider.shape_duration(*shape)
         stage_times["prediction"] = time.perf_counter() - start
 
-        simulate_ranks = self._simulation_ranks(job)
+        simulate_ranks = simulation_ranks(job, self.reduce_replicas)
         start = time.perf_counter()
         try:
             report = simulate_collated_trace(
@@ -295,19 +313,3 @@ class MayaPipeline:
                 "unique_workers": artifacts.collated.unique_trace_count(),
             },
         )
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _simulation_ranks(self, job: TrainingJob) -> Optional[Sequence[int]]:
-        if not self.reduce_replicas:
-            return None
-        if not hasattr(job, "topology"):
-            return None
-        topology = job.topology()
-        ranks = [
-            topology.rank_of(0, pp, tp)
-            for pp in range(topology.pipeline_parallel)
-            for tp in range(topology.tensor_parallel)
-        ]
-        return ranks

@@ -30,6 +30,25 @@ provider the engine makes one :func:`build_trace_annotations` pass over the
 two-method per-event protocol.  The inner loop is then integer dispatch and
 list indexing only.
 
+**Tensor-parallel mirrors.**  Selective launch emulates one rank per
+pipeline stage because tensor- and data-parallel peers do identical work;
+the engine carries that over to replay.  When
+:func:`tensor_parallel_mirrors` allows it, rank ``(dp, pp, t)`` with
+``t > 0`` is not replayed: it *mirrors* ``(dp, pp, 0)``, and the report
+gives it a copy of that rank's counters and markers.  This is exact, not
+an approximation: under the rule's conditions column ``t`` runs the same
+program with the same durations as column 0 (the same representative
+trace, a shape-keyed provider, groups of the same size spanning the same
+nodes), and the columns meet only in ``tp`` collectives.  With every
+column replayed such a collective starts at the latest of identical
+arrival times; with column 0 alone it expects one participant and starts
+at that same time.  So every clock, counter and marker is bit-identical
+to the full replay (the differential suites check it against the
+per-event oracle); only ``processed_events`` and the timing metadata
+shrink, and ``replayed_ranks`` records how many ranks ran.  There is no
+switch: a provider that does not declare ``rank_invariant_kernels`` (the
+jittered testbed) replays every rank.
+
 **Steady-state iteration folding.**  When the trace contains ``N >= 5``
 iteration-marker windows whose bodies and inter-iteration glue are
 canonically identical (see :func:`repro.core.collator.windows_are_periodic`)
@@ -67,12 +86,13 @@ import itertools
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.collator import (
     CollatedTrace,
     IterationWindows,
+    TopologyGroupResolver,
     find_iteration_windows,
     windows_are_periodic,
 )
@@ -155,6 +175,9 @@ _FOLD_VETO_LIMIT = 256
 #: Half-width of ``fast_noise``'s uniform support relative to ``scale``
 #: (the jitter factor lies in ``1 +- scale * sqrt(3)``).
 _SQRT3 = math.sqrt(3.0)
+
+#: Communicator tags whose groups the topology resolver remaps per rank.
+_TOPOLOGY_TAGS = frozenset(("tp", "pp", "dp"))
 
 
 class _Stream:
@@ -297,6 +320,51 @@ def plan_iteration_fold(collated: CollatedTrace,
     return _FoldPlan(iterations=count, windows=windows)
 
 
+def tensor_parallel_mirrors(cluster: ClusterSpec, provider: DurationProvider,
+                            collated: CollatedTrace,
+                            ranks: Sequence[int]) -> Dict[int, int]:
+    """Requested ranks whose timeline is a copy of a tensor-parallel peer's.
+
+    Maps rank ``(dp, pp, t)``, ``t > 0``, to ``(dp, pp, 0)`` (see the
+    module docstring for why that is exact) when all of these hold:
+
+    * the provider declares ``rank_invariant_kernels``;
+    * groups come from a :class:`TopologyGroupResolver` and every
+      collective of the requested ranks' representatives is tagged
+      ``tp``, ``pp`` or ``dp``;
+    * ``gpus_per_node`` is a multiple of the tensor-parallel degree, so
+      each of column ``t``'s groups spans the nodes of column 0's;
+    * the requested ranks are whole tensor-parallel groups, every member
+      sharing the representative trace of the group's column-0 rank.
+
+    Otherwise nothing is mirrored.
+    """
+    resolver = collated.group_resolver
+    if not (getattr(provider, "rank_invariant_kernels", False)
+            and isinstance(resolver, TopologyGroupResolver)):
+        return {}
+    topology = resolver.topology
+    width = topology.tensor_parallel
+    if width == 1 or cluster.gpus_per_node % width:
+        return {}
+    representative = collated.representative
+    for rep in {representative[rank] for rank in ranks}:
+        if any(resolution.tag not in _TOPOLOGY_TAGS
+               for resolution in collated.resolutions.get(rep, {}).values()):
+            return {}
+    requested = set(ranks)
+    mirrors: Dict[int, int] = {}
+    for rank in ranks:
+        group = topology.tensor_parallel_group(rank)
+        source = group[0]
+        if (not requested.issuperset(group)
+                or representative[rank] != representative[source]):
+            return {}
+        if rank != source:
+            mirrors[rank] = source
+    return mirrors
+
+
 class ClusterSimulator:
     """Replays a collated trace on a simulated cluster."""
 
@@ -313,7 +381,9 @@ class ClusterSimulator:
                  iterations: int = 1) -> SimulationReport:
         start = time.perf_counter()
         ranks = self._resolve_ranks(collated)
-        state = self._run_state(collated, ranks)
+        mirrors = tensor_parallel_mirrors(self.cluster, self.provider,
+                                          collated, ranks)
+        state = self._run_state(collated, ranks, mirrors)
         report = state.build_report(iterations)
         wall_time = time.perf_counter() - start
         report.metadata["wall_time_s"] = wall_time
@@ -334,14 +404,15 @@ class ClusterSimulator:
             raise SimulationError(f"no trace available for ranks {missing[:8]}")
         return ranks
 
-    def _run_state(self, collated: CollatedTrace,
-                   ranks: List[int]) -> "_SimulationState":
+    def _run_state(self, collated: CollatedTrace, ranks: List[int],
+                   mirrors: Dict[int, int]) -> "_SimulationState":
+        replayed = [rank for rank in ranks if rank not in mirrors]
         plan = truncated = None
         veto_key = None
         if (self.config.fold_iterations
                 and getattr(self.provider, "supports_iteration_folding",
                             False)):
-            plan, truncated = self._fold_plan_for(collated, ranks)
+            plan, truncated = self._fold_plan_for(collated, replayed)
         if plan is not None:
             # Fold-commit failures depend on this provider's durations and
             # the configured tolerance, so the negative memo lives on the
@@ -353,12 +424,12 @@ class ClusterSimulator:
             if vetoes is None:
                 vetoes = {}
                 self.provider._fold_vetoes = vetoes
-            veto_key = (collated.content_signature(), tuple(ranks),
+            veto_key = (collated.content_signature(), tuple(replayed),
                         self.config.fold_tolerance)
             if veto_key in vetoes:
                 plan = None
         if plan is not None:
-            state = _SimulationState(self, truncated, ranks,
+            state = _SimulationState(self, truncated, ranks, mirrors,
                                      fold_plan=plan)
             try:
                 state.run()
@@ -371,7 +442,7 @@ class ClusterSimulator:
             while len(vetoes) >= _FOLD_VETO_LIMIT:
                 vetoes.pop(next(iter(vetoes)))
             vetoes[veto_key] = True
-        state = _SimulationState(self, collated, ranks)
+        state = _SimulationState(self, collated, ranks, mirrors)
         state.run()
         return state
 
@@ -400,15 +471,23 @@ class ClusterSimulator:
 
 
 class _SimulationState:
-    """Mutable state of one simulation run."""
+    """Mutable state of one simulation run.
+
+    Only the replayed ranks (``ranks``) get hosts, streams and reports;
+    the mirrors are added back by :meth:`build_report`.
+    """
 
     def __init__(self, simulator: ClusterSimulator, collated: CollatedTrace,
-                 ranks: List[int],
+                 requested: List[int], mirrors: Dict[int, int],
                  fold_plan: Optional[_FoldPlan] = None) -> None:
         self.sim = simulator
         self.collated = collated
         self.config = simulator.config
         self.provider = simulator.provider
+        #: Every requested rank, in rank order; mirror -> replayed source.
+        self.requested = requested
+        self.mirrors = mirrors
+        ranks = [rank for rank in requested if rank not in mirrors]
         self.ranks = ranks
         self.rank_set = set(ranks)
 
@@ -502,7 +581,7 @@ class _SimulationState:
                     f"simulation exceeded max_events budget "
                     f"({self.config.max_events:,}): world size "
                     f"{self.collated.world_size} with {len(self.ranks)} "
-                    f"simulated ranks processed {self.processed_events:,} "
+                    f"replayed ranks processed {self.processed_events:,} "
                     f"events at simulated time {self.now:.3f}s"
                 )
             if kind == host_ready:
@@ -962,8 +1041,8 @@ class _SimulationState:
                 HOST_MODEL_METADATA_KEY) or {})
             jitter_scale = max(jitter_scale,
                                float(profile.get("jitter", 0.0)))
-        host_base_total = sum(report.host_time
-                              for report in self.rank_reports.values())
+        host_base_total = sum(self.rank_reports[self.mirrors.get(rank, rank)]
+                              .host_time for rank in self.requested)
         self.fold_info = {
             "iterations": plan.iterations,
             "simulated_iterations": plan.simulated,
@@ -1004,18 +1083,27 @@ class _SimulationState:
     # reporting
     # ------------------------------------------------------------------
     def build_report(self, iterations: int) -> SimulationReport:
+        """The report of every requested rank; a mirror gets a copy of its
+        source's counters and markers (the maxima below are unchanged by
+        the duplicates it would have added)."""
         finish_times = [report.finish_time for report in self.rank_reports.values()]
         host_times = [host.time for host in self.hosts.values()]
         stream_times = [stream.available_time for stream in self.streams.values()]
         total = max(finish_times + host_times + stream_times + [0.0])
 
+        rank_reports: Dict[int, RankReport] = {}
         markers: Dict[str, Dict[int, float]] = {}
-        for host in self.hosts.values():
-            for label, timestamp in host.markers.items():
-                markers.setdefault(label, {})[host.rank] = timestamp
+        for rank in self.requested:
+            source = self.mirrors.get(rank, rank)
+            report = self.rank_reports[source]
+            rank_reports[rank] = (report if source == rank
+                                  else replace(report, rank=rank))
+            for label, timestamp in self.hosts[source].markers.items():
+                markers.setdefault(label, {})[rank] = timestamp
 
         metadata: Dict[str, object] = {
-            "simulated_ranks": len(self.ranks),
+            "simulated_ranks": len(self.requested),
+            "replayed_ranks": len(self.ranks),
             "processed_events": self.processed_events,
             "world_size": self.collated.world_size,
         }
@@ -1024,7 +1112,7 @@ class _SimulationState:
         return SimulationReport(
             total_time=total,
             iterations=iterations,
-            rank_reports=self.rank_reports,
+            rank_reports=rank_reports,
             peak_memory_bytes=self.collated.peak_memory_bytes(),
             oom=self.collated.any_oom(),
             markers=markers,

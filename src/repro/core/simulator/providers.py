@@ -21,10 +21,12 @@ also prices a whole kernel shape at once (``shape_duration``): that pass
 asks it once per distinct (template, stream) of the trace's columns and
 builds no event object.  Both built-in providers also memoize that
 pass behind ``annotate_trace`` (:class:`_AnnotationMemoMixin`), keyed by
-(collated-trace content signature, simulated-rank set) on the provider
+(collated-trace content signature, replayed-rank set) on the provider
 instance, which is exactly the "provider fingerprint": the prediction
-service shares one provider across trials, so repeated simulations of the
-same artifacts skip annotation entirely.
+service shares one provider across trials, so a repeated simulation of
+one of the last ``_ANNOTATION_MEMO_LIMIT`` artifact sets skips
+annotation.  The memo is a FIFO: a caller cycling through more distinct
+structures than that rebuilds the annotations every time.
 """
 
 from __future__ import annotations
@@ -164,9 +166,14 @@ def build_trace_annotations(provider: "DurationProvider",
 class _AnnotationMemoMixin:
     """Shared memoization of :func:`build_trace_annotations` results."""
 
-    #: Whether durations are a pure function of an operation's shape: the
-    #: provider then implements ``shape_duration(kernel_class, params,
-    #: signature)`` and prices collectives without reading the event.
+    #: Whether durations are rank-invariant.  A provider that sets it
+    #: promises two things: kernel durations are a pure function of the
+    #: operation's shape (it implements ``shape_duration(kernel_class,
+    #: params, signature)``), and a collective's duration depends on its
+    #: group only through the group's size and the nodes it spans (it is
+    #: priced without reading the event).  The engine relies on both to
+    #: mirror tensor-parallel peers instead of replaying them
+    #: (:func:`repro.core.simulator.engine.tensor_parallel_mirrors`).
     rank_invariant_kernels = False
 
     def _annotation_memo(self) -> Tuple[threading.Lock,
@@ -239,7 +246,10 @@ class EstimatedDurationProvider(_AnnotationMemoMixin):
     #: Durations are a pure function of the event's shape signature: the
     #: engine may fold repeated steady-state iterations (identical windows
     #: receive identical durations) and annotation passes are shared across
-    #: ranks replaying one representative trace.
+    #: ranks replaying one representative trace.  Every estimator suite
+    #: (learned, analytical, oracle) prices a collective from its op,
+    #: bytes, group size and the set of nodes the group spans, which keeps
+    #: the ``rank_invariant_kernels`` promise.
     supports_iteration_folding = True
     rank_invariant_kernels = True
 
@@ -290,7 +300,8 @@ class GroundTruthDurationProvider(_AnnotationMemoMixin):
     #: Jitter keys on the event sequence number, so structurally identical
     #: iterations still get different per-invocation durations: folding
     #: would change the measurement.  Annotation remains valid (the jitter
-    #: is a pure function of (rank, seq)), but it is rank-dependent.
+    #: is a pure function of (rank, seq)), but it is rank-dependent, so
+    #: every rank is replayed.
     supports_iteration_folding = False
     rank_invariant_kernels = False
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.core.collator import TraceCollator
 from repro.core.emulator import EmulationSession
@@ -20,6 +20,7 @@ from repro.core.pipeline import (
     PredictionResult,
     _iteration_time_from_report,
     simulate_collated_trace,
+    simulation_ranks,
 )
 from repro.core.simulator.engine import SimulationError
 from repro.core.simulator.providers import GroundTruthDurationProvider
@@ -87,7 +88,7 @@ class Testbed:
         try:
             report = simulate_collated_trace(
                 artifacts.collated, self.cluster, provider,
-                simulate_ranks=self._simulation_ranks(job),
+                simulate_ranks=simulation_ranks(job, self.reduce_replicas),
                 sm_contention_factor=self.sm_contention_factor,
                 iterations=iterations,
             )
@@ -138,13 +139,3 @@ class Testbed:
             job=job, cluster=self.cluster, job_trace=emulation.job_trace,
             collated=collated, oom=emulation.oom, stage_times=stage_times,
         )
-
-    def _simulation_ranks(self, job: TrainingJob) -> Optional[Sequence[int]]:
-        if not self.reduce_replicas or not hasattr(job, "topology"):
-            return None
-        topology = job.topology()
-        return [
-            topology.rank_of(0, pp, tp)
-            for pp in range(topology.pipeline_parallel)
-            for tp in range(topology.tensor_parallel)
-        ]

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.collator import TraceCollator
-from repro.core.pipeline import MayaPipeline
+from repro.core.pipeline import MayaPipeline, simulation_ranks
 from repro.core.simulator.engine import ClusterSimulator, SimulationConfig
 from repro.core.simulator.providers import GroundTruthDurationProvider
 from repro.core.simulator.report import RankReport
@@ -68,7 +68,7 @@ def _gpt_tiny():
                                  global_batch_size=16, iterations=2)
     pipeline = MayaPipeline(cluster, estimator_mode="analytical")
     return (cluster, pipeline, pipeline.emulate(job).collated,
-            pipeline._simulation_ranks(job))
+            simulation_ranks(job))
 
 
 def build_case(name):
@@ -105,6 +105,11 @@ def test_engine_matches_golden(name):
                                   collated, iterations=iterations)
     if name.endswith("-fold"):
         assert report.metadata["iteration_folding"]["folded_iterations"] == 4
+    if name == "gpt-tiny-estimated":
+        # The pins, recorded before mirroring, hold the mirrored path: the
+        # two stage leaders replay and their tensor-parallel peers copy.
+        assert report.metadata["replayed_ranks"] == 2
+        assert report.metadata["simulated_ranks"] == 4
     assert snapshot(report) == GOLDENS[name]
 
 

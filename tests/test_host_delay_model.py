@@ -13,7 +13,7 @@ from repro.core.collator import (
     windows_are_periodic,
 )
 from repro.core.emulator import DeviceEmulator, EmulationSession
-from repro.core.pipeline import MayaPipeline
+from repro.core.pipeline import MayaPipeline, simulation_ranks
 from repro.core.simulator.engine import ClusterSimulator, SimulationConfig
 from repro.core.trace import JobTrace, TraceEvent, TraceEventKind, WorkerTrace
 from repro.cuda.cublas import CublasHandle
@@ -168,7 +168,7 @@ class TestSimTimeJitterBitIdentity:
     def test_structured_replay_matches_prejittered_legacy(
             self, v100_cluster, artifacts, oracle):
         pipeline, job, _, structured, legacy = artifacts
-        ranks = pipeline._simulation_ranks(job)
+        ranks = simulation_ranks(job)
         config = SimulationConfig(simulate_ranks=ranks, fold_iterations=False)
 
         def replay(collated):
@@ -197,7 +197,7 @@ class TestSimTimeJitterBitIdentity:
         restored = TraceCollator().collate(
             JobTrace.from_json(job_trace.to_json()),
             topology=job.topology())
-        ranks = pipeline._simulation_ranks(job)
+        ranks = simulation_ranks(job)
         a = ClusterSimulator(v100_cluster, pipeline.make_provider(),
                              SimulationConfig(simulate_ranks=ranks)).simulate(
                                  structured, iterations=2)
@@ -223,7 +223,7 @@ class TestSharedProviderAcrossHostModels:
         assert fast_host.content_signature() != slow_host.content_signature()
         pipeline = MayaPipeline(v100_cluster, estimator_mode="analytical")
         shared = pipeline.make_provider()
-        ranks = pipeline._simulation_ranks(job_a)
+        ranks = simulation_ranks(job_a)
         config = SimulationConfig(simulate_ranks=ranks, fold_iterations=False)
         reports = {}
         for name, collated in (("fast", fast_host), ("slow", slow_host)):
@@ -262,7 +262,7 @@ class TestFoldingOnJitteredHost:
                                                         artifacts):
         pipeline, job, _, collated = artifacts
         provider = pipeline.make_provider()
-        ranks = pipeline._simulation_ranks(job)
+        ranks = simulation_ranks(job)
         folded = ClusterSimulator(
             v100_cluster, provider,
             SimulationConfig(simulate_ranks=ranks)).simulate(
@@ -304,7 +304,7 @@ class TestFoldingOnJitteredHost:
         report = ClusterSimulator(
             v100_cluster, pipeline.make_provider(),
             SimulationConfig(
-                simulate_ranks=pipeline._simulation_ranks(job))).simulate(
+                simulate_ranks=simulation_ranks(job))).simulate(
                 legacy, iterations=self.ITERATIONS)
         assert "iteration_folding" not in report.metadata
 

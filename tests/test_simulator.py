@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import random
 
 import pytest
 
+from repro.analysis.experiments import candidate_recipes
 from repro.core.collator import (
+    IdentityGroupResolver,
     TraceCollator,
     find_iteration_windows,
     windows_are_periodic,
 )
 from repro.core.emulator import EmulationSession
-from repro.core.pipeline import MayaPipeline
+from repro.core.pipeline import MayaPipeline, simulation_ranks
 from repro.core.simulator.engine import (
     ClusterSimulator,
     SimulationConfig,
     SimulationError,
 )
 from repro.core.simulator.providers import (
+    EstimatedDurationProvider,
     GroundTruthDurationProvider,
     _AnnotationMemoMixin,
 )
@@ -548,20 +553,14 @@ def build_random_periodic_job(seed, iterations=8, nranks=2):
 
 
 def _assert_reports_identical(reference, candidate):
+    """Same clocks, every ``RankReport`` field and every marker, bit for
+    bit, with the rank reports in the same (rank) order."""
     assert candidate.total_time == reference.total_time
     assert candidate.iteration_time == reference.iteration_time
     assert candidate.communication_time == reference.communication_time
     assert candidate.markers == reference.markers
-    for rank in reference.rank_reports:
-        a = reference.rank_reports[rank]
-        b = candidate.rank_reports[rank]
-        assert a.compute_time == b.compute_time
-        assert a.communication_time == b.communication_time
-        assert a.exposed_communication_time == b.exposed_communication_time
-        assert a.host_time == b.host_time
-        assert a.finish_time == b.finish_time
-        assert a.kernel_count == b.kernel_count
-        assert a.collective_count == b.collective_count
+    assert list(candidate.rank_reports) == list(reference.rank_reports)
+    assert candidate.rank_reports == reference.rank_reports
 
 
 class AnnotatedConstantProvider(_AnnotationMemoMixin, ConstantProvider):
@@ -731,44 +730,42 @@ class TestFastPathEquivalence:
         pipeline = MayaPipeline(v100_cluster, estimator_mode="analytical")
         return pipeline, pipeline.emulate(job), job
 
-    def _compare(self, cluster, provider, collated, ranks,
+    def _compare(self, cluster, provider, collated, ranks, replayed,
                  sm_contention_factor=1.0):
-        fast = ClusterSimulator(cluster, provider, SimulationConfig(
-            simulate_ranks=ranks,
-            sm_contention_factor=sm_contention_factor)).simulate(collated)
-        slow = reference_simulate(cluster, provider, collated, SimulationConfig(
-            simulate_ranks=ranks, sm_contention_factor=sm_contention_factor))
-        assert fast.total_time == slow.total_time
-        assert fast.communication_time == slow.communication_time
-        assert fast.markers == slow.markers
+        """The engine against the oracle replaying every requested rank;
+        the engine's own event count against the oracle restricted to the
+        ``replayed`` ranks (all of them when nothing is mirrored)."""
+        def config(simulate):
+            return SimulationConfig(simulate_ranks=simulate,
+                                    sm_contention_factor=sm_contention_factor)
+        fast = ClusterSimulator(cluster, provider,
+                                config(ranks)).simulate(collated)
+        slow = reference_simulate(cluster, provider, collated, config(ranks))
+        _assert_reports_identical(slow, fast)
+        assert fast.metadata["replayed_ranks"] == len(replayed)
+        alone = reference_simulate(cluster, provider, collated,
+                                   config(replayed))
         assert (fast.metadata["processed_events"]
-                == slow.metadata["processed_events"])
-        for rank in slow.rank_reports:
-            a, b = slow.rank_reports[rank], fast.rank_reports[rank]
-            assert a.compute_time == b.compute_time
-            assert a.communication_time == b.communication_time
-            assert a.exposed_communication_time == b.exposed_communication_time
-            assert a.memcpy_time == b.memcpy_time
-            assert a.finish_time == b.finish_time
-            assert a.kernel_count == b.kernel_count
-            assert a.collective_count == b.collective_count
+                == alone.metadata["processed_events"])
 
     def test_estimated_provider_multistream_job(self, v100_cluster, artifacts):
         # tp=2/pp=2 exercises compute + comm + p2p streams, group
-        # collectives and point-to-point transfers.
+        # collectives and point-to-point transfers; the tensor-parallel
+        # peers are mirrored, so only the two stage leaders replay.
         pipeline, emulated, job = artifacts
-        ranks = pipeline._simulation_ranks(job)
         self._compare(v100_cluster, pipeline.make_provider(),
-                      emulated.collated, ranks)
+                      emulated.collated, simulation_ranks(job),
+                      job.topology().unique_ranks())
 
     def test_jittered_testbed_provider(self, v100_cluster, artifacts):
         # The testbed's per-invocation jitter is a pure function of
         # (rank, seq): pre-annotation must reproduce it exactly, including
-        # under SM contention.
+        # under SM contention.  It is rank-dependent, so every rank replays.
         pipeline, emulated, job = artifacts
-        ranks = pipeline._simulation_ranks(job)
+        ranks = simulation_ranks(job)
         self._compare(v100_cluster, GroundTruthDurationProvider(v100_cluster),
-                      emulated.collated, ranks, sm_contention_factor=1.045)
+                      emulated.collated, ranks, ranks,
+                      sm_contention_factor=1.045)
 
     def test_fold_on_real_job_with_smooth_host(self, v100_cluster):
         model = get_transformer("gpt-tiny")
@@ -784,7 +781,7 @@ class TestFastPathEquivalence:
                                            topology=job.topology())
         pipeline = MayaPipeline(v100_cluster, estimator_mode="analytical")
         provider = pipeline.make_provider()
-        ranks = pipeline._simulation_ranks(job)
+        ranks = simulation_ranks(job)
         folded = ClusterSimulator(v100_cluster, provider, SimulationConfig(
             simulate_ranks=ranks)).simulate(collated, iterations=10)
         full = reference_simulate(
@@ -804,3 +801,175 @@ class TestFastPathEquivalence:
                     == folded.rank_reports[rank].kernel_count)
             assert (full.rank_reports[rank].collective_count
                     == folded.rank_reports[rank].collective_count)
+
+
+class UnmirroredEstimatedProvider(EstimatedDurationProvider):
+    """Maya's provider without the shape-keyed promise: the engine then
+    replays every requested rank, on the per-event annotation path."""
+
+    rank_invariant_kernels = False
+
+
+#: (cluster, model, estimator suite, tp, pp, variant knob, iterations).
+#: The seeded recipe of each case must carry the variant (sequence
+#: parallelism, virtual stages, distributed optimizer; "" leaves it free);
+#: six-iteration cases go through steady-state iteration folding.
+_MIRROR_CASES = (
+    ("v100-8", "gpt-tiny", "learned", 2, 1, "", 1),
+    ("v100-8", "gpt-tiny", "analytical", 2, 2, "sp", 6),
+    ("v100-8", "gpt-tiny", "oracle", 4, 2, "do", 6),
+    ("v100-8", "gpt3-345m-l4", "analytical", 4, 2, "vs", 1),
+    ("v100-8", "gpt3-345m-l4", "oracle", 8, 1, "sp", 1),
+    ("v100-16", "gpt-tiny", "analytical", 4, 2, "", 6),
+    ("v100-16", "gpt3-345m-l4", "analytical", 2, 2, "vs", 1),
+    ("v100-16", "gpt3-345m-l4", "analytical", 2, 4, "", 1),
+    ("v100-16", "gpt3-345m-l4", "analytical", 8, 2, "do", 1),
+    ("v100-16", "gpt3-345m-l4", "analytical", 4, 4, "sp", 6),
+    ("h100-32", "gpt-tiny", "analytical", 2, 2, "do", 6),
+    ("h100-32", "gpt-tiny", "analytical", 4, 1, "sp", 6),
+    ("h100-32", "gpt3-345m-l4", "analytical", 8, 4, "sp", 1),
+    ("h100-32", "gpt3-345m-l4", "analytical", 8, 2, "", 6),
+)
+
+_VARIANTS = {
+    "": lambda recipe: True,
+    "sp": lambda recipe: recipe.sequence_parallelism,
+    "vs": lambda recipe: recipe.virtual_stages > 1,
+    "do": lambda recipe: recipe.distributed_optimizer,
+}
+
+
+def _transformer(name):
+    if name == "gpt3-345m-l4":
+        return dataclasses.replace(get_transformer("gpt3-345m"),
+                                   num_layers=4, name=name)
+    return get_transformer(name)
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_case(index):
+    """``(cluster, pipeline, job, collated)`` of case ``index``."""
+    cluster_name, model_name, mode, tp, pp, variant, iterations = \
+        _MIRROR_CASES[index]
+    cluster = get_cluster(cluster_name)
+    model = _transformer(model_name)
+    batch = 16 if model_name == "gpt-tiny" else 64
+    recipes = sorted(
+        (recipe for recipe in candidate_recipes(model, cluster, batch)
+         if recipe.tensor_parallel == tp and recipe.pipeline_parallel == pp
+         and _VARIANTS[variant](recipe)),
+        key=lambda recipe: recipe.short_name())
+    recipe = random.Random(index).choice(recipes)
+    job = TransformerTrainingJob(model, recipe, cluster,
+                                 global_batch_size=batch,
+                                 iterations=iterations)
+    pipeline = MayaPipeline(cluster, estimator_mode=mode)
+    return cluster, pipeline, job, pipeline.emulate(job).collated
+
+
+class TestTensorParallelMirroring:
+    """Replaying one rank per pipeline stage reports the full replica."""
+
+    @pytest.mark.parametrize("index", range(len(_MIRROR_CASES)))
+    def test_mirrored_report_equals_full_slice(self, index):
+        cluster, pipeline, job, collated = _mirror_case(index)
+        ranks = simulation_ranks(job)
+        provider = pipeline.make_provider()
+        iterations = job.iterations
+        report = ClusterSimulator(
+            cluster, provider,
+            SimulationConfig(simulate_ranks=ranks)).simulate(
+                collated, iterations=iterations)
+        topology = job.topology()
+        assert report.metadata["simulated_ranks"] == len(ranks)
+        assert report.metadata["replayed_ranks"] == topology.pipeline_parallel
+        # The stage leaders (0, pp, 0) are the ranks that replay.
+        leaders = topology.unique_ranks()
+        if iterations == 1:
+            def replay(simulate):
+                return reference_simulate(
+                    cluster, provider, collated,
+                    SimulationConfig(simulate_ranks=simulate))
+        else:
+            # The oracle never folds; the same engine without mirroring
+            # folds the same windows and must commit the same fold.
+            unmirrored = UnmirroredEstimatedProvider(provider.suite, cluster)
+
+            def replay(simulate):
+                return ClusterSimulator(
+                    cluster, unmirrored,
+                    SimulationConfig(simulate_ranks=simulate)).simulate(
+                        collated, iterations=iterations)
+        full = replay(ranks)
+        _assert_reports_identical(full, report)
+        if iterations > 1:
+            assert full.metadata["replayed_ranks"] == len(ranks)
+            assert "iteration_folding" in report.metadata
+            assert (report.metadata["iteration_folding"]
+                    == full.metadata["iteration_folding"])
+        assert (report.metadata["processed_events"]
+                == replay(leaders).metadata["processed_events"])
+
+    @staticmethod
+    def _replayed(cluster, provider, collated, ranks):
+        report = ClusterSimulator(
+            cluster, provider,
+            SimulationConfig(simulate_ranks=ranks)).simulate(collated)
+        assert report.metadata["simulated_ranks"] == len(ranks)
+        return report.metadata["replayed_ranks"]
+
+    def test_off_for_ground_truth_provider(self):
+        cluster, _, job, collated = _mirror_case(1)
+        ranks = simulation_ranks(job)
+        assert self._replayed(cluster, GroundTruthDurationProvider(cluster),
+                              collated, ranks) == len(ranks)
+
+    def test_off_when_nodes_split_tensor_parallel_groups(self):
+        # Six GPUs per node: tp=4 groups straddle nodes, and column t's
+        # groups no longer span the nodes of column 0's.
+        cluster = dataclasses.replace(get_cluster("v100-8"),
+                                      gpus_per_node=6, num_nodes=2)
+        recipe = TrainingRecipe(tensor_parallel=4, pipeline_parallel=1,
+                                dtype="float16")
+        job = TransformerTrainingJob(get_transformer("gpt-tiny"), recipe,
+                                     cluster, global_batch_size=12)
+        pipeline = MayaPipeline(cluster, estimator_mode="analytical")
+        collated = pipeline.emulate(job).collated
+        ranks = simulation_ranks(job)
+        assert self._replayed(cluster, pipeline.make_provider(), collated,
+                              ranks) == len(ranks) == 4
+
+    def test_off_without_dedup_and_selective_launch(self):
+        cluster, _, job, _ = _mirror_case(1)
+        pipeline = MayaPipeline(cluster, estimator_mode="analytical",
+                                deduplicate_workers=False,
+                                selective_launch=False)
+        report = pipeline.predict(job).report
+        assert (report.metadata["replayed_ranks"]
+                == report.metadata["simulated_ranks"] == 4)
+
+    def test_off_for_identity_group_resolver(self):
+        class ShapeKeyedConstantProvider(ConstantProvider):
+            rank_invariant_kernels = True
+
+        collated = TraceCollator(deduplicate=False).collate(
+            build_random_job(0))
+        assert isinstance(collated.group_resolver, IdentityGroupResolver)
+        assert self._replayed(get_cluster("v100-8"),
+                              ShapeKeyedConstantProvider(), collated,
+                              [0, 1]) == 2
+
+    def test_off_for_collective_outside_topology_tags(self):
+        cluster, pipeline, job, collated = _mirror_case(1)
+        # Re-tag one tensor-parallel collective of stage 0's representative:
+        # its group is then the recorded one, not the topology's.
+        resolutions = {rep: dict(table)
+                       for rep, table in collated.resolutions.items()}
+        seq = next(seq for seq, resolution in resolutions[0].items()
+                   if resolution.tag == "tp")
+        resolutions[0][seq] = dataclasses.replace(resolutions[0][seq],
+                                                  tag="embedding")
+        retagged = dataclasses.replace(collated, resolutions=resolutions)
+        ranks = simulation_ranks(job)
+        assert self._replayed(cluster, pipeline.make_provider(), retagged,
+                              ranks) == len(ranks)
