@@ -5,15 +5,8 @@ hits -- is the repository benchmark's job (``bench/``, with bounds);
 nothing here is a claim about it.  What this file keeps:
 
 * **engine events/sec** -- the discrete-event engine replaying a collated
-  tp2/pp2 transformer trace: the full replay (gated against an absolute
-  recorded floor in ``--check``), and steady-state iteration folding on a
-  periodic multi-iteration trace, measured against the engine's own full
-  replay of that trace -- both on a jitter-free host model (folding exact
-  up to rounding) and on the *default jittered* host model, where the
-  structured host-delay split records deterministic base costs in the
-  trace and folding extrapolates at the analytic mean jitter factor (the
-  ``jittered_fold`` leg, gated report-only in ``--check``: folding must
-  engage on the default testbed trace);
+  tp2/pp2 transformer trace (gated against an absolute recorded floor in
+  ``--check``);
 * **wire bytes per event** -- a shipped worker-trace artifact is its
   recorded columns (raw little-endian column buffers plus the template
   pool); this reports its size per artifact and per event;
@@ -34,7 +27,7 @@ and every gate that was skipped (with the reason).
 Results land in ``BENCH_sim_throughput.json`` at the repository root (the
 perf trajectory file CI uploads as an artifact).  ``--check`` compares a
 fresh measurement against a recorded baseline and fails when the engine's
-full-replay rate regresses more than 30% below it.
+replay rate regresses more than 30% below it.
 
 Run from the repository root::
 
@@ -65,11 +58,10 @@ REGRESSION_TOLERANCE = 0.30
 CLUSTER = "v100-8"
 MODEL = "gpt-tiny"
 GLOBAL_BATCH = 16
-#: Repeats per engine configuration (best-of to shed scheduler noise).
+#: Timed engine replays (best-of to shed scheduler noise).
 ENGINE_REPEATS = 3
-#: Iterations of the folding workload (emulated with a jitter-free host
-#: model so its windows are steady-state periodic).
-FOLD_ITERATIONS = 16
+#: Training iterations of the emulated engine workload.
+ITERATIONS = 2
 #: Distinct configurations in the chaos and store legs' batch.
 TRIAL_CONFIGS = 8
 #: Chaos leg (``--chaos``): job lease on the measured batch, and how far
@@ -78,13 +70,12 @@ CHAOS_LEASE_TIMEOUT = 0.5
 CHAOS_STRAGGLER_DELAY = 3.0
 
 
-def _engine_setup(iterations: int, smooth_host: bool):
+def _engine_setup():
     from repro.core.collator import TraceCollator
     from repro.core.emulator import EmulationSession
     from repro.core.pipeline import MayaPipeline, simulation_ranks
     from repro.framework.recipe import TrainingRecipe
     from repro.hardware.cluster import get_cluster
-    from repro.hardware.host_model import HostModel
     from repro.workloads.job import TransformerTrainingJob
     from repro.workloads.models import get_transformer
 
@@ -93,90 +84,34 @@ def _engine_setup(iterations: int, smooth_host: bool):
         get_transformer(MODEL),
         TrainingRecipe(tensor_parallel=2, pipeline_parallel=2,
                        microbatch_multiplier=2, dtype="float16"),
-        cluster, global_batch_size=GLOBAL_BATCH, iterations=iterations)
-    host_model = HostModel(jitter=0.0) if smooth_host else None
-    session = EmulationSession(cluster, host_model=host_model)
+        cluster, global_batch_size=GLOBAL_BATCH, iterations=ITERATIONS)
+    session = EmulationSession(cluster)
     emulated = session.run(job.worker_fn, ranks=job.unique_ranks(),
                            world_size=job.world_size)
     collated = TraceCollator().collate(emulated.job_trace,
                                        topology=job.topology())
     pipeline = MayaPipeline(cluster, estimator_mode="analytical")
-    return cluster, collated, pipeline.make_provider(), \
-        simulation_ranks(job), job.iterations
+    return cluster, collated, pipeline.make_provider(), simulation_ranks(job)
 
 
-def _measure_engine(cluster, collated, provider, ranks, iterations,
-                    **config_kwargs) -> Dict[str, float]:
+def bench_engine() -> Dict[str, float]:
+    """Events/sec of the engine's replay, best of ``ENGINE_REPEATS``."""
     from repro.core.simulator.engine import ClusterSimulator, SimulationConfig
 
-    simulator = ClusterSimulator(
-        cluster, provider,
-        SimulationConfig(simulate_ranks=ranks, **config_kwargs))
-    report = simulator.simulate(collated, iterations=iterations)  # warm-up
+    cluster, collated, provider, ranks = _engine_setup()
+    simulator = ClusterSimulator(cluster, provider,
+                                 SimulationConfig(simulate_ranks=ranks))
+    report = simulator.simulate(collated, iterations=ITERATIONS)  # warm-up
     best_wall = float("inf")
     for _ in range(ENGINE_REPEATS):
         start = time.perf_counter()
-        report = simulator.simulate(collated, iterations=iterations)
+        report = simulator.simulate(collated, iterations=ITERATIONS)
         best_wall = min(best_wall, time.perf_counter() - start)
     return {
-        "events": int(report.metadata["processed_events"]),
+        "trace_events": int(report.metadata["processed_events"]),
         "replayed_ranks": int(report.metadata["replayed_ranks"]),
-        "wall_s": best_wall,
-        "events_per_sec": report.metadata["processed_events"] / best_wall,
-        "total_time_s": report.total_time,
-        "folded_iterations": (report.metadata.get("iteration_folding") or
-                              {}).get("folded_iterations", 0),
-        "host_jitter_bound_s": (report.metadata.get("iteration_folding") or
-                                {}).get("host_jitter_bound_s", 0.0),
-    }
-
-
-def _fold_leg(smooth_host: bool) -> Dict[str, float]:
-    """Folding on the periodic trace against the engine's own full replay.
-
-    Folding replays fewer events for the same simulated workload, so its
-    rate is expressed as *simulated-trace* events per wall second.
-    """
-    setup = _engine_setup(iterations=FOLD_ITERATIONS, smooth_host=smooth_host)
-    full = _measure_engine(*setup, fold_iterations=False)
-    folded = _measure_engine(*setup)
-    equivalent = full["events"] / folded["wall_s"]
-    return {
-        "trace_events": full["events"],
-        "full_events_per_sec": full["events_per_sec"],
-        "fold_equivalent_events_per_sec": equivalent,
-        "fold_speedup": equivalent / full["events_per_sec"],
-        "folded_iterations": folded["folded_iterations"],
-        "fold_abs_error_s": abs(folded["total_time_s"]
-                                - full["total_time_s"]),
-        "host_jitter_bound_s": folded["host_jitter_bound_s"],
-    }
-
-
-def bench_engine() -> Dict[str, object]:
-    """Events/sec of the engine: full replay, then both fold legs."""
-    replay = _measure_engine(*_engine_setup(iterations=2, smooth_host=False),
-                             fold_iterations=False)
-    smooth = _fold_leg(smooth_host=True)
-    # Default (jittered) host model: the structured host-delay split keeps
-    # the trace periodic, folding extrapolates at the analytic mean jitter
-    # factor and the committed total must stay within the documented bound.
-    jittered = _fold_leg(smooth_host=False)
-    if jittered["folded_iterations"] > 0:
-        assert jittered["fold_abs_error_s"] \
-            <= jittered["host_jitter_bound_s"], \
-            "folded total exceeded the documented host-jitter bound"
-    return {
-        "trace_events": replay["events"],
-        "replayed_ranks": replay["replayed_ranks"],
-        "columnar_events_per_sec": replay["events_per_sec"],
-        "fold_trace_events": smooth["trace_events"],
-        "fold_full_events_per_sec": smooth["full_events_per_sec"],
-        "fold_equivalent_events_per_sec":
-            smooth["fold_equivalent_events_per_sec"],
-        "fold_speedup": smooth["fold_speedup"],
-        "folded_iterations": smooth["folded_iterations"],
-        "jittered_fold": jittered,
+        "columnar_events_per_sec":
+            report.metadata["processed_events"] / best_wall,
     }
 
 
@@ -188,7 +123,7 @@ def bench_wire_shipping() -> Dict[str, object]:
     """
     from repro.service import wire
 
-    _, collated, _, _, _ = _engine_setup(iterations=2, smooth_host=False)
+    _, collated, _, _ = _engine_setup()
     traces = list(collated.traces.values())
     events = sum(len(trace) for trace in traces)
     columnar = sum(len(wire.dumps_columnar(trace)) for trace in traces)
@@ -352,20 +287,11 @@ def run_benchmark(output: Path, chaos: bool = False,
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output}")
     engine = payload["engine"]
-    print(f"engine: full replay of {engine['replayed_ranks']} ranks "
-          f"{engine['columnar_events_per_sec']:,.0f} ev/s, folding "
-          f"{engine['fold_equivalent_events_per_sec']:,.0f} "
-          f"ev/s ({engine['fold_speedup']:.2f}x its own full replay on the "
-          f"{FOLD_ITERATIONS}-iteration trace)")
+    print(f"engine: replay of {engine['replayed_ranks']} ranks "
+          f"{engine['columnar_events_per_sec']:,.0f} ev/s")
     shipping = payload["wire_shipping"]
     print(f"wire shipping: {shipping['columnar_bytes_per_event']:.1f} "
           f"B/event over {shipping['artifacts']} artifacts")
-    jittered = engine["jittered_fold"]
-    print(f"jittered fold: {jittered['folded_iterations']} of "
-          f"{FOLD_ITERATIONS} iterations folded on the default host model "
-          f"({jittered['fold_speedup']:.2f}x, |error| "
-          f"{jittered['fold_abs_error_s']:.2e}s <= bound "
-          f"{jittered['host_jitter_bound_s']:.2e}s)")
     if "chaos" in payload:
         # Report-only: the recovery machinery's measured cost, not a gate.
         leg = payload["chaos"]
@@ -403,20 +329,6 @@ def check_against_baseline(current: Dict[str, object],
               f"{(1 - measured / recorded) * 100:.1f}% below the recorded "
               f"baseline (tolerance {REGRESSION_TOLERANCE * 100:.0f}%)")
         failed = True
-    jittered = current.get("engine", {}).get("jittered_fold", {})
-    if jittered:
-        # Report-only for now: folding must engage on the default testbed
-        # trace (the structured host-delay split is what unlocks it); the
-        # outcome is recorded in the uploaded JSON.
-        folded_iterations = int(jittered.get("folded_iterations", 0))
-        print(f"jittered-fold gate: {folded_iterations} iterations folded "
-              f"on the default host model"
-              + ("" if folded_iterations > 0
-                 else " (WARNING: folding did not engage on the default "
-                      "jittered trace)"))
-        gates.append(("jittered-fold", None))
-    else:
-        gates.append(("jittered-fold", "leg missing from measurement"))
     store_leg = current.get("cold_vs_warm_store", {})
     if store_leg:
         # Report-only: the warm run hydrates every artifact from disk, so

@@ -20,13 +20,11 @@ replay (Section 4.2 of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.columnar import _ITERATION_MARKER, range_fingerprint
 from repro.core.trace import (
     F_COLL_SEQ,
     K_COLLECTIVE,
-    K_MARKER,
     JobTrace,
     TraceEvent,
     WorkerTrace,
@@ -35,90 +33,6 @@ from repro.framework.topology import ParallelTopology
 
 #: Collective ops that are point-to-point rather than group-wide.
 _P2P_OPS = ("send", "recv")
-
-
-
-@dataclass(frozen=True)
-class IterationWindows:
-    """Positions of the per-iteration marker events within one trace.
-
-    ``starts[k]`` / ``ends[k]`` are the event indices of the
-    ``iteration-k-start`` / ``iteration-k-end`` markers.  Window ``k``'s
-    *body* spans ``[starts[k], ends[k]]`` (inclusive); the *glue* between
-    windows ``k`` and ``k + 1`` spans ``(ends[k], starts[k + 1])``.
-    """
-
-    count: int
-    starts: Tuple[int, ...]
-    ends: Tuple[int, ...]
-
-    def body_range(self, k: int) -> Tuple[int, int]:
-        """Half-open event-index range of window ``k``'s body."""
-        return self.starts[k], self.ends[k] + 1
-
-    def glue_range(self, k: int) -> Tuple[int, int]:
-        """Half-open range of the inter-iteration events after window ``k``."""
-        return self.ends[k] + 1, self.starts[k + 1]
-
-    @property
-    def tail_index(self) -> int:
-        """Index of the first event after the last iteration window."""
-        return self.ends[-1] + 1
-
-
-def find_iteration_windows(trace: WorkerTrace) -> Optional[IterationWindows]:
-    """Locate the iteration marker pairs of ``trace``, if well formed.
-
-    Returns ``None`` unless the trace contains ``iteration-k-start`` /
-    ``iteration-k-end`` markers for exactly ``k = 0 .. N-1``, in order and
-    properly interleaved.
-    """
-    starts: List[int] = []
-    ends: List[int] = []
-    cols = trace.columns
-    template_ids = cols.lists()["template"]
-    for index in cols.rows(K_MARKER):
-        params = cols.templates[template_ids[index]]["params_fixed"]
-        match = _ITERATION_MARKER.match(str(params.get("label", "")))
-        if match is None:
-            continue
-        target = starts if match.group(2) == "start" else ends
-        if int(match.group(1)) != len(target):
-            return None  # duplicate or out-of-order iteration markers
-        target.append(index)
-    count = len(starts)
-    if count == 0 or len(ends) != count:
-        return None
-    for k in range(count):
-        if not starts[k] < ends[k]:
-            return None
-        if k + 1 < count and not ends[k] < starts[k + 1]:
-            return None
-    return IterationWindows(count=count, starts=tuple(starts),
-                            ends=tuple(ends))
-
-
-def windows_are_periodic(trace: WorkerTrace,
-                         windows: IterationWindows) -> bool:
-    """Whether iterations ``1 .. N-1`` of ``trace`` are interchangeable.
-
-    Window 0 is allowed to differ (allocation warm-up); every later window
-    body must canonically match window 1's, every inter-iteration glue must
-    match the window-1 -> window-2 glue, and no window may synchronise on
-    events recorded outside itself (see
-    :func:`repro.core.columnar.range_fingerprint`).
-    """
-    if windows.count < 3:
-        return False
-    count = windows.count
-    for ranges in ([windows.body_range(k) for k in range(1, count)],
-                   [windows.glue_range(k) for k in range(1, count - 1)]):
-        prints = [range_fingerprint(trace.columns, lo, hi)
-                  for lo, hi in ranges]
-        if prints[0] is None or any(other != prints[0]
-                                    for other in prints[1:]):
-            return False
-    return True
 
 
 class GroupResolver:

@@ -15,8 +15,6 @@ per-template digests computed once per trace:
 * annotation prices each distinct (template, stream) kernel shape once
   (:func:`kernel_shapes`) and materializes host delays array-wide
   (:func:`materialize_host_delays`);
-* the collator's periodicity check hashes ranges of rows
-  (:func:`range_fingerprint`);
 * the wire payload (:func:`encode_worker_trace` /
   :func:`decode_worker_trace`) is the raw little-endian column buffers
   plus the pickled template pool, and decoding is a header read.
@@ -32,7 +30,6 @@ the equal float).  numpy is a hard requirement of the package.
 from __future__ import annotations
 
 import pickle
-import re
 import struct
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -44,13 +41,9 @@ from repro.core.trace import (
     F_REC_CREATE,
     F_REC_DESTROY,
     F_VERSION,
-    K_COLLECTIVE,
-    K_EVENT_RECORD,
-    K_EVENT_SYNC,
     K_HOST_DELAY,
     K_MARKER,
     K_MEMSET,
-    K_STREAM_WAIT,
     KINDS_BY_CODE,
     TraceColumns,
     WorkerTrace,
@@ -62,9 +55,6 @@ from repro.hardware.host_model import (
 )
 from repro.hardware.noise import stable_hash
 
-#: Labels the emulator emits around every training iteration.
-_ITERATION_MARKER = re.compile(r"^iteration-(\d+)-(start|end)$")
-
 #: First bytes of an encoded columnar payload.
 PAYLOAD_MAGIC = b"MCOL"
 
@@ -73,10 +63,6 @@ _PAYLOAD_HEADER = struct.Struct("<4sI")
 #: Polynomial base of :func:`_hash_rows` (the 64-bit FNV prime).
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-
-#: Kinds whose rows carry everything :func:`range_fingerprint` compares.
-_ROW_COMPARED_KINDS = (K_HOST_DELAY, K_EVENT_RECORD, K_STREAM_WAIT,
-                       K_EVENT_SYNC)
 
 
 # ----------------------------------------------------------------------
@@ -115,8 +101,7 @@ class EngineProgram:
     tight loop, where list indexing beats numpy scalar extraction by ~3x.
     """
 
-    __slots__ = ("n", "codes", "streams", "seqs", "durations", "ekeys",
-                 "labels")
+    __slots__ = ("n", "codes", "streams", "seqs", "ekeys", "labels")
 
     def __init__(self, cols: TraceColumns) -> None:
         arrays, lists = cols.arrays(), cols.lists()
@@ -128,9 +113,6 @@ class EngineProgram:
         #: Stream operand with the engine's ``None -> 0`` default applied.
         self.streams = _np.maximum(arrays["stream"], 0).tolist()
         self.seqs = lists["seq"]
-        #: Recorded durations with the engine's ``None -> 0.0`` default
-        #: (fold replays read these for structured host delays).
-        self.durations = lists["duration"]
         #: (CUDA event handle, version) a record writes or a wait reads.
         self.ekeys: List[Optional[Tuple[int, int]]] = [None] * self.n
         versions = lists["version"]
@@ -217,14 +199,11 @@ class _TemplateTables:
 
     ``key[tid]`` is ``TraceEvent.signature()`` minus the stream (a column)
     and, for the record/wait kinds, minus the ``version`` param (a column
-    too); ``digest[tid]`` is its stable hash.  ``window[tid]`` is what
-    :func:`range_fingerprint` compares of the template: the collective
-    descriptor, the marker label (iteration markers compare by position
-    only), nothing for the kinds whose rows carry it all, else the shape
-    digest.  Templates no row uses (after fold truncation) keep zeros.
+    too); ``digest[tid]`` is its stable hash.  Templates no row uses keep
+    ``None`` and 0.
     """
 
-    __slots__ = ("key", "digest", "window")
+    __slots__ = ("key", "digest")
 
     def __init__(self, cols: TraceColumns) -> None:
         arrays = cols.arrays()
@@ -232,7 +211,6 @@ class _TemplateTables:
         count = len(cols.templates)
         self.key: List[Optional[Tuple]] = [None] * count
         self.digest = [0] * count
-        self.window = [0] * count
         for tid, code in zip(used.tolist(), arrays["kind"][first].tolist()):
             template = cols.templates[tid]
             params = template["params_fixed"]
@@ -247,20 +225,7 @@ class _TemplateTables:
                 tuple(sorted((k, v) for k, v in params.items()
                              if k not in ("free", "total"))),
                 collective_key)
-            self.digest[tid] = self.window[tid] = stable_hash(self.key[tid])
-            if code == K_COLLECTIVE:
-                info = coll or {}
-                self.window[tid] = stable_hash(
-                    str(info.get("op")), str(info.get("comm_tag")),
-                    tuple(info.get("ranks", ())), int(info.get("peer", -1)),
-                    float(params.get("bytes", 0.0)))
-            elif code == K_MARKER:
-                label = str(params.get("label", ""))
-                self.window[tid] = stable_hash(
-                    "marker", None if _ITERATION_MARKER.match(label)
-                    else label)
-            elif code in _ROW_COMPARED_KINDS:
-                self.window[tid] = 0
+            self.digest[tid] = stable_hash(self.key[tid])
 
 
 def _template_tables(cols: TraceColumns) -> _TemplateTables:
@@ -360,63 +325,6 @@ def _kernel_shapes(cols: TraceColumns) -> Tuple[Any, Any, List[Tuple]]:
                         None if stream < 0 else stream, params_key,
                         coll_key)))
     return arrays["seq"][rows], shape_of_row.reshape(-1), shapes
-
-
-# ----------------------------------------------------------------------
-# periodicity fingerprints (consumed by repro.core.collator)
-# ----------------------------------------------------------------------
-
-def range_fingerprint(cols: TraceColumns, lo: int, hi: int) -> Optional[int]:
-    """Content hash of events ``lo .. hi-1`` for cross-window comparison.
-
-    CUDA event ids and versions grow across iterations, so raw signatures
-    of identical windows never match.  This canonicalises them: a record
-    hashes by its stream (its serial follows from its position), a wait by
-    the row distance back to its record, and a wait on a record *outside*
-    the range (a cross-window dependency) yields ``None``.  Structured
-    host delays hash by call class and base cost (fold extrapolation
-    handles their jitter analytically), legacy ones by value.  Equality
-    decisions are checked against a per-object reference walk in
-    ``tests/test_columnar.py``.
-    """
-    lanes, refs = cols.memoized("window_rows", _window_rows)
-    if hi > lo and refs[lo:hi].min() < lo:
-        return None
-    return _hash_rows([lane[lo:hi] for lane in lanes], 0)
-
-
-def _window_rows(cols: TraceColumns) -> Tuple[List[Any], Any]:
-    """Per-row lanes of :func:`range_fingerprint` and each row's wait
-    reference (the record's row, ``-1`` if never recorded, the row itself
-    when it waits on nothing)."""
-    arrays, lists = cols.arrays(), cols.lists()
-    kind, flags = arrays["kind"], arrays["flags"]
-    delay = kind == K_HOST_DELAY
-    handle = _np.where(flags & F_REC_CREATE, F_REC_CREATE,
-                       flags & F_REC_DESTROY)
-    refs = _np.arange(len(cols))
-    distance = _np.zeros(len(cols), dtype=_np.uint64)
-    latest: Dict[Tuple[int, int], int] = {}
-    for i in _np.flatnonzero(_np.isin(kind, _ROW_COMPARED_KINDS)
-                             & ~delay).tolist():
-        version = lists["version"][i]
-        if kind[i] == K_EVENT_RECORD:
-            if not handle[i]:
-                latest[(lists["event_id"][i], version)] = i
-        elif version != 0:
-            refs[i] = latest.get((lists["wait_event"][i], version), -1)
-            distance[i] = i - refs[i]
-    return ([
-        _np.array(_template_tables(cols).window,
-                  dtype=_np.uint64)[arrays["template"]],
-        kind.astype(_np.uint64),
-        _np.where(delay | (kind == K_MARKER) | (handle != 0), 0,
-                  arrays["stream"]).astype(_np.uint64),
-        ((flags & F_HOST_SEQ) | handle).astype(_np.uint64),
-        _np.where(delay & ((flags & F_HOST_SEQ) != 0),
-                  arrays["host_class"], 0).astype(_np.uint64),
-        _np.where(delay, arrays["duration"] + 0.0, 0.0).view(_np.uint64),
-        distance], refs)
 
 
 # ----------------------------------------------------------------------

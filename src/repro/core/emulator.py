@@ -12,8 +12,7 @@ built).  Two rows are produced per call:
   this delta between API calls during emulation and replays it in the
   simulator; the per-call jitter term is synthesised by the simulation
   engine at replay time from the host-model profile recorded in the trace
-  metadata, so iteration windows stay canonically periodic in the trace
-  while replay remains bit-identical to baking the jitter in here, and
+  metadata, and replay is bit-identical to baking the jitter in here, and
 * for device work and synchronisation primitives, the device-side event
   itself (kernel, memcpy, collective, event record, stream wait, ...).
 

@@ -49,30 +49,6 @@ shrink, and ``replayed_ranks`` records how many ranks ran.  There is no
 switch: a provider that does not declare ``rank_invariant_kernels`` (the
 jittered testbed) replays every rank.
 
-**Steady-state iteration folding.**  When the trace contains ``N >= 5``
-iteration-marker windows whose bodies and inter-iteration glue are
-canonically identical (see :func:`repro.core.collator.windows_are_periodic`)
-and the provider declares ``supports_iteration_folding`` (duration is a
-pure function of the event's shape, e.g. Maya's estimated provider, but
-*not* the jittered testbed provider), the engine simulates the first four
-windows plus the trace tail and extrapolates the remaining ``N - 4``
-iterations analytically.  The fold only commits if every rank was
-quiescent at its window boundaries and the measured per-rank period was
-stable across the two verification windows (within
-``SimulationConfig.fold_tolerance``, which defaults to rounding-level
-drift; set 0.0 to demand bitwise-identical periods); otherwise the
-engine transparently re-runs the full simulation.  Folding is exact up to
-that rounding-level period drift except on structured jittered host
-delays, which are treated *analytically*: the truncated replay
-materializes them at the window-mean jitter factor of 1.0 (i.e. the
-recorded base cost), so the windows stay exactly periodic and the
-extrapolated total differs from the full replay by at most
-``sqrt(3) * jitter`` times the total base host-delay time (``fast_noise``
-is uniform within ``1 +- jitter*sqrt(3)``, and a critical path can
-traverse each host delay at most once); the committed bound is reported as
-``host_jitter_bound_s`` in the fold metadata.  Disable with
-``SimulationConfig.fold_iterations=False``.
-
 The loop is checked against an independent per-event replay that walks the
 event objects and calls the provider once per event
 (``tests/reference_engine.py``), bit for bit over seeded random traces, and
@@ -83,21 +59,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.collator import (
-    CollatedTrace,
-    IterationWindows,
-    TopologyGroupResolver,
-    find_iteration_windows,
-    windows_are_periodic,
-)
+from repro.core.collator import CollatedTrace, TopologyGroupResolver
 from repro.core.columnar import (
-    _ITERATION_MARKER,
     E_COLLECTIVE,
     E_DEVICE_SYNC,
     E_EVENT_SYNC,
@@ -120,9 +88,7 @@ from repro.core.simulator.waitmaps import (
     CudaEventWaitMap,
     P2PWaitMap,
 )
-from repro.core.trace import K_MARKER, WorkerTrace
 from repro.hardware.cluster import ClusterSpec
-from repro.hardware.host_model import HOST_MODEL_METADATA_KEY
 
 
 class SimulationError(RuntimeError):
@@ -140,41 +106,18 @@ class SimulationConfig:
     #: the same device.  Models SM contention; the paper notes Maya does NOT
     #: model this (Section 8), so it is enabled only for the testbed.
     sm_contention_factor: float = 1.0
-    #: Fixed receiver-side completion overhead for point-to-point transfers.
-    p2p_recv_overhead: float = 3.0e-6
-    #: Whether host-side delays captured during emulation are replayed.
-    include_host_overheads: bool = True
     #: Safety valve: maximum number of processed simulation events.
     max_events: int = 50_000_000
-    #: Fold repeated steady-state iterations instead of simulating each.
-    fold_iterations: bool = True
-    #: Maximum *relative* disagreement between the two verification-window
-    #: periods for a fold to commit.  Even a perfectly periodic workload
-    #: accumulates floating-point rounding of ~1 ulp per window, so the
-    #: default admits rounding-level drift (the extrapolated total then
-    #: differs from the full replay by at most that much per
-    #: folded iteration).  Set to 0.0 to require bitwise-identical periods.
-    fold_tolerance: float = 1e-9
+
+
+#: Fixed receiver-side completion overhead for point-to-point transfers.
+P2P_RECV_OVERHEAD = 3.0e-6
 
 
 # Internal host states.
 _HOST_RUNNING = 0
 _HOST_BLOCKED = 1
 _HOST_DONE = 2
-
-#: Iteration windows simulated explicitly before folding: warm-up (0), the
-#: representative window (1) and two verification windows (2, 3) whose
-#: boundary-to-boundary periods must agree bitwise.
-_FOLD_SIMULATED_WINDOWS = 4
-#: Folding needs the simulated windows plus at least one window to fold.
-_FOLD_MIN_ITERATIONS = _FOLD_SIMULATED_WINDOWS + 1
-
-#: Bound on the provider-attached fold-veto memo (oldest-first eviction).
-_FOLD_VETO_LIMIT = 256
-
-#: Half-width of ``fast_noise``'s uniform support relative to ``scale``
-#: (the jitter factor lies in ``1 +- scale * sqrt(3)``).
-_SQRT3 = math.sqrt(3.0)
 
 #: Communicator tags whose groups the topology resolver remaps per rank.
 _TOPOLOGY_TAGS = frozenset(("tp", "pp", "dp"))
@@ -214,110 +157,24 @@ class _Host:
 
     __slots__ = ("rank", "cursor", "state", "time", "waiting_streams",
                  "markers", "host_durations", "codes", "streams0", "seqs",
-                 "ekeys", "labels", "base_durations", "n")
+                 "ekeys", "labels", "n")
 
     def __init__(self, rank: int, program: EngineProgram,
-                 host_durations: Optional[List[float]]) -> None:
+                 host_durations: List[float]) -> None:
         self.rank = rank
         self.cursor = 0
         self.state = _HOST_RUNNING
         self.time = 0.0
         self.waiting_streams: Set[Tuple[int, int]] = set()
         self.markers: Dict[str, float] = {}
-        #: Per-seq materialized HOST_DELAY durations; ``None`` in a fold
-        #: replay, which pays the position-indexed ``base_durations``.
+        #: Per-seq materialized HOST_DELAY durations.
         self.host_durations = host_durations
         self.codes = program.codes
         self.streams0 = program.streams
         self.seqs = program.seqs
         self.ekeys = program.ekeys
         self.labels = program.labels
-        self.base_durations = program.durations
         self.n = program.n
-
-
-@dataclass(frozen=True)
-class _FoldPlan:
-    """A validated opportunity to fold steady-state iterations."""
-
-    #: Iteration windows present in every simulated representative trace.
-    iterations: int
-    #: Marker indices per representative rank.
-    windows: Dict[int, IterationWindows]
-    #: Windows simulated explicitly (0 .. simulated-1).
-    simulated: int = _FOLD_SIMULATED_WINDOWS
-
-    @property
-    def folded(self) -> int:
-        return self.iterations - self.simulated
-
-    @property
-    def capture_labels(self) -> Tuple[str, ...]:
-        """End markers snapshotted for period measurement/verification."""
-        return tuple(f"iteration-{k}-end"
-                     for k in range(1, self.simulated))
-
-    def truncate(self, collated: CollatedTrace) -> CollatedTrace:
-        """Copy of ``collated`` keeping only the simulated windows + tail.
-
-        Rows keep their original sequence numbers (and the template pool
-        is shared), so the collator's per-seq collective resolutions stay
-        valid.
-        """
-        traces: Dict[int, WorkerTrace] = {}
-        for rep, trace in collated.traces.items():
-            windows = self.windows.get(rep)
-            if windows is None:
-                traces[rep] = trace
-                continue
-            traces[rep] = WorkerTrace(
-                rank=trace.rank, device=trace.device,
-                peak_memory_bytes=trace.peak_memory_bytes, oom=trace.oom,
-                metadata=trace.metadata,
-                columns=trace.columns.drop_rows(
-                    windows.ends[self.simulated - 1] + 1, windows.tail_index),
-            )
-        return CollatedTrace(
-            world_size=collated.world_size,
-            traces=traces,
-            representative=collated.representative,
-            resolutions=collated.resolutions,
-            group_resolver=collated.group_resolver,
-            stats=collated.stats,
-        )
-
-
-def plan_iteration_fold(collated: CollatedTrace,
-                        ranks: Sequence[int]) -> Optional[_FoldPlan]:
-    """Check whether ``collated`` supports steady-state iteration folding.
-
-    Requires every simulated representative trace to carry a full, ordered
-    set of ``N >= 5`` iteration-marker windows, with windows ``1 .. N-1``
-    canonically periodic, no cross-window event-synchronisation and a
-    marker-free tail.
-    """
-    representatives = sorted({collated.representative[rank] for rank in ranks})
-    windows: Dict[int, IterationWindows] = {}
-    count: Optional[int] = None
-    for rep in representatives:
-        trace = collated.traces[rep]
-        found = find_iteration_windows(trace)
-        if found is None:
-            return None
-        if count is None:
-            count = found.count
-        elif found.count != count:
-            return None
-        markers = trace.columns.rows(K_MARKER)
-        if markers and markers[-1] >= found.tail_index:
-            return None  # tail markers would need extrapolation too
-        windows[rep] = found
-    if count is None or count < _FOLD_MIN_ITERATIONS:
-        return None
-    for rep in representatives:
-        if not windows_are_periodic(collated.traces[rep], windows[rep]):
-            return None
-    return _FoldPlan(iterations=count, windows=windows)
 
 
 def tensor_parallel_mirrors(cluster: ClusterSpec, provider: DurationProvider,
@@ -383,7 +240,8 @@ class ClusterSimulator:
         ranks = self._resolve_ranks(collated)
         mirrors = tensor_parallel_mirrors(self.cluster, self.provider,
                                           collated, ranks)
-        state = self._run_state(collated, ranks, mirrors)
+        state = _SimulationState(self, collated, ranks, mirrors)
+        state.run()
         report = state.build_report(iterations)
         wall_time = time.perf_counter() - start
         report.metadata["wall_time_s"] = wall_time
@@ -404,71 +262,6 @@ class ClusterSimulator:
             raise SimulationError(f"no trace available for ranks {missing[:8]}")
         return ranks
 
-    def _run_state(self, collated: CollatedTrace, ranks: List[int],
-                   mirrors: Dict[int, int]) -> "_SimulationState":
-        replayed = [rank for rank in ranks if rank not in mirrors]
-        plan = truncated = None
-        veto_key = None
-        if (self.config.fold_iterations
-                and getattr(self.provider, "supports_iteration_folding",
-                            False)):
-            plan, truncated = self._fold_plan_for(collated, replayed)
-        if plan is not None:
-            # Fold-commit failures depend on this provider's durations and
-            # the configured tolerance, so the negative memo lives on the
-            # provider (the structural plan above stays provider-agnostic).
-            # An insertion-ordered dict doubles as a bounded FIFO: when the
-            # memo fills up, the oldest veto is evicted -- hot traces keep
-            # their entries instead of the whole memo being wiped.
-            vetoes = getattr(self.provider, "_fold_vetoes", None)
-            if vetoes is None:
-                vetoes = {}
-                self.provider._fold_vetoes = vetoes
-            veto_key = (collated.content_signature(), tuple(replayed),
-                        self.config.fold_tolerance)
-            if veto_key in vetoes:
-                plan = None
-        if plan is not None:
-            state = _SimulationState(self, truncated, ranks, mirrors,
-                                     fold_plan=plan)
-            try:
-                state.run()
-            except SimulationError:
-                state = None  # truncated replay failed; use the full trace
-            if state is not None and state.commit_fold(plan):
-                return state
-            # Boundary verification failed: don't pay the truncated replay
-            # again for this (trace, ranks, tolerance) on this provider.
-            while len(vetoes) >= _FOLD_VETO_LIMIT:
-                vetoes.pop(next(iter(vetoes)))
-            vetoes[veto_key] = True
-        state = _SimulationState(self, collated, ranks, mirrors)
-        state.run()
-        return state
-
-    @staticmethod
-    def _fold_plan_for(collated: CollatedTrace, ranks: List[int]
-                       ) -> Tuple[Optional[_FoldPlan], Optional[CollatedTrace]]:
-        """Fold plan + truncated trace, memoized on the collated object.
-
-        Window fingerprinting and truncation are O(events); artifacts are
-        shared across trials through the service cache, so stashing the
-        result on the instance makes repeated simulations pay it once.
-        """
-        cache: Dict[Tuple[int, ...], Tuple] = getattr(
-            collated, "_fold_plan_cache", None)
-        if cache is None:
-            cache = {}
-            collated._fold_plan_cache = cache  # type: ignore[attr-defined]
-        key = tuple(ranks)
-        entry = cache.get(key)
-        if entry is None:
-            plan = plan_iteration_fold(collated, ranks)
-            truncated = plan.truncate(collated) if plan is not None else None
-            entry = (plan, truncated)
-            cache[key] = entry
-        return entry
-
 
 class _SimulationState:
     """Mutable state of one simulation run.
@@ -478,9 +271,7 @@ class _SimulationState:
     """
 
     def __init__(self, simulator: ClusterSimulator, collated: CollatedTrace,
-                 requested: List[int], mirrors: Dict[int, int],
-                 fold_plan: Optional[_FoldPlan] = None) -> None:
-        self.sim = simulator
+                 requested: List[int], mirrors: Dict[int, int]) -> None:
         self.collated = collated
         self.config = simulator.config
         self.provider = simulator.provider
@@ -498,30 +289,15 @@ class _SimulationState:
             annotate(collated, ranks) if annotate is not None
             else build_trace_annotations(self.provider, collated, ranks))
 
-        self.fold_plan = fold_plan
-        self._fold_capture_labels: Set[str] = (
-            set(fold_plan.capture_labels) if fold_plan is not None else set())
-        self.fold_valid = fold_plan is not None
-        #: (rank, label) -> (host time, report counter snapshot).
-        self.fold_snapshots: Dict[Tuple[int, str], Tuple] = {}
-        self.fold_info: Optional[Dict[str, object]] = None
-
         rep_programs = {
             rep: engine_program(collated.traces[rep].columns)
             for rep in {collated.representative[rank] for rank in ranks}}
         self.programs: Dict[int, EngineProgram] = {
             rank: rep_programs[collated.representative[rank]]
             for rank in ranks}
-        # A full replay pays the materialized host delays (structured
-        # traces: base cost times the per-call jitter factor).  A fold
-        # replay deliberately pays the recorded base cost instead -- the
-        # window-mean jitter factor of 1.0 -- so that steady-state windows
-        # stay exactly periodic and extrapolation is the analytic mean over
-        # the folded jitter stream.
         self.hosts: Dict[int, _Host] = {
             rank: _Host(rank, self.programs[rank],
-                        self.annotations.host_durations[rank]
-                        if fold_plan is None else None)
+                        self.annotations.host_durations[rank])
             for rank in ranks}
         self._sm_contention = self.config.sm_contention_factor > 1.0
         self.streams: Dict[Tuple[int, int], _Stream] = {}
@@ -642,14 +418,7 @@ class _SimulationState:
                 continue
             if code == E_HOST_DELAY:
                 cursor += 1
-                if not self.config.include_host_overheads:
-                    continue
-                if host.host_durations is not None:
-                    duration = host.host_durations[host.seqs[cursor - 1]]
-                else:
-                    # Fold replay: the recorded base cost (the window-mean
-                    # jitter factor of 1.0).
-                    duration = host.base_durations[cursor - 1]
+                duration = host.host_durations[host.seqs[cursor - 1]]
                 host.time += duration
                 self.rank_reports[rank].host_time += duration
                 host.cursor = cursor
@@ -658,8 +427,6 @@ class _SimulationState:
             if code == E_MARKER:
                 label = host.labels[cursor]
                 host.markers[label] = host.time
-                if label in self._fold_capture_labels:
-                    self._capture_fold_snapshot(host, label)
                 cursor += 1
                 continue
             if code == E_EVENT_SYNC:
@@ -902,7 +669,7 @@ class _SimulationState:
 
     def _complete_recv(self, stream: _Stream, recv_ready: float,
                        send_end: float) -> None:
-        end = max(recv_ready, send_end) + self.config.p2p_recv_overhead
+        end = max(recv_ready, send_end) + P2P_RECV_OVERHEAD
         stream.blocked = False
         if stream.queue:
             stream.queue.popleft()
@@ -933,153 +700,6 @@ class _SimulationState:
         self._try_start_stream(stream, time)
 
     # ------------------------------------------------------------------
-    # steady-state iteration folding
-    # ------------------------------------------------------------------
-    def _capture_fold_snapshot(self, host: _Host, label: str) -> None:
-        """Snapshot a rank's clocks/counters at an iteration boundary.
-
-        Valid only if the rank is quiescent (all of its streams drained) at
-        the marker: then every duration of the finished window has already
-        been booked to its report and the boundary state reduces to the
-        host clock.
-        """
-        rank = host.rank
-        if not self.fold_valid:
-            return
-        for (stream_rank, _), stream in self.streams.items():
-            if stream_rank == rank and not stream.drained():
-                self.fold_valid = False
-                return
-        report = self.rank_reports[rank]
-        self.fold_snapshots[(rank, label)] = (
-            host.time,
-            report.compute_time,
-            report.communication_time,
-            report.exposed_communication_time,
-            report.host_time,
-            report.memcpy_time,
-            report.kernel_count,
-            report.collective_count,
-        )
-
-    def commit_fold(self, plan: _FoldPlan) -> bool:
-        """Verify boundary periodicity and extrapolate the folded windows.
-
-        The truncated replay simulated windows ``0 .. simulated-1`` plus the
-        trace tail.  The fold commits only if every rank was quiescent at
-        its last three window boundaries and the two measured periods agree
-        to within ``config.fold_tolerance`` (relative; 0.0 demands bitwise
-        equality); the remaining iterations then advance every clock,
-        counter and marker by the verified per-rank period.  Any violation
-        reports failure so the caller re-runs the full simulation.
-
-        Structured host delays were replayed at their base cost (the
-        window-mean jitter factor of 1.0), so the committed result is the
-        analytic mean over the folded jitter stream.  The worst-case
-        deviation from the full replay is bounded by
-        ``sqrt(3) * jitter * H`` where ``H`` is the total base host-delay
-        time across the simulated ranks: every materialized delay lies
-        within ``base * (1 +- sqrt(3) * jitter)`` (``fast_noise``'s uniform
-        support; the 0.2 floor only tightens it) and any critical path
-        traverses each host delay at most once.  The bound is published as
-        ``host_jitter_bound_s`` in the fold metadata.
-        """
-        if not self.fold_valid:
-            return False
-        labels = plan.capture_labels
-        folded = plan.folded
-        periods: Dict[int, float] = {}
-        deltas: Dict[int, Tuple] = {}
-        for rank in self.ranks:
-            snaps = [self.fold_snapshots.get((rank, label))
-                     for label in labels]
-            if any(snap is None for snap in snaps):
-                return False
-            first, second, third = snaps
-            period_a = second[0] - first[0]
-            period_b = third[0] - second[0]
-            tolerance = self.config.fold_tolerance * max(abs(period_a),
-                                                         abs(period_b))
-            if period_b < 0.0 or abs(period_a - period_b) > tolerance:
-                return False
-            delta = tuple(third[i] - second[i] for i in range(1, 8))
-            check = tuple(second[i] - first[i] for i in range(6, 8))
-            if check != delta[5:]:
-                return False  # event counts drifted between windows
-            periods[rank] = period_b
-            deltas[rank] = delta
-        offsets: Dict[int, float] = {}
-        for rank in self.ranks:
-            period = periods[rank]
-            delta = deltas[rank]
-            # Iterative addition mirrors the engine's per-window clock
-            # accumulation (and is exact whenever the full replay is).
-            offset = 0.0
-            for _ in range(folded):
-                offset += period
-            offsets[rank] = offset
-            host = self.hosts[rank]
-            host.time += offset
-            report = self.rank_reports[rank]
-            report.finish_time += offset
-            for _ in range(folded):
-                report.compute_time += delta[0]
-                report.communication_time += delta[1]
-                report.exposed_communication_time += delta[2]
-                report.host_time += delta[3]
-                report.memcpy_time += delta[4]
-            report.kernel_count += folded * delta[5]
-            report.collective_count += folded * delta[6]
-            self._extrapolate_markers(host, plan, period, offset)
-        for (rank, _), stream in self.streams.items():
-            offset = offsets.get(rank)
-            if offset is not None:
-                stream.available_time += offset
-        jitter_scale = 0.0
-        for rank in self.ranks:
-            profile = (self.collated.trace_for(rank).metadata.get(
-                HOST_MODEL_METADATA_KEY) or {})
-            jitter_scale = max(jitter_scale,
-                               float(profile.get("jitter", 0.0)))
-        host_base_total = sum(self.rank_reports[self.mirrors.get(rank, rank)]
-                              .host_time for rank in self.requested)
-        self.fold_info = {
-            "iterations": plan.iterations,
-            "simulated_iterations": plan.simulated,
-            "folded_iterations": folded,
-            "period_s": max(periods.values(), default=0.0),
-            # Structured host delays fold at the analytic mean jitter
-            # factor of 1.0; the full replay can deviate by at most
-            # this much (see the commit_fold docstring).
-            "host_jitter_scale": jitter_scale,
-            "host_jitter_bound_s": _SQRT3 * jitter_scale * host_base_total,
-        }
-        return True
-
-    def _extrapolate_markers(self, host: _Host, plan: _FoldPlan,
-                             period: float, offset: float) -> None:
-        last = plan.simulated - 1
-        for suffix in ("start", "end"):
-            base = host.markers.get(f"iteration-{last}-{suffix}")
-            if base is None:
-                continue
-            timestamp = base
-            for k in range(plan.simulated, plan.iterations):
-                timestamp += period
-                host.markers[f"iteration-{k}-{suffix}"] = timestamp
-        # Non-iteration markers recur every window (the windows are
-        # canonically identical); their final occurrence belongs to the last
-        # real window, so shift anything recorded after the second-to-last
-        # simulated boundary.
-        boundary = self.fold_snapshots[(host.rank,
-                                        f"iteration-{last - 1}-end")][0]
-        for label, timestamp in list(host.markers.items()):
-            if _ITERATION_MARKER.match(label):
-                continue
-            if timestamp > boundary:
-                host.markers[label] = timestamp + offset
-
-    # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def build_report(self, iterations: int) -> SimulationReport:
@@ -1107,8 +727,6 @@ class _SimulationState:
             "processed_events": self.processed_events,
             "world_size": self.collated.world_size,
         }
-        if self.fold_info is not None:
-            metadata["iteration_folding"] = dict(self.fold_info)
         return SimulationReport(
             total_time=total,
             iterations=iterations,

@@ -243,14 +243,12 @@ class EstimatedDurationProvider(_AnnotationMemoMixin):
     Table 6).
     """
 
-    #: Durations are a pure function of the event's shape signature: the
-    #: engine may fold repeated steady-state iterations (identical windows
-    #: receive identical durations) and annotation passes are shared across
-    #: ranks replaying one representative trace.  Every estimator suite
-    #: (learned, analytical, oracle) prices a collective from its op,
-    #: bytes, group size and the set of nodes the group spans, which keeps
-    #: the ``rank_invariant_kernels`` promise.
-    supports_iteration_folding = True
+    #: Durations are a pure function of the event's shape signature, so
+    #: annotation passes are shared across ranks replaying one
+    #: representative trace.  Every estimator suite (learned, analytical,
+    #: oracle) prices a collective from its op, bytes, group size and the
+    #: set of nodes the group spans, which keeps the
+    #: ``rank_invariant_kernels`` promise.
     rank_invariant_kernels = True
 
     def __init__(self, suite: EstimatorSuite, cluster: ClusterSpec) -> None:
@@ -298,11 +296,9 @@ class GroundTruthDurationProvider(_AnnotationMemoMixin):
     """
 
     #: Jitter keys on the event sequence number, so structurally identical
-    #: iterations still get different per-invocation durations: folding
-    #: would change the measurement.  Annotation remains valid (the jitter
-    #: is a pure function of (rank, seq)), but it is rank-dependent, so
-    #: every rank is replayed.
-    supports_iteration_folding = False
+    #: iterations still get different per-invocation durations.  Annotation
+    #: remains valid (the jitter is a pure function of (rank, seq)), but it
+    #: is rank-dependent, so every rank is replayed.
     rank_invariant_kernels = False
 
     def __init__(self, cluster: ClusterSpec,

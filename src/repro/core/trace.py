@@ -214,12 +214,13 @@ class TraceColumns:
     class), ``duration`` (0.0 when absent), ``event_id`` / ``wait_event``
     (CUDA event handles, 0 when absent), ``aux_seq`` (a structured host
     delay's jitter key or a collective's per-communicator seq, ``-1`` when
-    absent) and ``seq`` (the per-worker event number, kept by fold
-    truncation, so not always ``i``).
+    absent) and ``seq`` (the per-worker event number: ``i`` for emulated
+    traces, the event's own ``seq`` for rows added by
+    :meth:`record_event`).
 
     A new store records: rows are appended to Python lists
-    (:meth:`record`).  Columns built from ``arrays`` (decoded, unpickled
-    or truncated traces) are read-only.  Everything derived from the rows
+    (:meth:`record`).  Columns built from ``arrays`` (decoded or
+    unpickled traces) are read-only.  Everything derived from the rows
     -- numpy arrays, engine program, digests, signatures -- lives in
     :meth:`memoized`, which a new row resets and which never rides a pickle.
     """
@@ -276,7 +277,7 @@ class TraceColumns:
         interning.
         """
         if self._template_ids is None:
-            raise TypeError("decoded or truncated trace columns are "
+            raise TypeError("decoded or unpickled trace columns are "
                             "read-only")
         bits = ((duration is not None) * F_DURATION
                 | (event is not None) * F_EVENT
@@ -392,13 +393,6 @@ class TraceColumns:
     def rows(self, code: int) -> List[int]:
         """Positions of the rows of one kind, in order."""
         return _np.flatnonzero(self.arrays()["kind"] == code).tolist()
-
-    def drop_rows(self, lo: int, hi: int) -> "TraceColumns":
-        """Copy without rows ``lo .. hi-1`` (seqs and templates kept)."""
-        return TraceColumns(
-            {name: _np.concatenate((array[:lo], array[hi:]))
-             for name, array in self.arrays().items()},
-            self.templates, self.host_classes)
 
     def events(self) -> List[TraceEvent]:
         """Every row as a fresh :class:`TraceEvent`.

@@ -10,8 +10,7 @@ The cost of one dispatch is split into two components:
 * a **deterministic base cost** per API call class
   (:meth:`HostModel.base_cost`) -- this is what the emulator records in the
   ``HOST_DELAY`` trace event, so structurally identical iteration windows
-  carry identical host delays and stay canonically periodic (which is what
-  lets the simulator fold steady-state iterations);
+  carry identical recorded host delays;
 * a **jitter factor** keyed on the per-worker call sequence number
   (:meth:`HostModel.jitter_factor`) -- applied by the simulation engine when
   it materializes per-event durations, so traces are realistic but

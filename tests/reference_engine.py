@@ -2,13 +2,14 @@
 
 The production engine (:mod:`repro.core.simulator.engine`) never touches a
 ``TraceEvent`` while replaying: it lowers each trace to opcode lists, reads
-durations from pre-built annotation arrays and folds repeated iterations.
-This module is the independent derivation those layers are checked
+durations from pre-built annotation arrays and mirrors tensor-parallel
+peers.  This module is the independent derivation those layers are checked
 against -- the same Algorithms 1-2, written the obvious way: walk the event
 objects, ask the provider for every duration and the host model for every
-host delay at the moment the event is replayed, never fold.  It shares the
-wait maps and the report types with the engine and nothing that reads a
-trace, so a bug in lowering, annotation or folding cannot hide in both.
+host delay at the moment the event is replayed, replay every rank.  It
+shares the wait maps and the report types with the engine and nothing that
+reads a trace, so a bug in lowering, annotation or mirroring cannot hide in
+both.
 
 Deliberately slow and deliberately not in ``src/``; used by the
 differential seeds in ``test_simulator.py`` / ``test_host_delay_model.py``
@@ -21,7 +22,11 @@ import heapq
 import itertools
 from collections import deque
 
-from repro.core.simulator.engine import SimulationConfig, SimulationError
+from repro.core.simulator.engine import (
+    P2P_RECV_OVERHEAD,
+    SimulationConfig,
+    SimulationError,
+)
 from repro.core.simulator.report import RankReport, SimulationReport
 from repro.core.simulator.waitmaps import (
     CollectiveWaitMap,
@@ -130,8 +135,6 @@ class _Replay:
             kind = event.kind
             if kind is Kind.HOST_DELAY:
                 host.cursor += 1
-                if not self.config.include_host_overheads:
-                    continue
                 duration = host.materialize(event)
                 host.time += duration
                 self.reports[rank].host_time += duration
@@ -330,7 +333,7 @@ class _Replay:
         self.schedule(end, _OP_END, (stream, event))
 
     def complete_recv(self, stream, event, recv_ready, send_end):
-        end = max(recv_ready, send_end) + self.config.p2p_recv_overhead
+        end = max(recv_ready, send_end) + P2P_RECV_OVERHEAD
         duration = max(end - recv_ready, 0.0)
         report = self.reports[stream.rank]
         report.communication_time += duration
@@ -353,8 +356,7 @@ def reference_simulate(cluster, provider, collated, config=None,
                        iterations=1):
     """Replay ``collated`` event by event; same report as the engine.
 
-    Honours every :class:`SimulationConfig` field except the fold pair: the
-    oracle always replays the full trace.
+    Honours every :class:`SimulationConfig` field.
     """
     config = config or SimulationConfig()
     ranks = (sorted(set(config.simulate_ranks))

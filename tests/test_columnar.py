@@ -3,9 +3,9 @@
 Covers the columns themselves (dtypes, template interning, memoization),
 the wire payload round-trip (``encode_worker_trace`` /
 ``decode_worker_trace`` must be ``to_json``-exact), the vectorized
-host-delay materialization against the scalar reference, and fingerprint
-and signature *decision* agreement with the per-object reference walks
-kept below (values differ by design; equality semantics must not).
+host-delay materialization against the scalar reference, and signature
+*decision* agreement with the per-object reference walks kept below
+(values differ by design; equality semantics must not).
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ import random
 
 import pytest
 
-from repro.core.collator import _ITERATION_MARKER, TraceCollator
+from repro.core.collator import TraceCollator
 from repro.core.columnar import (
     decode_worker_trace,
     encode_worker_trace,
     engine_program,
     materialize_host_delays,
-    range_fingerprint,
 )
 from repro.core.trace import (
     COLUMN_DTYPES,
@@ -208,242 +207,6 @@ class TestHostDelayMaterialization:
         assert not (cols.lists()["flags"][0] & F_HOST_SEQ)
         assert cols.lists()["kind"][0] == K_HOST_DELAY
         assert materialize_host_delays(cols, trace.metadata, 1) == [0.75]
-
-
-def _range_fingerprint_objects(trace, lo, hi):
-    """Per-object reference for ``columnar.range_fingerprint``.
-
-    The walk the collator used before the columns existed: a blake2b chain
-    over event objects.  Values differ from the columnar FNV mix by design;
-    verdicts (``None`` or not) and equality between ranges must not.
-    """
-    signature = stable_hash("window")
-    local_records: dict = {}
-    serial = 0
-    for event in trace.events[lo:hi]:
-        kind = event.kind
-        if kind is TraceEventKind.HOST_DELAY:
-            if "seq" in event.params:
-                signature = stable_hash(
-                    signature, "delay",
-                    str(event.params.get("call_class", "")),
-                    event.duration or 0.0)
-            else:
-                signature = stable_hash(signature, "delay",
-                                        event.duration or 0.0)
-            continue
-        if kind is TraceEventKind.MARKER:
-            # Iteration markers embed the window index, so only their
-            # position is hashed; any other label must recur verbatim in
-            # every window (a window-unique label would be dropped or
-            # mis-timed by fold extrapolation, so it blocks periodicity).
-            label = str(event.params.get("label", ""))
-            if _ITERATION_MARKER.match(label):
-                signature = stable_hash(signature, "iteration-marker")
-            else:
-                signature = stable_hash(signature, "marker", label)
-            continue
-        if kind is TraceEventKind.EVENT_RECORD:
-            if event.params.get("create"):
-                signature = stable_hash(signature, "event-create")
-                continue
-            if event.params.get("destroy"):
-                signature = stable_hash(signature, "event-destroy")
-                continue
-            key = (event.event or 0, int(event.params.get("version", 0)))
-            local_records[key] = serial
-            signature = stable_hash(signature, "record", serial, event.stream)
-            serial += 1
-            continue
-        if kind in (TraceEventKind.STREAM_WAIT_EVENT,
-                    TraceEventKind.EVENT_SYNCHRONIZE):
-            version = int(event.params.get("version", 0))
-            if version == 0:
-                # Waiting on a never-recorded event is a no-op.
-                signature = stable_hash(signature, "noop-wait", kind.value,
-                                        event.stream)
-                continue
-            reference = local_records.get((event.wait_event or 0, version))
-            if reference is None:
-                return None  # waits on an event recorded in another window
-            signature = stable_hash(signature, kind.value, reference,
-                                    event.stream)
-            continue
-        if kind is TraceEventKind.COLLECTIVE:
-            info = event.collective or {}
-            signature = stable_hash(
-                signature, "collective", event.stream, str(info.get("op")),
-                str(info.get("comm_tag")), tuple(info.get("ranks", ())),
-                int(info.get("peer", -1)), float(event.params.get("bytes", 0.0)))
-            continue
-        # Kernels, copies, memsets, synchronisation calls: the memoized
-        # shape signature already excludes durations and sequence numbers.
-        signature = stable_hash(signature, event.signature())
-    return signature
-
-
-def _random_window(rng):
-    """One window of every row kind the fingerprint canonicalises."""
-    window, records = [], []
-    for _ in range(rng.randrange(6, 16)):
-        op = rng.choice(("kernel", "delay", "record", "wait", "marker",
-                         "collective", "sync"))
-        if op == "kernel":
-            window.append(kernel(stream=rng.randrange(3)))
-        elif op == "delay":
-            window.append(host_delay(rng.choice((0.25, 0.5))))
-            if rng.random() < 0.5:
-                window[-1].params = {"call_class": rng.choice(("a", "b")),
-                                     "seq": rng.randrange(9)}
-        elif op == "record":
-            records.append((rng.randrange(1, 4), len(records) + 1))
-            window.append(event_record(*records[-1],
-                                       stream=rng.randrange(2)))
-        elif op == "wait":
-            event_id, version = (rng.choice(records)
-                                 if records and rng.random() < 0.7
-                                 else (1, 0))
-            window.append(wait_event(event_id, version=version,
-                                     stream=rng.randrange(2)))
-        elif op == "marker":
-            window.append(TraceEvent(
-                kind=TraceEventKind.MARKER, api="marker", device=0,
-                params={"label": rng.choice(("iteration-0-start", "x"))}))
-        elif op == "collective":
-            window.append(collective("all_reduce", 0, [0, 1], seq=1))
-        else:
-            window.append(TraceEvent(
-                kind=rng.choice((TraceEventKind.STREAM_SYNCHRONIZE,
-                                 TraceEventKind.DEVICE_SYNCHRONIZE)),
-                api="sync", device=0, stream=rng.randrange(2)))
-    return window
-
-
-#: Window edits: each one both walks must see, or both must ignore.
-_WINDOW_EDITS = ("stream", "delay_stream", "duration", "label", "retarget",
-                 "wait_to_record", "create", "swap", "handle", "seq",
-                 "call_class", "legacy")
-
-
-def _edit_window(events, rng, edit):
-    """Apply one ``edit`` to a random event it applies to, in place."""
-    kinds = {
-        "delay_stream": (TraceEventKind.HOST_DELAY,),
-        "duration": (TraceEventKind.HOST_DELAY,),
-        "seq": (TraceEventKind.HOST_DELAY,),
-        "call_class": (TraceEventKind.HOST_DELAY,),
-        "legacy": (TraceEventKind.HOST_DELAY,),
-        "label": (TraceEventKind.MARKER,),
-        "retarget": (TraceEventKind.STREAM_WAIT_EVENT,),
-        "wait_to_record": (TraceEventKind.STREAM_WAIT_EVENT,),
-        "create": (TraceEventKind.EVENT_RECORD,),
-        "handle": (TraceEventKind.EVENT_RECORD,),
-    }.get(edit)
-    candidates = [i for i, event in enumerate(events)
-                  if kinds is None or event.kind in kinds]
-    if not candidates:
-        return
-    i = rng.choice(candidates)
-    event = events[i]
-    records = [(e.event, e.params["version"]) for e in events[:i]
-               if e.kind is TraceEventKind.EVENT_RECORD
-               and "version" in e.params]
-    if edit in ("stream", "delay_stream"):
-        event.stream = rng.choice((None, 0, 1, 2))
-    elif edit == "duration":
-        event.duration = rng.choice((0.25, 0.5, -0.0, 0.0))
-    elif edit == "label":
-        event.params = {"label": rng.choice(("iteration-7-end", "y", "x"))}
-    elif edit == "retarget":
-        event.wait_event, version = (rng.choice(records) if records
-                                     else (event.wait_event, 0))
-        event.params = {"version": version}
-    elif edit == "wait_to_record":
-        events[i] = event_record(event.wait_event or 1,
-                                 version=event.params["version"] or 1,
-                                 stream=event.stream)
-    elif edit == "create":
-        event.params = dict(event.params, create=True)
-    elif edit == "swap" and i + 1 < len(events):
-        events[i], events[i + 1] = events[i + 1], event
-    elif edit == "handle":
-        event.event = (event.event or 0) + rng.randrange(1, 3)
-    elif edit in ("seq", "call_class") and "seq" in event.params:
-        event.params = dict(event.params, seq=event.params["seq"] + 5) \
-            if edit == "seq" else dict(event.params, call_class="c")
-    elif edit == "legacy":
-        event.params = {}
-
-
-class TestFingerprintAgreement:
-    """Columnar and per-object fingerprints: same decisions, any values."""
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_equality_decisions_match_object_walk(self, seed):
-        job = build_random_periodic_job(seed, iterations=6)
-        for trace in job.workers.values():
-            cols = trace.columns
-            n = len(trace.events)
-            rng = random.Random(seed)
-            ranges = [(0, n), (0, n // 2), (n // 2, n)]
-            for _ in range(12):
-                lo = rng.randrange(n)
-                hi = rng.randrange(lo, n + 1)
-                ranges.append((lo, hi))
-            objects = [_range_fingerprint_objects(trace, lo, hi)
-                       for lo, hi in ranges]
-            columns = [range_fingerprint(cols, lo, hi)
-                       for lo, hi in ranges]
-            for i in range(len(ranges)):
-                assert (objects[i] is None) == (columns[i] is None), \
-                    f"range {ranges[i]}: periodicity verdicts diverge"
-                for j in range(i + 1, len(ranges)):
-                    if objects[i] is None or objects[j] is None:
-                        continue
-                    assert ((objects[i] == objects[j])
-                            == (columns[i] == columns[j])), \
-                        f"ranges {ranges[i]} vs {ranges[j]}: " \
-                        f"equality decisions diverge"
-
-    @pytest.mark.parametrize("edit", _WINDOW_EDITS)
-    @pytest.mark.parametrize("seed", range(10))
-    def test_edited_window_decisions_match_object_walk(self, seed, edit):
-        # Window B repeats window A with fresh event versions, then takes
-        # one edit that both walks must see, or both must ignore.
-        rng = random.Random(seed)
-        window = _random_window(rng)
-        versions = max([e.params.get("version", 0) for e in window] + [0])
-        edited = []
-        for event in window:
-            event = TraceEvent.from_dict(event.to_dict())
-            if event.params.get("version"):
-                event.params["version"] += versions
-            edited.append(event)
-        _edit_window(edited, rng, edit)
-        trace = WorkerTrace(rank=0, device=0)
-        for event in window + edited:
-            trace.append(event)
-        split, n = len(window), len(window) + len(edited)
-        objects = (_range_fingerprint_objects(trace, 0, split),
-                   _range_fingerprint_objects(trace, split, n))
-        columns = (range_fingerprint(trace.columns, 0, split),
-                   range_fingerprint(trace.columns, split, n))
-        assert [o is None for o in objects] == [c is None for c in columns]
-        if None not in objects:
-            assert (objects[0] == objects[1]) == (columns[0] == columns[1])
-
-    def test_cross_range_wait_is_not_periodic(self):
-        trace = WorkerTrace(rank=0, device=0)
-        trace.append(event_record(1, version=1, stream=0))
-        trace.append(kernel())
-        trace.append(wait_event(1, version=1, stream=1))
-        cols = trace.columns
-        # The wait's record lies outside [1, 3): both walks must say None.
-        assert _range_fingerprint_objects(trace, 1, 3) is None
-        assert range_fingerprint(cols, 1, 3) is None
-        # Record inside the range: both walks fingerprint it.
-        assert _range_fingerprint_objects(trace, 0, 3) is not None
-        assert range_fingerprint(cols, 0, 3) is not None
 
 
 # ----------------------------------------------------------------------

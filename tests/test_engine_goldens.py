@@ -31,7 +31,6 @@ from repro.workloads.models import get_transformer
 from reference_engine import reference_simulate
 from test_simulator import (
     ConstantProvider,
-    FoldableProvider,
     build_random_job,
     build_random_periodic_job,
     jitterize_host_delays,
@@ -90,11 +89,12 @@ def build_case(name):
         seed = int(rest)
         job = jitterize_host_delays(build_random_job(seed, steps=60), seed)
         return cluster, ConstantProvider(), collate(job), {}, 1
-    seed, _, mode = rest.partition("-")
-    config = ({"fold_tolerance": 0.0} if mode == "fold"
-              else {"fold_iterations": False})
-    job = build_random_periodic_job(int(seed), iterations=8)
-    return cluster, FoldableProvider(), collate(job), config, 8
+    # ``periodic-<seed>-fold`` and ``-full`` were pinned under two replay
+    # modes the engine no longer has; their pins are equal, and both
+    # names now replay the same trace the one way.
+    seed = int(rest.partition("-")[0])
+    job = build_random_periodic_job(seed, iterations=8)
+    return cluster, ConstantProvider(), collate(job), {}, 8
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
@@ -103,8 +103,6 @@ def test_engine_matches_golden(name):
     report = ClusterSimulator(cluster, provider,
                               SimulationConfig(**config)).simulate(
                                   collated, iterations=iterations)
-    if name.endswith("-fold"):
-        assert report.metadata["iteration_folding"]["folded_iterations"] == 4
     if name == "gpt-tiny-estimated":
         # The pins, recorded before mirroring, hold the mirrored path: the
         # two stage leaders replay and their tensor-parallel peers copy.
@@ -115,8 +113,6 @@ def test_engine_matches_golden(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_oracle_matches_golden(name):
-    # The oracle never folds: on the ``-fold`` cases it checks that the
-    # committed fold pinned above is the full replay, bit for bit.
     cluster, provider, collated, config, iterations = build_case(name)
     report = reference_simulate(cluster, provider, collated,
                                 SimulationConfig(**config),

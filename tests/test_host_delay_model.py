@@ -1,5 +1,6 @@
 """Structured host-delay model: base/jitter split, sim-time materialization,
-fold engagement on default jittered traces, and legacy-trace compatibility."""
+multi-iteration replay of default jittered traces, and legacy-trace
+compatibility."""
 
 from __future__ import annotations
 
@@ -7,18 +8,13 @@ import copy
 
 import pytest
 
-from repro.core.collator import (
-    TraceCollator,
-    find_iteration_windows,
-    windows_are_periodic,
-)
+from repro.core.collator import TraceCollator
 from repro.core.emulator import DeviceEmulator, EmulationSession
 from repro.core.pipeline import MayaPipeline, simulation_ranks
 from repro.core.simulator.engine import ClusterSimulator, SimulationConfig
 from repro.core.trace import JobTrace, TraceEvent, TraceEventKind, WorkerTrace
 from repro.cuda.cublas import CublasHandle
 from repro.framework.recipe import TrainingRecipe
-from repro.hardware.cluster import get_cluster
 from repro.hardware.gpu_specs import get_gpu
 from repro.hardware.host_model import (
     HOST_MODEL_METADATA_KEY,
@@ -29,7 +25,7 @@ from repro.workloads.job import TransformerTrainingJob
 from repro.workloads.models import get_transformer
 
 from reference_engine import reference_simulate
-from test_simulator import rewrite_events
+from test_simulator import _assert_reports_identical, rewrite_events
 
 
 def _emulate(cluster, iterations, host_model=None, batch=16):
@@ -169,7 +165,7 @@ class TestSimTimeJitterBitIdentity:
             self, v100_cluster, artifacts, oracle):
         pipeline, job, _, structured, legacy = artifacts
         ranks = simulation_ranks(job)
-        config = SimulationConfig(simulate_ranks=ranks, fold_iterations=False)
+        config = SimulationConfig(simulate_ranks=ranks)
 
         def replay(collated):
             provider = pipeline.make_provider()
@@ -224,7 +220,7 @@ class TestSharedProviderAcrossHostModels:
         pipeline = MayaPipeline(v100_cluster, estimator_mode="analytical")
         shared = pipeline.make_provider()
         ranks = simulation_ranks(job_a)
-        config = SimulationConfig(simulate_ranks=ranks, fold_iterations=False)
+        config = SimulationConfig(simulate_ranks=ranks)
         reports = {}
         for name, collated in (("fast", fast_host), ("slow", slow_host)):
             reports[name] = ClusterSimulator(
@@ -239,124 +235,18 @@ class TestSharedProviderAcrossHostModels:
                     == fresh_slow.rank_reports[rank].host_time)
 
 
-class TestFoldingOnJitteredHost:
-    """Folding must engage end-to-end on a default-HostModel trace."""
+class TestMultiIterationJitteredHost:
+    """A multi-iteration default-HostModel trace replays exactly."""
 
     ITERATIONS = 8
 
-    @pytest.fixture(scope="class")
-    def artifacts(self, v100_cluster):
-        job, job_trace, collated = _emulate(v100_cluster,
-                                            iterations=self.ITERATIONS)
-        pipeline = MayaPipeline(v100_cluster, estimator_mode="analytical")
-        return pipeline, job, job_trace, collated
-
-    def test_default_jittered_windows_are_periodic(self, artifacts):
-        _, _, _, collated = artifacts
-        for trace in collated.traces.values():
-            windows = find_iteration_windows(trace)
-            assert windows is not None and windows.count == self.ITERATIONS
-            assert windows_are_periodic(trace, windows)
-
-    def test_fold_engages_and_stays_within_jitter_bound(self, v100_cluster,
-                                                        artifacts):
-        pipeline, job, _, collated = artifacts
-        provider = pipeline.make_provider()
-        ranks = simulation_ranks(job)
-        folded = ClusterSimulator(
-            v100_cluster, provider,
-            SimulationConfig(simulate_ranks=ranks)).simulate(
-                collated, iterations=self.ITERATIONS)
-        full = reference_simulate(
-            v100_cluster, provider, collated,
-            SimulationConfig(simulate_ranks=ranks),
-            iterations=self.ITERATIONS)
-        info = folded.metadata.get("iteration_folding")
-        assert info is not None, \
-            "fold must engage on the default jittered host model"
-        assert info["folded_iterations"] == self.ITERATIONS - 4
-        assert info["host_jitter_scale"] == HostModel().jitter
-        assert folded.metadata["processed_events"] < \
-            full.metadata["processed_events"]
-        # Documented analytic bound: sqrt(3) * jitter * total base host time.
-        bound = info["host_jitter_bound_s"]
-        assert bound > 0.0
-        assert abs(folded.total_time - full.total_time) <= bound
-        assert abs(folded.iteration_time - full.iteration_time) <= bound
-        for rank in full.rank_reports:
-            assert (full.rank_reports[rank].kernel_count
-                    == folded.rank_reports[rank].kernel_count)
-            assert (full.rank_reports[rank].collective_count
-                    == folded.rank_reports[rank].collective_count)
-
-    def test_legacy_jittered_trace_does_not_fold(self, v100_cluster,
-                                                 artifacts):
-        # Pre-refactor traces bake per-call jitter into every window, so
-        # they must keep replaying event-by-event, exactly as before.
-        pipeline, job, job_trace, _ = artifacts
-        legacy = TraceCollator().collate(
-            _legacy_job_trace(job_trace, HostModel()),
-            topology=job.topology())
-        for trace in legacy.traces.values():
-            windows = find_iteration_windows(trace)
-            assert windows is not None
-            assert not windows_are_periodic(trace, windows)
-        report = ClusterSimulator(
-            v100_cluster, pipeline.make_provider(),
-            SimulationConfig(
-                simulate_ranks=simulation_ranks(job))).simulate(
-                legacy, iterations=self.ITERATIONS)
-        assert "iteration_folding" not in report.metadata
-
-
-class _FoldableConstantProvider:
-    supports_iteration_folding = True
-
-    def kernel_duration(self, rank, event):
-        return 1.0
-
-    def collective_duration(self, rank, event, resolution, group):
-        return 2.0
-
-
-class TestFoldVetoMemo:
-    def _uncommittable_job(self):
-        # Periodic windows whose boundaries are never quiescent (no sync
-        # before the end marker): plan_iteration_fold accepts the trace but
-        # commit_fold must refuse, producing a veto memo entry.
-        trace = WorkerTrace(rank=0, device=0)
-        for index in range(8):
-            trace.append(TraceEvent(
-                kind=TraceEventKind.MARKER, api="marker", device=0,
-                params={"label": f"iteration-{index}-start"}))
-            trace.append(TraceEvent(
-                kind=TraceEventKind.KERNEL, api="k", device=0, stream=0,
-                kernel_class="elementwise", params={"bytes": 1.0}))
-            trace.append(TraceEvent(
-                kind=TraceEventKind.MARKER, api="marker", device=0,
-                params={"label": f"iteration-{index}-end"}))
-        job = JobTrace(world_size=1)
-        job.add_worker(trace)
-        return job
-
-    def test_veto_memo_evicts_oldest_first(self):
-        from repro.core.simulator import engine as engine_module
-
-        collated = TraceCollator(deduplicate=False).collate(
-            self._uncommittable_job())
-        provider = _FoldableConstantProvider()
-        limit = engine_module._FOLD_VETO_LIMIT
-        provider._fold_vetoes = {("dummy", i): True for i in range(limit)}
-        simulator = ClusterSimulator(get_cluster("v100-8"), provider,
-                                     SimulationConfig())
-        report = simulator.simulate(collated)
-        assert "iteration_folding" not in report.metadata
-        vetoes = provider._fold_vetoes
-        # The full memo is no longer wiped: exactly one oldest entry made
-        # room for the new veto, every other hot entry survived.
-        assert len(vetoes) == limit
-        assert ("dummy", 0) not in vetoes
-        assert all(("dummy", i) in vetoes for i in range(1, limit))
-        new_keys = [key for key in vetoes if key[0] != "dummy"]
-        assert len(new_keys) == 1
-        assert list(vetoes)[-1] == new_keys[0]
+    def test_engine_matches_oracle_bit_for_bit(self, v100_cluster):
+        job, _, collated = _emulate(v100_cluster, iterations=self.ITERATIONS)
+        provider = MayaPipeline(
+            v100_cluster, estimator_mode="analytical").make_provider()
+        config = SimulationConfig(simulate_ranks=simulation_ranks(job))
+        engine = ClusterSimulator(v100_cluster, provider, config).simulate(
+            collated, iterations=self.ITERATIONS)
+        oracle = reference_simulate(v100_cluster, provider, collated, config,
+                                    iterations=self.ITERATIONS)
+        _assert_reports_identical(oracle, engine)

@@ -9,13 +9,7 @@ import random
 import pytest
 
 from repro.analysis.experiments import candidate_recipes
-from repro.core.collator import (
-    IdentityGroupResolver,
-    TraceCollator,
-    find_iteration_windows,
-    windows_are_periodic,
-)
-from repro.core.emulator import EmulationSession
+from repro.core.collator import IdentityGroupResolver, TraceCollator
 from repro.core.pipeline import MayaPipeline, simulation_ranks
 from repro.core.simulator.engine import (
     ClusterSimulator,
@@ -23,12 +17,11 @@ from repro.core.simulator.engine import (
     SimulationError,
 )
 from repro.core.simulator.providers import (
-    EstimatedDurationProvider,
     GroundTruthDurationProvider,
     _AnnotationMemoMixin,
 )
 from repro.framework.recipe import TrainingRecipe
-from repro.hardware.host_model import HOST_MODEL_METADATA_KEY, HostModel
+from repro.hardware.host_model import HOST_MODEL_METADATA_KEY
 from repro.workloads.job import TransformerTrainingJob
 from repro.workloads.models import get_transformer
 from repro.core.simulator.waitmaps import (
@@ -157,8 +150,7 @@ class TestWaitMaps:
 
 class TestSimulatorBasics:
     def test_sequential_kernels_accumulate(self):
-        report = simulate({0: [kernel(duration=1.0), kernel(duration=2.0)]},
-                          include_host_overheads=False)
+        report = simulate({0: [kernel(duration=1.0), kernel(duration=2.0)]})
         assert report.total_time == pytest.approx(3.0)
         assert report.rank_reports[0].compute_time == pytest.approx(3.0)
         assert report.rank_reports[0].kernel_count == 2
@@ -173,8 +165,7 @@ class TestSimulatorBasics:
 
     def test_independent_streams_overlap(self):
         report = simulate({0: [kernel(stream=0, duration=2.0),
-                               kernel(stream=1, duration=2.0)]},
-                          include_host_overheads=False)
+                               kernel(stream=1, duration=2.0)]})
         assert report.total_time == pytest.approx(2.0)
 
     def test_stream_wait_event_orders_across_streams(self):
@@ -184,13 +175,13 @@ class TestSimulatorBasics:
             wait_event(event_id=9, version=1, stream=1),
             kernel(stream=1, duration=1.0),
         ]
-        report = simulate({0: events}, include_host_overheads=False)
+        report = simulate({0: events})
         assert report.total_time == pytest.approx(4.0)
 
     def test_wait_on_unrecorded_event_is_noop(self):
         events = [wait_event(event_id=3, version=0, stream=1),
                   kernel(stream=1, duration=1.0)]
-        report = simulate({0: events}, include_host_overheads=False)
+        report = simulate({0: events})
         assert report.total_time == pytest.approx(1.0)
 
     def test_device_synchronize_blocks_host(self):
@@ -202,8 +193,7 @@ class TestSimulatorBasics:
     def test_markers_captured_per_rank(self):
         marker = TraceEvent(kind=TraceEventKind.MARKER, api="marker", device=0,
                             params={"label": "iteration-0-start"})
-        report = simulate({0: [marker, kernel(duration=1.0)]},
-                          include_host_overheads=False)
+        report = simulate({0: [marker, kernel(duration=1.0)]})
         assert "iteration-0-start" in report.markers
         assert report.markers["iteration-0-start"][0] == pytest.approx(0.0)
 
@@ -229,7 +219,7 @@ class TestSimulatorCollectives:
             1: [collective("all_reduce", 1, [0, 1], seq=1, duration=2.0,
                            stream=0)],
         }
-        report = simulate(events, include_host_overheads=False)
+        report = simulate(events)
         # Rank 1 joins at t=0 but must wait for rank 0's kernel (5s) before
         # the 2s collective runs.
         assert report.total_time == pytest.approx(7.0)
@@ -243,7 +233,7 @@ class TestSimulatorCollectives:
             1: [collective("all_reduce", 1, [0, 1], seq=1, duration=4.0,
                            stream=1)],
         }
-        report = simulate(events, include_host_overheads=False)
+        report = simulate(events)
         assert report.total_time == pytest.approx(4.0)
 
     def test_p2p_recv_waits_for_send(self):
@@ -255,7 +245,7 @@ class TestSimulatorCollectives:
                            stream=0, peer=0),
                 kernel(duration=1.0)],
         }
-        report = simulate(events, include_host_overheads=False)
+        report = simulate(events)
         # Send finishes at 4.0; recv completes just after; final kernel adds 1.
         assert report.total_time == pytest.approx(5.0, abs=0.01)
 
@@ -265,15 +255,14 @@ class TestSimulatorCollectives:
             1: [collective("all_reduce", 1, [0, 1], seq=2, duration=1.0)],
         }
         with pytest.raises(SimulationError):
-            simulate(events, include_host_overheads=False)
+            simulate(events)
 
     def test_reduced_replica_simulation_still_completes_collectives(self):
         events = {
             0: [collective("all_reduce", 0, [0, 1], seq=1, duration=2.0)],
             1: [collective("all_reduce", 1, [0, 1], seq=1, duration=2.0)],
         }
-        report = simulate(events, include_host_overheads=False,
-                          simulate_ranks=[0])
+        report = simulate(events, simulate_ranks=[0])
         assert report.total_time == pytest.approx(2.0)
         assert report.metadata["simulated_ranks"] == 1
 
@@ -282,8 +271,7 @@ class TestSimulatorCollectives:
         # must land in the same FIFO stream regardless of how default
         # stream ids are spelled: the two kernels serialise.
         report = simulate({0: [kernel(stream=None, duration=1.0),
-                               kernel(stream=0, duration=1.0)]},
-                          include_host_overheads=False)
+                               kernel(stream=0, duration=1.0)]})
         assert report.total_time == pytest.approx(2.0)
         assert report.metadata["processed_events"] > 0
         assert report.metadata["wall_time_s"] >= 0.0
@@ -308,130 +296,6 @@ class TestSimulatorCollectives:
 def iteration_marker(index, suffix, device=0):
     return TraceEvent(kind=TraceEventKind.MARKER, api="marker", device=device,
                       params={"label": f"iteration-{index}-{suffix}"})
-
-
-class FoldableProvider(ConstantProvider):
-    """Constant provider that certifies per-shape (foldable) durations."""
-
-    supports_iteration_folding = True
-
-
-def build_periodic_job(iterations, kernel_cost=0.5, collective_cost=2.0,
-                       host_cost=0.25, warmup=True, extra_label=None):
-    """Two-rank job with identical iteration windows and binary durations.
-
-    Every duration is an exact binary fraction, so all simulation
-    arithmetic is exact and a committed fold must reproduce the full
-    event-by-event replay bit for bit.  ``extra_label`` optionally maps the
-    window index to a custom marker label emitted inside each window.
-    """
-    events = {0: [], 1: []}
-    for rank in (0, 1):
-        if warmup:
-            events[rank].append(kernel(stream=0, duration=4.0 * kernel_cost))
-        for index in range(iterations):
-            events[rank].append(iteration_marker(index, "start", device=rank))
-            events[rank].append(host_delay(host_cost, device=rank))
-            if extra_label is not None:
-                events[rank].append(TraceEvent(
-                    kind=TraceEventKind.MARKER, api="marker", device=rank,
-                    params={"label": extra_label(index)}))
-            events[rank].append(kernel(stream=0, duration=kernel_cost,
-                                       device=rank))
-            events[rank].append(collective("all_reduce", rank, [0, 1],
-                                           seq=index + 1,
-                                           duration=collective_cost,
-                                           stream=1))
-            events[rank].append(device_sync(device=rank))
-            events[rank].append(iteration_marker(index, "end", device=rank))
-    return build_job(events)
-
-
-class TestIterationFolding:
-    def _simulate(self, job, **config_kwargs):
-        collated = TraceCollator(deduplicate=False).collate(job)
-        simulator = ClusterSimulator(get_cluster("v100-8"),
-                                     FoldableProvider(),
-                                     SimulationConfig(**config_kwargs))
-        return simulator.simulate(collated, iterations=8)
-
-    def test_periodic_windows_detected(self):
-        job = build_periodic_job(8)
-        trace = job.workers[0]
-        windows = find_iteration_windows(trace)
-        assert windows is not None and windows.count == 8
-        assert windows_are_periodic(trace, windows)
-
-    def test_fold_is_bitwise_exact_on_binary_durations(self):
-        job = build_periodic_job(8)
-        full = self._simulate(job, fold_iterations=False)
-        folded = self._simulate(job, fold_tolerance=0.0)
-        info = folded.metadata.get("iteration_folding")
-        assert info is not None, "fold should engage on a periodic trace"
-        assert info["folded_iterations"] == 4
-        assert folded.metadata["processed_events"] < \
-            full.metadata["processed_events"]
-        assert folded.total_time == full.total_time
-        assert folded.iteration_time == full.iteration_time
-        assert folded.communication_time == full.communication_time
-        for rank in full.rank_reports:
-            a, b = full.rank_reports[rank], folded.rank_reports[rank]
-            assert a.compute_time == b.compute_time
-            assert a.communication_time == b.communication_time
-            assert a.host_time == b.host_time
-            assert a.finish_time == b.finish_time
-            assert a.kernel_count == b.kernel_count
-            assert a.collective_count == b.collective_count
-        assert full.markers == folded.markers
-
-    def test_fold_skipped_below_minimum_iterations(self):
-        job = build_periodic_job(4)
-        report = self._simulate(job)
-        assert "iteration_folding" not in report.metadata
-
-    def test_fold_skipped_when_windows_differ(self):
-        job = build_periodic_job(8)
-        # Perturb one mid-trace host delay: windows are no longer periodic.
-        trace = job.workers[0]
-        events = trace.events
-        delays = [event for event in events
-                  if event.kind is TraceEventKind.HOST_DELAY]
-        delays[5].duration = delays[5].duration * 2.0
-        rewrite_events(trace, events)
-        full = self._simulate(job, fold_iterations=False)
-        guarded = self._simulate(job)
-        assert "iteration_folding" not in guarded.metadata
-        assert guarded.total_time == full.total_time
-
-    def test_window_unique_marker_labels_block_folding(self):
-        # A label that embeds the window index would be dropped (or
-        # mis-timed) by extrapolation, so it must break periodicity.
-        job = build_periodic_job(8, extra_label=lambda i: f"checkpoint-{i}")
-        full = self._simulate(job, fold_iterations=False)
-        guarded = self._simulate(job)
-        assert "iteration_folding" not in guarded.metadata
-        assert guarded.markers == full.markers
-
-    def test_recurring_marker_labels_fold_exactly(self):
-        # The same label every window folds fine: its final occurrence
-        # belongs to the last real window and is shifted by the fold.
-        job = build_periodic_job(8, extra_label=lambda i: "checkpoint")
-        full = self._simulate(job, fold_iterations=False)
-        folded = self._simulate(job, fold_tolerance=0.0)
-        assert folded.metadata["iteration_folding"]["folded_iterations"] == 4
-        assert folded.markers == full.markers
-        assert folded.total_time == full.total_time
-
-    def test_fold_skipped_for_jittered_provider(self):
-        job = build_periodic_job(8)
-        collated = TraceCollator(deduplicate=False).collate(job)
-        cluster = get_cluster("v100-8")
-        provider = GroundTruthDurationProvider(cluster)
-        fast = ClusterSimulator(cluster, provider,
-                                SimulationConfig()).simulate(collated)
-        slow = reference_simulate(cluster, provider, collated)
-        assert "iteration_folding" not in fast.metadata
-        assert fast.total_time == slow.total_time
 
 
 def build_random_job(seed, steps=40, nranks=2):
@@ -498,8 +362,8 @@ def build_random_periodic_job(seed, iterations=8, nranks=2):
 
     The window template (random kernels, host delays, collectives and
     record/wait pairs, all with binary-fraction durations) is fixed per
-    seed and replayed for every iteration, so the trace is canonically
-    periodic and a committed fold must reproduce the full replay exactly.
+    seed and replayed for every iteration, so every window does the same
+    work on a clock that carries over from the previous one.
     """
     rng = random.Random(seed)
     template = []
@@ -532,8 +396,7 @@ def build_random_periodic_job(seed, iterations=8, nranks=2):
                                    stream=max(stream, 1)))
             else:
                 # Record on one stream, wait on another: event ids repeat
-                # every window, versions advance (both are masked by the
-                # canonical periodicity fingerprint).
+                # every window, versions advance.
                 event_id = position + 1
                 for rank in range(nranks):
                     version = versions.get((rank, event_id), 0) + 1
@@ -565,10 +428,6 @@ def _assert_reports_identical(reference, candidate):
 
 class AnnotatedConstantProvider(_AnnotationMemoMixin, ConstantProvider):
     """ConstantProvider with the built-in providers' memoized annotation."""
-
-
-class AnnotatedFoldableProvider(_AnnotationMemoMixin, FoldableProvider):
-    """FoldableProvider with the built-in providers' memoized annotation."""
 
 
 _JITTER_CALL_CLASSES = ("kernel_launch", "collective", "misc", "optimizer")
@@ -628,23 +487,19 @@ class TestRandomizedDifferential:
         _assert_reports_identical(oracle, engine)
 
     @pytest.mark.parametrize("seed", range(25))
-    def test_iteration_folding_bitwise_equal(self, seed):
+    def test_periodic_job_bitwise_equal(self, seed):
+        """Eight repeated random windows, replayed end to end."""
         job = build_random_periodic_job(seed, iterations=8)
         collated = TraceCollator(deduplicate=False).collate(job)
         cluster = get_cluster("v100-8")
-        provider = FoldableProvider()
-        folded = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(fold_tolerance=0.0)).simulate(collated,
-                                                           iterations=8)
-        full = reference_simulate(cluster, provider, collated, iterations=8)
-        info = folded.metadata.get("iteration_folding")
-        assert info is not None, \
-            f"fold must engage on the periodic trace of seed {seed}"
-        assert info["folded_iterations"] == 4
-        assert folded.metadata["processed_events"] < \
-            full.metadata["processed_events"]
-        _assert_reports_identical(full, folded)
+        provider = ConstantProvider()
+        engine = ClusterSimulator(cluster, provider,
+                                  SimulationConfig()).simulate(collated,
+                                                               iterations=8)
+        oracle = reference_simulate(cluster, provider, collated, iterations=8)
+        assert (engine.metadata["processed_events"]
+                == oracle.metadata["processed_events"])
+        _assert_reports_identical(oracle, engine)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_annotated_provider_bitwise_equal(self, seed):
@@ -654,8 +509,7 @@ class TestRandomizedDifferential:
         cluster = get_cluster("v100-8")
         provider = AnnotatedConstantProvider()
         oracle = reference_simulate(cluster, provider, collated)
-        simulator = ClusterSimulator(cluster, provider,
-                                     SimulationConfig(fold_iterations=False))
+        simulator = ClusterSimulator(cluster, provider, SimulationConfig())
         for _ in range(2):  # second run replays the memoized annotations
             engine = simulator.simulate(collated)
             assert (engine.metadata["processed_events"]
@@ -670,48 +524,37 @@ class TestRandomizedDifferential:
         cluster = get_cluster("v100-8")
         provider = AnnotatedConstantProvider()
         oracle = reference_simulate(cluster, provider, collated)
-        engine = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(fold_iterations=False)).simulate(collated)
+        engine = ClusterSimulator(cluster, provider,
+                                  SimulationConfig()).simulate(collated)
         _assert_reports_identical(oracle, engine)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_annotated_fold_bitwise_equal(self, seed):
-        """Fold-engaged replay over memoized annotations matches the oracle."""
+    def test_annotated_periodic_job_bitwise_equal(self, seed):
+        """Repeated windows over memoized annotations match the oracle."""
         job = build_random_periodic_job(seed, iterations=8)
         collated = TraceCollator(deduplicate=False).collate(job)
         cluster = get_cluster("v100-8")
-        provider = AnnotatedFoldableProvider()
-        full = reference_simulate(cluster, provider, collated, iterations=8)
-        folded = ClusterSimulator(
-            cluster, provider,
-            SimulationConfig(fold_tolerance=0.0)).simulate(collated,
-                                                           iterations=8)
-        info = folded.metadata.get("iteration_folding")
-        assert info is not None, \
-            f"fold must engage on the periodic trace of seed {seed}"
-        assert info["folded_iterations"] == 4
-        _assert_reports_identical(full, folded)
+        provider = AnnotatedConstantProvider()
+        oracle = reference_simulate(cluster, provider, collated, iterations=8)
+        engine = ClusterSimulator(cluster, provider,
+                                  SimulationConfig()).simulate(collated,
+                                                               iterations=8)
+        _assert_reports_identical(oracle, engine)
 
     def test_provider_without_annotate_trace_matches_memoized_twin(self):
         """``annotate_trace`` is a cache, not a behaviour: a provider
         lacking it and its ``_AnnotationMemoMixin`` twin report alike, on
-        a full replay with jittered host delays and on a committed fold."""
+        jittered host delays and on repeated windows."""
         cluster = get_cluster("v100-8")
         jittered = jitterize_host_delays(build_random_job(3, steps=60), 3)
-        for job, config, folds in (
-                (jittered, SimulationConfig(), False),
-                (build_random_periodic_job(3),
-                 SimulationConfig(fold_tolerance=0.0), True)):
+        for job in (jittered, build_random_periodic_job(3)):
             collated = TraceCollator(deduplicate=False).collate(job)
             plain, twin = (
-                ClusterSimulator(cluster, provider, config).simulate(
+                ClusterSimulator(cluster, provider,
+                                 SimulationConfig()).simulate(
                     collated, iterations=8)
-                for provider in (FoldableProvider(),
-                                 AnnotatedFoldableProvider()))
-            assert ("iteration_folding" in plain.metadata) is folds
-            assert (plain.metadata.get("iteration_folding")
-                    == twin.metadata.get("iteration_folding"))
+                for provider in (ConstantProvider(),
+                                 AnnotatedConstantProvider()))
             assert (plain.metadata["processed_events"]
                     == twin.metadata["processed_events"])
             _assert_reports_identical(plain, twin)
@@ -767,53 +610,11 @@ class TestFastPathEquivalence:
                       emulated.collated, ranks, ranks,
                       sm_contention_factor=1.045)
 
-    def test_fold_on_real_job_with_smooth_host(self, v100_cluster):
-        model = get_transformer("gpt-tiny")
-        recipe = TrainingRecipe(tensor_parallel=2, pipeline_parallel=2,
-                                microbatch_multiplier=2, dtype="float16")
-        job = TransformerTrainingJob(model, recipe, v100_cluster,
-                                     global_batch_size=16, iterations=10)
-        session = EmulationSession(v100_cluster,
-                                   host_model=HostModel(jitter=0.0))
-        emulated = session.run(job.worker_fn, ranks=job.unique_ranks(),
-                               world_size=job.world_size)
-        collated = TraceCollator().collate(emulated.job_trace,
-                                           topology=job.topology())
-        pipeline = MayaPipeline(v100_cluster, estimator_mode="analytical")
-        provider = pipeline.make_provider()
-        ranks = simulation_ranks(job)
-        folded = ClusterSimulator(v100_cluster, provider, SimulationConfig(
-            simulate_ranks=ranks)).simulate(collated, iterations=10)
-        full = reference_simulate(
-            v100_cluster, provider, collated,
-            SimulationConfig(simulate_ranks=ranks), iterations=10)
-        info = folded.metadata.get("iteration_folding")
-        assert info is not None and info["folded_iterations"] == 6
-        assert folded.metadata["processed_events"] < \
-            full.metadata["processed_events"]
-        # The fold only commits when the steady-state period is stable to
-        # within rounding; the extrapolated total may differ from the full
-        # replay by at most that rounding drift.
-        assert folded.total_time == pytest.approx(full.total_time,
-                                                  rel=1e-9)
-        for rank in full.rank_reports:
-            assert (full.rank_reports[rank].kernel_count
-                    == folded.rank_reports[rank].kernel_count)
-            assert (full.rank_reports[rank].collective_count
-                    == folded.rank_reports[rank].collective_count)
-
-
-class UnmirroredEstimatedProvider(EstimatedDurationProvider):
-    """Maya's provider without the shape-keyed promise: the engine then
-    replays every requested rank, on the per-event annotation path."""
-
-    rank_invariant_kernels = False
-
 
 #: (cluster, model, estimator suite, tp, pp, variant knob, iterations).
 #: The seeded recipe of each case must carry the variant (sequence
 #: parallelism, virtual stages, distributed optimizer; "" leaves it free);
-#: six-iteration cases go through steady-state iteration folding.
+#: six-iteration cases replay six windows on one carried-over clock.
 _MIRROR_CASES = (
     ("v100-8", "gpt-tiny", "learned", 2, 1, "", 1),
     ("v100-8", "gpt-tiny", "analytical", 2, 2, "sp", 6),
@@ -885,28 +686,13 @@ class TestTensorParallelMirroring:
         assert report.metadata["replayed_ranks"] == topology.pipeline_parallel
         # The stage leaders (0, pp, 0) are the ranks that replay.
         leaders = topology.unique_ranks()
-        if iterations == 1:
-            def replay(simulate):
-                return reference_simulate(
-                    cluster, provider, collated,
-                    SimulationConfig(simulate_ranks=simulate))
-        else:
-            # The oracle never folds; the same engine without mirroring
-            # folds the same windows and must commit the same fold.
-            unmirrored = UnmirroredEstimatedProvider(provider.suite, cluster)
 
-            def replay(simulate):
-                return ClusterSimulator(
-                    cluster, unmirrored,
-                    SimulationConfig(simulate_ranks=simulate)).simulate(
-                        collated, iterations=iterations)
-        full = replay(ranks)
-        _assert_reports_identical(full, report)
-        if iterations > 1:
-            assert full.metadata["replayed_ranks"] == len(ranks)
-            assert "iteration_folding" in report.metadata
-            assert (report.metadata["iteration_folding"]
-                    == full.metadata["iteration_folding"])
+        def replay(simulate):
+            return reference_simulate(
+                cluster, provider, collated,
+                SimulationConfig(simulate_ranks=simulate),
+                iterations=iterations)
+        _assert_reports_identical(replay(ranks), report)
         assert (report.metadata["processed_events"]
                 == replay(leaders).metadata["processed_events"])
 
