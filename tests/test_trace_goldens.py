@@ -10,7 +10,10 @@ emulator started writing columns directly, and hold every later change
 of the recorder to the same JSON export, the same wire payload (so
 ``wire.PROTOCOL`` and existing store directories stay valid), the same
 deduplication and the same prediction.  Like the engine goldens, the file
-is never regenerated to make a failing test pass.
+is never regenerated to make a failing test pass.  The ``gpt-tiny``
+``iteration_time`` pins are the per-event oracle's
+(``tests/reference_engine.py``), and :func:`test_oracle_reproduces_pin`
+recomputes them from it.
 """
 
 from __future__ import annotations
@@ -25,18 +28,26 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.experiments import candidate_recipes
-from repro.core.pipeline import MayaPipeline
+from repro.core.pipeline import (
+    MayaPipeline,
+    _iteration_time_from_report,
+    simulation_ranks,
+)
+from repro.core.simulator.engine import SimulationConfig
 from repro.cuda import nccl
 from repro.hardware.cluster import get_cluster
 from repro.service import wire
 from repro.workloads.job import TransformerTrainingJob
 from repro.workloads.models import get_transformer
 
+from reference_engine import reference_simulate
+
 GOLDENS = json.loads(
     (Path(__file__).parent / "goldens" / "trace_goldens.json").read_text())
 
 #: (model, global batch, iterations, jobs): gpt-tiny runs six iterations
-#: so that its predictions go through steady-state iteration folding.
+#: so that its predictions replay several windows on one carried-over
+#: clock, with the default host model's per-call jitter in every window.
 _SETUPS = (("gpt3-345m-l4", 64, 1, 12), ("gpt-tiny", 16, 6, 12))
 
 
@@ -111,3 +122,20 @@ def test_trace_matches_golden(name, monkeypatch):
     # from the same id so the pins do not depend on what ran before.
     monkeypatch.setattr(nccl, "_unique_id_counter", itertools.count(1))
     assert snapshot(_jobs()[name]) == GOLDENS[name]
+
+
+@pytest.mark.parametrize("name", sorted(name for name in GOLDENS
+                                        if name.startswith("gpt-tiny/")))
+def test_oracle_reproduces_pin(name, monkeypatch):
+    # The multi-iteration pins come from the per-event oracle, not from
+    # the engine they check.
+    monkeypatch.setattr(nccl, "_unique_id_counter", itertools.count(1))
+    job = _jobs()[name]
+    pipeline = _pipeline()
+    report = reference_simulate(
+        pipeline.cluster, pipeline.make_provider(),
+        pipeline.emulate(job).collated,
+        SimulationConfig(simulate_ranks=simulation_ranks(job)),
+        iterations=job.iterations)
+    assert (_iteration_time_from_report(report, job.iterations).hex()
+            == GOLDENS[name]["iteration_time"])
