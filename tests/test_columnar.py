@@ -359,3 +359,143 @@ class TestSignatureAgreement:
         assert columns == _partition([_rolling_signature_objects(t)
                                       for t in traces])
         assert len(columns) < len(traces)  # some ranks do dedup
+
+
+def _random_window(rng):
+    """One window of every row kind the signatures read."""
+    window, records = [], []
+    for _ in range(rng.randrange(6, 16)):
+        op = rng.choice(("kernel", "delay", "record", "wait", "marker",
+                         "collective", "sync"))
+        if op == "kernel":
+            window.append(kernel(stream=rng.randrange(3)))
+        elif op == "delay":
+            window.append(host_delay(rng.choice((0.25, 0.5))))
+            if rng.random() < 0.5:
+                window[-1].params = {"call_class": rng.choice(("a", "b")),
+                                     "seq": rng.randrange(9)}
+        elif op == "record":
+            records.append((rng.randrange(1, 4), len(records) + 1))
+            window.append(event_record(*records[-1],
+                                       stream=rng.randrange(2)))
+        elif op == "wait":
+            event_id, version = (rng.choice(records)
+                                 if records and rng.random() < 0.7
+                                 else (1, 0))
+            window.append(wait_event(event_id, version=version,
+                                     stream=rng.randrange(2)))
+        elif op == "marker":
+            window.append(TraceEvent(
+                kind=TraceEventKind.MARKER, api="marker", device=0,
+                params={"label": rng.choice(("iteration-0-start", "x"))}))
+        elif op == "collective":
+            window.append(collective("all_reduce", 0, [0, 1], seq=1))
+        else:
+            window.append(TraceEvent(
+                kind=rng.choice((TraceEventKind.STREAM_SYNCHRONIZE,
+                                 TraceEventKind.DEVICE_SYNCHRONIZE)),
+                api="sync", device=0, stream=rng.randrange(2)))
+    return window
+
+
+#: Window edits: each one both walks must see, or both must ignore.
+_WINDOW_EDITS = ("stream", "delay_stream", "duration", "label", "retarget",
+                 "wait_to_record", "create", "swap", "handle", "seq",
+                 "call_class", "legacy")
+
+
+def _edit_window(events, rng, edit):
+    """Apply one ``edit`` to a random event it applies to, in place."""
+    kinds = {
+        "delay_stream": (TraceEventKind.HOST_DELAY,),
+        "duration": (TraceEventKind.HOST_DELAY,),
+        "seq": (TraceEventKind.HOST_DELAY,),
+        "call_class": (TraceEventKind.HOST_DELAY,),
+        "legacy": (TraceEventKind.HOST_DELAY,),
+        "label": (TraceEventKind.MARKER,),
+        "retarget": (TraceEventKind.STREAM_WAIT_EVENT,),
+        "wait_to_record": (TraceEventKind.STREAM_WAIT_EVENT,),
+        "create": (TraceEventKind.EVENT_RECORD,),
+        "handle": (TraceEventKind.EVENT_RECORD,),
+    }.get(edit)
+    candidates = [i for i, event in enumerate(events)
+                  if kinds is None or event.kind in kinds]
+    if not candidates:
+        return
+    i = rng.choice(candidates)
+    event = events[i]
+    records = [(e.event, e.params["version"]) for e in events[:i]
+               if e.kind is TraceEventKind.EVENT_RECORD
+               and "version" in e.params]
+    if edit in ("stream", "delay_stream"):
+        event.stream = rng.choice((None, 0, 1, 2))
+    elif edit == "duration":
+        event.duration = rng.choice((0.25, 0.5, -0.0, 0.0))
+    elif edit == "label":
+        event.params = {"label": rng.choice(("iteration-7-end", "y", "x"))}
+    elif edit == "retarget":
+        event.wait_event, version = (rng.choice(records) if records
+                                     else (event.wait_event, 0))
+        event.params = {"version": version}
+    elif edit == "wait_to_record":
+        events[i] = event_record(event.wait_event or 1,
+                                 version=event.params["version"] or 1,
+                                 stream=event.stream)
+    elif edit == "create":
+        event.params = dict(event.params, create=True)
+    elif edit == "swap" and i + 1 < len(events):
+        events[i], events[i + 1] = events[i + 1], event
+    elif edit == "handle":
+        event.event = (event.event or 0) + rng.randrange(1, 3)
+    elif edit in ("seq", "call_class") and "seq" in event.params:
+        event.params = dict(event.params, seq=event.params["seq"] + 5) \
+            if edit == "seq" else dict(event.params, call_class="c")
+    elif edit == "legacy":
+        event.params = {}
+
+
+def _trace_of(events, metadata=None):
+    """A fresh worker trace holding copies of ``events``."""
+    trace = WorkerTrace(rank=0, device=0, metadata=dict(metadata or {}))
+    for event in events:
+        trace.append(TraceEvent.from_dict(event.to_dict()))
+    return trace
+
+
+def _assert_same_fingerprint_classes(traces):
+    assert _partition([t.rolling_signature() for t in traces]) == \
+        _partition([_rolling_signature_objects(t) for t in traces])
+    assert _partition([t.host_delay_signature() for t in traces]) == \
+        _partition([_host_delay_signature_objects(t) for t in traces])
+
+
+class TestFingerprintAgreement:
+    """Worker fingerprints (rolling and host-delay signatures) of windows
+    cut from a trace: columns and per-event walk, same equalities."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equality_decisions_match_object_walk(self, seed):
+        # The same ranges of every rank: ranks doing the same work must
+        # collide in both walks, and any other pair split in both.
+        job = build_random_periodic_job(seed, iterations=6)
+        n = min(len(trace.events) for trace in job.workers.values())
+        rng = random.Random(seed)
+        ranges = [(0, n), (0, n // 2), (n // 2, n)]
+        for _ in range(12):
+            lo = rng.randrange(n)
+            ranges.append((lo, rng.randrange(lo, n + 1)))
+        _assert_same_fingerprint_classes(
+            [_trace_of(trace.events[lo:hi], trace.metadata)
+             for trace in job.workers.values() for lo, hi in ranges])
+
+    @pytest.mark.parametrize("edit", _WINDOW_EDITS)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_edited_window_decisions_match_object_walk(self, seed, edit):
+        # Window B repeats window A, then takes one edit that both walks
+        # must see, or both must ignore.
+        rng = random.Random(seed)
+        window = _random_window(rng)
+        edited = [TraceEvent.from_dict(event.to_dict()) for event in window]
+        _edit_window(edited, rng, edit)
+        _assert_same_fingerprint_classes(
+            [_trace_of(window), _trace_of(edited)])
