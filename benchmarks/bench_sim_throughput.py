@@ -7,6 +7,8 @@ nothing here is a claim about it.  What this file keeps:
 * **engine events/sec** -- the discrete-event engine replaying a collated
   tp2/pp2 transformer trace (gated against an absolute recorded floor in
   ``--check``);
+* **emulation rows/sec** -- trace rows the emulator records while running
+  that same tp2/pp2 job's unique ranks (gated the same way);
 * **wire bytes per event** -- a shipped worker-trace artifact is its
   recorded columns (raw little-endian column buffers plus the template
   pool); this reports its size per artifact and per event;
@@ -27,7 +29,8 @@ and every gate that was skipped (with the reason).
 Results land in ``BENCH_sim_throughput.json`` at the repository root (the
 perf trajectory file CI uploads as an artifact).  ``--check`` compares a
 fresh measurement against a recorded baseline and fails when the engine's
-replay rate regresses more than 30% below it.
+replay rate or the emulator's recording rate regresses more than 30% below
+its recorded floor.
 
 Run from the repository root::
 
@@ -58,7 +61,7 @@ REGRESSION_TOLERANCE = 0.30
 CLUSTER = "v100-8"
 MODEL = "gpt-tiny"
 GLOBAL_BATCH = 16
-#: Timed engine replays (best-of to shed scheduler noise).
+#: Timed engine replays and emulations (best-of to shed scheduler noise).
 ENGINE_REPEATS = 3
 #: Training iterations of the emulated engine workload.
 ITERATIONS = 2
@@ -70,10 +73,8 @@ CHAOS_LEASE_TIMEOUT = 0.5
 CHAOS_STRAGGLER_DELAY = 3.0
 
 
-def _engine_setup():
-    from repro.core.collator import TraceCollator
-    from repro.core.emulator import EmulationSession
-    from repro.core.pipeline import MayaPipeline, simulation_ranks
+def _engine_job():
+    """The engine workload: a tp2/pp2 ``gpt-tiny`` training job."""
     from repro.framework.recipe import TrainingRecipe
     from repro.hardware.cluster import get_cluster
     from repro.workloads.job import TransformerTrainingJob
@@ -85,10 +86,24 @@ def _engine_setup():
         TrainingRecipe(tensor_parallel=2, pipeline_parallel=2,
                        microbatch_multiplier=2, dtype="float16"),
         cluster, global_batch_size=GLOBAL_BATCH, iterations=ITERATIONS)
-    session = EmulationSession(cluster)
-    emulated = session.run(job.worker_fn, ranks=job.unique_ranks(),
-                           world_size=job.world_size)
-    collated = TraceCollator().collate(emulated.job_trace,
+    return cluster, job
+
+
+def _emulate(cluster, job):
+    """Emulate ``job``'s unique ranks."""
+    from repro.core.emulator import EmulationSession
+
+    return EmulationSession(cluster).run(job.worker_fn,
+                                         ranks=job.unique_ranks(),
+                                         world_size=job.world_size)
+
+
+def _engine_setup():
+    from repro.core.collator import TraceCollator
+    from repro.core.pipeline import MayaPipeline, simulation_ranks
+
+    cluster, job = _engine_job()
+    collated = TraceCollator().collate(_emulate(cluster, job).job_trace,
                                        topology=job.topology())
     pipeline = MayaPipeline(cluster, estimator_mode="analytical")
     return cluster, collated, pipeline.make_provider(), simulation_ranks(job)
@@ -112,6 +127,25 @@ def bench_engine() -> Dict[str, float]:
         "replayed_ranks": int(report.metadata["replayed_ranks"]),
         "columnar_events_per_sec":
             report.metadata["processed_events"] / best_wall,
+    }
+
+
+def bench_emulation() -> Dict[str, float]:
+    """Rows/sec the emulator records on the engine workload's unique
+    ranks, best of ``ENGINE_REPEATS`` (rows are flushed in ``finalize``,
+    so inside the timed span)."""
+    cluster, job = _engine_job()
+    _emulate(cluster, job)  # warm-up
+    best_wall = float("inf")
+    for _ in range(ENGINE_REPEATS):
+        start = time.perf_counter()
+        emulated = _emulate(cluster, job)
+        best_wall = min(best_wall, time.perf_counter() - start)
+    rows = emulated.job_trace.total_events()
+    return {
+        "emulated_ranks": len(emulated.job_trace.workers),
+        "trace_rows": rows,
+        "rows_per_sec": rows / best_wall,
     }
 
 
@@ -278,6 +312,7 @@ def run_benchmark(output: Path, chaos: bool = False,
         "numpy_version": numpy.__version__,
         "unix_time": time.time(),
         "engine": bench_engine(),
+        "emulation": bench_emulation(),
         "wire_shipping": bench_wire_shipping(),
     }
     if chaos:
@@ -289,6 +324,10 @@ def run_benchmark(output: Path, chaos: bool = False,
     engine = payload["engine"]
     print(f"engine: replay of {engine['replayed_ranks']} ranks "
           f"{engine['columnar_events_per_sec']:,.0f} ev/s")
+    emulation = payload["emulation"]
+    print(f"emulation: {emulation['trace_rows']} rows over "
+          f"{emulation['emulated_ranks']} ranks "
+          f"{emulation['rows_per_sec']:,.0f} rows/s")
     shipping = payload["wire_shipping"]
     print(f"wire shipping: {shipping['columnar_bytes_per_event']:.1f} "
           f"B/event over {shipping['artifacts']} artifacts")
@@ -317,18 +356,24 @@ def check_against_baseline(current: Dict[str, object],
     # SKIPPED and why; the summary at the end names both sets.
     gates: List[tuple] = []
     baseline = json.loads(baseline_path.read_text())
-    recorded = float(baseline["engine"]["columnar_events_per_sec"])
-    floor = recorded * (1.0 - REGRESSION_TOLERANCE)
-    measured = float(current["engine"]["columnar_events_per_sec"])
-    print(f"engine: measured {measured:,.0f} ev/s, "
-          f"baseline {recorded:,.0f} ev/s, floor {floor:,.0f} ev/s")
-    gates.append(("engine-regression", None))
     failed = False
-    if measured < floor:
-        print(f"FAIL: engine regressed "
-              f"{(1 - measured / recorded) * 100:.1f}% below the recorded "
-              f"baseline (tolerance {REGRESSION_TOLERANCE * 100:.0f}%)")
-        failed = True
+    for gate, leg, metric, unit in (
+            ("engine-regression", "engine", "columnar_events_per_sec",
+             "ev/s"),
+            ("emulation-regression", "emulation", "rows_per_sec",
+             "rows/s")):
+        recorded = float(baseline[leg][metric])
+        floor = recorded * (1.0 - REGRESSION_TOLERANCE)
+        measured = float(current[leg][metric])
+        print(f"{leg}: measured {measured:,.0f} {unit}, "
+              f"baseline {recorded:,.0f} {unit}, floor {floor:,.0f} {unit}")
+        gates.append((gate, None))
+        if measured < floor:
+            print(f"FAIL: {leg} regressed "
+                  f"{(1 - measured / recorded) * 100:.1f}% below the "
+                  f"recorded baseline (tolerance "
+                  f"{REGRESSION_TOLERANCE * 100:.0f}%)")
+            failed = True
     store_leg = current.get("cold_vs_warm_store", {})
     if store_leg:
         # Report-only: the warm run hydrates every artifact from disk, so

@@ -2,9 +2,9 @@
 
 :class:`DeviceEmulator` is Maya's virtual runtime for one worker: it owns a
 :class:`~repro.cuda.runtime.CudaRuntime`, registers itself as the API
-interceptor and records every intercepted call as rows of its trace's
-columns (:class:`~repro.core.trace.TraceColumns`; no event objects are
-built).  Two rows are produced per call:
+interceptor and records every intercepted call in its trace's columns
+(:class:`~repro.core.trace.TraceColumns`; no event objects are built).
+Each call writes two rows:
 
 * a ``HOST_DELAY`` row carrying the *deterministic* host-side cost of
   dispatching the call (``HostModel.base_cost``) plus, in ``params``, the
@@ -15,6 +15,15 @@ built).  Two rows are produced per call:
   metadata, and replay is bit-identical to baking the jitter in here, and
 * for device work and synchronisation primitives, the device-side event
   itself (kernel, memcpy, collective, event record, stream wait, ...).
+
+The rows are not written call by call.  The emulator keys each call on
+its *call pattern* -- API, kind, kernel class, stream and exact params
+(:func:`~repro.core.trace.values_key`, so ``1``, ``1.0`` and ``True``
+stay distinct) -- pools the pattern's two rows the first time it is seen
+(the host-delay row once per call site) and logs only the pattern id,
+plus the call's own values for patterns that carry them (event handles
+and versions, a collective's per-communicator seq).  The columns turn
+the log into rows in one vectorized pass before anything reads them.
 
 :class:`EmulationSession` orchestrates per-rank emulators for a whole job,
 catching out-of-memory failures so that OOM configurations are reported
@@ -36,6 +45,7 @@ from repro.core.trace import (
     JobTrace,
     TraceEventKind,
     WorkerTrace,
+    values_key,
 )
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.gpu_specs import GPUSpec
@@ -80,6 +90,15 @@ def _host_call_class(record: ApiCallRecord) -> str:
     }.get(record.kind, "misc")
 
 
+#: Device kinds whose rows carry per-call values (event handles and
+#: versions, a collective's per-communicator seq); every other kind's rows
+#: are fixed by the call's pattern.
+_PER_CALL_KINDS = frozenset((ApiKind.EVENT_RECORD, ApiKind.STREAM_WAIT_EVENT,
+                             ApiKind.EVENT_SYNCHRONIZE, ApiKind.COLLECTIVE))
+#: Event kinds whose ``"version"`` param is a per-call value.
+_VERSIONED_KINDS = _PER_CALL_KINDS - {ApiKind.COLLECTIVE}
+
+
 class DeviceEmulator:
     """Maya's virtual device runtime for a single worker."""
 
@@ -89,64 +108,121 @@ class DeviceEmulator:
         device: int,
         gpu: GPUSpec,
         host_model: Optional[HostModel] = None,
-        record_host_delays: bool = True,
     ) -> None:
         self.rank = rank
         self.device = device
         self.gpu = gpu
         self.host_model = host_model or HostModel()
-        self.record_host_delays = record_host_delays
         self.trace = WorkerTrace(rank=rank, device=device)
-        if record_host_delays:
-            # Replay-side jitter synthesis needs the seed namespace and the
-            # jitter magnitude of the model that produced the base costs.
-            self.trace.metadata[HOST_MODEL_METADATA_KEY] = \
-                self.host_model.trace_profile()
+        # Replay-side jitter synthesis needs the seed namespace and the
+        # jitter magnitude of the model that produced the base costs.
+        self.trace.metadata[HOST_MODEL_METADATA_KEY] = \
+            self.host_model.trace_profile()
         self.runtime = CudaRuntime(device=device, gpu=gpu,
                                    interceptor=self._intercept)
-        self._call_counter = 0
-        #: (call class, API) -> template id of its host-delay rows: equal
-        #: string pairs are equal shapes, so only the first is interned.
-        self._delay_templates: Dict[Tuple[str, str], int] = {}
+        columns = self.trace.columns
+        self._pattern_ids = columns.pattern_ids
+        self._log_call = columns.calls.append
+        self._log_values = columns.call_values.extend
+        #: Call site (API, kind, kernel class) -> its host-delay row.
+        self._delay_rows: Dict[Tuple, Tuple] = {}
 
     # ------------------------------------------------------------------
     # interception
     # ------------------------------------------------------------------
     def _intercept(self, record: ApiCallRecord) -> None:
-        self._call_counter += 1
+        kind = record.kind
+        if kind not in _KIND_MAP:
+            # No device row: the host-delay row depends on the site only.
+            key = (record.api, kind, record.kernel_class)
+        elif record.collective or kind in _PER_CALL_KINDS:
+            self._intercept_per_call(record)
+            return
+        else:
+            params = record.params
+            key = (record.api, kind, record.kernel_class, record.stream,
+                   record.event, record.wait_event, tuple(params),
+                   values_key(tuple(params.values())))
+        pid = self._pattern_ids.get(key)
+        if pid is None:
+            pid = self._new_pattern(key, record, False)
+        self._log_call(pid)
+
+    def _intercept_per_call(self, record: ApiCallRecord) -> None:
+        """Log a call whose device row takes per-call values: its pattern
+        is keyed on everything else, the values go to the side log."""
+        kind = record.kind
+        params = record.params
+        collective = record.collective or None
+        version = int(params["version"]) if "version" in params else 0
+        fixed = (tuple(v for k, v in params.items() if k != "version")
+                 if kind in _VERSIONED_KINDS else tuple(params.values()))
+        key = (record.api, kind, record.kernel_class, record.stream,
+               record.event is None, record.wait_event is None,
+               tuple(params), values_key(fixed))
+        aux_seq = -1
+        if collective is not None:
+            key += (tuple(collective), values_key(tuple(
+                v for k, v in collective.items() if k != "seq")))
+            if "seq" in collective:
+                aux_seq = int(collective["seq"])
+        pid = self._pattern_ids.get(key)
+        if pid is None:
+            pid = self._new_pattern(key, record, True)
+        self._log_call(pid)
+        self._log_values((version, record.event or 0,
+                          record.wait_event or 0, aux_seq))
+
+    def _new_pattern(self, key: Tuple, record: ApiCallRecord,
+                     per_call: bool) -> int:
+        """Pool the rows of ``record``'s pattern under ``key``: its site's
+        host-delay row (interned once per site), then its device row."""
         columns = self.trace.columns
-        if self.record_host_delays:
+        site = (record.api, record.kind, record.kernel_class)
+        delay = self._delay_rows.get(site)
+        if delay is None:
             call_class = _host_call_class(record)
-            # Record only the deterministic base cost; "seq" lets the
-            # simulation engine re-apply this call's jitter factor at
-            # replay time (bit-identical to jittering here).
-            shape = (call_class, record.api)
-            self._delay_templates[shape] = columns.record(
+            # Only the deterministic base cost; the row's "seq" (its
+            # aux_seq) is the call counter, which lets the simulation
+            # engine re-apply this call's jitter factor at replay time.
+            delay = self._delay_rows[site] = columns.intern_row(
                 K_HOST_DELAY, "hostDelay", self.device,
-                duration=self.host_model.base_cost(call_class),
                 params={"call_class": call_class, "after": record.api,
-                        "seq": self._call_counter},
-                template=self._delay_templates.get(shape))
+                        "seq": 0},
+                duration=self.host_model.base_cost(call_class))
         code = _KIND_MAP.get(record.kind)
-        if code is not None:
-            columns.record(code, record.api, self.device, record.stream,
-                           record.kernel_class, record.params,
-                           record.collective or None, record.event,
-                           record.wait_event)
+        device = None if code is None else columns.intern_row(
+            code, record.api, self.device, record.stream,
+            record.kernel_class, record.params, record.collective or None,
+            record.event, record.wait_event)
+        return columns.pattern(key, delay, device, per_call)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def mark(self, label: str) -> None:
         """Insert a marker event (iteration boundaries, phases...)."""
-        self.trace.columns.record(K_MARKER, "marker", self.device,
-                                  params={"label": label})
+        key = ("marker", label)
+        pid = self._pattern_ids.get(key)
+        if pid is None:
+            columns = self.trace.columns
+            pid = columns.pattern(
+                key, None, columns.intern_row(K_MARKER, "marker",
+                                              self.device,
+                                              params={"label": label}),
+                False)
+        self._log_call(pid)
 
     def finalize(self) -> WorkerTrace:
-        """Record end-of-emulation statistics and return the trace."""
+        """Write the logged calls as rows, record end-of-emulation
+        statistics and return the trace."""
+        columns = self.trace.columns
+        # A finished trace sits in the artifact cache: keep its rows, not
+        # the pattern pool that wrote them.
+        columns.close_log()
         self.trace.peak_memory_bytes = self.runtime.memory.peak_allocated
         self.trace.metadata.setdefault("kernel_count", self.runtime.kernel_count)
-        self.trace.metadata.setdefault("api_calls", self._call_counter)
+        self.trace.metadata.setdefault("api_calls", columns.call_count)
         return self.trace
 
 

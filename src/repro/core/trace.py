@@ -6,9 +6,11 @@ delays measured between consecutive API calls (Section 4.2 of the paper).
 A :class:`WorkerTrace` keeps that stream as recorded, in
 :class:`TraceColumns`: flat per-event columns for what varies event to
 event, plus a pool of *templates* for what repeats (an iteration launches
-the same few dozen operations thousands of times).  The emulator appends
-rows and interns templates as it records; everything downstream reads the
-columns (:mod:`repro.core.columnar`), and the service ships them between
+the same few dozen operations thousands of times).  The emulator logs
+one call-pattern id per intercepted call, interning templates as it
+goes, and the columns write a rank's rows from that log in one numpy
+pass; everything downstream reads the columns
+(:mod:`repro.core.columnar`), and the service ships them between
 processes.
 
 A :class:`TraceEvent` is the object view of one row -- for tests, the
@@ -118,7 +120,7 @@ COLUMN_DTYPES: Tuple[Tuple[str, str], ...] = (
 _PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
-def _values_key(values: Tuple) -> Tuple:
+def values_key(values: Tuple) -> Tuple:
     """Exact interning key of a tuple of dict values: ``1``, ``1.0`` and
     ``True`` compare equal but have different reprs (so JSON and
     signatures), hence the types; containers and zeros (``0.0 == -0.0``)
@@ -202,6 +204,14 @@ class TraceEvent:
 
 _NO_PARAMS: Dict[str, Any] = {}
 
+#: The columns a logged call supplies itself when its pattern takes
+#: per-call values, in :attr:`TraceColumns.call_values` order.
+CALL_VALUE_COLUMNS = ("version", "event_id", "wait_event", "aux_seq")
+
+
+def _native(dtype: str):
+    return _np.dtype(dtype).newbyteorder("=")
+
 
 class TraceColumns:
     """The recorded events of one worker: columns plus a template pool.
@@ -218,15 +228,28 @@ class TraceColumns:
     traces, the event's own ``seq`` for rows added by
     :meth:`record_event`).
 
-    A new store records: rows are appended to Python lists
-    (:meth:`record`).  Columns built from ``arrays`` (decoded or
-    unpickled traces) are read-only.  Everything derived from the rows
-    -- numpy arrays, engine program, digests, signatures -- lives in
-    :meth:`memoized`, which a new row resets and which never rides a pickle.
+    The emulator does not write rows one at a time.  It pools each
+    distinct *call pattern* once (:meth:`pattern`: the rows one call
+    writes, their templates and host classes interned when the pattern is
+    first seen) and logs one pattern id per intercepted call in
+    :attr:`calls`, plus the :data:`CALL_VALUE_COLUMNS` of calls whose
+    pattern takes per-call values in :attr:`call_values`.  :meth:`flush`
+    turns the pending log into rows in one numpy pass.  Every reader --
+    ``len``, :meth:`lists`, :meth:`arrays`, :meth:`memoized`,
+    :meth:`record`, pickling -- flushes first, so none sees a partial
+    trace.  :meth:`record` appends a single row (hand-built traces,
+    ``from_dict``).
+
+    Columns built from ``arrays`` (decoded or unpickled traces) are
+    read-only.  Everything derived from the rows -- numpy arrays, engine
+    program, digests, signatures -- lives in :meth:`memoized`, which a new
+    row resets and which never rides a pickle.
     """
 
-    __slots__ = ("templates", "host_classes", "_lists", "_template_ids",
-                 "_host_class_ids", "_appenders", "_memo", "_memo_n")
+    __slots__ = ("templates", "host_classes", "pattern_ids", "calls",
+                 "call_values", "call_count", "_patterns", "_pattern_rows",
+                 "_lists",
+                 "_template_ids", "_host_class_ids", "_memo", "_memo_n")
 
     def __init__(self, arrays: Optional[Dict[str, Any]] = None,
                  templates: Optional[List[Dict[str, Any]]] = None,
@@ -235,19 +258,33 @@ class TraceColumns:
         self.templates: List[Dict[str, Any]] = templates or []
         #: Deduplicated host-delay call-class strings.
         self.host_classes: List[str] = host_classes or []
+        #: The recorder's key of every pooled call pattern -> its id.
+        self.pattern_ids: Dict[Tuple, int] = {}
+        #: Pattern id of every call logged since the last flush.
+        self.calls: List[int] = []
+        #: Flattened per-call values of the logged calls that take them.
+        self.call_values: List[int] = []
+        #: Flushed calls with a host-delay row: the jitter key (``aux_seq``)
+        #: of the last one, carried across flushes.
+        self.call_count = 0
+        #: Per pattern: (first row in ``_pattern_rows``, row count, has a
+        #: host-delay row, takes per-call values).
+        self._patterns: List[Tuple[int, int, bool, bool]] = []
+        #: Every pattern's rows as :meth:`intern_row` tuples.
+        self._pattern_rows: List[Tuple] = []
         recording = arrays is None
         self._memo: Dict[str, Any] = {} if recording else {"arrays": arrays}
         self._memo_n = 0 if recording else len(arrays["seq"])
+        #: The rows as Python lists; ``None`` while the memoized arrays
+        #: alone hold them (after a flush, or for decoded columns).
         self._lists: Optional[Dict[str, list]] = (
             {name: [] for name, _ in COLUMN_DTYPES} if recording else None)
         self._template_ids: Optional[Dict[Tuple, int]] = (
             {} if recording else None)
         self._host_class_ids: Dict[str, int] = {}
-        #: Bound ``append`` of every column list, in ``COLUMN_DTYPES`` order.
-        self._appenders = (tuple(column.append for column
-                                 in self._lists.values()) if recording else ())
 
     def __len__(self) -> int:
+        self.flush()
         return self._memo_n if self._lists is None else len(self._lists["seq"])
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -260,21 +297,17 @@ class TraceColumns:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def record(self, code: int, api: str, device: int,
-               stream: Optional[int] = None,
-               kernel_class: Optional[str] = None,
-               params: Dict[str, Any] = _NO_PARAMS,
-               collective: Optional[Dict[str, Any]] = None,
-               event: Optional[int] = None,
-               wait_event: Optional[int] = None,
-               duration: Optional[float] = None,
-               seq: Optional[int] = None,
-               template: Optional[int] = None) -> int:
-        """Append one event (``seq`` defaults to the row number) and return
-        its template id.  ``params`` and ``collective`` are read, never
-        kept.  A recorder that knows two events share a shape may pass the
-        id returned for the first as ``template`` of the second, skipping
-        interning.
+    def intern_row(self, code: int, api: str, device: int,
+                   stream: Optional[int] = None,
+                   kernel_class: Optional[str] = None,
+                   params: Dict[str, Any] = _NO_PARAMS,
+                   collective: Optional[Dict[str, Any]] = None,
+                   event: Optional[int] = None,
+                   wait_event: Optional[int] = None,
+                   duration: Optional[float] = None) -> Tuple:
+        """The column values of one event, all but ``seq``, in
+        :data:`COLUMN_DTYPES` order; interns its host class, then its
+        template.  ``params`` and ``collective`` are read, never kept.
         """
         if self._template_ids is None:
             raise TypeError("decoded or unpickled trace columns are "
@@ -304,21 +337,94 @@ class TraceColumns:
                 name, len(self.host_classes))
             if host_class == len(self.host_classes):
                 self.host_classes.append(name)
-        tid = template if template is not None else self._intern(
-            code, api, device, kernel_class, params, collective)
-        append = self._appenders
-        append[0](code)
-        append[1](bits)
-        append[2](-1 if stream is None else stream)
-        append[3](tid)
-        append[4](version)
-        append[5](host_class)
-        append[6](0.0 if duration is None else float(duration))
-        append[7](event or 0)
-        append[8](wait_event or 0)
-        append[9](aux_seq)
-        append[10](len(self._lists["seq"]) if seq is None else seq)
-        return tid
+        tid = self._intern(code, api, device, kernel_class, params,
+                           collective)
+        return (code, bits, -1 if stream is None else stream, tid, version,
+                host_class, 0.0 if duration is None else float(duration),
+                event or 0, wait_event or 0, aux_seq)
+
+    def record(self, code: int, api: str, device: int,
+               stream: Optional[int] = None,
+               kernel_class: Optional[str] = None,
+               params: Dict[str, Any] = _NO_PARAMS,
+               collective: Optional[Dict[str, Any]] = None,
+               event: Optional[int] = None,
+               wait_event: Optional[int] = None,
+               duration: Optional[float] = None,
+               seq: Optional[int] = None) -> None:
+        """Append one event (``seq`` defaults to the row number)."""
+        row = self.intern_row(code, api, device, stream, kernel_class,
+                              params, collective, event, wait_event,
+                              duration)
+        lists = self.lists()
+        for (name, _), value in zip(COLUMN_DTYPES, row):
+            lists[name].append(value)
+        seqs = lists["seq"]
+        seqs.append(len(seqs) if seq is None else seq)
+
+    def pattern(self, key: Tuple, delay: Optional[Tuple],
+                device: Optional[Tuple], per_call: bool) -> int:
+        """Pool the rows one call writes under ``key`` (in
+        :attr:`pattern_ids`) and return the id to log.
+
+        ``delay`` and ``device`` are :meth:`intern_row` tuples, either may
+        be ``None``.  A logged call writes the host-delay row with its
+        ``aux_seq`` set to the running call counter, then the device row,
+        taking its :data:`CALL_VALUE_COLUMNS` from :attr:`call_values`
+        when ``per_call``.
+        """
+        rows = [row for row in (delay, device) if row is not None]
+        pid = self.pattern_ids[key] = len(self._patterns)
+        self._patterns.append((len(self._pattern_rows), len(rows),
+                               delay is not None, per_call))
+        self._pattern_rows.extend(rows)
+        return pid
+
+    def flush(self) -> None:
+        """Write the logged calls as rows, in one vectorized pass, and
+        drop the log."""
+        if not self.calls:
+            return
+        pids = _np.array(self.calls, dtype=_np.intp)
+        values = _np.array(self.call_values, dtype=_np.int64).reshape(
+            -1, len(CALL_VALUE_COLUMNS))
+        self.calls.clear()
+        self.call_values.clear()
+        first, nrows, delay, per_call = _np.array(
+            self._patterns, dtype=_np.intp).T[:, pids]
+        ends = _np.cumsum(nrows)
+        starts = ends - nrows
+        total = int(ends[-1])
+        # Row r of call c is pattern row first[c] + (r - starts[c]).
+        source = _np.repeat(first - starts, nrows) + _np.arange(total)
+        rows = {name: _np.array(column, dtype=_native(dtype))[source]
+                for (name, dtype), column
+                in zip(COLUMN_DTYPES, zip(*self._pattern_rows))}
+        done = len(self)
+        rows["seq"] = _np.arange(done, done + total,
+                                 dtype=_native(COLUMN_DTYPES[-1][1]))
+        delay_rows = starts[delay != 0]
+        rows["aux_seq"][delay_rows] = _np.arange(
+            self.call_count + 1, self.call_count + 1 + len(delay_rows))
+        self.call_count += len(delay_rows)
+        device_rows = ends[per_call != 0] - 1
+        for column, name in enumerate(CALL_VALUE_COLUMNS):
+            rows[name][device_rows] = values[:, column]
+        if done:
+            before = self.arrays()
+            rows = {name: _np.concatenate((before[name], rows[name]))
+                    for name, _ in COLUMN_DTYPES}
+        self._lists = None
+        self._memo = {"arrays": rows}
+        self._memo_n = done + total
+
+    def close_log(self) -> None:
+        """Flush, then drop the pattern pool: a call logged later pools
+        its pattern anew."""
+        self.flush()
+        self.pattern_ids.clear()
+        self._patterns = []
+        self._pattern_rows = []
 
     def record_event(self, event: TraceEvent) -> None:
         """Append ``event`` as a row, keeping its ``seq``."""
@@ -337,11 +443,11 @@ class TraceColumns:
         fixed = params if varying not in params else {
             k: v for k, v in params.items() if k != varying}
         key = (code, api, device, kernel_class, tuple(params),
-               _values_key(tuple(fixed.values())))
+               values_key(tuple(fixed.values())))
         if collective is not None:
             coll_fixed = {k: v for k, v in collective.items() if k != "seq"}
             key += (tuple(collective),
-                    _values_key(tuple(coll_fixed.values())))
+                    values_key(tuple(coll_fixed.values())))
         tid = self._template_ids.get(key)
         if tid is None:
             tid = len(self.templates)
@@ -364,6 +470,7 @@ class TraceColumns:
     def memoized(self, name: str, build) -> Any:
         """``build(self)``, computed once per row set (a new row resets
         every derived view)."""
+        self.flush()
         if self._lists is not None and len(self._lists["seq"]) != self._memo_n:
             self._memo = {}
             self._memo_n = len(self._lists["seq"])
@@ -378,16 +485,16 @@ class TraceColumns:
         elements millions of times; plain-list indexing returns interned
         ints/floats without numpy's boxing cost.
         """
+        self.flush()
         if self._lists is None:
             self._lists = {name: array.tolist()
-                           for name, array in self.arrays().items()}
+                           for name, array in self._memo["arrays"].items()}
         return self._lists
 
     def arrays(self) -> Dict[str, Any]:
         """The columns as native-byte-order numpy arrays (memoized)."""
         return self.memoized("arrays", lambda cols: {
-            name: _np.array(cols._lists[name],
-                            dtype=_np.dtype(dtype).newbyteorder("="))
+            name: _np.array(cols._lists[name], dtype=_native(dtype))
             for name, dtype in COLUMN_DTYPES})
 
     def rows(self, code: int) -> List[int]:

@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.cuda.errors import CudaInvalidHandleError
+
 
 @dataclass(frozen=True)
 class DevicePointer:
@@ -37,8 +39,6 @@ class CudaStream:
     destroyed: bool = False
 
     def check_valid(self) -> None:
-        from repro.cuda.errors import CudaInvalidHandleError
-
         if self.destroyed:
             raise CudaInvalidHandleError(
                 f"stream {self.stream_id} on device {self.device} was destroyed"
@@ -61,8 +61,6 @@ class CudaEvent:
     destroyed: bool = False
 
     def check_valid(self) -> None:
-        from repro.cuda.errors import CudaInvalidHandleError
-
         if self.destroyed:
             raise CudaInvalidHandleError(f"event {self.event_id} was destroyed")
 

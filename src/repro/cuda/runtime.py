@@ -179,15 +179,12 @@ class CudaRuntime:
         self._check_stream(stream)
         live = self._lookup_event(event.event_id)
         live.check_valid()
-        if live.version == 0:
-            # Waiting on a never-recorded event is a legal no-op in CUDA.
-            version = 0
-        else:
-            version = live.version
+        # Waiting on a never-recorded event (version 0) is a legal no-op
+        # in CUDA.
         self._emit(ApiCallRecord(
             api="cudaStreamWaitEvent", kind=ApiKind.STREAM_WAIT_EVENT,
             device=self.device, stream=stream, wait_event=live.event_id,
-            params={"version": version},
+            params={"version": live.version},
         ))
 
     def cuda_event_synchronize(self, event: CudaEvent) -> None:

@@ -134,13 +134,6 @@ class TestDeviceEmulator:
         assert events[0].kind is TraceEventKind.HOST_DELAY
         assert events[1].kind is TraceEventKind.KERNEL
 
-    def test_host_delays_can_be_disabled(self):
-        emulator = DeviceEmulator(rank=0, device=0, gpu=get_gpu("V100"),
-                                  record_host_delays=False)
-        emulator.runtime.launch_kernel("k", "elementwise", {"bytes": 1.0})
-        assert all(event.kind is not TraceEventKind.HOST_DELAY
-                   for event in emulator.trace.events)
-
     def test_markers_recorded(self):
         emulator = DeviceEmulator(rank=0, device=0, gpu=get_gpu("V100"))
         emulator.mark("iteration-0-start")
