@@ -213,6 +213,20 @@ def _native(dtype: str):
     return _np.dtype(dtype).newbyteorder("=")
 
 
+class _ColumnLists(dict):
+    """Column name -> Python list, each built from its array on first
+    read: readers need a few of the eleven columns as lists, and a list
+    costs a pointer plus, for most values, an object per row."""
+
+    def __init__(self, arrays: Dict[str, Any]) -> None:
+        super().__init__()
+        self._arrays = arrays
+
+    def __missing__(self, name: str) -> list:
+        column = self[name] = self._arrays[name].tolist()
+        return column
+
+
 class TraceColumns:
     """The recorded events of one worker: columns plus a template pool.
 
@@ -479,7 +493,8 @@ class TraceColumns:
         return self._memo[name]
 
     def lists(self) -> Dict[str, list]:
-        """The columns as Python lists.
+        """The columns as Python lists (after a flush, or for decoded
+        columns, each list is built from its array on first read).
 
         The engine's inner loop and the fingerprint walk index single
         elements millions of times; plain-list indexing returns interned
@@ -487,8 +502,7 @@ class TraceColumns:
         """
         self.flush()
         if self._lists is None:
-            self._lists = {name: array.tolist()
-                           for name, array in self._memo["arrays"].items()}
+            self._lists = _ColumnLists(self._memo["arrays"])
         return self._lists
 
     def arrays(self) -> Dict[str, Any]:
