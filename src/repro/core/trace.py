@@ -262,8 +262,8 @@ class TraceColumns:
 
     __slots__ = ("templates", "host_classes", "pattern_ids", "calls",
                  "call_values", "call_count", "_patterns", "_pattern_rows",
-                 "_lists",
-                 "_template_ids", "_host_class_ids", "_memo", "_memo_n")
+                 "_lists", "_template_ids", "_host_class_ids", "_memo",
+                 "_memo_n")
 
     def __init__(self, arrays: Optional[Dict[str, Any]] = None,
                  templates: Optional[List[Dict[str, Any]]] = None,
