@@ -1,4 +1,5 @@
-"""Simulator throughput micro-benchmark: the engine floor gate.
+"""Simulator throughput micro-benchmark: the engine and emulation floor
+gates.
 
 End-to-end prediction throughput -- cold sweeps, pooled batches, served
 hits -- is the repository benchmark's job (``bench/``, with bounds);
@@ -8,7 +9,8 @@ nothing here is a claim about it.  What this file keeps:
   tp2/pp2 transformer trace (gated against an absolute recorded floor in
   ``--check``);
 * **emulation rows/sec** -- trace rows the emulator records while running
-  that same tp2/pp2 job's unique ranks (gated the same way);
+  that same tp2/pp2 job's unique ranks (gated the same way), with the
+  share of intercepted calls block replay logged (report-only);
 * **wire bytes per event** -- a shipped worker-trace artifact is its
   recorded columns (raw little-endian column buffers plus the template
   pool); this reports its size per artifact and per event;
@@ -141,11 +143,16 @@ def bench_emulation() -> Dict[str, float]:
         start = time.perf_counter()
         emulated = _emulate(cluster, job)
         best_wall = min(best_wall, time.perf_counter() - start)
+    workers = emulated.job_trace.workers.values()
     rows = emulated.job_trace.total_events()
+    calls = sum(trace.metadata["api_calls"] for trace in workers)
     return {
-        "emulated_ranks": len(emulated.job_trace.workers),
+        "emulated_ranks": len(workers),
         "trace_rows": rows,
         "rows_per_sec": rows / best_wall,
+        # Report-only: the share of intercepted calls block replay logged
+        # from an earlier run of the same block.
+        "replayed_call_share": emulated.replayed_calls / calls,
     }
 
 
@@ -327,7 +334,8 @@ def run_benchmark(output: Path, chaos: bool = False,
     emulation = payload["emulation"]
     print(f"emulation: {emulation['trace_rows']} rows over "
           f"{emulation['emulated_ranks']} ranks "
-          f"{emulation['rows_per_sec']:,.0f} rows/s")
+          f"{emulation['rows_per_sec']:,.0f} rows/s, "
+          f"{emulation['replayed_call_share']:.0%} of calls replayed")
     shipping = payload["wire_shipping"]
     print(f"wire shipping: {shipping['columnar_bytes_per_event']:.1f} "
           f"B/event over {shipping['artifacts']} artifacts")

@@ -52,20 +52,36 @@ class IdentityGroupResolver(GroupResolver):
 
 
 class TopologyGroupResolver(GroupResolver):
-    """Resolves tp / pp / dp groups from a :class:`ParallelTopology`."""
+    """Resolves tp / pp / dp groups from a :class:`ParallelTopology`.
+
+    Groups are memoized per (rank, tag); the memo never rides a pickle, so
+    a pickled resolver is the topology alone.
+    """
 
     def __init__(self, topology: ParallelTopology) -> None:
         self.topology = topology
+        self._groups: Dict[Tuple[int, str], Tuple[int, ...]] = {}
+
+    def __getstate__(self) -> Dict[str, ParallelTopology]:
+        return {"topology": self.topology}
+
+    def __setstate__(self, state: Dict[str, ParallelTopology]) -> None:
+        self.__init__(**state)
 
     def group_for(self, rank: int, tag: str,
                   representative_group: Sequence[int]) -> Tuple[int, ...]:
-        if tag == "tp":
-            return tuple(self.topology.tensor_parallel_group(rank))
-        if tag == "pp":
-            return tuple(self.topology.pipeline_parallel_group(rank))
-        if tag == "dp":
-            return tuple(self.topology.data_parallel_group(rank))
-        return tuple(representative_group)
+        group = self._groups.get((rank, tag))
+        if group is None:
+            if tag == "tp":
+                group = tuple(self.topology.tensor_parallel_group(rank))
+            elif tag == "pp":
+                group = tuple(self.topology.pipeline_parallel_group(rank))
+            elif tag == "dp":
+                group = tuple(self.topology.data_parallel_group(rank))
+            else:
+                return tuple(representative_group)
+            self._groups[(rank, tag)] = group
+        return group
 
 
 @dataclass(frozen=True)

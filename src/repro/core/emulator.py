@@ -25,6 +25,28 @@ plus the call's own values for patterns that carry them (event handles
 and versions, a collective's per-communicator seq).  The columns turn
 the log into rows in one vectorized pass before anything reads them.
 
+Because the log is the trace until that pass, a block of calls the
+workload repeats is logged again rather than re-run.
+:meth:`DeviceEmulator.replay_block` runs a block body the first time,
+keeps the slice of the log it wrote and, when the same body runs again
+with the same arguments, appends that slice, shifts each collective's seq
+by its communicator's progress and advances the state the body would have
+advanced (communicator seqs, the runtime's kernel count).  Only a *pure*
+block is kept: every call a kernel, memcpy or memset whose rows its
+pattern fixes, or a collective whose only per-call value is its seq on a
+communicator of this runtime; a block that allocates, frees, queries,
+touches a stream or an event, writes a marker, changes the runtime's
+configuration or is flushed midway (say, by a ``len(trace)`` read) runs
+every time.  A kept block is replayed only under the runtime's
+:attr:`~repro.cuda.runtime.CudaRuntime.config_epoch` it was recorded at,
+so a destroyed stream, handle or communicator, or a handle moved to
+another stream, makes the next run re-record it and raise exactly where
+the calls would.  The blocks index the pattern pool and go with it in
+:meth:`DeviceEmulator.finalize`.  The one caller is the stand-in
+framework (:mod:`repro.framework.engine`), around a microbatch's forward
+and backward of one chunk: unmodified framework code would run each
+block in full.
+
 :class:`EmulationSession` orchestrates per-rank emulators for a whole job,
 catching out-of-memory failures so that OOM configurations are reported
 rather than crashing the search (Section 5.2 relies on this).
@@ -33,12 +55,13 @@ rather than crashing the search (Section 5.2 relies on this).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cuda.api_records import ApiCallRecord, ApiKind
 from repro.cuda.errors import CudaError, CudaOutOfMemoryError
 from repro.cuda.runtime import CudaRuntime
 from repro.core.trace import (
+    CALL_VALUE_COLUMNS,
     K_HOST_DELAY,
     K_MARKER,
     KIND_CODES,
@@ -99,6 +122,25 @@ _PER_CALL_KINDS = frozenset((ApiKind.EVENT_RECORD, ApiKind.STREAM_WAIT_EVENT,
 _VERSIONED_KINDS = _PER_CALL_KINDS - {ApiKind.COLLECTIVE}
 
 
+@dataclass
+class _Block:
+    """One recorded run of a pure block (see :meth:`replay_block`)."""
+
+    #: ``CudaRuntime.config_epoch`` when the block was recorded.
+    epoch: int
+    #: The pattern ids the block logged.
+    calls: List[int]
+    #: The call values it logged (its collectives' ``(0, 0, 0, seq)``).
+    values: List[int]
+    #: Per collective: (the index of its seq in ``values``, its
+    #: communicator, its seq minus the communicator's seq before the block).
+    shifts: List[Tuple[int, Any, int]]
+    #: Per communicator the block used: (communicator, collectives issued).
+    advances: List[Tuple[Any, int]]
+    #: Kernels the block launched.
+    kernels: int
+
+
 class DeviceEmulator:
     """Maya's virtual device runtime for a single worker."""
 
@@ -123,9 +165,13 @@ class DeviceEmulator:
         columns = self.trace.columns
         self._pattern_ids = columns.pattern_ids
         self._log_call = columns.calls.append
+        self._log_calls = columns.calls.extend
         self._log_values = columns.call_values.extend
         #: Call site (API, kind, kernel class) -> its host-delay row.
         self._delay_rows: Dict[Tuple, Tuple] = {}
+        #: Calls logged by replaying a recorded block (a report-only
+        #: counter; not part of the trace).
+        self.replayed_calls = 0
 
     # ------------------------------------------------------------------
     # interception
@@ -198,6 +244,94 @@ class DeviceEmulator:
         return columns.pattern(key, delay, device, per_call)
 
     # ------------------------------------------------------------------
+    # block replay
+    # ------------------------------------------------------------------
+    def replay_block(self, body: Callable[..., None], *args: Any) -> None:
+        """Run ``body(*args)``, or log again what its last run logged.
+
+        The caller promises that, under an unchanged runtime configuration,
+        ``body`` issues the same calls whenever it runs with the same
+        (hashable) arguments; the bound method and its arguments key the
+        block.  Whether the logged calls may stand in for a run is checked
+        here (see the module docstring), so a block that does not qualify
+        simply runs every time.
+        """
+        columns = self.trace.columns
+        runtime = self.runtime
+        key = (body, args)
+        block = columns.blocks.get(key)
+        if block is not None and block.epoch == runtime.config_epoch:
+            self._replay(block)
+            return
+        position = columns.log_position()
+        epoch = runtime.config_epoch
+        kernels = runtime.kernel_count
+        seqs = [(comm, comm.seq) for comm in runtime.communicators]
+        body(*args)
+        block = self._recorded_block(columns.logged_since(position), epoch,
+                                     runtime.kernel_count - kernels, seqs)
+        if block is None:
+            columns.blocks.pop(key, None)
+        else:
+            columns.blocks[key] = block
+
+    def _recorded_block(self, logged: Optional[Tuple[List[int], List[int]]],
+                        epoch: int, kernels: int,
+                        seqs: List[Tuple[Any, int]]) -> Optional[_Block]:
+        """The block a body's run logged, or ``None`` if it is not pure:
+        not wholly in the log, a call :meth:`TraceColumns.replay_role`
+        rejects, a configuration change or a new communicator, or
+        communicator seqs the logged collectives do not account for one
+        by one."""
+        runtime = self.runtime
+        if (logged is None or runtime.config_epoch != epoch
+                or len(runtime.communicators) != len(seqs)):
+            return None
+        calls, values = logged
+        replay_role = self.trace.columns.replay_role
+        roles = {pid: replay_role(pid) for pid in set(calls)}
+        if None in roles.values():
+            return None
+        by_id: Dict[Any, List[Tuple[Any, int]]] = {}
+        for comm, before in seqs:
+            by_id.setdefault(comm.unique_id.value, []).append((comm, before))
+        issued: Dict[Any, int] = {}
+        shifts = []
+        width = len(CALL_VALUE_COLUMNS)
+        slot = width - 1  # the seq of the first collective's values
+        for pid in calls:
+            role = roles[pid]
+            if not role:
+                continue
+            found = by_id.get(role[0], ())
+            if len(found) != 1:
+                return None
+            comm, before = found[0]
+            count = issued[comm] = issued.get(comm, 0) + 1
+            if values[slot] != before + count:
+                return None
+            shifts.append((slot, comm, count))
+            slot += width
+        if any(comm.seq != before + issued.get(comm, 0)
+               for comm, before in seqs):
+            return None
+        return _Block(epoch, calls, values, shifts, list(issued.items()),
+                      kernels)
+
+    def _replay(self, block: _Block) -> None:
+        """Log ``block`` again, advancing what its body would have."""
+        self._log_calls(block.calls)
+        if block.shifts:
+            values = list(block.values)
+            for slot, comm, offset in block.shifts:
+                values[slot] = comm.seq + offset
+            self._log_values(values)
+            for comm, count in block.advances:
+                comm.advance(count)
+        self.runtime.count_kernels(block.kernels)
+        self.replayed_calls += len(block.calls)
+
+    # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def mark(self, label: str) -> None:
@@ -238,6 +372,9 @@ class EmulationResult:
     oom: bool
     #: Ranks whose emulation raised an error other than OOM (should be empty).
     failed_ranks: Dict[int, str]
+    #: Intercepted calls logged by block replay, over all ranks (kept out
+    #: of the trace, whose bytes do not depend on replay).
+    replayed_calls: int = 0
 
 
 class EmulationSession:
@@ -291,6 +428,7 @@ class EmulationSession:
         job = JobTrace(world_size=world)
         failed: Dict[int, str] = {}
         oom = False
+        replayed = 0
 
         for rank in target_ranks:
             emulator = self.create_emulator(rank)
@@ -304,9 +442,11 @@ class EmulationSession:
                 failed[rank] = str(exc)
             trace = emulator.finalize()
             job.add_worker(trace)
+            replayed += emulator.replayed_calls
             if oom and stop_on_oom:
                 break
 
         job.metadata["cluster"] = self.cluster.name
         job.metadata["emulated_rank_count"] = len(job.emulated_ranks)
-        return EmulationResult(job_trace=job, oom=oom, failed_ranks=failed)
+        return EmulationResult(job_trace=job, oom=oom, failed_ranks=failed,
+                               replayed_calls=replayed)

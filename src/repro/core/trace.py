@@ -8,8 +8,9 @@ A :class:`WorkerTrace` keeps that stream as recorded, in
 event, plus a pool of *templates* for what repeats (an iteration launches
 the same few dozen operations thousands of times).  The emulator logs
 one call-pattern id per intercepted call, interning templates as it
-goes, and the columns write a rank's rows from that log in one numpy
-pass; everything downstream reads the columns
+goes (and logs a repeated block of calls again from its first run,
+:attr:`TraceColumns.blocks`), and the columns write a rank's rows from
+that log in one numpy pass; everything downstream reads the columns
 (:mod:`repro.core.columnar`), and the service ships them between
 processes.
 
@@ -70,6 +71,8 @@ KIND_CODES: Dict[TraceEventKind, int] = {
 }
 KINDS_BY_CODE: Tuple[TraceEventKind, ...] = tuple(TraceEventKind)
 
+K_KERNEL = KIND_CODES[TraceEventKind.KERNEL]
+K_MEMCPY = KIND_CODES[TraceEventKind.MEMCPY]
 K_MEMSET = KIND_CODES[TraceEventKind.MEMSET]
 K_COLLECTIVE = KIND_CODES[TraceEventKind.COLLECTIVE]
 K_HOST_DELAY = KIND_CODES[TraceEventKind.HOST_DELAY]
@@ -204,6 +207,9 @@ class TraceEvent:
 
 _NO_PARAMS: Dict[str, Any] = {}
 
+#: Device kinds whose rows a call pattern fixes and a block may replay.
+_FIXED_ROW_CODES = (K_KERNEL, K_MEMCPY, K_MEMSET)
+
 #: The columns a logged call supplies itself when its pattern takes
 #: per-call values, in :attr:`TraceColumns.call_values` order.
 CALL_VALUE_COLUMNS = ("version", "event_id", "wait_event", "aux_seq")
@@ -254,6 +260,15 @@ class TraceColumns:
     trace.  :meth:`record` appends a single row (hand-built traces,
     ``from_dict``).
 
+    Because the log is the trace until a flush, a recorded stretch of it
+    can be logged again: :attr:`blocks` holds the emulator's memo of
+    recorded blocks (see :meth:`DeviceEmulator.replay_block
+    <repro.core.emulator.DeviceEmulator.replay_block>`), each the slice of
+    :attr:`calls` and :attr:`call_values` one run of a block logged
+    (:meth:`log_position`, :meth:`logged_since`).  Only a block whose
+    every call :meth:`replay_role` accepts is kept.  Replayed ids index
+    the pattern pool, so :meth:`close_log` drops the blocks with it.
+
     Columns built from ``arrays`` (decoded or unpickled traces) are
     read-only.  Everything derived from the rows -- numpy arrays, engine
     program, digests, signatures -- lives in :meth:`memoized`, which a new
@@ -261,9 +276,9 @@ class TraceColumns:
     """
 
     __slots__ = ("templates", "host_classes", "pattern_ids", "calls",
-                 "call_values", "call_count", "_patterns", "_pattern_rows",
-                 "_lists", "_template_ids", "_host_class_ids", "_memo",
-                 "_memo_n")
+                 "call_values", "call_count", "blocks", "_patterns",
+                 "_pattern_rows", "_flushes", "_lists", "_template_ids",
+                 "_host_class_ids", "_memo", "_memo_n")
 
     def __init__(self, arrays: Optional[Dict[str, Any]] = None,
                  templates: Optional[List[Dict[str, Any]]] = None,
@@ -281,6 +296,10 @@ class TraceColumns:
         #: Flushed calls with a host-delay row: the jitter key (``aux_seq``)
         #: of the last one, carried across flushes.
         self.call_count = 0
+        #: The emulator's recorded blocks of calls, by block key.
+        self.blocks: Dict[Any, Any] = {}
+        #: Flushes that wrote rows (a block logged across one is not kept).
+        self._flushes = 0
         #: Per pattern: (first row in ``_pattern_rows``, row count, has a
         #: host-delay row, takes per-call values).
         self._patterns: List[Tuple[int, int, bool, bool]] = []
@@ -404,6 +423,7 @@ class TraceColumns:
             -1, len(CALL_VALUE_COLUMNS))
         self.calls.clear()
         self.call_values.clear()
+        self._flushes += 1
         first, nrows, delay, per_call = _np.array(
             self._patterns, dtype=_np.intp).T[:, pids]
         ends = _np.cumsum(nrows)
@@ -433,12 +453,44 @@ class TraceColumns:
         self._memo_n = done + total
 
     def close_log(self) -> None:
-        """Flush, then drop the pattern pool: a call logged later pools
-        its pattern anew."""
+        """Flush, then drop the pattern pool and the blocks that index it:
+        a call logged later pools its pattern anew."""
         self.flush()
         self.pattern_ids.clear()
         self._patterns = []
         self._pattern_rows = []
+        self.blocks = {}
+
+    def log_position(self) -> Tuple[int, int, int]:
+        """Where the next logged call goes, for :meth:`logged_since`."""
+        return self._flushes, len(self.calls), len(self.call_values)
+
+    def logged_since(self, position: Tuple[int, int, int]
+                     ) -> Optional[Tuple[List[int], List[int]]]:
+        """The calls and call values logged since ``position``, or ``None``
+        when a flush has since written some of them as rows."""
+        flushes, calls, values = position
+        if flushes != self._flushes:
+            return None
+        return self.calls[calls:], self.call_values[values:]
+
+    def replay_role(self, pid: int) -> Optional[Tuple]:
+        """Whether a logged call of pattern ``pid`` may be logged again
+        without making the call: ``()`` for a kernel, memcpy or memset
+        whose rows its pattern fixes, ``(comm_id,)`` for a collective whose
+        only per-call value is its seq on that communicator, ``None`` for
+        anything else (allocations, queries, streams, events, markers)."""
+        first, count, delay, per_call = self._patterns[pid]
+        if not delay or count != 2:
+            return None
+        code, bits, _, tid = self._pattern_rows[first + 1][:4]
+        if not per_call:
+            return () if code in _FIXED_ROW_CODES else None
+        if (code != K_COLLECTIVE or bits & (F_EVENT | F_WAIT | F_VERSION)
+                or not bits & F_COLL_SEQ):
+            return None
+        fixed = self.templates[tid]["collective_fixed"]
+        return (fixed["comm_id"],) if "comm_id" in fixed else None
 
     def record_event(self, event: TraceEvent) -> None:
         """Append ``event`` as a row, keeping its ``seq``."""

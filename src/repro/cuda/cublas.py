@@ -29,10 +29,12 @@ class CublasHandle:
         """``cublasSetStream``."""
         self._check_alive()
         self._stream = stream_id
+        self._runtime.note_config_change()
 
     def destroy(self) -> None:
         """``cublasDestroy``."""
         self._destroyed = True
+        self._runtime.note_config_change()
 
     # ------------------------------------------------------------------
     # GEMM launches

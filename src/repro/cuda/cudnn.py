@@ -46,6 +46,7 @@ class CudnnHandle:
         """``cudnnSetStream``."""
         self._check_alive()
         self._stream = stream_id
+        self._runtime.note_config_change()
 
     def set_convolution_descriptor(self, desc: ConvolutionDescriptor) -> None:
         """``cudnnSetConvolution2dDescriptor``."""
@@ -53,9 +54,11 @@ class CudnnHandle:
         if desc.kernel_size <= 0 or desc.stride <= 0:
             raise CudaInvalidValueError("invalid convolution descriptor")
         self._conv_desc = desc
+        self._runtime.note_config_change()
 
     def destroy(self) -> None:
         self._destroyed = True
+        self._runtime.note_config_change()
 
     # ------------------------------------------------------------------
     # convolution launches

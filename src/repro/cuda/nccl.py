@@ -124,6 +124,17 @@ class NcclCommunicator:
     def destroy(self) -> None:
         """``ncclCommDestroy``."""
         self._destroyed = True
+        self._runtime.note_config_change()
+
+    @property
+    def seq(self) -> int:
+        """Sequence number of the last collective issued."""
+        return self._seq
+
+    def advance(self, count: int) -> None:
+        """Account for ``count`` collectives the emulator replayed from its
+        call log instead of re-issuing them."""
+        self._seq += count
 
     # ------------------------------------------------------------------
     # internals
@@ -171,5 +182,8 @@ def comm_init_rank(
     rank: int,
     world_ranks: Sequence[int],
 ) -> NcclCommunicator:
-    """``ncclCommInitRank`` -- create this rank's view of a communicator."""
-    return NcclCommunicator(runtime, unique_id, rank, world_ranks)
+    """``ncclCommInitRank`` -- create this rank's view of a communicator
+    and register it on ``runtime``."""
+    comm = NcclCommunicator(runtime, unique_id, rank, world_ranks)
+    runtime.communicators.append(comm)
+    return comm

@@ -53,6 +53,15 @@ class CudaRuntime:
         }
         self._events: Dict[int, CudaEvent] = {}
         self._kernel_count = 0
+        #: Bumped by every call that changes what a later call emits or
+        #: whether it raises: stream and communicator destroy, cuBLAS/cuDNN
+        #: ``destroy`` and ``set_stream``,
+        #: ``cudnnSetConvolution2dDescriptor``.  The emulator replays a
+        #: recorded block of calls only under the value it was recorded at.
+        self.config_epoch = 0
+        #: NCCL communicators initialised on this device
+        #: (:func:`~repro.cuda.nccl.comm_init_rank`).
+        self.communicators: List[Any] = []
 
     # ------------------------------------------------------------------
     # interceptor plumbing
@@ -132,6 +141,7 @@ class CudaRuntime:
 
     def cuda_stream_destroy(self, stream: CudaStream) -> None:
         self._lookup_stream(stream.stream_id).destroyed = True
+        self.note_config_change()
         self._emit(ApiCallRecord(
             api="cudaStreamDestroy", kind=ApiKind.STREAM, device=self.device,
             stream=stream.stream_id,
@@ -245,6 +255,15 @@ class CudaRuntime:
     def kernel_count(self) -> int:
         """Number of kernels launched since runtime creation."""
         return self._kernel_count
+
+    def count_kernels(self, count: int) -> None:
+        """Count ``count`` kernel launches the emulator replayed from its
+        call log instead of re-issuing them."""
+        self._kernel_count += count
+
+    def note_config_change(self) -> None:
+        """Bump :attr:`config_epoch`."""
+        self.config_epoch += 1
 
     def streams(self) -> List[CudaStream]:
         return list(self._streams.values())

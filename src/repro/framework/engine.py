@@ -209,7 +209,11 @@ class TrainingEngine:
             dtype="uint8", name="activations",
         )
         chunk.activations[microbatch] = activation
-        chunk.stage.forward_microbatch(ctx, self.micro_batch_size)
+        # Pure kernel/collective work, the same for every microbatch: the
+        # emulator logs a repeat from its first run (a shortcut of this
+        # stand-in framework; see DeviceEmulator.replay_block).
+        ctx.emulator.replay_block(chunk.stage.forward_microbatch, ctx,
+                                  self.micro_batch_size)
         self._maybe_release_params(ctx, chunk)
         if self.recipe.offload:
             # Activation offloading: spill to host, keep only the handle.
@@ -225,7 +229,8 @@ class TrainingEngine:
                                   name="activations")
             ctx.copy_h2d(activation.nbytes)
         self._maybe_gather_params(ctx, chunk)
-        chunk.stage.backward_microbatch(ctx, self.micro_batch_size)
+        ctx.emulator.replay_block(chunk.stage.backward_microbatch, ctx,
+                                  self.micro_batch_size)
         if self.optimizer_config.shards_parameters and ctx.dp_comm is not None:
             # FSDP / ZeRO-3: reduce-scatter this chunk's gradients eagerly.
             ctx.dp_comm.reduce_scatter(chunk.stage.local_params(),
