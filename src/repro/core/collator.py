@@ -19,8 +19,9 @@ replay (Section 4.2 of the paper):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.trace import (
     F_COLL_SEQ,
@@ -154,9 +155,8 @@ class CollatedTrace:
         host-delay stream hash with the rank -> representative map, so two
         collated traces with the same signature replay identically in the
         simulator (the rolling hash alone skips host delays, which *do*
-        shape replay -- and, since the host-delay split, feed the provider
-        annotation memo keyed by this signature).  The prediction service
-        uses this to content-address cached emulation artifacts.
+        shape replay).  The prediction service uses this to
+        content-address cached emulation artifacts.
         """
         from repro.hardware.noise import stable_hash
 
@@ -169,6 +169,28 @@ class CollatedTrace:
         for rank in sorted(self.representative):
             signature = stable_hash(signature, rank, self.representative[rank])
         return signature
+
+    def annotation_memo(self, provider: Any) -> Dict[Tuple[int, ...], Any]:
+        """``provider``'s simulator annotations of this trace, by
+        replayed-rank set (see ``providers._AnnotationMemoMixin``).
+
+        Collated artifacts are not edited once built, so an entry stays
+        valid for the life of this object and the memo needs no bound: it
+        dies with the trace, an entry dies with its provider (weak key),
+        and pickles and copies leave it behind (:meth:`__getstate__`).
+        """
+        memos = self.__dict__.get("_annotation_memos")
+        if memos is None:
+            memos = self._annotation_memos = weakref.WeakKeyDictionary()
+        memo = memos.get(provider)
+        if memo is None:
+            memo = memos[provider] = {}
+        return memo
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state.pop("_annotation_memos", None)
+        return state
 
     def peak_memory_bytes(self) -> int:
         if not self.traces:

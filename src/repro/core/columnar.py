@@ -158,13 +158,14 @@ def _fast_noise_array(seeds, scale: float):
 
 def materialize_host_delays(cols: TraceColumns,
                             metadata: Dict[str, Any],
-                            size: int) -> List[float]:
+                            size: int) -> Any:
     """Seq-indexed replayed host-delay durations, vectorized.
 
     Equivalent, element for element, to running
     :func:`repro.hardware.host_model.host_delay_materializer` over every
     ``HOST_DELAY`` event and scattering the results into a ``size``-long
-    per-seq array (the shape provider annotation consumes).
+    per-seq float64 numpy vector (provider annotation writes the kernel
+    durations into its other slots).
     """
     arrays = cols.arrays()
     out = _np.zeros(size, dtype=_np.float64)
@@ -187,7 +188,7 @@ def materialize_host_delays(cols: TraceColumns,
                                  _JITTER_FLOOR)
             values[structured] = arrays["duration"][sidx] * factor
         out[arrays["seq"][idx]] = values
-    return out.tolist()
+    return out
 
 
 # ----------------------------------------------------------------------

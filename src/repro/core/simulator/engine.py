@@ -22,13 +22,30 @@ is shared between Maya's prediction path and the testbed reference model.
 touches a ``TraceEvent``.  Each representative trace's columns are lowered
 once to an :class:`~repro.core.columnar.EngineProgram` (flat opcode /
 operand lists, memoized on the columns), and every duration it will need is
-resolved up front into :class:`TraceAnnotations` -- per-rank arrays of
-kernel and materialized host-delay durations plus pre-resolved communicator
-groups and matching keys.  Providers that implement ``annotate_trace`` (both
-built-in ones, memoized per trace content) supply them; for any other
-provider the engine makes one :func:`build_trace_annotations` pass over the
-two-method per-event protocol.  The inner loop is then integer dispatch and
-list indexing only.
+resolved up front into :class:`TraceAnnotations` -- one seq-indexed vector
+per rank of kernel and materialized host-delay durations plus pre-resolved
+communicator groups and matching keys.  Providers that implement
+``annotate_trace`` (both built-in ones, memoized on the collated trace per
+provider and replayed-rank set) supply them; for any other provider the
+engine makes one :func:`build_trace_annotations` pass over the two-method
+per-event protocol.  The inner loop is then integer dispatch and list
+indexing only.
+
+**Follow-ups run in place.**  Two handlers end by scheduling their own
+follow-up: a host that pays a ``HOST_DELAY`` after ``run`` popped its
+``HOST_READY`` schedules its next wake-up, and a stream whose op finished
+schedules the completion of the kernel, memcpy or memset its drain starts
+next.  When that follow-up is *strictly earlier* than the heap top (or the
+heap is empty), the handler runs it in place instead of pushing and
+popping it; it still advances ``now``, counts toward ``processed_events``
+and checks ``max_events``.  This is exact: the heap pops the smallest
+``(time, counter)``, and a new event's counter is higher than every queued
+one, so a follow-up strictly earlier than the top *is* the next pop, and
+the handler has no work left after scheduling it.  Equal times go to the
+queued event, as they would through the heap.  Neither the initial
+``for host in hosts`` pass nor a nested start (a host starting a stream,
+an event record releasing a waiter) runs anything in place: there the
+caller still has work to do at the current time.
 
 **Tensor-parallel mirrors.**  Selective launch emulates one rank per
 pipeline stage because tensor- and data-parallel peers do identical work;
@@ -127,7 +144,7 @@ class _Stream:
     """FIFO execution stream of one simulated rank."""
 
     __slots__ = ("rank", "stream_id", "queue", "busy", "available_time",
-                 "blocked", "sync_waiters", "kernel_durations",
+                 "blocked", "sync_waiters", "durations",
                  "collective_annotations", "codes", "seqs", "ekeys")
 
     def __init__(self, rank: int, stream_id: int, program: EngineProgram,
@@ -140,8 +157,8 @@ class _Stream:
         self.blocked = False
         self.available_time = 0.0
         self.sync_waiters: List["_Host"] = []
-        #: Per-seq duration array shared by all of the rank's streams.
-        self.kernel_durations = annotations.kernel_durations[rank]
+        #: Per-seq duration vector shared by the rank's host and streams.
+        self.durations = annotations.durations[rank]
         #: Per-seq pre-resolved (resolution, group, key, duration) tuples.
         self.collective_annotations = annotations.collectives[rank]
         self.codes = program.codes
@@ -156,19 +173,19 @@ class _Host:
     """Host dispatch queue of one simulated rank."""
 
     __slots__ = ("rank", "cursor", "state", "time", "waiting_streams",
-                 "markers", "host_durations", "codes", "streams0", "seqs",
+                 "markers", "durations", "codes", "streams0", "seqs",
                  "ekeys", "labels", "n")
 
     def __init__(self, rank: int, program: EngineProgram,
-                 host_durations: List[float]) -> None:
+                 durations: Sequence[float]) -> None:
         self.rank = rank
         self.cursor = 0
         self.state = _HOST_RUNNING
         self.time = 0.0
         self.waiting_streams: Set[Tuple[int, int]] = set()
         self.markers: Dict[str, float] = {}
-        #: Per-seq materialized HOST_DELAY durations.
-        self.host_durations = host_durations
+        #: Per-seq durations (materialized HOST_DELAYs at their seqs).
+        self.durations = durations
         self.codes = program.codes
         self.streams0 = program.streams
         self.seqs = program.seqs
@@ -297,7 +314,7 @@ class _SimulationState:
             for rank in ranks}
         self.hosts: Dict[int, _Host] = {
             rank: _Host(rank, self.programs[rank],
-                        self.annotations.host_durations[rank])
+                        self.annotations.durations[rank])
             for rank in ranks}
         self._sm_contention = self.config.sm_contention_factor > 1.0
         self.streams: Dict[Tuple[int, int], _Stream] = {}
@@ -341,33 +358,38 @@ class _SimulationState:
     # ------------------------------------------------------------------
     def run(self) -> None:
         for host in self.hosts.values():
-            self._advance_host(host, 0.0)
+            self._advance_host(host, 0.0, False)
         queue = self.queue
         heappop = heapq.heappop
         max_events = self.config.max_events
         host_ready = self._HOST_READY
         coll_end = self._COLL_END
+        advance_host = self._advance_host
+        finish_op = self._finish_op
         while queue:
             time, _, kind, payload = heappop(queue)
             if self.now < time:
                 self.now = time
             self.processed_events += 1
             if self.processed_events > max_events:
-                raise SimulationError(
-                    f"simulation exceeded max_events budget "
-                    f"({self.config.max_events:,}): world size "
-                    f"{self.collated.world_size} with {len(self.ranks)} "
-                    f"replayed ranks processed {self.processed_events:,} "
-                    f"events at simulated time {self.now:.3f}s"
-                )
+                self._exceeded_budget()
             if kind == host_ready:
                 host = payload
                 if host.state != _HOST_DONE:
                     host.state = _HOST_RUNNING
-                    self._advance_host(host, time)
+                    advance_host(host, time, True)
             else:
-                self._finish_op(payload, kind == coll_end, time)
+                finish_op(payload, kind == coll_end, time)
         self._check_finished()
+
+    def _exceeded_budget(self) -> None:
+        raise SimulationError(
+            f"simulation exceeded max_events budget "
+            f"({self.config.max_events:,}): world size "
+            f"{self.collated.world_size} with {len(self.ranks)} "
+            f"replayed ranks processed {self.processed_events:,} "
+            f"events at simulated time {self.now:.3f}s"
+        )
 
     def _check_finished(self) -> None:
         stuck_hosts = [host.rank for host in self.hosts.values()
@@ -388,12 +410,14 @@ class _SimulationState:
     # ------------------------------------------------------------------
     # host dispatch queue
     # ------------------------------------------------------------------
-    def _advance_host(self, host: _Host, now: float) -> None:
+    def _advance_host(self, host: _Host, now: float, in_place: bool) -> None:
         """Run ``host`` forward until it pays a delay, blocks or finishes.
 
         Every state transition, float operation and schedule happens in the
         order the reference replay performs it, which is what makes the two
         bit-identical (asserted by the randomized differential suites).
+        With ``in_place``, a wake-up that would be the next pop is run here
+        (see the module docstring).
         """
         if host.time < now:
             host.time = now
@@ -402,6 +426,10 @@ class _SimulationState:
         streams = self.streams
         rank = host.rank
         n = host.n
+        seqs = host.seqs
+        durations = host.durations
+        report = self.rank_reports[rank]
+        queue = self.queue
         cursor = host.cursor
         while cursor < n:
             code = codes[cursor]
@@ -418,11 +446,20 @@ class _SimulationState:
                 continue
             if code == E_HOST_DELAY:
                 cursor += 1
-                duration = host.host_durations[host.seqs[cursor - 1]]
+                duration = durations[seqs[cursor - 1]]
                 host.time += duration
-                self.rank_reports[rank].host_time += duration
+                report.host_time += duration
+                if in_place and (not queue or host.time < queue[0][0]):
+                    # The wake-up is the next pop: run it here.
+                    if self.now < host.time:
+                        self.now = host.time
+                    self.processed_events += 1
+                    if self.processed_events > self.config.max_events:
+                        self._exceeded_budget()
+                    continue
                 host.cursor = cursor
-                self._schedule(host.time, self._HOST_READY, host)
+                heapq.heappush(queue, (host.time, next(self._counter),
+                                       self._HOST_READY, host))
                 return
             if code == E_MARKER:
                 label = host.labels[cursor]
@@ -474,7 +511,6 @@ class _SimulationState:
             cursor += 1
         host.cursor = cursor
         host.state = _HOST_DONE
-        report = self.rank_reports[rank]
         if report.finish_time < host.time:
             report.finish_time = host.time
 
@@ -514,25 +550,36 @@ class _SimulationState:
     # ------------------------------------------------------------------
     # streams
     # ------------------------------------------------------------------
-    def _try_start_stream(self, stream: _Stream, now: float) -> None:
+    def _try_start_stream(self, stream: _Stream, now: float,
+                          in_place: bool = False) -> None:
         """Drain ``stream`` and wake its synchronizers if it ran dry.
 
         Inlines :meth:`_Stream.drained`; the notification is skipped when
         nobody is synchronizing on the stream (it would be a no-op).
         """
-        self._drain_stream(stream, now)
+        self._drain_stream(stream, now, in_place)
         if (stream.sync_waiters and not stream.busy and not stream.blocked
                 and not stream.queue):
+            # After in-place completions ``now`` may trail them, but the
+            # stream is then available no earlier than the last one.
             available = stream.available_time
             self._notify_stream_drained(
                 stream, available if available > now else now)
 
-    def _drain_stream(self, stream: _Stream, now: float) -> None:
-        """Start queued work until the stream is busy, blocked or empty."""
+    def _drain_stream(self, stream: _Stream, now: float,
+                      in_place: bool = False) -> None:
+        """Start queued work until the stream is busy, blocked or empty.
+
+        With ``in_place``, a started kernel, memcpy or memset whose end
+        would be the next pop completes here, as :meth:`_finish_op` would
+        complete it, and the drain goes on from its end (see the module
+        docstring).
+        """
         codes = stream.codes
         seqs = stream.seqs
         queue = stream.queue
-        kernel_durations = stream.kernel_durations
+        durations = stream.durations
+        heap = self.queue
         while not stream.busy and not stream.blocked and queue:
             pos = queue[0]
             start = stream.available_time
@@ -540,13 +587,12 @@ class _SimulationState:
                 start = now
             code = codes[pos]
             if code < E_COLLECTIVE:  # kernel / memcpy / memset
-                duration = kernel_durations[seqs[pos]]
+                duration = durations[seqs[pos]]
                 if (code == E_KERNEL and self._sm_contention
                         and self.inflight_collectives.get(stream.rank,
                                                           0) > 0):
                     duration *= self.config.sm_contention_factor
                 queue.popleft()
-                stream.busy = True
                 end = start + duration
                 stream.available_time = end
                 report = self.rank_reports[stream.rank]
@@ -555,7 +601,20 @@ class _SimulationState:
                     report.kernel_count += 1
                 else:
                     report.memcpy_time += duration
-                self._schedule(end, self._OP_END, stream)
+                if in_place and (not heap or end < heap[0][0]):
+                    # The completion is the next pop: finish the op here.
+                    if self.now < end:
+                        self.now = end
+                    self.processed_events += 1
+                    if self.processed_events > self.config.max_events:
+                        self._exceeded_budget()
+                    if report.finish_time < end:
+                        report.finish_time = end
+                    now = end
+                    continue
+                stream.busy = True
+                heapq.heappush(heap, (end, next(self._counter), self._OP_END,
+                                      stream))
                 return
             if code == E_COLLECTIVE:
                 if self._start_collective(stream, seqs[pos], start):
@@ -697,7 +756,7 @@ class _SimulationState:
         report = self.rank_reports[stream.rank]
         if report.finish_time < time:
             report.finish_time = time
-        self._try_start_stream(stream, time)
+        self._try_start_stream(stream, time, True)
 
     # ------------------------------------------------------------------
     # reporting

@@ -641,7 +641,8 @@ class WorkerTrace:
 
         seqs = self.columns.lists()["seq"]
         return sum(materialize_host_delays(
-            self.columns, self.metadata, seqs[-1] + 1 if seqs else 0))
+            self.columns, self.metadata,
+            seqs[-1] + 1 if seqs else 0).tolist())
 
     def host_delay_signature(self) -> int:
         """Content hash of the replayed host-delay stream (memoized).
@@ -649,9 +650,9 @@ class WorkerTrace:
         Rolling signatures skip ``HOST_DELAY`` events (deduplication
         compares device work) but replay does not, so consumers that
         promise "same signature => same replay" (the collated content
-        signature and, through it, the annotation memo) add this hash of
-        what materialization consumes: recorded durations, structured
-        jitter keys and the recorded host-model profile.
+        signature that addresses cached artifacts) add this hash of what
+        materialization consumes: recorded durations, structured jitter
+        keys and the recorded host-model profile.
         """
         from repro.core.columnar import host_delay_signature
 

@@ -196,7 +196,7 @@ class TestHostDelayMaterialization:
             for event in trace.events:
                 if event.kind is TraceEventKind.HOST_DELAY:
                     ref[event.seq] = materialize(event)
-            assert vec == ref
+            assert vec.tolist() == ref
 
     def test_legacy_delays_replay_by_value(self):
         trace = WorkerTrace(rank=0, device=0,
@@ -206,7 +206,8 @@ class TestHostDelayMaterialization:
         cols = trace.columns
         assert not (cols.lists()["flags"][0] & F_HOST_SEQ)
         assert cols.lists()["kind"][0] == K_HOST_DELAY
-        assert materialize_host_delays(cols, trace.metadata, 1) == [0.75]
+        assert materialize_host_delays(cols, trace.metadata,
+                                       1).tolist() == [0.75]
 
 
 # ----------------------------------------------------------------------

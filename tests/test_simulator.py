@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
+import gc
+import hashlib
+import heapq
+import pickle
 import random
+import re
+import weakref
 
 import pytest
 
 from repro.analysis.experiments import candidate_recipes
 from repro.core.collator import IdentityGroupResolver, TraceCollator
 from repro.core.pipeline import MayaPipeline, simulation_ranks
+from repro.core.simulator import engine as engine_module
+from repro.core.simulator import providers as providers_module
 from repro.core.simulator.engine import (
     ClusterSimulator,
     SimulationConfig,
@@ -560,6 +569,190 @@ class TestRandomizedDifferential:
             _assert_reports_identical(plain, twin)
 
 
+def build_random_tie_job(seed, steps=48, nranks=3):
+    """Seeded random trace that lands events on equal times, with p2p.
+
+    Kernel, host-delay and collective durations come from a coarse grid
+    that includes zero, so a follow-up event often falls exactly on the
+    time of a queued one: the boundary of the engine's strictly-earlier
+    in-place rule.  Point-to-point send/recv pairs join the all-reduces;
+    every cross-rank op is appended to all its members at one generation
+    step, so the ranks see them in one global order (no deadlock by
+    construction).
+    """
+    rng = random.Random(seed)
+    ranks = list(range(nranks))
+    events = {rank: [] for rank in ranks}
+    recorded = {rank: [] for rank in ranks}
+    versions = {}
+    seqs = {"dp": 0, "pp": 0}
+    for _ in range(steps):
+        op = rng.choices(
+            ("kernel", "host", "record", "wait", "collective", "p2p",
+             "sync"),
+            weights=(6, 4, 1, 1, 2, 3, 1))[0]
+        rank = rng.randrange(nranks)
+        if op == "kernel":
+            events[rank].append(kernel(
+                stream=rng.randrange(2),
+                duration=rng.choice((0.0, 0.0, 0.25, 0.5, 1.0)),
+                device=rank))
+        elif op == "host":
+            events[rank].append(host_delay(rng.choice((0.0, 0.25, 0.5)),
+                                           device=rank))
+        elif op == "record":
+            event_id = rng.randrange(1, 4)
+            version = versions.get((rank, event_id), 0) + 1
+            versions[(rank, event_id)] = version
+            events[rank].append(event_record(event_id, version=version,
+                                             stream=rng.randrange(2)))
+            events[rank][-1].device = rank
+            recorded[rank].append((event_id, version))
+        elif op == "wait":
+            if recorded[rank]:
+                event_id, version = rng.choice(recorded[rank])
+                events[rank].append(wait_event(event_id, version=version,
+                                               stream=rng.randrange(2)))
+                events[rank][-1].device = rank
+        elif op == "collective":
+            seqs["dp"] += 1
+            duration = rng.choice((0.0, 0.5, 1.0))
+            stream = rng.randrange(2)
+            for member in ranks:
+                events[member].append(
+                    collective("all_reduce", member, ranks, seq=seqs["dp"],
+                               tag="dp", duration=duration, stream=stream))
+        elif op == "p2p":
+            src, dst = rng.sample(ranks, 2)
+            seqs["pp"] += 1
+            duration = rng.choice((0.25, 0.5))
+            events[src].append(
+                collective("send", src, ranks, seq=seqs["pp"], tag="pp",
+                           duration=duration, stream=rng.randrange(2),
+                           peer=dst))
+            events[dst].append(
+                collective("recv", dst, ranks, seq=seqs["pp"], tag="pp",
+                           duration=duration, stream=rng.randrange(2),
+                           peer=src))
+        else:
+            events[rank].append(device_sync(device=rank))
+    for rank in ranks:
+        if not events[rank]:
+            events[rank].append(kernel(device=rank))
+    return build_job(events)
+
+
+class _CountingHeap:
+    """Stand-in for the engine's ``heapq`` that counts pops and the pushes
+    landing on the time of the heap top (an equal-time tie)."""
+
+    def __init__(self):
+        self.pops = 0
+        self.ties = 0
+
+    def heappush(self, heap, item):
+        if heap and item[0] == heap[0][0]:
+            self.ties += 1
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+class TestTiesAndP2PDifferential:
+    """Equal-time ties, zero durations and p2p: the engine, with its
+    in-place follow-ups, must track the per-event oracle bit for bit,
+    ``processed_events`` included."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bitwise_equal(self, seed):
+        collated = TraceCollator(deduplicate=False).collate(
+            build_random_tie_job(seed))
+        cluster = get_cluster("v100-8")
+        for provider in (ConstantProvider(), AnnotatedConstantProvider()):
+            oracle = reference_simulate(cluster, provider, collated)
+            simulator = ClusterSimulator(cluster, provider,
+                                         SimulationConfig())
+            for _ in range(2):  # the second run is a warm memo
+                engine = simulator.simulate(collated)
+                assert (engine.metadata["processed_events"]
+                        == oracle.metadata["processed_events"])
+                _assert_reports_identical(oracle, engine)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sm_contention_bitwise_equal(self, seed):
+        """Contention makes a kernel's duration depend on whether a
+        collective ending at its start time was processed first, so this
+        is where the order of equal-time events shows."""
+        collated = TraceCollator(deduplicate=False).collate(
+            build_random_tie_job(seed, steps=120))
+        cluster = get_cluster("v100-8")
+        config = SimulationConfig(sm_contention_factor=2.0)
+        provider = AnnotatedConstantProvider()
+        oracle = reference_simulate(cluster, provider, collated, config)
+        engine = ClusterSimulator(cluster, provider,
+                                  config).simulate(collated)
+        assert (engine.metadata["processed_events"]
+                == oracle.metadata["processed_events"])
+        _assert_reports_identical(oracle, engine)
+
+    def test_family_reaches_ties_p2p_and_in_place_runs(self, monkeypatch):
+        """The family tests what it claims to: equal-time pushes at the
+        heap top, p2p transfers and events run without a heap pop."""
+        counting = _CountingHeap()
+        monkeypatch.setattr(engine_module, "heapq", counting)
+        cluster = get_cluster("v100-8")
+        events = p2p = 0
+        for seed in range(40):
+            collated = TraceCollator(deduplicate=False).collate(
+                build_random_tie_job(seed))
+            report = ClusterSimulator(cluster, ConstantProvider(),
+                                      SimulationConfig()).simulate(collated)
+            events += report.metadata["processed_events"]
+            p2p += sum(resolution.is_p2p
+                       for resolutions in collated.resolutions.values()
+                       for resolution in resolutions.values())
+        assert counting.ties > 0 and p2p > 0
+        assert 0 < counting.pops < events
+
+
+_BUDGET_MESSAGE = (r"simulation exceeded max_events budget \({budget:,}\): "
+                   r"world size 3 with 3 replayed ranks processed "
+                   r"{events:,} events at simulated time \d+\.\d{{3}}s")
+
+
+class TestEventBudget:
+    """Events run in place count toward ``max_events`` like popped ones."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_short_budget_raises_one_message(self, seed):
+        collated = TraceCollator(deduplicate=False).collate(
+            build_random_tie_job(seed))
+        cluster = get_cluster("v100-8")
+        provider = ConstantProvider()
+        needed = ClusterSimulator(cluster, provider).simulate(
+            collated).metadata["processed_events"]
+        sites = set()
+        for budget in range(needed):
+            config = SimulationConfig(max_events=budget)
+            with pytest.raises(SimulationError) as raised:
+                ClusterSimulator(cluster, provider, config).simulate(collated)
+            assert re.fullmatch(
+                _BUDGET_MESSAGE.format(budget=budget, events=budget + 1),
+                str(raised.value))
+            # Which handler counted the event that broke the budget: the
+            # main loop (a popped event) or an in-place follow-up.
+            frames = [entry.name for entry in raised.traceback]
+            sites.add(frames[frames.index("_exceeded_budget") - 1])
+            with pytest.raises(SimulationError):
+                reference_simulate(cluster, provider, collated, config)
+        assert sites == {"run", "_advance_host", "_drain_stream"}
+        config = SimulationConfig(max_events=needed)
+        ClusterSimulator(cluster, provider, config).simulate(collated)
+        reference_simulate(cluster, provider, collated, config)
+
+
 class TestFastPathEquivalence:
     """The engine must be bit-identical to per-event provider calls."""
 
@@ -609,6 +802,113 @@ class TestFastPathEquivalence:
         self._compare(v100_cluster, GroundTruthDurationProvider(v100_cluster),
                       emulated.collated, ranks, ranks,
                       sm_contention_factor=1.045)
+
+
+class TestAnnotationMemoLifetime:
+    """Annotations are memoized on the collated trace they annotate, per
+    provider and replayed-rank set, and live exactly as long as both."""
+
+    @pytest.fixture()
+    def setup(self, v100_cluster, monkeypatch):
+        builds = []
+        build = providers_module.build_trace_annotations
+
+        def counting(provider, collated, ranks, **kwargs):
+            builds.append((id(provider), id(collated), tuple(ranks)))
+            return build(provider, collated, ranks, **kwargs)
+
+        monkeypatch.setattr(providers_module, "build_trace_annotations",
+                            counting)
+        model = get_transformer("gpt-tiny")
+        recipe = TrainingRecipe(tensor_parallel=2, pipeline_parallel=2,
+                                microbatch_multiplier=2, dtype="float16")
+        job = TransformerTrainingJob(model, recipe, v100_cluster,
+                                     global_batch_size=16, iterations=2)
+        pipeline = MayaPipeline(v100_cluster, estimator_mode="analytical")
+        return pipeline, job, builds
+
+    @staticmethod
+    def _simulate(cluster, provider, collated, ranks=None):
+        return ClusterSimulator(cluster, provider, SimulationConfig(
+            simulate_ranks=ranks)).simulate(collated, iterations=2)
+
+    def test_one_build_per_artifact_provider_and_ranks(self, v100_cluster,
+                                                        setup):
+        pipeline, job, builds = setup
+        collated = pipeline.emulate(job).collated
+        ranks = simulation_ranks(job)
+        first, second = pipeline.make_provider(), pipeline.make_provider()
+        reports = [self._simulate(v100_cluster, first, collated, ranks)
+                   for _ in range(3)]
+        assert len(builds) == 1
+        for report in reports[1:]:
+            _assert_reports_identical(reports[0], report)
+        self._simulate(v100_cluster, first, collated)  # every rank
+        self._simulate(v100_cluster, first, collated)
+        assert len(builds) == 2
+        # A second provider builds its own; the first one's stay.
+        _assert_reports_identical(
+            reports[0], self._simulate(v100_cluster, second, collated, ranks))
+        self._simulate(v100_cluster, second, collated, ranks)
+        self._simulate(v100_cluster, first, collated, ranks)
+        assert len(builds) == 3
+        assert len(set(builds)) == 3
+
+    def test_warm_service_predictions_reuse_the_memo(self, setup):
+        pipeline, job, builds = setup
+        from repro.service import PredictionService
+
+        with PredictionService(pipeline=pipeline) as service:
+            first = service.predict(job)
+            for _ in range(3):
+                service.cache.drop_predictions()
+                again = service.predict(job)
+                assert again.metadata["service_cache"] == "artifacts"
+                assert again.iteration_time == first.iteration_time
+        assert len(builds) == 1
+
+    def test_memo_never_rides_a_pickle(self, v100_cluster, setup, tmp_path):
+        from repro.service import wire
+        from repro.service.store import ArtifactStore
+
+        pipeline, job, _ = setup
+        artifacts = pipeline.emulate(job)
+        key = ("memo-test",)
+
+        def serialized(name):
+            store = ArtifactStore(tmp_path / name)
+            store.put(key, artifacts)
+            pinned = dataclasses.replace(artifacts, job=None, cluster=None,
+                                         stage_times={})
+            return (store._entry_path(key).read_bytes(),
+                    wire.dumps_columnar(artifacts),
+                    hashlib.sha256(wire.dumps_columnar(pinned)).hexdigest())
+
+        before = serialized("before")
+        provider = pipeline.make_provider()
+        self._simulate(v100_cluster, provider, artifacts.collated,
+                       simulation_ranks(job))
+        assert artifacts.collated.annotation_memo(provider)
+        assert serialized("after") == before
+        for clone in (pickle.loads(pickle.dumps(artifacts.collated)),
+                      copy.copy(artifacts.collated)):
+            assert not clone.annotation_memo(provider)
+
+    def test_dropped_artifact_and_provider_are_freed(self, v100_cluster,
+                                                     setup):
+        pipeline, job, _ = setup
+        artifacts = pipeline.emulate(job)
+        provider = pipeline.make_provider()
+        self._simulate(v100_cluster, provider, artifacts.collated,
+                       simulation_ranks(job))
+        collated = weakref.ref(artifacts.collated)
+        dropped = weakref.ref(provider)
+        del provider
+        gc.collect()
+        assert dropped() is None  # the memo does not hold its provider
+        del artifacts
+        gc.collect()
+        assert collated() is None
 
 
 #: (cluster, model, estimator suite, tp, pp, variant knob, iterations).
