@@ -11,6 +11,10 @@ nothing here is a claim about it.  What this file keeps:
 * **emulation rows/sec** -- trace rows the emulator records while running
   that same tp2/pp2 job's unique ranks (gated the same way), with the
   share of intercepted calls block replay logged (report-only);
+* **tracked objects per artifact** -- the objects the garbage collector
+  walks in the engine workload's cached artifact (gated against a
+  recorded ceiling in ``--check``; a count, so the gate does not depend
+  on the host's speed);
 * **wire bytes per event** -- a shipped worker-trace artifact is its
   recorded columns (raw little-endian column buffers plus the template
   pool); this reports its size per artifact and per event;
@@ -32,7 +36,8 @@ Results land in ``BENCH_sim_throughput.json`` at the repository root (the
 perf trajectory file CI uploads as an artifact).  ``--check`` compares a
 fresh measurement against a recorded baseline and fails when the engine's
 replay rate or the emulator's recording rate regresses more than 30% below
-its recorded floor.
+its recorded floor, or when the artifact keeps more tracked objects than
+its recorded ceiling.
 
 Run from the repository root::
 
@@ -47,6 +52,7 @@ hardware-dependent and belong in CI's artifact trail, not the tier-1 gate.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -153,6 +159,47 @@ def bench_emulation() -> Dict[str, float]:
         # Report-only: the share of intercepted calls block replay logged
         # from an earlier run of the same block.
         "replayed_call_share": emulated.replayed_calls / calls,
+    }
+
+
+def _settled_tracked_objects() -> int:
+    """``len(gc.get_objects())`` once collections stop untracking (a pass
+    untracks a tuple only once its items are, one nesting level at a
+    time)."""
+    count = None
+    while True:
+        gc.collect()
+        tracked = len(gc.get_objects())
+        if tracked == count:
+            return tracked
+        count = tracked
+
+
+def bench_footprint() -> Dict[str, int]:
+    """Objects the garbage collector must walk in one cached artifact.
+
+    Counts the GC-tracked objects the engine workload's collated trace
+    keeps alive once emulated, collated and simulated (its annotations
+    included), after a warm-up run of the same job has built the
+    process-wide memos.  A count, not a timing: it does not depend on the
+    host's speed, so its gate runs wherever the benchmark does.
+    """
+    from repro.core.simulator.engine import ClusterSimulator, SimulationConfig
+
+    def cold_artifact(provider):
+        cluster, collated, _, ranks = _engine_setup()
+        ClusterSimulator(cluster, provider, SimulationConfig(
+            simulate_ranks=ranks)).simulate(collated, iterations=ITERATIONS)
+        return collated
+
+    _, _, provider, _ = _engine_setup()
+    cold_artifact(provider)  # warm-up
+    before = _settled_tracked_objects()
+    collated = cold_artifact(provider)
+    tracked = _settled_tracked_objects() - before
+    return {
+        "artifact_rows": sum(len(trace) for trace in collated.traces.values()),
+        "tracked_objects": tracked,
     }
 
 
@@ -321,6 +368,7 @@ def run_benchmark(output: Path, chaos: bool = False,
         "engine": bench_engine(),
         "emulation": bench_emulation(),
         "wire_shipping": bench_wire_shipping(),
+        "footprint": bench_footprint(),
     }
     if chaos:
         payload["chaos"] = bench_chaos()
@@ -336,6 +384,9 @@ def run_benchmark(output: Path, chaos: bool = False,
           f"{emulation['emulated_ranks']} ranks "
           f"{emulation['rows_per_sec']:,.0f} rows/s, "
           f"{emulation['replayed_call_share']:.0%} of calls replayed")
+    footprint = payload["footprint"]
+    print(f"footprint: {footprint['tracked_objects']} tracked objects in "
+          f"a cached {footprint['artifact_rows']}-row artifact")
     shipping = payload["wire_shipping"]
     print(f"wire shipping: {shipping['columnar_bytes_per_event']:.1f} "
           f"B/event over {shipping['artifacts']} artifacts")
@@ -382,6 +433,18 @@ def check_against_baseline(current: Dict[str, object],
                   f"recorded baseline (tolerance "
                   f"{REGRESSION_TOLERANCE * 100:.0f}%)")
             failed = True
+    # A count, not a rate: the artifact's GC-tracked objects must stay
+    # under the recorded ceiling (per-row objects would scale it with the
+    # trace's 1.9k rows).
+    ceiling = int(baseline["footprint"]["tracked_objects"])
+    tracked = int(current["footprint"]["tracked_objects"])
+    print(f"footprint: measured {tracked} tracked objects, "
+          f"ceiling {ceiling}")
+    gates.append(("footprint-ceiling", None))
+    if tracked > ceiling:
+        print(f"FAIL: a cached artifact keeps {tracked} tracked objects, "
+              f"above the recorded ceiling of {ceiling}")
+        failed = True
     store_leg = current.get("cold_vs_warm_store", {})
     if store_leg:
         # Report-only: the warm run hydrates every artifact from disk, so

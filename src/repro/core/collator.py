@@ -6,11 +6,21 @@ replay (Section 4.2 of the paper):
 * **Worker deduplication** -- rolling hashes over each worker's operation
   stream identify ranks performing identical work; only one representative
   per signature needs to be kept (and, with *selective launch*, only the
-  representatives need to be emulated at all).
+  representatives need to be emulated at all).  A p2p op hashes with its
+  own and its peer's position in the group, so pipeline stages that run
+  the same layers but send to different neighbours stay apart.  When
+  selective launch already emulated exactly the topology's unique ranks,
+  each is its own representative and nothing is hashed.
 * **Collective matching** -- collectives are matched across workers using
   communicator ids and per-communicator sequence numbers, reconstructing the
   communication pattern.  Point-to-point sends and receives are paired by
   (communicator, source position, destination position, message index).
+  Each representative's collectives are resolved in one numpy pass into a
+  :class:`CollectiveTable`: one record per collective template plus
+  integer columns (template index, ``seq_in_comm``, p2p ``pair_index``)
+  keyed by event seq, so a cached artifact holds no per-collective
+  objects.  It still reads as a ``seq -> CollectiveResolution`` mapping,
+  and pickles as one (the store and wire format).
 * **Group remapping** -- when a rank's trace is borrowed from its
   representative, communicator groups recorded in that trace are remapped to
   the borrowing rank's own groups using the job's parallel topology, so that
@@ -20,21 +30,21 @@ replay (Section 4.2 of the paper):
 from __future__ import annotations
 
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.core.trace import (
     F_COLL_SEQ,
     K_COLLECTIVE,
+    P2P_OPS,
     JobTrace,
     TraceEvent,
     WorkerTrace,
 )
 from repro.framework.topology import ParallelTopology
-
-#: Collective ops that are point-to-point rather than group-wide.
-_P2P_OPS = ("send", "recv")
-
 
 class GroupResolver:
     """Maps (rank, communicator tag) to that rank's communicator group."""
@@ -116,6 +126,110 @@ class CollectiveResolution:
         return ("coll", self.tag, group, self.op, self.seq_in_comm)
 
 
+@dataclass(frozen=True, slots=True)
+class CollectiveTemplate:
+    """What every collective of one trace template resolves to: a
+    :class:`CollectiveResolution` without its per-event ``seq_in_comm``
+    and ``pair_index``."""
+
+    op: str
+    tag: str
+    nranks: int
+    nbytes: float
+    representative_group: Tuple[int, ...]
+    self_position: int
+    peer_position: Optional[int]
+    is_p2p: bool
+
+
+class CollectiveTable(Mapping):
+    """One representative's resolved collectives, as a read-only mapping
+    ``seq -> CollectiveResolution``.
+
+    Stored as one :class:`CollectiveTemplate` per collective template
+    (``records``) plus integer columns keyed by the sorted event ``seqs``:
+    each event's ``template`` (index into ``records``), its
+    ``seq_in_comm`` and its p2p ``pair_index`` (-1 for group ops).  The
+    numpy columns are not walked by the garbage collector and pickle as
+    raw buffers, and the object count does not grow with the trace; a
+    :class:`CollectiveResolution` is built only when a reader indexes the
+    mapping.
+    """
+
+    __slots__ = ("records", "seqs", "template", "seq_in_comm", "pair_index")
+
+    def __init__(self, records: Tuple[CollectiveTemplate, ...], seqs: Any,
+                 template: Any, seq_in_comm: Any, pair_index: Any) -> None:
+        # Sorted by seq for lookups (hand-edited traces may reorder rows).
+        order = _np.argsort(seqs, kind="stable")
+        self.records = records
+        self.seqs = seqs[order]
+        self.template = template[order]
+        self.seq_in_comm = seq_in_comm[order]
+        self.pair_index = pair_index[order]
+
+    @staticmethod
+    def from_resolutions(resolutions: Mapping[int, CollectiveResolution]
+                         ) -> "CollectiveTable":
+        """The table of a plain ``seq -> resolution`` mapping."""
+        records: Dict[Tuple, int] = {}
+        rows = [(seq, records.setdefault(
+                     (res.op, res.tag, res.nranks, res.nbytes,
+                      res.representative_group, res.self_position,
+                      res.peer_position, res.is_p2p), len(records)),
+                 res.seq_in_comm,
+                 -1 if res.pair_index is None else res.pair_index)
+                for seq, res in resolutions.items()]
+        columns = _np.array(rows, dtype=_np.int64).reshape(-1, 4).T
+        return CollectiveTable(
+            tuple(CollectiveTemplate(*fields) for fields in records),
+            *columns)
+
+    def by_seq(self) -> Dict[int, CollectiveResolution]:
+        """The table as a plain ``seq -> resolution`` dict."""
+        return dict(zip(self.seqs.tolist(), map(
+            self._resolution, self.template.tolist(),
+            self.seq_in_comm.tolist(), self.pair_index.tolist())))
+
+    def __len__(self) -> int:
+        return len(self.seqs)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.seqs.tolist())
+
+    def __getitem__(self, seq: int) -> CollectiveResolution:
+        row = int(_np.searchsorted(self.seqs, seq))
+        if row == len(self.seqs) or self.seqs[row] != seq:
+            raise KeyError(seq)
+        return self.resolution_at(row)
+
+    def resolution_at(self, row: int) -> CollectiveResolution:
+        """The resolution of the ``row``-th collective, in seq order."""
+        return self._resolution(int(self.template[row]),
+                                int(self.seq_in_comm[row]),
+                                int(self.pair_index[row]))
+
+    def _resolution(self, index: int, seq_in_comm: int,
+                    pair_index: int) -> CollectiveResolution:
+        record = self.records[index]
+        return CollectiveResolution(
+            op=record.op, tag=record.tag, nranks=record.nranks,
+            nbytes=record.nbytes, seq_in_comm=seq_in_comm,
+            representative_group=record.representative_group,
+            self_position=record.self_position,
+            peer_position=record.peer_position,
+            pair_index=pair_index if record.is_p2p else None,
+            is_p2p=record.is_p2p)
+
+
+def _tabled(resolutions: Dict[int, Mapping]) -> Dict[int, CollectiveTable]:
+    """``resolutions`` with every plain ``seq -> resolution`` mapping (an
+    unpickled or hand-edited one) turned into a :class:`CollectiveTable`."""
+    return {rep: (table if isinstance(table, CollectiveTable)
+                  else CollectiveTable.from_resolutions(table))
+            for rep, table in resolutions.items()}
+
+
 @dataclass
 class CollatedTrace:
     """Job-level trace ready for runtime estimation and simulation."""
@@ -125,11 +239,14 @@ class CollatedTrace:
     traces: Dict[int, WorkerTrace]
     #: Maps every rank to the representative whose trace it replays.
     representative: Dict[int, int]
-    #: Per representative rank: event seq -> collective resolution.
-    resolutions: Dict[int, Dict[int, CollectiveResolution]]
+    #: Per representative rank: its collectives, by event seq.
+    resolutions: Dict[int, CollectiveTable]
     group_resolver: GroupResolver
     #: Statistics gathered during collation (used by ablation benchmarks).
     stats: Dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.resolutions = _tabled(self.resolutions)
 
     def trace_for(self, rank: int) -> WorkerTrace:
         return self.traces[self.representative[rank]]
@@ -147,28 +264,6 @@ class CollatedTrace:
 
     def unique_trace_count(self) -> int:
         return len(self.traces)
-
-    def content_signature(self) -> int:
-        """Content address of the collated artifacts.
-
-        Combines each representative's rolling operation-stream hash and
-        host-delay stream hash with the rank -> representative map, so two
-        collated traces with the same signature replay identically in the
-        simulator (the rolling hash alone skips host delays, which *do*
-        shape replay).  The prediction service uses this to
-        content-address cached emulation artifacts.
-        """
-        from repro.hardware.noise import stable_hash
-
-        signature = stable_hash(self.world_size)
-        for rank in sorted(self.traces):
-            trace = self.traces[rank]
-            signature = stable_hash(signature, rank,
-                                    trace.rolling_signature(),
-                                    trace.host_delay_signature())
-        for rank in sorted(self.representative):
-            signature = stable_hash(signature, rank, self.representative[rank])
-        return signature
 
     def annotation_memo(self, provider: Any) -> Dict[Tuple[int, ...], Any]:
         """``provider``'s simulator annotations of this trace, by
@@ -188,9 +283,17 @@ class CollatedTrace:
         return memo
 
     def __getstate__(self) -> Dict[str, Any]:
+        # A pickle keeps the per-event ``seq -> resolution`` mappings, so
+        # stored and shipped artifacts keep their format.
         state = self.__dict__.copy()
         state.pop("_annotation_memos", None)
+        state["resolutions"] = {rep: table.by_seq()
+                                for rep, table in self.resolutions.items()}
         return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def peak_memory_bytes(self) -> int:
         if not self.traces:
@@ -253,7 +356,11 @@ class TraceCollator:
         emulated = sorted(job.workers)
         representative: Dict[int, int] = {}
 
-        if self.deduplicate:
+        # Selective launch already emulated one rank per distinct program:
+        # hashing them could only merge ranks that must stay apart.
+        launched = (topology is not None
+                    and emulated == sorted(topology.unique_ranks()))
+        if self.deduplicate and not launched:
             by_signature: Dict[int, int] = {}
             for rank in emulated:
                 signature = job.workers[rank].rolling_signature()
@@ -294,52 +401,59 @@ class TraceCollator:
     # ------------------------------------------------------------------
     # collective resolution
     # ------------------------------------------------------------------
-    def _resolve_collectives(
-        self, trace: WorkerTrace
-    ) -> Dict[int, CollectiveResolution]:
-        resolutions: Dict[int, CollectiveResolution] = {}
-        #: (comm_id, src_pos, dst_pos) -> number of messages seen so far.
-        pair_counters: Dict[Tuple, int] = {}
+    def _resolve_collectives(self, trace: WorkerTrace) -> CollectiveTable:
+        """One numpy pass over ``trace``'s collective rows: a record per
+        collective template, each row's template index and
+        ``seq_in_comm``, and each p2p row's running message count on its
+        (communicator, source, destination) pair."""
         cols = trace.columns
-        lists = cols.lists()
-
-        for row in cols.rows(K_COLLECTIVE):
-            template = cols.templates[lists["template"][row]]
-            info = template["collective_fixed"] or {}
+        arrays = cols.arrays()
+        rows = _np.flatnonzero(arrays["kind"] == K_COLLECTIVE)
+        used, template = _np.unique(arrays["template"][rows],
+                                    return_inverse=True)
+        records = []
+        #: (comm_id, src_pos, dst_pos) -> pair id; -1 for group ops.
+        pair_ids: Dict[Tuple, int] = {}
+        record_pairs = []
+        for tid in used.tolist():
+            fixed = cols.templates[tid]
+            info = fixed["collective_fixed"] or {}
             op = str(info.get("op", "all_reduce"))
             group = tuple(info.get("ranks", ()))
-            tag = str(info.get("comm_tag", "")) or "default"
             rank = int(info.get("rank", trace.rank))
-            nranks = int(info.get("nranks", max(len(group), 1)))
-            nbytes = float(template["params_fixed"].get("bytes", 0.0))
-            seq = lists["seq"][row]
-            seq_in_comm = (lists["aux_seq"][row]
-                           if lists["flags"][row] & F_COLL_SEQ else seq)
             self_position = group.index(rank) if rank in group else 0
-
             peer_position = None
-            pair_index = None
-            is_p2p = op in _P2P_OPS
-            if is_p2p:
+            pair = -1
+            if op in P2P_OPS:
                 peer = int(info.get("peer", rank))
                 peer_position = group.index(peer) if peer in group else 0
-                if op == "send":
-                    pair_key = (info.get("comm_id"), self_position, peer_position)
-                else:
-                    pair_key = (info.get("comm_id"), peer_position, self_position)
-                pair_index = pair_counters.get(pair_key, 0)
-                pair_counters[pair_key] = pair_index + 1
-
-            resolutions[seq] = CollectiveResolution(
+                ends = ((self_position, peer_position) if op == "send"
+                        else (peer_position, self_position))
+                pair = pair_ids.setdefault((info.get("comm_id"),) + ends,
+                                           len(pair_ids))
+            record_pairs.append(pair)
+            records.append(CollectiveTemplate(
                 op=op,
-                tag=tag,
-                nranks=nranks,
-                nbytes=nbytes,
-                seq_in_comm=seq_in_comm,
+                tag=str(info.get("comm_tag", "")) or "default",
+                nranks=int(info.get("nranks", max(len(group), 1))),
+                nbytes=float(fixed["params_fixed"].get("bytes", 0.0)),
                 representative_group=group,
                 self_position=self_position,
                 peer_position=peer_position,
-                pair_index=pair_index,
-                is_p2p=is_p2p,
-            )
-        return resolutions
+                is_p2p=op in P2P_OPS,
+            ))
+        seqs = arrays["seq"][rows]
+        seq_in_comm = _np.where(arrays["flags"][rows] & F_COLL_SEQ,
+                                arrays["aux_seq"][rows], seqs)
+        pairs = _np.array(record_pairs, dtype=_np.int64)[template]
+        pair_index = _np.full(rows.size, -1, dtype=_np.int64)
+        p2p = _np.flatnonzero(pairs >= 0)
+        if p2p.size:
+            # Rank of each row among its pair's rows, in trace order.
+            order = p2p[_np.argsort(pairs[p2p], kind="stable")]
+            keys = pairs[order]
+            starts = _np.flatnonzero(_np.append(True, keys[1:] != keys[:-1]))
+            pair_index[order] = _np.arange(order.size) - _np.repeat(
+                starts, _np.diff(_np.append(starts, order.size)))
+        return CollectiveTable(tuple(records), seqs, template, seq_in_comm,
+                               pair_index)

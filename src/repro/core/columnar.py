@@ -5,12 +5,12 @@ A :class:`~repro.core.trace.WorkerTrace` *is* its columns
 template pool interned while the emulator records);
 :class:`~repro.core.trace.TraceEvent` objects are only a view.  Everything
 downstream of the emulator reads the columns through this module, with
-per-template digests computed once per trace:
+per-template signature keys computed once per trace:
 
-* worker deduplication and the collated content signature fold the
-  digests over the integer columns (:func:`rolling_signature`,
-  :func:`host_delay_signature`), vectorized;
-* the replay engine dispatches on an opcode list (:func:`engine_program`)
+* worker deduplication folds the keys' digests over the integer columns
+  (:func:`rolling_signature`), vectorized, and so does the host-delay
+  stream hash (:func:`host_delay_signature`);
+* the replay engine dispatches on an opcode tuple (:func:`engine_program`)
   with no per-event attribute or dict access;
 * annotation prices each distinct (template, stream) kernel shape once
   (:func:`kernel_shapes`) and materializes host delays array-wide
@@ -20,8 +20,8 @@ per-template digests computed once per trace:
   plus the pickled template pool, and decoding is a header read.
 
 The payload is exact: the decoded trace's view reproduces ``to_json()``
-byte for byte, so content signatures and cached-artifact keys computed
-from a decoded trace match the sender's.  The one deliberate coercion is
+byte for byte, so signatures and cached-artifact keys computed from a
+decoded trace match the sender's.  The one deliberate coercion is
 numeric width: durations are float64 and handle ids int64, lossless for
 everything the emulator emits (hand-built *integer* durations read back as
 the equal float).  numpy is a hard requirement of the package.
@@ -47,6 +47,7 @@ from repro.core.trace import (
     KINDS_BY_CODE,
     TraceColumns,
     WorkerTrace,
+    collective_signature,
 )
 from repro.hardware.host_model import (
     HOST_MODEL_METADATA_KEY,
@@ -95,10 +96,14 @@ _OPCODES = _np.array([E_KERNEL, E_MEMCPY, E_MEMSET, E_COLLECTIVE,
 
 
 class EngineProgram:
-    """Positional opcode/operand lists derived from one trace's columns.
+    """Positional opcode/operand views derived from one trace's columns.
 
-    Plain Python lists, not arrays: the engine reads single elements in a
-    tight loop, where list indexing beats numpy scalar extraction by ~3x.
+    Tuples, not arrays: the engine reads single elements in a tight loop,
+    where tuple indexing beats numpy scalar extraction by ~3x.  Not lists:
+    a program lives as long as its cached artifact, and CPython stops
+    tracking a tuple of untracked values (ints, strings, ``None``, tuples
+    of those) at the first collection that sees it, so later full
+    collections skip every row instead of walking it.
     """
 
     __slots__ = ("n", "codes", "streams", "seqs", "ekeys", "labels")
@@ -109,22 +114,24 @@ class EngineProgram:
         codes[(codes == E_RECORD) & ((arrays["flags"] & (
             F_REC_CREATE | F_REC_DESTROY)) != 0)] = E_SKIP
         self.n = len(cols)
-        self.codes = codes.tolist()
+        self.codes = tuple(codes.tolist())
         #: Stream operand with the engine's ``None -> 0`` default applied.
-        self.streams = _np.maximum(arrays["stream"], 0).tolist()
+        self.streams = tuple(_np.maximum(arrays["stream"], 0).tolist())
         self.seqs = lists["seq"]
         #: (CUDA event handle, version) a record writes or a wait reads.
-        self.ekeys: List[Optional[Tuple[int, int]]] = [None] * self.n
+        ekeys: List[Optional[Tuple[int, int]]] = [None] * self.n
         versions = lists["version"]
         for handles, waits in ((lists["event_id"], codes == E_RECORD),
                                (lists["wait_event"], (codes == E_WAIT)
                                 | (codes == E_EVENT_SYNC))):
             for i in _np.flatnonzero(waits).tolist():
-                self.ekeys[i] = (handles[i], versions[i])
-        self.labels: List[Optional[str]] = [None] * self.n
+                ekeys[i] = (handles[i], versions[i])
+        self.ekeys = tuple(ekeys)
+        labels: List[Optional[str]] = [None] * self.n
         for i in cols.rows(K_MARKER):
             params = cols.templates[lists["template"][i]]["params_fixed"]
-            self.labels[i] = str(params.get("label", ""))
+            labels[i] = str(params.get("label", ""))
+        self.labels = tuple(labels)
 
 
 def engine_program(cols: TraceColumns) -> EngineProgram:
@@ -195,42 +202,30 @@ def materialize_host_delays(cols: TraceColumns,
 # per-template digests and the signatures folded from them
 # ----------------------------------------------------------------------
 
-class _TemplateTables:
-    """Per-template signature keys and digests, built once per trace.
+def _template_keys(cols: TraceColumns) -> List[Optional[Tuple]]:
+    """Per-template signature keys, built once per trace (memoized).
 
-    ``key[tid]`` is ``TraceEvent.signature()`` minus the stream (a column)
+    ``keys[tid]`` is ``TraceEvent.signature()`` minus the stream (a column)
     and, for the record/wait kinds, minus the ``version`` param (a column
-    too); ``digest[tid]`` is its stable hash.  Templates no row uses keep
-    ``None`` and 0.
+    too).  Templates no row uses keep ``None``.
     """
-
-    __slots__ = ("key", "digest")
-
-    def __init__(self, cols: TraceColumns) -> None:
-        arrays = cols.arrays()
-        used, first = _np.unique(arrays["template"], return_index=True)
-        count = len(cols.templates)
-        self.key: List[Optional[Tuple]] = [None] * count
-        self.digest = [0] * count
-        for tid, code in zip(used.tolist(), arrays["kind"][first].tolist()):
-            template = cols.templates[tid]
-            params = template["params_fixed"]
-            coll = template["collective_fixed"]
-            collective_key: Tuple = ()
-            if coll is not None:
-                collective_key = (coll.get("op"), coll.get("nranks"),
-                                  coll.get("comm_tag"))
-            self.key[tid] = (
-                KINDS_BY_CODE[code].value, template["api"],
-                template["kernel_class"],
-                tuple(sorted((k, v) for k, v in params.items()
-                             if k not in ("free", "total"))),
-                collective_key)
-            self.digest[tid] = stable_hash(self.key[tid])
+    return cols.memoized("template_keys", _build_template_keys)
 
 
-def _template_tables(cols: TraceColumns) -> _TemplateTables:
-    return cols.memoized("template_tables", _TemplateTables)
+def _build_template_keys(cols: TraceColumns) -> List[Optional[Tuple]]:
+    arrays = cols.arrays()
+    used, first = _np.unique(arrays["template"], return_index=True)
+    keys: List[Optional[Tuple]] = [None] * len(cols.templates)
+    for tid, code in zip(used.tolist(), arrays["kind"][first].tolist()):
+        template = cols.templates[tid]
+        params = template["params_fixed"]
+        keys[tid] = (
+            KINDS_BY_CODE[code].value, template["api"],
+            template["kernel_class"],
+            tuple(sorted((k, v) for k, v in params.items()
+                         if k not in ("free", "total"))),
+            collective_signature(template["collective_fixed"]))
+    return keys
 
 
 def _hash_rows(lanes: List[Any], seed: int) -> int:
@@ -261,7 +256,8 @@ def rolling_signature(cols: TraceColumns) -> int:
 def _rolling_signature(cols: TraceColumns) -> int:
     arrays = cols.arrays()
     rows = _np.flatnonzero(arrays["kind"] != K_HOST_DELAY)
-    digests = _np.array(_template_tables(cols).digest,
+    digests = _np.array([0 if key is None else stable_hash(key)
+                         for key in _template_keys(cols)],
                         dtype=_np.uint64)[arrays["template"][rows]]
     versions = ((arrays["version"][rows].astype(_np.int64)
                  .astype(_np.uint64) << _np.uint64(4))
@@ -315,7 +311,7 @@ def _kernel_shapes(cols: TraceColumns) -> Tuple[Any, Any, List[Tuple]]:
             | (arrays["stream"][rows].astype(_np.int64) & 0xFFFFFFFF))
     _, first, shape_of_row = _np.unique(keys, return_index=True,
                                         return_inverse=True)
-    shape_keys = _template_tables(cols).key
+    shape_keys = _template_keys(cols)
     shapes = []
     for row in rows[first].tolist():
         tid = int(arrays["template"][row])

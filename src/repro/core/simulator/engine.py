@@ -21,15 +21,18 @@ is shared between Maya's prediction path and the testbed reference model.
 **How the engine reads a trace.**  There is one replay loop, and it never
 touches a ``TraceEvent``.  Each representative trace's columns are lowered
 once to an :class:`~repro.core.columnar.EngineProgram` (flat opcode /
-operand lists, memoized on the columns), and every duration it will need is
-resolved up front into :class:`TraceAnnotations` -- one seq-indexed vector
-per rank of kernel and materialized host-delay durations plus pre-resolved
-communicator groups and matching keys.  Providers that implement
+operand tuples, memoized on the columns), and every duration it will need
+is resolved up front into :class:`TraceAnnotations` -- one seq-indexed
+vector per rank of kernel, collective and materialized host-delay
+durations, plus the rank's collectives: a seq-indexed template slot and key
+ordinal, and per collective template the matching-key prefix and the
+number of replayed group members to wait for.  Providers that implement
 ``annotate_trace`` (both built-in ones, memoized on the collated trace per
 provider and replayed-rank set) supply them; for any other provider the
 engine makes one :func:`build_trace_annotations` pass over the two-method
-per-event protocol.  The inner loop is then integer dispatch and list
-indexing only.
+per-event protocol.  The inner loop is then integer dispatch and tuple /
+array indexing only; starting a collective costs one tuple concatenation
+for its key.
 
 **Follow-ups run in place.**  Two handlers end by scheduling their own
 follow-up: a host that pays a ``HOST_DELAY`` after ``run`` popped its
@@ -144,8 +147,8 @@ class _Stream:
     """FIFO execution stream of one simulated rank."""
 
     __slots__ = ("rank", "stream_id", "queue", "busy", "available_time",
-                 "blocked", "sync_waiters", "durations",
-                 "collective_annotations", "codes", "seqs", "ekeys")
+                 "blocked", "sync_waiters", "durations", "coll_slots",
+                 "coll_ordinals", "coll_entries", "codes", "seqs", "ekeys")
 
     def __init__(self, rank: int, stream_id: int, program: EngineProgram,
                  annotations: TraceAnnotations) -> None:
@@ -159,8 +162,9 @@ class _Stream:
         self.sync_waiters: List["_Host"] = []
         #: Per-seq duration vector shared by the rank's host and streams.
         self.durations = annotations.durations[rank]
-        #: Per-seq pre-resolved (resolution, group, key, duration) tuples.
-        self.collective_annotations = annotations.collectives[rank]
+        #: The rank's resolved collectives (see ``RankCollectives``).
+        (self.coll_slots, self.coll_ordinals,
+         self.coll_entries) = annotations.collectives[rank]
         self.codes = program.codes
         self.seqs = program.seqs
         self.ekeys = program.ekeys
@@ -223,8 +227,8 @@ def tensor_parallel_mirrors(cluster: ClusterSpec, provider: DurationProvider,
         return {}
     representative = collated.representative
     for rep in {representative[rank] for rank in ranks}:
-        if any(resolution.tag not in _TOPOLOGY_TAGS
-               for resolution in collated.resolutions.get(rep, {}).values()):
+        if any(record.tag not in _TOPOLOGY_TAGS
+               for record in collated.resolutions[rep].records):
             return {}
     requested = set(ranks)
     mirrors: Dict[int, int] = {}
@@ -297,7 +301,6 @@ class _SimulationState:
         self.mirrors = mirrors
         ranks = [rank for rank in requested if rank not in mirrors]
         self.ranks = ranks
-        self.rank_set = set(ranks)
 
         # Providers without a batch ``annotate_trace`` get one un-memoized
         # pass over their per-event protocol.
@@ -664,22 +667,23 @@ class _SimulationState:
         """Start the collective at the head of ``stream``.
 
         Returns True when the stream can keep draining immediately, False
-        when it is now busy or blocked.  Every resolvable collective carries
-        a pre-resolved (resolution, group, key, duration) annotation; a
-        missing entry means the collator had no resolution for it, and it
-        replays as a local no-op.
+        when it is now busy or blocked.  The collective's template entry
+        carries its matching-key prefix and expected participant count,
+        its duration is in the rank's duration vector; a seq with no entry
+        means the collator had no resolution for it, and it replays as a
+        local no-op.
         """
-        annotated = stream.collective_annotations.get(seq)
-        if annotated is None:
+        slot = stream.coll_slots[seq]
+        if slot < 0:
             stream.queue.popleft()
             stream.available_time = start
             return True
-        resolution, group, key, duration = annotated
-        if resolution.is_p2p:
-            self._start_p2p(stream, resolution.op, key, start, duration)
+        p2p_op, prefix, expected = stream.coll_entries[slot]
+        key = prefix + (stream.coll_ordinals[seq],)
+        duration = stream.durations[seq]
+        if p2p_op is not None:
+            self._start_p2p(stream, p2p_op, key, start, duration)
             return False
-        expected = sum(1 for rank in group if rank in self.rank_set)
-        expected = max(expected, 1)
         instance = self.collective_map.join(key, expected, stream.rank,
                                             stream.stream_id, start)
         if instance is None:

@@ -13,13 +13,22 @@ A provider *is* the two-method per-event protocol
 :meth:`DurationProvider.collective_duration`).  The engine never calls it
 from its replay loop: every simulation first resolves the whole trace into
 :class:`TraceAnnotations` -- one flat, seq-indexed duration vector per
-rank (kernels and materialized host delays, the latter re-applying the
-structured trace's replay-time jitter) plus pre-resolved communicator
-groups and matching keys -- with one :func:`build_trace_annotations` pass,
-and replays array reads.  A shape-keyed provider (Maya's estimated one)
-also prices a whole kernel shape at once (``shape_duration``): that pass
+rank (kernels, collectives and materialized host delays, the latter
+re-applying the structured trace's replay-time jitter) plus each
+collective template's communicator group, matching-key prefix and
+expected participant count -- with one :func:`build_trace_annotations`
+pass, and replays array reads.  The pass reads the collator's
+:class:`~repro.core.collator.CollectiveTable` (a record per collective
+template plus integer columns), so it resolves groups once per (rank,
+template), not once per collective.  A shape-keyed provider (Maya's
+estimated one) also prices a whole kernel shape at once
+(``shape_duration``) and a collective template once per rank: that pass
 asks it once per distinct (template, stream) of the trace's columns and
 builds no event object.
+
+Everything an annotation keeps is an ``array`` or a tuple of atomic
+values, so the garbage collector has a fixed handful of objects to walk
+per cached artifact, however long its trace.
 
 Both built-in providers also memoize that pass behind ``annotate_trace``
 (:class:`_AnnotationMemoMixin`).  The memo lives on the
@@ -38,14 +47,15 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Protocol, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, NamedTuple, Optional, Protocol,
+                    Sequence, Tuple)
 
 import numpy as _np
 
 from repro.core.collator import CollectiveResolution
 from repro.core.columnar import kernel_shapes, materialize_host_delays
 from repro.core.estimators.suite import EstimatorSuite
-from repro.core.trace import K_COLLECTIVE, TraceEvent, TraceEventKind
+from repro.core.trace import TraceEvent, TraceEventKind
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.kernel_cost import CollectiveCostModel, KernelCostModel
 from repro.hardware.noise import fast_noise, stable_hash
@@ -58,31 +68,57 @@ _PLAIN_DEVICE_KINDS = (TraceEventKind.KERNEL, TraceEventKind.MEMCPY,
                        TraceEventKind.MEMSET)
 
 
+class RankCollectives(NamedTuple):
+    """One simulated rank's collectives, resolved for replay."""
+
+    #: Seq-indexed index into ``entries``; -1 where no collective was
+    #: resolved (such a collective replays as a local no-op).
+    slots: array
+    #: Seq-indexed last field of each collective's matching key: its
+    #: ``seq_in_comm`` for a group op, its ``pair_index`` for a p2p op.
+    ordinals: array
+    #: Per collective template: ``(p2p op or None, matching-key prefix,
+    #: expected participants)``.
+    entries: Tuple[Tuple[Optional[str], Tuple, int], ...]
+
+
 @dataclass
 class TraceAnnotations:
     """Pre-resolved durations and communicator groups for one simulation.
 
     ``durations[rank][seq]`` is the duration of the event with that
     sequence number in the rank's (representative) trace: the provider's
-    duration for a kernel, memcpy or memset, and the materialized
-    ``HOST_DELAY`` duration for a host delay -- for structured events the
-    recorded base cost times the replay-time jitter factor (``fast_noise``
-    over the class seed plus call seq), for legacy events the recorded
-    value.  Other slots hold 0.0.  The vectors are ``array('d')``, 8 bytes
-    a slot, since they live as long as the artifact they annotate.
-    ``collectives[rank][seq]`` carries the ``(resolution, group, key,
-    duration)`` tuple of every collective the collator resolved (an
-    unresolved one has no entry and replays as a local no-op).  Both are
-    keyed by the *simulated* rank, so borrowed representative traces
-    resolve to the borrowing rank's own groups; a shape-keyed provider's
-    durations are a pure function of the representative trace, so its
-    borrowing ranks share one vector.
+    duration for a kernel, memcpy, memset or collective, and the
+    materialized ``HOST_DELAY`` duration for a host delay -- for
+    structured events the recorded base cost times the replay-time jitter
+    factor (``fast_noise`` over the class seed plus call seq), for legacy
+    events the recorded value.  Other slots hold 0.0.
+    ``collectives[rank]`` resolves the rank's collectives
+    (:class:`RankCollectives`): the communicator group, matching-key
+    prefix and expected participant count once per collective template,
+    and two seq-indexed integer vectors naming each collective's template
+    and the last field of its key.  Both are keyed by the *simulated*
+    rank, so borrowed representative traces resolve to the borrowing
+    rank's own groups.  Every vector is an ``array`` (8 bytes a duration
+    slot, 4 an integer one, never walked by the garbage collector), since
+    they live as long as the artifact they annotate; borrowing ranks share
+    the representative's
+    seq-indexed collective vectors, and, under a shape-keyed provider,
+    one duration vector wherever their collective prices agree.
     """
 
     durations: Dict[int, array] = field(default_factory=dict)
-    collectives: Dict[int, Dict[int, Tuple[CollectiveResolution,
-                                           Tuple[int, ...], Tuple, float]]] = \
-        field(default_factory=dict)
+    collectives: Dict[int, RankCollectives] = field(default_factory=dict)
+
+
+def _seq_vector(size: int, seqs, values, fill: int) -> array:
+    """``array('i')`` of ``size`` slots: ``values`` at ``seqs``, else
+    ``fill``.  Four bytes a slot: template indices and per-communicator
+    message counts stay far below 2**31 (a trace that long would not fit
+    in memory)."""
+    vector = _np.full(size, fill, dtype=_np.int32)
+    vector[seqs] = values
+    return array("i", vector.tobytes())
 
 
 def build_trace_annotations(provider: "DurationProvider",
@@ -95,13 +131,23 @@ def build_trace_annotations(provider: "DurationProvider",
     A shape-keyed provider (``rank_invariant_kernels``) prices each
     representative trace's distinct (template, stream) kernel shapes once,
     scattered over its rows and shared by every rank borrowing it, and
-    collectives from their resolution and group (``event`` is ``None``);
-    any other provider gets its per-event protocol called with the
-    trace's ``TraceEvent`` view.  Collectives are always resolved per rank
-    because group remapping is rank-specific.
+    each collective template once per rank from its first event's
+    resolution and the rank's group (``event`` is ``None``); any other
+    provider gets its per-event protocol called with the trace's
+    ``TraceEvent`` view.  Groups, matching keys and expected participant
+    counts are resolved per (rank, collective template), because group
+    remapping is rank-specific; ``ranks`` are the ranks the engine
+    replays, so the expected count is the number of group members among
+    them.
     """
     annotations = TraceAnnotations()
-    shared: Dict[int, array] = {}
+    rank_set = set(ranks)
+    resolver = collated.group_resolver
+    # Per representative: host-delay (+ shape-keyed kernel) durations,
+    # the collective table, its seq-indexed vectors, its first rows.
+    base: Dict[int, object] = {}
+    tables: Dict[int, Tuple] = {}
+    shared: Dict[Tuple, array] = {}
     views: Dict[int, Dict[int, TraceEvent]] = {}
     for rank in ranks:
         representative = collated.representative[rank]
@@ -110,10 +156,48 @@ def build_trace_annotations(provider: "DurationProvider",
         seqs = cols.lists()["seq"]
         size = (seqs[-1] + 1) if seqs else 0
 
-        by_seq = None
+        resolved = tables.get(representative)
+        if resolved is None:
+            table = collated.resolutions[representative]
+            p2p = _np.array([record.is_p2p for record in table.records],
+                            dtype=bool)[table.template]
+            # The first collective of each template, in record order.
+            _, first_rows = _np.unique(table.template, return_index=True)
+            resolved = tables[representative] = (
+                table,
+                _seq_vector(size, table.seqs, table.template, -1),
+                _seq_vector(size, table.seqs,
+                            _np.where(p2p, table.pair_index,
+                                      table.seq_in_comm), 0),
+                first_rows.tolist())
+        table, slots, ordinals, first_rows = resolved
+
+        entries = []
+        members = []
+        for record in table.records:
+            group = tuple(resolver.group_for(rank, record.tag,
+                                             record.representative_group))
+            expected = max(sum(1 for peer in group if peer in rank_set), 1)
+            if record.is_p2p:
+                me, peer = record.self_position, record.peer_position
+                ends = (me, peer) if record.op == "send" else (peer, me)
+                entries.append((record.op, ("p2p", record.tag, group) + ends,
+                                expected))
+                if peer is not None and len(group) > max(me, peer):
+                    members.append((group[me], group[peer]))
+                else:
+                    members.append(tuple(group[:2]) if len(group) >= 2
+                                   else group)
+            else:
+                entries.append((None, ("coll", record.tag, group, record.op),
+                                expected))
+                members.append(group)
+        annotations.collectives[rank] = RankCollectives(slots, ordinals,
+                                                        tuple(entries))
+
         if rank_invariant_kernels:
-            durations = shared.get(representative)
-            if durations is None:
+            merged = base.get(representative)
+            if merged is None:
                 # Host delays fill their own seqs; kernel seqs are disjoint.
                 merged = materialize_host_delays(cols, trace.metadata, size)
                 row_seqs, shape_of_row, shapes = kernel_shapes(cols)
@@ -121,45 +205,36 @@ def build_trace_annotations(provider: "DurationProvider",
                     [provider.shape_duration(*shape) for shape in shapes],
                     dtype=_np.float64)
                 merged[row_seqs] = priced[shape_of_row]
-                durations = shared[representative] = array(
+                base[representative] = merged
+            prices = tuple(
+                provider.collective_duration(
+                    rank, None, table.resolution_at(row), group)
+                for row, group in zip(first_rows, members))
+            durations = shared.get((representative, prices))
+            if durations is None:
+                # Collective seqs are disjoint from the others too.
+                merged = merged.copy()
+                merged[table.seqs] = _np.array(
+                    prices, dtype=_np.float64)[table.template]
+                durations = shared[representative, prices] = array(
                     "d", merged.tobytes())
         else:
             by_seq = views.get(representative)
             if by_seq is None:
                 by_seq = views[representative] = {
                     event.seq: event for event in trace.events}
-                shared[representative] = array("d", materialize_host_delays(
+                base[representative] = array("d", materialize_host_delays(
                     cols, trace.metadata, size).tobytes())
-            durations = array("d", shared[representative])
+            durations = array("d", base[representative])
             for event in by_seq.values():
                 if event.kind in _PLAIN_DEVICE_KINDS:
                     durations[event.seq] = provider.kernel_duration(rank,
                                                                     event)
+            for (seq, resolution), slot in zip(table.by_seq().items(),
+                                               table.template.tolist()):
+                durations[seq] = provider.collective_duration(
+                    rank, by_seq[seq], resolution, members[slot])
         annotations.durations[rank] = durations
-
-        resolved: Dict[int, Tuple] = {}
-        resolutions = collated.resolutions.get(representative, {})
-        for seq in (seqs[row] for row in cols.rows(K_COLLECTIVE)):
-            resolution = resolutions.get(seq)
-            if resolution is None:
-                continue
-            event = None if by_seq is None else by_seq[seq]
-            group = tuple(collated.group_resolver.group_for(
-                rank, resolution.tag, resolution.representative_group))
-            key = resolution.key_for(rank, collated.group_resolver)
-            members: Tuple[int, ...] = group
-            if resolution.is_p2p:
-                if (resolution.peer_position is not None
-                        and len(group) > max(resolution.self_position,
-                                             resolution.peer_position)):
-                    members = (group[resolution.self_position],
-                               group[resolution.peer_position])
-                else:
-                    members = tuple(group[:2]) if len(group) >= 2 else group
-            resolved[seq] = (resolution, group, key,
-                             provider.collective_duration(
-                                 rank, event, resolution, members))
-        annotations.collectives[rank] = resolved
     return annotations
 
 
@@ -171,7 +246,9 @@ class _AnnotationMemoMixin:
     #: operation's shape (it implements ``shape_duration(kernel_class,
     #: params, signature)``), and a collective's duration depends on its
     #: group only through the group's size and the nodes it spans (it is
-    #: priced without reading the event).  The engine relies on both to
+    #: priced without reading the event, or the resolution's per-event
+    #: ``seq_in_comm`` and ``pair_index``: one price per collective
+    #: template and rank).  The engine relies on both to
     #: mirror tensor-parallel peers instead of replaying them
     #: (:func:`repro.core.simulator.engine.tensor_parallel_mirrors`).
     rank_invariant_kernels = False

@@ -134,6 +134,29 @@ def values_key(values: Tuple) -> Tuple:
     return types, tuple(map(repr, values)), True
 
 
+#: Collective ops that are point-to-point rather than group-wide.
+P2P_OPS = ("send", "recv")
+
+
+def collective_signature(collective: Optional[Dict[str, Any]]) -> Tuple:
+    """The collective part of :meth:`TraceEvent.signature`: op, group size
+    and communicator tag, plus a p2p op's (self, peer) positions in its
+    group.  Data- and tensor-parallel peers share those positions, so they
+    still hash equal; neighbouring pipeline stages do not (two middle
+    stages with the same layers differ only in whom they send to)."""
+    if collective is None:
+        return ()
+    op = collective.get("op")
+    key = (op, collective.get("nranks"), collective.get("comm_tag"))
+    if op in P2P_OPS:
+        group = tuple(collective.get("ranks", ()))
+        rank = collective.get("rank")
+        peer = collective.get("peer", rank)
+        key += (group.index(rank) if rank in group else None,
+                group.index(peer) if peer in group else None)
+    return key
+
+
 @dataclass
 class TraceEvent:
     """One row of a worker trace, as an object."""
@@ -166,15 +189,8 @@ class TraceEvent:
             sorted((k, v) for k, v in self.params.items()
                    if k not in ("free", "total"))
         )
-        collective_key: Tuple = ()
-        if self.collective is not None:
-            collective_key = (
-                self.collective.get("op"),
-                self.collective.get("nranks"),
-                self.collective.get("comm_tag"),
-            )
         return (self.kind.value, self.api, self.kernel_class, self.stream,
-                params_key, collective_key)
+                params_key, collective_signature(self.collective))
 
     # ------------------------------------------------------------------
     # serialisation
@@ -220,16 +236,20 @@ def _native(dtype: str):
 
 
 class _ColumnLists(dict):
-    """Column name -> Python list, each built from its array on first
-    read: readers need a few of the eleven columns as lists, and a list
-    costs a pointer plus, for most values, an object per row."""
+    """Column name -> tuple of the column's values, each built from its
+    array on first read: readers need a few of the eleven columns, and a
+    column costs a pointer plus, for most values, an object per row.
+
+    Tuples, not lists: the views live as long as the trace, and CPython
+    stops tracking a tuple of atomic values at the first collection that
+    sees it, so later full collections skip the rows."""
 
     def __init__(self, arrays: Dict[str, Any]) -> None:
         super().__init__()
         self._arrays = arrays
 
-    def __missing__(self, name: str) -> list:
-        column = self[name] = self._arrays[name].tolist()
+    def __missing__(self, name: str) -> Tuple:
+        column = self[name] = tuple(self._arrays[name].tolist())
         return column
 
 
@@ -308,8 +328,9 @@ class TraceColumns:
         recording = arrays is None
         self._memo: Dict[str, Any] = {} if recording else {"arrays": arrays}
         self._memo_n = 0 if recording else len(arrays["seq"])
-        #: The rows as Python lists; ``None`` while the memoized arrays
-        #: alone hold them (after a flush, or for decoded columns).
+        #: The rows as Python lists while :meth:`record` appends them;
+        #: ``None`` while the memoized arrays alone hold them (after a
+        #: flush, or for decoded columns).
         self._lists: Optional[Dict[str, list]] = (
             {name: [] for name, _ in COLUMN_DTYPES} if recording else None)
         self._template_ids: Optional[Dict[Tuple, int]] = (
@@ -389,7 +410,12 @@ class TraceColumns:
         row = self.intern_row(code, api, device, stream, kernel_class,
                               params, collective, event, wait_event,
                               duration)
-        lists = self.lists()
+        self.flush()
+        lists = self._lists
+        if lists is None:
+            arrays = self.arrays()
+            lists = self._lists = {name: arrays[name].tolist()
+                                   for name, _ in COLUMN_DTYPES}
         for (name, _), value in zip(COLUMN_DTYPES, row):
             lists[name].append(value)
         seqs = lists["seq"]
@@ -544,18 +570,16 @@ class TraceColumns:
             self._memo[name] = build(self)
         return self._memo[name]
 
-    def lists(self) -> Dict[str, list]:
-        """The columns as Python lists (after a flush, or for decoded
-        columns, each list is built from its array on first read).
+    def lists(self) -> Dict[str, Tuple]:
+        """The columns as tuples, each built from its array on first read
+        (memoized).
 
-        The engine's inner loop and the fingerprint walk index single
-        elements millions of times; plain-list indexing returns interned
-        ints/floats without numpy's boxing cost.
+        The engine's inner loop indexes single elements millions of times;
+        tuple indexing returns interned ints/floats without numpy's boxing
+        cost.
         """
-        self.flush()
-        if self._lists is None:
-            self._lists = _ColumnLists(self._memo["arrays"])
-        return self._lists
+        return self.memoized("lists",
+                             lambda cols: _ColumnLists(cols.arrays()))
 
     def arrays(self) -> Dict[str, Any]:
         """The columns as native-byte-order numpy arrays (memoized)."""
@@ -648,11 +672,10 @@ class WorkerTrace:
         """Content hash of the replayed host-delay stream (memoized).
 
         Rolling signatures skip ``HOST_DELAY`` events (deduplication
-        compares device work) but replay does not, so consumers that
-        promise "same signature => same replay" (the collated content
-        signature that addresses cached artifacts) add this hash of what
-        materialization consumes: recorded durations, structured jitter
-        keys and the recorded host-model profile.
+        compares device work) but replay does not, so a check that two
+        traces replay alike adds this hash of what materialization
+        consumes: recorded durations, structured jitter keys and the
+        recorded host-model profile.
         """
         from repro.core.columnar import host_delay_signature
 

@@ -2,21 +2,35 @@
 
 from __future__ import annotations
 
+import math
+import pickle
+
 import pytest
 
 from repro.core.collator import (
     CollatedTrace,
+    CollectiveResolution,
+    CollectiveTable,
     IdentityGroupResolver,
     TopologyGroupResolver,
     TraceCollator,
 )
 from repro.core.emulator import EmulationSession
-from repro.core.trace import JobTrace, TraceEvent, TraceEventKind, WorkerTrace
+from repro.core.pipeline import MayaPipeline
+from repro.core.trace import (
+    JobTrace,
+    TraceEvent,
+    TraceEventKind,
+    WorkerTrace,
+    collective_signature,
+)
 from repro.framework.topology import ParallelTopology
 from repro.hardware.cluster import get_cluster
 from repro.workloads.job import TransformerTrainingJob
 from repro.workloads.models import get_transformer
 from repro.framework.recipe import TrainingRecipe
+
+from test_simulator import build_random_tie_job
 
 
 def _collective_event(op, rank, ranks, seq, comm_id=1, tag="dp", nbytes=1024.0,
@@ -90,6 +104,152 @@ class TestDeduplication:
                                     pipeline_parallel=2)
         with pytest.raises(ValueError):
             TraceCollator().collate(job, topology=topology)
+
+
+def _emulated_tp2_pp2():
+    cluster = get_cluster("v100-8")
+    recipe = TrainingRecipe(tensor_parallel=2, pipeline_parallel=2,
+                            microbatch_multiplier=2, dtype="float16")
+    job = TransformerTrainingJob(get_transformer("gpt-tiny"), recipe, cluster,
+                                 global_batch_size=16)
+    result = EmulationSession(cluster).run(job.worker_fn,
+                                           ranks=job.unique_ranks(),
+                                           world_size=job.world_size)
+    return job, result.job_trace
+
+
+class TestPipelinePeerDedup:
+    def test_p2p_signature_keeps_positions_not_ranks(self):
+        def send(rank, peer, ranks):
+            return {"comm_id": 3, "comm_tag": "pp", "seq": 1, "op": "send",
+                    "rank": rank, "peer": peer, "nranks": len(ranks),
+                    "ranks": ranks}
+
+        # Stage 1 -> 2 of two data-parallel replicas: same positions.
+        assert collective_signature(send(2, 4, (0, 2, 4, 6))) == \
+            collective_signature(send(3, 5, (1, 3, 5, 7)))
+        # Stage 1 -> 2 against stage 2 -> 3 of one replica.
+        assert collective_signature(send(2, 4, (0, 2, 4, 6))) != \
+            collective_signature(send(4, 6, (0, 2, 4, 6)))
+
+    @pytest.mark.parametrize("selective_launch", [True, False])
+    def test_gpipe_middle_stages_replay_their_own_sends(self,
+                                                        selective_launch):
+        # Stages 1 and 2 of a 4-stage GPipe job run the same layers and
+        # differ only in their p2p peers; merging them deadlocked replay.
+        cluster = get_cluster("v100-8")
+        job = TransformerTrainingJob(
+            get_transformer("gpt-small"),
+            TrainingRecipe(tensor_parallel=1, pipeline_parallel=4,
+                           microbatch_multiplier=1, schedule="gpipe"),
+            cluster, global_batch_size=64)
+        results = {}
+        for deduplicate in (True, False):
+            pipeline = MayaPipeline(cluster, estimator_mode="analytical",
+                                    deduplicate_workers=deduplicate,
+                                    selective_launch=selective_launch)
+            artifacts = pipeline.emulate(job)
+            assert set(artifacts.collated.representative.values()) >= \
+                {0, 1, 2, 3}
+            results[deduplicate] = pipeline.predict(job, artifacts)
+        assert math.isfinite(results[False].iteration_time)
+        assert results[True].iteration_time == results[False].iteration_time
+
+    def test_selective_launch_skips_the_dedup_hash(self, monkeypatch):
+        job, job_trace = _emulated_tp2_pp2()
+        hashed = []
+        monkeypatch.setattr(WorkerTrace, "rolling_signature",
+                            lambda trace: hashed.append(trace.rank) or 0)
+        collated = TraceCollator().collate(job_trace,
+                                           topology=job.topology())
+        assert hashed == []
+        for rank in job.unique_ranks():
+            assert collated.representative[rank] == rank
+
+    def test_more_ranks_than_selective_launch_still_dedup(self):
+        topology = ParallelTopology(world_size=4, tensor_parallel=4,
+                                    pipeline_parallel=1)
+        collated = TraceCollator().collate(_job_with_two_identical_workers(),
+                                           topology=topology)
+        assert set(collated.representative.values()) == {0}
+
+
+def _resolutions_by_event(trace):
+    """The per-event collective resolution the collator's numpy pass
+    replaced: one walk in trace order, pair counters in a dict."""
+    resolutions, pairs = {}, {}
+    for event in trace.events:
+        if event.kind is not TraceEventKind.COLLECTIVE:
+            continue
+        info = event.collective
+        op = str(info.get("op", "all_reduce"))
+        group = tuple(info.get("ranks", ()))
+        rank = int(info.get("rank", trace.rank))
+        me = group.index(rank) if rank in group else 0
+        peer_position = pair_index = None
+        if op in ("send", "recv"):
+            peer = int(info.get("peer", rank))
+            peer_position = group.index(peer) if peer in group else 0
+            ends = (me, peer_position) if op == "send" else (peer_position, me)
+            key = (info.get("comm_id"),) + ends
+            pair_index = pairs.get(key, 0)
+            pairs[key] = pair_index + 1
+        resolutions[event.seq] = CollectiveResolution(
+            op=op, tag=str(info.get("comm_tag", "")) or "default",
+            nranks=int(info.get("nranks", max(len(group), 1))),
+            nbytes=float(event.params.get("bytes", 0.0)),
+            seq_in_comm=info.get("seq", event.seq),
+            representative_group=group, self_position=me,
+            peer_position=peer_position, pair_index=pair_index,
+            is_p2p=op in ("send", "recv"))
+    return resolutions
+
+
+class TestCollectiveTable:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_event_walk(self, seed):
+        collated = TraceCollator(deduplicate=False).collate(
+            build_random_tie_job(seed))
+        for rank, trace in collated.traces.items():
+            table = collated.resolutions[rank]
+            assert isinstance(table, CollectiveTable)
+            assert dict(table) == _resolutions_by_event(trace)
+            # One record per collective template, not per event.
+            assert len(table.records) <= len(trace.columns.templates)
+
+    def test_emulated_trace_matches_the_per_event_walk(self):
+        job, job_trace = _emulated_tp2_pp2()
+        collated = TraceCollator().collate(job_trace, topology=job.topology())
+        for rank, trace in collated.traces.items():
+            table = collated.resolutions[rank]
+            assert dict(table) == _resolutions_by_event(trace)
+            assert len(table.records) < len(table)
+
+    def test_pickle_keeps_the_per_event_mapping(self):
+        job, job_trace = _emulated_tp2_pp2()
+        collated = TraceCollator().collate(job_trace, topology=job.topology())
+        state = collated.__getstate__()
+        assert all(type(mapping) is dict and all(
+            isinstance(value, CollectiveResolution)
+            for value in mapping.values())
+            for mapping in state["resolutions"].values())
+        restored = pickle.loads(pickle.dumps(collated))
+        for rank, table in collated.resolutions.items():
+            assert isinstance(restored.resolutions[rank], CollectiveTable)
+            assert dict(restored.resolutions[rank]) == dict(table)
+
+    def test_hand_built_mapping_is_tabled(self):
+        resolution = CollectiveResolution(
+            op="all_reduce", tag="dp", nranks=2, nbytes=8.0, seq_in_comm=1,
+            representative_group=(0, 1), self_position=0)
+        trace = WorkerTrace(rank=0, device=0)
+        collated = CollatedTrace(world_size=1, traces={0: trace},
+                                 representative={0: 0},
+                                 resolutions={0: {5: resolution}},
+                                 group_resolver=IdentityGroupResolver())
+        table = collated.resolutions[0]
+        assert isinstance(table, CollectiveTable)
+        assert dict(table) == {5: resolution}
 
 
 class TestCollectiveResolution:

@@ -211,7 +211,7 @@ class TestHostDelayMaterialization:
 
 
 # ----------------------------------------------------------------------
-# worker-dedup and content signatures against the per-event walk
+# worker-dedup and host-delay signatures against the per-event walk
 # ----------------------------------------------------------------------
 
 def _rolling_signature_objects(trace):
@@ -237,17 +237,13 @@ def _host_delay_signature_objects(trace):
     return signature
 
 
-def _content_signature_objects(collated):
-    signature = stable_hash(collated.world_size)
-    for rank in sorted(collated.traces):
-        trace = collated.traces[rank]
-        signature = stable_hash(signature, rank,
-                                _rolling_signature_objects(trace),
-                                _host_delay_signature_objects(trace))
-    for rank in sorted(collated.representative):
-        signature = stable_hash(signature, rank,
-                                collated.representative[rank])
-    return signature
+def _fingerprint(collated, rolling, host_delays):
+    """A collated trace's replay identity: per representative, its
+    operation-stream and host-delay hashes, plus the representative map."""
+    return (collated.world_size,
+            tuple((rank, rolling(trace), host_delays(trace))
+                  for rank, trace in sorted(collated.traces.items())),
+            tuple(sorted(collated.representative.items())))
 
 
 def _mutate(events, rng):
@@ -339,8 +335,13 @@ class TestSignatureAgreement:
                 rewrite_events(job.workers[rank],
                                _mutate(job.workers[rank].events, rng))
             jobs.append(collator.collate(job))
-        assert _partition([c.content_signature() for c in jobs]) == \
-            _partition([_content_signature_objects(c) for c in jobs])
+        assert _partition([
+            _fingerprint(c, WorkerTrace.rolling_signature,
+                         WorkerTrace.host_delay_signature)
+            for c in jobs]) == _partition([
+                _fingerprint(c, _rolling_signature_objects,
+                             _host_delay_signature_objects)
+                for c in jobs])
 
     def test_emulated_ranks_dedup_like_event_walk(self, v100_cluster,
                                                    tiny_model):

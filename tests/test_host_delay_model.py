@@ -216,7 +216,14 @@ class TestSharedProviderAcrossHostModels:
         _, _, slow_host = _emulate(
             v100_cluster, iterations=2,
             host_model=HostModel(jitter=0.0, speed_factor=2.0))
-        assert fast_host.content_signature() != slow_host.content_signature()
+        assert fast_host.representative == slow_host.representative
+        assert [trace.rolling_signature()
+                for trace in fast_host.traces.values()] == \
+            [trace.rolling_signature() for trace in slow_host.traces.values()]
+        assert [trace.host_delay_signature()
+                for trace in fast_host.traces.values()] != \
+            [trace.host_delay_signature()
+             for trace in slow_host.traces.values()]
         pipeline = MayaPipeline(v100_cluster, estimator_mode="analytical")
         shared = pipeline.make_provider()
         ranks = simulation_ranks(job_a)

@@ -3,6 +3,7 @@ artifact cache, parallel batch evaluation and search integration."""
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -24,6 +25,16 @@ from repro.workloads.models import get_transformer
 def service(v100_cluster):
     return PredictionService(cluster=v100_cluster,
                              estimator_mode="analytical")
+
+
+def _fingerprint(collated):
+    """What a collated trace replays: each representative's operation
+    stream and host-delay stream hashes, plus the rank -> representative
+    map."""
+    return (collated.world_size,
+            [(rank, trace.rolling_signature(), trace.host_delay_signature())
+             for rank, trace in sorted(collated.traces.items())],
+            sorted(collated.representative.items()))
 
 
 def _job(model, cluster, recipe, batch=16):
@@ -86,8 +97,8 @@ class TestStructuralSignatures:
         job_a = _job(tiny_model, v100_cluster, basic_recipe)
         job_b = _job(tiny_model, v100_cluster,
                      basic_recipe.replace(compiled=True))
-        content_a = service.pipeline.emulate(job_a).collated.content_signature()
-        content_b = service.pipeline.emulate(job_b).collated.content_signature()
+        content_a = _fingerprint(service.pipeline.emulate(job_a).collated)
+        content_b = _fingerprint(service.pipeline.emulate(job_b).collated)
         assert content_a == content_b
 
 
@@ -180,6 +191,56 @@ class TestArtifactCache:
         cached = service.predict(_job(huge, v100_cluster, recipe, batch=8))
         assert cold.oom and cached.oom
         assert cached.metadata["service_cache"] == "prediction"
+
+
+def _settled_tracked_objects():
+    """``len(gc.get_objects())`` once collections stop untracking: one
+    pass untracks a tuple only if its items are already untracked, so
+    nested tuples take one pass per level."""
+    count = None
+    while True:
+        gc.collect()
+        tracked = len(gc.get_objects())
+        if tracked == count:
+            return count
+        count = tracked
+
+
+class TestColdArtifactFootprint:
+    """A cached cold artifact keeps a fixed number of objects the garbage
+    collector must walk, whatever its row count: its per-row views are
+    tuples of atomic values (untracked after a collection), its
+    collectives one record per template plus numpy columns."""
+
+    #: Tracked objects two such artifacts may differ by.
+    SLACK = 10
+
+    def _retained(self, cluster, model, multiplier):
+        # Same microbatch size, ``multiplier`` times the microbatches.
+        job = _job(model, cluster,
+                   TrainingRecipe(tensor_parallel=2, pipeline_parallel=2,
+                                  microbatch_multiplier=multiplier,
+                                  dtype="float16"),
+                   batch=8 * multiplier)
+        # First use of a job shape builds process-wide memos; not counted.
+        PredictionService(cluster=cluster,
+                          estimator_mode="analytical").predict(job)
+        service = PredictionService(cluster=cluster,
+                                    estimator_mode="analytical")
+        service.warm()
+        before = _settled_tracked_objects()
+        service.predict(job)
+        added = _settled_tracked_objects() - before
+        artifacts = service.cache.peek_artifacts(service._artifact_key(job))
+        rows = sum(len(trace) for trace in artifacts.collated.traces.values())
+        return rows, added
+
+    def test_tracked_objects_do_not_grow_with_rows(self, v100_cluster,
+                                                   tiny_model):
+        short_rows, short = self._retained(v100_cluster, tiny_model, 1)
+        long_rows, long = self._retained(v100_cluster, tiny_model, 8)
+        assert long_rows >= 4 * short_rows
+        assert abs(long - short) <= self.SLACK, (short, long)
 
 
 class TestSyncJournal:
@@ -625,8 +686,8 @@ class TestPooledArtifactReturnPath:
         merged = parent.cache.peek_artifacts(key)
         assert merged is not emulated
         assert _trace_json(merged) == _trace_json(emulated)
-        assert merged.collated.content_signature() == \
-            emulated.collated.content_signature()
+        assert _fingerprint(merged.collated) == \
+            _fingerprint(emulated.collated)
         assert merged.oom == emulated.oom
         assert merged.stage_times == emulated.stage_times
         # Cached under the parent's own objects, not shipped copies.
@@ -650,8 +711,8 @@ class TestPooledArtifactReturnPath:
                 merged = pooled.cache.peek_artifacts(key)
                 assert _trace_json(merged, comm_ids=False) == \
                     _trace_json(expected, comm_ids=False)
-                assert merged.collated.content_signature() == \
-                    expected.collated.content_signature()
+                assert _fingerprint(merged.collated) == \
+                    _fingerprint(expected.collated)
                 assert merged.oom == expected.oom
                 # Wall-clock stage times are the worker's own measurements
                 # (exactly what its result reports), shaped like serial's.
