@@ -15,6 +15,10 @@ nothing here is a claim about it.  What this file keeps:
   walks in the engine workload's cached artifact (gated against a
   recorded ceiling in ``--check``; a count, so the gate does not depend
   on the host's speed);
+* **parent codec calls per cold pooled sweep** -- the parent's
+  ``wire.loads`` / ``wire.dumps_for_format`` calls over two cold 4-job
+  batches on a 2-worker ``persistent`` pool (gated against a recorded
+  ceiling in ``--check``; a count, like the footprint);
 * **wire bytes per event** -- a shipped worker-trace artifact is its
   recorded columns (raw little-endian column buffers plus the template
   pool); this reports its size per artifact and per event;
@@ -36,8 +40,9 @@ Results land in ``BENCH_sim_throughput.json`` at the repository root (the
 perf trajectory file CI uploads as an artifact).  ``--check`` compares a
 fresh measurement against a recorded baseline and fails when the engine's
 replay rate or the emulator's recording rate regresses more than 30% below
-its recorded floor, or when the artifact keeps more tracked objects than
-its recorded ceiling.
+its recorded floor, or when the artifact keeps more tracked objects (or
+the cold pooled sweep makes more parent codec calls) than its recorded
+ceiling.
 
 Run from the repository root::
 
@@ -73,8 +78,10 @@ GLOBAL_BATCH = 16
 ENGINE_REPEATS = 3
 #: Training iterations of the emulated engine workload.
 ITERATIONS = 2
-#: Distinct configurations in the chaos and store legs' batch.
+#: Distinct configurations in the chaos and store legs' batch; the codec
+#: leg runs them as two batches of ``CODEC_BATCH``.
 TRIAL_CONFIGS = 8
+CODEC_BATCH = 4
 #: Chaos leg (``--chaos``): job lease on the measured batch, and how far
 #: past it the injected straggler sleeps.
 CHAOS_LEASE_TIMEOUT = 0.5
@@ -200,6 +207,68 @@ def bench_footprint() -> Dict[str, int]:
     return {
         "artifact_rows": sum(len(trace) for trace in collated.traces.values()),
         "tracked_objects": tracked,
+    }
+
+
+def bench_pool_codec() -> Dict[str, int]:
+    """Parent-side artifact codec calls over a cold pooled sweep.
+
+    Runs two cold ``CODEC_BATCH``-job batches on a 2-worker
+    ``persistent`` pool and counts the calls the parent process makes to
+    ``wire.loads`` and ``wire.dumps_for_format``.  The parent holds each
+    worker's artifact payload as received and forwards it unchanged to
+    the sibling worker at the second batch's sync, and nothing looks a
+    cold artifact up, so both counts should be 0.  A count, not a
+    timing, so its gate runs wherever the benchmark does.
+    """
+    from repro.analysis.experiments import candidate_recipes
+    from repro.hardware.cluster import get_cluster
+    from repro.service import PredictionService, wire
+    from repro.workloads.job import TransformerTrainingJob
+    from repro.workloads.models import get_transformer
+
+    cluster = get_cluster(CLUSTER)
+    model = get_transformer(MODEL)
+    jobs = [TransformerTrainingJob(model, recipe, cluster,
+                                   global_batch_size=GLOBAL_BATCH)
+            for recipe in candidate_recipes(model, cluster, GLOBAL_BATCH,
+                                            limit=2 * CODEC_BATCH)]
+    parent_pid = os.getpid()
+    real = {name: getattr(wire, name)
+            for name in ("loads", "dumps_for_format")}
+    calls = dict.fromkeys(real, 0)
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            if os.getpid() == parent_pid:  # forked workers inherit it
+                calls[name] += 1
+            return real[name](*args, **kwargs)
+        return wrapper
+
+    for name in real:
+        setattr(wire, name, counted(name))
+    try:
+        with PredictionService(cluster=cluster,
+                               estimator_mode="analytical",
+                               backend="persistent",
+                               max_workers=2) as service:
+            service.warm()
+            for start in range(0, len(jobs), CODEC_BATCH):
+                predictions = service.predict_many(
+                    jobs[start:start + CODEC_BATCH])
+                assert all(prediction.metadata["service_cache"] == "miss"
+                           for prediction in predictions), \
+                    "codec leg batch was not cold"
+            delta_syncs = service.backend_impl.sync_stats["delta_syncs"]
+    finally:
+        for name, function in real.items():
+            setattr(wire, name, function)
+    assert delta_syncs > 0, "codec leg forwarded nothing to a sibling"
+    return {
+        "trials": len(jobs),
+        "delta_syncs": delta_syncs,
+        "parent_loads": calls["loads"],
+        "parent_dumps": calls["dumps_for_format"],
     }
 
 
@@ -369,6 +438,7 @@ def run_benchmark(output: Path, chaos: bool = False,
         "emulation": bench_emulation(),
         "wire_shipping": bench_wire_shipping(),
         "footprint": bench_footprint(),
+        "pool_codec": bench_pool_codec(),
     }
     if chaos:
         payload["chaos"] = bench_chaos()
@@ -387,6 +457,10 @@ def run_benchmark(output: Path, chaos: bool = False,
     footprint = payload["footprint"]
     print(f"footprint: {footprint['tracked_objects']} tracked objects in "
           f"a cached {footprint['artifact_rows']}-row artifact")
+    codec = payload["pool_codec"]
+    print(f"pool codec: {codec['parent_loads']} parent decodes, "
+          f"{codec['parent_dumps']} parent encodes over "
+          f"{codec['trials']} cold pooled trials")
     shipping = payload["wire_shipping"]
     print(f"wire shipping: {shipping['columnar_bytes_per_event']:.1f} "
           f"B/event over {shipping['artifacts']} artifacts")
@@ -445,6 +519,20 @@ def check_against_baseline(current: Dict[str, object],
         print(f"FAIL: a cached artifact keeps {tracked} tracked objects, "
               f"above the recorded ceiling of {ceiling}")
         failed = True
+    # Counts too: what the parent decodes and encodes while two cold
+    # batches run on the pool (held payloads are forwarded as received).
+    gates.append(("pool-codec-ceiling", None))
+    for metric, what in (("parent_loads", "decodes"),
+                         ("parent_dumps", "encodes")):
+        ceiling = int(baseline["pool_codec"][metric])
+        measured = int(current["pool_codec"][metric])
+        print(f"pool codec: measured {measured} parent {what}, "
+              f"ceiling {ceiling}")
+        if measured > ceiling:
+            print(f"FAIL: a cold pooled sweep makes {measured} parent "
+                  f"artifact {what}, above the recorded ceiling of "
+                  f"{ceiling}")
+            failed = True
     store_leg = current.get("cold_vs_warm_store", {})
     if store_leg:
         # Report-only: the warm run hydrates every artifact from disk, so

@@ -15,21 +15,25 @@ implementing one explicit lifecycle -- ``warm`` / ``submit`` / ``drain`` /
   trained estimator suite, the shared duration provider's kernel memo and
   the artifact cache accumulated so far as copy-on-write memory.  From
   then on workers are kept in sync by **incremental cache deltas**: before
-  each batch the parent ships only the artifact entries (columnar
-  payloads, :func:`repro.service.wire.dumps_columnar`, encoded once
-  however many workers receive them) and shared-provider duration memos
-  created since that worker's last sync, keyed by the artifact cache's
-  sync epoch, and the worker acks the epoch before any job of the batch
-  reaches it.  A worker whose epoch the journal cannot serve receives a
-  full snapshot instead.  Jobs are dispatched with a bounded per-worker
-  in-flight window, interleaving scatter with gather so neither side can
-  block on a full pipe buffer.  Each worker runs the ordinary cache-aware
-  ``predict`` path; results travel back as pickled
-  :class:`~repro.core.pipeline.PredictionResult` objects, and any *freshly
-  emulated* artifacts as one columnar payload, which the parent decodes
-  into its own :class:`~repro.service.cache.ArtifactCache`.  Cache
-  statistics are replayed on the parent in input order, so the accounting
-  matches what a serial evaluation would have recorded.
+  each batch the parent ships only the artifact entries and
+  shared-provider duration memos created since that worker's last sync,
+  keyed by the artifact cache's sync epoch, and the worker acks the epoch
+  before any job of the batch reaches it.  A worker whose epoch the
+  journal cannot serve receives a full snapshot instead.  Jobs are
+  dispatched with a bounded per-worker in-flight window, interleaving
+  scatter with gather so neither side can block on a full pipe buffer.
+  Each worker runs the ordinary cache-aware ``predict`` path; results
+  travel back as pickled :class:`~repro.core.pipeline.PredictionResult`
+  objects, and any *freshly emulated* artifacts as one columnar payload
+  (:func:`repro.service.wire.dumps_columnar`).  Artifact payloads are
+  forwarded as received: the parent's
+  :class:`~repro.service.cache.ArtifactCache` holds the worker's bytes
+  (:class:`~repro.service.cache.HeldArtifacts`), a sibling's sync ships
+  them unchanged, and the sibling holds them too.  Only a cache lookup
+  that hits an entry decodes it, once; the parent encodes only the
+  entries it emulated itself.  Cache statistics are replayed on the
+  parent in input order, so the accounting matches what a serial
+  evaluation would have recorded.
 * ``socket`` -- the persistent lifecycle over TCP: workers are remote
   ``repro worker-host`` processes (other machines, or localhost for
   tests).  With no fork inheritance across hosts, ``warm`` bootstraps
@@ -64,6 +68,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import PredictionResult
 from repro.service import faults, wire
+from repro.service.cache import HeldArtifacts
 from repro.service.dispatch import BatchDispatch
 from repro.service.scheduling import JobSpec, RoundRobinPolicy, WorkerSnapshot
 from repro.service.wire import FEATURE_PING, WireError
@@ -144,8 +149,11 @@ def _evaluate_job(service: "PredictionService", index: int, job: TrainingJob,
     a direct in-process call), so the parent can cache them (worker memory
     is copy-on-write or a fork-time copy: nothing written here is visible
     to the parent).  The first replay already lowered every trace to
-    columns, so encoding is a buffer copy.  ``job`` and ``cluster`` stay
-    behind: the parent re-attaches its own.
+    columns, so encoding is a buffer copy.  This is the only encode an
+    artifact gets: the parent holds these bytes and forwards them
+    unchanged to the sibling workers, and whoever later looks the entry
+    up decodes it there.  ``job`` and ``cluster`` stay behind: each
+    holder re-attaches its own.
     """
     result = service.predict(job)
     payload: Optional[bytes] = None
@@ -191,14 +199,16 @@ def _merge_batch(service: "PredictionService", jobs: Sequence[TrainingJob],
                  payloads: Sequence[Tuple]) -> List[Optional[PredictionResult]]:
     """Fold worker results back into the parent service.
 
-    Replays the cache accounting each worker performed against its own
-    (invisible) cache copy, decodes freshly emulated artifacts from their
-    wire payloads, and seeds the prediction cache so followers and future
-    batches resolve exactly as they would have serially.
+    ``payloads`` are ``(index, result, artifact payload, wire format)``
+    tuples.  Replays the cache accounting each worker performed against
+    its own (invisible) cache copy, caches freshly emulated artifacts as
+    the held wire payloads they arrived as (decoded only if a later
+    lookup hits them), and seeds the prediction cache so followers and
+    future batches resolve exactly as they would have serially.
     """
     results: List[Optional[PredictionResult]] = [None] * len(jobs)
     stats = service.stats
-    for index, result, payload in payloads:
+    for index, result, payload, fmt in payloads:
         results[index] = result
         level = result.metadata.get("service_cache")
         tier = result.metadata.get("artifact_tier")
@@ -219,13 +229,13 @@ def _merge_batch(service: "PredictionService", jobs: Sequence[TrainingJob],
         job = jobs[index]
         artifact_key = _artifact_key(service, job)
         if payload is not None:
-            # Fresh emulation: cache the worker's artifacts (traces and
-            # collation, as it encoded them) under the parent's own objects.
+            # Fresh emulation: hold the worker's bytes (traces and
+            # collation, as it encoded them) with the parent's own objects
+            # to re-attach on lookup.
             if (artifact_key is not None
-                    and service.cache.peek_artifacts(artifact_key) is None):
-                service.cache.put_artifacts(artifact_key, replace(
-                    wire.loads(payload), job=job,
-                    cluster=service.pipeline.cluster))
+                    and service.cache.peek_entry(artifact_key) is None):
+                service.cache.put_artifacts(artifact_key, HeldArtifacts(
+                    payload, fmt, job, service.pipeline.cluster))
         elif (level == "artifacts" and tier == "store"
               and artifact_key is not None):
             # The worker's lookup fell through to the disk store and
@@ -374,8 +384,12 @@ def _pool_worker_main(conn, service: "PredictionService",
                 elif kind == "sync":
                     (_, epoch, full, entries, kernel_memo,
                      collective_memo) = message
+                    # Held as received: decoded only if a job's lookup
+                    # hits the entry.
+                    fmt = wire.format_for_peer(conn)
+                    cluster = service.pipeline.cluster
                     service.cache.apply_artifact_delta(
-                        [(key, wire.loads(payload))
+                        [(key, HeldArtifacts(payload, fmt, None, cluster))
                          for key, payload in entries], full=full)
                     provider = (service.provider()
                                 if service.share_provider else None)
@@ -637,17 +651,22 @@ class PooledBackend(EvaluationBackend):
     def _job_specs(self, service: "PredictionService",
                    jobs: List[TrainingJob],
                    dispatch: Sequence[int]) -> List[JobSpec]:
-        """Placement views of the dispatchable jobs."""
+        """Placement views of the dispatchable jobs.  Never decodes: a
+        held entry's ship size is its payload's measured length."""
         cache = service.cache
         specs: List[JobSpec] = []
         for index in dispatch:
             key = _artifact_key(service, jobs[index])
-            artifacts = None if key is None else cache.peek_artifacts(key)
+            entry = None if key is None else cache.peek_entry(key)
+            if entry is None:
+                ship_bytes = 0
+            elif isinstance(entry, HeldArtifacts):
+                ship_bytes = len(entry.payload)
+            else:
+                ship_bytes = self._estimate_ship_bytes(entry)
             specs.append(JobSpec(
                 index=index, artifact_key=key,
-                artifact_cached=artifacts is not None,
-                ship_bytes=(0 if artifacts is None
-                            else self._estimate_ship_bytes(artifacts))))
+                artifact_cached=entry is not None, ship_bytes=ship_bytes))
         return specs
 
     def _worker_snapshots(self, service: "PredictionService",
@@ -776,7 +795,10 @@ class PooledBackend(EvaluationBackend):
         pipe is ordered), so no job is ever evaluated against stale
         artifacts.  An unserviceable epoch -- or an ack that does not match
         the epoch just shipped -- forces a full snapshot resync.  Artifacts
-        travel as wire payloads memoised in ``encoded`` (shared by every
+        travel as wire payloads.  A held entry (a worker's result payload)
+        whose format matches the peer's is forwarded as received, never
+        decoded or re-encoded.  Only the entries the parent emulated
+        itself are encoded, memoised in ``encoded`` (shared by every
         worker synced for the same batch): a delta fanned out to N
         siblings is serialised once per format, not N times.
         """
@@ -821,7 +843,12 @@ class PooledBackend(EvaluationBackend):
         fmt = wire.format_for_peer(worker.conn)
         shipped = []
         for key, artifacts in entries:
+            if isinstance(artifacts, HeldArtifacts) and artifacts.fmt == fmt:
+                shipped.append((key, artifacts.payload))
+                continue
             if (fmt, key) not in encoded:
+                if isinstance(artifacts, HeldArtifacts):
+                    artifacts = artifacts.decode(key)
                 encoded[fmt, key] = wire.dumps_for_format(artifacts, fmt)
             shipped.append((key, encoded[fmt, key]))
         worker.conn.send(("sync", epoch, full, shipped, kernel_memo,
@@ -1038,7 +1065,8 @@ class PooledBackend(EvaluationBackend):
         elif message[0] == "error":
             dispatch.error(worker, message[1], message[2], now)
         elif dispatch.result(worker, message[1], now):
-            payloads.append(message[1:])
+            payloads.append(message[1:]
+                            + (wire.format_for_peer(worker.conn),))
             if message[3] is not None:
                 # Fresh emulation: remember which worker already holds
                 # these artifacts so the next sync does not ship them back.

@@ -28,6 +28,19 @@ worker not having them matches the parent not having them); an epoch the
 journal cannot serve (ahead of the parent, or negative) signals a stale
 worker that must receive a full :meth:`snapshot` instead.
 
+**Held payloads.**  An entry may be a :class:`HeldArtifacts`: the wire
+payload a pooled worker encoded, kept as received together with the
+``job`` / ``cluster`` to re-attach.  The journal hands held entries out
+as they are, so the parent forwards a worker's bytes to its siblings
+without decoding them, and a worker holds what a sync delivers.  Only
+:meth:`~ArtifactCache.lookup_artifacts` and
+:meth:`~ArtifactCache.peek_artifacts` decode, once, swapping the decoded
+object in place: the entry keeps its epoch and its put order.  Cold
+batches never look their merged artifacts up, so they never decode them.
+A held payload that fails to decode raises
+:class:`~repro.service.wire.WireError` naming its key and is dropped like
+an eviction, so the next lookup re-emulates.
+
 The delta protocol's invariants, which both pooled backends rely on:
 
 * **Only puts travel.**  A delta never names evictions, so any eviction
@@ -55,8 +68,9 @@ cache is what makes the delta protocol "wire-shaped".
 **Tiering.**  The artifact level can sit on top of a disk-backed
 :class:`~repro.service.store.ArtifactStore` (the *cold tier*, attached
 via :attr:`ArtifactCache.store`): a memory miss falls through to the
-store, and fresh puts write through to it.  A store hit **hydrates**
-through the exact same journalled put path a fresh emulation takes --
+store, and fresh puts write through to it (a held payload is decoded
+for the write).  A store hit **hydrates** through the exact same
+journalled put path a fresh emulation takes --
 the epoch advances, capacity eviction runs, and pooled workers receive
 the hydrated entry through the ordinary delta protocol.  That is the
 *hydration-as-resync invariant*: a fresh service warming from disk is
@@ -70,10 +84,14 @@ tier-labelled (``memory_hits`` + ``store_hits`` partition
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.pipeline import EmulationArtifacts, PredictionResult
+from repro.hardware.cluster import ClusterSpec
+from repro.service import wire
+from repro.service.wire import WireError
+from repro.workloads.job import TrainingJob
 
 
 @dataclass
@@ -120,6 +138,42 @@ class CacheStats:
         }
 
 
+@dataclass(frozen=True, slots=True)
+class HeldArtifacts:
+    """Artifacts kept as the wire payload a pooled worker encoded.
+
+    ``payload`` is :func:`repro.service.wire.dumps_for_format` output in
+    wire format ``fmt``.  :meth:`decode` re-attaches ``job`` and
+    ``cluster``, the holder's own objects (``job`` is ``None`` on a
+    worker, which never reads it).
+    """
+
+    payload: bytes = field(repr=False)
+    fmt: int
+    job: Optional[TrainingJob]
+    cluster: Optional[ClusterSpec]
+
+    def decode(self, key: Tuple) -> EmulationArtifacts:
+        """The artifacts the payload holds; :class:`WireError` naming
+        ``key`` when the bytes do not decode to them."""
+        try:
+            artifacts = wire.loads(self.payload)
+        except Exception as exc:
+            raise WireError(
+                f"held artifact payload for key {key!r} does not decode "
+                f"({type(exc).__name__}: {exc})") from exc
+        if not isinstance(artifacts, EmulationArtifacts):
+            raise WireError(
+                f"held artifact payload for key {key!r} decodes to "
+                f"{type(artifacts).__name__}, not EmulationArtifacts")
+        return replace(artifacts, job=self.job, cluster=self.cluster)
+
+
+#: What the artifact table stores per key: decoded artifacts, or a held
+#: wire payload not yet looked up.
+ArtifactEntry = Union[EmulationArtifacts, HeldArtifacts]
+
+
 class ArtifactCache:
     """Two-level, thread-safe cache of emulation artifacts and predictions."""
 
@@ -134,7 +188,7 @@ class ArtifactCache:
         #: attaches its own (see :meth:`__getstate__`).
         self._store = store
         self._lock = threading.Lock()
-        self._artifacts: Dict[Tuple, EmulationArtifacts] = {}
+        self._artifacts: Dict[Tuple, ArtifactEntry] = {}
         self._predictions: Dict[Tuple, PredictionResult] = {}
         #: Monotonic artifact-put counter (the persistent backend's sync
         #: epoch) and the epoch at which each live entry was (last) put.
@@ -167,14 +221,16 @@ class ArtifactCache:
             Optional[EmulationArtifacts], str]:
         """Tiered lookup: ``(artifacts, tier)``.
 
-        ``tier`` is ``"memory"``, ``"store"`` or ``"miss"``.  A store hit
-        hydrates the memory tier through the journalled put path (epoch
-        advance + capacity eviction, no write-back), so to the sync
-        journal -- and therefore to every pooled worker -- a disk-warmed
-        entry is indistinguishable from a freshly emulated one.
+        ``tier`` is ``"memory"``, ``"store"`` or ``"miss"``.  A held
+        memory entry is decoded here, once (see :meth:`_decoded_locked`).
+        A store hit hydrates the memory tier through the journalled put
+        path (epoch advance + capacity eviction, no write-back), so to the
+        sync journal -- and therefore to every pooled worker -- a
+        disk-warmed entry is indistinguishable from a freshly emulated
+        one.
         """
         with self._lock:
-            artifacts = self._artifacts.get(key)
+            artifacts = self._decoded_locked(key)
             if artifacts is not None:
                 self.stats.artifact_hits += 1
                 self.stats.memory_hits += 1
@@ -197,13 +253,19 @@ class ArtifactCache:
             self.stats.artifact_misses += 1
             return None, "miss"
 
-    def put_artifacts(self, key: Tuple, artifacts: EmulationArtifacts) -> None:
+    def put_artifacts(self, key: Tuple, artifacts: ArtifactEntry) -> None:
+        """Journalled put of decoded artifacts or a :class:`HeldArtifacts`
+        (a pooled worker's payload, merged undecoded)."""
         with self._lock:
             self._put_artifacts_locked(key, artifacts, write_through=True)
 
-    def _put_artifacts_locked(self, key: Tuple,
-                              artifacts: EmulationArtifacts,
+    def _put_artifacts_locked(self, key: Tuple, artifacts: ArtifactEntry,
                               write_through: bool) -> None:
+        write_through = write_through and self._store is not None
+        if write_through and isinstance(artifacts, HeldArtifacts):
+            # The store persists decoded artifacts: decode before the
+            # table changes, so bad bytes leave the cache as it was.
+            artifacts = artifacts.decode(key)
         if key not in self._artifacts:
             # Re-putting a live key replaces its value in place and must
             # NOT evict: at capacity the victim would be an unrelated
@@ -213,7 +275,7 @@ class ArtifactCache:
         self._epoch += 1
         self._artifacts[key] = artifacts
         self._artifact_epochs[key] = self._epoch
-        if write_through and self._store is not None:
+        if write_through:
             # Fresh artifacts persist to the cold tier; store-hydrated
             # ones (write_through=False) came from there.
             self._store.put(key, artifacts)
@@ -239,9 +301,37 @@ class ArtifactCache:
             return True
 
     def peek_artifacts(self, key: Tuple) -> Optional[EmulationArtifacts]:
-        """Lookup without touching hit/miss counters (merge bookkeeping)."""
+        """Lookup without touching hit/miss counters (decodes a held
+        entry, like :meth:`lookup_artifacts`)."""
+        with self._lock:
+            return self._decoded_locked(key)
+
+    def peek_entry(self, key: Tuple) -> Optional[ArtifactEntry]:
+        """The stored entry as it is -- held payloads stay undecoded --
+        without touching the counters (merge and placement bookkeeping)."""
         with self._lock:
             return self._artifacts.get(key)
+
+    def _decoded_locked(self, key: Tuple) -> Optional[EmulationArtifacts]:
+        """The live entry for ``key``, a held payload decoded in place.
+
+        The swap keeps the key's epoch and put order, so the journal and
+        eviction see no change.  Bytes that do not decode are dropped like
+        an eviction (workers synced before it full-resync) and raise
+        :class:`WireError`: the next lookup misses and re-emulates.
+        """
+        entry = self._artifacts.get(key)
+        if not isinstance(entry, HeldArtifacts):
+            return entry
+        try:
+            artifacts = entry.decode(key)
+        except WireError:
+            del self._artifacts[key]
+            self._artifact_epochs.pop(key, None)
+            self._eviction_epoch = self._epoch + 1
+            raise
+        self._artifacts[key] = artifacts
+        return artifacts
 
     # ------------------------------------------------------------------
     # sync journal (persistent-backend cache-delta protocol)
@@ -253,8 +343,9 @@ class ArtifactCache:
             return self._epoch
 
     def delta_since(self, epoch: int) -> Optional[
-            Tuple[int, List[Tuple[Tuple, EmulationArtifacts]]]]:
-        """Artifact entries put after ``epoch``, oldest first.
+            Tuple[int, List[Tuple[Tuple, ArtifactEntry]]]]:
+        """Artifact entries put after ``epoch``, oldest first, as stored
+        (held payloads stay undecoded).
 
         Returns ``(current_epoch, entries)``, or ``None`` when this journal
         cannot bring a worker synced at ``epoch`` up to date with puts
@@ -295,8 +386,9 @@ class ArtifactCache:
             return frozenset(key for key, seq in self._artifact_epochs.items()
                              if seq <= epoch)
 
-    def snapshot(self) -> Tuple[int, List[Tuple[Tuple, EmulationArtifacts]]]:
-        """Every live artifact entry in put order, plus the current epoch."""
+    def snapshot(self) -> Tuple[int, List[Tuple[Tuple, ArtifactEntry]]]:
+        """Every live artifact entry in put order, as stored, plus the
+        current epoch."""
         with self._lock:
             entries = sorted(self._artifact_epochs.items(),
                              key=lambda item: item[1])
@@ -304,11 +396,13 @@ class ArtifactCache:
                                  for key, _ in entries]
 
     def apply_artifact_delta(
-            self, entries: Sequence[Tuple[Tuple, EmulationArtifacts]],
+            self, entries: Sequence[Tuple[Tuple, ArtifactEntry]],
             full: bool = False) -> None:
         """Fold a parent-shipped delta (or full snapshot) into this cache.
 
-        Used on the worker side of the persistent backend; never touches the
+        Entries are stored as given: a worker holds the payloads a sync
+        delivers and decodes one only when a lookup hits it.  Used on the
+        worker side of the persistent backend; never touches the
         hit/miss counters -- sync traffic is bookkeeping, not lookups.
         Capacity eviction deliberately does *not* run here: the parent
         already bounds its table, and an independently chosen local victim

@@ -17,6 +17,7 @@ from repro.framework.recipe import STRUCTURAL_KNOBS, TrainingRecipe
 from repro.search import MayaSearch, MayaTrialEvaluator, TrialStatus
 from repro.search.space import default_search_space
 from repro.service import ArtifactCache, PredictionService, wire
+from repro.service.cache import HeldArtifacts
 from repro.workloads.job import TransformerTrainingJob
 from repro.workloads.models import get_transformer
 
@@ -612,15 +613,53 @@ def _trace_json(artifacts, comm_ids=True):
     return json.dumps(data)
 
 
+class _CodecCounts:
+    """Counts ``wire.loads`` / ``wire.dumps_for_format`` calls, split into
+    the parent's and the forked workers' (patch before the pool forks)."""
+
+    NAMES = ("loads", "dumps_for_format")
+
+    def __init__(self, monkeypatch):
+        context = multiprocessing.get_context("fork")
+        self._parent_pid = os.getpid()
+        # Fork-shared totals see the workers' calls; the dict only the
+        # parent's (each worker increments its own copy).
+        self._totals = {name: context.Value("i", 0) for name in self.NAMES}
+        self._parent = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            monkeypatch.setattr(wire, name,
+                                self._counted(name, getattr(wire, name)))
+
+    def _counted(self, name, real):
+        def wrapper(*args, **kwargs):
+            with self._totals[name].get_lock():
+                self._totals[name].value += 1
+            if os.getpid() == self._parent_pid:
+                self._parent[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    def parent(self, name):
+        return self._parent[name]
+
+    def workers(self, name):
+        return self._totals[name].value - self._parent[name]
+
+
 class TestPooledArtifactReturnPath:
     """Workers return fresh artifacts as one wire payload that the parent
-    decodes and caches as-is: no JSON round-trip, no second collation."""
+    holds as received and forwards to the sibling workers unchanged:
+    no JSON round-trip, no second collation, and a decode only where a
+    lookup hits the entry."""
 
     RECIPES = TestEvaluationBackends.RECIPES
+    #: A second cold batch: structurally distinct from ``RECIPES``.
+    RECOMPUTE = [recipe.replace(activation_recomputation=True)
+                 for recipe in RECIPES]
     POOLED = pytest.mark.parametrize("backend", ["persistent"])
 
-    def _jobs(self, model, cluster):
-        return [_job(model, cluster, recipe) for recipe in self.RECIPES]
+    def _jobs(self, model, cluster, recipes=RECIPES):
+        return [_job(model, cluster, recipe) for recipe in recipes]
 
     def _service(self, cluster, backend="serial"):
         return PredictionService(cluster=cluster,
@@ -636,7 +675,7 @@ class TestPooledArtifactReturnPath:
         json_calls = context.Value("i", 0)
         collations = context.Value("i", 0)
         parent_pid = os.getpid()
-        parent_calls = {"collate": 0, "loads": 0}
+        parent_calls = {"collate": 0}
 
         def counted(real, counter, parent_key=None):
             def wrapper(*args, **kwargs):
@@ -653,8 +692,7 @@ class TestPooledArtifactReturnPath:
                             counted(JobTrace.to_json, json_calls))
         monkeypatch.setattr(JobTrace, "from_json", staticmethod(
             counted(JobTrace.from_json, json_calls)))
-        monkeypatch.setattr(wire, "loads", counted(
-            wire.loads, context.Value("i", 0), "loads"))
+        codec = _CodecCounts(monkeypatch)
 
         with self._service(v100_cluster, backend) as service:
             results = service.predict_many(
@@ -665,10 +703,12 @@ class TestPooledArtifactReturnPath:
         assert collations.value == len(self.RECIPES)
         assert parent_calls["collate"] == 0
         assert json_calls.value == 0
-        # One decode per merged artifact: a payload is opaque bytes until
-        # the merge, so a result the merge never sees (a speculative
-        # duplicate) is never decoded either.
-        assert parent_calls["loads"] == len(self.RECIPES)
+        # No decode at all: the merge holds each payload as received, and
+        # a cold batch never looks its merged artifacts up.
+        assert codec.parent("loads") == 0
+        assert all(isinstance(
+            service.cache.peek_entry(service._artifact_key(job)),
+            HeldArtifacts) for job in self._jobs(tiny_model, v100_cluster))
 
     def test_merge_reproduces_the_workers_artifacts_exactly(
             self, tiny_model, v100_cluster):
@@ -680,7 +720,8 @@ class TestPooledArtifactReturnPath:
         worker = self._service(v100_cluster)
         parent = self._service(v100_cluster)
         payload = _evaluate_job(worker, 0, job)
-        [result] = _merge_batch(parent, [job], [payload])
+        [result] = _merge_batch(parent, [job],
+                                [payload + (wire.format_for_peer(None),)])
         key = parent._artifact_key(job)
         emulated = worker.cache.peek_artifacts(key)
         merged = parent.cache.peek_artifacts(key)
@@ -727,3 +768,161 @@ class TestPooledArtifactReturnPath:
                                             sibling))
         assert reused.metadata["service_cache"] == "artifacts"
         assert_results_identical([reference], [reused], backend=backend)
+
+    def _cold_sweep(self, model, cluster, pooled):
+        """Two cold batches on ``pooled``; the second batch's sync forwards
+        the first batch's artifacts to the sibling of each producer."""
+        first = pooled.predict_many(self._jobs(model, cluster))
+        second = pooled.predict_many(
+            self._jobs(model, cluster, self.RECOMPUTE))
+        return first + second
+
+    @POOLED
+    def test_forwarded_sync_payload_is_the_workers_result_payload(
+            self, tiny_model, v100_cluster, backend, monkeypatch):
+        from multiprocessing.connection import Connection
+
+        from repro.service.backends import PooledBackend
+
+        received, synced = {}, []
+        real_feed, real_send = PooledBackend._feed, Connection.send
+
+        def feed(backend_self, dispatch, worker, message, payloads):
+            if message[0] == "result" and message[3] is not None:
+                job = backend_self._jobs[message[1]]
+                received[backend_self._service._artifact_key(job)] = \
+                    message[3]
+            return real_feed(backend_self, dispatch, worker, message,
+                             payloads)
+
+        def send(conn, obj):
+            if isinstance(obj, tuple) and obj[0] == "sync":
+                synced.append(obj)
+            return real_send(conn, obj)
+
+        monkeypatch.setattr(PooledBackend, "_feed", feed)
+        monkeypatch.setattr(Connection, "send", send)
+        with self._service(v100_cluster, backend) as pooled:
+            results = self._cold_sweep(tiny_model, v100_cluster, pooled)
+        assert all(r.metadata["service_cache"] == "miss" for r in results)
+        shipped = [entry for message in synced for entry in message[3]]
+        # Each first-batch artifact reaches the one worker that did not
+        # emulate it, as the very bytes its producer returned.
+        assert sorted(key for key, _ in shipped) == sorted(
+            pooled._artifact_key(job)
+            for job in self._jobs(tiny_model, v100_cluster))
+        for key, payload in shipped:
+            assert payload == received[key]
+
+    @POOLED
+    def test_cold_sweep_decodes_nothing_anywhere(
+            self, tiny_model, v100_cluster, backend, monkeypatch):
+        codec = _CodecCounts(monkeypatch)
+        with self._service(v100_cluster, backend) as pooled:
+            results = self._cold_sweep(tiny_model, v100_cluster, pooled)
+            assert pooled.backend_impl.sync_stats["delta_syncs"] == 2
+        assert all(r.metadata["service_cache"] == "miss" for r in results)
+        # The sibling workers hold what the second sync forwarded and
+        # never look it up; the parent forwards bytes, encoding nothing.
+        assert codec.workers("loads") == 0
+        assert codec.parent("loads") == 0
+        assert codec.parent("dumps_for_format") == 0
+        # Each cold job's own encode in its worker is the only codec work.
+        assert codec.workers("dumps_for_format") == 2 * len(self.RECIPES)
+
+    @POOLED
+    def test_artifact_hit_decodes_once_on_the_pool_and_the_parent(
+            self, tiny_model, v100_cluster, backend, monkeypatch):
+        cold = self._jobs(tiny_model, v100_cluster)
+        compiled = [_job(tiny_model, v100_cluster,
+                         recipe.replace(compiled=True))
+                    for recipe in self.RECIPES]
+        # Round-robin striping put jobs 0 and 2 on worker 0 and jobs 1 and
+        # 3 on worker 1; this order sends each variant to the worker that
+        # holds its artifacts only as forwarded bytes.
+        through_pool = [compiled[3], compiled[2], compiled[1]]
+        codec = _CodecCounts(monkeypatch)
+        with self._service(v100_cluster) as serial, \
+                self._service(v100_cluster, backend) as pooled:
+            expected = (serial.predict_many(cold)
+                        + serial.predict_many(through_pool)
+                        + [serial.predict(compiled[0])])
+            before = (codec.parent("loads"), codec.workers("loads"))
+            results = pooled.predict_many(cold)
+            results += pooled.predict_many(through_pool)
+            assert codec.workers("loads") - before[1] == len(through_pool)
+            assert codec.parent("loads") == before[0]
+            epoch = pooled.cache.sync_epoch
+            results.append(pooled.predict(compiled[0]))
+            assert codec.parent("loads") == before[0] + 1
+            # Decoded in place: a second read decodes nothing, and the
+            # journal does not see the swap.
+            key = pooled._artifact_key(compiled[0])
+            assert not isinstance(pooled.cache.peek_entry(key),
+                                  HeldArtifacts)
+            assert pooled.cache.peek_artifacts(key).job is cold[0]
+            assert codec.parent("loads") == before[0] + 1
+            assert pooled.cache.sync_epoch == epoch
+            assert pooled.cache_stats() == serial.cache_stats()
+        assert [r.metadata["service_cache"] for r in results] == \
+            ["miss"] * 4 + ["artifacts"] * 4
+        assert_results_identical(expected, results, backend=backend)
+
+    def test_sync_reencodes_a_held_payload_for_a_peer_of_another_format(
+            self, tiny_model, v100_cluster):
+        from repro.service.backends import (PersistentBackend, _PoolWorker,
+                                            _evaluate_job, _merge_batch)
+
+        class PlainPeer:
+            """A socket peer that negotiated columnar traces off."""
+
+            peer_features = frozenset()
+
+            def __init__(self):
+                self.sent = []
+
+            def send(self, message):
+                self.sent.append(message)
+
+        job = _job(tiny_model, v100_cluster, self.RECIPES[0])
+        payload = _evaluate_job(self._service(v100_cluster), 0, job)
+        parent = self._service(v100_cluster)
+        _merge_batch(parent, [job],
+                     [payload + (wire.format_for_peer(None),)])
+        backend, encoded = PersistentBackend(), {}
+        peers = [PlainPeer(), PlainPeer()]
+        for peer in peers:
+            backend._send_sync(parent, _PoolWorker(peer, 0, 0, 0), encoded)
+        [(key, shipped)] = peers[0].sent[0][3]
+        # Re-encoded in the peer's format, once for both peers.
+        assert wire.format_for_peer(peers[0]) != wire.format_for_peer(None)
+        assert shipped != payload[2]
+        assert peers[1].sent[0][3][0][1] is shipped
+        assert _fingerprint(wire.loads(shipped).collated) == \
+            _fingerprint(parent.cache.peek_artifacts(key).collated)
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-artifacts"])
+    def test_bad_held_payload_raises_named_error_and_is_dropped(
+            self, tiny_model, v100_cluster, damage):
+        from repro.service.backends import _evaluate_job
+
+        job = _job(tiny_model, v100_cluster, self.RECIPES[0])
+        worker = self._service(v100_cluster)
+        _, reference, payload = _evaluate_job(worker, 0, job)
+        bad = (payload[:len(payload) // 2] if damage == "truncated"
+               else wire.dumps(("not", "artifacts")))
+        service = self._service(v100_cluster)
+        key = service._artifact_key(job)
+        service.cache.put_artifacts(key, HeldArtifacts(
+            bad, wire.format_for_peer(None), job, service.pipeline.cluster))
+        epoch = service.cache.sync_epoch
+        with pytest.raises(wire.WireError) as raised:
+            service.predict(job)
+        assert repr(key) in str(raised.value)
+        # Dropped like an eviction: gone from the table, and a worker
+        # synced before the drop gets a full resync, not a delta.
+        assert service.cache.peek_entry(key) is None
+        assert service.cache.delta_since(epoch) is None
+        result = service.predict(job)
+        assert result.metadata["service_cache"] == "miss"
+        assert_results_identical([reference], [result])
