@@ -19,6 +19,10 @@ nothing here is a claim about it.  What this file keeps:
   ``wire.loads`` / ``wire.dumps_for_format`` calls over two cold 4-job
   batches on a 2-worker ``persistent`` pool (gated against a recorded
   ceiling in ``--check``; a count, like the footprint);
+* **testbed measurement** (report-only) -- ms per ``Testbed.measure`` of
+  the engine workload's emulated job (a fresh ground-truth provider each
+  call, so annotation is paid every time) and the ``TraceEvent`` objects
+  one call builds;
 * **wire bytes per event** -- a shipped worker-trace artifact is its
   recorded columns (raw little-endian column buffers plus the template
   pool); this reports its size per artifact and per event;
@@ -167,6 +171,38 @@ def bench_emulation() -> Dict[str, float]:
         # from an earlier run of the same block.
         "replayed_call_share": emulated.replayed_calls / calls,
     }
+
+
+def bench_testbed() -> Dict[str, float]:
+    """Report-only: ``Testbed.measure`` of the engine workload's emulated
+    job, best of ``ENGINE_REPEATS``, and the ``TraceEvent`` objects one
+    call builds."""
+    from repro.core.pipeline import MayaPipeline
+    from repro.core.trace import TraceEvent
+    from repro.testbed import Testbed
+
+    cluster, job = _engine_job()
+    artifacts = MayaPipeline(cluster).emulate(job)
+    testbed = Testbed(cluster)
+    built = 0
+    init = TraceEvent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    TraceEvent.__init__ = counting_init
+    try:
+        testbed.measure(job, artifacts)  # also the warm-up
+    finally:
+        TraceEvent.__init__ = init
+    best_wall = float("inf")
+    for _ in range(ENGINE_REPEATS):
+        start = time.perf_counter()
+        testbed.measure(job, artifacts)
+        best_wall = min(best_wall, time.perf_counter() - start)
+    return {"measure_ms": best_wall * 1000.0, "trace_events_built": built}
 
 
 def _settled_tracked_objects() -> int:
@@ -439,6 +475,7 @@ def run_benchmark(output: Path, chaos: bool = False,
         "wire_shipping": bench_wire_shipping(),
         "footprint": bench_footprint(),
         "pool_codec": bench_pool_codec(),
+        "testbed": bench_testbed(),
     }
     if chaos:
         payload["chaos"] = bench_chaos()
@@ -461,6 +498,9 @@ def run_benchmark(output: Path, chaos: bool = False,
     print(f"pool codec: {codec['parent_loads']} parent decodes, "
           f"{codec['parent_dumps']} parent encodes over "
           f"{codec['trials']} cold pooled trials")
+    testbed = payload["testbed"]
+    print(f"testbed: {testbed['measure_ms']:.1f} ms per measurement, "
+          f"{testbed['trace_events_built']} TraceEvents built")
     shipping = payload["wire_shipping"]
     print(f"wire shipping: {shipping['columnar_bytes_per_event']:.1f} "
           f"B/event over {shipping['artifacts']} artifacts")

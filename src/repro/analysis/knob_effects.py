@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.pipeline import MayaPipeline
-from repro.core.trace import TraceEventKind
 from repro.framework.recipe import TrainingRecipe
 from repro.framework.transformer import TransformerModelSpec
 from repro.hardware.cluster import ClusterSpec
@@ -62,12 +61,12 @@ def _direction(ratio: float, threshold: float = 0.03,
 
 
 def _network_bytes(artifacts) -> float:
-    """Largest per-worker collective payload volume in the emulated trace."""
+    """Largest per-worker collective payload volume in the emulated trace,
+    summed in seq order from the collated collective tables."""
     totals = []
-    for trace in artifacts.collated.traces.values():
-        totals.append(sum(float(event.params.get("bytes", 0.0))
-                          for event in trace.events
-                          if event.kind is TraceEventKind.COLLECTIVE))
+    for table in artifacts.collated.resolutions.values():
+        nbytes = [record.nbytes for record in table.records]
+        totals.append(sum(nbytes[slot] for slot in table.template.tolist()))
     return max(totals) if totals else 0.0
 
 

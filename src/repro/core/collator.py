@@ -267,7 +267,7 @@ class CollatedTrace:
 
     def annotation_memo(self, provider: Any) -> Dict[Tuple[int, ...], Any]:
         """``provider``'s simulator annotations of this trace, by
-        replayed-rank set (see ``providers._AnnotationMemoMixin``).
+        replayed-rank set (see ``providers.trace_annotations``).
 
         Collated artifacts are not edited once built, so an entry stays
         valid for the life of this object and the memo needs no bound: it

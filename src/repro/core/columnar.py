@@ -151,7 +151,7 @@ def _splitmix64(seeds):
     return z ^ (z >> _np.uint64(31))
 
 
-def _fast_noise_array(seeds, scale: float):
+def fast_noise_array(seeds, scale: float):
     """Vectorized :func:`repro.hardware.noise.fast_noise`, bit-identical.
 
     ``seeds`` is a uint64 array; the splitmix64 mix matches the scalar's
@@ -191,7 +191,7 @@ def materialize_host_delays(cols: TraceColumns,
                  for name in cols.host_classes + ["misc"]], dtype=_np.uint64)
             seeds = (class_seeds[arrays["host_class"][sidx]]
                      + arrays["aux_seq"][sidx].astype(_np.uint64))
-            factor = _np.maximum(_fast_noise_array(seeds, scale),
+            factor = _np.maximum(fast_noise_array(seeds, scale),
                                  _JITTER_FLOOR)
             values[structured] = arrays["duration"][sidx] * factor
         out[arrays["seq"][idx]] = values

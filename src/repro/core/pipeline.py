@@ -99,6 +99,14 @@ def _no_prediction(job: "TrainingJob", stage_times: Dict[str, float],
         oom=oom, stage_times=stage_times, metadata=metadata)
 
 
+def _emulation_errors(artifacts: EmulationArtifacts) -> str:
+    """The errors of the ranks that failed during emulation, or ``""``:
+    such a rank leaves a truncated trace that must not be replayed."""
+    failed = artifacts.job_trace.metadata.get("failed_ranks") or {}
+    return "; ".join(f"rank {rank}: {message}"
+                     for rank, message in sorted(failed.items()))
+
+
 def simulation_ranks(job: TrainingJob,
                      reduce_replicas: bool = True) -> Optional[List[int]]:
     """Ranks of data-parallel replica 0, which stand in for the others.
@@ -260,10 +268,8 @@ class MayaPipeline:
         if artifacts.oom:
             return _no_prediction(job, stage_times, peak, oom=True,
                                   reason="out of memory during emulation")
-        failed = artifacts.job_trace.metadata.get("failed_ranks")
-        if failed:
-            errors = "; ".join(f"rank {rank}: {message}"
-                               for rank, message in sorted(failed.items()))
+        errors = _emulation_errors(artifacts)
+        if errors:
             return _no_prediction(job, stage_times, peak,
                                   emulation_error=errors)
 

@@ -26,13 +26,12 @@ is resolved up front into :class:`TraceAnnotations` -- one seq-indexed
 vector per rank of kernel, collective and materialized host-delay
 durations, plus the rank's collectives: a seq-indexed template slot and key
 ordinal, and per collective template the matching-key prefix and the
-number of replayed group members to wait for.  Providers that implement
-``annotate_trace`` (both built-in ones, memoized on the collated trace per
-provider and replayed-rank set) supply them; for any other provider the
-engine makes one :func:`build_trace_annotations` pass over the two-method
-per-event protocol.  The inner loop is then integer dispatch and tuple /
-array indexing only; starting a collective costs one tuple concatenation
-for its key.
+number of replayed group members to wait for.  Every provider's
+annotations come from the same :func:`trace_annotations` call, which runs
+one :func:`build_trace_annotations` pass and memoizes it on the collated
+trace per provider and replayed-rank set.  The inner loop is then integer
+dispatch and tuple / array indexing only; starting a collective costs one
+tuple concatenation for its key.
 
 **Follow-ups run in place.**  Two handlers end by scheduling their own
 follow-up: a host that pays a ``HOST_DELAY`` after ``run`` popped its
@@ -58,7 +57,7 @@ the engine carries that over to replay.  When
 gives it a copy of that rank's counters and markers.  This is exact, not
 an approximation: under the rule's conditions column ``t`` runs the same
 program with the same durations as column 0 (the same representative
-trace, a shape-keyed provider, groups of the same size spanning the same
+trace, a rank-invariant provider, groups of the same size spanning the same
 nodes), and the columns meet only in ``tp`` collectives.  With every
 column replayed such a collective starts at the latest of identical
 arrival times; with column 0 alone it expects one participant and starts
@@ -100,7 +99,7 @@ from repro.core.columnar import (
 from repro.core.simulator.providers import (
     DurationProvider,
     TraceAnnotations,
-    build_trace_annotations,
+    trace_annotations,
 )
 from repro.core.simulator.report import RankReport, SimulationReport
 from repro.core.simulator.waitmaps import (
@@ -302,12 +301,8 @@ class _SimulationState:
         ranks = [rank for rank in requested if rank not in mirrors]
         self.ranks = ranks
 
-        # Providers without a batch ``annotate_trace`` get one un-memoized
-        # pass over their per-event protocol.
-        annotate = getattr(self.provider, "annotate_trace", None)
-        self.annotations: TraceAnnotations = (
-            annotate(collated, ranks) if annotate is not None
-            else build_trace_annotations(self.provider, collated, ranks))
+        self.annotations: TraceAnnotations = trace_annotations(
+            self.provider, collated, ranks)
 
         rep_programs = {
             rep: engine_program(collated.traces[rep].columns)

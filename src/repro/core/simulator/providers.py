@@ -8,34 +8,34 @@ the difference between a prediction and a measurement is exactly the quality
 of the per-operation runtimes plus the effects the simulator chooses to
 model.
 
-A provider *is* the two-method per-event protocol
-(:meth:`DurationProvider.kernel_duration` /
-:meth:`DurationProvider.collective_duration`).  The engine never calls it
-from its replay loop: every simulation first resolves the whole trace into
+Every simulation first resolves the whole trace into
 :class:`TraceAnnotations` -- one flat, seq-indexed duration vector per
 rank (kernels, collectives and materialized host delays, the latter
 re-applying the structured trace's replay-time jitter) plus each
 collective template's communicator group, matching-key prefix and
 expected participant count -- with one :func:`build_trace_annotations`
-pass, and replays array reads.  The pass reads the collator's
-:class:`~repro.core.collator.CollectiveTable` (a record per collective
-template plus integer columns), so it resolves groups once per (rank,
-template), not once per collective.  A shape-keyed provider (Maya's
-estimated one) also prices a whole kernel shape at once
-(``shape_duration``) and a collective template once per rank: that pass
-asks it once per distinct (template, stream) of the trace's columns and
-builds no event object.
+pass, and replays array reads.  That pass is the same for every provider.
+It reads the collator's :class:`~repro.core.collator.CollectiveTable` (a
+record per collective template plus integer columns), so it resolves
+groups once per (rank, template), not once per collective; it asks the
+provider for one price per distinct (template, stream) kernel shape of the
+trace's columns (``shape_duration``) and one per collective template and
+rank (``collective_shape_duration``), and builds no event object.  A
+provider whose durations also vary per invocation (the testbed's jitter)
+applies that as one vector step over each rank's seqs
+(``vary_durations``).  The per-event methods ``kernel_duration`` and
+``collective_duration`` give the same durations one event at a time; the
+reference replay in the tests calls them.
 
 Everything an annotation keeps is an ``array`` or a tuple of atomic
 values, so the garbage collector has a fixed handful of objects to walk
 per cached artifact, however long its trace.
 
-Both built-in providers also memoize that pass behind ``annotate_trace``
-(:class:`_AnnotationMemoMixin`).  The memo lives on the
-:class:`~repro.core.collator.CollatedTrace` it annotates
-(:meth:`~repro.core.collator.CollatedTrace.annotation_memo`), keyed by
-provider and replayed-rank set.  The prediction service shares one
-provider across trials and keeps artifacts in its cache, so every
+The engine asks for annotations through :func:`trace_annotations`, which
+memoizes the pass on the :class:`~repro.core.collator.CollatedTrace` it
+annotates (:meth:`~repro.core.collator.CollatedTrace.annotation_memo`),
+keyed by provider and replayed-rank set.  The prediction service shares
+one provider across trials and keeps artifacts in its cache, so every
 re-simulation of a cached artifact -- the what-if and configuration
 search path, where only a non-structural knob changes -- skips annotation.
 The memo needs no bound: it is freed with the artifact when the cache
@@ -47,25 +47,22 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, NamedTuple, Optional, Protocol,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Dict, NamedTuple, Optional,
+                    Protocol, Sequence, Tuple)
 
 import numpy as _np
 
-from repro.core.collator import CollectiveResolution
-from repro.core.columnar import kernel_shapes, materialize_host_delays
+from repro.core.collator import CollectiveResolution, CollectiveTable
+from repro.core.columnar import (fast_noise_array, kernel_shapes,
+                                 materialize_host_delays)
 from repro.core.estimators.suite import EstimatorSuite
-from repro.core.trace import TraceEvent, TraceEventKind
+from repro.core.trace import TraceEvent, WorkerTrace
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.kernel_cost import CollectiveCostModel, KernelCostModel
 from repro.hardware.noise import fast_noise, stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - import used for type checking only
     from repro.core.collator import CollatedTrace
-
-#: Event kinds annotated into the flat kernel-duration arrays.
-_PLAIN_DEVICE_KINDS = (TraceEventKind.KERNEL, TraceEventKind.MEMCPY,
-                       TraceEventKind.MEMSET)
 
 
 class RankCollectives(NamedTuple):
@@ -102,9 +99,9 @@ class TraceAnnotations:
     rank's own groups.  Every vector is an ``array`` (8 bytes a duration
     slot, 4 an integer one, never walked by the garbage collector), since
     they live as long as the artifact they annotate; borrowing ranks share
-    the representative's
-    seq-indexed collective vectors, and, under a shape-keyed provider,
-    one duration vector wherever their collective prices agree.
+    the representative's seq-indexed collective vectors, and, under a
+    provider without a ``vary_durations`` step, one duration vector
+    wherever their collective prices agree.
     """
 
     durations: Dict[int, array] = field(default_factory=dict)
@@ -123,54 +120,57 @@ def _seq_vector(size: int, seqs, values, fill: int) -> array:
 
 def build_trace_annotations(provider: "DurationProvider",
                             collated: "CollatedTrace",
-                            ranks: Sequence[int],
-                            rank_invariant_kernels: bool = False
-                            ) -> TraceAnnotations:
+                            ranks: Sequence[int]) -> TraceAnnotations:
     """One-pass annotation of ``collated`` for the given simulated ranks.
 
-    A shape-keyed provider (``rank_invariant_kernels``) prices each
-    representative trace's distinct (template, stream) kernel shapes once,
-    scattered over its rows and shared by every rank borrowing it, and
-    each collective template once per rank from its first event's
-    resolution and the rank's group (``event`` is ``None``); any other
-    provider gets its per-event protocol called with the trace's
-    ``TraceEvent`` view.  Groups, matching keys and expected participant
-    counts are resolved per (rank, collective template), because group
-    remapping is rank-specific; ``ranks`` are the ranks the engine
-    replays, so the expected count is the number of group members among
-    them.
+    Each representative trace's distinct (template, stream) kernel shapes
+    are priced once and scattered over its rows; each collective template
+    is priced once per rank, from its record and the rank's group.
+    Groups, matching keys and expected participant counts are resolved
+    per (rank, collective template), because group remapping is
+    rank-specific; ``ranks`` are the ranks the engine replays, so the
+    expected count is the number of group members among them.  A provider
+    with a ``vary_durations`` step then applies its per-invocation
+    variation to each rank's vector; without one, ranks borrowing a
+    representative share one vector wherever their collective prices
+    agree.
     """
     annotations = TraceAnnotations()
     rank_set = set(ranks)
     resolver = collated.group_resolver
-    # Per representative: host-delay (+ shape-keyed kernel) durations,
-    # the collective table, its seq-indexed vectors, its first rows.
-    base: Dict[int, object] = {}
+    vary = getattr(provider, "vary_durations", None)
+    # Per representative: host-delay + kernel durations, the collective
+    # table and its seq-indexed vectors.
+    base: Dict[int, Any] = {}
     tables: Dict[int, Tuple] = {}
-    shared: Dict[Tuple, array] = {}
-    views: Dict[int, Dict[int, TraceEvent]] = {}
+    shared: Dict[Any, array] = {}
     for rank in ranks:
         representative = collated.representative[rank]
         trace = collated.trace_for(rank)
         cols = trace.columns
-        seqs = cols.lists()["seq"]
-        size = (seqs[-1] + 1) if seqs else 0
 
         resolved = tables.get(representative)
         if resolved is None:
+            seqs = cols.lists()["seq"]
+            size = (seqs[-1] + 1) if seqs else 0
             table = collated.resolutions[representative]
             p2p = _np.array([record.is_p2p for record in table.records],
                             dtype=bool)[table.template]
-            # The first collective of each template, in record order.
-            _, first_rows = _np.unique(table.template, return_index=True)
             resolved = tables[representative] = (
                 table,
                 _seq_vector(size, table.seqs, table.template, -1),
                 _seq_vector(size, table.seqs,
                             _np.where(p2p, table.pair_index,
-                                      table.seq_in_comm), 0),
-                first_rows.tolist())
-        table, slots, ordinals, first_rows = resolved
+                                      table.seq_in_comm), 0))
+            # Host delays fill their own seqs; kernel seqs are disjoint.
+            merged = materialize_host_delays(cols, trace.metadata, size)
+            row_seqs, shape_of_row, shapes = kernel_shapes(cols)
+            priced = _np.array(
+                [provider.shape_duration(*shape) for shape in shapes],
+                dtype=_np.float64)
+            merged[row_seqs] = priced[shape_of_row]
+            base[representative] = merged
+        table, slots, ordinals = resolved
 
         entries = []
         members = []
@@ -195,98 +195,87 @@ def build_trace_annotations(provider: "DurationProvider",
         annotations.collectives[rank] = RankCollectives(slots, ordinals,
                                                         tuple(entries))
 
-        if rank_invariant_kernels:
-            merged = base.get(representative)
-            if merged is None:
-                # Host delays fill their own seqs; kernel seqs are disjoint.
-                merged = materialize_host_delays(cols, trace.metadata, size)
-                row_seqs, shape_of_row, shapes = kernel_shapes(cols)
-                priced = _np.array(
-                    [provider.shape_duration(*shape) for shape in shapes],
-                    dtype=_np.float64)
-                merged[row_seqs] = priced[shape_of_row]
-                base[representative] = merged
-            prices = tuple(
-                provider.collective_duration(
-                    rank, None, table.resolution_at(row), group)
-                for row, group in zip(first_rows, members))
-            durations = shared.get((representative, prices))
-            if durations is None:
-                # Collective seqs are disjoint from the others too.
-                merged = merged.copy()
-                merged[table.seqs] = _np.array(
-                    prices, dtype=_np.float64)[table.template]
-                durations = shared[representative, prices] = array(
-                    "d", merged.tobytes())
-        else:
-            by_seq = views.get(representative)
-            if by_seq is None:
-                by_seq = views[representative] = {
-                    event.seq: event for event in trace.events}
-                base[representative] = array("d", materialize_host_delays(
-                    cols, trace.metadata, size).tobytes())
-            durations = array("d", base[representative])
-            for event in by_seq.values():
-                if event.kind in _PLAIN_DEVICE_KINDS:
-                    durations[event.seq] = provider.kernel_duration(rank,
-                                                                    event)
-            for (seq, resolution), slot in zip(table.by_seq().items(),
-                                               table.template.tolist()):
-                durations[seq] = provider.collective_duration(
-                    rank, by_seq[seq], resolution, members[slot])
+        prices = tuple(
+            provider.collective_shape_duration(record.op, record.nbytes,
+                                               group)
+            for record, group in zip(table.records, members))
+        # A per-invocation step makes every rank's vector its own.
+        key = (representative, prices) if vary is None else rank
+        durations = shared.get(key)
+        if durations is None:
+            # Collective seqs are disjoint from the others too.
+            merged = base[representative].copy()
+            merged[table.seqs] = _np.array(
+                prices, dtype=_np.float64)[table.template]
+            if vary is not None:
+                vary(rank, merged, trace, table, members)
+            durations = shared[key] = array("d", merged.tobytes())
         annotations.durations[rank] = durations
     return annotations
 
 
-class _AnnotationMemoMixin:
-    """Memoized :func:`build_trace_annotations`, kept on the trace."""
+def trace_annotations(provider: "DurationProvider",
+                      collated: "CollatedTrace",
+                      ranks: Sequence[int]) -> TraceAnnotations:
+    """:func:`build_trace_annotations` of ``collated`` for ``ranks``, built
+    once per (trace, provider, rank set) and kept in the trace's
+    :meth:`~repro.core.collator.CollatedTrace.annotation_memo`.
 
-    #: Whether durations are rank-invariant.  A provider that sets it
-    #: promises two things: kernel durations are a pure function of the
-    #: operation's shape (it implements ``shape_duration(kernel_class,
-    #: params, signature)``), and a collective's duration depends on its
-    #: group only through the group's size and the nodes it spans (it is
-    #: priced without reading the event, or the resolution's per-event
-    #: ``seq_in_comm`` and ``pair_index``: one price per collective
-    #: template and rank).  The engine relies on both to
-    #: mirror tensor-parallel peers instead of replaying them
-    #: (:func:`repro.core.simulator.engine.tensor_parallel_mirrors`).
-    rank_invariant_kernels = False
-
-    def annotate_trace(self, collated: "CollatedTrace",
-                       ranks: Sequence[int]) -> TraceAnnotations:
-        """Batch annotation of ``collated`` for ``ranks``, built once per
-        (trace, provider, rank set) and kept in the trace's
-        :meth:`~repro.core.collator.CollatedTrace.annotation_memo`.
-
-        Two threads racing on a cold entry may both build it; the results
-        are equal and the last one stays.
-        """
-        memo = collated.annotation_memo(self)
-        key = tuple(ranks)
-        annotations = memo.get(key)
-        if annotations is None:
-            annotations = memo[key] = build_trace_annotations(
-                self, collated, ranks,
-                rank_invariant_kernels=self.rank_invariant_kernels)
-        return annotations
+    Two threads racing on a cold entry may both build it; the results are
+    equal and the last one stays.
+    """
+    memo = collated.annotation_memo(provider)
+    key = tuple(ranks)
+    annotations = memo.get(key)
+    if annotations is None:
+        annotations = memo[key] = build_trace_annotations(provider, collated,
+                                                          ranks)
+    return annotations
 
 
 class DurationProvider(Protocol):
-    """Supplies operation durations to the simulation engine."""
+    """Supplies operation durations to the simulation engine.
+
+    A provider may also define ``vary_durations(rank, durations, trace,
+    table, groups)``: per-invocation variation, applied in place to one
+    rank's seq-indexed float64 ``durations`` after the shape prices are
+    scattered (``table`` is the rank's
+    :class:`~repro.core.collator.CollectiveTable`, ``groups`` its group
+    per collective template).  The per-event methods must equal the
+    annotated durations bit for bit.
+    """
+
+    #: Whether durations are rank-invariant.  A provider that sets it
+    #: promises two things: it has no ``vary_durations`` step, and a
+    #: collective's price depends on its group only through the group's
+    #: size and the nodes it spans.  The engine relies on both to mirror
+    #: tensor-parallel peers instead of replaying them
+    #: (:func:`repro.core.simulator.engine.tensor_parallel_mirrors`).
+    rank_invariant_kernels: bool
+
+    def shape_duration(self, kernel_class: Optional[str],
+                       params: Dict[str, object], signature: Tuple) -> float:
+        """Duration of every kernel / copy / memset of one shape."""
+        ...
+
+    def collective_shape_duration(self, op: str, nbytes: float,
+                                  group: Sequence[int]) -> float:
+        """On-the-wire duration of every collective of one template, as
+        replayed by one rank with communicator ``group``."""
+        ...
 
     def kernel_duration(self, rank: int, event: TraceEvent) -> float:
-        """Duration of a kernel / copy / memset event, in seconds."""
+        """Duration of one kernel / copy / memset event, in seconds."""
         ...
 
     def collective_duration(self, rank: int, event: TraceEvent,
                             resolution: CollectiveResolution,
                             group: Sequence[int]) -> float:
-        """On-the-wire duration of a collective, in seconds."""
+        """On-the-wire duration of one collective event, in seconds."""
         ...
 
 
-class EstimatedDurationProvider(_AnnotationMemoMixin):
+class EstimatedDurationProvider:
     """Maya's provider: durations come from the estimator suite.
 
     Kernel predictions are cached by shape signature -- a training iteration
@@ -315,7 +304,6 @@ class EstimatedDurationProvider(_AnnotationMemoMixin):
 
     def shape_duration(self, kernel_class: Optional[str],
                        params: Dict[str, object], signature: Tuple) -> float:
-        """Duration of every kernel / copy / memset of one shape."""
         key = (kernel_class, signature)
         cached = self._kernel_cache.get(key)
         if cached is None:
@@ -327,17 +315,21 @@ class EstimatedDurationProvider(_AnnotationMemoMixin):
     def collective_duration(self, rank: int, event: TraceEvent,
                             resolution: CollectiveResolution,
                             group: Sequence[int]) -> float:
-        key = (resolution.op, resolution.nbytes, tuple(group))
+        return self.collective_shape_duration(resolution.op,
+                                              resolution.nbytes, group)
+
+    def collective_shape_duration(self, op: str, nbytes: float,
+                                  group: Sequence[int]) -> float:
+        key = (op, nbytes, tuple(group))
         cached = self._collective_cache.get(key)
         if cached is None:
             cached = self.suite.estimate_collective(
-                resolution.op, resolution.nbytes, group,
-                self.cluster.gpus_per_node)
+                op, nbytes, group, self.cluster.gpus_per_node)
             self._collective_cache[key] = cached
         return cached
 
 
-class GroundTruthDurationProvider(_AnnotationMemoMixin):
+class GroundTruthDurationProvider:
     """Testbed provider: ground-truth costs plus per-invocation jitter.
 
     This is the stand-in for running the workload on physical GPUs.  The
@@ -348,9 +340,8 @@ class GroundTruthDurationProvider(_AnnotationMemoMixin):
     """
 
     #: Jitter keys on the event sequence number, so structurally identical
-    #: iterations still get different per-invocation durations.  Annotation
-    #: remains valid (the jitter is a pure function of (rank, seq)), but it
-    #: is rank-dependent, so every rank is replayed.
+    #: iterations still get different per-invocation durations.  It is
+    #: rank-dependent (:meth:`vary_durations`), so every rank is replayed.
     rank_invariant_kernels = False
 
     def __init__(self, cluster: ClusterSpec,
@@ -363,30 +354,64 @@ class GroundTruthDurationProvider(_AnnotationMemoMixin):
         self.run_jitter = run_jitter
         self._base_cache: Dict[Tuple, float] = {}
 
-    def kernel_duration(self, rank: int, event: TraceEvent) -> float:
-        key = (event.kernel_class, event.signature())
+    def shape_duration(self, kernel_class: Optional[str],
+                       params: Dict[str, object], signature: Tuple) -> float:
+        """Jitter-free ground-truth cost of one kernel shape."""
+        key = (kernel_class, signature)
         base = self._base_cache.get(key)
         if base is None:
-            base = self.kernel_cost_model.kernel_time(
-                self.cluster.gpu, event.kernel_class or "elementwise",
-                event.params, invocation=None)
-            self._base_cache[key] = base
-        jitter = fast_noise(rank * 1_000_003 + event.seq, scale=self.run_jitter)
-        return base * jitter
+            base = self._base_cache[key] = self.kernel_cost_model.kernel_time(
+                self.cluster.gpu, kernel_class or "elementwise", params,
+                invocation=None)
+        return base
+
+    def collective_shape_duration(self, op: str, nbytes: float,
+                                  group: Sequence[int]) -> float:
+        """Jitter-free ground-truth cost of one collective template."""
+        interconnect = self.cluster.interconnect
+        return self.collective_cost_model.collective_time(
+            op=op, nbytes=nbytes, ranks=len(group),
+            bus_bandwidth=interconnect.effective_bus_bandwidth(
+                group, self.cluster.gpus_per_node),
+            latency=interconnect.base_latency(group,
+                                              self.cluster.gpus_per_node),
+            invocation=None)
+
+    def vary_durations(self, rank: int, durations: Any, trace: WorkerTrace,
+                       table: CollectiveTable,
+                       groups: Sequence[Sequence[int]]) -> None:
+        """Multiply every kernel and collective by its jitter factor: the
+        seeds of :meth:`kernel_duration` and :meth:`collective_duration`,
+        mixed array-wide (``fast_noise_array`` equals ``fast_noise`` bit
+        for bit)."""
+        seqs = kernel_shapes(trace.columns)[0]
+        durations[seqs] *= fast_noise_array(
+            seqs.astype(_np.uint64) + _np.uint64(rank * 1_000_003),
+            self.run_jitter)
+        lows = [min(group, default=0) for group in groups]
+        seeds = [_collective_seed(lows[slot], seq) for slot, seq
+                 in zip(table.template.tolist(), table.seqs.tolist())]
+        durations[table.seqs] *= fast_noise_array(
+            _np.array(seeds, dtype=_np.uint64), self.run_jitter)
+
+    def kernel_duration(self, rank: int, event: TraceEvent) -> float:
+        base = self.shape_duration(event.kernel_class, event.params,
+                                   event.signature())
+        return base * fast_noise(rank * 1_000_003 + event.seq,
+                                 scale=self.run_jitter)
 
     def collective_duration(self, rank: int, event: TraceEvent,
                             resolution: CollectiveResolution,
                             group: Sequence[int]) -> float:
-        interconnect = self.cluster.interconnect
-        bandwidth = interconnect.effective_bus_bandwidth(
-            group, self.cluster.gpus_per_node)
-        latency = interconnect.base_latency(group, self.cluster.gpus_per_node)
-        base = self.collective_cost_model.collective_time(
-            op=resolution.op, nbytes=resolution.nbytes, ranks=len(group),
-            bus_bandwidth=bandwidth, latency=latency, invocation=None)
-        # stable_hash, not hash(): builtin string hashing is randomised per
-        # process and would make "measurements" irreproducible across runs.
-        jitter = fast_noise(stable_hash("coll", min(group, default=0),
-                                        event.seq),
-                            scale=self.run_jitter)
-        return base * jitter
+        base = self.collective_shape_duration(resolution.op,
+                                              resolution.nbytes, group)
+        return base * fast_noise(
+            _collective_seed(min(group, default=0), event.seq),
+            scale=self.run_jitter)
+
+
+def _collective_seed(low: int, seq: int) -> int:
+    """Jitter seed of collective ``seq`` on a group whose lowest rank is
+    ``low``: ``stable_hash``, since ``hash()`` of a string differs per
+    process and would make "measurements" irreproducible."""
+    return stable_hash("coll", low, seq)

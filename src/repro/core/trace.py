@@ -15,8 +15,8 @@ that log in one numpy pass; everything downstream reads the columns
 processes.
 
 A :class:`TraceEvent` is the object view of one row -- for tests, the
-per-event reference engine, the JSON export (``to_json``) and per-event
-providers such as the testbed's.  ``trace.events`` builds the list on
+per-event reference engine and the JSON export (``to_json``).
+``trace.events`` builds the list on
 every access and nothing keeps it; appending a ``TraceEvent`` (hand-built
 traces, ``from_dict``) records the row the emulator would have.
 

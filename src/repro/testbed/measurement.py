@@ -9,16 +9,16 @@ evaluated on (Figures 7-10, Table 3).
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.core.collator import TraceCollator
-from repro.core.emulator import EmulationSession
 from repro.core.pipeline import (
     EmulationArtifacts,
+    MayaPipeline,
     PredictionResult,
+    _emulation_errors,
     _iteration_time_from_report,
+    _no_prediction,
     simulate_collated_trace,
     simulation_ranks,
 )
@@ -55,28 +55,27 @@ class Testbed:
     def measure(self, job: TrainingJob,
                 artifacts: Optional[EmulationArtifacts] = None
                 ) -> PredictionResult:
-        """Return the "actual" runtime of ``job`` on this cluster."""
+        """Return the "actual" runtime of ``job`` on this cluster.
+
+        Without ``artifacts``, ``job`` is emulated the way
+        :meth:`MayaPipeline.emulate` does it, so a rank that fails during
+        emulation is reported (``emulation_error``), not measured.
+        """
         problems = job.validate()
         if problems:
-            return PredictionResult(
-                job_name=job.name, iteration_time=math.inf, total_time=math.inf,
-                communication_time=0.0, peak_memory_bytes=0, oom=False,
-                metadata={"invalid": problems},
-            )
-        stage_times: Dict[str, float] = {}
+            return _no_prediction(job, {}, 0, invalid=problems)
         if artifacts is None:
-            artifacts = self._emulate(job, stage_times)
-        else:
-            stage_times.update(artifacts.stage_times)
+            artifacts = MayaPipeline(self.cluster).emulate(job)
+        stage_times = dict(artifacts.stage_times)
+        peak = artifacts.collated.peak_memory_bytes()
 
         if artifacts.oom:
-            return PredictionResult(
-                job_name=job.name, iteration_time=math.inf, total_time=math.inf,
-                communication_time=0.0,
-                peak_memory_bytes=artifacts.collated.peak_memory_bytes(),
-                oom=True, stage_times=stage_times,
-                metadata={"reason": "out of memory on device"},
-            )
+            return _no_prediction(job, stage_times, peak, oom=True,
+                                  reason="out of memory on device")
+        errors = _emulation_errors(artifacts)
+        if errors:
+            return _no_prediction(job, stage_times, peak,
+                                  emulation_error=errors)
 
         provider = GroundTruthDurationProvider(
             self.cluster,
@@ -94,13 +93,8 @@ class Testbed:
             )
         except SimulationError as exc:
             stage_times["testbed_simulation"] = time.perf_counter() - start
-            return PredictionResult(
-                job_name=job.name, iteration_time=math.inf,
-                total_time=math.inf, communication_time=0.0,
-                peak_memory_bytes=artifacts.collated.peak_memory_bytes(),
-                oom=False, stage_times=stage_times,
-                metadata={"simulation_error": str(exc)},
-            )
+            return _no_prediction(job, stage_times, peak,
+                                  simulation_error=str(exc))
         stage_times["testbed_simulation"] = time.perf_counter() - start
 
         return PredictionResult(
@@ -113,29 +107,4 @@ class Testbed:
             stage_times=stage_times,
             report=report,
             metadata={"source": "testbed"},
-        )
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _emulate(self, job: TrainingJob,
-                 stage_times: Dict[str, float]) -> EmulationArtifacts:
-        session = EmulationSession(self.cluster)
-        try:
-            ranks = job.unique_ranks()
-        except Exception:
-            ranks = None
-        start = time.perf_counter()
-        emulation = session.run(job.worker_fn, ranks=ranks,
-                                world_size=job.world_size)
-        stage_times["emulation"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        topology = job.topology() if hasattr(job, "topology") else None
-        collated = TraceCollator(deduplicate=True).collate(
-            emulation.job_trace, topology=topology)
-        stage_times["collation"] = time.perf_counter() - start
-        return EmulationArtifacts(
-            job=job, cluster=self.cluster, job_trace=emulation.job_trace,
-            collated=collated, oom=emulation.oom, stage_times=stage_times,
         )

@@ -95,10 +95,17 @@ class TestMayaPipeline:
             run_worker(rank, emulator)
 
         job.worker_fn = worker_fn
-        result = MayaPipeline(v100, estimator_mode="analytical").predict(job)
-        assert not result.succeeded and not result.oom
-        assert math.isinf(result.iteration_time)
-        assert "injected launch failure" in result.metadata["emulation_error"]
+        pipeline = MayaPipeline(v100, estimator_mode="analytical")
+        # The testbed measures neither its own emulation of the job nor
+        # the pipeline's: both report the failure the way predict() does.
+        testbed = Testbed(v100)
+        for result in (pipeline.predict(job), testbed.measure(job),
+                       testbed.measure(job, pipeline.emulate(job))):
+            assert not result.succeeded and not result.oom
+            assert math.isinf(result.iteration_time)
+            assert result.report is None
+            assert ("rank 2: injected launch failure"
+                    in result.metadata["emulation_error"])
 
     def test_fingerprint_annotations_resolve(self):
         for method in (MayaPipeline.collation_fingerprint,
@@ -107,8 +114,9 @@ class TestMayaPipeline:
 
     def test_cold_prediction_builds_no_trace_events(self, v100, tiny_gpt,
                                                     monkeypatch):
-        # Columns are the trace: neither a cold serial prediction nor a
-        # pooled artifact round-trip may materialize the event view.
+        # Columns are the trace: neither a cold serial prediction, a
+        # pooled artifact round-trip nor a testbed measurement may
+        # materialize the event view.
         built = []
         init = TraceEvent.__init__
 
@@ -134,6 +142,9 @@ class TestMayaPipeline:
             provider=service.provider())
         assert built == []
         assert pooled.iteration_time == cold.iteration_time
+
+        measured = Testbed(v100).measure(job)
+        assert measured.succeeded and built == []
 
     def test_selective_launch_matches_full_emulation(self, v100, tiny_gpt):
         job = _job(tiny_gpt, v100, tensor_parallel=2, pipeline_parallel=2,

@@ -25,10 +25,7 @@ from repro.core.simulator.engine import (
     SimulationConfig,
     SimulationError,
 )
-from repro.core.simulator.providers import (
-    GroundTruthDurationProvider,
-    _AnnotationMemoMixin,
-)
+from repro.core.simulator.providers import GroundTruthDurationProvider
 from repro.framework.recipe import TrainingRecipe
 from repro.hardware.host_model import HOST_MODEL_METADATA_KEY
 from repro.workloads.job import TransformerTrainingJob
@@ -51,7 +48,8 @@ from reference_engine import reference_simulate
 
 
 class ConstantProvider:
-    """Duration provider with fixed kernel / collective durations."""
+    """Duration provider with fixed kernel / collective durations; an
+    event's ``duration`` param overrides them."""
 
     def __init__(self, kernel=1.0, collective=2.0):
         self.kernel = kernel
@@ -62,6 +60,20 @@ class ConstantProvider:
 
     def collective_duration(self, rank, event, resolution, group):
         return float(event.params.get("duration", self.collective))
+
+    def shape_duration(self, kernel_class, params, signature):
+        return float(params.get("duration", self.kernel))
+
+    def collective_shape_duration(self, op, nbytes, group):
+        return self.collective
+
+    def vary_durations(self, rank, durations, trace, table, groups):
+        # A collective template carries no params, so each collective's
+        # own ``duration`` param is applied per invocation.
+        for event in trace.events:
+            if event.kind is TraceEventKind.COLLECTIVE:
+                durations[event.seq] = self.collective_duration(
+                    rank, event, None, ())
 
 
 def kernel(stream=0, duration=1.0, device=0):
@@ -435,10 +447,6 @@ def _assert_reports_identical(reference, candidate):
     assert candidate.rank_reports == reference.rank_reports
 
 
-class AnnotatedConstantProvider(_AnnotationMemoMixin, ConstantProvider):
-    """ConstantProvider with the built-in providers' memoized annotation."""
-
-
 _JITTER_CALL_CLASSES = ("kernel_launch", "collective", "misc", "optimizer")
 
 
@@ -483,7 +491,7 @@ class TestRandomizedDifferential:
 
     @pytest.mark.parametrize("seed", range(50))
     def test_unannotated_provider_bitwise_equal(self, seed):
-        """A two-method provider: the engine annotates it itself."""
+        """One cold annotation pass per simulation."""
         job = build_random_job(seed)
         collated = TraceCollator(deduplicate=False).collate(job)
         cluster = get_cluster("v100-8")
@@ -512,11 +520,12 @@ class TestRandomizedDifferential:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_annotated_provider_bitwise_equal(self, seed):
-        """A provider with memoized ``annotate_trace``, first and warm run."""
+        """First run and warm run, which replays the memoized
+        annotations."""
         job = build_random_job(seed)
         collated = TraceCollator(deduplicate=False).collate(job)
         cluster = get_cluster("v100-8")
-        provider = AnnotatedConstantProvider()
+        provider = ConstantProvider()
         oracle = reference_simulate(cluster, provider, collated)
         simulator = ClusterSimulator(cluster, provider, SimulationConfig())
         for _ in range(2):  # second run replays the memoized annotations
@@ -531,7 +540,7 @@ class TestRandomizedDifferential:
         job = jitterize_host_delays(build_random_job(seed, steps=60), seed)
         collated = TraceCollator(deduplicate=False).collate(job)
         cluster = get_cluster("v100-8")
-        provider = AnnotatedConstantProvider()
+        provider = ConstantProvider()
         oracle = reference_simulate(cluster, provider, collated)
         engine = ClusterSimulator(cluster, provider,
                                   SimulationConfig()).simulate(collated)
@@ -543,30 +552,12 @@ class TestRandomizedDifferential:
         job = build_random_periodic_job(seed, iterations=8)
         collated = TraceCollator(deduplicate=False).collate(job)
         cluster = get_cluster("v100-8")
-        provider = AnnotatedConstantProvider()
+        provider = ConstantProvider()
         oracle = reference_simulate(cluster, provider, collated, iterations=8)
         engine = ClusterSimulator(cluster, provider,
                                   SimulationConfig()).simulate(collated,
                                                                iterations=8)
         _assert_reports_identical(oracle, engine)
-
-    def test_provider_without_annotate_trace_matches_memoized_twin(self):
-        """``annotate_trace`` is a cache, not a behaviour: a provider
-        lacking it and its ``_AnnotationMemoMixin`` twin report alike, on
-        jittered host delays and on repeated windows."""
-        cluster = get_cluster("v100-8")
-        jittered = jitterize_host_delays(build_random_job(3, steps=60), 3)
-        for job in (jittered, build_random_periodic_job(3)):
-            collated = TraceCollator(deduplicate=False).collate(job)
-            plain, twin = (
-                ClusterSimulator(cluster, provider,
-                                 SimulationConfig()).simulate(
-                    collated, iterations=8)
-                for provider in (ConstantProvider(),
-                                 AnnotatedConstantProvider()))
-            assert (plain.metadata["processed_events"]
-                    == twin.metadata["processed_events"])
-            _assert_reports_identical(plain, twin)
 
 
 def build_random_tie_job(seed, steps=48, nranks=3):
@@ -670,15 +661,14 @@ class TestTiesAndP2PDifferential:
         collated = TraceCollator(deduplicate=False).collate(
             build_random_tie_job(seed))
         cluster = get_cluster("v100-8")
-        for provider in (ConstantProvider(), AnnotatedConstantProvider()):
-            oracle = reference_simulate(cluster, provider, collated)
-            simulator = ClusterSimulator(cluster, provider,
-                                         SimulationConfig())
-            for _ in range(2):  # the second run is a warm memo
-                engine = simulator.simulate(collated)
-                assert (engine.metadata["processed_events"]
-                        == oracle.metadata["processed_events"])
-                _assert_reports_identical(oracle, engine)
+        provider = ConstantProvider()
+        oracle = reference_simulate(cluster, provider, collated)
+        simulator = ClusterSimulator(cluster, provider, SimulationConfig())
+        for _ in range(2):  # the second run is a warm memo
+            engine = simulator.simulate(collated)
+            assert (engine.metadata["processed_events"]
+                    == oracle.metadata["processed_events"])
+            _assert_reports_identical(oracle, engine)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_sm_contention_bitwise_equal(self, seed):
@@ -689,7 +679,7 @@ class TestTiesAndP2PDifferential:
             build_random_tie_job(seed, steps=120))
         cluster = get_cluster("v100-8")
         config = SimulationConfig(sm_contention_factor=2.0)
-        provider = AnnotatedConstantProvider()
+        provider = ConstantProvider()
         oracle = reference_simulate(cluster, provider, collated, config)
         engine = ClusterSimulator(cluster, provider,
                                   config).simulate(collated)
@@ -813,9 +803,9 @@ class TestAnnotationMemoLifetime:
         builds = []
         build = providers_module.build_trace_annotations
 
-        def counting(provider, collated, ranks, **kwargs):
+        def counting(provider, collated, ranks):
             builds.append((id(provider), id(collated), tuple(ranks)))
-            return build(provider, collated, ranks, **kwargs)
+            return build(provider, collated, ranks)
 
         monkeypatch.setattr(providers_module, "build_trace_annotations",
                             counting)
