@@ -25,7 +25,9 @@ nothing here is a claim about it.  What this file keeps:
   one call builds;
 * **wire bytes per event** -- a shipped worker-trace artifact is its
   recorded columns (raw little-endian column buffers plus the template
-  pool); this reports its size per artifact and per event;
+  pool); this reports its size per artifact and per event, and
+  (report-only) the bytes, encode and decode ms of the engine job's
+  whole ``EmulationArtifacts`` as a pooled worker ships it;
 * **chaos recovery** (``--chaos``, report-only) -- the persistent-pool
   batch makespan with one fault-injected straggler slept past its job
   lease, vs the clean run: the measured cost of speculative re-dispatch
@@ -309,22 +311,43 @@ def bench_pool_codec() -> Dict[str, int]:
 
 
 def bench_wire_shipping() -> Dict[str, object]:
-    """Bytes per shipped trace artifact and per event.
+    """Bytes per shipped trace artifact and per event, plus the whole
+    artifact as a pooled worker ships it.
 
     Serialises the benchmark workload's representative worker traces as
     the backends ship them: their columns, in the columnar wire payload.
+    Report-only: the engine job's ``EmulationArtifacts`` without ``job``
+    and ``cluster``, in that same payload, with its encode and decode
+    times (best of ``ENGINE_REPEATS``).
     """
+    import dataclasses
+
+    from repro.core.pipeline import MayaPipeline
     from repro.service import wire
 
     _, collated, _, _ = _engine_setup()
     traces = list(collated.traces.values())
     events = sum(len(trace) for trace in traces)
     columnar = sum(len(wire.dumps_columnar(trace)) for trace in traces)
+    cluster, job = _engine_job()
+    artifacts = dataclasses.replace(MayaPipeline(cluster).emulate(job),
+                                    job=None, cluster=None)
+    encode = decode = float("inf")
+    for _ in range(ENGINE_REPEATS):
+        start = time.perf_counter()
+        payload = wire.dumps_columnar(artifacts)
+        encode = min(encode, time.perf_counter() - start)
+        start = time.perf_counter()
+        wire.loads(payload)
+        decode = min(decode, time.perf_counter() - start)
     return {
         "artifacts": len(traces),
         "trace_events": events,
         "columnar_bytes": columnar,
         "columnar_bytes_per_event": columnar / events,
+        "artifact_bytes": len(payload),
+        "artifact_encode_ms": encode * 1000.0,
+        "artifact_decode_ms": decode * 1000.0,
     }
 
 
@@ -503,7 +526,10 @@ def run_benchmark(output: Path, chaos: bool = False,
           f"{testbed['trace_events_built']} TraceEvents built")
     shipping = payload["wire_shipping"]
     print(f"wire shipping: {shipping['columnar_bytes_per_event']:.1f} "
-          f"B/event over {shipping['artifacts']} artifacts")
+          f"B/event over {shipping['artifacts']} artifacts; whole "
+          f"artifact {shipping['artifact_bytes']} B, encode "
+          f"{shipping['artifact_encode_ms']:.2f} ms, decode "
+          f"{shipping['artifact_decode_ms']:.2f} ms")
     if "chaos" in payload:
         # Report-only: the recovery machinery's measured cost, not a gate.
         leg = payload["chaos"]

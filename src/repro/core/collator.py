@@ -15,12 +15,15 @@ replay (Section 4.2 of the paper):
   communicator ids and per-communicator sequence numbers, reconstructing the
   communication pattern.  Point-to-point sends and receives are paired by
   (communicator, source position, destination position, message index).
-  Each representative's collectives are resolved in one numpy pass into a
+  A trace's collectives resolve in one numpy pass into a
   :class:`CollectiveTable`: one record per collective template plus
   integer columns (template index, ``seq_in_comm``, p2p ``pair_index``)
   keyed by event seq, so a cached artifact holds no per-collective
-  objects.  It still reads as a ``seq -> CollectiveResolution`` mapping,
-  and pickles as one (the store and wire format).
+  objects.  Like every other view derived from the rows, the table is
+  memoized on the trace's columns (:func:`collective_table`) and never
+  pickled: a stored or shipped artifact carries its traces alone, and a
+  decoded one rebuilds the table when first read.  It reads as a
+  ``seq -> CollectiveResolution`` mapping.
 * **Group remapping** -- when a rank's trace is borrowed from its
   representative, communicator groups recorded in that trace are remapped to
   the borrowing rank's own groups using the job's parallel topology, so that
@@ -41,6 +44,7 @@ from repro.core.trace import (
     K_COLLECTIVE,
     P2P_OPS,
     JobTrace,
+    TraceColumns,
     TraceEvent,
     WorkerTrace,
 )
@@ -150,10 +154,9 @@ class CollectiveTable(Mapping):
     (``records``) plus integer columns keyed by the sorted event ``seqs``:
     each event's ``template`` (index into ``records``), its
     ``seq_in_comm`` and its p2p ``pair_index`` (-1 for group ops).  The
-    numpy columns are not walked by the garbage collector and pickle as
-    raw buffers, and the object count does not grow with the trace; a
-    :class:`CollectiveResolution` is built only when a reader indexes the
-    mapping.
+    numpy columns are not walked by the garbage collector, and the object
+    count does not grow with the trace; a :class:`CollectiveResolution` is
+    built only when a reader indexes the mapping.
     """
 
     __slots__ = ("records", "seqs", "template", "seq_in_comm", "pair_index")
@@ -167,29 +170,6 @@ class CollectiveTable(Mapping):
         self.template = template[order]
         self.seq_in_comm = seq_in_comm[order]
         self.pair_index = pair_index[order]
-
-    @staticmethod
-    def from_resolutions(resolutions: Mapping[int, CollectiveResolution]
-                         ) -> "CollectiveTable":
-        """The table of a plain ``seq -> resolution`` mapping."""
-        records: Dict[Tuple, int] = {}
-        rows = [(seq, records.setdefault(
-                     (res.op, res.tag, res.nranks, res.nbytes,
-                      res.representative_group, res.self_position,
-                      res.peer_position, res.is_p2p), len(records)),
-                 res.seq_in_comm,
-                 -1 if res.pair_index is None else res.pair_index)
-                for seq, res in resolutions.items()]
-        columns = _np.array(rows, dtype=_np.int64).reshape(-1, 4).T
-        return CollectiveTable(
-            tuple(CollectiveTemplate(*fields) for fields in records),
-            *columns)
-
-    def by_seq(self) -> Dict[int, CollectiveResolution]:
-        """The table as a plain ``seq -> resolution`` dict."""
-        return dict(zip(self.seqs.tolist(), map(
-            self._resolution, self.template.tolist(),
-            self.seq_in_comm.tolist(), self.pair_index.tolist())))
 
     def __len__(self) -> int:
         return len(self.seqs)
@@ -205,29 +185,22 @@ class CollectiveTable(Mapping):
 
     def resolution_at(self, row: int) -> CollectiveResolution:
         """The resolution of the ``row``-th collective, in seq order."""
-        return self._resolution(int(self.template[row]),
-                                int(self.seq_in_comm[row]),
-                                int(self.pair_index[row]))
-
-    def _resolution(self, index: int, seq_in_comm: int,
-                    pair_index: int) -> CollectiveResolution:
-        record = self.records[index]
+        record = self.records[int(self.template[row])]
         return CollectiveResolution(
             op=record.op, tag=record.tag, nranks=record.nranks,
-            nbytes=record.nbytes, seq_in_comm=seq_in_comm,
+            nbytes=record.nbytes, seq_in_comm=int(self.seq_in_comm[row]),
             representative_group=record.representative_group,
             self_position=record.self_position,
             peer_position=record.peer_position,
-            pair_index=pair_index if record.is_p2p else None,
+            pair_index=int(self.pair_index[row]) if record.is_p2p else None,
             is_p2p=record.is_p2p)
 
 
-def _tabled(resolutions: Dict[int, Mapping]) -> Dict[int, CollectiveTable]:
-    """``resolutions`` with every plain ``seq -> resolution`` mapping (an
-    unpickled or hand-edited one) turned into a :class:`CollectiveTable`."""
-    return {rep: (table if isinstance(table, CollectiveTable)
-                  else CollectiveTable.from_resolutions(table))
-            for rep, table in resolutions.items()}
+def collective_table(trace: WorkerTrace) -> CollectiveTable:
+    """``trace``'s resolved collectives, memoized on its columns like its
+    other derived views (a decoded trace builds the table on first read)."""
+    return trace.columns.memoized(
+        "collectives", lambda cols: _resolve_collectives(cols, trace.rank))
 
 
 @dataclass
@@ -239,22 +212,22 @@ class CollatedTrace:
     traces: Dict[int, WorkerTrace]
     #: Maps every rank to the representative whose trace it replays.
     representative: Dict[int, int]
-    #: Per representative rank: its collectives, by event seq.
-    resolutions: Dict[int, CollectiveTable]
     group_resolver: GroupResolver
     #: Statistics gathered during collation (used by ablation benchmarks).
     stats: Dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.resolutions = _tabled(self.resolutions)
+    @property
+    def resolutions(self) -> Dict[int, CollectiveTable]:
+        """Per representative rank: its collectives, by event seq."""
+        return {rep: collective_table(trace)
+                for rep, trace in self.traces.items()}
 
     def trace_for(self, rank: int) -> WorkerTrace:
         return self.traces[self.representative[rank]]
 
     def resolution_for(self, rank: int,
                        event: TraceEvent) -> Optional[CollectiveResolution]:
-        rep = self.representative[rank]
-        return self.resolutions.get(rep, {}).get(event.seq)
+        return collective_table(self.trace_for(rank)).get(event.seq)
 
     def collective_key(self, rank: int, event: TraceEvent) -> Optional[Tuple]:
         resolution = self.resolution_for(rank, event)
@@ -283,17 +256,9 @@ class CollatedTrace:
         return memo
 
     def __getstate__(self) -> Dict[str, Any]:
-        # A pickle keeps the per-event ``seq -> resolution`` mappings, so
-        # stored and shipped artifacts keep their format.
         state = self.__dict__.copy()
         state.pop("_annotation_memos", None)
-        state["resolutions"] = {rep: table.by_seq()
-                                for rep, table in self.resolutions.items()}
         return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
 
     def peak_memory_bytes(self) -> int:
         if not self.traces:
@@ -329,8 +294,8 @@ class TraceCollator:
         representative = self._build_representative_map(job, topology)
         kept_reps = sorted(set(representative.values()))
         traces = {rank: job.workers[rank] for rank in kept_reps}
-        resolutions = {rank: self._resolve_collectives(traces[rank])
-                       for rank in kept_reps}
+        for trace in traces.values():
+            collective_table(trace)  # collectives match during collation
 
         stats = {
             "emulated_workers": float(len(job.workers)),
@@ -342,7 +307,6 @@ class TraceCollator:
             world_size=job.world_size,
             traces=traces,
             representative=representative,
-            resolutions=resolutions,
             group_resolver=resolver,
             stats=stats,
         )
@@ -398,62 +362,60 @@ class TraceCollator:
                 representative[rank] = representative[rep]
         return representative
 
-    # ------------------------------------------------------------------
-    # collective resolution
-    # ------------------------------------------------------------------
-    def _resolve_collectives(self, trace: WorkerTrace) -> CollectiveTable:
-        """One numpy pass over ``trace``'s collective rows: a record per
-        collective template, each row's template index and
-        ``seq_in_comm``, and each p2p row's running message count on its
-        (communicator, source, destination) pair."""
-        cols = trace.columns
-        arrays = cols.arrays()
-        rows = _np.flatnonzero(arrays["kind"] == K_COLLECTIVE)
-        used, template = _np.unique(arrays["template"][rows],
-                                    return_inverse=True)
-        records = []
-        #: (comm_id, src_pos, dst_pos) -> pair id; -1 for group ops.
-        pair_ids: Dict[Tuple, int] = {}
-        record_pairs = []
-        for tid in used.tolist():
-            fixed = cols.templates[tid]
-            info = fixed["collective_fixed"] or {}
-            op = str(info.get("op", "all_reduce"))
-            group = tuple(info.get("ranks", ()))
-            rank = int(info.get("rank", trace.rank))
-            self_position = group.index(rank) if rank in group else 0
-            peer_position = None
-            pair = -1
-            if op in P2P_OPS:
-                peer = int(info.get("peer", rank))
-                peer_position = group.index(peer) if peer in group else 0
-                ends = ((self_position, peer_position) if op == "send"
-                        else (peer_position, self_position))
-                pair = pair_ids.setdefault((info.get("comm_id"),) + ends,
-                                           len(pair_ids))
-            record_pairs.append(pair)
-            records.append(CollectiveTemplate(
-                op=op,
-                tag=str(info.get("comm_tag", "")) or "default",
-                nranks=int(info.get("nranks", max(len(group), 1))),
-                nbytes=float(fixed["params_fixed"].get("bytes", 0.0)),
-                representative_group=group,
-                self_position=self_position,
-                peer_position=peer_position,
-                is_p2p=op in P2P_OPS,
-            ))
-        seqs = arrays["seq"][rows]
-        seq_in_comm = _np.where(arrays["flags"][rows] & F_COLL_SEQ,
-                                arrays["aux_seq"][rows], seqs)
-        pairs = _np.array(record_pairs, dtype=_np.int64)[template]
-        pair_index = _np.full(rows.size, -1, dtype=_np.int64)
-        p2p = _np.flatnonzero(pairs >= 0)
-        if p2p.size:
-            # Rank of each row among its pair's rows, in trace order.
-            order = p2p[_np.argsort(pairs[p2p], kind="stable")]
-            keys = pairs[order]
-            starts = _np.flatnonzero(_np.append(True, keys[1:] != keys[:-1]))
-            pair_index[order] = _np.arange(order.size) - _np.repeat(
-                starts, _np.diff(_np.append(starts, order.size)))
-        return CollectiveTable(tuple(records), seqs, template, seq_in_comm,
-                               pair_index)
+
+def _resolve_collectives(cols: TraceColumns,
+                         trace_rank: int) -> CollectiveTable:
+    """One numpy pass over the collective rows of ``cols`` (rank
+    ``trace_rank``'s): a record per collective template, each row's
+    template index and ``seq_in_comm``, and each p2p row's running
+    message count on its (communicator, source, destination) pair."""
+    arrays = cols.arrays()
+    rows = _np.flatnonzero(arrays["kind"] == K_COLLECTIVE)
+    used, template = _np.unique(arrays["template"][rows],
+                                return_inverse=True)
+    records = []
+    #: (comm_id, src_pos, dst_pos) -> pair id; -1 for group ops.
+    pair_ids: Dict[Tuple, int] = {}
+    record_pairs = []
+    for tid in used.tolist():
+        fixed = cols.templates[tid]
+        info = fixed["collective_fixed"] or {}
+        op = str(info.get("op", "all_reduce"))
+        group = tuple(info.get("ranks", ()))
+        rank = int(info.get("rank", trace_rank))
+        self_position = group.index(rank) if rank in group else 0
+        peer_position = None
+        pair = -1
+        if op in P2P_OPS:
+            peer = int(info.get("peer", rank))
+            peer_position = group.index(peer) if peer in group else 0
+            ends = ((self_position, peer_position) if op == "send"
+                    else (peer_position, self_position))
+            pair = pair_ids.setdefault((info.get("comm_id"),) + ends,
+                                       len(pair_ids))
+        record_pairs.append(pair)
+        records.append(CollectiveTemplate(
+            op=op,
+            tag=str(info.get("comm_tag", "")) or "default",
+            nranks=int(info.get("nranks", max(len(group), 1))),
+            nbytes=float(fixed["params_fixed"].get("bytes", 0.0)),
+            representative_group=group,
+            self_position=self_position,
+            peer_position=peer_position,
+            is_p2p=op in P2P_OPS,
+        ))
+    seqs = arrays["seq"][rows]
+    seq_in_comm = _np.where(arrays["flags"][rows] & F_COLL_SEQ,
+                            arrays["aux_seq"][rows], seqs)
+    pairs = _np.array(record_pairs, dtype=_np.int64)[template]
+    pair_index = _np.full(rows.size, -1, dtype=_np.int64)
+    p2p = _np.flatnonzero(pairs >= 0)
+    if p2p.size:
+        # Rank of each row among its pair's rows, in trace order.
+        order = p2p[_np.argsort(pairs[p2p], kind="stable")]
+        keys = pairs[order]
+        starts = _np.flatnonzero(_np.append(True, keys[1:] != keys[:-1]))
+        pair_index[order] = _np.arange(order.size) - _np.repeat(
+            starts, _np.diff(_np.append(starts, order.size)))
+    return CollectiveTable(tuple(records), seqs, template, seq_in_comm,
+                           pair_index)

@@ -225,9 +225,10 @@ def tensor_parallel_mirrors(cluster: ClusterSpec, provider: DurationProvider,
     if width == 1 or cluster.gpus_per_node % width:
         return {}
     representative = collated.representative
+    tables = collated.resolutions
     for rep in {representative[rank] for rank in ranks}:
         if any(record.tag not in _TOPOLOGY_TAGS
-               for record in collated.resolutions[rep].records):
+               for record in tables[rep].records):
             return {}
     requested = set(ranks)
     mirrors: Dict[int, int] = {}

@@ -52,7 +52,8 @@ from typing import (TYPE_CHECKING, Any, Dict, NamedTuple, Optional,
 
 import numpy as _np
 
-from repro.core.collator import CollectiveResolution, CollectiveTable
+from repro.core.collator import (CollectiveResolution, CollectiveTable,
+                                 collective_table)
 from repro.core.columnar import (fast_noise_array, kernel_shapes,
                                  materialize_host_delays)
 from repro.core.estimators.suite import EstimatorSuite
@@ -153,7 +154,7 @@ def build_trace_annotations(provider: "DurationProvider",
         if resolved is None:
             seqs = cols.lists()["seq"]
             size = (seqs[-1] + 1) if seqs else 0
-            table = collated.resolutions[representative]
+            table = collective_table(trace)
             p2p = _np.array([record.is_p2p for record in table.records],
                             dtype=bool)[table.template]
             resolved = tables[representative] = (

@@ -634,17 +634,12 @@ class PooledBackend(EvaluationBackend):
     def _estimate_ship_bytes(self, artifacts) -> int:
         """Cheap proxy for an artifact ship's wire size.
 
-        Scales with total trace-event count (the dominant payload term)
-        at a nominal per-event byte cost; deliberately an estimate --
-        placement needs relative weights, not measured frames.
+        Scales with total trace-row count (the dominant payload term) at
+        a nominal per-row byte cost; deliberately an estimate -- placement
+        needs relative weights, not measured frames.
         """
-        job_trace = getattr(artifacts, "job_trace", None)
-        workers = getattr(job_trace, "workers", None)
-        events = 0
-        if workers:
-            for trace in workers.values():
-                events += len(getattr(trace, "events", ()) or ())
-        return max(events, 1) * self._NOMINAL_EVENT_BYTES
+        rows = artifacts.job_trace.total_events()
+        return max(rows, 1) * self._NOMINAL_EVENT_BYTES
 
     _NOMINAL_EVENT_BYTES = 48
 

@@ -10,7 +10,7 @@ fall through to :meth:`get`, fresh puts write through via :meth:`put`.
 
 Layout (``store_dir/``)::
 
-    store-format.json             # {"store_format": 1, "protocol": 2}
+    store-format.json             # {"store_format": 1, "protocol": 3}
     objects/<dd>/<digest>.art     # one entry per artifact key
 
 Entries are **content-addressed**: the filename digest is the SHA-256 of

@@ -63,7 +63,10 @@ from typing import Optional, Tuple
 #: (:func:`dumps_for_format` bytes) where version 1 carried a JSON trace
 #: plus ``oom`` / ``stage_times``, and ``sync`` entries carry the same
 #: encoded bytes instead of artifact objects.
-PROTOCOL = 2
+#: Version 3: a pickled ``CollatedTrace`` carries no collective table (its
+#: traces' columns rebuild it when read), where version 2 carried a
+#: per-event ``seq -> CollectiveResolution`` dict per representative.
+PROTOCOL = 3
 
 #: Handshake feature flag: this side can decode format-3 frames (pickles
 #: whose ``WorkerTrace`` objects are reduced to columnar payloads).

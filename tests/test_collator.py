@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from repro.core.collator import (
-    CollatedTrace,
     CollectiveResolution,
     CollectiveTable,
     IdentityGroupResolver,
@@ -26,6 +25,7 @@ from repro.core.trace import (
 )
 from repro.framework.topology import ParallelTopology
 from repro.hardware.cluster import get_cluster
+from repro.service import wire
 from repro.workloads.job import TransformerTrainingJob
 from repro.workloads.models import get_transformer
 from repro.framework.recipe import TrainingRecipe
@@ -225,31 +225,26 @@ class TestCollectiveTable:
             assert dict(table) == _resolutions_by_event(trace)
             assert len(table.records) < len(table)
 
-    def test_pickle_keeps_the_per_event_mapping(self):
+    def test_pickle_carries_no_collective_table(self):
+        # The table is a view of the columns: a pickled or shipped
+        # artifact carries the traces alone, and its decoded copy rebuilds
+        # the same table from the decoded columns.
         job, job_trace = _emulated_tp2_pp2()
         collated = TraceCollator().collate(job_trace, topology=job.topology())
-        state = collated.__getstate__()
-        assert all(type(mapping) is dict and all(
-            isinstance(value, CollectiveResolution)
-            for value in mapping.values())
-            for mapping in state["resolutions"].values())
-        restored = pickle.loads(pickle.dumps(collated))
-        for rank, table in collated.resolutions.items():
-            assert isinstance(restored.resolutions[rank], CollectiveTable)
-            assert dict(restored.resolutions[rank]) == dict(table)
-
-    def test_hand_built_mapping_is_tabled(self):
-        resolution = CollectiveResolution(
-            op="all_reduce", tag="dp", nranks=2, nbytes=8.0, seq_in_comm=1,
-            representative_group=(0, 1), self_position=0)
-        trace = WorkerTrace(rank=0, device=0)
-        collated = CollatedTrace(world_size=1, traces={0: trace},
-                                 representative={0: 0},
-                                 resolutions={0: {5: resolution}},
-                                 group_resolver=IdentityGroupResolver())
-        table = collated.resolutions[0]
-        assert isinstance(table, CollectiveTable)
-        assert dict(table) == {5: resolution}
+        assert "resolutions" not in collated.__getstate__()
+        for payload in (pickle.dumps(collated),
+                        wire.dumps_columnar(collated)):
+            for name in (b"resolutions", b"CollectiveResolution",
+                         b"CollectiveTable", b"CollectiveTemplate"):
+                assert name not in payload
+            restored = wire.loads(payload)
+            for rank, table in collated.resolutions.items():
+                copy = restored.resolutions[rank]
+                assert copy.records == table.records
+                for column in ("seqs", "template", "seq_in_comm",
+                               "pair_index"):
+                    assert (getattr(copy, column).tolist()
+                            == getattr(table, column).tolist())
 
 
 class TestCollectiveResolution:

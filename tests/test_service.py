@@ -3,6 +3,7 @@ artifact cache, parallel batch evaluation and search integration."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import multiprocessing
@@ -926,3 +927,34 @@ class TestPooledArtifactReturnPath:
         result = service.predict(job)
         assert result.metadata["service_cache"] == "miss"
         assert_results_identical([reference], [result])
+
+    def test_placement_sizes_decoded_entries_without_trace_events(
+            self, tiny_model, v100_cluster, monkeypatch):
+        # Placement reads every held entry's ship size on every batch: a
+        # decoded entry is sized by its row count, with no event view.
+        from repro.core.trace import TraceEvent
+        from repro.service.backends import PersistentBackend
+
+        service = self._service(v100_cluster)
+        jobs = self._jobs(tiny_model, v100_cluster)[:2]
+        rows = []
+        for job in jobs:
+            artifacts = service.pipeline.emulate(job)
+            shipped = wire.loads(wire.dumps_columnar(dataclasses.replace(
+                artifacts, job=None, cluster=None)))
+            service.cache.put_artifacts(
+                service._artifact_key(job),
+                dataclasses.replace(shipped, job=job, cluster=v100_cluster))
+            rows.append(artifacts.job_trace.total_events())
+        built = []
+        init = TraceEvent.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceEvent, "__init__", counting_init)
+        specs = PersistentBackend()._job_specs(service, jobs,
+                                               range(len(jobs)))
+        assert built == []
+        assert [spec.ship_bytes for spec in specs] == [48 * n for n in rows]

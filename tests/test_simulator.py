@@ -17,6 +17,7 @@ import pytest
 
 from repro.analysis.experiments import candidate_recipes
 from repro.core.collator import IdentityGroupResolver, TraceCollator
+from repro.core.emulator import EmulationSession
 from repro.core.pipeline import MayaPipeline, simulation_ranks
 from repro.core.simulator import engine as engine_module
 from repro.core.simulator import providers as providers_module
@@ -28,6 +29,7 @@ from repro.core.simulator.engine import (
 from repro.core.simulator.providers import GroundTruthDurationProvider
 from repro.framework.recipe import TrainingRecipe
 from repro.hardware.host_model import HOST_MODEL_METADATA_KEY
+from repro.service import wire
 from repro.workloads.job import TransformerTrainingJob
 from repro.workloads.models import get_transformer
 from repro.core.simulator.waitmaps import (
@@ -491,13 +493,15 @@ class TestRandomizedDifferential:
 
     @pytest.mark.parametrize("seed", range(50))
     def test_unannotated_provider_bitwise_equal(self, seed):
-        """One cold annotation pass per simulation."""
+        """A shipped copy, whose collective tables are rebuilt from its
+        decoded columns, against the oracle over the original."""
         job = build_random_job(seed)
         collated = TraceCollator(deduplicate=False).collate(job)
+        shipped = wire.loads(wire.dumps_columnar(collated))
         cluster = get_cluster("v100-8")
         provider = ConstantProvider()
         engine = ClusterSimulator(cluster, provider,
-                                  SimulationConfig()).simulate(collated)
+                                  SimulationConfig()).simulate(shipped)
         oracle = reference_simulate(cluster, provider, collated)
         assert (engine.metadata["processed_events"]
                 == oracle.metadata["processed_events"])
@@ -858,7 +862,6 @@ class TestAnnotationMemoLifetime:
         assert len(builds) == 1
 
     def test_memo_never_rides_a_pickle(self, v100_cluster, setup, tmp_path):
-        from repro.service import wire
         from repro.service.store import ArtifactStore
 
         pipeline, job, _ = setup
@@ -1036,16 +1039,19 @@ class TestTensorParallelMirroring:
                               [0, 1]) == 2
 
     def test_off_for_collective_outside_topology_tags(self):
-        cluster, pipeline, job, collated = _mirror_case(1)
-        # Re-tag one tensor-parallel collective of stage 0's representative:
-        # its group is then the recorded one, not the topology's.
-        resolutions = {rep: dict(table)
-                       for rep, table in collated.resolutions.items()}
-        seq = next(seq for seq, resolution in resolutions[0].items()
-                   if resolution.tag == "tp")
-        resolutions[0][seq] = dataclasses.replace(resolutions[0][seq],
-                                                  tag="embedding")
-        retagged = dataclasses.replace(collated, resolutions=resolutions)
+        cluster, pipeline, job, _ = _mirror_case(1)
+        # Re-tag one tensor-parallel collective template of stage 0's
+        # representative before collation: its group is then the recorded
+        # one, not the topology's.
+        job_trace = EmulationSession(cluster).run(
+            job.worker_fn, ranks=job.unique_ranks(),
+            world_size=job.world_size).job_trace
+        template = next(
+            template for template in job_trace.workers[0].columns.templates
+            if (template["collective_fixed"] or {}).get("comm_tag") == "tp")
+        template["collective_fixed"] = {**template["collective_fixed"],
+                                        "comm_tag": "embedding"}
+        retagged = TraceCollator().collate(job_trace, topology=job.topology())
         ranks = simulation_ranks(job)
         assert self._replayed(cluster, pipeline.make_provider(), retagged,
                               ranks) == len(ranks)

@@ -160,15 +160,25 @@ class TestStoreFormat:
         assert "999" in message  # what the directory speaks
         assert str(STORE_FORMAT) in message  # what we speak
 
-    def test_protocol_1_store_is_refused(self, tmp_path):
-        # Entries hold wire payloads, so a store written before the wire
-        # protocol bump is refused, not misread.
+    @staticmethod
+    def _assert_refused(tmp_path, protocol):
         _store(tmp_path)
         stamp = tmp_path / "store" / FORMAT_FILE
         stamp.write_text(json.dumps({"store_format": STORE_FORMAT,
-                                     "protocol": 1}))
-        with pytest.raises(StoreFormatError, match="'protocol': 1"):
+                                     "protocol": protocol}))
+        with pytest.raises(StoreFormatError,
+                           match=f"'protocol': {protocol}"):
             _store(tmp_path)
+
+    def test_protocol_1_store_is_refused(self, tmp_path):
+        # Entries hold wire payloads, so a store written before the wire
+        # protocol bump is refused, not misread.
+        self._assert_refused(tmp_path, 1)
+
+    def test_protocol_2_store_is_refused(self, tmp_path):
+        # Protocol 2 entries pickle a per-event collective dict with each
+        # collated trace; protocol 3 artifacts carry none.
+        self._assert_refused(tmp_path, 2)
 
     def test_unreadable_stamp_refused(self, tmp_path):
         _store(tmp_path)

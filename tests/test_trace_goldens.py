@@ -7,10 +7,12 @@
 workers ship), the rank -> representative map and the predicted
 ``iteration_time`` as ``float.hex``.  They were recorded before the
 emulator started writing columns directly, and hold every later change
-of the recorder to the same JSON export, the same wire payload (so
-``wire.PROTOCOL`` and existing store directories stay valid), the same
-deduplication and the same prediction.  Like the engine goldens, the file
-is never regenerated to make a failing test pass.  The ``gpt-tiny``
+of the recorder to the same JSON export, the same deduplication and the
+same prediction.  The payload pin holds the wire format: it moves only
+together with a ``wire.PROTOCOL`` bump (which also retires existing
+store directories), and then only the ``columnar_sha256`` values are
+regenerated.  Like the engine goldens, the file is never regenerated to
+make a failing test pass.  The ``gpt-tiny``
 ``iteration_time`` pins are the per-event oracle's
 (``tests/reference_engine.py``), and :func:`test_oracle_reproduces_pin`
 recomputes them from it.

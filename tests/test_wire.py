@@ -134,24 +134,37 @@ class TestHandshake:
             a.close()
             b.close()
 
-    def test_protocol_1_hello_is_refused(self):
-        # Protocol 1 peers put a JSON trace, ``oom`` and ``stage_times``
-        # where protocol 2 result frames carry one artifact payload: a
-        # mixed-version worker host must be turned away at the hello,
-        # never left to mis-parse a frame.
-        assert wire.PROTOCOL == 2
+    @staticmethod
+    def _refusal(old_protocol):
+        """The error this side raises at an older peer's hello."""
         a, b = _pair()
         try:
-            b.send_json({"magic": wire.HANDSHAKE_MAGIC, "protocol": 1,
+            b.send_json({"magic": wire.HANDSHAKE_MAGIC,
+                         "protocol": old_protocol,
                          "features": sorted(wire.local_features())})
             with pytest.raises(wire.WireProtocolError) as excinfo:
                 wire.handshake(a)
-            message = str(excinfo.value)
-            assert "speaks version 2" in message
-            assert "peer speaks version 1" in message
+            return str(excinfo.value)
         finally:
             a.close()
             b.close()
+
+    def test_protocol_1_hello_is_refused(self):
+        # Protocol 1 peers put a JSON trace, ``oom`` and ``stage_times``
+        # where later result frames carry one artifact payload: a
+        # mixed-version worker host must be turned away at the hello,
+        # never left to mis-parse a frame.
+        assert wire.PROTOCOL == 3
+        message = self._refusal(1)
+        assert "speaks version 3" in message
+        assert "peer speaks version 1" in message
+
+    def test_protocol_2_hello_is_refused(self):
+        # Protocol 2 peers pickle each collated trace with a per-event
+        # collective dict that protocol 3 artifacts no longer carry.
+        message = self._refusal(2)
+        assert "speaks version 3" in message
+        assert "peer speaks version 2" in message
 
     def test_silent_peer_times_out_instead_of_stalling(self):
         # A listener that accepts (at the TCP level) but never answers the
