@@ -136,7 +136,7 @@ class TestHandshake:
 
     @staticmethod
     def _refusal(old_protocol):
-        """The error this side raises at an older peer's hello."""
+        """The message this side refuses an ``old_protocol`` hello with."""
         a, b = _pair()
         try:
             b.send_json({"magic": wire.HANDSHAKE_MAGIC,
