@@ -10,7 +10,7 @@ GPUs, but MFU decreases as communication starts to dominate.
 
 from __future__ import annotations
 
-from bench_utils import fmt, print_table
+from bench_utils import assert_golden, fmt, print_table
 
 from repro.analysis.experiments import scaled_transformer
 from repro.analysis.metrics import mfu
@@ -80,3 +80,4 @@ def test_fig12_hyperscale_mfu(benchmark, run_once):
     speedup = times[0] / times[-1]
     ideal = rows[-1]["gpus"] / rows[0]["gpus"]
     assert speedup < ideal
+    assert_golden("fig12", rows)

@@ -10,7 +10,7 @@ affecting end-to-end accuracy.
 
 from __future__ import annotations
 
-from bench_utils import fmt, print_table
+from bench_utils import assert_golden, fmt, print_table
 
 from repro.core.estimators.suite import build_estimator_suite
 from repro.hardware.cluster import get_cluster
@@ -51,3 +51,5 @@ def test_tables_7_to_9_kernel_mape(benchmark, run_once):
         # The overall median across all classes is in the single digits.
         values = sorted(mape.values())
         assert values[len(values) // 2] < 10.0, title
+    assert_golden("tab07-09", {cluster_name: results[title]
+                               for title, cluster_name, _ in SETUPS})
