@@ -16,7 +16,7 @@ nothing here is a claim about it.  What this file keeps:
   recorded ceiling in ``--check``; a count, so the gate does not depend
   on the host's speed);
 * **parent codec calls per cold pooled sweep** -- the parent's
-  ``wire.loads`` / ``wire.dumps_for_format`` calls over two cold 4-job
+  ``wire.loads`` / ``wire.dumps_columnar`` calls over two cold 4-job
   batches on a 2-worker ``persistent`` pool (gated against a recorded
   ceiling in ``--check``; a count, like the footprint);
 * **testbed measurement** (report-only) -- ms per ``Testbed.measure`` of
@@ -253,7 +253,7 @@ def bench_pool_codec() -> Dict[str, int]:
 
     Runs two cold ``CODEC_BATCH``-job batches on a 2-worker
     ``persistent`` pool and counts the calls the parent process makes to
-    ``wire.loads`` and ``wire.dumps_for_format``.  The parent holds each
+    ``wire.loads`` and ``wire.dumps_columnar``.  The parent holds each
     worker's artifact payload as received and forwards it unchanged to
     the sibling worker at the second batch's sync, and nothing looks a
     cold artifact up, so both counts should be 0.  A count, not a
@@ -273,7 +273,7 @@ def bench_pool_codec() -> Dict[str, int]:
                                             limit=2 * CODEC_BATCH)]
     parent_pid = os.getpid()
     real = {name: getattr(wire, name)
-            for name in ("loads", "dumps_for_format")}
+            for name in ("loads", "dumps_columnar")}
     calls = dict.fromkeys(real, 0)
 
     def counted(name):
@@ -306,7 +306,7 @@ def bench_pool_codec() -> Dict[str, int]:
         "trials": len(jobs),
         "delta_syncs": delta_syncs,
         "parent_loads": calls["loads"],
-        "parent_dumps": calls["dumps_for_format"],
+        "parent_dumps": calls["dumps_columnar"],
     }
 
 

@@ -26,10 +26,9 @@ def main() -> None:
     space = default_search_space(dtype="float16")
     # The evaluator wraps a PredictionService; use it as a context manager
     # so backend worker pools never outlive the search.  backend= accepts
-    # "serial" (the default), "persistent" or "socket" (the last with
-    # worker_hosts=["host:port", ...] pointing at running
-    # `repro worker-host` processes) -- all three produce identical
-    # results, they only differ in wall-clock (see README.md).
+    # "serial" (the default) or "persistent" (a forked worker pool) --
+    # both produce identical results, they only differ in wall-clock
+    # (see README.md).
     with MayaTrialEvaluator(model, cluster, global_batch,
                             estimator_mode="learned") as evaluator:
         search = MayaSearch(

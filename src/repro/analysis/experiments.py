@@ -178,7 +178,6 @@ def evaluate_setup(
     include_oracle: bool = False,
     backend: str = "serial",
     jobs: Optional[int] = None,
-    worker_hosts: Optional[Sequence[str]] = None,
     sync_timeout: Optional[float] = None,
     lease_timeout: Optional[float] = None,
     store_dir: Optional[str] = None,
@@ -193,9 +192,8 @@ def evaluate_setup(
     ``backend`` / ``jobs`` select the service's batch-evaluation strategy:
     with more than one job, every configuration's emulation + Maya
     prediction runs as one ``predict_many`` batch up front (in separate
-    processes under the ``persistent`` backend, or on the remote
-    ``worker_hosts`` addresses under ``socket``), and the
-    sequential testbed/baseline loop below then replays the cached
+    processes under the ``persistent`` backend), and the sequential
+    testbed/baseline loop below then replays the cached
     artifacts.  Services are closed on the way out, so persistent worker
     pools never outlive the call.
     """
@@ -203,7 +201,6 @@ def evaluate_setup(
     service = PredictionService(cluster=cluster, estimator_mode=estimator_mode,
                                 cache=cache, backend=backend,
                                 max_workers=jobs or 1,
-                                workers=worker_hosts,
                                 sync_timeout=sync_timeout,
                                 lease_timeout=lease_timeout,
                                 store_dir=store_dir)

@@ -20,9 +20,6 @@ without writing Python:
     Keep one warm prediction service alive behind a TCP endpoint and
     multiplex many clients over it (cross-client request coalescing,
     admission control, round-robin fairness).
-``python -m repro worker-host``
-    Listen for a remote prediction service and evaluate its jobs: the
-    remote end of the multi-host ``socket`` evaluation backend.
 ``python -m repro cache``
     Inspect and maintain a disk-backed artifact store (``--store-dir`` /
     ``$REPRO_STORE_DIR``): report stats, garbage-collect to a size
@@ -83,31 +80,23 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default="serial",
                         choices=BACKEND_NAMES,
                         help="batch-evaluation backend: serial (reference, "
-                             "default), long-lived persistent fork pool "
+                             "default) or a long-lived persistent fork pool "
                              "synced by incremental cache deltas (fork cost "
-                             "is paid once, not per batch), or socket (the "
-                             "same delta protocol to remote `repro "
-                             "worker-host` processes; requires "
-                             "--worker-hosts)")
+                             "is paid once, not per batch)")
     parser.add_argument("--jobs", "-j", type=int, default=None,
                         help="worker count for the persistent backend "
                              "(default: search uses the search's trial "
                              "concurrency capped at the CPU count, "
-                             "compare/serve use 1); the socket backend runs "
-                             "one worker per --worker-hosts address instead")
-    parser.add_argument("--worker-hosts", default=None, metavar="HOST:PORT,..",
-                        help="comma-separated addresses of running "
-                             "`repro worker-host` processes for the socket "
-                             "backend (defaults to $REPRO_WORKER_HOSTS)")
+                             "compare/serve use 1)")
     parser.add_argument("--sync-timeout", type=_sync_timeout_arg,
                         default=None, metavar="SECONDS",
-                        help="seconds a pooled (persistent/socket) worker "
+                        help="seconds a persistent-pool worker "
                              "gets to ack a cache sync before it is "
                              "discarded (> 0; default 60, or "
                              "$REPRO_SYNC_TIMEOUT)")
     parser.add_argument("--lease-timeout", type=_lease_timeout_arg,
                         default=None, metavar="SECONDS",
-                        help="job lease for the pooled backends: a job "
+                        help="job lease for the persistent pool: a job "
                              "unanswered this long is speculatively "
                              "re-dispatched to another live worker, so a "
                              "straggler costs one job's latency, not the "
@@ -131,7 +120,7 @@ def _add_server_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--server", default=None, metavar="HOST:PORT",
                         help="evaluate through a running `repro serve` "
                              "endpoint instead of a local service "
-                             "(--backend/--jobs/--worker-hosts then apply "
+                             "(--backend/--jobs then apply "
                              "to the server process, not this one)")
 
 
@@ -213,23 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-entries", type=int, default=256,
                        help="artifact/prediction cache capacity per level")
 
-    worker_host = subparsers.add_parser(
-        "worker-host",
-        help="evaluate prediction jobs for a remote service (the remote "
-             "end of the socket evaluation backend)")
-    worker_host.add_argument("--host", default="127.0.0.1",
-                             help="interface to bind (default: localhost; "
-                                  "bind non-loopback interfaces only on "
-                                  "trusted networks -- the wire protocol "
-                                  "is unauthenticated pickle)")
-    worker_host.add_argument("--port", type=int, default=0,
-                             help="port to listen on (0 picks an ephemeral "
-                                  "port, printed on stdout)")
-    worker_host.add_argument("--once", action="store_true",
-                             help="serve a single parent connection, then "
-                                  "exit")
-    _add_store_argument(worker_host)
-
     cache = subparsers.add_parser(
         "cache",
         help="inspect and maintain a disk-backed artifact store: report "
@@ -251,14 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON instead of text")
     return parser
-
-
-def _worker_hosts(args: argparse.Namespace) -> Optional[List[str]]:
-    """Parse --worker-hosts into an address list (None when unset)."""
-    hosts = getattr(args, "worker_hosts", None)
-    if not hosts:
-        return None
-    return [address.strip() for address in hosts.split(",") if address.strip()]
 
 
 def _default_dtype(cluster_name: str, dtype: Optional[str]) -> str:
@@ -374,7 +338,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     setup = evaluate_setup("cli", model, cluster, args.global_batch_size,
                            recipes, estimator_mode=args.estimator,
                            backend=args.backend, jobs=args.jobs,
-                           worker_hosts=_worker_hosts(args),
                            sync_timeout=args.sync_timeout,
                            lease_timeout=args.lease_timeout,
                            store_dir=args.store_dir)
@@ -430,7 +393,6 @@ def cmd_search(args: argparse.Namespace) -> int:
                             estimator_mode=args.estimator,
                             max_workers=args.jobs,
                             backend=None if args.server else args.backend,
-                            worker_hosts=_worker_hosts(args),
                             sync_timeout=args.sync_timeout,
                             lease_timeout=args.lease_timeout,
                             store_dir=args.store_dir,
@@ -496,24 +458,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache=ArtifactCache(max_entries=args.cache_entries),
         max_workers=args.jobs or 1,
         backend=args.backend,
-        workers=_worker_hosts(args),
         sync_timeout=args.sync_timeout,
         lease_timeout=args.lease_timeout,
         store_dir=args.store_dir,
     )
     serve(service, host=args.host, port=args.port,
           max_pending=args.max_pending)
-    return 0
-
-
-def cmd_worker_host(args: argparse.Namespace) -> int:
-    from repro.service.worker_host import serve
-
-    try:
-        serve(host=args.host, port=args.port, once=args.once,
-              store_dir=args.store_dir)
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
     return 0
 
 
@@ -568,7 +518,6 @@ _COMMANDS = {
     "compare": cmd_compare,
     "search": cmd_search,
     "serve": cmd_serve,
-    "worker-host": cmd_worker_host,
     "cache": cmd_cache,
 }
 

@@ -5,7 +5,7 @@ evaluating trials through the prediction service (no GPUs required) in an
 ask-batch / evaluate-batch / tell-batch loop: up to ``concurrency`` proposals
 are collected, evaluated together (as one ``predict_many`` batch against the
 cross-trial artifact cache when the evaluator is service-backed, fanned out
-over a worker pool by the ``persistent`` and ``socket`` backends), and their
+over a forked worker pool by the ``persistent`` backend), and their
 scores reported back to the algorithm in ask order.  The fidelity-preserving
 pruner and leaderboard-based early stopping work exactly as in Section 5 /
 7.3 of the paper.
@@ -70,7 +70,6 @@ class MayaTrialEvaluator:
                  share_provider: bool = True,
                  max_workers: Optional[int] = None,
                  backend: Optional[str] = None,
-                 worker_hosts: Optional[List[str]] = None,
                  sync_timeout: Optional[float] = None,
                  lease_timeout: Optional[float] = None,
                  store_dir: Optional[str] = None,
@@ -93,14 +92,11 @@ class MayaTrialEvaluator:
                 share_provider=share_provider,
                 max_workers=max_workers or 1,
                 backend=backend or "serial",
-                workers=worker_hosts,
                 sync_timeout=sync_timeout,
                 lease_timeout=lease_timeout,
                 store_dir=store_dir,
             )
         else:
-            if worker_hosts is not None:
-                service.worker_hosts = list(worker_hosts)
             if backend is not None:
                 service.backend = backend
             if store_dir is not None and hasattr(service, "attach_store"):
@@ -157,7 +153,7 @@ class MayaTrialEvaluator:
     def set_default_workers(self, workers: int) -> None:
         """Adopt the search's concurrency unless workers were set explicitly.
 
-        The count sizes the ``persistent`` / ``socket`` worker pool
+        The count sizes the ``persistent`` worker pool
         (``serial`` ignores it).  Capped at the machine's CPU count --
         forked workers beyond the available cores only add fork overhead.
         """

@@ -12,13 +12,13 @@ optimizations the paper's search loop relies on (Sections 5, 7.3-7.4):
   runs,
 * batched :meth:`PredictionService.predict_many` evaluation behind a
   pluggable backend (:mod:`repro.service.backends`): ``serial`` (the
-  default), a long-lived fork-based ``persistent`` pool that sidesteps
+  default) or a long-lived fork-based ``persistent`` pool that sidesteps
   the GIL while inheriting warmed estimator state copy-on-write and is
-  kept in sync by incremental cache deltas, or a multi-host ``socket``
-  pool speaking the same delta protocol to remote ``repro worker-host``
-  processes over the length-prefixed wire format in
-  :mod:`repro.service.wire` (all three share one
-  ``warm``/``submit``/``drain``/``close`` lifecycle), and
+  kept in sync by incremental cache deltas (both share one
+  ``warm``/``submit``/``drain``/``close`` lifecycle),
+* a long-lived prediction server (:mod:`repro.service.server`, ``repro
+  serve``) that multiplexes many clients over one warm service through
+  the length-prefixed wire format in :mod:`repro.service.wire`, and
 * a per-cluster shared :class:`~repro.core.simulator.providers.EstimatedDurationProvider`
   whose kernel-duration memo persists across trials.
 """
@@ -28,9 +28,7 @@ from repro.service.backends import (
     BackendWorkerError,
     EvaluationBackend,
     PersistentBackend,
-    PooledBackend,
     SerialBackend,
-    SocketBackend,
     get_backend,
     validate_timeout,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "FaultRule",
     "JobSpec",
     "PersistentBackend",
-    "PooledBackend",
     "PredictionClient",
     "PredictionServer",
     "PredictionService",
@@ -80,7 +77,6 @@ __all__ = [
     "SchedulerPolicy",
     "SerialBackend",
     "ServerBusyError",
-    "SocketBackend",
     "StoreError",
     "StoreFormatError",
     "WireProtocolError",

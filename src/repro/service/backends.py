@@ -1,14 +1,14 @@
 """Evaluation backends: how ``predict_many`` fans a batch of trials out.
 
-Three interchangeable strategies sit behind the same
-:meth:`~repro.service.PredictionService.predict_many` interface, all
+Two interchangeable strategies sit behind the same
+:meth:`~repro.service.PredictionService.predict_many` interface, both
 implementing one explicit lifecycle -- ``warm`` / ``submit`` / ``drain`` /
 ``close``:
 
 * ``serial`` -- evaluate leaders one after another on the calling thread
-  (the reference behaviour every other backend must match bit for bit,
-  and the default: the emulator and simulator are pure Python, so
-  in-process threads cannot overlap them).
+  (the reference behaviour the pool must match bit for bit, and the
+  default: the emulator and simulator are pure Python, so in-process
+  threads cannot overlap them).
 * ``persistent`` -- a long-lived fork-based worker pool created once per
   service (``warm()``) and reused across batches (``close()`` tears it
   down).  The service is warmed before forking, so workers inherit the
@@ -34,22 +34,11 @@ implementing one explicit lifecycle -- ``warm`` / ``submit`` / ``drain`` /
   entries it emulated itself.  Cache statistics are replayed on the
   parent in input order, so the accounting matches what a serial
   evaluation would have recorded.
-* ``socket`` -- the persistent lifecycle over TCP: workers are remote
-  ``repro worker-host`` processes (other machines, or localhost for
-  tests).  With no fork inheritance across hosts, ``warm`` bootstraps
-  each worker by shipping the warmed service once -- estimator suite,
-  shared-provider memos, host profile and current cache -- over the
-  length-prefixed wire protocol (:mod:`repro.service.wire`); afterwards
-  the same sync deltas, job dispatch, result payloads and input-order
-  merge apply, so results and accounting stay byte-identical to serial.
-  Addresses come from ``PredictionService(backend="socket",
-  workers=[...])``, CLI ``--worker-hosts`` or ``REPRO_WORKER_HOSTS``.
 
 Fork is a hard requirement for the ``persistent`` backend (inheriting
 multi-MB trained estimator state by copy-on-write is the whole point); on
 platforms without it the backend degrades to the serial backend and
-records the downgrade in each result's metadata.  The socket backend
-needs no fork -- remote workers bootstrap from the warm payload instead.
+records the downgrade in each result's metadata.
 """
 
 from __future__ import annotations
@@ -57,7 +46,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import random
 import threading
 import time
 import traceback
@@ -71,25 +59,22 @@ from repro.service import faults, wire
 from repro.service.cache import HeldArtifacts
 from repro.service.dispatch import BatchDispatch
 from repro.service.scheduling import JobSpec, RoundRobinPolicy, WorkerSnapshot
-from repro.service.wire import FEATURE_PING, WireError
 from repro.workloads.job import TrainingJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.predictor import PredictionService
 
 #: Registered backend names, in documentation order.
-BACKEND_NAMES = ("serial", "persistent", "socket")
+BACKEND_NAMES = ("serial", "persistent")
 
-#: Environment variables overriding the pooled backends' default timeouts
+#: Environment variables overriding the persistent pool's default timeouts
 #: (explicit constructor / CLI values win over the environment).
 SYNC_TIMEOUT_ENV = "REPRO_SYNC_TIMEOUT"
 LEASE_TIMEOUT_ENV = "REPRO_LEASE_TIMEOUT"
 
 #: Connection failures every scatter/gather path treats as a dead worker:
-#: broken pipes, clean EOFs, OS-level socket errors, and wire streams
-#: that turned to garbage (a corrupted frame is a dead connection, not a
-#: fatal error -- the victim's jobs re-dispatch like any other failure).
-_CONN_FAILURES = (BrokenPipeError, EOFError, OSError, WireError)
+#: broken pipes, clean EOFs and other OS-level pipe errors.
+_CONN_FAILURES = (EOFError, OSError)
 
 
 def validate_timeout(name: str, value, allow_zero: bool = False) -> float:
@@ -140,15 +125,14 @@ def _artifact_key(service: "PredictionService",
         return None
 
 
-def _evaluate_job(service: "PredictionService", index: int, job: TrainingJob,
-                  conn=None) -> Tuple[int, PredictionResult, Optional[bytes]]:
+def _evaluate_job(service: "PredictionService", index: int, job: TrainingJob
+                  ) -> Tuple[int, PredictionResult, Optional[bytes]]:
     """Evaluate one job inside a worker process.
 
     Returns the prediction plus, for cache misses, the freshly emulated
-    artifacts encoded once, in the wire format of ``conn``'s peer (``None``:
-    a direct in-process call), so the parent can cache them (worker memory
-    is copy-on-write or a fork-time copy: nothing written here is visible
-    to the parent).  The first replay already lowered every trace to
+    artifacts encoded once as a columnar payload, so the parent can cache
+    them (worker memory is a copy-on-write fork: nothing written here is
+    visible to the parent).  The first replay already lowered every trace to
     columns, so encoding is a buffer copy.  This is the only encode an
     artifact gets: the parent holds these bytes and forwards them
     unchanged to the sibling workers, and whoever later looks the entry
@@ -162,9 +146,8 @@ def _evaluate_job(service: "PredictionService", index: int, job: TrainingJob,
         if key is not None:
             artifacts = service.cache.peek_artifacts(key)
             if artifacts is not None:
-                payload = wire.dumps_for_format(
-                    replace(artifacts, job=None, cluster=None),
-                    wire.format_for_peer(conn))
+                payload = wire.dumps_columnar(
+                    replace(artifacts, job=None, cluster=None))
     return index, result, payload
 
 
@@ -199,8 +182,7 @@ def _merge_batch(service: "PredictionService", jobs: Sequence[TrainingJob],
                  payloads: Sequence[Tuple]) -> List[Optional[PredictionResult]]:
     """Fold worker results back into the parent service.
 
-    ``payloads`` are ``(index, result, artifact payload, wire format)``
-    tuples.  Replays the cache accounting each worker performed against
+    ``payloads`` are ``(index, result, artifact payload)`` tuples.  Replays the cache accounting each worker performed against
     its own (invisible) cache copy, caches freshly emulated artifacts as
     the held wire payloads they arrived as (decoded only if a later
     lookup hits them), and seeds the prediction cache so followers and
@@ -208,7 +190,7 @@ def _merge_batch(service: "PredictionService", jobs: Sequence[TrainingJob],
     """
     results: List[Optional[PredictionResult]] = [None] * len(jobs)
     stats = service.stats
-    for index, result, payload, fmt in payloads:
+    for index, result, payload in payloads:
         results[index] = result
         level = result.metadata.get("service_cache")
         tier = result.metadata.get("artifact_tier")
@@ -235,7 +217,7 @@ def _merge_batch(service: "PredictionService", jobs: Sequence[TrainingJob],
             if (artifact_key is not None
                     and service.cache.peek_entry(artifact_key) is None):
                 service.cache.put_artifacts(artifact_key, HeldArtifacts(
-                    payload, fmt, job, service.pipeline.cluster))
+                    payload, job, service.pipeline.cluster))
         elif (level == "artifacts" and tier == "store"
               and artifact_key is not None):
             # The worker's lookup fell through to the disk store and
@@ -260,9 +242,8 @@ class EvaluationBackend:
     Every backend implements the same four-phase lifecycle:
 
     * :meth:`warm` -- one-time (idempotent) resource acquisition.  Only
-      the pooled backends do real work here (``persistent`` forks its
-      worker pool, ``socket`` connects to and bootstraps its worker
-      hosts); for ``serial`` it is a no-op.
+      ``persistent`` does real work here (it forks its worker pool); for
+      ``serial`` it is a no-op.
     * :meth:`submit` -- hand one batch of jobs to the backend's workers.
     * :meth:`drain` -- block until the submitted batch is fully evaluated
       and return its results in input order.
@@ -339,57 +320,44 @@ class SerialBackend(EvaluationBackend):
 
 
 # ----------------------------------------------------------------------
-# pooled workers (persistent fork pool + multi-host socket pool)
+# persistent fork pool
 # ----------------------------------------------------------------------
 def _pool_worker_main(conn, service: "PredictionService",
-                      worker_id: Optional[int] = None) -> None:
+                      worker_id: int) -> None:
     """Long-lived worker loop: apply sync deltas, evaluate jobs, repeat.
 
-    The worker holds its own copy of the service (fork-time under the
-    ``persistent`` backend, unpickled from the ``warm`` bootstrap message
-    under ``socket``); sync messages keep its artifact cache (and the
-    shared provider's duration memos) mirroring the parent's, so its
-    per-job cache accounting is exactly what a serial evaluation on the
-    parent would have recorded.  Job failures are reported, not fatal: the
-    pool survives an exception mid-batch.
+    The worker holds its own fork-time copy of the service; sync messages
+    keep its artifact cache (and the shared provider's duration memos)
+    mirroring the parent's, so its per-job cache accounting is exactly
+    what a serial evaluation on the parent would have recorded.  Job
+    failures are reported, not fatal: the pool survives an exception
+    mid-batch.
 
-    ``conn`` is anything that duck-types
-    :class:`multiprocessing.connection.Connection` -- a fork pipe or a
-    :class:`repro.service.wire.WireConnection`; the loop is the single
-    worker-side implementation of the lifecycle protocol for both
-    transports.  ``ping`` frames are answered inline between jobs, which
-    is the liveness signal for transports whose peer advertises
-    :data:`~repro.service.wire.FEATURE_PING`.
-
-    ``worker_id`` numbers this worker for ``worker``-scoped fault rules
-    (fork spawn order; worker hosts read ``REPRO_FAULT_WORKER`` instead).
-    The active :class:`~repro.service.faults.FaultPlan` hooks run before /
-    after each job and before each sync ack; a ``drop`` rule surfaces as
-    :class:`~repro.service.faults.FaultInjected` and closes the
-    connection, exactly like a lost network path.
+    ``worker_id`` numbers this worker (fork spawn order) for ``worker``-
+    scoped fault rules.  The active
+    :class:`~repro.service.faults.FaultPlan` hooks run before / after each
+    job and before each sync ack; a ``drop`` rule surfaces as
+    :class:`~repro.service.faults.FaultInjected` and closes the pipe.
     """
     plan = faults.current_fault_plan(worker_id)
     try:
         while True:
             try:
                 message = conn.recv()
-            except (EOFError, OSError, WireError):
+            except (EOFError, OSError):
                 break
             kind = message[0]
             if kind == "close":
                 break
             try:
-                if kind == "ping":
-                    conn.send(("pong", message[1]))
-                elif kind == "sync":
+                if kind == "sync":
                     (_, epoch, full, entries, kernel_memo,
                      collective_memo) = message
                     # Held as received: decoded only if a job's lookup
                     # hits the entry.
-                    fmt = wire.format_for_peer(conn)
                     cluster = service.pipeline.cluster
                     service.cache.apply_artifact_delta(
-                        [(key, HeldArtifacts(payload, fmt, None, cluster))
+                        [(key, HeldArtifacts(payload, None, cluster))
                          for key, payload in entries], full=full)
                     provider = (service.provider()
                                 if service.share_provider else None)
@@ -410,7 +378,7 @@ def _pool_worker_main(conn, service: "PredictionService",
                     plan.before_job(index)
                     started = time.perf_counter()
                     try:
-                        payload = _evaluate_job(service, index, job, conn)
+                        payload = _evaluate_job(service, index, job)
                     except BaseException:
                         conn.send(("error", index, traceback.format_exc()))
                     else:
@@ -419,61 +387,36 @@ def _pool_worker_main(conn, service: "PredictionService",
                                        time.perf_counter() - started)
             except faults.FaultInjected:
                 break
-            except (BrokenPipeError, OSError, WireError):
+            except (BrokenPipeError, OSError):
                 break
     finally:
         conn.close()
 
 
-class _PoolWorker:
-    """Parent-side handle of one long-lived worker (any transport)."""
+class _Worker:
+    """Parent-side handle of one forked worker process."""
 
-    __slots__ = ("conn", "epoch", "kernel_memo_len", "collective_memo_len",
-                 "ping_token", "ping_sent_at", "last_ping_at")
+    __slots__ = ("process", "conn", "epoch", "kernel_memo_len",
+                 "collective_memo_len")
 
-    #: Whether liveness is probed with wire ``ping`` frames.  Forked
-    #: workers are polled via ``process.is_alive()`` instead; socket
-    #: workers override this per-connection from the negotiated features.
-    supports_ping = False
-
-    def __init__(self, conn, epoch: int, kernel_memo_len: int,
+    def __init__(self, process, conn, epoch: int, kernel_memo_len: int,
                  collective_memo_len: int) -> None:
+        self.process = process
         self.conn = conn
-        #: Cache sync epoch this worker last acked (bootstrap epoch
-        #: initially: the parent epoch at fork / warm-payload time).
+        #: Cache sync epoch this worker last acked (the parent epoch at
+        #: fork time initially).
         self.epoch = epoch
         #: Shared-provider memo lengths already shipped (memo dicts are
         #: append-only, so a length is a complete delta cursor).
         self.kernel_memo_len = kernel_memo_len
         self.collective_memo_len = collective_memo_len
-        #: Outstanding liveness ping (token of the unanswered ping, its
-        #: send time, and when a ping was last issued at all).
-        self.ping_token: Optional[int] = None
-        self.ping_sent_at = 0.0
-        self.last_ping_at = 0.0
 
     def alive(self) -> bool:
         """Whether the pool should keep dispatching to this worker."""
-        return True
-
-    def reap(self, timeout: float = 5.0) -> None:
-        """Release whatever executes this worker (idempotent)."""
-
-
-class _PersistentWorker(_PoolWorker):
-    """Handle of one forked worker process (``persistent`` backend)."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process, conn, epoch: int, kernel_memo_len: int,
-                 collective_memo_len: int) -> None:
-        super().__init__(conn, epoch, kernel_memo_len, collective_memo_len)
-        self.process = process
-
-    def alive(self) -> bool:
         return self.process.is_alive()
 
     def reap(self, timeout: float = 5.0) -> None:
+        """Join the process; terminate it if it will not exit."""
         self.process.join(timeout=timeout)
         if self.process.is_alive():
             # Wedged-but-alive (e.g. timed out acking a sync): terminate it
@@ -482,71 +425,26 @@ class _PersistentWorker(_PoolWorker):
             self.process.join(timeout=5)
 
 
-class _SocketWorker(_PoolWorker):
-    """Handle of one remote worker reached over a wire connection.
+class PersistentBackend(EvaluationBackend):
+    """Long-lived fork-based worker pool with incremental cache shipping.
 
-    The remote process belongs to its own ``repro worker-host``; the
-    parent can only close the connection (the worker host then returns to
-    accepting new parents), never terminate it.
+    ``warm`` forks the workers, which inherit the warmed service
+    copy-on-write.  Each batch is ``submit`` (placement, then the
+    incremental cache-delta sync with its epoch acks and timeout
+    handling) followed by ``drain``, a pipe loop around a
+    :class:`~repro.service.dispatch.BatchDispatch`, which owns the fault
+    model (liveness, job leases, per-job degradation); the gathered
+    results merge in input order.
     """
 
-    __slots__ = ("address", "dead")
-
-    def __init__(self, conn, epoch: int, kernel_memo_len: int,
-                 collective_memo_len: int, address: str) -> None:
-        super().__init__(conn, epoch, kernel_memo_len, collective_memo_len)
-        self.address = address
-        self.dead = False
-
-    @property
-    def supports_ping(self) -> bool:
-        return FEATURE_PING in getattr(self.conn, "peer_features", ())
-
-    def alive(self) -> bool:
-        return not self.dead
-
-    def reap(self, timeout: float = 5.0) -> None:
-        # Closing the wire connection is the only lever the parent has
-        # over a remote worker: it releases the local fd and unblocks the
-        # worker host's serving thread from its blocking read, so the
-        # host can go back to accepting parents instead of leaking both.
-        self.dead = True
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
-class PooledBackend(EvaluationBackend):
-    """Shared machinery of the long-lived worker-pool backends.
-
-    Everything that does not depend on how workers come to exist lives
-    here: the batch lifecycle (``submit``, then ``drain`` as a transport
-    loop around a :class:`~repro.service.dispatch.BatchDispatch`, which
-    owns the fault model -- liveness, job leases, per-job degradation),
-    the incremental cache-delta sync protocol with its epoch acks and
-    timeout handling, and input-order result merging.
-
-    Subclasses provide only how workers come to exist:
-
-    * :class:`PersistentBackend` forks local processes that inherit the
-      warmed service copy-on-write;
-    * :class:`SocketBackend` connects to remote ``repro worker-host``
-      processes and bootstraps each one by shipping the warmed service
-      (estimator suite, host profile, cache contents) once at ``warm``.
-
-    The two transports speak the same message tuples; only the connection
-    object differs (fork pipe vs :class:`repro.service.wire.WireConnection`).
-    """
-
+    name = "persistent"
     persistent = True
     #: Seconds a worker gets to ack a sync message before it is treated
     #: like a dead one (discarded, share evaluated on the parent).  Sync
     #: application is pure dict folding, so even a full snapshot acks in
-    #: well under a second locally; a worker that misses this deadline is
-    #: wedged (or its network path is gone).  Class attribute is the
-    #: default; instances resolve constructor arg > ``REPRO_SYNC_TIMEOUT``
-    #: > this value.
+    #: well under a second; a worker that misses this deadline is wedged.
+    #: Class attribute is the default; instances resolve constructor arg >
+    #: ``REPRO_SYNC_TIMEOUT`` > this value.
     sync_timeout = 60.0
     #: Seconds a dispatched job may stay unanswered before its lease
     #: expires and the parent speculatively re-dispatches it to another
@@ -555,21 +453,11 @@ class PooledBackend(EvaluationBackend):
     #: (a straggler then gates the batch, as before).  Instances resolve
     #: constructor arg > ``REPRO_LEASE_TIMEOUT`` > this value.
     lease_timeout = 30.0
-    #: Liveness cadence: with no traffic for this many seconds the parent
-    #: polls every worker (``process.is_alive()`` for forked workers, a
-    #: wire ``ping`` frame for socket peers that negotiated
-    #: :data:`~repro.service.wire.FEATURE_PING`), so silent death is
-    #: detected in bounded time instead of only on a failed read.
-    ping_interval = 5.0
-    #: Seconds an outstanding ping may go unanswered before the worker is
-    #: declared dead.  Generous: a worker evaluating a long job answers
-    #: only between jobs, so this must exceed one job's evaluation time.
-    ping_timeout = 120.0
     #: Jobs kept in flight per worker.  Job messages are small (a pickled
     #: :class:`TrainingJob`), so a bounded window always fits in the OS
-    #: buffer of a pipe or socket; the parent sends a new job only after
-    #: receiving a result, which keeps it draining results (and the
-    #: workers' outbound buffers) instead of ever blocking in ``send``.
+    #: pipe buffer; the parent sends a new job only after receiving a
+    #: result, which keeps it draining results (and the workers' outbound
+    #: buffers) instead of ever blocking in ``send``.
     max_inflight = 2
 
     def __init__(self, sync_timeout: Optional[float] = None,
@@ -581,16 +469,20 @@ class PooledBackend(EvaluationBackend):
             "lease_timeout", lease_timeout, LEASE_TIMEOUT_ENV,
             type(self).lease_timeout, allow_zero=True)
         self._policy = RoundRobinPolicy()
-        self._workers: List[_PoolWorker] = []
+        self._workers: List[_Worker] = []
         self._service: Optional["PredictionService"] = None
-        #: When set, ``warm`` never acquires a pool, so every batch runs
-        #: on the serial backend and each result's metadata is tagged
-        #: with this reason (e.g. fork unavailable).
+        self._fork_context = None
+        #: Workers forked so far: numbers workers in spawn order for
+        #: ``worker``-scoped fault rules.
+        self._spawned = 0
+        #: When set, ``warm`` never forks a pool, so every batch runs on
+        #: the serial backend and each result's metadata is tagged with
+        #: this reason (fork unavailable).
         self._fallback_reason: Optional[str] = None
         #: Serialises batches: submit acquires, drain releases.
         self._batch_lock = threading.Lock()
-        #: Guards pool (``_workers``) mutation: ``warm`` spawns/connects
-        #: and appends, ``close`` swaps the list out, ``_discard_worker``
+        #: Guards pool (``_workers``) mutation: ``warm`` forks and
+        #: appends, ``close`` swaps the list out, ``_discard_worker``
         #: removes -- all under this lock so a teardown racing a top-up can
         #: never strand a fresh worker outside the list.  Reentrant because
         #: ``warm`` calls ``close`` when re-targeted at a new service.
@@ -598,7 +490,7 @@ class PooledBackend(EvaluationBackend):
         self._delegate: Optional[EvaluationBackend] = None
         self._jobs: List[TrainingJob] = []
         self._deferred: List[int] = []
-        self._assignments: List[Tuple[_PoolWorker, List[int]]] = []
+        self._assignments: List[Tuple[_Worker, List[int]]] = []
         #: (index, fallback reason) pairs whose worker died before
         #: evaluating them; the parent picks them up in drain.
         self._parent_eval: List[Tuple[int, str]] = []
@@ -607,13 +499,11 @@ class PooledBackend(EvaluationBackend):
         self.resilience_stats: Dict[str, int] = {
             "worker_deaths": 0, "lease_expirations": 0,
             "redispatched_jobs": 0, "duplicate_results": 0,
-            "parent_evaluations": 0, "pings_sent": 0,
-            "pongs_received": 0, "stragglers_discarded": 0,
-            "reconnects": 0,
+            "parent_evaluations": 0, "stragglers_discarded": 0,
         }
         #: Which worker emulated each artifact key: that worker already has
         #: its own (equivalent) copy, so deltas skip shipping it back.
-        self._artifact_origin: Dict[Tuple, _PoolWorker] = {}
+        self._artifact_origin: Dict[Tuple, _Worker] = {}
         #: Sync-protocol counters (surfaced by tests and the benchmark).
         #: The placement counters mirror the placement policy's
         #: monotonic :attr:`SchedulerPolicy.stats` after every batch.
@@ -665,11 +555,11 @@ class PooledBackend(EvaluationBackend):
         return specs
 
     def _worker_snapshots(self, service: "PredictionService",
-                          workers: Sequence[_PoolWorker]
+                          workers: Sequence[_Worker]
                           ) -> List[WorkerSnapshot]:
         """Placement views of the live workers, slot-parallel."""
         cache = service.cache
-        origin_keys: Dict[_PoolWorker, set] = {}
+        origin_keys: Dict[_Worker, set] = {}
         for key, owner in self._artifact_origin.items():
             origin_keys.setdefault(owner, set()).add(key)
         snapshots: List[WorkerSnapshot] = []
@@ -681,27 +571,26 @@ class PooledBackend(EvaluationBackend):
         return snapshots
 
     # ------------------------------------------------------------------
-    # lifecycle (template: subclasses fill in worker acquisition)
+    # lifecycle
     # ------------------------------------------------------------------
-    def _ready(self, service: "PredictionService") -> bool:
-        """Fast pre-warm check; False skips the warm entirely (fallback)."""
-        raise NotImplementedError
-
-    def _top_up(self, service: "PredictionService") -> None:
-        """Bring ``self._workers`` up to strength (under ``_closed_lock``)."""
-        raise NotImplementedError
-
     def warm(self, service: "PredictionService") -> None:
-        """Acquire the pool (idempotent; tops up after worker deaths).
+        """Fork the pool up to ``service.max_workers`` (idempotent; tops
+        up after worker deaths).
 
         Must run after the estimator suite / shared provider exist so
-        workers inherit (or are shipped) trained state --
-        ``service.warm()`` guarantees that ordering.  New workers start
-        with the parent's *current* cache, so their sync epoch starts at
-        the cache's current epoch.
+        workers inherit trained state -- ``service.warm()`` guarantees
+        that ordering.  New workers fork with the parent's *current*
+        cache and provider memos inherited copy-on-write, so their sync
+        cursor starts at the cache's current epoch.
         """
-        if not self._ready(service):
+        if self._fallback_reason is not None:
             return
+        if self._fork_context is None:
+            try:
+                self._fork_context = multiprocessing.get_context("fork")
+            except ValueError:
+                self._fallback_reason = "fork unavailable"
+                return
         # Estimator training can be slow; run it before taking the
         # lifecycle lock so a concurrent close() is not held up behind it.
         service._warm_pipeline()
@@ -712,49 +601,41 @@ class PooledBackend(EvaluationBackend):
                 self.close()
             self._service = service
             self._prune_dead_workers()
-            self._top_up(service)
+            desired = max(int(service.max_workers), 1)
+            if desired <= 1 and not self._workers:
+                return  # serial degenerate: no pool needed
+            while len(self._workers) < desired:
+                self._fork_worker(service)
+
+    def _fork_worker(self, service: "PredictionService") -> None:
+        """Fork one worker (under ``_closed_lock``).  The sync cursor is
+        read *before* the fork: entries added in between are simply
+        re-shipped by the first delta, which is idempotent."""
+        provider = service.provider() if service.share_provider else None
+        cursor = (service.cache.sync_epoch,
+                  len(getattr(provider, "_kernel_cache", ())),
+                  len(getattr(provider, "_collective_cache", ())))
+        parent_conn, child_conn = self._fork_context.Pipe()
+        process = self._fork_context.Process(
+            target=_pool_worker_main,
+            args=(child_conn, service, self._spawned), daemon=True)
+        self._spawned += 1
+        process.start()
+        child_conn.close()
+        self._workers.append(_Worker(process, parent_conn, *cursor))
 
     def _prune_dead_workers(self) -> None:
-        """Drop pooled workers that died between batches.
-
-        A fork worker reports death via ``process.is_alive()``; a socket
-        worker's host may have exited with nothing but a FIN in flight,
-        which only shows up as a readable-at-idle connection.  Probing
-        here (instead of trusting the handle) is what lets a restarted
-        worker host rejoin on the very next warm: the dead worker's
-        address becomes unserved again and ``_top_up`` reconnects.  Idle
-        connections may legitimately hold one stale ``pong`` from the
-        previous batch's liveness probe; anything else is a dead or
-        desynced peer.
-        """
+        """Drop pooled workers that died between batches.  An idle worker
+        owes the parent nothing, so a readable pipe is EOF or a desynced
+        peer: either way the worker goes."""
         for worker in list(self._workers):
-            pruned = not worker.alive()
-            if not pruned:
-                try:
-                    while worker.conn.poll(0):
-                        message = worker.conn.recv()
-                        if (isinstance(message, tuple) and message
-                                and message[0] == "pong"):
-                            worker.ping_token = None
-                            continue
-                        raise WireError(
-                            f"unexpected idle message {message[:1]!r}")
-                except _CONN_FAILURES:
-                    pruned = True
+            try:
+                pruned = not worker.alive() or worker.conn.poll(0)
+            except _CONN_FAILURES:
+                pruned = True
             if pruned:
                 self.resilience_stats["worker_deaths"] += 1
                 self._discard_worker(worker)
-
-    def _bootstrap_cursor(self, service: "PredictionService"
-                          ) -> Tuple[int, int, int]:
-        """(cache epoch, kernel-memo len, collective-memo len) for a worker
-        about to receive the parent's current state (fork or warm payload).
-        Read *before* the state is captured: entries added in between are
-        simply re-shipped by the first delta, which is idempotent."""
-        provider = service.provider() if service.share_provider else None
-        return (service.cache.sync_epoch,
-                len(getattr(provider, "_kernel_cache", ())),
-                len(getattr(provider, "_collective_cache", ())))
 
     def close(self) -> None:
         """Shut the pool down; safe to call repeatedly and mid-failure."""
@@ -780,7 +661,7 @@ class PooledBackend(EvaluationBackend):
     # ------------------------------------------------------------------
     # sync protocol
     # ------------------------------------------------------------------
-    def _send_sync(self, service: "PredictionService", worker: _PoolWorker,
+    def _send_sync(self, service: "PredictionService", worker: _Worker,
                    encoded: Dict[Tuple, bytes]) -> Optional[Tuple]:
         """Ship the artifact/memo delta since the worker's acked epoch.
 
@@ -790,12 +671,11 @@ class PooledBackend(EvaluationBackend):
         pipe is ordered), so no job is ever evaluated against stale
         artifacts.  An unserviceable epoch -- or an ack that does not match
         the epoch just shipped -- forces a full snapshot resync.  Artifacts
-        travel as wire payloads.  A held entry (a worker's result payload)
-        whose format matches the peer's is forwarded as received, never
-        decoded or re-encoded.  Only the entries the parent emulated
-        itself are encoded, memoised in ``encoded`` (shared by every
-        worker synced for the same batch): a delta fanned out to N
-        siblings is serialised once per format, not N times.
+        travel as columnar payloads.  A held entry (a worker's result
+        payload) is forwarded as received, never decoded or re-encoded.
+        Only the entries the parent holds decoded are encoded, memoised in
+        ``encoded`` (shared by every worker synced for the same batch): a
+        delta fanned out to N siblings is serialised once, not N times.
         """
         cache = service.cache
         provider = service.provider() if service.share_provider else None
@@ -835,23 +715,20 @@ class PooledBackend(EvaluationBackend):
             epoch, entries = cache.snapshot()
             full = True
             self.sync_stats["full_syncs"] += 1
-        fmt = wire.format_for_peer(worker.conn)
         shipped = []
         for key, artifacts in entries:
-            if isinstance(artifacts, HeldArtifacts) and artifacts.fmt == fmt:
+            if isinstance(artifacts, HeldArtifacts):
                 shipped.append((key, artifacts.payload))
                 continue
-            if (fmt, key) not in encoded:
-                if isinstance(artifacts, HeldArtifacts):
-                    artifacts = artifacts.decode(key)
-                encoded[fmt, key] = wire.dumps_for_format(artifacts, fmt)
-            shipped.append((key, encoded[fmt, key]))
+            if key not in encoded:
+                encoded[key] = wire.dumps_columnar(artifacts)
+            shipped.append((key, encoded[key]))
         worker.conn.send(("sync", epoch, full, shipped, kernel_memo,
                           collective_memo))
         return (epoch, kernel_len, collective_len,
                 time.monotonic() + self.sync_timeout)
 
-    def _await_sync(self, worker: _PoolWorker,
+    def _await_sync(self, worker: _Worker,
                     pending: Optional[Tuple]) -> None:
         """Collect the ack of a :meth:`_send_sync`; commit the cursor.
 
@@ -862,20 +739,14 @@ class PooledBackend(EvaluationBackend):
         if pending is None:
             return
         epoch, kernel_len, collective_len, deadline = pending
-        while True:
-            if not worker.conn.poll(max(deadline - time.monotonic(), 0.0)):
-                # A wedged-but-alive worker must not hang the service:
-                # treat it exactly like a dead pipe (the caller discards
-                # the worker and evaluates its share on the parent).
-                raise _WorkerUnresponsive(
-                    f"{self.name} worker did not ack sync epoch {epoch} "
-                    f"within {self.sync_timeout}s")
-            ack = worker.conn.recv()
-            if not (isinstance(ack, tuple) and ack and ack[0] == "pong"):
-                break
-            # Stale liveness reply from the previous batch arriving after
-            # its drain loop ended -- consume and keep waiting.
-            worker.ping_token = None
+        if not worker.conn.poll(max(deadline - time.monotonic(), 0.0)):
+            # A wedged-but-alive worker must not hang the service: treat
+            # it exactly like a dead pipe (the caller discards the worker
+            # and evaluates its share on the parent).
+            raise _WorkerUnresponsive(
+                f"{self.name} worker did not ack sync epoch {epoch} "
+                f"within {self.sync_timeout}s")
+        ack = worker.conn.recv()
         if ack != ("synced", epoch):
             raise BackendWorkerError(
                 f"{self.name} worker acked {ack!r}, expected sync epoch "
@@ -887,13 +758,13 @@ class PooledBackend(EvaluationBackend):
     # ------------------------------------------------------------------
     # batch evaluation
     # ------------------------------------------------------------------
-    def _discard_worker(self, worker: _PoolWorker) -> None:
+    def _discard_worker(self, worker: _Worker) -> None:
         """Drop a dead or unresponsive worker (the next warm tops it up)."""
         with self._closed_lock:
             if worker in self._workers:
                 self._workers.remove(worker)
             # The origin map must not keep the dead handle (its process
-            # and closed connection) alive until close().
+            # and closed pipe) alive until close().
             for key in [key for key, owner in self._artifact_origin.items()
                         if owner is worker]:
                 del self._artifact_origin[key]
@@ -932,7 +803,7 @@ class PooledBackend(EvaluationBackend):
             for counter in ("placements", "locality_hits",
                             "ship_bytes_avoided"):
                 self.sync_stats[counter] = self._policy.stats[counter]
-            assignments: List[Tuple[_PoolWorker, List[int]]] = [
+            assignments: List[Tuple[_Worker, List[int]]] = [
                 (workers[slot], assigned)
                 for slot, assigned in enumerate(shares) if assigned]
             # Sync every worker that will see jobs this batch: all the
@@ -947,8 +818,8 @@ class PooledBackend(EvaluationBackend):
             # whose pipe dies at any point hands its share to the parent
             # (identical results, identical accounting).
             encoded: Dict[Tuple, bytes] = {}
-            sent: List[Tuple[_PoolWorker, List[int], Optional[Tuple]]] = []
-            failed: List[Tuple[_PoolWorker, List[int]]] = []
+            sent: List[Tuple[_Worker, List[int], Optional[Tuple]]] = []
+            failed: List[Tuple[_Worker, List[int]]] = []
             for worker, assigned in assignments:
                 try:
                     sent.append((worker, assigned,
@@ -976,9 +847,9 @@ class PooledBackend(EvaluationBackend):
             raise
 
     def drain(self) -> List[PredictionResult]:
-        """Gather the submitted batch: the transport loop around one
+        """Gather the submitted batch: the pipe loop around one
         :class:`~repro.service.dispatch.BatchDispatch`.  The dispatch
-        decides (bounded in-flight window, leases, liveness probes); this
+        decides (bounded in-flight window, leases, liveness polls); this
         loop only moves bytes and feeds what happened back."""
         try:
             if self._delegate is not None:
@@ -989,12 +860,9 @@ class PooledBackend(EvaluationBackend):
                 assignments, parent_eval, name=self.name,
                 policy=self._policy, stats=self.resilience_stats,
                 max_inflight=self.max_inflight,
-                lease_timeout=self.lease_timeout,
-                ping_interval=self.ping_interval,
-                ping_timeout=self.ping_timeout, now=time.monotonic())
+                lease_timeout=self.lease_timeout, now=time.monotonic())
             payloads: List[Tuple] = []
-            plan = faults.current_fault_plan()
-            self._perform(dispatch, plan)
+            self._perform(dispatch)
             while not dispatch.finished:
                 conns = {worker.conn: worker for worker in dispatch.active}
                 for conn in mp_connection.wait(
@@ -1009,11 +877,11 @@ class PooledBackend(EvaluationBackend):
                                                time.monotonic())
                     else:
                         self._feed(dispatch, worker, message, payloads)
-                    self._perform(dispatch, plan)
+                    self._perform(dispatch)
                 dispatch.tick(time.monotonic())
-                self._perform(dispatch, plan)
+                self._perform(dispatch)
             dispatch.finish()
-            self._perform(dispatch, plan)
+            self._perform(dispatch)
             return self._merge(dispatch, payloads)
         finally:
             self._batch_lock.release()
@@ -1030,38 +898,30 @@ class PooledBackend(EvaluationBackend):
                                            self._fallback_reason)
         return results
 
-    def _perform(self, dispatch: BatchDispatch, plan) -> None:
-        """Carry out every action the dispatch has queued.  A send or
-        ping that hits a dead connection is fed back as that worker's
-        failure, which may queue more actions; the loop runs dry."""
+    def _perform(self, dispatch: BatchDispatch) -> None:
+        """Carry out every action the dispatch has queued.  A send that
+        hits a dead pipe is fed back as that worker's failure, which may
+        queue more actions; the loop runs dry."""
         for action in iter(dispatch.next_action, None):
             worker = action.worker
             try:
                 if action.kind == "send":
-                    if (plan.job_frame_action(action.arg) == "corrupt"
-                            and hasattr(worker.conn, "corrupt_next_frame")):
-                        worker.conn.corrupt_next_frame()
                     worker.conn.send(("job", action.arg,
                                       self._jobs[action.arg]))
-                elif action.kind == "ping":
-                    worker.conn.send(("ping", action.arg))
                 else:
                     self._discard_worker(worker)
             except _CONN_FAILURES:
                 dispatch.worker_failed(worker, action.on_failure,
                                        time.monotonic())
 
-    def _feed(self, dispatch: BatchDispatch, worker: _PoolWorker,
+    def _feed(self, dispatch: BatchDispatch, worker: _Worker,
               message: Tuple, payloads: List[Tuple]) -> None:
         """Turn one worker message into a dispatch event."""
         now = time.monotonic()
-        if message[0] == "pong":
-            dispatch.pong(worker)
-        elif message[0] == "error":
+        if message[0] == "error":
             dispatch.error(worker, message[1], message[2], now)
         elif dispatch.result(worker, message[1], now):
-            payloads.append(message[1:]
-                            + (wire.format_for_peer(worker.conn),))
+            payloads.append(message[1:])
             if message[3] is not None:
                 # Fresh emulation: remember which worker already holds
                 # these artifacts so the next sync does not ship them back.
@@ -1101,244 +961,9 @@ class PooledBackend(EvaluationBackend):
         return results  # type: ignore[return-value]
 
 
-class PersistentBackend(PooledBackend):
-    """Long-lived fork-based worker pool with incremental cache shipping."""
-
-    name = "persistent"
-
-    def __init__(self, sync_timeout: Optional[float] = None,
-                 lease_timeout: Optional[float] = None) -> None:
-        super().__init__(sync_timeout=sync_timeout,
-                         lease_timeout=lease_timeout)
-        self._fork_context = None
-        #: Workers forked so far: numbers workers in spawn order for
-        #: ``worker``-scoped fault rules.
-        self._spawned = 0
-
-    def _ready(self, service: "PredictionService") -> bool:
-        if self._fallback_reason is not None:
-            return False
-        if self._fork_context is None:
-            try:
-                self._fork_context = multiprocessing.get_context("fork")
-            except ValueError:
-                self._fallback_reason = "fork unavailable"
-                return False
-        return True
-
-    def _top_up(self, service: "PredictionService") -> None:
-        """Fork workers up to ``service.max_workers``.
-
-        New workers fork with the parent's *current* cache and provider
-        memos inherited copy-on-write, so their sync cursor is the cache's
-        current epoch.
-        """
-        desired = max(int(service.max_workers), 1)
-        if desired <= 1 and not self._workers:
-            return  # serial degenerate: no pool needed
-        while len(self._workers) < desired:
-            epoch, kernel_len, collective_len = \
-                self._bootstrap_cursor(service)
-            parent_conn, child_conn = self._fork_context.Pipe()
-            process = self._fork_context.Process(
-                target=_pool_worker_main,
-                args=(child_conn, service, self._spawned), daemon=True)
-            self._spawned += 1
-            process.start()
-            child_conn.close()
-            self._workers.append(_PersistentWorker(
-                process, parent_conn, epoch, kernel_len, collective_len))
-
-
-class SocketBackend(PooledBackend):
-    """Multi-host worker pool: the persistent lifecycle over TCP sockets.
-
-    Workers are remote ``repro worker-host`` processes.  There is no fork
-    inheritance across machines, so ``warm`` bootstraps each worker by
-    shipping the warmed service once -- estimator suite, shared-provider
-    memos, host profile and current cache contents travel in a single
-    pickled ``("warm", service)`` message -- after a version handshake
-    (:mod:`repro.service.wire`).  From then on the worker is
-    indistinguishable from a forked one: the same sync deltas, job
-    dispatch, result payloads and parent-side input-order merge, so
-    results and cache accounting stay byte-identical to a serial run
-    (enforced by ``tests/test_backend_conformance.py`` over localhost).
-
-    Worker addresses come from ``PredictionService(backend="socket",
-    workers=["host:port", ...])``, the CLI ``--worker-hosts`` flag, or the
-    ``REPRO_WORKER_HOSTS`` environment variable (comma-separated), one
-    worker per address.  Connections are attempted with capped
-    exponential backoff + jitter (``connect_attempts`` tries per warm);
-    if *no* address has ever served a worker the warm still raises
-    :class:`BackendWorkerError` (misconfiguration should fail fast).
-    Once the pool has been up, workers that die are discarded, their
-    leased jobs re-dispatch to survivors, and every ``warm`` retries the
-    missing addresses -- a restarted ``repro worker-host`` rejoins
-    mid-run and re-warms through the ordinary snapshot/delta resync.  A
-    protocol-version mismatch always raises
-    :class:`~repro.service.wire.WireProtocolError`.
-    """
-
-    name = "socket"
-    #: Seconds to wait for a TCP connect + handshake per address.
-    connect_timeout = 10.0
-    #: Seconds a remote worker gets to unpickle the warm payload and ack.
-    warm_timeout = 120.0
-    #: Reconnect policy: each unreachable address is attempted up to
-    #: ``connect_attempts`` times per warm with capped exponential backoff
-    #: (base ``connect_backoff`` seconds doubling up to
-    #: ``connect_backoff_cap``) plus deterministic per-address jitter, so
-    #: a worker host that is restarting -- or briefly partitioned -- is
-    #: picked back up instead of failing on the first refusal.
-    connect_attempts = 3
-    connect_backoff = 0.2
-    connect_backoff_cap = 2.0
-
-    def __init__(self, addresses: Optional[Sequence[str]] = None,
-                 sync_timeout: Optional[float] = None,
-                 lease_timeout: Optional[float] = None) -> None:
-        super().__init__(sync_timeout=sync_timeout,
-                         lease_timeout=lease_timeout)
-        #: Explicit address list (overrides service / environment).
-        self._addresses: List[str] = list(addresses or [])
-        self._ever_connected = False
-        #: Addresses that have served a worker at least once this pool's
-        #: lifetime: connecting one again is a rejoin, counted in
-        #: ``resilience_stats["reconnects"]``.
-        self._served_addresses: set = set()
-        #: (address, reason) pairs from the most recent warm's failed
-        #: connection attempts (observability; also raised when fatal).
-        self.connect_errors: List[Tuple[str, str]] = []
-
-    def _configured_addresses(self, service: "PredictionService"
-                              ) -> List[str]:
-        if self._addresses:
-            return self._addresses
-        hosts = getattr(service, "worker_hosts", None)
-        if hosts:
-            return list(hosts)
-        env = os.environ.get("REPRO_WORKER_HOSTS", "")
-        return [address.strip() for address in env.split(",")
-                if address.strip()]
-
-    def _ready(self, service: "PredictionService") -> bool:
-        addresses = self._configured_addresses(service)
-        if not addresses:
-            raise ValueError(
-                "socket backend has no worker hosts: pass "
-                "PredictionService(backend='socket', "
-                "workers=['host:port', ...]), use the CLI --worker-hosts "
-                "flag, or set REPRO_WORKER_HOSTS (start remote workers "
-                "with `repro worker-host`)")
-        self._addresses = addresses
-        return True
-
-    def _connect_with_backoff(self, address: str):
-        """Connect to one address, retrying with capped backoff + jitter.
-
-        The jitter is seeded from the address string, so a given
-        pool/address pair retries on the same deterministic schedule run
-        after run (no wall-clock randomness in tests), while different
-        addresses still decorrelate their retry storms.
-        """
-        rng = random.Random(f"{self.name}:{address}")
-        delay = self.connect_backoff
-        attempts = max(int(self.connect_attempts), 1)
-        last_error: Optional[BaseException] = None
-        for attempt in range(attempts):
-            try:
-                return wire.connect(address, timeout=self.connect_timeout)
-            except (OSError, EOFError) as exc:
-                last_error = exc
-                if attempt + 1 < attempts:
-                    time.sleep(delay * (0.5 + 0.5 * rng.random()))
-                    delay = min(delay * 2.0, self.connect_backoff_cap)
-        raise last_error
-
-    def _bootstrap(self, conn: "wire.WireConnection", address: str,
-                   payload: bytes, fmt: int) -> None:
-        """Ship the encoded warm payload to one host; await its ack."""
-        conn.send_bytes(payload, fmt)
-        if not conn.poll(self.warm_timeout):
-            raise _WorkerUnresponsive(
-                f"worker host {address} did not ack the warm payload "
-                f"within {self.warm_timeout}s")
-        ack = conn.recv()
-        if ack != ("warmed",):
-            raise wire.WireProtocolError(
-                f"worker host {address} answered {ack!r} to the warm "
-                f"payload, expected ('warmed',)")
-
-    def _top_up(self, service: "PredictionService") -> None:
-        """Connect (and bootstrap) one worker per not-yet-served address.
-
-        An address whose previous worker was discarded (death, straggler,
-        dropped connection) is simply unserved again: the next warm()
-        lands back here, reconnects with backoff, and the ordinary
-        snapshot/delta sync path re-warms the rejoined worker -- elastic
-        rejoin falls out of the same machinery as first contact.
-        """
-        served = {worker.address for worker in self._workers}
-        failures: List[Tuple[str, str]] = []
-        fresh: List[Tuple[str, wire.WireConnection]] = []
-        for address in self._addresses:
-            if address in served:
-                continue
-            try:
-                # A handshake version mismatch (WireProtocolError, not an
-                # OSError) deliberately propagates: that is never a host
-                # to silently skip.
-                conn = self._connect_with_backoff(address)
-            except (OSError, EOFError) as exc:
-                failures.append((address, f"{type(exc).__name__}: {exc}"))
-                continue
-            fresh.append((address, conn))
-        if fresh:
-            # One cursor and one pickle pass per wire format for the whole
-            # fan-out: the payload (trained suite + cache) can be multi-MB,
-            # so serialising it per host would dominate multi-host warms.
-            # Columnar-capable peers get the trace-artifact columns raw
-            # (format 3), older peers the plain pickle; both decode to the
-            # same objects.  Cursor read before the pickle: anything put in
-            # between is re-shipped by the first delta (idempotent).
-            epoch, kernel_len, collective_len = \
-                self._bootstrap_cursor(service)
-            payloads: Dict[int, bytes] = {}
-        for position, (address, conn) in enumerate(fresh):
-            try:
-                fmt = wire.format_for_peer(conn)
-                if fmt not in payloads:
-                    payloads[fmt] = wire.dumps_for_format(
-                        ("warm", service), fmt)
-                self._bootstrap(conn, address, payloads[fmt], fmt)
-            except wire.WireProtocolError:
-                conn.close()
-                for _, remaining in fresh[position + 1:]:
-                    remaining.close()  # raising mid-fan-out must not leak
-                raise
-            except (OSError, EOFError) as exc:
-                conn.close()
-                failures.append((address, f"{type(exc).__name__}: {exc}"))
-                continue
-            if address in self._served_addresses:
-                self.resilience_stats["reconnects"] += 1
-            self._served_addresses.add(address)
-            self._workers.append(_SocketWorker(
-                conn, epoch, kernel_len, collective_len, address))
-        self.connect_errors = failures
-        if self._workers:
-            self._ever_connected = True
-        elif failures and not self._ever_connected:
-            detail = "; ".join(f"{address}: {reason}"
-                               for address, reason in failures)
-            raise BackendWorkerError(
-                f"socket backend could not reach any worker host: {detail}")
-
-
 _BACKENDS = {
     SerialBackend.name: SerialBackend,
     PersistentBackend.name: PersistentBackend,
-    SocketBackend.name: SocketBackend,
 }
 
 

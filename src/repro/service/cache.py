@@ -18,9 +18,8 @@ one service may be called from several threads.  Multiple services (e.g.
 a learned and an oracle pipeline over the same cluster) can point at one
 cache instance so structurally identical jobs emulate exactly once.
 
-The artifact level additionally keeps a **sync journal** for the pooled
-evaluation backends (``persistent`` over fork pipes, ``socket`` over TCP
-to remote worker hosts): every ``put_artifacts`` advances a monotonic
+The artifact level additionally keeps a **sync journal** for the
+``persistent`` worker pool: every ``put_artifacts`` advances a monotonic
 epoch, and :meth:`delta_since` returns exactly the entries a long-lived
 worker whose cache copy was last synced at a given epoch is missing.
 Entries evicted in the meantime simply never appear in the delta (the
@@ -41,7 +40,7 @@ A held payload that fails to decode raises
 :class:`~repro.service.wire.WireError` naming its key and is dropped like
 an eviction, so the next lookup re-emulates.
 
-The delta protocol's invariants, which both pooled backends rely on:
+The delta protocol's invariants, which the worker pool relies on:
 
 * **Only puts travel.**  A delta never names evictions, so any eviction
   (or :meth:`clear`) after a worker's acked epoch makes that worker's
@@ -61,9 +60,8 @@ The delta protocol's invariants, which both pooled backends rely on:
   evicts the same victim a serial run would -- byte-identical accounting
   is the conformance contract of ``tests/backend_conformance.py``.
 
-Entries are content-keyed tuples and reference no parent memory, which is
-what lets the same journal serve fork pipes and sockets unchanged: the
-cache is what makes the delta protocol "wire-shaped".
+Entries are content-keyed tuples and reference no parent memory, so a
+delta pickles onto a pipe as it is.
 
 **Tiering.**  The artifact level can sit on top of a disk-backed
 :class:`~repro.service.store.ArtifactStore` (the *cold tier*, attached
@@ -142,14 +140,12 @@ class CacheStats:
 class HeldArtifacts:
     """Artifacts kept as the wire payload a pooled worker encoded.
 
-    ``payload`` is :func:`repro.service.wire.dumps_for_format` output in
-    wire format ``fmt``.  :meth:`decode` re-attaches ``job`` and
-    ``cluster``, the holder's own objects (``job`` is ``None`` on a
-    worker, which never reads it).
+    ``payload`` is :func:`repro.service.wire.dumps_columnar` output.
+    :meth:`decode` re-attaches ``job`` and ``cluster``, the holder's own
+    objects (``job`` is ``None`` on a worker, which never reads it).
     """
 
     payload: bytes = field(repr=False)
-    fmt: int
     job: Optional[TrainingJob]
     cluster: Optional[ClusterSpec]
 
@@ -183,9 +179,7 @@ class ArtifactCache:
         self.max_entries = max_entries
         self.stats = CacheStats()
         #: Optional disk-backed cold tier
-        #: (:class:`repro.service.store.ArtifactStore`).  Never pickled:
-        #: a store holds process-local paths/locks, so each process
-        #: attaches its own (see :meth:`__getstate__`).
+        #: (:class:`repro.service.store.ArtifactStore`).
         self._store = store
         self._lock = threading.Lock()
         self._artifacts: Dict[Tuple, ArtifactEntry] = {}
@@ -486,28 +480,3 @@ class ArtifactCache:
             # entries; refuse their deltas until they full-resync.
             self._eviction_epoch = self._epoch + 1
             self.stats = CacheStats()
-
-    # ------------------------------------------------------------------
-    # serialisation (socket-backend worker bootstrap)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle support: the lock stays behind, the tables travel.
-
-        A cache shipped inside a ``("warm", service)`` bootstrap payload
-        arrives as the worker's starting mirror of the parent's table;
-        subsequent sync deltas keep it current.  The attached store (if
-        any) stays behind with the lock: it wraps process-local paths
-        and would otherwise smuggle open file handles into the pickle --
-        the receiving process attaches its own store instead (worker
-        hosts honour ``--store-dir`` / ``REPRO_STORE_DIR``).
-        """
-        with self._lock:
-            state = self.__dict__.copy()
-        state["_lock"] = None
-        state["_store"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self._store = None

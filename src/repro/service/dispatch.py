@@ -1,19 +1,18 @@
-"""Per-batch dispatch bookkeeping of the pooled backends, with no transport.
+"""Per-batch dispatch bookkeeping of the worker pool, with no transport.
 
 :class:`BatchDispatch` is the state machine behind
-:meth:`repro.service.backends.PooledBackend.drain`.  It never touches a
-pipe, a socket, a process or a clock: the caller feeds it *events* --
-``result``, ``error``, ``pong``, ``worker_failed``, ``tick``, each
-stamped with the caller's ``now`` -- and carries out the *actions* it
-queues (``send`` a job, ``ping`` a worker, ``discard`` a worker).  An
-action that fails on the wire comes back as ``worker_failed``, so every
-failure path runs through one place.  The fault model:
+:meth:`repro.service.backends.PersistentBackend.drain`.  It never touches
+a pipe, a process or a clock: the caller feeds it *events* -- ``result``,
+``error``, ``worker_failed``, ``tick``, each stamped with the caller's
+``now`` -- and carries out the *actions* it queues (``send`` a job,
+``discard`` a worker).  An action that fails on the pipe comes back as
+``worker_failed``, so every failure path runs through one place.  The
+fault model:
 
-* **Liveness**: on every tick each worker is polled (``alive()``; a
-  ``ping`` for workers that support it), so silent death is detected
-  within ``ping_interval`` + ``ping_timeout`` instead of only when a
-  read fails.  The ping cursor lives on the worker handle: an unanswered
-  ping outlives the batch that sent it.
+* **Liveness**: on every tick each worker is polled (``alive()``), and
+  the caller ticks at least every :data:`LIVENESS_POLL_INTERVAL`
+  seconds, so silent death is detected in bounded time instead of only
+  when a read fails.
 * **Job leases**: a job unanswered past ``lease_timeout`` is
   speculatively re-dispatched to another live worker, or the parent as
   last resort.  Exactly once all the same: every index ends in exactly
@@ -42,12 +41,16 @@ from repro.service.scheduling import JobSpec, SchedulerPolicy, WorkerSnapshot
 #: Lease deadline of a job that cannot expire (any more, or at all).
 NO_DEADLINE = float("inf")
 
+#: Longest the transport may block between ticks, so a worker that died
+#: without closing its pipe is noticed by the next ``alive()`` poll.
+LIVENESS_POLL_INTERVAL = 5.0
+
 
 class Action(NamedTuple):
     """One thing the transport loop must do on the state machine's behalf."""
 
-    #: ``"send"`` (job ``arg`` to ``worker``), ``"ping"`` (token ``arg``)
-    #: or ``"discard"`` (drop ``worker`` from the pool).
+    #: ``"send"`` (job ``arg`` to ``worker``) or ``"discard"`` (drop
+    #: ``worker`` from the pool).
     kind: str
     worker: object
     arg: Optional[int] = None
@@ -70,15 +73,12 @@ class BatchDispatch:
                  parent_eval: Iterable[Tuple[int, str]], *, name: str,
                  policy: SchedulerPolicy, stats: Dict[str, int],
                  max_inflight: int, lease_timeout: float,
-                 ping_interval: float, ping_timeout: float,
                  now: float) -> None:
         self.name = name
         self.policy = policy
         self.stats = stats
         self.max_inflight = max_inflight
         self.lease = lease_timeout or 0.0
-        self.ping_interval = ping_interval
-        self.ping_timeout = ping_timeout
         #: Indices some worker answered (result or error).
         self.done: Set[int] = set()
         #: index -> reason, for the parent to evaluate after the batch.
@@ -127,15 +127,12 @@ class BatchDispatch:
 
     def next_deadline(self, now: float) -> float:
         """Seconds the transport may block before the next :meth:`tick`."""
-        bound = self.ping_interval
-        for worker, (_, inflight) in self._states.items():
-            if worker.supports_ping and worker.ping_token is not None:
-                bound = min(bound,
-                            worker.ping_sent_at + self.ping_timeout - now)
+        bound = LIVENESS_POLL_INTERVAL
+        for _, inflight in self._states.values():
             for deadline in inflight.values():
                 if deadline != NO_DEADLINE:
                     bound = min(bound, deadline - now)
-        return min(max(bound, 0.05), self.ping_interval)
+        return min(max(bound, 0.05), LIVENESS_POLL_INTERVAL)
 
     # ------------------------------------------------------------------
     # events
@@ -164,10 +161,6 @@ class BatchDispatch:
         any other, remembered for the caller to raise after the merge."""
         if self.result(worker, index, now):
             self.errors.append((index, detail))
-
-    def pong(self, worker) -> None:
-        worker.ping_token = None
-        self.stats["pongs_received"] += 1
 
     def worker_failed(self, worker, why: str, now: float) -> None:
         """``worker`` died, or its connection did: its unanswered and
@@ -283,20 +276,6 @@ class BatchDispatch:
         for worker in list(self._states):
             if not worker.alive():
                 self.worker_failed(worker, "process died silently", now)
-            elif not worker.supports_ping:
-                continue
-            elif worker.ping_token is not None:
-                if now - worker.ping_sent_at > self.ping_timeout:
-                    self.worker_failed(
-                        worker, f"did not answer a liveness ping within "
-                                f"{self.ping_timeout:g}s", now)
-            elif now - worker.last_ping_at >= self.ping_interval:
-                self.stats["pings_sent"] += 1
-                worker.ping_token = self.stats["pings_sent"]
-                worker.ping_sent_at = worker.last_ping_at = now
-                self._actions.append(Action(
-                    "ping", worker, worker.ping_token,
-                    "connection failed on liveness ping"))
 
     def _lease_pass(self, now: float) -> None:
         for worker in list(self._states):

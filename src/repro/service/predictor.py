@@ -10,19 +10,16 @@ estimator configuration) and owns:
 * a shared duration provider whose per-shape kernel memo persists across
   trials, and
 * an evaluation backend for batches (``predict_many``): ``serial`` (the
-  default), the long-lived fork-based ``persistent`` worker pool, or the
-  multi-host ``socket`` pool evaluating on remote ``repro worker-host``
-  processes (see :mod:`repro.service.backends`); all three produce
-  identical results.
+  default) or the long-lived fork-based ``persistent`` worker pool (see
+  :mod:`repro.service.backends`); both produce identical results.
 
 The service owns its backend instance and exposes the backend lifecycle:
 ``warm()`` acquires long-lived resources (estimator suite, shared
-provider and -- for the pooled backends -- the worker pool itself, forked
-locally or bootstrapped over TCP), ``close()`` releases them, and the
-service is a context manager (``with PredictionService(...) as
-service:``) so pools never outlive their owner.  A service is picklable
-(:meth:`PredictionService.__getstate__`): that is how the socket backend
-ships a warmed service to its worker hosts.
+provider and -- for ``persistent`` -- the forked worker pool itself),
+``close()`` releases them, and the service is a context manager (``with
+PredictionService(...) as service:``) so pools never outlive their
+owner.  Pool workers inherit the warmed service by fork; it is never
+pickled.
 
 Returned results carry ``metadata["service_cache"]`` --
 ``"prediction"`` (all four stages skipped), ``"artifacts"`` (emulation +
@@ -96,7 +93,6 @@ class PredictionService:
         share_provider: bool = True,
         max_workers: int = 1,
         backend: str = "serial",
-        workers: Optional[Sequence[str]] = None,
         sync_timeout: Optional[float] = None,
         lease_timeout: Optional[float] = None,
         store_dir: Optional[str] = None,
@@ -110,12 +106,6 @@ class PredictionService:
         self.enable_cache = enable_cache
         self.share_provider = share_provider
         self.max_workers = max(int(max_workers), 1)
-        #: Remote worker addresses (``host:port`` of running ``repro
-        #: worker-host`` processes) for the ``socket`` backend; ``None``
-        #: falls back to the ``REPRO_WORKER_HOSTS`` environment variable.
-        #: Ignored by the in-process backends.
-        self.worker_hosts: Optional[List[str]] = (
-            list(workers) if workers else None)
         #: Pooled-backend timeout overrides (``None`` leaves the backend
         #: to its own resolution: ``REPRO_SYNC_TIMEOUT`` /
         #: ``REPRO_LEASE_TIMEOUT`` env vars, then class defaults).
@@ -129,9 +119,9 @@ class PredictionService:
             None if lease_timeout is None
             else validate_timeout("lease_timeout", lease_timeout,
                                   allow_zero=True))
-        #: Batch-evaluation strategy ("serial", "persistent" or
-        #: "socket"); validated by the property setter,
-        #: which also owns the backend instance's lifecycle.
+        #: Batch-evaluation strategy ("serial" or "persistent"); validated
+        #: by the property setter, which also owns the backend instance's
+        #: lifecycle.
         self._backend_impl: Optional[EvaluationBackend] = None
         self.backend = backend
         self.cache = cache if cache is not None else ArtifactCache()
@@ -240,40 +230,6 @@ class PredictionService:
             self.close()
         except Exception:
             pass
-
-    # ------------------------------------------------------------------
-    # serialisation (socket-backend worker bootstrap)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle support for shipping a warmed service to a worker host.
-
-        Locks cannot cross process boundaries and the backend instance
-        (with its pool of pipes or sockets) belongs to the parent, so both
-        are dropped; the unpickled copy evaluates serially -- exactly what
-        a pool worker should do.  Everything that makes predictions equal
-        (pipeline + trained estimator suite, shared provider memos, cache
-        contents, config flags) travels as-is.
-
-        The artifact store never travels: it wraps process-local paths
-        and file handles (the cache's own ``__getstate__`` leaves it
-        behind), and ``store_dir`` is cleared because the parent's path
-        means nothing on a remote worker host -- each receiving process
-        attaches its own store (``--store-dir`` / ``REPRO_STORE_DIR``).
-        """
-        state = self.__dict__.copy()
-        state["_lock"] = None
-        state["_artifact_locks"] = {}
-        state["_backend_impl"] = None
-        state["_backend"] = "serial"
-        state["worker_hosts"] = None
-        state["store_dir"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self._artifact_locks = {}
-        self._backend_impl = get_backend(self._backend)
 
     # ------------------------------------------------------------------
     # shared estimator provider
@@ -399,9 +355,9 @@ class PredictionService:
 
         Results come back in input order.  Within one batch, jobs with equal
         full signatures are evaluated once; the duplicates resolve through
-        the prediction cache afterwards.  All backends (``serial``,
-        ``persistent``, ``socket``) produce identical results
-        -- only wall-clock behaviour differs (the conformance contract of
+        the prediction cache afterwards.  Both backends (``serial``,
+        ``persistent``) produce identical results -- only wall-clock
+        behaviour differs (the conformance contract of
         ``tests/backend_conformance.py``).
         """
         jobs = list(jobs)

@@ -1,6 +1,6 @@
-"""Job placement for the pooled evaluation backends.
+"""Job placement for the persistent worker pool.
 
-:class:`~repro.service.backends.PooledBackend` hands each batch's
+:class:`~repro.service.backends.PersistentBackend` hands each batch's
 dispatch list to a :class:`SchedulerPolicy`, which sees immutable
 :class:`JobSpec` / :class:`WorkerSnapshot` views and returns one index
 share per worker.  One policy is registered:
@@ -13,8 +13,8 @@ Mid-batch re-dispatch (worker death, expired lease) asks the same
 policy's :meth:`SchedulerPolicy.select_target`: the least-loaded
 candidate, first slot winning ties.
 
-Placement never changes *results*: the pooled backends merge in input
-order and evaluate exactly once, so they stay byte-identical to serial
+Placement never changes *results*: the pool merges in input order
+and evaluates exactly once, so it stays byte-identical to serial
 (``tests/backend_conformance.py`` enforces it).  What placement could
 change is how many artifact bytes the cache-delta sync ships; the
 counters in :attr:`SchedulerPolicy.stats` (surfaced through
@@ -52,7 +52,7 @@ class JobSpec:
     artifact_cached: bool = False
     #: Estimated wire bytes a snapshot/delta ship of this artifact would
     #: cost (a proxy, not a measurement -- see
-    #: ``PooledBackend._estimate_ship_bytes``).
+    #: ``PersistentBackend._estimate_ship_bytes``).
     ship_bytes: int = 0
 
 

@@ -7,7 +7,7 @@ framing, so the paper's trial-result reuse pays off *across* processes:
 every search, benchmark or notebook that connects shares the same cache
 and the same worker pool instead of re-warming its own.
 
-The life of one client connection mirrors the worker-host protocol:
+The life of one client connection:
 
 1. **Handshake** -- the server sends its JSON hello immediately on
    accept; the client's first frame must be a JSON hello too
@@ -55,9 +55,8 @@ then closes the evaluation backend (worker pools included) and every
 client connection.
 
 .. warning::
-   Like the worker-host protocol, post-handshake frames are
-   unauthenticated pickle: a connecting client fully controls the server
-   process.  Bind to localhost or a trusted private network only.
+   Post-handshake frames are unauthenticated pickle: a connecting
+   client fully controls the server process.  Bind to localhost or a trusted private network only.
 """
 
 from __future__ import annotations
@@ -482,8 +481,7 @@ def serve(service: PredictionService, host: str = "127.0.0.1", port: int = 0,
 
     Prints ``prediction-server listening on <host>:<port>`` as the first
     flushed stdout line so drivers spawning a localhost server with
-    ``--port 0`` can discover the ephemeral port (the worker-host
-    convention).  The backend is closed on the way out, interrupt
+    ``--port 0`` can discover the ephemeral port.  The backend is closed on the way out, interrupt
     included.
     """
 
@@ -559,8 +557,7 @@ def start_local_server(cluster: str = "v100-8", estimator: str = "analytical",
     """Start one localhost ``repro serve`` subprocess (caller stops it).
 
     The chosen address is parsed from the first stdout line and stored on
-    the returned process as ``process.server_address`` -- the same
-    convention as :func:`repro.service.worker_host.start_local_worker_host`.
+    the returned process as ``process.server_address``.
     """
     src_root = Path(__file__).resolve().parents[2]
     env = dict(os.environ)

@@ -26,9 +26,8 @@ Entry file format::
     b"MAYS" | fmt:1 byte | length:8 bytes BE | payload | sha256 trailer
 
 The payload is the pickled ``(key, artifacts)`` pair serialised by the
-**wire encoder** (:func:`repro.service.wire.dumps_columnar`): an on-disk
-entry holds the same bytes the socket backend would ship for that
-artifact.  The trailer is the SHA-256 of header + payload.
+**wire encoder** (:func:`repro.service.wire.dumps_columnar`), the same
+encoder the worker pool ships artifacts with.  The trailer is the SHA-256 of header + payload.
 
 Durability rules:
 
@@ -49,10 +48,9 @@ Durability rules:
 
 Eviction is size-budgeted LRU by file mtime (:meth:`gc`); reads touch
 mtime so warm entries survive.  A store object holds no open file
-descriptors between calls and is never picklable -- the hot tier's
-``__getstate__`` drops it, and worker processes attach their own
-(:mod:`repro.service.worker_host` reads ``--store-dir`` /
-``REPRO_STORE_DIR``).
+descriptors between calls and is never picklable: each process attaches
+its own (``--store-dir`` / ``REPRO_STORE_DIR``), and forked pool workers
+inherit the parent's.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ _TRAILER_LEN = hashlib.sha256().digest_size
 #: Name of the version stamp at the store root.
 FORMAT_FILE = "store-format.json"
 
-#: Environment variable the CLI / worker hosts read for a default store
+#: Environment variable the CLI reads for a default store
 #: directory (the fleet-wide "one shared store" switch).
 STORE_DIR_ENV = "REPRO_STORE_DIR"
 
@@ -110,8 +108,7 @@ class ArtifactStore:
 
     Thread-safe; safe to share across processes pointing at one
     directory (atomic-rename writes, content-addressed last-writer-wins).
-    Never picklable: the owning cache drops it on ``__getstate__`` and
-    each process attaches its own instance.
+    Never picklable: each process attaches its own instance.
     """
 
     def __init__(self, root, size_budget: int = DEFAULT_SIZE_BUDGET,
@@ -179,8 +176,8 @@ class ArtifactStore:
     def _encode(self, key: Tuple, artifacts) -> bytes:
         """Serialise one entry: wire-encoded payload + checksummed frame.
 
-        The payload bytes are exactly what the socket backend would ship
-        for this artifact.
+        The payload is encoded with :func:`repro.service.wire.dumps_columnar`,
+        the worker pool's artifact encoder.
         """
         from repro.service import wire
         payload = wire.dumps_columnar((key, artifacts))
@@ -416,4 +413,4 @@ class ArtifactStore:
         raise TypeError(
             "ArtifactStore is not picklable: each process must attach its "
             "own store (see PredictionService(store_dir=...), "
-            "`repro worker-host --store-dir` and REPRO_STORE_DIR)")
+            "--store-dir and REPRO_STORE_DIR)")

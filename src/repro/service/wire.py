@@ -1,13 +1,13 @@
-"""Length-prefixed socket framing for the multi-host evaluation backend.
+"""Length-prefixed socket framing for the prediction server.
 
-The ``socket`` backend speaks exactly the lifecycle + cache-sync message
-vocabulary the ``persistent`` backend already sends over fork pipes
-(``warm`` / ``sync`` / ``job`` / ``result`` / ``error`` / ``close`` tuples
--- see :mod:`repro.service.backends`); this module only supplies the
-transport.  :class:`WireConnection` duck-types
+``repro serve`` (:mod:`repro.service.server`) and its
+:class:`~repro.service.server.PredictionClient` exchange framed messages
+over TCP; this module supplies the frames, the handshake and the
+blocking client connection.  :class:`WireConnection` duck-types
 :class:`multiprocessing.connection.Connection` (``send`` / ``recv`` /
-``poll`` / ``fileno`` / ``close``), so the parent-side scatter/gather and
-sync machinery is shared verbatim between pipes and sockets.
+``poll`` / ``fileno`` / ``close``).  The worker pool's fork pipes carry
+the same payload encoders (:func:`dumps_columnar` artifact payloads)
+without the framing.
 
 Frame layout (all integers big-endian)::
 
@@ -20,7 +20,7 @@ Frame layout (all integers big-endian)::
 The first frame in each direction is the JSON handshake
 ``{"magic": "maya-wire", "protocol": PROTOCOL, "features": [...]}``; JSON
 is used there so a version mismatch is diagnosable even across
-pickle-protocol changes.  Every later frame is a pickled lifecycle tuple.
+pickle-protocol changes.  Every later frame is a pickled message tuple.
 ``PROTOCOL`` must be bumped whenever the message vocabulary or the
 handshake itself changes; both sides refuse mismatched peers with
 :class:`WireProtocolError`.
@@ -38,10 +38,10 @@ per-``TraceEvent`` object graph.  Format 3 decodes with a plain
 byte exists for observability (byte accounting, tests), not dispatch.
 
 .. warning::
-   Post-handshake frames are **pickle**: a worker host will execute
-   whatever a connecting parent sends it (and vice versa).  Run worker
-   hosts only on networks where every peer is trusted -- the protocol has
-   no authentication and is not safe to expose publicly.
+   Post-handshake frames are **pickle**: a server will execute whatever
+   a connecting client sends it (and vice versa).  Run servers only on
+   networks where every peer is trusted -- the protocol has no
+   authentication and is not safe to expose publicly.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from typing import Optional, Tuple
 #: (columnar trace shipping) negotiate via handshake ``features`` and do
 #: NOT bump the protocol: they degrade cleanly against older peers.
 #: Version 2: ``result`` messages carry the worker's encoded artifacts
-#: (:func:`dumps_for_format` bytes) where version 1 carried a JSON trace
+#: (:func:`dumps_columnar` bytes) where version 1 carried a JSON trace
 #: plus ``oom`` / ``stage_times``, and ``sync`` entries carry the same
 #: encoded bytes instead of artifact objects.
 #: Version 3: a pickled ``CollatedTrace`` carries no collective table (its
@@ -71,13 +71,6 @@ PROTOCOL = 3
 #: Handshake feature flag: this side can decode format-3 frames (pickles
 #: whose ``WorkerTrace`` objects are reduced to columnar payloads).
 FEATURE_COLUMNAR = "columnar-traces"
-
-#: Handshake feature flag: this side answers ``("ping", token)`` lifecycle
-#: messages with ``("pong", token)``.  The parent uses it to detect
-#: silently vanished worker hosts (no FIN, no RST -- just gone) in
-#: bounded time; a peer that does not advertise it is simply never
-#: pinged, so old and new releases interoperate.
-FEATURE_PING = "liveness-ping"
 
 #: First bytes of every frame; a peer that is not speaking this protocol
 #: is rejected on the first frame instead of producing a pickle error.
@@ -111,11 +104,11 @@ class WireProtocolError(WireError):
 def local_features() -> Tuple[str, ...]:
     """Capabilities this process advertises in the wire handshake.
 
-    Both are unconditional: every process that can import ``repro`` can
-    decode columnar traces and answer pings.  They stay *negotiated* so a
-    peer whose hello omits one still interoperates.
+    Unconditional: every process that can import ``repro`` can decode
+    columnar traces.  It stays *negotiated* so a peer whose hello omits it
+    still interoperates.
     """
-    return (FEATURE_PING, FEATURE_COLUMNAR)
+    return (FEATURE_COLUMNAR,)
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -123,7 +116,7 @@ def parse_address(address: str) -> Tuple[str, int]:
     host, sep, port = address.rpartition(":")
     if not sep or not host or not port.isdigit():
         raise ValueError(
-            f"invalid worker-host address {address!r}; expected host:port")
+            f"invalid server address {address!r}; expected host:port")
     return host, int(port)
 
 
@@ -133,9 +126,8 @@ class WireConnection:
     Duck-types :class:`multiprocessing.connection.Connection`: ``send`` /
     ``recv`` move whole Python objects, ``poll`` waits for readability,
     ``fileno`` lets :func:`multiprocessing.connection.wait` multiplex
-    sockets and fork pipes in one call.  ``recv`` raises :class:`EOFError`
-    on a cleanly closed peer (like a pipe does), so every dead-worker
-    handler in :mod:`repro.service.backends` works unchanged.
+    sockets.  ``recv`` raises :class:`EOFError` on a cleanly closed peer
+    (like a pipe does).
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -148,7 +140,7 @@ class WireConnection:
         # never sends a FIN, and unlike a fork pipe the socket would stay
         # readable-never-ready forever.  Keepalive turns that silence into
         # an OSError on the blocked recv/send within a couple of minutes,
-        # which every dead-worker handler already recovers from.
+        # which the client's reconnect path already recovers from.
         try:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
             for option, value in (("TCP_KEEPIDLE", 60),
@@ -168,11 +160,6 @@ class WireConnection:
         #: columnar shipping saves.
         self.bytes_sent = 0
         self.frames_sent: dict = {}
-        #: Fault-injection hook: when > 0, that many upcoming frames are
-        #: written with corrupted magic bytes (the peer rejects the
-        #: stream).  Only the deterministic chaos harness sets this.
-        self._corrupt_frames = 0
-        self.frames_corrupted = 0
 
     # ------------------------------------------------------------------
     # Connection duck type
@@ -191,16 +178,6 @@ class WireConnection:
         graph; other peers get a plain pickle.
         """
         self._send_frame(*_dumps_for_features(obj, self.peer_features))
-
-    def send_bytes(self, payload: bytes, fmt: int = _FORMAT_PICKLE) -> None:
-        """Write an already-pickled payload (see :func:`dumps`) as one frame.
-
-        Lets a sender fanning one large object out to many peers (the
-        socket backend's warm bootstrap) serialise it once instead of once
-        per connection.  ``fmt`` must match how the payload was produced
-        (:func:`dumps` or :func:`dumps_columnar`).
-        """
-        self._send_frame(fmt, payload)
 
     def send_json(self, obj) -> None:
         """Write ``obj`` as one JSON frame (handshake only)."""
@@ -228,8 +205,8 @@ class WireConnection:
 
         Uses the :mod:`selectors` module (epoll/poll where available)
         rather than ``select.select``, which raises ``ValueError`` on file
-        descriptors >= 1024 -- a server holding hundreds of client sockets
-        plus worker connections crosses that line in normal operation.
+        descriptors >= 1024 -- a process holding hundreds of sockets
+        crosses that line in normal operation.
         """
         if self._sock is None:
             raise OSError("wire connection is closed")
@@ -239,17 +216,6 @@ class WireConnection:
             return bool(selector.select(timeout))
         finally:
             selector.close()
-
-    def corrupt_next_frame(self) -> None:
-        """Arm the fault-injection hook: corrupt the next outbound frame.
-
-        The frame is written with flipped magic bytes, so the peer raises
-        :class:`WireProtocolError` on it and treats the stream as corrupt
-        (hanging up).  Used by :mod:`repro.service.faults` to test the
-        parent's dead-worker recovery against genuinely bad bytes instead
-        of clean FINs; never armed in normal operation.
-        """
-        self._corrupt_frames += 1
 
     def close(self) -> None:
         sock, self._sock = self._sock, None
@@ -267,12 +233,7 @@ class WireConnection:
             raise OSError("wire connection is closed")
         self.bytes_sent += len(payload)
         self.frames_sent[fmt] = self.frames_sent.get(fmt, 0) + 1
-        magic = MAGIC
-        if self._corrupt_frames > 0:
-            self._corrupt_frames -= 1
-            self.frames_corrupted += 1
-            magic = bytes(byte ^ 0xFF for byte in MAGIC)
-        self._sock.sendall(_HEADER.pack(magic, fmt, len(payload)) + payload)
+        self._sock.sendall(_HEADER.pack(MAGIC, fmt, len(payload)) + payload)
 
     def _recv_exact(self, count: int) -> bytes:
         if self._sock is None:
@@ -365,13 +326,15 @@ def validate_hello(hello) -> frozenset:
     if not isinstance(hello, dict) or hello.get("magic") != HANDSHAKE_MAGIC:
         raise WireProtocolError(
             f"peer did not answer the wire handshake (got {hello!r}); "
-            f"is the remote end a `repro worker-host`?")
+            f"is the remote end a `repro serve` server or a "
+            f"PredictionClient?")
     peer = hello.get("protocol")
     if peer != PROTOCOL:
         raise WireProtocolError(
             f"wire protocol mismatch: this side speaks version {PROTOCOL}, "
             f"the peer speaks version {peer}; update the older side "
-            f"(repro versions must match across worker hosts)")
+            f"(repro versions must match between `repro serve` and its "
+            f"PredictionClient)")
     advertised = hello.get("features")
     if not isinstance(advertised, (list, tuple)):
         advertised = ()
@@ -397,7 +360,8 @@ def dumps_columnar(obj) -> bytes:
     """Pickle ``obj`` with columnar ``WorkerTrace`` reductions (format 3).
 
     Output decodes with plain ``pickle.loads`` wherever ``repro`` is
-    importable; senders still only use it against peers that negotiated
+    importable: the worker pool's pipes and the artifact store always use
+    it, wire senders only against peers that negotiated
     :data:`FEATURE_COLUMNAR`.
     """
     from repro.core.trace import WorkerTrace
@@ -430,29 +394,6 @@ def _dumps_for_features(obj, features: frozenset) -> Tuple[int, bytes]:
     return _FORMAT_PICKLE, dumps(obj)
 
 
-def format_for_peer(conn) -> int:
-    """Payload format to encode with for the peer behind ``conn``.
-
-    For fan-out senders: group peers by format, serialise once per group
-    with :func:`dumps_for_format`, ship with
-    :meth:`WireConnection.send_bytes` (or inside a message).  A
-    connection that never handshook is a fork pipe: its peer is a fork of
-    this very process and decodes whatever this side can encode, so it
-    always gets the columnar format.
-    """
-    features = getattr(conn, "peer_features", None)
-    if features is None or FEATURE_COLUMNAR in features:
-        return _FORMAT_PICKLE_COLUMNAR
-    return _FORMAT_PICKLE
-
-
-def dumps_for_format(obj, fmt: int) -> bytes:
-    """Serialise ``obj`` as :func:`format_for_peer`'s chosen format."""
-    if fmt == _FORMAT_PICKLE_COLUMNAR:
-        return dumps_columnar(obj)
-    return dumps(obj)
-
-
 def handshake(conn: WireConnection) -> None:
     """Exchange protocol versions; raise :class:`WireProtocolError` on skew.
 
@@ -472,7 +413,7 @@ def handshake(conn: WireConnection) -> None:
 
 
 def connect(address: str, timeout: float = 10.0) -> WireConnection:
-    """Open a handshaken client connection to a ``host:port`` worker.
+    """Open a handshaken client connection to a ``host:port`` server.
 
     ``timeout`` bounds both the TCP connect and the handshake exchange (a
     peer that accepts but never answers hello raises ``socket.timeout``,

@@ -1,19 +1,17 @@
 """Cross-backend conformance harness.
 
-Every evaluation backend (``serial`` / ``persistent`` / ``socket``)
-must be a drop-in replacement for the serial
-reference: identical :class:`~repro.core.pipeline.PredictionResult` values,
+Every evaluation backend (``serial`` / ``persistent``) must be a
+drop-in replacement for the serial reference: identical :class:`~repro.core.pipeline.PredictionResult` values,
 identical cache-hit accounting, and the same ``throughput_stats()`` shape
 -- only wall-clock behaviour may differ.  This module is the single place
 that byte-equivalence contract is written down;
 ``tests/test_backend_conformance.py`` parametrizes it over every backend
-(spawning localhost ``repro worker-host`` subprocesses for ``socket``) and
-``tests/test_service.py`` reuses it for the backend-specific regression
-tests.
+and ``tests/test_service.py`` reuses it for the backend-specific
+regression tests.
 
 ``REPRO_CONFORMANCE_BACKENDS`` (comma-separated) restricts which backends
-the parametrized tests cover -- CI uses it to run dedicated
-``persistent``-only and ``socket``-only legs.
+the parametrized tests cover -- CI uses it to run a dedicated
+``persistent``-only leg.
 """
 
 from __future__ import annotations
@@ -50,8 +48,8 @@ def conformance_backends() -> Sequence[str]:
 
     All registered backends by default; ``REPRO_CONFORMANCE_BACKENDS``
     narrows the set (unknown names are rejected so a typo cannot silently
-    skip the suite) -- CI's ``conformance-persistent`` and
-    ``conformance-socket`` jobs each run a single-backend leg this way.
+    skip the suite) -- CI's ``conformance-persistent`` and ``chaos`` jobs
+    run a single-backend leg this way.
     """
     selected = os.environ.get("REPRO_CONFORMANCE_BACKENDS")
     if not selected:
@@ -122,12 +120,7 @@ def run_conformance(model, cluster, backend: str, workers: int = 2,
                     batches: Optional[Sequence[Sequence[TrainingRecipe]]] = None,
                     service: Optional[PredictionService] = None,
                     ) -> ConformanceRun:
-    """Run the conformance workload through one backend and close it.
-
-    The ``socket`` backend resolves its worker addresses from the
-    ``REPRO_WORKER_HOSTS`` environment variable (the parametrized suite's
-    worker-host fixture exports it before these runs).
-    """
+    """Run the conformance workload through one backend and close it."""
     if batches is None:
         batches = default_batches()
     if service is None:

@@ -11,7 +11,6 @@ epochs, idempotent close) and that no backend leaks worker processes.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 
@@ -36,33 +35,8 @@ from repro.service import (
     PredictionService,
     get_backend,
 )
-from repro.service.worker_host import spawn_local_worker_hosts
 
 BACKENDS = conformance_backends()
-
-
-@pytest.fixture(scope="module", autouse=True)
-def socket_worker_hosts():
-    """Localhost ``repro worker-host`` subprocesses for the socket backend.
-
-    Spawned once per module (only when the socket backend is in the
-    covered set) and exported via ``REPRO_WORKER_HOSTS``, which is where
-    a ``PredictionService(backend="socket")`` without an explicit worker
-    list resolves its addresses.
-    """
-    if "socket" not in BACKENDS:
-        yield None
-        return
-    with spawn_local_worker_hosts(2) as addresses:
-        previous = os.environ.get("REPRO_WORKER_HOSTS")
-        os.environ["REPRO_WORKER_HOSTS"] = ",".join(addresses)
-        try:
-            yield addresses
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_WORKER_HOSTS", None)
-            else:
-                os.environ["REPRO_WORKER_HOSTS"] = previous
 
 
 class _FlowJob:
@@ -229,11 +203,9 @@ class TestBackendConformance:
         # Every backend run against one shared, pre-populated store
         # directory must match a serial run against the same store:
         # identical results AND identical tier accounting (store hits for
-        # batch 1, memory/prediction hits within batch 2).  Socket worker
-        # hosts are spawned with REPRO_STORE_DIR so both sides of the wire
-        # read the same cold tier, as a real deployment would.  Forked
-        # workers share the parent's store too, yet receive every
-        # hydrated artifact as an inline payload, like socket workers.
+        # batch 1, memory/prediction hits within batch 2).  Forked
+        # workers share the parent's store, yet receive every hydrated
+        # artifact as an inline payload through the ordinary sync.
         store_dir = str(tmp_path / "shared-store")
 
         def run(backend):
@@ -252,24 +224,9 @@ class TestBackendConformance:
             + reference.cache_stats["store_hits"] \
             == reference.cache_stats["artifact_hits"]
 
-        backends = [name for name in BACKENDS if name != "serial"]
-        hosts = None
-        if "socket" in backends:
-            hosts = spawn_local_worker_hosts(
-                2, env_per_host=[{"REPRO_STORE_DIR": store_dir}] * 2)
-            addresses = hosts.__enter__()
-            previous = os.environ.get("REPRO_WORKER_HOSTS")
-            os.environ["REPRO_WORKER_HOSTS"] = ",".join(addresses)
-        try:
-            for backend in backends:
+        for backend in BACKENDS:
+            if backend != "serial":
                 assert_conformant(reference, run(backend))
-        finally:
-            if hosts is not None:
-                if previous is None:
-                    os.environ.pop("REPRO_WORKER_HOSTS", None)
-                else:
-                    os.environ["REPRO_WORKER_HOSTS"] = previous
-                hosts.__exit__(None, None, None)
 
 
 class TestPersistentLifecycle:

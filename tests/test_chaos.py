@@ -1,30 +1,28 @@
-"""Deterministic chaos matrix for the resilient pooled backends.
+"""Deterministic chaos matrix for the resilient persistent worker pool.
 
 Every scenario runs the standard two-batch conformance workload while a
-seeded :class:`~repro.service.FaultPlan` injects exactly one failure at a
+:class:`~repro.service.FaultPlan` injects exactly one failure at a
 well-defined protocol point -- a worker killed before a specific job, a
-straggler slowed past its lease, a corrupted wire frame, a dropped
-connection, a worker host restarted between batches -- and then asserts
-the full conformance contract: results byte-identical to serial, cache
-accounting replayed exactly, and no leaked worker processes.  The
-resilience counters additionally pin down *how* the run survived (leased
-jobs re-dispatched to live workers, never whole-batch parent fallback).
+straggler slowed past its lease, a sync ack dropped or delayed -- and
+then asserts the full conformance contract: results byte-identical to
+serial, cache accounting replayed exactly, and no leaked worker
+processes.  The resilience counters additionally pin down *how* the run
+survived (leased jobs re-dispatched to live workers, never whole-batch
+parent fallback).
 
 CI runs this module as the ``chaos`` job with
-``REPRO_CONFORMANCE_BACKENDS=persistent,socket``.
+``REPRO_CONFORMANCE_BACKENDS=persistent``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import socket as socket_module
 import time
 
 import pytest
 
 from backend_conformance import (
     assert_conformant,
-    assert_results_identical,
     conformance_backends,
     default_batches,
     make_jobs,
@@ -36,21 +34,12 @@ from repro.service import (
     PredictionService,
     install_fault_plan,
 )
-from repro.service.faults import FAULT_PLAN_ENV, FAULT_WORKER_ENV
-from repro.service.worker_host import (
-    spawn_local_worker_hosts,
-    start_local_worker_host,
-    stop_local_worker_host,
-)
 
 BACKENDS = conformance_backends()
 
 needs_persistent = pytest.mark.skipif(
     "persistent" not in BACKENDS,
     reason="persistent backend excluded by REPRO_CONFORMANCE_BACKENDS")
-needs_socket = pytest.mark.skipif(
-    "socket" not in BACKENDS,
-    reason="socket backend excluded by REPRO_CONFORMANCE_BACKENDS")
 
 
 @pytest.fixture(autouse=True)
@@ -66,12 +55,6 @@ def reference(tiny_model, v100_cluster):
     return run_conformance(tiny_model, v100_cluster, "serial", workers=1)
 
 
-def _free_port() -> int:
-    with socket_module.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
 def _wait_no_extra_children(before, timeout=10.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -82,19 +65,9 @@ def _wait_no_extra_children(before, timeout=10.0):
     return sorted(p.pid for p in extra)
 
 
-def _socket_service(cluster, addresses, **kwargs):
-    return PredictionService(cluster=cluster, estimator_mode="analytical",
-                             backend="socket", max_workers=2,
-                             workers=list(addresses), **kwargs)
-
-
-def _host_env(plan: FaultPlan, worker: int) -> dict:
-    return {FAULT_PLAN_ENV: plan.to_json(), FAULT_WORKER_ENV: str(worker)}
-
-
 class TestFaultPlan:
     def test_rules_validate_eagerly(self):
-        for action in ("explode", "join", "leave"):
+        for action in ("explode", "join", "leave", "corrupt"):
             with pytest.raises(ValueError, match="unknown fault action"):
                 FaultRule(action=action, job=0)
         with pytest.raises(ValueError, match="needs a trigger"):
@@ -103,16 +76,6 @@ class TestFaultPlan:
             FaultRule(action="kill", job=0, when="sometime")
         with pytest.raises(ValueError, match="delays"):
             FaultRule(action="slow", job=0, delay_s=-1.0)
-
-    def test_json_roundtrip_preserves_triggers(self):
-        plan = FaultPlan([FaultRule(action="kill", job=2, worker=0),
-                          FaultRule(action="drop", epoch=3, once=False)],
-                         seed=7)
-        clone = FaultPlan.from_json(plan.to_json())
-        assert clone.seed == 7
-        assert [(r.action, r.job, r.epoch, r.worker, r.once)
-                for r in clone.rules] == [("kill", 2, None, 0, True),
-                                          ("drop", None, 3, None, False)]
 
     def test_worker_scoped_rules_ignore_other_workers(self):
         plan = FaultPlan([FaultRule(action="slow", job=1, worker=0,
@@ -234,93 +197,3 @@ class TestPersistentChaos:
         assert not any("backend_fallback" in result.metadata
                        for result in run.results[0])
         assert _wait_no_extra_children(before) == []
-
-
-@needs_socket
-class TestSocketChaos:
-    def test_kill_mid_batch_redispatches_to_surviving_host(
-            self, tiny_model, v100_cluster, reference):
-        # Worker host 0 exits (simulated crash) just before job 2; its
-        # leased jobs re-dispatch to host 1 and results stay serial-exact.
-        plan = FaultPlan([
-            FaultRule(action="kill", job=2, when="before", worker=0)])
-        with spawn_local_worker_hosts(
-                2, env_per_host=[_host_env(plan, 0),
-                                 _host_env(plan, 1)]) as hosts:
-            run = run_conformance(tiny_model, v100_cluster, "socket",
-                                  service=_socket_service(v100_cluster,
-                                                          hosts))
-        assert_conformant(reference, run)
-        stats = run.resilience_stats
-        assert stats["worker_deaths"] >= 1
-        assert stats["redispatched_jobs"] >= 1
-        tagged = [result for result in run.flat_results
-                  if "backend_fallback" in result.metadata]
-        assert 1 <= len(tagged) < len(run.flat_results)
-
-    def test_corrupted_frame_drops_one_worker_not_the_batch(
-            self, tiny_model, v100_cluster, reference):
-        # The parent corrupts the wire frame dispatching job 1.  The
-        # receiving host must reject the stream and hang up; the parent
-        # treats that as a dead worker, re-dispatches, and -- because the
-        # host itself survives -- reconnects to it for batch 2.
-        install_fault_plan(FaultPlan([FaultRule(action="corrupt", job=1)]))
-        with spawn_local_worker_hosts(2) as hosts:
-            run = run_conformance(tiny_model, v100_cluster, "socket",
-                                  service=_socket_service(v100_cluster,
-                                                          hosts))
-        install_fault_plan(None)
-        assert_conformant(reference, run)
-        stats = run.resilience_stats
-        assert stats["worker_deaths"] >= 1
-        assert stats["reconnects"] >= 1
-
-    def test_dropped_connection_reconnects_next_batch(
-            self, tiny_model, v100_cluster, reference):
-        # Host 0 drops the connection right after answering job 0 (a lost
-        # network path; the host stays up).  Batch 1 survives via
-        # re-dispatch; batch 2's warm reconnects to the same host.
-        plan = FaultPlan([
-            FaultRule(action="drop", job=0, when="after", worker=0)])
-        with spawn_local_worker_hosts(
-                2, env_per_host=[_host_env(plan, 0),
-                                 _host_env(plan, 1)]) as hosts:
-            run = run_conformance(tiny_model, v100_cluster, "socket",
-                                  service=_socket_service(v100_cluster,
-                                                          hosts))
-        assert_conformant(reference, run)
-        stats = run.resilience_stats
-        assert stats["worker_deaths"] >= 1
-        assert stats["reconnects"] >= 1
-
-    def test_restarted_worker_host_rejoins_same_run(
-            self, tiny_model, v100_cluster, reference):
-        # Elastic rejoin: the only worker host is killed between batches
-        # and a fresh one comes up on the same port.  The next batch's
-        # warm must prune the dead worker, reconnect with backoff, re-warm
-        # the newcomer through the ordinary bootstrap/sync path, and serve
-        # jobs on it -- all inside one service lifetime.
-        port = _free_port()
-        batches = default_batches()
-        host = start_local_worker_host(port=port)
-        try:
-            address = host.worker_address
-            with _socket_service(v100_cluster, [address]) as service:
-                first = service.predict_many(
-                    make_jobs(tiny_model, v100_cluster, batches[0]))
-                stop_local_worker_host(host)
-                host = start_local_worker_host(port=port)
-                second = service.predict_many(
-                    make_jobs(tiny_model, v100_cluster, batches[1]))
-                backend = service.backend_impl
-                assert backend.resilience_stats["worker_deaths"] >= 1
-                assert backend.resilience_stats["reconnects"] >= 1
-                assert [worker.address
-                        for worker in backend._workers] == [address], \
-                    "the restarted host must be serving again"
-                cache_stats = service.cache_stats()
-        finally:
-            stop_local_worker_host(host)
-        assert_results_identical(reference.flat_results, first + second,
-                                 backend="socket-rejoin")
-        assert cache_stats == reference.cache_stats

@@ -111,16 +111,33 @@ class TestCommands:
     def test_backend_choices_match_registry(self):
         from repro.service import BACKEND_NAMES
 
-        assert BACKEND_NAMES == ("serial", "persistent", "socket")
+        assert BACKEND_NAMES == ("serial", "persistent")
         for command in ("compare", "search", "serve"):
             assert build_parser().parse_args([command]).backend == "serial"
             for backend in BACKEND_NAMES:
                 args = build_parser().parse_args([command, "--backend",
                                                   backend])
                 assert args.backend == backend
-        for removed in ("mpi", "process", "thread"):
+        for removed in ("mpi", "process", "thread", "socket"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["search", "--backend", removed])
+
+    def test_socket_backend_is_refused_by_name(self, v100_cluster):
+        # The multi-host backend is deleted: the name fails where it is
+        # given, not later when a batch warms the pool.
+        from repro.service import PredictionService, get_backend
+
+        expected = r"\['persistent', 'serial'\]"
+        with pytest.raises(ValueError, match=expected):
+            PredictionService(cluster=v100_cluster,
+                              estimator_mode="analytical", backend="socket")
+        with pytest.raises(ValueError, match=expected):
+            get_backend("socket")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["search", "--backend", "socket"])
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        assert set(subcommands) == {"clusters", "models", "predict",
+                                    "compare", "search", "serve", "cache"}
 
     def test_removed_search_surface_is_rejected(self, v100_cluster):
         # One search command, backends chosen only by the evaluator's
@@ -169,7 +186,6 @@ class TestCommands:
             for backend in BACKEND_NAMES:
                 assert backend in help_text, \
                     f"`repro {command} --help` does not mention {backend}"
-            assert "--worker-hosts" in help_text
 
     def test_timeout_flags_parsed_and_validated(self):
         for command in ("compare", "search"):
@@ -209,27 +225,6 @@ class TestCommands:
         assert "REPRO_SYNC_TIMEOUT" in help_text
         assert "REPRO_LEASE_TIMEOUT" in help_text
 
-    def test_worker_hosts_flag_parsed(self):
-        args = build_parser().parse_args([
-            "search", "--backend", "socket",
-            "--worker-hosts", "10.0.0.1:7777, 10.0.0.2:7777",
-        ])
-        assert args.worker_hosts == "10.0.0.1:7777, 10.0.0.2:7777"
-        from repro.cli import _worker_hosts
-        assert _worker_hosts(args) == ["10.0.0.1:7777", "10.0.0.2:7777"]
-
-    def test_worker_host_subcommand_registered(self):
-        args = build_parser().parse_args(["worker-host", "--port", "0",
-                                          "--once"])
-        assert args.command == "worker-host"
-        assert args.host == "127.0.0.1"
-        assert args.port == 0
-        assert args.once
-
-    def test_top_level_help_lists_worker_host(self):
-        help_text = build_parser().format_help()
-        assert "worker-host" in help_text
-
     def test_search_persistent_backend(self, capsys):
         import multiprocessing
 
@@ -253,7 +248,7 @@ class TestCommands:
 class TestStoreFlags:
     def test_store_dir_flag_on_every_evaluating_command(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        for command in ("compare", "search", "serve", "worker-host"):
+        for command in ("compare", "search", "serve"):
             args = build_parser().parse_args([command, "--store-dir",
                                               "/tmp/artifacts"])
             assert args.store_dir == "/tmp/artifacts"

@@ -1,11 +1,11 @@
 """Property tests for the pooled backends' batch state machine.
 
 :class:`~repro.service.dispatch.BatchDispatch` is driven here the way
-``PooledBackend.drain`` drives it -- pop actions, carry them out, feed
-back what happened -- but against fake workers and a fake clock, so 600
-seeded fault schedules (random share sizes, answer orders, errors, late
-duplicate answers, loud and silent worker deaths, mute workers, failed
-sends and pings, lease expiries) run in about a second with no fork.
+``PersistentBackend.drain`` drives it -- pop actions, carry them out,
+feed back what happened -- but against fake workers and a fake clock, so
+600 seeded fault schedules (random share sizes, answer orders, errors,
+late duplicate answers, loud and silent worker deaths, mute workers,
+failed sends, lease expiries) run in about a second with no fork.
 Each scenario is run once and recorded; each test checks one invariant
 over every recording:
 
@@ -23,36 +23,31 @@ import functools
 import random
 from typing import Dict, List
 
-from repro.service.dispatch import BatchDispatch
+from repro.service.dispatch import LIVENESS_POLL_INTERVAL, BatchDispatch
 from repro.service.scheduling import get_scheduler
 
 SEEDS = range(600)
 STEP_LIMIT = 5000
-PING_INTERVAL = 5.0
-PING_TIMEOUT = 20.0
+#: An occasional clock jump past every lease and several liveness polls.
+LONG_PAUSE = 4 * LIVENESS_POLL_INTERVAL + 1.0
 COUNTERS = ("worker_deaths", "lease_expirations", "redispatched_jobs",
-            "duplicate_results", "parent_evaluations", "pings_sent",
-            "pongs_received", "stragglers_discarded", "reconnects")
+            "duplicate_results", "parent_evaluations",
+            "stragglers_discarded")
 
 
 class FakeWorker:
     """What the dispatch sees of a pool worker, plus the fake's own fate."""
 
-    def __init__(self, name: int, supports_ping: bool) -> None:
+    def __init__(self, name: int) -> None:
         self.name = name
-        self.supports_ping = supports_ping
-        self.ping_token = None
-        self.ping_sent_at = 0.0
-        self.last_ping_at = 0.0
         #: ``alive()`` turns False: the liveness pass must notice.
         self.dead = False
-        #: Never answers a job or a ping, but ``alive()`` stays True.
+        #: Never answers a job, but ``alive()`` stays True.
         self.mute = False
         #: The dispatch was told (or decided) this worker is gone.
         self.gone = False
         #: Jobs sent and not answered yet, oldest first.
         self.held: List[int] = []
-        self.pings: List[int] = []
 
     def alive(self) -> bool:
         return not self.dead
@@ -93,8 +88,6 @@ def _perform(rng, dispatch, record, now, send_failure):
         if rng.random() < send_failure:
             worker.gone = True
             dispatch.worker_failed(worker, action.on_failure, now)
-        elif action.kind == "ping":
-            worker.pings.append(action.arg)
         else:
             worker.held.append(action.arg)
             record.peak_held[worker] = max(record.peak_held.get(worker, 0),
@@ -114,13 +107,12 @@ def run_scenario(seed: int) -> Recording:
     send_failure = rng.choice([0.0, 0.0, 0.02, 0.1])
     death_rate = rng.choice([0.0, 0.01, 0.05])
     pace = rng.choice([0.05, 0.3, 2.0])
-    workers = record.workers = [FakeWorker(slot, rng.random() < 0.5)
+    workers = record.workers = [FakeWorker(slot)
                                 for slot in range(rng.randint(1, 5))]
     for worker in workers:
-        # A mute worker only ever ends a batch through a lease or a ping
-        # timeout; without either it gates the batch by design.
-        worker.mute = ((lease > 0 or worker.supports_ping)
-                       and rng.random() < 0.15)
+        # A mute worker only ever ends a batch through a lease; without
+        # one it gates the batch by design.
+        worker.mute = lease > 0 and rng.random() < 0.15
     cursor = 0
     assignments = []
     for worker in workers:
@@ -136,8 +128,7 @@ def run_scenario(seed: int) -> Recording:
     dispatch = record.dispatch = BatchDispatch(
         assignments, parent_eval, name="fake",
         policy=get_scheduler("round_robin"), stats=stats,
-        max_inflight=record.max_inflight, lease_timeout=lease,
-        ping_interval=PING_INTERVAL, ping_timeout=PING_TIMEOUT, now=now)
+        max_inflight=record.max_inflight, lease_timeout=lease, now=now)
     _perform(rng, dispatch, record, now, send_failure)
     for _ in range(STEP_LIMIT):
         if dispatch.finished:
@@ -145,8 +136,6 @@ def run_scenario(seed: int) -> Recording:
         active = list(dispatch.active)
         answerable = [w for w in active if w.held and not w.mute
                       and not w.dead]
-        pingable = [w for w in active if w.pings and not w.mute
-                    and not w.dead]
         roll = rng.random()
         if answerable and roll < 0.6:
             worker = rng.choice(answerable)
@@ -161,10 +150,6 @@ def run_scenario(seed: int) -> Recording:
             else:
                 first = dispatch.result(worker, index, now)
             record.answers.setdefault(index, []).append(first)
-        elif pingable and roll < 0.7:
-            worker = rng.choice(pingable)
-            worker.pings.pop(0)
-            dispatch.pong(worker)
         elif active and roll < 0.7 + death_rate:
             worker = rng.choice(active)
             if rng.random() < 0.5:
@@ -173,7 +158,7 @@ def run_scenario(seed: int) -> Recording:
                 worker.gone = True      # loud: the read failed
                 dispatch.worker_failed(worker, "died mid-batch", now)
         else:
-            now += (PING_TIMEOUT + 1.0 if rng.random() < 0.05
+            now += (LONG_PAUSE if rng.random() < 0.05
                     else pace * rng.choice([0.2, 1.0, 3.0]))
             dispatch.tick(now)
         _perform(rng, dispatch, record, now, send_failure)
@@ -195,8 +180,7 @@ def test_scenarios_cover_every_fault_path():
     for _, record in _each():
         for key, value in record.stats.items():
             totals[key] += value
-    idle = [key for key, value in totals.items()
-            if not value and key != "reconnects"]  # warm()'s counter
+    idle = [key for key, value in totals.items() if not value]
     assert not idle, f"no scenario exercised {idle}"
     assert any(record.first_errors for _, record in _each())
     assert any(record.dispatch.missing for _, record in _each())

@@ -615,10 +615,10 @@ def _trace_json(artifacts, comm_ids=True):
 
 
 class _CodecCounts:
-    """Counts ``wire.loads`` / ``wire.dumps_for_format`` calls, split into
+    """Counts ``wire.loads`` / ``wire.dumps_columnar`` calls, split into
     the parent's and the forked workers' (patch before the pool forks)."""
 
-    NAMES = ("loads", "dumps_for_format")
+    NAMES = ("loads", "dumps_columnar")
 
     def __init__(self, monkeypatch):
         context = multiprocessing.get_context("fork")
@@ -721,8 +721,7 @@ class TestPooledArtifactReturnPath:
         worker = self._service(v100_cluster)
         parent = self._service(v100_cluster)
         payload = _evaluate_job(worker, 0, job)
-        [result] = _merge_batch(parent, [job],
-                                [payload + (wire.format_for_peer(None),)])
+        [result] = _merge_batch(parent, [job], [payload])
         key = parent._artifact_key(job)
         emulated = worker.cache.peek_artifacts(key)
         merged = parent.cache.peek_artifacts(key)
@@ -783,10 +782,10 @@ class TestPooledArtifactReturnPath:
             self, tiny_model, v100_cluster, backend, monkeypatch):
         from multiprocessing.connection import Connection
 
-        from repro.service.backends import PooledBackend
+        from repro.service.backends import PersistentBackend
 
         received, synced = {}, []
-        real_feed, real_send = PooledBackend._feed, Connection.send
+        real_feed, real_send = PersistentBackend._feed, Connection.send
 
         def feed(backend_self, dispatch, worker, message, payloads):
             if message[0] == "result" and message[3] is not None:
@@ -801,7 +800,7 @@ class TestPooledArtifactReturnPath:
                 synced.append(obj)
             return real_send(conn, obj)
 
-        monkeypatch.setattr(PooledBackend, "_feed", feed)
+        monkeypatch.setattr(PersistentBackend, "_feed", feed)
         monkeypatch.setattr(Connection, "send", send)
         with self._service(v100_cluster, backend) as pooled:
             results = self._cold_sweep(tiny_model, v100_cluster, pooled)
@@ -827,9 +826,9 @@ class TestPooledArtifactReturnPath:
         # never look it up; the parent forwards bytes, encoding nothing.
         assert codec.workers("loads") == 0
         assert codec.parent("loads") == 0
-        assert codec.parent("dumps_for_format") == 0
+        assert codec.parent("dumps_columnar") == 0
         # Each cold job's own encode in its worker is the only codec work.
-        assert codec.workers("dumps_for_format") == 2 * len(self.RECIPES)
+        assert codec.workers("dumps_columnar") == 2 * len(self.RECIPES)
 
     @POOLED
     def test_artifact_hit_decodes_once_on_the_pool_and_the_parent(
@@ -869,39 +868,6 @@ class TestPooledArtifactReturnPath:
             ["miss"] * 4 + ["artifacts"] * 4
         assert_results_identical(expected, results, backend=backend)
 
-    def test_sync_reencodes_a_held_payload_for_a_peer_of_another_format(
-            self, tiny_model, v100_cluster):
-        from repro.service.backends import (PersistentBackend, _PoolWorker,
-                                            _evaluate_job, _merge_batch)
-
-        class PlainPeer:
-            """A socket peer that negotiated columnar traces off."""
-
-            peer_features = frozenset()
-
-            def __init__(self):
-                self.sent = []
-
-            def send(self, message):
-                self.sent.append(message)
-
-        job = _job(tiny_model, v100_cluster, self.RECIPES[0])
-        payload = _evaluate_job(self._service(v100_cluster), 0, job)
-        parent = self._service(v100_cluster)
-        _merge_batch(parent, [job],
-                     [payload + (wire.format_for_peer(None),)])
-        backend, encoded = PersistentBackend(), {}
-        peers = [PlainPeer(), PlainPeer()]
-        for peer in peers:
-            backend._send_sync(parent, _PoolWorker(peer, 0, 0, 0), encoded)
-        [(key, shipped)] = peers[0].sent[0][3]
-        # Re-encoded in the peer's format, once for both peers.
-        assert wire.format_for_peer(peers[0]) != wire.format_for_peer(None)
-        assert shipped != payload[2]
-        assert peers[1].sent[0][3][0][1] is shipped
-        assert _fingerprint(wire.loads(shipped).collated) == \
-            _fingerprint(parent.cache.peek_artifacts(key).collated)
-
     @pytest.mark.parametrize("damage", ["truncated", "not-artifacts"])
     def test_bad_held_payload_raises_named_error_and_is_dropped(
             self, tiny_model, v100_cluster, damage):
@@ -915,7 +881,7 @@ class TestPooledArtifactReturnPath:
         service = self._service(v100_cluster)
         key = service._artifact_key(job)
         service.cache.put_artifacts(key, HeldArtifacts(
-            bad, wire.format_for_peer(None), job, service.pipeline.cluster))
+            bad, job, service.pipeline.cluster))
         epoch = service.cache.sync_epoch
         with pytest.raises(wire.WireError) as raised:
             service.predict(job)

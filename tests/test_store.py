@@ -548,27 +548,3 @@ class TestPickleSafety:
         store = _store(tmp_path)
         with pytest.raises(TypeError, match="attach its own store"):
             pickle.dumps(store)
-
-    def test_cache_pickle_drops_the_store(self, tmp_path):
-        cache = ArtifactCache(store=_store(tmp_path))
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.store is None
-
-    def test_service_pickle_drops_store_and_dir(self, tmp_path, tiny_model,
-                                                v100_cluster):
-        store_dir = str(tmp_path / "store")
-        with _service(v100_cluster, store_dir=store_dir) as service:
-            service.predict(make_job(tiny_model, v100_cluster,
-                                     _recipes(1)[0]))
-            assert service.store is not None
-            clone = pickle.loads(pickle.dumps(service))
-            assert clone.store is None
-            assert clone.store_dir is None
-            # The unpickled copy still predicts (memory tier only) ...
-            result = clone.predict(make_job(tiny_model, v100_cluster,
-                                            _recipes(1)[0]))
-            assert result.iteration_time > 0
-            # ... and can attach its own store afterwards.
-            clone.attach_store(store_dir)
-            assert clone.store is not None
-            clone.close()

@@ -1,4 +1,4 @@
-"""Unit tests for the socket backend's wire framing and handshake."""
+"""Unit tests for the prediction server's wire framing and handshake."""
 
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ class TestFraming:
 
     def test_poll_works_on_fd_above_select_fd_setsize(self):
         # ``select.select`` raises ValueError on fds >= 1024 (FD_SETSIZE);
-        # a server holding hundreds of client + worker sockets crosses
+        # a server holding hundreds of client sockets crosses
         # that line in normal operation, so poll() must use selectors.
         resource = pytest.importorskip("resource")
         target_fd = 1200
@@ -152,7 +152,7 @@ class TestHandshake:
     def test_protocol_1_hello_is_refused(self):
         # Protocol 1 peers put a JSON trace, ``oom`` and ``stage_times``
         # where later result frames carry one artifact payload: a
-        # mixed-version worker host must be turned away at the hello,
+        # mixed-version peer must be turned away at the hello,
         # never left to mis-parse a frame.
         assert wire.PROTOCOL == 3
         message = self._refusal(1)
@@ -169,7 +169,7 @@ class TestHandshake:
     def test_silent_peer_times_out_instead_of_stalling(self):
         # A listener that accepts (at the TCP level) but never answers the
         # hello must not hang connect(): the handshake read times out with
-        # an OSError, which the socket backend treats as a failed address.
+        # an OSError the caller can handle like a refused connection.
         listener = socket.socket()
         try:
             listener.bind(("127.0.0.1", 0))
@@ -345,17 +345,21 @@ class TestColumnarNegotiation:
             b.close()
 
     def test_format_3_decodes_on_a_plain_recv_path(self):
-        # A format-3 frame is a standard pickle: send_bytes with the
-        # columnar format must decode identically on any current peer.
+        # A format-3 frame is a standard pickle: written raw, it must decode
+        # identically on any current peer's recv.
         trace = _example_trace()
-        a, b = _pair()
+        left, right = socket.socketpair()
+        b = wire.WireConnection(right)
         try:
-            payload = wire.dumps_columnar(("artifact", trace))
-            a.send_bytes(payload, wire._FORMAT_PICKLE_COLUMNAR)
+            frame = wire.encode_frame(("artifact", trace),
+                                      frozenset({wire.FEATURE_COLUMNAR}))
+            assert wire.parse_header(frame[:wire.HEADER_SIZE])[0] == \
+                wire._FORMAT_PICKLE_COLUMNAR
+            left.sendall(frame)
             _, received = b.recv()
             assert received.to_json() == trace.to_json()
         finally:
-            a.close()
+            left.close()
             b.close()
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation drift gate: the front-door docs must match the code.
 
-Checks (run by CI's ``conformance-socket`` job and usable locally)::
+Checks (run by CI's ``server`` job and usable locally)::
 
     PYTHONPATH=src python tools/check_docs.py
 
@@ -41,7 +41,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Words following ``repro`` in prose that are not subcommand invocations.
-_NON_COMMAND_WORDS = {"worker", "versions"}
+_NON_COMMAND_WORDS = {"versions"}
 
 
 def _cli_subcommands() -> set:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Dead-definition gate: every ``def`` / ``class`` in ``src/`` has a user.
 
-Static, stdlib ``ast`` only (run by CI's documentation-gate job)::
+Static, stdlib ``ast`` only (run by CI's ``server`` job)::
 
     python tools/check_unreferenced.py
 
