@@ -80,10 +80,14 @@ class LearnedKernelEstimator:
         """MAPE on a held-out dataset (the Table 7-9 metric)."""
         if len(dataset) == 0:
             return 0.0
-        predicted = np.array([
-            self.estimate(dataset.kernel_class, params)
+        prior_times = np.array([
+            self.prior.estimate(dataset.kernel_class, params)
             for params in dataset.params
         ])
+        # One forest pass prices every row as estimate() would alone:
+        # forest predictions do not depend on the batch.
+        residuals = self.forest.predict(feature_matrix(dataset.params))
+        predicted = np.exp(np.log(np.maximum(prior_times, 1e-9)) + residuals)
         return mean_absolute_percentage_error(dataset.runtimes, predicted)
 
 

@@ -3,9 +3,9 @@
 ``repro serve`` (:mod:`repro.service.server`) and its
 :class:`~repro.service.server.PredictionClient` exchange framed messages
 over TCP; this module supplies the frames, the handshake and the
-blocking client connection.  :class:`WireConnection` duck-types
-:class:`multiprocessing.connection.Connection` (``send`` / ``recv`` /
-``poll`` / ``fileno`` / ``close``).  The worker pool's fork pipes carry
+blocking client connection.  :class:`WireConnection` moves whole objects
+like a :class:`multiprocessing.connection.Connection` (``send`` /
+``recv`` / ``close``).  The worker pool's fork pipes carry
 the same payload encoders (:func:`dumps_columnar` artifact payloads)
 without the framing.
 
@@ -50,7 +50,6 @@ import copyreg
 import io
 import json
 import pickle
-import selectors
 import socket
 import struct
 from typing import Optional, Tuple
@@ -123,11 +122,9 @@ def parse_address(address: str) -> Tuple[str, int]:
 class WireConnection:
     """One framed, bidirectional message stream over a connected socket.
 
-    Duck-types :class:`multiprocessing.connection.Connection`: ``send`` /
-    ``recv`` move whole Python objects, ``poll`` waits for readability,
-    ``fileno`` lets :func:`multiprocessing.connection.wait` multiplex
-    sockets.  ``recv`` raises :class:`EOFError` on a cleanly closed peer
-    (like a pipe does).
+    Like a :class:`multiprocessing.connection.Connection`, ``send`` /
+    ``recv`` move whole Python objects, and ``recv`` raises
+    :class:`EOFError` on a cleanly closed peer (as a pipe does).
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -164,11 +161,6 @@ class WireConnection:
     # ------------------------------------------------------------------
     # Connection duck type
     # ------------------------------------------------------------------
-    def fileno(self) -> int:
-        if self._sock is None:
-            raise OSError("wire connection is closed")
-        return self._sock.fileno()
-
     def send(self, obj) -> None:
         """Pickle ``obj`` and write it as one frame.
 
@@ -199,23 +191,6 @@ class WireConnection:
         """
         fmt, payload = self._recv_frame()
         return decode_payload(fmt, payload, json_only=True)
-
-    def poll(self, timeout: Optional[float] = None) -> bool:
-        """True when a frame (or EOF) is ready to :meth:`recv`.
-
-        Uses the :mod:`selectors` module (epoll/poll where available)
-        rather than ``select.select``, which raises ``ValueError`` on file
-        descriptors >= 1024 -- a process holding hundreds of sockets
-        crosses that line in normal operation.
-        """
-        if self._sock is None:
-            raise OSError("wire connection is closed")
-        selector = selectors.DefaultSelector()
-        try:
-            selector.register(self._sock, selectors.EVENT_READ)
-            return bool(selector.select(timeout))
-        finally:
-            selector.close()
 
     def close(self) -> None:
         sock, self._sock = self._sock, None

@@ -12,7 +12,11 @@ from repro.core.estimators.collective import (
     HierarchicalNetworkModel,
     ProfiledCollectiveEstimator,
 )
-from repro.core.estimators.features import FEATURE_NAMES, kernel_features
+from repro.core.estimators.features import (
+    FEATURE_NAMES,
+    feature_matrix,
+    kernel_features,
+)
 from repro.core.estimators.oracle import (
     OracleCollectiveEstimator,
     OracleKernelEstimator,
@@ -36,6 +40,8 @@ from repro.hardware.cluster import get_cluster
 from repro.hardware.gpu_specs import get_gpu
 from repro.hardware.interconnect import V100_FABRIC
 from repro.hardware.kernel_cost import KernelCostModel
+
+import reference_tree
 
 
 class TestFeatures:
@@ -106,6 +112,148 @@ class TestRegression:
         tree = DecisionTreeRegressor().fit(x, y)
         assert tree.predict(np.array([[3.0]]))[0] == pytest.approx(constant)
 
+
+
+def assert_same_tree(expected, actual):
+    """Node-for-node equality: structure, ``feature``, ``threshold`` and
+    ``value``, each by value and by type."""
+    stack = [(expected, actual, "root")]
+    while stack:
+        want, got, path = stack.pop()
+        for name in ("feature", "threshold", "value"):
+            want_field, got_field = getattr(want, name), getattr(got, name)
+            assert type(got_field) is type(want_field), (path, name)
+            assert got_field == want_field, (path, name, got_field,
+                                             want_field)
+        assert (got.left is None) == (want.left is None), path
+        assert (got.right is None) == (want.right is None), path
+        if want.left is not None:
+            stack.append((want.left, got.left, path + ".left"))
+            stack.append((want.right, got.right, path + ".right"))
+
+
+def _synthetic(case, seed):
+    """Seeded rows that reach the builder's edge cases."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 90))
+    if case == "tied_features":
+        x = rng.integers(0, 3, size=(n, 3)).astype(float)
+        y = x @ np.array([1.0, -2.0, 0.5]) + rng.normal(0, 0.1, n)
+    else:
+        x = rng.normal(size=(n, 4))
+        y = rng.normal(0, 5, n)
+    if case == "constant_targets":
+        y = np.full(n, rng.normal())
+    elif case == "near_constant_targets":
+        # Straddle np.allclose's tolerance around the first target.
+        base = rng.normal()
+        tolerance = 1e-08 + 1e-05 * abs(base)
+        y = base + rng.choice([0.5, 0.999, 1.001, 2.0], size=n) * tolerance
+        y[0] = base
+    elif case == "few_distinct_targets":
+        y = rng.integers(0, 2, size=n).astype(float)
+    return x, y
+
+
+class TestLevelWiseBuilder:
+    """The level-wise builder grows the recursive reference's trees."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("case", ["tied_features", "constant_targets",
+                                      "near_constant_targets",
+                                      "few_distinct_targets", "noise"])
+    def test_tree_matches_recursive_reference(self, case, seed):
+        x, y = _synthetic(case, seed)
+        for max_depth in (0, 1, 3, 12):
+            for min_samples_leaf in (0, 1, 2, 5):
+                tree = DecisionTreeRegressor(
+                    max_depth=max_depth,
+                    min_samples_leaf=min_samples_leaf).fit(x, y)
+                assert_same_tree(reference_tree.build_tree(
+                    x, y, max_depth, min_samples_leaf), tree._root)
+
+    @pytest.mark.parametrize("n_rows", [3, 4, 5, 6, 7])
+    def test_min_samples_leaf_boundary(self, n_rows):
+        # 2 * min_samples_leaf rows is the smallest node that may split,
+        # and a cut must leave min_samples_leaf rows on each side.
+        rng = np.random.default_rng(n_rows)
+        x = rng.normal(size=(n_rows, 2))
+        y = rng.normal(size=n_rows)
+        for min_samples_leaf in (2, 3):
+            tree = DecisionTreeRegressor(
+                max_depth=5, min_samples_leaf=min_samples_leaf).fit(x, y)
+            assert_same_tree(reference_tree.build_tree(
+                x, y, 5, min_samples_leaf), tree._root)
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_forest_grows_its_trees_together_like_one_at_a_time(
+            self, bootstrap):
+        x, y = _synthetic("tied_features", 11)
+        forest = RandomForestRegressor(n_trees=5, max_depth=6, seed=3,
+                                       bootstrap=bootstrap).fit(x, y)
+        roots = reference_tree.forest_roots(x, y, n_trees=5, max_depth=6,
+                                            min_samples_leaf=2, seed=3,
+                                            bootstrap=bootstrap)
+        for root, tree in zip(roots, forest._trees, strict=True):
+            assert_same_tree(root, tree._root)
+
+
+@pytest.fixture(scope="module")
+def v100_training_sets():
+    """Each kernel class's training rows as the learned v100-8 suite fits
+    them, with its trained estimator and held-out set."""
+    cluster = get_cluster("v100-8")
+    suite = build_estimator_suite(cluster, mode="learned")
+    prior = AnalyticalKernelEstimator(cluster.gpu)
+    datasets = KernelProfiler(cluster.gpu, seed=0).profile_default_classes(
+        samples_per_class=224)
+    sets = {}
+    for kernel_class, dataset in datasets.items():
+        train, test = dataset.train_test_split(seed=0)
+        prior_times = np.array([prior.estimate(kernel_class, params)
+                                for params in train.params])
+        targets = (np.log(np.maximum(train.runtimes, 1e-9))
+                   - np.log(np.maximum(prior_times, 1e-9)))
+        sets[kernel_class] = (feature_matrix(train.params), targets,
+                              suite.kernel_estimators[kernel_class], test)
+    return sets
+
+
+class TestLearnedSuiteTrees:
+    def test_v100_suite_matches_recursive_reference(self, v100_training_sets):
+        # Every tree of every kernel class, node by node.  v100-16 trains
+        # the same kernel forests (profiling depends only on the GPU and
+        # the seed); tab07-09's float.hex goldens cover h100-64 and a40-8.
+        assert len(v100_training_sets) == len(DEFAULT_KERNEL_CLASSES)
+        trees = 0
+        for features, targets, estimator, _ in v100_training_sets.values():
+            forest = estimator.forest
+            roots = reference_tree.forest_roots(
+                features, targets, n_trees=forest.n_trees,
+                max_depth=forest.max_depth,
+                min_samples_leaf=forest.min_samples_leaf, seed=forest.seed)
+            for root, tree in zip(roots, forest._trees, strict=True):
+                assert_same_tree(root, tree._root)
+                trees += 1
+        assert trees == 22 * 8
+
+    def test_forest_prediction_does_not_depend_on_the_batch(
+            self, v100_training_sets):
+        for features, _, estimator, test in v100_training_sets.values():
+            rows = np.vstack([features, feature_matrix(test.params)])
+            batched = estimator.forest.predict(rows)
+            alone = [estimator.forest.predict(rows[i:i + 1])[0]
+                     for i in range(len(rows))]
+            assert batched.tolist() == alone
+
+    def test_validation_mape_prices_rows_like_estimate(
+            self, v100_training_sets):
+        for _, _, estimator, test in list(v100_training_sets.values())[:4]:
+            one_by_one = np.array([
+                estimator.estimate(test.kernel_class, params)
+                for params in test.params])
+            assert estimator.validation_mape(test) == \
+                mean_absolute_percentage_error(test.runtimes, one_by_one)
 
 class TestAnalyticalAndOracle:
     def test_analytical_monotone_in_flops(self):

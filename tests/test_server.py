@@ -10,6 +10,7 @@ after restart, and graceful shutdown that leaves nothing running.
 from __future__ import annotations
 
 import multiprocessing
+import selectors
 import subprocess
 import threading
 import time
@@ -50,6 +51,14 @@ def _wait_until(predicate, timeout: float = 30.0, interval: float = 0.01):
             return
         time.sleep(interval)
     raise TimeoutError("condition not reached in time")
+
+
+def _frame_ready(conn, timeout):
+    """Wait up to ``timeout`` s until ``conn`` has a frame (or EOF) to
+    read, so a missing reply fails the test instead of hanging it."""
+    with selectors.DefaultSelector() as selector:
+        selector.register(conn._sock, selectors.EVENT_READ)
+        return bool(selector.select(timeout))
 
 
 class GatedService(PredictionService):
@@ -403,7 +412,7 @@ class TestProtocolSurface:
             try:
                 for request_id, payload in ((1, ["not a job"]), (2, 5)):
                     conn.send(("predict", request_id, payload))
-                    assert conn.poll(30.0), \
+                    assert _frame_ready(conn, 30.0), \
                         f"no reply to malformed predict {payload!r}"
                     reply = conn.recv()
                     assert reply[:2] == ("error", request_id)
@@ -431,7 +440,7 @@ class TestProtocolSurface:
                 conn.recv_json_only()  # server hello arrives first
                 conn.send(("predict", 1, []))  # pickle instead of a hello
                 with pytest.raises((EOFError, OSError)):
-                    conn.poll(10.0)
+                    _frame_ready(conn, 10.0)
                     conn.recv()
             finally:
                 conn.close()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 
@@ -46,17 +45,6 @@ class TestFraming:
             a.close()
             b.close()
 
-    def test_poll_times_out_then_sees_data(self):
-        a, b = _pair()
-        try:
-            assert b.poll(0.01) is False
-            a.send("ping")
-            assert b.poll(5.0) is True
-            assert b.recv() == "ping"
-        finally:
-            a.close()
-            b.close()
-
     def test_closed_peer_raises_eoferror(self):
         a, b = _pair()
         a.close()
@@ -76,37 +64,6 @@ class TestFraming:
         finally:
             left.close()
             conn.close()
-
-    def test_poll_works_on_fd_above_select_fd_setsize(self):
-        # ``select.select`` raises ValueError on fds >= 1024 (FD_SETSIZE);
-        # a server holding hundreds of client sockets crosses
-        # that line in normal operation, so poll() must use selectors.
-        resource = pytest.importorskip("resource")
-        target_fd = 1200
-        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-        if soft <= target_fd:
-            if hard != resource.RLIM_INFINITY and hard <= target_fd:
-                pytest.skip("process fd limit too low to mint an fd >= 1024")
-            resource.setrlimit(resource.RLIMIT_NOFILE,
-                               (target_fd + 64, hard))
-        try:
-            left, right = socket.socketpair()
-            os.dup2(right.fileno(), target_fd)
-            right.close()
-            conn = wire.WireConnection(socket.socket(fileno=target_fd))
-            sender = wire.WireConnection(left)
-            try:
-                assert conn.fileno() == target_fd >= 1024
-                assert conn.poll(0.01) is False
-                sender.send("ping")
-                assert conn.poll(5.0) is True
-                assert conn.recv() == "ping"
-            finally:
-                sender.close()
-                conn.close()
-        finally:
-            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
-
 
 class TestHandshake:
     def test_matching_versions_succeed(self):
